@@ -16,7 +16,7 @@ from .model_core import Portfolio
 from .solver import FitResult
 
 __all__ = [
-    "GapRecord",
+    "IndividualGaps",
     "ClassBalanceRow",
     "GroupSummary",
     "individual_gaps",
@@ -28,12 +28,21 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class GapRecord:
-    contract_id: str
-    exposure: float
-    observed_z: float
-    fitted_zeta: float
-    gap: float
+class IndividualGaps:
+    """Per-contract gap columns of one fit, in portfolio order.
+
+    ``gap = exposure * (observed_z - fitted_zeta)`` entrywise; the
+    arrays are read-only.
+    """
+
+    contract_ids: tuple
+    exposure: np.ndarray
+    observed_z: np.ndarray
+    fitted_zeta: np.ndarray
+    gap: np.ndarray
+
+    def __len__(self):
+        return len(self.contract_ids)
 
 
 @dataclass(frozen=True)
@@ -74,43 +83,39 @@ def _fitted_zetas(portfolio, fit):
     return np.exp(portfolio.design @ fit.beta_hat)
 
 
-def individual_gaps(portfolio: Portfolio, fit: FitResult):
+def individual_gaps(portfolio: Portfolio, fit: FitResult) -> IndividualGaps:
     """Per-contract gaps ``t_i * (z_i - zeta_hat_i)``, portfolio order preserved."""
     _check_fit(portfolio, fit)
     zetas = _fitted_zetas(portfolio, fit)
-    records = []
-    for obs, zeta in zip(portfolio.observations, zetas):
-        z = obs.loss_cost / obs.exposure
-        records.append(
-            GapRecord(
-                contract_id=obs.contract_id,
-                exposure=obs.exposure,
-                observed_z=z,
-                fitted_zeta=float(zeta),
-                gap=obs.exposure * (z - float(zeta)),
-            )
-        )
-    return records
+    gaps = portfolio.exposures * (portfolio.normalized - zetas)
+    columns = [portfolio.exposures.view(), portfolio.normalized.view(), zetas, gaps]
+    for column in columns:
+        column.flags.writeable = False
+    return IndividualGaps(portfolio.contract_ids, *columns)
 
 
 def portfolio_gap(gaps) -> float:
-    """Sum of individual gaps, accumulated left to right in list order."""
-    gaps = list(gaps)
-    if not gaps:
+    """Sum of individual gaps, accumulated left to right in portfolio order.
+
+    Takes an ``IndividualGaps`` record or a plain sequence of gaps.  The
+    running sum is sequential on purpose: a pairwise or compensated sum
+    would change the reported total in its last bits.
+    """
+    values = np.asarray(getattr(gaps, "gap", gaps), dtype=float)
+    if values.size == 0:
         raise ValueError("gap list is empty")
-    total = 0.0
-    for record in gaps:
-        total += record.gap
-    return total
+    return float(np.cumsum(values)[-1])
 
 
 def class_report(portfolio: Portfolio, fit: FitResult, factor_index: int, factor_name=None):
     """Balance rows per level of design column ``factor_index``.
 
     Index 0 is the intercept (a single constant level, flagged), indices
-    1..q the covariates.  Rows are ordered by ascending aggregate loss;
-    a level with zero losses keeps its premium sum and reports an
-    undefined ratio instead of an infinite one.
+    1..q the covariates; every distinct value is a level, so a
+    continuous column yields one row per value.  Rows are ordered by
+    ascending aggregate loss, ties by ascending level; a level with zero
+    losses keeps its premium sum and reports an undefined ratio instead
+    of an infinite one.
     """
     _check_fit(portfolio, fit)
     if not (0 <= factor_index <= portfolio.q):
@@ -120,20 +125,24 @@ def class_report(portfolio: Portfolio, fit: FitResult, factor_index: int, factor
 
     column = portfolio.design[:, factor_index]
     premiums = portfolio.exposures * _fitted_zetas(portfolio, fit)
-    levels = np.unique(column)
+    levels, inverse, counts = np.unique(column, return_inverse=True, return_counts=True)
+    # A stable sort keeps each level's contracts in portfolio order, so
+    # every slice sum below adds the same values in the same order as a
+    # boolean mask of that level would.
+    order = np.argsort(inverse, kind="stable")
+    losses, premiums = portfolio.loss_costs[order], premiums[order]
+    bounds = [0, *np.cumsum(counts).tolist()]
     rows = []
-    for level in levels:
-        mask = column == level
-        loss_sum = float(portfolio.loss_costs[mask].sum())
-        premium_sum = float(premiums[mask].sum())
-        ratio = premium_sum / loss_sum if loss_sum > 0.0 else None
+    for level, start, stop in zip(levels.tolist(), bounds[:-1], bounds[1:]):
+        loss_sum = float(losses[start:stop].sum())
+        premium_sum = float(premiums[start:stop].sum())
         rows.append(
             ClassBalanceRow(
                 factor_name=str(factor_name),
-                level=float(level),
+                level=level,
                 loss_sum=loss_sum,
                 premium_sum=premium_sum,
-                ratio=ratio,
+                ratio=premium_sum / loss_sum if loss_sum > 0.0 else None,
                 single_level=levels.size == 1,
             )
         )
@@ -144,23 +153,24 @@ def class_report(portfolio: Portfolio, fit: FitResult, factor_index: int, factor
 def group_summaries(portfolio: Portfolio, grouping="exposure"):
     """Descriptive statistics per contract group.
 
-    ``grouping`` is either the built-in ``"exposure"`` predicate (full
-    exposure ``t == 1`` vs. mid-term ``t < 1``) or a callable mapping an
-    observation to a group label.  Groups are reported in sorted label
-    order.
+    ``grouping`` is either the built-in ``"exposure"`` split (full
+    exposure ``t == 1`` vs. mid-term ``t < 1``) or a callable that takes
+    the portfolio and returns one label per contract.  Groups are
+    reported in sorted label order.
     """
     if grouping == "exposure":
-        predicate = lambda obs: "full_exposure" if obs.exposure == 1.0 else "mid_term"
+        labels = np.where(portfolio.exposures == 1.0, "full_exposure", "mid_term")
     elif callable(grouping):
-        predicate = grouping
+        labels = np.asarray(grouping(portfolio)).astype(str)
+        if labels.shape != (portfolio.n,):
+            raise ValueError(f"grouping must return {portfolio.n} labels, got shape {labels.shape}")
     else:
         raise ValueError(f"unknown grouping {grouping!r}")
 
-    labels = [str(predicate(obs)) for obs in portfolio.observations]
     portfolio_mean_loss = float(portfolio.loss_costs.mean())
     summaries = []
-    for label in sorted(set(labels)):
-        mask = np.array([lab == label for lab in labels])
+    for label in np.unique(labels).tolist():
+        mask = labels == label
         count = int(mask.sum())
         group_mean_loss = float(portfolio.loss_costs[mask].mean())
         reference = (

@@ -13,10 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model_core import validate_design
+from .model_core import _validated_columns, validate_design
 
 __all__ = [
-    "CountObservation",
     "CountData",
     "ZipParams",
     "ZipEvidence",
@@ -30,60 +29,33 @@ __all__ = [
 _MODES = ("offset", "ratio")
 
 
-@dataclass(frozen=True)
-class CountObservation:
-    """One contract's claim count with its exposure and covariates."""
-
-    exposure: float
-    count: int
-    covariates: tuple = ()
-
-    def __post_init__(self):
-        if not (0.0 < self.exposure <= 1.0):
-            raise ValueError(f"exposure must lie in (0, 1], got {self.exposure}")
-        if self.count != int(self.count) or self.count < 0:
-            raise ValueError(f"count must be a non-negative integer, got {self.count}")
-        object.__setattr__(self, "count", int(self.count))
-        object.__setattr__(self, "covariates", tuple(float(v) for v in self.covariates))
-
-
 class CountData:
-    """Validated count dataset with intercept-led full-rank design."""
+    """Validated count dataset held as columns, with intercept-led full-rank design.
 
-    def __init__(self, observations):
-        observations = tuple(observations)
-        if not observations:
-            raise ValueError("count dataset is empty")
-        q = len(observations[0].covariates)
-        if any(len(obs.covariates) != q for obs in observations):
-            raise ValueError("inconsistent covariate lengths")
-        n = len(observations)
-        if n < q + 1:
-            raise ValueError(f"need at least q + 1 = {q + 1} observations, got {n}")
-        design = np.ones((n, q + 1))
-        for i, obs in enumerate(observations):
-            design[i, 1:] = obs.covariates
+    ``exposures`` lie in (0, 1], ``counts`` are non-negative integers
+    stored as floats, and ``normalized`` is the annualized count
+    ``counts / exposures``.
+    """
+
+    def __init__(self, exposures, counts, covariates=None):
+        exposures, counts, design = _validated_columns(exposures, counts, covariates, "count")
+        bad = np.flatnonzero(counts != np.floor(counts))
+        if bad.size:
+            raise ValueError(
+                f"count must be a non-negative integer, got {counts[bad[0]]} "
+                f"for the contract at index {bad[0]}"
+            )
         validate_design(design)
-        self.observations = observations
         self.design = design
-        self.exposures = np.array([obs.exposure for obs in observations], dtype=float)
-        self.counts = np.array([obs.count for obs in observations], dtype=float)
-        self.normalized = self.counts / self.exposures
-        self.n = n
-        self.q = q
+        self.exposures = exposures
+        self.counts = counts
+        self.normalized = counts / exposures
+        self.n, self.q = design.shape[0], design.shape[1] - 1
 
     @classmethod
     def from_arrays(cls, exposures, counts, covariates=None):
-        exposures = np.asarray(exposures, dtype=float)
-        counts = np.asarray(counts)
-        n = exposures.size
-        if covariates is None:
-            covariates = np.empty((n, 0))
-        covariates = np.asarray(covariates, dtype=float)
-        return cls(
-            CountObservation(float(t), int(y), tuple(row))
-            for t, y, row in zip(exposures, counts, covariates)
-        )
+        """Build a count dataset from parallel arrays (covariates may be None)."""
+        return cls(exposures, counts, covariates)
 
     def __len__(self):
         return self.n

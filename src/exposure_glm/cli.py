@@ -25,13 +25,13 @@ from pathlib import Path
 import numpy as np
 
 from .balance import balance_factor, class_report, individual_gaps, portfolio_gap
-from .claim_count import CountData, CountObservation, poisson_fit, zip_nonequivalence_check
+from .claim_count import CountData, poisson_fit, zip_nonequivalence_check
 from .model_core import (
-    Observation,
     Portfolio,
     RankDeficiencyError,
     TweedieFamily,
     WeightScheme,
+    _first_duplicate,
 )
 from .simulate import Scenario, ScenarioConfig, run_gap_experiment
 from .solver import AllZeroLossError, FitConfig, SingularInformationError, fit
@@ -93,37 +93,85 @@ def _fmt(value):
     return "" if value is None else str(value)
 
 
-def _write_csv(path: Path, header, rows):
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", newline="", encoding="utf-8") as fh:
+def _format_column(column):
+    """Cells of one output column: floats with 17 significant digits, None empty."""
+    if isinstance(column, np.ndarray) and column.dtype.kind == "f":
+        return [format(v, ".17g") for v in column.tolist()]
+    return [_fmt(v) for v in column]
+
+
+def _atomic_write(path: Path, write, newline=None):
+    """Write ``path`` through ``write(fh)``, all at once or not at all.
+
+    The content goes to a new temp file of a random name beside ``path``,
+    which then replaces ``path`` in one rename, so concurrent writers of
+    the same name never share a temp file and readers never see a torn
+    file.  The temp file is created with mode 0o666 and the process umask
+    applied, as ``open()`` would create ``path``.  On any error it is
+    removed and ``path`` is left as it was.
+    """
+    while True:
+        tmp = path.with_name(f"{path.name}.{os.urandom(6).hex()}.tmp")
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            continue
+    try:
+        with open(fd, "w", encoding="utf-8", newline=newline) as fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+    log.info("wrote %s", path)
+
+
+_CHUNK_ROWS = 32768
+
+
+def _write_csv(path: Path, header, columns):
+    """Write equal-length ``columns`` under ``header`` as a CSV file.
+
+    Rows are formatted and written in chunks, so memory stays bounded
+    whatever the number of rows.
+    """
+    n = len(columns[0])
+
+    def write(fh):
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
-    os.replace(tmp, path)
-    log.info("wrote %s", path)
+        for start in range(0, n, _CHUNK_ROWS):
+            writer.writerows(
+                zip(*(_format_column(column[start : start + _CHUNK_ROWS]) for column in columns))
+            )
+
+    _atomic_write(path, write, newline="")
 
 
 def _write_json(path: Path, payload):
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
+    def write(fh):
         json.dump(payload, fh, indent=2)
         fh.write("\n")
-    os.replace(tmp, path)
-    log.info("wrote %s", path)
+
+    _atomic_write(path, write)
 
 
-def _parse_float(raw, row, column):
-    try:
-        value = float(raw)
-    except ValueError:
-        raise IngestError(f"not a number: {raw!r}", row=row, column=column) from None
-    if not math.isfinite(value):
-        raise IngestError(f"not finite: {raw!r}", row=row, column=column)
-    return value
+# Records are transposed a few hundred at a time: fewer than the garbage
+# collector's first threshold (700 new objects) are alive at once, so
+# reading a large file starts no collection.
+_READ_ROWS = 512
 
 
-def _read_rows(path, leading_columns):
+def _read_columns(path, leading_columns):
+    """Covariate names, data-row line numbers and the data as string columns.
+
+    Line numbers count CSV records from the header (row 1) and include
+    blank records, which are skipped.  ``row_numbers`` is None when no
+    record was skipped, so data row ``i`` is line ``i + 2``.
+    """
+    from itertools import islice
+
     path = Path(path)
     if not path.exists():
         raise IngestError(f"input file not found: {path}")
@@ -137,43 +185,116 @@ def _read_rows(path, leading_columns):
                 f"header must start with {','.join(leading_columns)}, got {','.join(header)}",
                 row=1,
             )
-        covariate_names = [h.strip() for h in header[len(leading_columns) :]]
-        rows = []
-        for lineno, record in enumerate(reader, start=2):
-            if not record:
-                continue
-            if len(record) != len(header):
-                raise IngestError(
-                    f"expected {len(header)} fields, got {len(record)}", row=lineno
-                )
-            rows.append((lineno, record))
-        if not rows:
-            raise IngestError("no data rows")
-    return covariate_names, rows
+        width = len(header)
+        columns = [[] for _ in range(width)]
+        blank_lines = []
+        lines = 1  # records read so far, header included
+        while records := list(islice(reader, _READ_ROWS)):
+            first, lines = lines + 1, lines + len(records)
+            if set(map(len, records)) - {width, 0}:
+                k = next(k for k, record in enumerate(records) if len(record) not in (width, 0))
+                raise IngestError(f"expected {width} fields, got {len(records[k])}", row=first + k)
+            if not all(records):
+                blank_lines += [first + k for k, record in enumerate(records) if not record]
+                records = [record for record in records if record]
+            for column, cells in zip(columns, zip(*records)):
+                column.extend(cells)
+    if not columns[0]:
+        raise IngestError("no data rows")
+    row_numbers = None
+    if blank_lines:
+        blank = set(blank_lines)
+        row_numbers = [line for line in range(2, lines + 1) if line not in blank]
+    covariate_names = [h.strip() for h in header[len(leading_columns) :]]
+    return covariate_names, row_numbers, columns
+
+
+def _parse_column(cells, valid=None, describe=None):
+    """Parse a column of strings in bulk; return ``(values, error)``.
+
+    ``error`` is None or ``(index, message)`` for the first cell that is
+    not a number, not finite, or fails ``valid`` (a vectorised predicate;
+    ``describe(value, cell)`` words its failure).  Values come from
+    Python's ``float`` and so match per-cell parsing exactly.
+    """
+    n = len(cells)
+    try:
+        values = np.fromiter(map(float, cells), float, n)
+        stop = n
+    except ValueError:
+        for stop, cell in enumerate(cells):
+            try:
+                float(cell)
+            except ValueError:
+                break
+        values = np.fromiter(map(float, cells[:stop]), float, stop)
+    finite = np.isfinite(values)
+    ok = finite if valid is None else finite & valid(values)
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        i = int(bad[0])
+        message = describe(values[i], cells[i]) if finite[i] else f"not finite: {cells[i]!r}"
+        return values, (i, message)
+    if stop < n:
+        return values, (stop, f"not a number: {cells[stop]!r}")
+    return values, None
+
+
+_CHECKS = {
+    "exposure": (
+        lambda t: (t > 0.0) & (t <= 1.0),
+        lambda t, cell: f"exposure must lie in (0, 1], got {float(t)}",
+    ),
+    "loss_cost": (
+        lambda y: y >= 0.0,
+        lambda y, cell: f"loss cost must be >= 0, got {float(y)}",
+    ),
+    "count": (
+        lambda y: (y >= 0.0) & (y == np.floor(y)),
+        lambda y, cell: f"count must be a non-negative integer, got {cell!r}",
+    ),
+}
+
+
+def _ingest_columns(path, leading_columns):
+    """Validated numeric columns of an input CSV: ``(ids, names, t, y, covariates)``.
+
+    Raises IngestError at the first bad cell in row-major order: a
+    repeated contract id (at its second occurrence), a cell that is not
+    a finite number, or a value out of range for its column.
+    """
+    covariate_names, row_numbers, columns = _read_columns(path, leading_columns)
+    names = [*leading_columns, *covariate_names]
+    ids = columns[0]
+    row_of = (lambda i: i + 2) if row_numbers is None else row_numbers.__getitem__
+    errors = []
+    repeat = _first_duplicate(ids)
+    if repeat is not None:
+        first = row_of(ids.index(ids[repeat]))
+        errors.append((repeat, 0, f"duplicate contract id {ids[repeat]!r}, first on row {first}"))
+    checks = [_CHECKS[name] for name in leading_columns[1:]] + [()] * len(covariate_names)
+    parsed = []
+    for position, (cells, column_checks) in enumerate(zip(columns[1:], checks), start=1):
+        values, error = _parse_column(cells, *column_checks)
+        parsed.append(values)
+        if error is not None:
+            errors.append((error[0], position, error[1]))
+    if errors:
+        i, position, message = min(errors)
+        raise IngestError(message, row=row_of(i), column=names[position])
+    covariates = np.column_stack(parsed[2:]) if covariate_names else None
+    return ids, covariate_names, parsed[0], parsed[1], covariates
 
 
 def ingest_csv(path) -> Portfolio:
     """Load and validate a loss-cost portfolio CSV."""
-    covariate_names, rows = _read_rows(path, ("contract_id", "exposure", "loss_cost"))
-    observations = []
-    for lineno, record in rows:
-        exposure = _parse_float(record[1], lineno, "exposure")
-        if not (0.0 < exposure <= 1.0):
-            raise IngestError(
-                f"exposure must lie in (0, 1], got {exposure}", row=lineno, column="exposure"
-            )
-        loss = _parse_float(record[2], lineno, "loss_cost")
-        if loss < 0.0:
-            raise IngestError(
-                f"loss cost must be >= 0, got {loss}", row=lineno, column="loss_cost"
-            )
-        covariates = tuple(
-            _parse_float(raw, lineno, name)
-            for name, raw in zip(covariate_names, record[3:])
-        )
-        observations.append(Observation(record[0], exposure, loss, covariates))
+    ids, covariate_names, exposures, losses, covariates = _ingest_columns(
+        path, ("contract_id", "exposure", "loss_cost")
+    )
     try:
-        return Portfolio(observations, covariate_names=covariate_names or None)
+        return Portfolio.from_arrays(
+            exposures, losses, covariates, contract_ids=ids, covariate_names=covariate_names
+        )
     except RankDeficiencyError as exc:
         names = ["intercept"] + covariate_names
         involved = [names[i] for i in exc.column_indices if i < len(names)]
@@ -186,28 +307,9 @@ def ingest_csv(path) -> Portfolio:
 
 def ingest_counts_csv(path) -> CountData:
     """Load and validate a claim-count CSV."""
-    covariate_names, rows = _read_rows(path, ("contract_id", "exposure", "count"))
-    observations = []
-    for lineno, record in rows:
-        exposure = _parse_float(record[1], lineno, "exposure")
-        if not (0.0 < exposure <= 1.0):
-            raise IngestError(
-                f"exposure must lie in (0, 1], got {exposure}", row=lineno, column="exposure"
-            )
-        count = _parse_float(record[2], lineno, "count")
-        if count < 0 or count != int(count):
-            raise IngestError(
-                f"count must be a non-negative integer, got {record[2]!r}",
-                row=lineno,
-                column="count",
-            )
-        covariates = tuple(
-            _parse_float(raw, lineno, name)
-            for name, raw in zip(covariate_names, record[3:])
-        )
-        observations.append(CountObservation(exposure, int(count), covariates))
+    _, _, exposures, counts, covariates = _ingest_columns(path, ("contract_id", "exposure", "count"))
     try:
-        return CountData(observations)
+        return CountData.from_arrays(exposures, counts, covariates)
     except RankDeficiencyError as exc:
         raise IngestError(f"design matrix is rank deficient: {exc}") from exc
     except ValueError as exc:
@@ -217,11 +319,9 @@ def ingest_counts_csv(path) -> CountData:
 def write_portfolio_csv(portfolio: Portfolio, path):
     """Serialize a portfolio back to the input schema (round-trippable)."""
     header = ["contract_id", "exposure", "loss_cost", *portfolio.covariate_names]
-    rows = [
-        [obs.contract_id, obs.exposure, obs.loss_cost, *obs.covariates]
-        for obs in portfolio.observations
-    ]
-    _write_csv(Path(path), header, rows)
+    columns = [portfolio.contract_ids, portfolio.exposures, portfolio.loss_costs]
+    columns += [portfolio.design[:, j] for j in range(1, portfolio.q + 1)]
+    _write_csv(Path(path), header, columns)
 
 
 def _fit_payload(result):
@@ -269,15 +369,6 @@ def cmd_fit(config: RunConfig):
     _write_json(config.out / "fit.json", payload)
 
 
-def _gap_rows(portfolio, gaps_offset, gaps_ratio):
-    rows = []
-    for go, gr in zip(gaps_offset, gaps_ratio):
-        rows.append(
-            [go.contract_id, go.exposure, go.observed_z, go.fitted_zeta, gr.fitted_zeta, go.gap, gr.gap]
-        )
-    return rows
-
-
 def _class_balance_rows(portfolio, result_offset, result_ratio):
     rows = []
     factor_indices = range(1, portfolio.q + 1) if portfolio.q else [0]
@@ -298,6 +389,35 @@ def _class_balance_rows(portfolio, result_offset, result_ratio):
                 ]
             )
     return rows
+
+
+def _write_rows(path, header, rows):
+    _write_csv(path, header, [list(column) for column in zip(*rows)])
+
+
+def _write_balance_tables(out, portfolio, result_offset, result_ratio):
+    """Write ``gaps.csv`` and ``class_balance.csv``; return both fits' gaps."""
+    gaps_offset = individual_gaps(portfolio, result_offset)
+    gaps_ratio = individual_gaps(portfolio, result_ratio)
+    _write_csv(
+        out / "gaps.csv",
+        ["contract_id", "exposure", "z", "zeta_offset", "zeta_ratio", "gap_offset", "gap_ratio"],
+        [
+            gaps_offset.contract_ids,
+            gaps_offset.exposure,
+            gaps_offset.observed_z,
+            gaps_offset.fitted_zeta,
+            gaps_ratio.fitted_zeta,
+            gaps_offset.gap,
+            gaps_ratio.gap,
+        ],
+    )
+    _write_rows(
+        out / "class_balance.csv",
+        ["factor", "level", "loss_sum", "premium_sum_offset", "premium_sum_ratio", "ratio_offset", "ratio_ratio"],
+        _class_balance_rows(portfolio, result_offset, result_ratio),
+    )
+    return gaps_offset, gaps_ratio
 
 
 def cmd_compare(config: RunConfig):
@@ -324,7 +444,7 @@ def cmd_compare(config: RunConfig):
     for name, bo, br in zip(names, result_offset.beta_hat, result_ratio.beta_hat):
         ratio = float(bo) / float(br) if br != 0.0 else math.nan
         coeff_rows.append([name, float(bo), float(br), ratio])
-    _write_csv(config.out / "coeff_ratios.csv", ["covariate", "beta_offset", "beta_ratio", "ratio"], coeff_rows)
+    _write_rows(config.out / "coeff_ratios.csv", ["covariate", "beta_offset", "beta_ratio", "ratio"], coeff_rows)
 
     zeta_offset = np.exp(portfolio.design @ result_offset.beta_hat)
     zeta_ratio = np.exp(portfolio.design @ result_ratio.beta_hat)
@@ -332,20 +452,9 @@ def cmd_compare(config: RunConfig):
     quantile_rows = [
         [q, float(np.quantile(premium_ratios, q))] for q in _QUANTILES
     ]
-    _write_csv(config.out / "premium_ratios.csv", ["quantile", "ratio"], quantile_rows)
+    _write_rows(config.out / "premium_ratios.csv", ["quantile", "ratio"], quantile_rows)
 
-    gaps_offset = individual_gaps(portfolio, result_offset)
-    gaps_ratio = individual_gaps(portfolio, result_ratio)
-    _write_csv(
-        config.out / "gaps.csv",
-        ["contract_id", "exposure", "z", "zeta_offset", "zeta_ratio", "gap_offset", "gap_ratio"],
-        _gap_rows(portfolio, gaps_offset, gaps_ratio),
-    )
-    _write_csv(
-        config.out / "class_balance.csv",
-        ["factor", "level", "loss_sum", "premium_sum_offset", "premium_sum_ratio", "ratio_offset", "ratio_ratio"],
-        _class_balance_rows(portfolio, result_offset, result_ratio),
-    )
+    _write_balance_tables(config.out, portfolio, result_offset, result_ratio)
 
 
 def cmd_balance(config: RunConfig):
@@ -353,18 +462,7 @@ def cmd_balance(config: RunConfig):
     family, results = _fit_both(portfolio, config)
     result_offset = results[WeightScheme.OFFSET]
     result_ratio = results[WeightScheme.RATIO]
-    gaps_offset = individual_gaps(portfolio, result_offset)
-    gaps_ratio = individual_gaps(portfolio, result_ratio)
-    _write_csv(
-        config.out / "gaps.csv",
-        ["contract_id", "exposure", "z", "zeta_offset", "zeta_ratio", "gap_offset", "gap_ratio"],
-        _gap_rows(portfolio, gaps_offset, gaps_ratio),
-    )
-    _write_csv(
-        config.out / "class_balance.csv",
-        ["factor", "level", "loss_sum", "premium_sum_offset", "premium_sum_ratio", "ratio_offset", "ratio_ratio"],
-        _class_balance_rows(portfolio, result_offset, result_ratio),
-    )
+    gaps_offset, gaps_ratio = _write_balance_tables(config.out, portfolio, result_offset, result_ratio)
     _write_json(
         config.out / "balance.json",
         {
@@ -386,11 +484,8 @@ def cmd_simulate(config: RunConfig):
         seed=config.seed,
     )
     experiment = run_gap_experiment(scenario_config)
-    _write_csv(
-        config.out / "gap_experiment.csv",
-        ["rank", "exposure", "gap_offset", "gap_ratio"],
-        experiment.rows(),
-    )
+    columns = experiment.columns()
+    _write_csv(config.out / "gap_experiment.csv", list(columns), list(columns.values()))
     portfolio = experiment.synthetic.portfolio
     _write_json(
         config.out / "gap_totals.json",

@@ -21,7 +21,6 @@ within a fixed (portfolio, scheme, family) triple.
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
 
 import numpy as np
 
@@ -29,11 +28,9 @@ __all__ = [
     "WeightScheme",
     "TweedieFamily",
     "TweedieParams",
-    "Observation",
     "Portfolio",
     "RankDeficiencyError",
     "SingularInformationError",
-    "normalize",
     "weight",
     "scale_params",
     "quasi_loglik",
@@ -115,32 +112,6 @@ class TweedieParams:
             raise ValueError(f"weight must be positive and finite, got {self.w}")
 
 
-@dataclass(frozen=True)
-class Observation:
-    """One contract: exposure in years, observed loss cost, covariate row."""
-
-    contract_id: str
-    exposure: float
-    loss_cost: float
-    covariates: tuple = ()
-
-    def __post_init__(self):
-        if not (0.0 < self.exposure <= 1.0):
-            raise ValueError(
-                f"exposure must lie in (0, 1], got {self.exposure} "
-                f"for contract {self.contract_id!r}"
-            )
-        if not (self.loss_cost >= 0.0 and math.isfinite(self.loss_cost)):
-            raise ValueError(
-                f"loss cost must be finite and >= 0, got {self.loss_cost} "
-                f"for contract {self.contract_id!r}"
-            )
-        covs = tuple(float(v) for v in self.covariates)
-        if any(not math.isfinite(v) for v in covs):
-            raise ValueError(f"non-finite covariate for contract {self.contract_id!r}")
-        object.__setattr__(self, "covariates", covs)
-
-
 def _dependency_diagnosis(design):
     """Identify dependent design columns and what they depend on."""
     import scipy.linalg
@@ -178,30 +149,95 @@ def validate_design(design):
     )
 
 
-class Portfolio:
-    """A validated, ordered collection of contracts plus its design matrix.
+def _validated_columns(exposures, values, covariates, value_name, ids=None):
+    """Check parallel contract columns; return ``(t, v, design)``.
 
-    The design matrix carries a leading intercept column of ones followed
-    by one column per covariate, and must have full column rank.  Row
-    order is preserved from the input and all row-wise accumulations in
-    this package run in that fixed order, so repeated evaluations are
+    ``values`` are loss costs or claim counts and must be finite and
+    ``>= 0``; ``design`` is the intercept column followed by the
+    covariates.  Errors name the first offending contract, by id when
+    ``ids`` is given.  The rank check is left to the caller.
+    """
+    exposures = np.array(exposures, dtype=float)
+    values = np.array(values, dtype=float)
+    if exposures.ndim != 1 or exposures.shape != values.shape:
+        raise ValueError(f"exposures and {value_name}s must be equal-length 1-D arrays")
+    n = exposures.size
+    if n == 0:
+        raise ValueError("need at least one contract")
+    if ids is not None and len(ids) != n:
+        raise ValueError(f"expected {n} contract ids, got {len(ids)}")
+    if covariates is None:
+        covariates = np.empty((n, 0))
+    covariates = np.asarray(covariates, dtype=float)
+    if covariates.ndim != 2 or covariates.shape[0] != n:
+        raise ValueError(f"covariates must be an (n, q) array with n = {n} rows")
+
+    def contract(i):
+        return f"contract {ids[i]!r}" if ids is not None else f"the contract at index {i}"
+
+    bad = np.flatnonzero(~((exposures > 0.0) & (exposures <= 1.0)))
+    if bad.size:
+        raise ValueError(
+            f"exposure must lie in (0, 1], got {exposures[bad[0]]} for {contract(bad[0])}"
+        )
+    bad = np.flatnonzero(~(np.isfinite(values) & (values >= 0.0)))
+    if bad.size:
+        raise ValueError(
+            f"{value_name} must be finite and >= 0, got {values[bad[0]]} for {contract(bad[0])}"
+        )
+    bad = np.flatnonzero(~np.isfinite(covariates).all(axis=1))
+    if bad.size:
+        raise ValueError(f"non-finite covariate for {contract(bad[0])}")
+    q = covariates.shape[1]
+    if n < q + 1:
+        raise ValueError(f"need at least q + 1 = {q + 1} observations, got {n}")
+    design = np.empty((n, q + 1))
+    design[:, 0] = 1.0
+    design[:, 1:] = covariates
+    return exposures, values, design
+
+
+def _first_duplicate(ids):
+    """Index of the first id that repeats an earlier one, or None."""
+    if len(set(ids)) == len(ids):
+        return None
+    seen = set()
+    for i, cid in enumerate(ids):
+        if cid in seen:
+            return i
+        seen.add(cid)
+
+
+class Portfolio:
+    """A validated portfolio held as parallel columns plus its design matrix.
+
+    ``contract_ids`` is a tuple of unique strings; ``exposures`` (in
+    (0, 1]), ``loss_costs`` (finite, ``>= 0``) and ``normalized`` (the
+    annualized loss ``z = y / t``) are length-``n`` float arrays.  The
+    design matrix carries a leading intercept column of ones followed by
+    one column per covariate, and must have full column rank.  Row order
+    is preserved from the input and all row-wise accumulations in this
+    package run in that fixed order, so repeated evaluations are
     bit-identical.
     """
 
-    def __init__(self, observations: Sequence[Observation], covariate_names=None):
-        observations = tuple(observations)
-        if not observations:
-            raise ValueError("portfolio must contain at least one observation")
-        q = len(observations[0].covariates)
-        for obs in observations:
-            if len(obs.covariates) != q:
-                raise ValueError(
-                    f"inconsistent covariate length for contract {obs.contract_id!r}: "
-                    f"expected {q}, got {len(obs.covariates)}"
-                )
-        n = len(observations)
-        if n < q + 1:
-            raise ValueError(f"need at least q + 1 = {q + 1} observations, got {n}")
+    def __init__(
+        self,
+        exposures,
+        loss_costs,
+        covariates=None,
+        contract_ids=None,
+        covariate_names=None,
+    ):
+        ids = None if contract_ids is None else tuple(map(str, contract_ids))
+        exposures, loss_costs, design = _validated_columns(
+            exposures, loss_costs, covariates, "loss cost", ids
+        )
+        n, q = design.shape[0], design.shape[1] - 1
+        if ids is None:
+            ids = tuple(f"c{i + 1}" for i in range(n))
+        elif (repeat := _first_duplicate(ids)) is not None:
+            raise ValueError(f"duplicate contract id {ids[repeat]!r} at index {repeat}")
         if covariate_names is None:
             covariate_names = tuple(f"x{j}" for j in range(1, q + 1))
         else:
@@ -210,17 +246,13 @@ class Portfolio:
                 raise ValueError(
                     f"expected {q} covariate names, got {len(covariate_names)}"
                 )
-
-        design = np.ones((n, q + 1), dtype=float)
-        for i, obs in enumerate(observations):
-            design[i, 1:] = obs.covariates
         validate_design(design)
 
-        self.observations = observations
+        self.contract_ids = ids
+        self.exposures = exposures
+        self.loss_costs = loss_costs
+        self.normalized = loss_costs / exposures
         self.design = design
-        self.exposures = np.array([obs.exposure for obs in observations], dtype=float)
-        self.loss_costs = np.array([obs.loss_cost for obs in observations], dtype=float)
-        self.normalized = self.loss_costs / self.exposures
         self.covariate_names = covariate_names
         self.n = n
         self.q = q
@@ -235,34 +267,13 @@ class Portfolio:
         covariate_names=None,
     ):
         """Build a portfolio from parallel arrays (covariates may be None)."""
-        exposures = np.asarray(exposures, dtype=float)
-        loss_costs = np.asarray(loss_costs, dtype=float)
-        if exposures.shape != loss_costs.shape or exposures.ndim != 1:
-            raise ValueError("exposures and loss_costs must be equal-length 1-D arrays")
-        n = exposures.size
-        if covariates is None:
-            covariates = np.empty((n, 0))
-        covariates = np.asarray(covariates, dtype=float)
-        if covariates.shape[0] != n:
-            raise ValueError("covariate rows must match number of contracts")
-        if contract_ids is None:
-            contract_ids = [f"c{i + 1}" for i in range(n)]
-        observations = [
-            Observation(str(cid), float(t), float(y), tuple(row))
-            for cid, t, y, row in zip(contract_ids, exposures, loss_costs, covariates)
-        ]
-        return cls(observations, covariate_names=covariate_names)
+        return cls(exposures, loss_costs, covariates, contract_ids, covariate_names)
 
     def __len__(self):
         return self.n
 
     def __repr__(self):
         return f"Portfolio(n={self.n}, q={self.q})"
-
-
-def normalize(obs: Observation) -> float:
-    """Annualized loss cost ``z = y / t`` of a single contract."""
-    return obs.loss_cost / obs.exposure
 
 
 def weight(scheme: WeightScheme, t, p):

@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .balance import individual_gaps, portfolio_gap
+from .balance import IndividualGaps, individual_gaps, portfolio_gap
 from .model_core import Portfolio, TweedieFamily, WeightScheme
 from .solver import FitConfig, FitResult, fit
 
@@ -79,17 +79,19 @@ class GapExperiment:
     synthetic: SyntheticPortfolio
     fit_offset: FitResult
     fit_ratio: FitResult
-    gaps_offset: list
-    gaps_ratio: list
+    gaps_offset: IndividualGaps
+    gaps_ratio: IndividualGaps
     total_offset: float
     total_ratio: float
 
-    def rows(self):
-        """(rank, exposure, gap_offset, gap_ratio) per contract, rank ascending."""
-        out = []
-        for i, (go, gr) in enumerate(zip(self.gaps_offset, self.gaps_ratio)):
-            out.append((i + 1, go.exposure, go.gap, gr.gap))
-        return out
+    def columns(self):
+        """Columns ``rank``, ``exposure``, ``gap_offset``, ``gap_ratio``, rank ascending."""
+        return {
+            "rank": np.arange(1, len(self.gaps_offset) + 1),
+            "exposure": self.gaps_offset.exposure,
+            "gap_offset": self.gaps_offset.gap,
+            "gap_ratio": self.gaps_ratio.gap,
+        }
 
 
 def gen_exposures(n: int, seed) -> np.ndarray:

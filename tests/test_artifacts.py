@@ -1,0 +1,122 @@
+"""Byte-level pins of the CLI artifacts on a small seeded book.
+
+The book has a binary factor and a sum insured with ~190 distinct values,
+about 30 of which carry no loss at all (undefined class ratios, tied
+loss sums), plus contract ids that need CSV quoting.  Every digest was
+recorded before the data path became columnar; a refactor that changes
+one byte of any artifact fails here.
+
+Fitted values depend on how the BLAS and LAPACK kernels that numpy and
+scipy load round their sums, which varies with the CPU, the library build
+and the thread count.  The pins of fitted artifacts therefore apply only
+where a probe of the same kernels, on fixed data of the fitted shapes,
+reproduces the digest recorded with them (numpy 2.4, scipy OpenBLAS,
+x86-64, 2 threads); elsewhere they skip.  The portfolio round trip uses
+no BLAS and is pinned everywhere.
+"""
+
+import csv
+import hashlib
+
+import numpy as np
+import pytest
+import scipy.linalg
+
+from exposure_glm.cli import ingest_csv, main, write_portfolio_csv
+
+PINNED = {
+    "compare": {
+        "class_balance.csv": "b25ec2e84add935246ab807fbdf41b4d005f3f22f9b6fe1d5b6d9454878caed6",
+        "coeff_ratios.csv": "986f6e339709aa8b6af8463491f496f7ebef87577b240c7017cc50a8944dfc07",
+        "fit.json": "fd2791eee31e348eae976acd3603f4523cff0535eede0734ed850e799e022a15",
+        "gaps.csv": "0f72ea4382cc492821eb30e547c537289012eee11ea7015dc87b0fc26c23677f",
+        "premium_ratios.csv": "969c78b5a59af5f41093a82d519fa41a8bfb43f6e65b7e6f879d89f6ddd900b3",
+    },
+    "balance": {
+        "balance.json": "0e7cb1b78081056d6753aba237f2170a04408495cd744b4a19ee658b76d1ae1a",
+        "class_balance.csv": "b25ec2e84add935246ab807fbdf41b4d005f3f22f9b6fe1d5b6d9454878caed6",
+        "gaps.csv": "0f72ea4382cc492821eb30e547c537289012eee11ea7015dc87b0fc26c23677f",
+    },
+    "simulate": {
+        "gap_experiment.csv": "6852966cdf2ad99a61d7b8e0c9ce378831e5b4ad671a6bbc2856c57ec83cdf19",
+        "gap_totals.json": "0b8d52d10ad4311759a594fe9a770cfcd61137972317d412585aafa6e5e9aedd",
+    },
+    "round_trip": {
+        "book.csv": "dbf51655ec66d317cb13836490fb748c227facc2542c0841d831549a22098b0f",
+    },
+}
+
+
+# sha256 of ``blas_probe()`` where the PINNED digests were recorded
+BLAS_PROBE = "39d45b4be9ada5f12ac0caf8a61c93b3ad35ec13e14b3b9d49cc671287a5146d"
+
+
+def blas_probe():
+    """Digest of the kernels a fit calls, run on fixed data of the pinned shapes."""
+    rng = np.random.default_rng(7)
+    digest = hashlib.sha256()
+    for n in (600, 300):
+        X = np.column_stack([np.ones(n), rng.random(n), rng.random(n)])
+        d, r, beta = rng.random(n), rng.standard_normal(n), rng.standard_normal(3)
+        info = (X * d[:, None]).T @ X
+        factor = scipy.linalg.cho_factor(info)
+        for array in (X @ beta, info, X.T @ (d * r), scipy.linalg.cho_solve(factor, np.eye(3))):
+            digest.update(np.ascontiguousarray(array).tobytes())
+    return digest.hexdigest()
+
+
+fitted_pins = pytest.mark.skipif(
+    blas_probe() != BLAS_PROBE,
+    reason="BLAS/LAPACK kernels here round differently from where the digests were recorded",
+)
+
+
+def write_book(path, n=600, seed=20261018):
+    rng = np.random.default_rng(seed)
+    t = np.where(rng.random(n) < 0.4, rng.uniform(30 / 365, 335 / 365, n), 1.0)
+    y = np.where(rng.random(n) < 0.5, 0.0, rng.gamma(1.5, 60.0, n))
+    x1 = (rng.random(n) < 0.4).astype(float)
+    sum_insured = 10.0 + rng.integers(0, 200, n) / 10.0
+    ids = [f"c{i}" for i in range(n)]
+    ids[1], ids[2] = "c,1", 'q"2'
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["contract_id", "exposure", "loss_cost", "x1", "sum_insured"])
+        for cid, *values in zip(ids, t.tolist(), y.tolist(), x1.tolist(), sum_insured.tolist()):
+            writer.writerow([cid, *map(repr, values)])
+    return path
+
+
+def digests(out_dir):
+    return {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(out_dir.iterdir())
+    }
+
+
+@pytest.fixture(scope="module")
+def book(tmp_path_factory):
+    return write_book(tmp_path_factory.mktemp("book") / "book.csv")
+
+
+@fitted_pins
+@pytest.mark.parametrize("command", ["compare", "balance"])
+def test_book_command_artifacts_pinned(book, tmp_path, command):
+    out = tmp_path / "out"
+    assert main([command, "--input", str(book), "--out", str(out)]) == 0
+    assert digests(out) == PINNED[command]
+
+
+@fitted_pins
+def test_simulate_artifacts_pinned(tmp_path):
+    out = tmp_path / "out"
+    args = ["simulate", "--n", "300", "--seed", "4", "--scenario", "decreasing", "--heterogeneous"]
+    assert main(args + ["--out", str(out)]) == 0
+    assert digests(out) == PINNED["simulate"]
+
+
+def test_portfolio_csv_round_trip_pinned(book, tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    write_portfolio_csv(ingest_csv(book), out / "book.csv")
+    assert digests(out) == PINNED["round_trip"]

@@ -46,14 +46,29 @@ class TestIndividualGaps:
         y = t * np.exp(np.column_stack([np.ones(10), x]) @ beta)
         pf = Portfolio.from_arrays(t, y, x)
         result = fit(pf, WeightScheme.RATIO, FAM, TIGHT)
-        for record in individual_gaps(pf, result):
-            assert record.gap == pytest.approx(0.0, abs=1e-9)
+        assert individual_gaps(pf, result).gap == pytest.approx(np.zeros(10), abs=1e-9)
 
     def test_gap_identity_holds_exactly(self):
         pf = random_portfolio(2)
         result = fit(pf, WeightScheme.OFFSET, FAM)
-        for record in individual_gaps(pf, result):
-            assert record.gap == record.exposure * (record.observed_z - record.fitted_zeta)
+        gaps = individual_gaps(pf, result)
+        assert len(gaps) == pf.n
+        assert gaps.contract_ids == pf.contract_ids
+        np.testing.assert_array_equal(gaps.exposure, pf.exposures)
+        np.testing.assert_array_equal(gaps.observed_z, pf.loss_costs / pf.exposures)
+        np.testing.assert_array_equal(gaps.fitted_zeta, np.exp(pf.design @ result.beta_hat))
+        np.testing.assert_array_equal(gaps.gap, gaps.exposure * (gaps.observed_z - gaps.fitted_zeta))
+
+    def test_record_is_frozen(self):
+        pf = random_portfolio(2)
+        gaps = individual_gaps(pf, fit(pf, WeightScheme.OFFSET, FAM))
+        with pytest.raises(AttributeError):
+            gaps.gap = np.zeros(pf.n)
+        with pytest.raises(ValueError):
+            gaps.gap[0] = 0.0
+        with pytest.raises(ValueError):
+            gaps.exposure[0] = 0.5
+        assert pf.exposures.flags.writeable
 
     def test_mismatched_fit_rejected(self):
         pf_a = random_portfolio(3, n=20)
@@ -67,9 +82,8 @@ class TestIndividualGaps:
         config = FitConfig(tolerance=1e-12)
         gaps_o = individual_gaps(pf, fit(pf, WeightScheme.OFFSET, FAM, config))
         gaps_r = individual_gaps(pf, fit(pf, WeightScheme.RATIO, FAM, config))
-        for go, gr in zip(gaps_o, gaps_r):
-            assert go.fitted_zeta == pytest.approx(gr.fitted_zeta, rel=1e-10)
-            assert go.gap == pytest.approx(gr.gap, abs=1e-9)
+        assert gaps_o.fitted_zeta == pytest.approx(gaps_r.fitted_zeta, rel=1e-10)
+        assert gaps_o.gap == pytest.approx(gaps_r.gap, abs=1e-9)
 
 
 class TestPortfolioGap:
@@ -88,6 +102,16 @@ class TestPortfolioGap:
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError):
             portfolio_gap([])
+
+    def test_sums_left_to_right(self):
+        # the running sum is 1.0; a compensated sum (math.fsum) would give 2.0
+        assert portfolio_gap([1e16, 1.0, -1e16, 1.0]) == 1.0
+        pf = random_portfolio(21, n=500)
+        gaps = individual_gaps(pf, fit(pf, WeightScheme.OFFSET, FAM))
+        total = 0.0
+        for gap in gaps.gap.tolist():
+            total += gap
+        assert portfolio_gap(gaps) == total
 
 
 class TestClassReport:
@@ -130,6 +154,37 @@ class TestClassReport:
         assert len(undefined) == 1
         assert undefined[0].level == 0.0
         assert undefined[0].premium_sum > 0.0
+
+    def test_rows_match_naive_masked_sums_bit_for_bit(self):
+        # many levels, whole levels without losses (ratio None, loss sums
+        # tied at 0) and integer losses that tie some positive loss sums
+        rng = np.random.default_rng(23)
+        n = 3000
+        t = np.where(rng.random(n) < 0.4, rng.uniform(0.1, 0.9, n), 1.0)
+        level = rng.integers(0, 400, n).astype(float) / 4.0
+        y = np.where(rng.random(n) < 0.5, 0.0, rng.integers(1, 6, n).astype(float))
+        y[np.isin(level, level[:40])] = 0.0
+        x = np.column_stack([(rng.random(n) < 0.5).astype(float), level])
+        pf = Portfolio.from_arrays(t, y, x)
+        result = fit(pf, WeightScheme.OFFSET, FAM)
+        for j in range(pf.q + 1):
+            column = pf.design[:, j]
+            premiums = pf.exposures * np.exp(pf.design @ result.beta_hat)
+            levels = np.unique(column)
+            expected = []
+            for value in levels:
+                mask = column == value
+                loss_sum = float(pf.loss_costs[mask].sum())
+                premium_sum = float(premiums[mask].sum())
+                ratio = premium_sum / loss_sum if loss_sum > 0.0 else None
+                expected.append((float(value), loss_sum, premium_sum, ratio, levels.size == 1))
+            expected.sort(key=lambda row: row[1])
+            rows = class_report(pf, result, j)
+            got = [(r.level, r.loss_sum, r.premium_sum, r.ratio, r.single_level) for r in rows]
+            assert got == expected
+        losses = [row.loss_sum for row in class_report(pf, result, 2)]
+        assert sum(loss == 0.0 for loss in losses) >= 10
+        assert len(set(losses)) < len(losses) - 10
 
     def test_ratio_rows_closer_to_balance_than_offset_rows(self):
         experiment = run_gap_experiment(
@@ -183,8 +238,19 @@ class TestGroupSummaries:
 
     def test_custom_grouping_callable(self):
         pf = random_portfolio(14)
-        summaries = group_summaries(pf, grouping=lambda obs: "short" if obs.exposure < 0.5 else "long")
+        summaries = group_summaries(
+            pf, grouping=lambda portfolio: np.where(portfolio.exposures < 0.5, "short", "long")
+        )
         assert {s.label for s in summaries} <= {"short", "long"}
+        short = pf.exposures < 0.5
+        by_label = {s.label: s for s in summaries}
+        assert by_label["short"].contract_share == short.mean()
+        assert by_label["long"].mean_exposure == pf.exposures[~short].mean()
+
+    def test_grouping_must_label_every_contract(self):
+        pf = random_portfolio(14)
+        with pytest.raises(ValueError):
+            group_summaries(pf, grouping=lambda portfolio: ["a", "b"])
 
 
 class TestBalanceFactor:

@@ -7,7 +7,6 @@ import pytest
 
 from exposure_glm import (
     CountData,
-    CountObservation,
     ZipParams,
     poisson_fit,
     zip_loglik,
@@ -22,11 +21,22 @@ from util import random_count_data, zip_count_data
 class TestCountTypes:
     def test_rejects_negative_count(self):
         with pytest.raises(ValueError):
-            CountObservation(0.5, -1)
+            CountData.from_arrays([0.5, 1.0], [-1, 1])
 
     def test_rejects_fractional_count(self):
-        with pytest.raises(ValueError):
-            CountObservation(0.5, 1.5)
+        with pytest.raises(ValueError, match="non-negative integer"):
+            CountData.from_arrays([0.5, 1.0], [1.5, 1])
+
+    def test_rejects_bad_exposure(self):
+        with pytest.raises(ValueError, match="exposure"):
+            CountData.from_arrays([0.5, 0.0], [1, 1])
+
+    def test_columns(self):
+        data = CountData.from_arrays([0.5, 1.0, 0.25], [1, 0, 2], [[1.0], [0.0], [2.0]])
+        assert (data.n, data.q, len(data)) == (3, 1, 3)
+        np.testing.assert_array_equal(data.counts, [1.0, 0.0, 2.0])
+        np.testing.assert_array_equal(data.normalized, [2.0, 0.0, 8.0])
+        np.testing.assert_array_equal(data.design, [[1.0, 1.0], [1.0, 0.0], [1.0, 2.0]])
 
     def test_zip_params_zero_inflation_bounds(self):
         with pytest.raises(ValueError):

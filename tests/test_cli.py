@@ -2,10 +2,13 @@
 
 import csv
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
 
+from exposure_glm import cli
 from exposure_glm.cli import IngestError, ingest_csv, ingest_counts_csv, main, write_portfolio_csv
 from exposure_glm.simulate import Scenario, ScenarioConfig, build_scenario_portfolio, gen_mimic_portfolio
 
@@ -23,7 +26,7 @@ class TestIngest:
         pf = ingest_csv(_write(tmp_path / "in.csv", MINIMAL))
         assert pf.n == 2 and pf.q == 1
         assert pf.covariate_names == ("x1",)
-        assert pf.observations[0].contract_id == "a"
+        assert pf.contract_ids == ("a", "b")
 
     def test_zero_exposure_names_row_and_column(self, tmp_path):
         bad = "contract_id,exposure,loss_cost\na,0.5,10.0\nb,0.0,3.0\n"
@@ -64,6 +67,84 @@ class TestIngest:
         with pytest.raises(IngestError) as excinfo:
             ingest_counts_csv(_write(tmp_path / "in.csv", bad))
         assert excinfo.value.column == "count"
+
+    @pytest.mark.parametrize(
+        "rows,row,column",
+        [
+            # two bad rows: the earlier one is reported
+            (["a,0.5,1.0,0", "b,1.5,1.0,1", "c,0.5,-2.0,0"], 3, "exposure"),
+            # two bad columns in one row: the leftmost is reported
+            (["a,0.5,1.0,0", "b,0.5,-1.0,x", "c,0.5,1.0,1"], 3, "loss_cost"),
+            # row-major, not column-major: a covariate beats a later exposure
+            (["a,0.5,1.0,0", "b,0.5,1.0,oops", "c,0.0,1.0,1"], 3, "x1"),
+        ],
+    )
+    def test_first_error_in_row_major_order(self, tmp_path, rows, row, column):
+        text = "contract_id,exposure,loss_cost,x1\n" + "\n".join(rows) + "\n"
+        with pytest.raises(IngestError) as excinfo:
+            ingest_csv(_write(tmp_path / "in.csv", text))
+        assert (excinfo.value.row, excinfo.value.column) == (row, column)
+
+    @pytest.mark.parametrize(
+        "cell,column", [("nan", "loss_cost"), ("inf", "x1"), ("-inf", "exposure")]
+    )
+    def test_non_finite_rejected_with_row(self, tmp_path, cell, column):
+        fields = {"exposure": "0.5", "loss_cost": "1.0", "x1": "1"}
+        fields[column] = cell
+        bad = f"b,{fields['exposure']},{fields['loss_cost']},{fields['x1']}"
+        text = "contract_id,exposure,loss_cost,x1\na,0.5,1.0,0\n" + bad + "\nc,1.0,2.0,1\n"
+        with pytest.raises(IngestError) as excinfo:
+            ingest_csv(_write(tmp_path / "in.csv", text))
+        assert (excinfo.value.row, excinfo.value.column) == (3, column)
+        assert "not finite" in str(excinfo.value)
+
+    def test_short_row_rejected_with_row(self, tmp_path):
+        text = "contract_id,exposure,loss_cost,x1\na,0.5,1.0,0\nb,1.0,2.0,1\nc,0.5,1.0\n"
+        with pytest.raises(IngestError) as excinfo:
+            ingest_csv(_write(tmp_path / "in.csv", text))
+        assert excinfo.value.row == 4
+        assert "expected 4 fields, got 3" in str(excinfo.value)
+
+    def test_duplicate_contract_id_names_second_row(self, tmp_path):
+        text = "contract_id,exposure,loss_cost\na,0.5,1.0\nb,1.0,2.0\na,0.5,3.0\nc,1.0,1.5\n"
+        with pytest.raises(IngestError) as excinfo:
+            ingest_csv(_write(tmp_path / "in.csv", text))
+        assert (excinfo.value.row, excinfo.value.column) == (4, "contract_id")
+        assert "'a'" in str(excinfo.value) and "row 2" in str(excinfo.value)
+
+    def test_duplicate_contract_id_before_later_bad_value(self, tmp_path):
+        text = "contract_id,exposure,loss_cost\na,0.5,1.0\na,0.5,-1.0\nb,1.0,2.0\n"
+        with pytest.raises(IngestError) as excinfo:
+            ingest_csv(_write(tmp_path / "in.csv", text))
+        assert (excinfo.value.row, excinfo.value.column) == (3, "contract_id")
+
+    def test_blank_records_keep_row_numbers(self, tmp_path):
+        text = "contract_id,exposure,loss_cost\na,0.5,1.0\n\nb,1.0,2.0\nc,1.0,x\n"
+        with pytest.raises(IngestError) as excinfo:
+            ingest_csv(_write(tmp_path / "in.csv", text))
+        assert (excinfo.value.row, excinfo.value.column) == (5, "loss_cost")
+        assert "not a number: 'x'" in str(excinfo.value)
+
+    @pytest.mark.parametrize("batch", [1, 2, 3, 512])
+    def test_records_read_in_batches(self, tmp_path, monkeypatch, batch):
+        monkeypatch.setattr(cli, "_READ_ROWS", batch)
+        head = 'contract_id,exposure,loss_cost\na,0.5,1.0\n\n\nb,1.0,2.0\n"c,1",0.25,3.0\n\n'
+        pf = ingest_csv(_write(tmp_path / "ok.csv", head + "d,1.0,4.0\n"))
+        assert pf.contract_ids == ("a", "b", "c,1", "d")
+        np.testing.assert_array_equal(pf.loss_costs, [1.0, 2.0, 3.0, 4.0])
+        with pytest.raises(IngestError) as excinfo:
+            ingest_csv(_write(tmp_path / "bad.csv", head + "d,1.0,x\n"))
+        assert (excinfo.value.row, excinfo.value.column) == (8, "loss_cost")
+        with pytest.raises(IngestError) as excinfo:
+            ingest_csv(_write(tmp_path / "short.csv", head + "d,1.0\n"))
+        assert excinfo.value.row == 8
+        assert "expected 3 fields, got 2" in str(excinfo.value)
+
+    def test_counts_first_error_in_row_major_order(self, tmp_path):
+        text = "contract_id,exposure,count,x1\na,0.5,1,0\nb,0.5,2,nan\nc,2.0,1,1\nd,0.5,-1,0\n"
+        with pytest.raises(IngestError) as excinfo:
+            ingest_counts_csv(_write(tmp_path / "in.csv", text))
+        assert (excinfo.value.row, excinfo.value.column) == (3, "x1")
 
     def test_portfolio_round_trip(self, tmp_path):
         synthetic = gen_mimic_portfolio(0.4, 50, seed=1)
@@ -223,3 +304,78 @@ class TestErrorHandling:
         assert code == 1
         payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert "x1" in payload["message"] and "x2" in payload["message"]
+
+
+class TestAtomicWrites:
+    def test_failed_csv_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "out.csv"
+        cli._write_csv(path, ["a"], [np.array([1.0, 2.0])])
+        before = path.read_bytes()
+
+        class Unprintable:
+            def __str__(self):
+                raise RuntimeError("cannot format")
+
+        # the first chunk reaches the temp file before the second one fails
+        monkeypatch.setattr(cli, "_CHUNK_ROWS", 2)
+        with pytest.raises(RuntimeError):
+            cli._write_csv(path, ["a"], [["x", "y", Unprintable()]])
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+    def test_failed_json_write_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "out.json"
+        cli._write_json(path, {"a": 1})
+        before = path.read_bytes()
+        with pytest.raises(TypeError):
+            cli._write_json(path, {"a": 2, "b": object()})
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+    def test_overlapping_writes_to_one_name_do_not_collide(self, tmp_path):
+        path = tmp_path / "out.csv"
+
+        class WritesMeanwhile:
+            def __str__(self):
+                cli._write_csv(path, ["b"], [["inner"]])
+                return "outer"
+
+        cli._write_csv(path, ["a"], [[WritesMeanwhile()]])
+        assert path.read_text() == "a\nouter\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+    def test_file_mode_follows_umask(self, tmp_path):
+        mask = os.umask(0o027)
+        try:
+            cli._write_json(tmp_path / "a.json", {})
+            cli._write_csv(tmp_path / "a.csv", ["a"], [[1]])
+        finally:
+            os.umask(mask)
+        for name in ("a.json", "a.csv"):
+            assert stat.S_IMODE((tmp_path / name).stat().st_mode) == 0o640
+
+
+class TestCsvOutput:
+    def test_bytes_match_csv_writer(self, tmp_path, monkeypatch):
+        # chunks of three rows; cells that need quoting fall in two of them
+        monkeypatch.setattr(cli, "_CHUNK_ROWS", 3)
+        ids = ["a", "", "b", "c,d", 'e"f', "g\nh", "i\rj", " k "]
+        floats = np.array([0.1, -0.0, np.inf, -np.inf, np.nan, 5e-324, 1e300, 1.0 / 3.0])
+        ints = np.arange(8)
+        mixed = [None, 1.5, "x", None, 2.0, "y", None, 0.25]
+        header = ["id", "float", "int", "mixed"]
+        path = tmp_path / "out.csv"
+        cli._write_csv(path, header, [ids, floats, ints, mixed])
+
+        reference = tmp_path / "reference.csv"
+        with open(reference, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            for cid, value, count, other in zip(ids, floats.tolist(), ints.tolist(), mixed):
+                other = "" if other is None else other if isinstance(other, str) else format(other, ".17g")
+                writer.writerow([cid, format(value, ".17g"), str(count), other])
+        assert path.read_bytes() == reference.read_bytes()
+
+    def test_single_empty_column_cell_is_quoted_like_csv_writer(self, tmp_path):
+        cli._write_csv(tmp_path / "out.csv", ["a"], [["", "b"]])
+        assert (tmp_path / "out.csv").read_text() == 'a\n""\nb\n'

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from exposure_glm import (
-    Observation,
     Portfolio,
     RankDeficiencyError,
     TweedieFamily,
@@ -16,7 +15,6 @@ from exposure_glm import (
     fisher_info,
     gradient,
     homogeneous_mle,
-    normalize,
     quasi_loglik,
     scale_params,
     weight,
@@ -42,16 +40,52 @@ class TestDomainTypes:
         assert fam.canonical_parameter(4.0) == pytest.approx(4.0**-0.5 / -0.5)
 
     def test_observation_rejects_zero_exposure(self):
-        with pytest.raises(ValueError):
-            Observation("a", 0.0, 1.0)
+        with pytest.raises(ValueError, match="exposure.*contract 'a'"):
+            Portfolio.from_arrays([0.0], [1.0], contract_ids=["a"])
 
     def test_observation_rejects_negative_loss(self):
-        with pytest.raises(ValueError):
-            Observation("a", 0.5, -1.0)
+        with pytest.raises(ValueError, match="loss cost.*contract 'b'"):
+            Portfolio.from_arrays([0.5, 0.5], [1.0, -1.0], contract_ids=["a", "b"])
 
     def test_observation_accepts_exact_zero_loss(self):
-        obs = Observation("a", 0.5, 0.0)
-        assert obs.loss_cost == 0.0
+        pf = Portfolio.from_arrays([0.5], [0.0], contract_ids=["a"])
+        assert pf.loss_costs[0] == 0.0
+
+    @pytest.mark.parametrize(
+        "exposures,losses,covariates",
+        [
+            ([0.5, 1.5], [1.0, 1.0], None),
+            ([0.5, np.nan], [1.0, 1.0], None),
+            ([0.5, 1.0], [1.0, np.inf], None),
+            ([0.5, 1.0], [1.0, np.nan], None),
+            ([0.5, 1.0, 1.0], [1.0, 1.0, 2.0], [[0.0], [np.nan], [1.0]]),
+        ],
+    )
+    def test_portfolio_rejects_invalid_columns(self, exposures, losses, covariates):
+        with pytest.raises(ValueError):
+            Portfolio.from_arrays(exposures, losses, covariates)
+
+    def test_portfolio_rejects_duplicate_contract_ids(self):
+        with pytest.raises(ValueError, match="duplicate contract id 'b'"):
+            Portfolio.from_arrays([0.5, 1.0, 0.25], [1.0, 2.0, 3.0], contract_ids=["a", "b", "b"])
+
+    def test_portfolio_columns(self):
+        pf = Portfolio.from_arrays(
+            [0.5, 1.0, 0.25], [1.0, 0.0, 3.0], [[1.0], [0.0], [2.0]],
+            contract_ids=[7, "b", "c"], covariate_names=["age"],
+        )
+        assert pf.contract_ids == ("7", "b", "c")
+        assert pf.covariate_names == ("age",)
+        assert (pf.n, pf.q, len(pf)) == (3, 1, 3)
+        np.testing.assert_array_equal(pf.design, [[1.0, 1.0], [1.0, 0.0], [1.0, 2.0]])
+        np.testing.assert_array_equal(pf.normalized, [2.0, 0.0, 12.0])
+        assert Portfolio.from_arrays([0.5, 1.0], [1.0, 2.0]).contract_ids == ("c1", "c2")
+
+    def test_portfolio_copies_its_inputs(self):
+        t = np.array([0.5, 1.0])
+        pf = Portfolio.from_arrays(t, [1.0, 2.0])
+        t[0] = 0.25
+        assert pf.exposures[0] == 0.5
 
     def test_portfolio_needs_enough_rows(self):
         with pytest.raises(ValueError):
@@ -77,7 +111,7 @@ class TestNormalize:
         [(0.0, 0.5, 0.0), (20.0, 1.0, 20.0), (5.0, 0.5, 10.0)],
     )
     def test_values(self, loss, exposure, expected):
-        assert normalize(Observation("a", exposure, loss)) == expected
+        assert Portfolio.from_arrays([exposure], [loss]).normalized[0] == expected
 
 
 class TestWeight:

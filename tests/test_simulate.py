@@ -119,9 +119,11 @@ class TestRunGapExperiment:
 
     def test_rows_are_rank_indexed(self):
         experiment = run_gap_experiment(ScenarioConfig(n=10, seed=12))
-        rows = experiment.rows()
-        assert [row[0] for row in rows] == list(range(1, 11))
-        assert all(len(row) == 4 for row in rows)
+        columns = experiment.columns()
+        assert list(columns) == ["rank", "exposure", "gap_offset", "gap_ratio"]
+        assert columns["rank"].tolist() == list(range(1, 11))
+        assert all(len(column) == 10 for column in columns.values())
+        np.testing.assert_array_equal(columns["exposure"], experiment.synthetic.portfolio.exposures)
 
     def test_same_seed_reproduces_totals_exactly(self):
         a = run_gap_experiment(ScenarioConfig(n=50, seed=13))
@@ -131,7 +133,7 @@ class TestRunGapExperiment:
 
     def test_minimum_portfolio_runs(self):
         experiment = run_gap_experiment(ScenarioConfig(n=2, seed=14))
-        assert len(experiment.rows()) == 2
+        assert len(experiment.columns()["rank"]) == 2
 
 
 class TestGenMimicPortfolio:
