@@ -14,13 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model_core import _validated_columns, validate_design
+from .solver import FitConfig, _irls
 
 __all__ = [
     "CountData",
     "ZipParams",
     "ZipEvidence",
     "poisson_fit",
-    "poisson_score",
     "zip_loglik",
     "zip_score",
     "zip_nonequivalence_check",
@@ -98,41 +98,37 @@ def _check_mode(mode):
     return mode
 
 
-def poisson_score(beta, data: CountData, mode: str):
-    """Score vector of the Poisson objective for the given mode."""
-    _check_mode(mode)
-    beta = np.asarray(beta, dtype=float)
-    X = data.design
-    if mode == "offset":
-        mu = data.exposures * np.exp(X @ beta)
-        return X.T @ (data.counts - mu)
-    zeta = np.exp(X @ beta)
-    return X.T @ (data.exposures * (data.normalized - zeta))
-
-
 def poisson_fit(data: CountData, mode: str, tolerance: float = 1e-10, max_iterations: int = 50):
-    """Log-link Poisson coefficients by Fisher scoring under either mode.
+    """Log-link Poisson coefficients under either mode, by the package's IRLS loop.
 
     Offset mode maximizes ``sum(-t * exp(x @ b) + y * (x @ b))``; ratio
-    mode maximizes ``sum(t * (-exp(x @ b) + z * (x @ b)))``.  The two
-    objectives are proportional, so the fits agree to solver precision.
+    mode maximizes ``sum(t * (-exp(x @ b) + z * (x @ b)))``.  With
+    ``y = t * z`` the two objectives are the same function of ``b``,
+    and both are the weighted Tweedie quasi-likelihood at ``p = 1``,
+    where the offset weight ``t**(2-p)`` equals the ratio weight ``t``.
+    So both modes run one computation: the Tweedie IRLS loop at
+    ``p = 1`` with weights ``t``, started at ``log(sum(y) / sum(t))``
+    and stopped when the sup-norm of the score ``X.T @ (y - t * zeta)``
+    falls below ``tolerance``.  Raises RuntimeError when that takes
+    more than ``max_iterations`` updates.
     """
     _check_mode(mode)
     total = data.counts.sum()
     if total <= 0:
         raise ValueError("cannot fit: all claim counts are zero")
-    X = data.design
-    beta = np.zeros(data.q + 1)
-    beta[0] = math.log(total / data.exposures.sum())
-    for _ in range(max_iterations):
-        score = poisson_score(beta, data, mode)
-        if np.max(np.abs(score)) < tolerance:
-            return beta
-        # curvature diag(mu) = diag(t * zeta) is shared by both modes
-        w = data.exposures * np.exp(X @ beta)
-        info = (X * w[:, None]).T @ X
-        beta = beta + np.linalg.solve(info, score)
-    raise RuntimeError(f"Poisson {mode} fit did not converge in {max_iterations} iterations")
+    X, t, z = data.design, data.exposures, data.normalized
+    start = np.zeros(data.q + 1)
+    start[0] = math.log(total / t.sum())
+
+    def objective(beta):
+        s = X @ beta
+        return float(np.sum(t * (z * s - np.exp(s))))
+
+    config = FitConfig(tolerance=tolerance, max_iterations=max_iterations)
+    beta, _, converged, *_ = _irls(X, z, t, 1.0, objective, start, config)
+    if not converged:
+        raise RuntimeError(f"Poisson {mode} fit did not converge in {max_iterations} iterations")
+    return beta
 
 
 def zip_loglik(params: ZipParams, data: CountData, mode: str) -> float:

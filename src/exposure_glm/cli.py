@@ -29,12 +29,13 @@ from .claim_count import CountData, poisson_fit, zip_nonequivalence_check
 from .model_core import (
     Portfolio,
     RankDeficiencyError,
+    SingularInformationError,
     TweedieFamily,
     WeightScheme,
     _first_duplicate,
 )
 from .simulate import Scenario, ScenarioConfig, run_gap_experiment
-from .solver import AllZeroLossError, FitConfig, SingularInformationError, fit
+from .solver import AllZeroLossError, FitConfig, fit
 
 __all__ = ["RunConfig", "IngestError", "ingest_csv", "ingest_counts_csv", "main"]
 
@@ -324,49 +325,52 @@ def write_portfolio_csv(portfolio: Portfolio, path):
     _write_csv(Path(path), header, columns)
 
 
-def _fit_payload(result):
-    return {
-        "beta": [float(b) for b in result.beta_hat],
-        "covariance": [[float(v) for v in row] for row in result.covariance],
-        "iterations": result.iterations,
-        "converged": result.converged,
-        "gradient_norm": result.gradient_norm,
-    }
+_SCHEMES = {
+    "offset": (WeightScheme.OFFSET,),
+    "ratio": (WeightScheme.RATIO,),
+    "both": (WeightScheme.OFFSET, WeightScheme.RATIO),
+}
 
 
-def _fit_both(portfolio, config):
+def _fit_schemes(portfolio, config, schemes):
+    """Fit ``schemes`` in order under the invocation's family and stopping rule."""
     family = TweedieFamily(p=config.p, phi=config.phi)
     fit_config = FitConfig(tolerance=config.tolerance, max_iterations=config.max_iterations)
     results = {}
-    for scheme in (WeightScheme.OFFSET, WeightScheme.RATIO):
+    for scheme in schemes:
         results[scheme] = fit(portfolio, scheme, family, fit_config)
         log.info(
             "%s fit: converged=%s iterations=%d", scheme.value,
             results[scheme].converged, results[scheme].iterations,
         )
-    return family, results
+    return results
 
 
-def cmd_fit(config: RunConfig):
-    portfolio = ingest_csv(config.input)
-    family = TweedieFamily(p=config.p, phi=config.phi)
-    fit_config = FitConfig(tolerance=config.tolerance, max_iterations=config.max_iterations)
-    schemes = {
-        "offset": [WeightScheme.OFFSET],
-        "ratio": [WeightScheme.RATIO],
-        "both": [WeightScheme.OFFSET, WeightScheme.RATIO],
-    }[config.scheme]
+def _write_fit_json(out, config, portfolio, results):
     payload = {
         "schema_version": SCHEMA_VERSION,
         "p": config.p,
         "phi": config.phi,
         "n": portfolio.n,
         "covariates": list(portfolio.covariate_names),
-        "schemes": {},
+        "schemes": {
+            scheme.value: {
+                "beta": [float(b) for b in result.beta_hat],
+                "covariance": [[float(v) for v in row] for row in result.covariance],
+                "iterations": result.iterations,
+                "converged": result.converged,
+                "gradient_norm": result.gradient_norm,
+            }
+            for scheme, result in results.items()
+        },
     }
-    for scheme in schemes:
-        payload["schemes"][scheme.value] = _fit_payload(fit(portfolio, scheme, family, fit_config))
-    _write_json(config.out / "fit.json", payload)
+    _write_json(out / "fit.json", payload)
+
+
+def cmd_fit(config: RunConfig):
+    portfolio = ingest_csv(config.input)
+    results = _fit_schemes(portfolio, config, _SCHEMES[config.scheme])
+    _write_fit_json(config.out, config, portfolio, results)
 
 
 def _class_balance_rows(portfolio, result_offset, result_ratio):
@@ -422,22 +426,10 @@ def _write_balance_tables(out, portfolio, result_offset, result_ratio):
 
 def cmd_compare(config: RunConfig):
     portfolio = ingest_csv(config.input)
-    family, results = _fit_both(portfolio, config)
+    results = _fit_schemes(portfolio, config, _SCHEMES["both"])
     result_offset = results[WeightScheme.OFFSET]
     result_ratio = results[WeightScheme.RATIO]
-
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "p": config.p,
-        "phi": config.phi,
-        "n": portfolio.n,
-        "covariates": list(portfolio.covariate_names),
-        "schemes": {
-            "offset": _fit_payload(result_offset),
-            "ratio": _fit_payload(result_ratio),
-        },
-    }
-    _write_json(config.out / "fit.json", payload)
+    _write_fit_json(config.out, config, portfolio, results)
 
     names = ["intercept", *portfolio.covariate_names]
     coeff_rows = []
@@ -459,7 +451,7 @@ def cmd_compare(config: RunConfig):
 
 def cmd_balance(config: RunConfig):
     portfolio = ingest_csv(config.input)
-    family, results = _fit_both(portfolio, config)
+    results = _fit_schemes(portfolio, config, _SCHEMES["both"])
     result_offset = results[WeightScheme.OFFSET]
     result_ratio = results[WeightScheme.RATIO]
     gaps_offset, gaps_ratio = _write_balance_tables(config.out, portfolio, result_offset, result_ratio)

@@ -18,14 +18,16 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-import scipy.linalg
 
 from .model_core import (
     Portfolio,
-    SingularInformationError,
     TweedieFamily,
     WeightScheme,
-    fisher_info,
+    _check_beta,
+    _cho_factor,
+    _covariance,
+    _normal_equations,
+    _scheme_weights,
 )
 
 __all__ = [
@@ -129,14 +131,15 @@ def premium_moments(x, beta, covariance, scheme=None, dispersion: float = 1.0) -
 
 
 def coefficient_covariance(portfolio: Portfolio, beta, scheme: WeightScheme, family: TweedieFamily):
-    """Asymptotic coefficient covariance ``phi * (X.T @ D @ X)**-1`` at ``beta``."""
-    info = fisher_info(beta, portfolio, scheme, family)
-    try:
-        factor = scipy.linalg.cho_factor(info)
-    except (scipy.linalg.LinAlgError, ValueError) as exc:
-        raise SingularInformationError("Fisher information is not invertible") from exc
-    cov = scipy.linalg.cho_solve(factor, np.eye(info.shape[0]))
-    return 0.5 * (cov + cov.T)
+    """Asymptotic coefficient covariance ``phi * (X.T @ D @ X)**-1`` at ``beta``.
+
+    Raises SingularInformationError when ``X.T @ D @ X`` is numerically
+    singular at ``beta``.
+    """
+    beta = _check_beta(beta, portfolio)
+    w = _scheme_weights(WeightScheme(scheme), portfolio.exposures, family.p)
+    info, _ = _normal_equations(beta, portfolio.design, portfolio.normalized, w, family.p)
+    return _covariance(_cho_factor(info), family.phi)
 
 
 def covariance_dominance(portfolio: Portfolio, beta, family: TweedieFamily) -> DominanceReport:

@@ -23,20 +23,15 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+import scipy.linalg
 
 __all__ = [
     "WeightScheme",
     "TweedieFamily",
-    "TweedieParams",
     "Portfolio",
     "RankDeficiencyError",
     "SingularInformationError",
-    "weight",
-    "scale_params",
     "quasi_loglik",
-    "gradient",
-    "d_matrix",
-    "fisher_info",
     "validate_design",
 ]
 
@@ -90,32 +85,9 @@ class TweedieFamily:
         if not (self.phi > 0.0 and math.isfinite(self.phi)):
             raise ValueError(f"dispersion must be positive and finite, got {self.phi}")
 
-    def canonical_parameter(self, mu):
-        """Canonical parameter ``mu**(1-p) / (1-p)`` of the mean ``mu``."""
-        if mu <= 0.0:
-            raise ValueError(f"mean must be positive, got {mu}")
-        return mu ** (1.0 - self.p) / (1.0 - self.p)
-
-
-@dataclass(frozen=True)
-class TweedieParams:
-    """Mean / weight pair for a single contract under a family."""
-
-    mu: float
-    w: float
-    family: TweedieFamily
-
-    def __post_init__(self):
-        if not (self.mu > 0.0 and math.isfinite(self.mu)):
-            raise ValueError(f"mean must be positive and finite, got {self.mu}")
-        if not (self.w > 0.0 and math.isfinite(self.w)):
-            raise ValueError(f"weight must be positive and finite, got {self.w}")
-
 
 def _dependency_diagnosis(design):
     """Identify dependent design columns and what they depend on."""
-    import scipy.linalg
-
     n, k = design.shape
     _, r, pivots = scipy.linalg.qr(design, mode="economic", pivoting=True)
     diag = np.abs(np.diag(r))
@@ -276,43 +248,54 @@ class Portfolio:
         return f"Portfolio(n={self.n}, q={self.q})"
 
 
-def weight(scheme: WeightScheme, t, p):
-    """Exposure weight for a contract: ``t**(2-p)`` (offset) or ``t`` (ratio).
-
-    Accepts scalars or arrays.  For every ``t`` in (0, 1] and ``p`` in
-    (1, 2) the offset weight dominates the ratio weight, with equality
-    exactly at full exposure ``t = 1``.
-    """
-    scheme = WeightScheme(scheme)
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr <= 0.0) or np.any(t_arr > 1.0):
-        raise ValueError("exposure must lie in (0, 1]")
-    if not (1.0 < p < 2.0):
-        raise ValueError(f"variance power must satisfy 1 < p < 2, got {p}")
-    if scheme is WeightScheme.OFFSET:
-        out = t_arr ** (2.0 - p)
-    else:
-        out = t_arr.copy()
-    return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
-
-
-def scale_params(params: TweedieParams, t: float) -> TweedieParams:
-    """Parameters of ``t * Z`` when ``Z`` has the given Tweedie parameters.
-
-    Scaling the variable by ``t > 0`` maps ``(mu, w)`` to
-    ``(t * mu, w / t**(2-p))`` with the family unchanged; composing the
-    map for ``s`` then ``t`` equals the map for ``s * t``.
-    """
-    if not (t > 0.0 and math.isfinite(t)):
-        raise ValueError(f"scale factor must be positive and finite, got {t}")
-    two_minus_p = 2.0 - params.family.p
-    return TweedieParams(mu=t * params.mu, w=params.w / t**two_minus_p, family=params.family)
-
-
 def _scheme_weights(scheme, exposures, p):
+    """Exposure weights: ``t**(2-p)`` (offset) or ``t`` (ratio).
+
+    For ``t`` in (0, 1] and ``p`` in (1, 2) the offset weight dominates
+    the ratio weight, with equality exactly at ``t = 1``; at ``p = 1``
+    the two coincide.
+    """
     if scheme is WeightScheme.OFFSET:
         return exposures ** (2.0 - p)
     return exposures
+
+
+def _normal_equations(beta, design, z, w, p):
+    """Dispersion-free ``(X.T @ D @ X, X.T @ D @ R)`` of the weighted Tweedie fit.
+
+    With ``s = X @ beta``, ``D = diag(w * exp((2 - p) * s))`` and
+    ``R = z * exp(-s) - 1``.  The quasi-log-likelihood has score
+    ``X.T @ D @ R / phi`` and Fisher information ``X.T @ D @ X / phi``.
+    At ``p = 1`` with ``w = t`` the score is the Poisson score
+    ``X.T @ (t * (z - exp(s)))`` and ``D`` its curvature.
+    """
+    s = design @ beta
+    d = w * np.exp((2.0 - p) * s)
+    r = z * np.exp(-s) - 1.0
+    info = (design * d[:, None]).T @ design
+    info = 0.5 * (info + info.T)
+    return info, design.T @ (d * r)
+
+
+def _cho_factor(info):
+    """Cholesky factor of an information matrix ``X.T @ D @ X``.
+
+    Raises SingularInformationError when the matrix is not numerically
+    positive definite, which on a full-rank design means the weights
+    ``D`` over- or underflowed.
+    """
+    try:
+        return scipy.linalg.cho_factor(info)
+    except (scipy.linalg.LinAlgError, ValueError) as exc:
+        raise SingularInformationError(
+            "weighted information matrix is not positive definite"
+        ) from exc
+
+
+def _covariance(factor, phi):
+    """Coefficient covariance ``phi * (X.T @ D @ X)**-1`` from its Cholesky factor."""
+    cov = phi * scipy.linalg.cho_solve(factor, np.eye(factor[0].shape[0]))
+    return 0.5 * (cov + cov.T)
 
 
 def quasi_loglik(beta, portfolio: Portfolio, scheme: WeightScheme, family: TweedieFamily) -> float:
@@ -334,50 +317,6 @@ def quasi_loglik(beta, portfolio: Portfolio, scheme: WeightScheme, family: Tweed
         - np.exp((2.0 - p) * s) / (2.0 - p)
     )
     return float(terms.sum() / family.phi)
-
-
-def gradient(beta, portfolio: Portfolio, scheme: WeightScheme, family: TweedieFamily):
-    """Score vector ``(1 / phi) * X.T @ D @ R`` with ``R_i = z_i / zeta_i - 1``."""
-    beta = _check_beta(beta, portfolio)
-    scheme = WeightScheme(scheme)
-    s = portfolio.design @ beta
-    d = _scheme_weights(scheme, portfolio.exposures, family.p) * np.exp((2.0 - family.p) * s)
-    r = portfolio.normalized * np.exp(-s) - 1.0
-    return portfolio.design.T @ (d * r) / family.phi
-
-
-def d_matrix(beta, portfolio: Portfolio, scheme: WeightScheme, family: TweedieFamily):
-    """Diagonal of ``D``: entry ``i`` is ``w_i * exp((2-p) * x_i @ beta)``.
-
-    Entrywise the offset diagonal dominates the ratio diagonal, strictly
-    wherever ``t_i < 1``.
-    """
-    beta = _check_beta(beta, portfolio)
-    scheme = WeightScheme(scheme)
-    s = portfolio.design @ beta
-    return _scheme_weights(scheme, portfolio.exposures, family.p) * np.exp(
-        (2.0 - family.p) * s
-    )
-
-
-def fisher_info(beta, portfolio: Portfolio, scheme: WeightScheme, family: TweedieFamily):
-    """Fisher information ``(1 / phi) * X.T @ D @ X`` (symmetric positive definite).
-
-    Raises SingularInformationError if the matrix fails a Cholesky
-    factorization, which on a full-rank portfolio can only happen through
-    numerical degeneracy of the weights.
-    """
-    beta = _check_beta(beta, portfolio)
-    d = d_matrix(beta, portfolio, scheme, family)
-    info = (portfolio.design * d[:, None]).T @ portfolio.design / family.phi
-    info = 0.5 * (info + info.T)
-    try:
-        np.linalg.cholesky(info)
-    except np.linalg.LinAlgError as exc:
-        raise SingularInformationError(
-            "Fisher information is not positive definite at this coefficient vector"
-        ) from exc
-    return info
 
 
 def _check_beta(beta, portfolio):

@@ -102,39 +102,24 @@ def gen_exposures(n: int, seed) -> np.ndarray:
     return np.sort(rng.uniform(EXPOSURE_LO, EXPOSURE_HI, n))
 
 
-def gen_losses(n: int, scenario, literal_decreasing: bool = False) -> np.ndarray:
+def gen_losses(n: int, scenario) -> np.ndarray:
     """Deterministic loss costs by exposure rank ``i = 1..n``.
 
     Increasing: ``y_i = i``.  Decreasing: ``y_i = n - i + 1``, the exact
-    reversal.  ``literal_decreasing`` switches the decreasing scenario to
-    ``y_i = n - i - 1``, which ends at -1 and is kept only for audit;
-    portfolios reject negative losses.
+    reversal.
     """
     scenario = Scenario(scenario)
     ranks = np.arange(1, n + 1, dtype=float)
     if scenario is Scenario.INCREASING:
         return ranks
-    if literal_decreasing:
-        return n - ranks - 1.0
     return n - ranks + 1.0
 
 
-def gen_covariates(n: int, seed, mode: str = "bernoulli") -> np.ndarray:
-    """Two per-contract risk factors with success rates 0.75 and 0.15.
-
-    ``"bernoulli"`` (default) draws binary indicators; ``"binomial"``
-    draws counts out of 100 trials instead, for the reading of the setup
-    in which the factors are counts rather than flags.
-    """
+def gen_covariates(n: int, seed) -> np.ndarray:
+    """Two binary per-contract risk factors with success rates 0.75 and 0.15."""
     rng = np.random.default_rng(seed)
-    if mode == "bernoulli":
-        x1 = (rng.random(n) < 0.75).astype(float)
-        x2 = (rng.random(n) < 0.15).astype(float)
-    elif mode == "binomial":
-        x1 = rng.binomial(100, 0.75, n).astype(float)
-        x2 = rng.binomial(100, 0.15, n).astype(float)
-    else:
-        raise ValueError(f"unknown covariate mode {mode!r}")
+    x1 = (rng.random(n) < 0.75).astype(float)
+    x2 = (rng.random(n) < 0.15).astype(float)
     return np.column_stack([x1, x2])
 
 
@@ -148,7 +133,9 @@ def build_scenario_portfolio(config: ScenarioConfig) -> SyntheticPortfolio:
     if config.heterogeneous:
         if config.n < 3:
             raise ValueError("heterogeneous portfolios need at least 3 contracts")
-        covariates = _nonconstant_covariates(config.n, covariate_seed)
+        covariates = _full_rank_covariates(
+            covariate_seed, lambda child: gen_covariates(config.n, child)
+        )
     portfolio = Portfolio.from_arrays(exposures, losses, covariates)
     return SyntheticPortfolio(
         portfolio=portfolio,
@@ -158,18 +145,17 @@ def build_scenario_portfolio(config: ScenarioConfig) -> SyntheticPortfolio:
     )
 
 
-def _full_rank_design(covariates):
-    design = np.column_stack([np.ones(covariates.shape[0]), covariates])
-    return np.linalg.matrix_rank(design) == design.shape[1]
+def _full_rank_covariates(seed_seq, draw, attempts=64):
+    """First ``draw(child_seed)`` whose design with an intercept has full column rank.
 
-
-def _nonconstant_covariates(n, seed_seq, attempts=64):
-    # A constant or duplicated column would break the full-rank
-    # invariant; redraw from spawned substreams until the design has
-    # full rank (deterministic per seed).
+    A constant or duplicated column would break the full-rank invariant,
+    so covariates are redrawn from spawned substreams of ``seed_seq``
+    (deterministic per seed).
+    """
     for child in seed_seq.spawn(attempts):
-        covariates = gen_covariates(n, child)
-        if _full_rank_design(covariates):
+        covariates = draw(child)
+        design = np.column_stack([np.ones(covariates.shape[0]), covariates])
+        if np.linalg.matrix_rank(design) == design.shape[1]:
             return covariates
     raise RuntimeError(f"no full-rank covariate draw in {attempts} attempts")
 
@@ -246,14 +232,12 @@ def gen_mimic_portfolio(
         probs = [0.5, 0.3, 0.2, 0.6, 0.4, 0.25, 0.35, 0.45][:n_covariates]
         if len(probs) < n_covariates:
             probs = probs + [0.5] * (n_covariates - len(probs))
-        for child in cov_seed.spawn(64):
-            cov_rng = np.random.default_rng(child)
-            candidate = np.column_stack([(cov_rng.random(n) < p).astype(float) for p in probs])
-            if _full_rank_design(candidate):
-                covariates = candidate
-                break
-        else:
-            raise RuntimeError("no full-rank covariate draw in 64 attempts")
+
+        def draw(child):
+            rng = np.random.default_rng(child)
+            return np.column_stack([(rng.random(n) < p).astype(float) for p in probs])
+
+        covariates = _full_rank_covariates(cov_seed, draw)
 
     portfolio = Portfolio.from_arrays(exposures, losses, covariates)
     return SyntheticPortfolio(

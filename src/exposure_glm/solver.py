@@ -5,7 +5,8 @@ The update solves the symmetric positive-definite system
 exactly; convergence is declared on the sup-norm of the
 dispersion-scaled gradient ``X.T @ D @ R``.  Intercept-only portfolios
 admit closed-form maximum-likelihood estimates (weighted means of the
-annualized losses) which also seed the IRLS iteration.
+annualized losses) which also seed the IRLS iteration.  The same loop
+fits the Poisson claim-count companion as the ``p = 1`` case.
 """
 
 import math
@@ -16,9 +17,11 @@ import scipy.linalg
 
 from .model_core import (
     Portfolio,
-    SingularInformationError,
     TweedieFamily,
     WeightScheme,
+    _cho_factor,
+    _covariance,
+    _normal_equations,
     _scheme_weights,
     quasi_loglik,
 )
@@ -28,8 +31,6 @@ __all__ = [
     "FitResult",
     "AllZeroLossError",
     "homogeneous_mle",
-    "init_beta",
-    "irls_step",
     "fit",
 ]
 
@@ -100,7 +101,7 @@ def homogeneous_mle(portfolio: Portfolio, scheme: WeightScheme, family: TweedieF
     return float(np.dot(w, portfolio.normalized) / w.sum())
 
 
-def init_beta(portfolio: Portfolio, scheme: WeightScheme, family: TweedieFamily, config: FitConfig):
+def _init_beta(portfolio: Portfolio, scheme: WeightScheme, family: TweedieFamily, config: FitConfig):
     """Starting coefficient vector according to ``config.init``."""
     k = portfolio.q + 1
     init = config.init
@@ -108,13 +109,9 @@ def init_beta(portfolio: Portfolio, scheme: WeightScheme, family: TweedieFamily,
         if init == "zeros":
             return np.zeros(k)
         if init == "homogeneous":
-            level = homogeneous_mle(portfolio, scheme, family)
-            if level <= 0.0:
-                raise AllZeroLossError(
-                    "cannot initialize at the homogeneous estimate: all loss costs are zero"
-                )
+            # positive: fit has already rejected a portfolio without losses
             beta = np.zeros(k)
-            beta[0] = math.log(level)
+            beta[0] = math.log(homogeneous_mle(portfolio, scheme, family))
             return beta
         raise ValueError(f"unknown init strategy {init!r}")
     beta = np.asarray(init, dtype=float).copy()
@@ -123,34 +120,40 @@ def init_beta(portfolio: Portfolio, scheme: WeightScheme, family: TweedieFamily,
     return beta
 
 
-def _scaled_system(beta, portfolio, scheme, family):
-    """Dispersion-free normal equations: (X.T D X, X.T D R)."""
-    X = portfolio.design
-    s = X @ beta
-    d = _scheme_weights(scheme, portfolio.exposures, family.p) * np.exp((2.0 - family.p) * s)
-    r = portfolio.normalized * np.exp(-s) - 1.0
-    info = (X * d[:, None]).T @ X
-    info = 0.5 * (info + info.T)
-    return info, X.T @ (d * r)
+def _irls(design, z, w, p, objective, beta, config: FitConfig):
+    """Fisher scoring for the weighted Tweedie fit on ``z`` with weights ``w``.
 
-
-def _spd_solve(matrix, rhs):
-    try:
-        factor = scipy.linalg.cho_factor(matrix)
-    except (scipy.linalg.LinAlgError, ValueError) as exc:
-        raise SingularInformationError(
-            "weighted information matrix is not positive definite"
-        ) from exc
-    return scipy.linalg.cho_solve(factor, rhs), factor
-
-
-def irls_step(beta, portfolio: Portfolio, scheme: WeightScheme, family: TweedieFamily):
-    """One Fisher-scoring update ``beta + (X.T D X)**-1 @ (X.T D R)``."""
-    beta = np.asarray(beta, dtype=float)
-    scheme = WeightScheme(scheme)
-    info, score = _scaled_system(beta, portfolio, scheme, family)
-    delta, _ = _spd_solve(info, score)
-    return beta + delta
+    Starts from ``beta`` and solves ``(X.T D X) delta = X.T D R`` once
+    per iteration until the sup-norm of ``X.T D R`` drops below
+    ``config.tolerance`` or the budget runs out.  ``objective`` is
+    evaluated at every iterate for the trace and step-halving.  Returns
+    ``(beta, factor, converged, gradient_norm, trace_beta,
+    trace_objective)`` with ``factor`` the Cholesky factor of
+    ``X.T D X`` at the returned ``beta``.
+    """
+    trace_beta = [beta.copy()]
+    trace_objective = [objective(beta)]
+    for iteration in range(config.max_iterations + 1):
+        info, score = _normal_equations(beta, design, z, w, p)
+        factor = _cho_factor(info)
+        gradient_norm = float(np.max(np.abs(score)))
+        converged = gradient_norm < config.tolerance
+        if converged or iteration == config.max_iterations:
+            break
+        delta = scipy.linalg.cho_solve(factor, score)
+        candidate = beta + delta
+        value = objective(candidate)
+        if config.step_halving:
+            halvings = 0
+            while value < trace_objective[-1] and halvings < _MAX_HALVINGS:
+                delta *= 0.5
+                candidate = beta + delta
+                value = objective(candidate)
+                halvings += 1
+        beta = candidate
+        trace_beta.append(beta.copy())
+        trace_objective.append(value)
+    return beta, factor, converged, gradient_norm, trace_beta, trace_objective
 
 
 def fit(
@@ -170,45 +173,19 @@ def fit(
     if portfolio.loss_costs.sum() <= 0.0:
         raise AllZeroLossError("cannot fit a portfolio whose loss costs are all zero")
 
-    beta = init_beta(portfolio, scheme, family, config)
-    trace_beta = [beta.copy()]
-    trace_objective = [quasi_loglik(beta, portfolio, scheme, family)]
-
-    converged = False
-    gradient_norm = math.inf
-    iterations = 0
-    factor = None
-    for iteration in range(config.max_iterations + 1):
-        info, score = _scaled_system(beta, portfolio, scheme, family)
-        gradient_norm = float(np.max(np.abs(score)))
-        if gradient_norm < config.tolerance:
-            converged = True
-            _, factor = _spd_solve(info, score)
-            break
-        if iteration == config.max_iterations:
-            _, factor = _spd_solve(info, score)
-            break
-        delta, factor = _spd_solve(info, score)
-        candidate = beta + delta
-        objective = quasi_loglik(candidate, portfolio, scheme, family)
-        if config.step_halving:
-            halvings = 0
-            while objective < trace_objective[-1] and halvings < _MAX_HALVINGS:
-                delta *= 0.5
-                candidate = beta + delta
-                objective = quasi_loglik(candidate, portfolio, scheme, family)
-                halvings += 1
-        beta = candidate
-        iterations = iteration + 1
-        trace_beta.append(beta.copy())
-        trace_objective.append(objective)
-
-    covariance = family.phi * scipy.linalg.cho_solve(factor, np.eye(portfolio.q + 1))
-    covariance = 0.5 * (covariance + covariance.T)
+    beta, factor, converged, gradient_norm, trace_beta, trace_objective = _irls(
+        portfolio.design,
+        portfolio.normalized,
+        _scheme_weights(scheme, portfolio.exposures, family.p),
+        family.p,
+        lambda b: quasi_loglik(b, portfolio, scheme, family),
+        _init_beta(portfolio, scheme, family, config),
+        config,
+    )
     return FitResult(
         beta_hat=beta,
-        covariance=covariance,
-        iterations=iterations,
+        covariance=_covariance(factor, family.phi),
+        iterations=len(trace_beta) - 1,
         converged=converged,
         gradient_norm=gradient_norm,
         trace_beta=np.asarray(trace_beta),

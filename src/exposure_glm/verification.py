@@ -3,8 +3,9 @@
 These deliberately avoid the code paths of the operations they check:
 finite differences instead of the analytic score, lattice search instead
 of Fisher scoring, eigenvalues instead of Cholesky, Monte Carlo instead
-of closed-form lognormal moments, and a loss-cost-scale refit instead of
-the weighted annualized-loss formulation.
+of closed-form lognormal moments, a loss-cost-scale refit instead of
+the weighted annualized-loss formulation, and the raw-count Poisson
+score instead of the Tweedie kernel at ``p = 1``.
 """
 
 import itertools
@@ -21,6 +22,7 @@ __all__ = [
     "eig_min",
     "mc_lognormal_moments",
     "offset_loss_irls",
+    "poisson_score",
 ]
 
 
@@ -153,3 +155,22 @@ def offset_loss_irls(portfolio, family, tolerance: float = 1e-11, max_iterations
             return beta
         beta = beta + np.linalg.solve(info, score)
     raise RuntimeError(f"loss-scale offset fit did not converge in {max_iterations} iterations")
+
+
+def poisson_score(beta, data, mode: str):
+    """Poisson score written out for either mode, as an independent oracle.
+
+    Offset mode differentiates the raw-count log-likelihood with mean
+    ``mu = t * exp(x @ beta)``: ``X.T @ (y - mu)``.  Ratio mode
+    differentiates the exposure-weighted annualized-count objective:
+    ``X.T @ (t * (z - exp(x @ beta)))``.
+    """
+    beta = np.asarray(beta, dtype=float)
+    X = data.design
+    if mode == "offset":
+        mu = data.exposures * np.exp(X @ beta)
+        return X.T @ (data.counts - mu)
+    if mode == "ratio":
+        zeta = np.exp(X @ beta)
+        return X.T @ (data.exposures * (data.normalized - zeta))
+    raise ValueError(f"mode must be 'offset' or 'ratio', got {mode!r}")

@@ -13,7 +13,7 @@ from exposure_glm import (
     zip_nonequivalence_check,
     zip_score,
 )
-from exposure_glm.verification import finite_diff_gradient
+from exposure_glm.verification import finite_diff_gradient, poisson_score
 
 from util import random_count_data, zip_count_data
 
@@ -52,6 +52,15 @@ class TestPoissonFit:
             beta_ratio = poisson_fit(data, "ratio", tolerance=1e-12)
             assert np.max(np.abs(beta_offset - beta_ratio)) < 1e-8
 
+    def test_offset_score_vanishes_at_fit(self):
+        # both modes run the Tweedie loop at p = 1; the raw-count score
+        # X.T @ (y - t * zeta), written out independently, checks it
+        for seed in range(10):
+            data = random_count_data(seed)
+            for mode in ("offset", "ratio"):
+                beta = poisson_fit(data, mode, tolerance=1e-12)
+                assert np.max(np.abs(poisson_score(beta, data, "offset"))) < 1e-11
+
     def test_intercept_only_closed_form(self):
         rng = np.random.default_rng(5)
         t = rng.uniform(0.2, 1.0, 30)
@@ -75,8 +84,6 @@ class TestPoissonFit:
 
 class TestZipLoglik:
     def test_zero_inflation_zero_scores_match_poisson(self):
-        from exposure_glm.claim_count import poisson_score
-
         data = zip_count_data(1)
         rng = np.random.default_rng(2)
         for _ in range(5):

@@ -225,6 +225,15 @@ class TestFitCommand:
         assert list(payload["schemes"]) == ["ratio"]
         assert payload["schemes"]["ratio"]["converged"]
 
+    def test_both_schemes_match_compare_byte_for_byte(self, tmp_path):
+        src = tmp_path / "in.csv"
+        write_portfolio_csv(gen_mimic_portfolio(0.4, 60, seed=2).portfolio, src)
+        flags = ["--input", str(src), "--p", "1.3", "--phi", "2.5", "--tol", "1e-10"]
+        assert main(["fit", *flags, "--out", str(tmp_path / "fit"), "--scheme", "both"]) == 0
+        assert main(["compare", *flags, "--out", str(tmp_path / "compare")]) == 0
+        fit_json = (tmp_path / "fit" / "fit.json").read_bytes()
+        assert fit_json == (tmp_path / "compare" / "fit.json").read_bytes()
+
 
 class TestSimulateCommand:
     def test_outputs_and_determinism(self, tmp_path):

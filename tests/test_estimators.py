@@ -8,6 +8,7 @@ import pytest
 from exposure_glm import (
     Dominance,
     Portfolio,
+    SingularInformationError,
     TweedieFamily,
     WeightScheme,
     coefficient_covariance,
@@ -18,6 +19,7 @@ from exposure_glm import (
     premium_moments,
 )
 from exposure_glm.simulate import Scenario, ScenarioConfig, build_scenario_portfolio
+from exposure_glm.solver import FitConfig, fit
 from exposure_glm.verification import eig_min, mc_lognormal_moments
 
 from util import random_portfolio
@@ -192,3 +194,26 @@ class TestCoefficientCovariance:
             result.covariance,
             rtol=1e-10,
         )
+
+
+# at this coefficient vector exp(-s) in the residual overflows as D underflows
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+class TestSingularInformation:
+    """Every factorization of ``X.T @ D @ X`` reports underflow of ``D`` the same way."""
+
+    BETA = np.array([-2000.0, 0.0, 0.0])  # exp((2 - p) * -2000) underflows to 0
+
+    def test_coefficient_covariance_raises(self):
+        pf = random_portfolio(5)
+        for scheme in WeightScheme:
+            with pytest.raises(SingularInformationError):
+                coefficient_covariance(pf, self.BETA, scheme, FAM)
+
+    def test_covariance_dominance_raises(self):
+        with pytest.raises(SingularInformationError):
+            covariance_dominance(random_portfolio(5), self.BETA, FAM)
+
+    def test_fit_raises_from_its_start(self):
+        with pytest.raises(SingularInformationError):
+            fit(random_portfolio(5), WeightScheme.RATIO, FAM, FitConfig(init=self.BETA))

@@ -1,4 +1,4 @@
-"""Kernel-level checks: weights, scaling, likelihood, gradient, information."""
+"""Kernel-level checks: weights, likelihood, gradient, information."""
 
 import math
 
@@ -9,20 +9,35 @@ from exposure_glm import (
     Portfolio,
     RankDeficiencyError,
     TweedieFamily,
-    TweedieParams,
     WeightScheme,
-    d_matrix,
-    fisher_info,
-    gradient,
     homogeneous_mle,
     quasi_loglik,
-    scale_params,
-    weight,
 )
+from exposure_glm.model_core import _normal_equations, _scheme_weights
 from exposure_glm.solver import FitConfig, fit
 from exposure_glm.verification import eig_min, finite_diff_gradient
 
 from util import random_portfolio, toy_portfolio
+
+
+def _system(beta, pf, scheme, fam):
+    """Fisher information and score, ``(X.T D X, X.T D R) / phi``, from the kernel."""
+    w = _scheme_weights(scheme, pf.exposures, fam.p)
+    info, score = _normal_equations(np.asarray(beta, float), pf.design, pf.normalized, w, fam.p)
+    return info / fam.phi, score / fam.phi
+
+
+def _d_diagonal(beta, pf, scheme, fam):
+    """Diagonal of ``D``, one kernel call per contract.
+
+    On contract ``i`` alone the kernel returns ``d_i * x_i x_i.T``,
+    whose intercept entry is ``d_i``.
+    """
+    w = _scheme_weights(scheme, pf.exposures, fam.p)
+    rows = [slice(i, i + 1) for i in range(pf.n)]
+    return np.array(
+        [_normal_equations(beta, pf.design[r], pf.normalized[r], w[r], fam.p)[0][0, 0] for r in rows]
+    )
 
 
 class TestDomainTypes:
@@ -34,10 +49,6 @@ class TestDomainTypes:
     def test_family_rejects_bad_dispersion(self):
         with pytest.raises(ValueError):
             TweedieFamily(p=1.5, phi=0.0)
-
-    def test_canonical_parameter(self):
-        fam = TweedieFamily(p=1.5)
-        assert fam.canonical_parameter(4.0) == pytest.approx(4.0**-0.5 / -0.5)
 
     def test_observation_rejects_zero_exposure(self):
         with pytest.raises(ValueError, match="exposure.*contract 'a'"):
@@ -115,6 +126,8 @@ class TestNormalize:
 
 
 class TestWeight:
+    """Scheme weights ``t**(2-p)`` (offset) and ``t`` (ratio)."""
+
     @pytest.mark.parametrize(
         "scheme,t,p,expected",
         [
@@ -124,23 +137,15 @@ class TestWeight:
         ],
     )
     def test_values(self, scheme, t, p, expected):
-        assert weight(scheme, t, p) == pytest.approx(expected, abs=1e-15)
-
-    def test_domain_violations(self):
-        with pytest.raises(ValueError):
-            weight(WeightScheme.OFFSET, 0.0, 1.5)
-        with pytest.raises(ValueError):
-            weight(WeightScheme.OFFSET, 1.5, 1.5)
-        with pytest.raises(ValueError):
-            weight(WeightScheme.OFFSET, 0.5, 2.0)
+        assert _scheme_weights(scheme, t, p) == pytest.approx(expected, abs=1e-15)
 
     def test_offset_dominates_ratio(self):
         rng = np.random.default_rng(7)
         for _ in range(200):
             t = float(rng.uniform(1e-3, 1.0))
             p = float(rng.uniform(1.0 + 1e-9, 2.0 - 1e-9))
-            w_off = weight(WeightScheme.OFFSET, t, p)
-            w_rat = weight(WeightScheme.RATIO, t, p)
+            w_off = _scheme_weights(WeightScheme.OFFSET, t, p)
+            w_rat = _scheme_weights(WeightScheme.RATIO, t, p)
             assert w_off >= w_rat
             assert 0.0 < w_rat <= 1.0 and w_off <= 1.0
             if t < 1.0:
@@ -148,51 +153,16 @@ class TestWeight:
 
     def test_weights_equal_exactly_at_full_exposure(self):
         for p in (1.01, 1.42, 1.99):
-            assert weight(WeightScheme.OFFSET, 1.0, p) == weight(WeightScheme.RATIO, 1.0, p) == 1.0
+            assert _scheme_weights(WeightScheme.OFFSET, 1.0, p) == _scheme_weights(WeightScheme.RATIO, 1.0, p) == 1.0
 
     def test_offset_weight_approaches_ratio_weight_near_p_one(self):
         t = np.linspace(0.05, 1.0, 50)
         gaps = [
-            np.max(np.abs(weight(WeightScheme.OFFSET, t, p) - weight(WeightScheme.RATIO, t, p)))
+            np.max(np.abs(_scheme_weights(WeightScheme.OFFSET, t, p) - _scheme_weights(WeightScheme.RATIO, t, p)))
             for p in (1.5, 1.1, 1.01, 1.0 + 1e-8)
         ]
         assert all(a > b for a, b in zip(gaps, gaps[1:]))
         assert gaps[-1] < 1e-7
-
-
-class TestScaleParams:
-    def test_identity_scaling(self):
-        params = TweedieParams(100.0, 1.0, TweedieFamily(p=1.5))
-        scaled = scale_params(params, 1.0)
-        assert scaled.mu == 100.0 and scaled.w == 1.0
-
-    def test_half_year(self):
-        params = TweedieParams(100.0, 1.0, TweedieFamily(p=1.5))
-        scaled = scale_params(params, 0.5)
-        assert scaled.mu == pytest.approx(50.0)
-        assert scaled.w == pytest.approx(math.sqrt(2.0), abs=1e-15)
-
-    def test_round_trip(self):
-        params = TweedieParams(100.0, 1.0, TweedieFamily(p=1.5))
-        back = scale_params(scale_params(params, 0.3), 1.0 / 0.3)
-        assert back.mu == pytest.approx(100.0, abs=1e-12)
-        assert back.w == pytest.approx(1.0, abs=1e-12)
-
-    def test_group_action(self):
-        rng = np.random.default_rng(3)
-        fam = TweedieFamily(p=1.7)
-        for _ in range(50):
-            params = TweedieParams(float(rng.uniform(1, 200)), float(rng.uniform(0.1, 2)), fam)
-            s, t = float(rng.uniform(0.1, 3)), float(rng.uniform(0.1, 3))
-            twice = scale_params(scale_params(params, s), t)
-            once = scale_params(params, s * t)
-            assert twice.mu == pytest.approx(once.mu, rel=1e-12)
-            assert twice.w == pytest.approx(once.w, rel=1e-12)
-
-    def test_rejects_nonpositive_scale(self):
-        params = TweedieParams(1.0, 1.0, TweedieFamily(p=1.5))
-        with pytest.raises(ValueError):
-            scale_params(params, 0.0)
 
 
 class TestQuasiLoglik:
@@ -248,12 +218,14 @@ class TestQuasiLoglik:
 
 
 class TestGradient:
+    """The kernel's score ``X.T @ D @ R / phi``."""
+
     def test_zero_at_homogeneous_mle(self):
         pf = toy_portfolio()
         for scheme in WeightScheme:
             fam = TweedieFamily(p=1.5)
             beta = np.array([math.log(homogeneous_mle(pf, scheme, fam))])
-            assert np.max(np.abs(gradient(beta, pf, scheme, fam))) < 1e-10
+            assert np.max(np.abs(_system(beta, pf, scheme, fam)[1])) < 1e-10
 
     def test_matches_finite_differences(self):
         fam = TweedieFamily(p=1.42)
@@ -262,7 +234,7 @@ class TestGradient:
             pf = random_portfolio(seed, n=30, q=2)
             beta = rng.normal(0, 0.4, 3)
             for scheme in WeightScheme:
-                g = gradient(beta, pf, scheme, fam)
+                g = _system(beta, pf, scheme, fam)[1]
                 fd = finite_diff_gradient(lambda b: quasi_loglik(b, pf, scheme, fam), beta)
                 rel = np.max(np.abs(g - fd)) / max(1.0, np.max(np.abs(g)))
                 assert rel < 1e-6
@@ -280,11 +252,11 @@ class TestGradient:
             d_loss = mu ** (2.0 - fam.p)
             direct = X.T @ (d_loss * (y / mu - 1.0)) / fam.phi
             np.testing.assert_allclose(
-                gradient(beta, pf, WeightScheme.OFFSET, fam), direct, rtol=1e-12
+                _system(beta, pf, WeightScheme.OFFSET, fam)[1], direct, rtol=1e-12
             )
             info_direct = (X * d_loss[:, None]).T @ X / fam.phi
             np.testing.assert_allclose(
-                fisher_info(beta, pf, WeightScheme.OFFSET, fam), info_direct, rtol=1e-12
+                _system(beta, pf, WeightScheme.OFFSET, fam)[0], info_direct, rtol=1e-12
             )
 
     def test_zero_when_losses_equal_means(self):
@@ -296,25 +268,27 @@ class TestGradient:
         pf = Portfolio.from_arrays(t, y, x)
         fam = TweedieFamily(p=1.6)
         for scheme in WeightScheme:
-            np.testing.assert_allclose(gradient(beta, pf, scheme, fam), 0.0, atol=1e-12)
+            np.testing.assert_allclose(_system(beta, pf, scheme, fam)[1], 0.0, atol=1e-12)
 
 
 class TestDMatrix:
+    """The kernel's weight diagonal ``D``."""
+
     def test_schemes_equal_at_full_exposure(self):
         pf = random_portfolio(11, all_full=True)
         fam = TweedieFamily(p=1.42)
         beta = np.array([0.5, 0.2, -0.1])
         np.testing.assert_array_equal(
-            d_matrix(beta, pf, WeightScheme.OFFSET, fam),
-            d_matrix(beta, pf, WeightScheme.RATIO, fam),
+            _d_diagonal(beta, pf, WeightScheme.OFFSET, fam),
+            _d_diagonal(beta, pf, WeightScheme.RATIO, fam),
         )
 
     def test_zero_score_values(self):
         pf = Portfolio.from_arrays([0.25, 0.25], [1.0, 2.0])
         fam = TweedieFamily(p=1.5)
         beta = np.zeros(1)
-        np.testing.assert_allclose(d_matrix(beta, pf, WeightScheme.OFFSET, fam), 0.5)
-        np.testing.assert_allclose(d_matrix(beta, pf, WeightScheme.RATIO, fam), 0.25)
+        np.testing.assert_allclose(_d_diagonal(beta, pf, WeightScheme.OFFSET, fam), 0.5)
+        np.testing.assert_allclose(_d_diagonal(beta, pf, WeightScheme.RATIO, fam), 0.25)
 
     def test_offset_dominates_entrywise(self):
         fam = TweedieFamily(p=1.3)
@@ -322,27 +296,29 @@ class TestDMatrix:
         for seed in range(10):
             pf = random_portfolio(seed, n=25)
             beta = rng.normal(0, 0.5, 3)
-            d_off = d_matrix(beta, pf, WeightScheme.OFFSET, fam)
-            d_rat = d_matrix(beta, pf, WeightScheme.RATIO, fam)
+            d_off = _d_diagonal(beta, pf, WeightScheme.OFFSET, fam)
+            d_rat = _d_diagonal(beta, pf, WeightScheme.RATIO, fam)
             assert np.all(d_off >= d_rat)
             assert np.all(d_off[pf.exposures < 1.0] > d_rat[pf.exposures < 1.0])
             assert np.all(d_off > 0) and np.all(d_rat > 0)
 
 
 class TestFisherInfo:
+    """The kernel's Fisher information ``X.T @ D @ X / phi``."""
+
     def test_intercept_only_scalar(self):
         pf = Portfolio.from_arrays([0.5, 1.0], [5.0, 20.0])
         fam = TweedieFamily(p=1.5, phi=2.0)
         beta = np.array([0.3])
         w = np.array([0.5**0.5, 1.0])
         expected = float(np.sum(w * math.exp(0.5 * 0.3)) / 2.0)
-        info = fisher_info(beta, pf, WeightScheme.OFFSET, fam)
+        info = _system(beta, pf, WeightScheme.OFFSET, fam)[0]
         assert info.shape == (1, 1)
         assert info[0, 0] == pytest.approx(expected, rel=1e-14)
 
     def test_symmetric(self):
         pf = random_portfolio(13)
-        info = fisher_info(np.array([0.2, 0.1, -0.3]), pf, WeightScheme.RATIO, TweedieFamily(p=1.42))
+        info = _system(np.array([0.2, 0.1, -0.3]), pf, WeightScheme.RATIO, TweedieFamily(p=1.42))[0]
         assert np.max(np.abs(info - info.T)) == 0.0
 
     def test_positive_definite_on_random_portfolios(self):
@@ -350,5 +326,5 @@ class TestFisherInfo:
         for seed in range(15):
             pf = random_portfolio(seed, n=30)
             beta = rng.normal(0, 0.5, 3)
-            info = fisher_info(beta, pf, WeightScheme.OFFSET, TweedieFamily(p=1.7))
+            info = _system(beta, pf, WeightScheme.OFFSET, TweedieFamily(p=1.7))[0]
             assert eig_min(info) > 0.0

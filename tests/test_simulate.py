@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from exposure_glm import Portfolio
 from exposure_glm.simulate import (
     EXPOSURE_HI,
     EXPOSURE_LO,
@@ -42,19 +41,8 @@ class TestGenLosses:
     def test_decreasing_corrected_reversal(self):
         np.testing.assert_array_equal(gen_losses(3, Scenario.DECREASING), [3.0, 2.0, 1.0])
 
-    def test_decreasing_literal_variant_goes_negative(self):
-        # the uncorrected indexing ends at -1; kept for audit only
-        np.testing.assert_array_equal(
-            gen_losses(3, Scenario.DECREASING, literal_decreasing=True), [1.0, 0.0, -1.0]
-        )
-
     def test_total_losses_match_across_scenarios(self):
         assert gen_losses(100, Scenario.INCREASING).sum() == gen_losses(100, Scenario.DECREASING).sum()
-
-    def test_literal_losses_rejected_by_portfolio(self):
-        losses = gen_losses(5, Scenario.DECREASING, literal_decreasing=True)
-        with pytest.raises(ValueError):
-            Portfolio.from_arrays(gen_exposures(5, seed=4), losses)
 
 
 class TestGenCovariates:
@@ -67,12 +55,6 @@ class TestGenCovariates:
         cov = gen_covariates(100_000, seed=6)
         assert abs(cov[:, 0].mean() - 0.75) < 0.01
         assert abs(cov[:, 1].mean() - 0.15) < 0.01
-
-    def test_binomial_count_mode(self):
-        cov = gen_covariates(2000, seed=7, mode="binomial")
-        assert cov.max() > 1.0
-        assert abs(cov[:, 0].mean() - 75.0) < 1.0
-        assert abs(cov[:, 1].mean() - 15.0) < 1.0
 
     def test_seed_determinism(self):
         np.testing.assert_array_equal(gen_covariates(50, seed=8), gen_covariates(50, seed=8))

@@ -14,8 +14,6 @@ from exposure_glm import (
     WeightScheme,
     fit,
     homogeneous_mle,
-    init_beta,
-    irls_step,
     quasi_loglik,
 )
 from exposure_glm.verification import GridSpec, grid_mle
@@ -51,39 +49,44 @@ class TestHomogeneousMle:
 
 
 class TestInitBeta:
+    """The start of the iteration, ``trace_beta[0]``, per ``FitConfig.init``."""
+
     def test_homogeneous_intercept(self):
-        beta = init_beta(toy_portfolio(), WeightScheme.RATIO, FAM, FitConfig())
+        beta = fit(toy_portfolio(), WeightScheme.RATIO, FAM, FitConfig()).trace_beta[0]
         assert beta[0] == pytest.approx(math.log(25.0 / 1.5), rel=1e-15)
 
     def test_user_vector_passthrough(self):
         user = np.array([1.0])
-        beta = init_beta(toy_portfolio(), WeightScheme.RATIO, FAM, FitConfig(init=user))
-        np.testing.assert_array_equal(beta, user)
-        assert beta is not user
+        result = fit(toy_portfolio(), WeightScheme.RATIO, FAM, FitConfig(init=user))
+        np.testing.assert_array_equal(result.trace_beta[0], [1.0])
+        np.testing.assert_array_equal(user, [1.0])  # the caller's vector is not updated in place
 
     def test_zeros(self):
-        beta = init_beta(toy_portfolio(), WeightScheme.RATIO, FAM, FitConfig(init="zeros"))
+        beta = fit(toy_portfolio(), WeightScheme.RATIO, FAM, FitConfig(init="zeros")).trace_beta[0]
         np.testing.assert_array_equal(beta, np.zeros(1))
 
     def test_all_zero_losses_rejected(self):
         pf = Portfolio.from_arrays([0.5, 1.0], [0.0, 0.0])
         with pytest.raises(AllZeroLossError):
-            init_beta(pf, WeightScheme.RATIO, FAM, FitConfig())
+            fit(pf, WeightScheme.RATIO, FAM, FitConfig())
 
 
 class TestIrlsStep:
+    """One Fisher-scoring update of the fit's loop."""
+
     def test_stationary_point_is_fixed(self):
         pf = random_portfolio(21)
         result = fit(pf, WeightScheme.OFFSET, FAM, FitConfig(tolerance=1e-13))
-        stepped = irls_step(result.beta_hat, pf, WeightScheme.OFFSET, FAM)
+        # a tolerance no gradient can meet forces exactly one update
+        config = FitConfig(tolerance=1e-300, max_iterations=1, init=result.beta_hat)
+        stepped = fit(pf, WeightScheme.OFFSET, FAM, config).beta_hat
         assert np.max(np.abs(stepped - result.beta_hat)) < 1e-12
 
     def test_intercept_only_reaches_closed_form(self):
         pf = random_portfolio(22, q=0)
         for scheme in WeightScheme:
-            beta = np.array([0.0])
-            for _ in range(60):
-                beta = irls_step(beta, pf, scheme, FAM)
+            config = FitConfig(tolerance=1e-300, max_iterations=60, init="zeros")
+            beta = fit(pf, scheme, FAM, config).beta_hat
             assert beta[0] == pytest.approx(
                 math.log(homogeneous_mle(pf, scheme, FAM)), abs=1e-8
             )
