@@ -20,6 +20,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -128,7 +129,7 @@ def _atomic_write(path: Path, write, newline=None):
     log.info("wrote %s", path)
 
 
-_CHUNK_ROWS = 32768
+_CHUNK_ROWS = 4096
 
 
 def _write_csv(path: Path, header, columns):
@@ -156,58 +157,6 @@ def _write_json(path: Path, payload):
         fh.write("\n")
 
     _atomic_write(path, write)
-
-
-# Records are transposed a few hundred at a time: fewer than the garbage
-# collector's first threshold (700 new objects) are alive at once, so
-# reading a large file starts no collection.
-_READ_ROWS = 512
-
-
-def _read_columns(path, leading_columns):
-    """Covariate names, data-row line numbers and the data as string columns.
-
-    Line numbers count CSV records from the header (row 1) and include
-    blank records, which are skipped.  ``row_numbers`` is None when no
-    record was skipped, so data row ``i`` is line ``i + 2``.
-    """
-    from itertools import islice
-
-    path = Path(path)
-    if not path.exists():
-        raise IngestError(f"input file not found: {path}")
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise IngestError("file is empty", row=1)
-        if [h.strip() for h in header[: len(leading_columns)]] != list(leading_columns):
-            raise IngestError(
-                f"header must start with {','.join(leading_columns)}, got {','.join(header)}",
-                row=1,
-            )
-        width = len(header)
-        columns = [[] for _ in range(width)]
-        blank_lines = []
-        lines = 1  # records read so far, header included
-        while records := list(islice(reader, _READ_ROWS)):
-            first, lines = lines + 1, lines + len(records)
-            if set(map(len, records)) - {width, 0}:
-                k = next(k for k, record in enumerate(records) if len(record) not in (width, 0))
-                raise IngestError(f"expected {width} fields, got {len(records[k])}", row=first + k)
-            if not all(records):
-                blank_lines += [first + k for k, record in enumerate(records) if not record]
-                records = [record for record in records if record]
-            for column, cells in zip(columns, zip(*records)):
-                column.extend(cells)
-    if not columns[0]:
-        raise IngestError("no data rows")
-    row_numbers = None
-    if blank_lines:
-        blank = set(blank_lines)
-        row_numbers = [line for line in range(2, lines + 1) if line not in blank]
-    covariate_names = [h.strip() for h in header[len(leading_columns) :]]
-    return covariate_names, row_numbers, columns
 
 
 def _parse_column(cells, valid=None, describe=None):
@@ -257,58 +206,131 @@ _CHECKS = {
 }
 
 
-def _ingest_columns(path, leading_columns):
-    """Validated numeric columns of an input CSV: ``(ids, names, t, y, covariates)``.
+# Records are read and parsed a few hundred at a time: fewer than the
+# garbage collector's first threshold (700 new objects) are alive at once,
+# so reading a large file starts no collection, and no more than one
+# batch of cells is ever held as strings.
+_READ_ROWS = 512
 
-    Raises IngestError at the first bad cell in row-major order: a
-    repeated contract id (at its second occurrence), a cell that is not
-    a finite number, or a value out of range for its column.
+
+def _ingest_columns(path, leading_columns):
+    """Numeric columns of an input CSV: ``(ids, names, t, y, covariates, row_of)``.
+
+    ``row_of(i)`` is the line of data row ``i``, counting CSV records
+    from the header (row 1) and including blank records, which are
+    skipped.  A record with the wrong number of fields is reported as
+    soon as it is read.  Otherwise IngestError names the first bad cell
+    in row-major order: a cell that is not a finite number or is out of
+    range for its column, or a repeated contract id (at its second
+    occurrence).  Ids are compared here only when some cell is bad, to
+    order the two; on valid cells the caller checks them once
+    (``_check_unique_ids``, or ``Portfolio`` itself).
     """
-    covariate_names, row_numbers, columns = _read_columns(path, leading_columns)
-    names = [*leading_columns, *covariate_names]
-    ids = columns[0]
-    row_of = (lambda i: i + 2) if row_numbers is None else row_numbers.__getitem__
-    errors = []
-    repeat = _first_duplicate(ids)
-    if repeat is not None:
-        first = row_of(ids.index(ids[repeat]))
-        errors.append((repeat, 0, f"duplicate contract id {ids[repeat]!r}, first on row {first}"))
-    checks = [_CHECKS[name] for name in leading_columns[1:]] + [()] * len(covariate_names)
-    parsed = []
-    for position, (cells, column_checks) in enumerate(zip(columns[1:], checks), start=1):
-        values, error = _parse_column(cells, *column_checks)
-        parsed.append(values)
-        if error is not None:
-            errors.append((error[0], position, error[1]))
+    path = Path(path)
+    if not path.exists():
+        raise IngestError(f"input file not found: {path}")
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise IngestError("file is empty", row=1)
+        if [h.strip() for h in header[: len(leading_columns)]] != list(leading_columns):
+            raise IngestError(
+                f"header must start with {','.join(leading_columns)}, got {','.join(header)}",
+                row=1,
+            )
+        width = len(header)
+        checks = [_CHECKS[name] for name in leading_columns[1:]]
+        checks += [()] * (width - len(leading_columns))
+        ids, chunks = [], [[] for _ in checks]
+        errors = []  # (data row index, column position, message)
+        blank_lines = []
+        lines = 1  # records read so far, header included
+        while records := list(islice(reader, _READ_ROWS)):
+            first, lines = lines + 1, lines + len(records)
+            if set(map(len, records)) - {width, 0}:
+                k = next(k for k, record in enumerate(records) if len(record) not in (width, 0))
+                raise IngestError(f"expected {width} fields, got {len(records[k])}", row=first + k)
+            if not all(records):
+                blank_lines += [first + k for k, record in enumerate(records) if not record]
+                records = [record for record in records if record]
+            # After a bad cell only the record lengths are still checked:
+            # no later cell can come first in row-major order.
+            if errors or not records:
+                continue
+            offset = len(ids)
+            cells = list(zip(*records))
+            ids.extend(cells[0])
+            for position, (column, column_checks) in enumerate(zip(cells[1:], checks), start=1):
+                values, error = _parse_column(column, *column_checks)
+                chunks[position - 1].append(values)
+                if error is not None:
+                    errors.append((offset + error[0], position, error[1]))
+    if not ids:
+        raise IngestError("no data rows")
+
+    def row_of(i):
+        line = i + 2
+        for blank in blank_lines:
+            if blank > line:
+                break
+            line += 1
+        return line
+
+    covariate_names = [h.strip() for h in header[len(leading_columns) :]]
     if errors:
+        if (repeat := _repeated_id(ids, row_of)) is not None:
+            errors.append(repeat)
         i, position, message = min(errors)
+        names = [*leading_columns, *covariate_names]
         raise IngestError(message, row=row_of(i), column=names[position])
-    covariates = np.column_stack(parsed[2:]) if covariate_names else None
-    return ids, covariate_names, parsed[0], parsed[1], covariates
+    t, y, *covariates = [np.concatenate(column) for column in chunks]
+    covariates = np.column_stack(covariates) if covariates else None
+    return ids, covariate_names, t, y, covariates, row_of
+
+
+def _repeated_id(ids, row_of):
+    """``(index, 0, message)`` for the first repeated contract id, or None."""
+    repeat = _first_duplicate(ids)
+    if repeat is None:
+        return None
+    first = row_of(ids.index(ids[repeat]))
+    return repeat, 0, f"duplicate contract id {ids[repeat]!r}, first on row {first}"
+
+
+def _check_unique_ids(ids, row_of):
+    if (repeat := _repeated_id(ids, row_of)) is not None:
+        raise IngestError(repeat[2], row=row_of(repeat[0]), column="contract_id")
 
 
 def ingest_csv(path) -> Portfolio:
     """Load and validate a loss-cost portfolio CSV."""
-    ids, covariate_names, exposures, losses, covariates = _ingest_columns(
+    ids, covariate_names, exposures, losses, covariates, row_of = _ingest_columns(
         path, ("contract_id", "exposure", "loss_cost")
     )
     try:
         return Portfolio.from_arrays(
             exposures, losses, covariates, contract_ids=ids, covariate_names=covariate_names
         )
-    except RankDeficiencyError as exc:
-        names = ["intercept"] + covariate_names
-        involved = [names[i] for i in exc.column_indices if i < len(names)]
-        raise IngestError(
-            f"design matrix is rank deficient; columns involved: {', '.join(involved)}"
-        ) from exc
     except ValueError as exc:
+        # Portfolio rejects repeated ids itself; whichever of its checks
+        # failed, a repeat is reported first and with its rows, like a bad cell.
+        _check_unique_ids(ids, row_of)
+        if isinstance(exc, RankDeficiencyError):
+            names = ["intercept"] + covariate_names
+            involved = [names[i] for i in exc.column_indices if i < len(names)]
+            raise IngestError(
+                f"design matrix is rank deficient; columns involved: {', '.join(involved)}"
+            ) from exc
         raise IngestError(str(exc)) from exc
 
 
 def ingest_counts_csv(path) -> CountData:
     """Load and validate a claim-count CSV."""
-    _, _, exposures, counts, covariates = _ingest_columns(path, ("contract_id", "exposure", "count"))
+    ids, _, exposures, counts, covariates, row_of = _ingest_columns(
+        path, ("contract_id", "exposure", "count")
+    )
+    _check_unique_ids(ids, row_of)
     try:
         return CountData.from_arrays(exposures, counts, covariates)
     except RankDeficiencyError as exc:

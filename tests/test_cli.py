@@ -4,11 +4,12 @@ import csv
 import json
 import os
 import stat
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from exposure_glm import cli
+from exposure_glm import cli, model_core
 from exposure_glm.cli import IngestError, ingest_csv, ingest_counts_csv, main, write_portfolio_csv
 from exposure_glm.simulate import Scenario, ScenarioConfig, build_scenario_portfolio, gen_mimic_portfolio
 
@@ -139,6 +140,64 @@ class TestIngest:
             ingest_csv(_write(tmp_path / "short.csv", head + "d,1.0\n"))
         assert excinfo.value.row == 8
         assert "expected 3 fields, got 2" in str(excinfo.value)
+
+        # Errors four or more records apart fall in different batches
+        # (except at 512): the precedence must not depend on that.
+        for ingest, value in ((ingest_csv, "loss_cost"), (ingest_counts_csv, "count")):
+            header = f"contract_id,exposure,{value}\n"
+            # a bad cell, then a short record: the short record is reported
+            text = header + "a,0.5,x\nb,1.0,1\nc,1.0,2\nd,0.5,1\ne,1.0\nf,1.0,1\n"
+            with pytest.raises(IngestError) as excinfo:
+                ingest(_write(tmp_path / "cell_short.csv", text))
+            assert excinfo.value.row == 6
+            assert "expected 3 fields, got 2" in str(excinfo.value)
+            # a bad cell, then the second occurrence of an id: the cell
+            text = header + "a,0.5,1\nb,1.0,-1\nc,1.0,2\nd,0.5,1\ne,1.0,1\na,1.0,1\n"
+            with pytest.raises(IngestError) as excinfo:
+                ingest(_write(tmp_path / "cell_id.csv", text))
+            assert (excinfo.value.row, excinfo.value.column) == (3, value)
+            # a repeated id, then a bad cell: the id
+            text = header + "a,0.5,1\na,1.0,1\nc,1.0,2\nd,0.5,1\ne,1.0,1\nf,1.0,x\n"
+            with pytest.raises(IngestError) as excinfo:
+                ingest(_write(tmp_path / "id_cell.csv", text))
+            assert (excinfo.value.row, excinfo.value.column) == (3, "contract_id")
+            assert "'a'" in str(excinfo.value) and "first on row 2" in str(excinfo.value)
+
+    def test_valid_file_scanned_for_repeated_ids_once(self, tmp_path, monkeypatch):
+        scanned = []
+
+        def first_duplicate(ids, scan=model_core._first_duplicate):
+            scanned.append(len(ids))
+            return scan(ids)
+
+        monkeypatch.setattr(model_core, "_first_duplicate", first_duplicate)
+        monkeypatch.setattr(cli, "_first_duplicate", first_duplicate)
+        ingest_csv(_write(tmp_path / "in.csv", MINIMAL))
+        assert scanned == [2]
+
+    def test_ingest_holds_one_batch_of_cells(self, tmp_path):
+        # The traced peak during ingest stays within a small multiple of
+        # the portfolio it returns: the file's cells are never all held
+        # as strings at once.  Cells are written as ``repr`` floats:
+        # one-character cells such as ``1`` are shared string objects
+        # and would hide the cost.
+        rng = np.random.default_rng(5)
+        n = 50_000
+        exposures = np.where(rng.random(n) < 0.4, rng.uniform(0.08, 0.92, n), 1.0)
+        losses = np.where(rng.random(n) < 0.5, 0.0, rng.gamma(1.5, 100.0, n))
+        covariates = (rng.random((n, 3)) < [0.5, 0.3, 0.2]).astype(float)
+        lines = ["contract_id,exposure,loss_cost,x1,x2,x3"]
+        for i, (t, y, row) in enumerate(zip(exposures.tolist(), losses.tolist(), covariates.tolist())):
+            lines.append(",".join((f"c{i + 1}", repr(t), repr(y), *map(repr, row))))
+        path = _write(tmp_path / "book.csv", "\n".join(lines) + "\n")
+        tracemalloc.start()
+        try:
+            portfolio = ingest_csv(path)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert portfolio.n == n
+        assert peak < 3 * held, (peak, held)
 
     def test_counts_first_error_in_row_major_order(self, tmp_path):
         text = "contract_id,exposure,count,x1\na,0.5,1,0\nb,0.5,2,nan\nc,2.0,1,1\nd,0.5,-1,0\n"
