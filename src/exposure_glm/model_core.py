@@ -18,6 +18,7 @@ and deliberately dropped; objective values are therefore comparable only
 within a fixed (portfolio, scheme, family) triple.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -121,54 +122,6 @@ def validate_design(design):
     )
 
 
-def _validated_columns(exposures, values, covariates, value_name, ids=None):
-    """Check parallel contract columns; return ``(t, v, design)``.
-
-    ``values`` are loss costs or claim counts and must be finite and
-    ``>= 0``; ``design`` is the intercept column followed by the
-    covariates.  Errors name the first offending contract, by id when
-    ``ids`` is given.  The rank check is left to the caller.
-    """
-    exposures = np.array(exposures, dtype=float)
-    values = np.array(values, dtype=float)
-    if exposures.ndim != 1 or exposures.shape != values.shape:
-        raise ValueError(f"exposures and {value_name}s must be equal-length 1-D arrays")
-    n = exposures.size
-    if n == 0:
-        raise ValueError("need at least one contract")
-    if ids is not None and len(ids) != n:
-        raise ValueError(f"expected {n} contract ids, got {len(ids)}")
-    if covariates is None:
-        covariates = np.empty((n, 0))
-    covariates = np.asarray(covariates, dtype=float)
-    if covariates.ndim != 2 or covariates.shape[0] != n:
-        raise ValueError(f"covariates must be an (n, q) array with n = {n} rows")
-
-    def contract(i):
-        return f"contract {ids[i]!r}" if ids is not None else f"the contract at index {i}"
-
-    bad = np.flatnonzero(~((exposures > 0.0) & (exposures <= 1.0)))
-    if bad.size:
-        raise ValueError(
-            f"exposure must lie in (0, 1], got {exposures[bad[0]]} for {contract(bad[0])}"
-        )
-    bad = np.flatnonzero(~(np.isfinite(values) & (values >= 0.0)))
-    if bad.size:
-        raise ValueError(
-            f"{value_name} must be finite and >= 0, got {values[bad[0]]} for {contract(bad[0])}"
-        )
-    bad = np.flatnonzero(~np.isfinite(covariates).all(axis=1))
-    if bad.size:
-        raise ValueError(f"non-finite covariate for {contract(bad[0])}")
-    q = covariates.shape[1]
-    if n < q + 1:
-        raise ValueError(f"need at least q + 1 = {q + 1} observations, got {n}")
-    design = np.empty((n, q + 1))
-    design[:, 0] = 1.0
-    design[:, 1:] = covariates
-    return exposures, values, design
-
-
 def _first_duplicate(ids):
     """Index of the first id that repeats an earlier one, or None."""
     if len(set(ids)) == len(ids):
@@ -190,8 +143,13 @@ class Portfolio:
     one column per covariate, and must have full column rank.  Row order
     is preserved from the input and all row-wise accumulations in this
     package run in that fixed order, so repeated evaluations are
-    bit-identical.
+    bit-identical.  Errors name the first offending contract, by id when
+    ids are given.
     """
+
+    # What a subclass calls its values, and whether they must be integers.
+    _value_name = "loss cost"
+    _integral = False
 
     def __init__(
         self,
@@ -201,14 +159,51 @@ class Portfolio:
         contract_ids=None,
         covariate_names=None,
     ):
+        value_name = self._value_name
         ids = None if contract_ids is None else tuple(map(str, contract_ids))
-        exposures, loss_costs, design = _validated_columns(
-            exposures, loss_costs, covariates, "loss cost", ids
-        )
-        n, q = design.shape[0], design.shape[1] - 1
-        if ids is None:
-            ids = tuple(f"c{i + 1}" for i in range(n))
-        elif (repeat := _first_duplicate(ids)) is not None:
+        exposures = np.array(exposures, dtype=float)
+        loss_costs = np.array(loss_costs, dtype=float)
+        if exposures.ndim != 1 or exposures.shape != loss_costs.shape:
+            raise ValueError(f"exposures and {value_name}s must be equal-length 1-D arrays")
+        n = exposures.size
+        if n == 0:
+            raise ValueError("need at least one contract")
+        if ids is not None and len(ids) != n:
+            raise ValueError(f"expected {n} contract ids, got {len(ids)}")
+        if covariates is None:
+            covariates = np.empty((n, 0))
+        covariates = np.asarray(covariates, dtype=float)
+        if covariates.ndim != 2 or covariates.shape[0] != n:
+            raise ValueError(f"covariates must be an (n, q) array with n = {n} rows")
+
+        def contract(i):
+            return f"contract {ids[i]!r}" if ids is not None else f"the contract at index {i}"
+
+        bad = np.flatnonzero(~((exposures > 0.0) & (exposures <= 1.0)))
+        if bad.size:
+            raise ValueError(
+                f"exposure must lie in (0, 1], got {exposures[bad[0]]} for {contract(bad[0])}"
+            )
+        bad = np.flatnonzero(~(np.isfinite(loss_costs) & (loss_costs >= 0.0)))
+        if bad.size:
+            raise ValueError(
+                f"{value_name} must be finite and >= 0, got {loss_costs[bad[0]]} "
+                f"for {contract(bad[0])}"
+            )
+        bad = np.flatnonzero(~np.isfinite(covariates).all(axis=1))
+        if bad.size:
+            raise ValueError(f"non-finite covariate for {contract(bad[0])}")
+        q = covariates.shape[1]
+        if n < q + 1:
+            raise ValueError(f"need at least q + 1 = {q + 1} observations, got {n}")
+        if self._integral:
+            bad = np.flatnonzero(loss_costs != np.floor(loss_costs))
+            if bad.size:
+                raise ValueError(
+                    f"{value_name} must be a non-negative integer, got {loss_costs[bad[0]]} "
+                    f"for {contract(bad[0])}"
+                )
+        if ids is not None and (repeat := _first_duplicate(ids)) is not None:
             raise ValueError(f"duplicate contract id {ids[repeat]!r} at index {repeat}")
         if covariate_names is None:
             covariate_names = tuple(f"x{j}" for j in range(1, q + 1))
@@ -218,9 +213,13 @@ class Portfolio:
                 raise ValueError(
                     f"expected {q} covariate names, got {len(covariate_names)}"
                 )
+        design = np.empty((n, q + 1))
+        design[:, 0] = 1.0
+        design[:, 1:] = covariates
         validate_design(design)
 
-        self.contract_ids = ids
+        if ids is not None:
+            self.contract_ids = ids
         self.exposures = exposures
         self.loss_costs = loss_costs
         self.normalized = loss_costs / exposures
@@ -228,6 +227,11 @@ class Portfolio:
         self.covariate_names = covariate_names
         self.n = n
         self.q = q
+
+    @functools.cached_property
+    def contract_ids(self):
+        """Default ids ``c1..cn``, built on first read; given ids are stored instead."""
+        return tuple(f"c{i + 1}" for i in range(self.n))
 
     @classmethod
     def from_arrays(
@@ -245,7 +249,7 @@ class Portfolio:
         return self.n
 
     def __repr__(self):
-        return f"Portfolio(n={self.n}, q={self.q})"
+        return f"{type(self).__name__}(n={self.n}, q={self.q})"
 
 
 def _scheme_weights(scheme, exposures, p):

@@ -7,6 +7,7 @@ import pytest
 
 from exposure_glm import (
     CountData,
+    Portfolio,
     ZipParams,
     poisson_fit,
     zip_loglik,
@@ -37,6 +38,14 @@ class TestCountTypes:
         np.testing.assert_array_equal(data.counts, [1.0, 0.0, 2.0])
         np.testing.assert_array_equal(data.normalized, [2.0, 0.0, 8.0])
         np.testing.assert_array_equal(data.design, [[1.0, 1.0], [1.0, 0.0], [1.0, 2.0]])
+
+    def test_counts_are_a_portfolio(self):
+        data = CountData.from_arrays([0.5, 1.0], [1, 0], contract_ids=["a", "b"])
+        assert isinstance(data, Portfolio)
+        assert data.counts is data.loss_costs
+        assert (data.contract_ids, data.covariate_names) == (("a", "b"), ())
+        with pytest.raises(ValueError, match="duplicate contract id 'a'"):
+            CountData.from_arrays([0.5, 1.0], [1, 0], contract_ids=["a", "a"])
 
     def test_zip_params_zero_inflation_bounds(self):
         with pytest.raises(ValueError):

@@ -21,6 +21,9 @@ def _write(path, text):
 
 MINIMAL = "contract_id,exposure,loss_cost,x1\na,0.5,10.0,0\nb,1.0,20.0,1\n"
 
+# Both ingests share one path; tests of that path run through each.
+INGESTS = {"loss_cost": ingest_csv, "count": ingest_counts_csv}
+
 
 class TestIngest:
     def test_minimal_two_row_file(self, tmp_path):
@@ -106,10 +109,11 @@ class TestIngest:
         assert excinfo.value.row == 4
         assert "expected 4 fields, got 3" in str(excinfo.value)
 
-    def test_duplicate_contract_id_names_second_row(self, tmp_path):
-        text = "contract_id,exposure,loss_cost\na,0.5,1.0\nb,1.0,2.0\na,0.5,3.0\nc,1.0,1.5\n"
+    @pytest.mark.parametrize("value", INGESTS)
+    def test_duplicate_contract_id_names_second_row(self, tmp_path, value):
+        text = f"contract_id,exposure,{value}\na,0.5,1.0\nb,1.0,2.0\na,0.5,3.0\nc,1.0,4.0\n"
         with pytest.raises(IngestError) as excinfo:
-            ingest_csv(_write(tmp_path / "in.csv", text))
+            INGESTS[value](_write(tmp_path / "in.csv", text))
         assert (excinfo.value.row, excinfo.value.column) == (4, "contract_id")
         assert "'a'" in str(excinfo.value) and "row 2" in str(excinfo.value)
 
@@ -163,7 +167,8 @@ class TestIngest:
             assert (excinfo.value.row, excinfo.value.column) == (3, "contract_id")
             assert "'a'" in str(excinfo.value) and "first on row 2" in str(excinfo.value)
 
-    def test_valid_file_scanned_for_repeated_ids_once(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("value", INGESTS)
+    def test_valid_file_scanned_for_repeated_ids_once(self, tmp_path, monkeypatch, value):
         scanned = []
 
         def first_duplicate(ids, scan=model_core._first_duplicate):
@@ -172,8 +177,17 @@ class TestIngest:
 
         monkeypatch.setattr(model_core, "_first_duplicate", first_duplicate)
         monkeypatch.setattr(cli, "_first_duplicate", first_duplicate)
-        ingest_csv(_write(tmp_path / "in.csv", MINIMAL))
+        INGESTS[value](_write(tmp_path / "in.csv", MINIMAL.replace("loss_cost", value)))
         assert scanned == [2]
+
+    @pytest.mark.parametrize("value", INGESTS)
+    def test_rank_deficient_file_names_columns(self, tmp_path, value):
+        rows = [f"contract_id,exposure,{value},x1,x2"]
+        for i in range(8):
+            rows.append(f"c{i},0.5,1,{i % 3},{i % 3}")
+        with pytest.raises(IngestError) as excinfo:
+            INGESTS[value](_write(tmp_path / "in.csv", "\n".join(rows) + "\n"))
+        assert "columns involved: x1, x2" in str(excinfo.value)
 
     def test_ingest_holds_one_batch_of_cells(self, tmp_path):
         # The traced peak during ingest stays within a small multiple of
@@ -328,24 +342,42 @@ class TestBalanceCommand:
         assert (out / "gaps.csv").exists() and (out / "class_balance.csv").exists()
 
 
+def _counts_file(tmp_path):
+    rng = np.random.default_rng(8)
+    n = 60
+    t = np.where(rng.random(n) < 0.5, 1.0, rng.uniform(0.2, 0.9, n))
+    x = (rng.random(n) < 0.5).astype(float)
+    y = np.where(rng.random(n) < 0.3, 0, rng.poisson(t * np.exp(0.4 + 0.3 * x)))
+    if y.sum() == 0:
+        y[0] = 1
+    lines = ["contract_id,exposure,count,x1"]
+    for i in range(n):
+        lines.append(f"c{i},{float(t[i])!r},{int(y[i])},{float(x[i])!r}")
+    return _write(tmp_path / "counts.csv", "\n".join(lines) + "\n")
+
+
 class TestCountsCommand:
     def test_counts_outputs(self, tmp_path):
-        rng = np.random.default_rng(8)
-        n = 60
-        t = np.where(rng.random(n) < 0.5, 1.0, rng.uniform(0.2, 0.9, n))
-        x = (rng.random(n) < 0.5).astype(float)
-        y = np.where(rng.random(n) < 0.3, 0, rng.poisson(t * np.exp(0.4 + 0.3 * x)))
-        if y.sum() == 0:
-            y[0] = 1
-        lines = ["contract_id,exposure,count,x1"]
-        for i in range(n):
-            lines.append(f"c{i},{float(t[i])!r},{int(y[i])},{float(x[i])!r}")
-        src = _write(tmp_path / "counts.csv", "\n".join(lines) + "\n")
+        src = _counts_file(tmp_path)
         out = tmp_path / "out"
         assert main(["counts", "--input", str(src), "--out", str(out)]) == 0
         payload = json.loads((out / "counts.json").read_text())
         assert payload["poisson_max_coefficient_diff"] < 1e-8
         assert not payload["zip_equivalent"]
+
+    def test_poisson_fitted_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def poisson_fit(*args, fit=cli.poisson_fit, **kwargs):
+            calls.append(args)
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "poisson_fit", poisson_fit)
+        out = tmp_path / "out"
+        assert main(["counts", "--input", str(_counts_file(tmp_path)), "--out", str(out)]) == 0
+        assert len(calls) == 1
+        payload = json.loads((out / "counts.json").read_text())
+        assert payload["poisson_beta_offset"] == payload["poisson_beta_ratio"]
 
 
 class TestErrorHandling:

@@ -60,6 +60,7 @@ def test_benchmark_tracer_hooks_install_and_uninstall():
         fam = TweedieFamily(p=1.5)
         result = exposure_glm.fit(pf, WeightScheme.RATIO, fam)
         exposure_glm.covariance_dominance(pf, result.beta_hat, fam)
+        exposure_glm.CountData.from_arrays([0.5, 1.0, 0.25], [1, 0, 2])
     finally:
         uninstall()
     assert [owner.__dict__[attr] for owner, attr in hooks] == before
@@ -69,4 +70,5 @@ def test_benchmark_tracer_hooks_install_and_uninstall():
         "model_core.objective",
         "estimators.dominance",
         "estimators.covariance",
+        "claim_count.build",
     } <= names

@@ -1,11 +1,13 @@
 """Kernel-level checks: weights, likelihood, gradient, information."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from exposure_glm import (
+    CountData,
     Portfolio,
     RankDeficiencyError,
     TweedieFamily,
@@ -91,6 +93,25 @@ class TestDomainTypes:
         np.testing.assert_array_equal(pf.design, [[1.0, 1.0], [1.0, 0.0], [1.0, 2.0]])
         np.testing.assert_array_equal(pf.normalized, [2.0, 0.0, 12.0])
         assert Portfolio.from_arrays([0.5, 1.0], [1.0, 2.0]).contract_ids == ("c1", "c2")
+
+    @pytest.mark.parametrize("container", [Portfolio, CountData])
+    def test_default_ids_are_not_held_until_read(self, container):
+        # Without ids a container keeps little beyond its arrays; the
+        # ``c1..cn`` strings would more than double that.
+        rng = np.random.default_rng(3)
+        n = 50_000
+        exposures = rng.uniform(0.1, 1.0, n)
+        values = rng.poisson(2.0, n).astype(float)
+        covariates = rng.normal(size=(n, 2))
+        tracemalloc.start()
+        try:
+            data = container.from_arrays(exposures, values, covariates)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        arrays = data.exposures, data.loss_costs, data.normalized, data.design
+        assert held < 1.5 * sum(a.nbytes for a in arrays)
+        assert data.contract_ids[-1] == f"c{n}"
 
     def test_portfolio_copies_its_inputs(self):
         t = np.array([0.5, 1.0])
