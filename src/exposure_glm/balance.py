@@ -17,7 +17,7 @@ from .solver import FitResult
 
 __all__ = [
     "IndividualGaps",
-    "ClassBalanceRow",
+    "ClassBalance",
     "GroupSummary",
     "individual_gaps",
     "portfolio_gap",
@@ -46,15 +46,23 @@ class IndividualGaps:
 
 
 @dataclass(frozen=True)
-class ClassBalanceRow:
-    """Aggregate losses vs. premiums for one level of one risk factor."""
+class ClassBalance:
+    """Aggregate losses vs. premiums per level of one risk factor.
+
+    One entry per level, ordered by ascending loss sum, ties by
+    ascending level.  ``premium_sums`` and ``ratios`` hold one row per
+    fit, in the order the fits were given; a ratio is NaN (undefined)
+    where the level has no losses.  The arrays are read-only.
+    """
 
     factor_name: str
-    level: float
-    loss_sum: float
-    premium_sum: float
-    ratio: float | None
-    single_level: bool = False
+    levels: np.ndarray
+    loss_sums: np.ndarray
+    premium_sums: np.ndarray
+    ratios: np.ndarray
+
+    def __len__(self):
+        return self.levels.size
 
 
 @dataclass(frozen=True)
@@ -107,47 +115,39 @@ def portfolio_gap(gaps) -> float:
     return float(np.cumsum(values)[-1])
 
 
-def class_report(portfolio: Portfolio, fit: FitResult, factor_index: int, factor_name=None):
-    """Balance rows per level of design column ``factor_index``.
+def class_report(portfolio: Portfolio, fits, factor_index: int) -> ClassBalance:
+    """Balance of each fit in ``fits`` per level of design column ``factor_index``.
 
-    Index 0 is the intercept (a single constant level, flagged), indices
-    1..q the covariates; every distinct value is a level, so a
-    continuous column yields one row per value.  Rows are ordered by
-    ascending aggregate loss, ties by ascending level; a level with zero
-    losses keeps its premium sum and reports an undefined ratio instead
-    of an infinite one.
+    Index 0 is the intercept (a single constant level), indices 1..q the
+    covariates; every distinct value is a level, so a continuous column
+    yields one entry per value.  The column is grouped once for all fits.
+    A level with zero losses keeps its premium sums and reports an
+    undefined ratio instead of an infinite one.
     """
-    _check_fit(portfolio, fit)
+    for fit in fits:
+        _check_fit(portfolio, fit)
     if not (0 <= factor_index <= portfolio.q):
         raise ValueError(f"factor index must lie in [0, {portfolio.q}], got {factor_index}")
-    if factor_name is None:
-        factor_name = "intercept" if factor_index == 0 else portfolio.covariate_names[factor_index - 1]
 
     column = portfolio.design[:, factor_index]
-    premiums = portfolio.exposures * _fitted_zetas(portfolio, fit)
     levels, inverse, counts = np.unique(column, return_inverse=True, return_counts=True)
     # A stable sort keeps each level's contracts in portfolio order, so
     # every slice sum below adds the same values in the same order as a
     # boolean mask of that level would.
     order = np.argsort(inverse, kind="stable")
-    losses, premiums = portfolio.loss_costs[order], premiums[order]
-    bounds = [0, *np.cumsum(counts).tolist()]
-    rows = []
-    for level, start, stop in zip(levels.tolist(), bounds[:-1], bounds[1:]):
-        loss_sum = float(losses[start:stop].sum())
-        premium_sum = float(premiums[start:stop].sum())
-        rows.append(
-            ClassBalanceRow(
-                factor_name=str(factor_name),
-                level=level,
-                loss_sum=loss_sum,
-                premium_sum=premium_sum,
-                ratio=premium_sum / loss_sum if loss_sum > 0.0 else None,
-                single_level=levels.size == 1,
-            )
-        )
-    rows.sort(key=lambda row: row.loss_sum)
-    return rows
+    columns = [portfolio.loss_costs[order]]
+    columns += [(portfolio.exposures * _fitted_zetas(portfolio, fit))[order] for fit in fits]
+    splits = np.cumsum(counts)[:-1]
+    sums = np.array([[part.sum() for part in np.split(values, splits)] for values in columns])
+    rank = np.argsort(sums[0], kind="stable")
+    loss_sums, premium_sums = sums[0, rank], sums[1:, rank]
+    ratios = np.full_like(premium_sums, np.nan)
+    np.divide(premium_sums, loss_sums, out=ratios, where=loss_sums > 0.0)
+    arrays = [levels[rank], loss_sums, premium_sums, ratios]
+    for array in arrays:
+        array.flags.writeable = False
+    factor_name = "intercept" if factor_index == 0 else portfolio.covariate_names[factor_index - 1]
+    return ClassBalance(factor_name, *arrays)
 
 
 def group_summaries(portfolio: Portfolio, grouping="exposure"):

@@ -16,7 +16,6 @@ import argparse
 import csv
 import json
 import logging
-import math
 import os
 import sys
 from itertools import islice
@@ -32,6 +31,7 @@ from .model_core import (
     SingularInformationError,
     TweedieFamily,
     WeightScheme,
+    _covariate_name_error,
     _first_duplicate,
 )
 from .simulate import Scenario, ScenarioConfig, run_gap_experiment
@@ -69,17 +69,11 @@ def _setup_logging():
     )
 
 
-def _fmt(value):
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return "" if value is None else str(value)
-
-
 def _format_column(column):
     """Cells of one output column: floats with 17 significant digits, None empty."""
     if isinstance(column, np.ndarray) and column.dtype.kind == "f":
         return [format(v, ".17g") for v in column.tolist()]
-    return [_fmt(v) for v in column]
+    return [format(v, ".17g") if isinstance(v, float) else "" if v is None else str(v) for v in column]
 
 
 def _atomic_write(path: Path, write, newline=None):
@@ -218,6 +212,9 @@ def _ingest_columns(path, leading_columns):
                 f"header must start with {','.join(leading_columns)}, got {','.join(header)}",
                 row=1,
             )
+        covariate_names = [h.strip() for h in header[len(leading_columns) :]]
+        if (error := _covariate_name_error(covariate_names)) is not None:
+            raise IngestError(error[1], row=1, column=covariate_names[error[0]])
         width = len(header)
         checks = [_CHECKS[name] for name in leading_columns[1:]]
         checks += [()] * (width - len(leading_columns))
@@ -256,7 +253,6 @@ def _ingest_columns(path, leading_columns):
             line += 1
         return line
 
-    covariate_names = [h.strip() for h in header[len(leading_columns) :]]
     if errors:
         if (repeat := _repeated_id(ids, row_of)) is not None:
             errors.append(repeat)
@@ -366,32 +362,6 @@ def cmd_fit(args):
     _write_fit_json(args.out, args, portfolio, results)
 
 
-def _class_balance_rows(portfolio, result_offset, result_ratio):
-    rows = []
-    factor_indices = range(1, portfolio.q + 1) if portfolio.q else [0]
-    for j in factor_indices:
-        offset_rows = class_report(portfolio, result_offset, j)
-        ratio_rows = {row.level: row for row in class_report(portfolio, result_ratio, j)}
-        for row in offset_rows:
-            partner = ratio_rows[row.level]
-            rows.append(
-                [
-                    row.factor_name,
-                    row.level,
-                    row.loss_sum,
-                    row.premium_sum,
-                    partner.premium_sum,
-                    row.ratio,
-                    partner.ratio,
-                ]
-            )
-    return rows
-
-
-def _write_rows(path, header, rows):
-    _write_csv(path, header, [list(column) for column in zip(*rows)])
-
-
 def _write_balance_tables(out, portfolio, result_offset, result_ratio):
     """Write ``gaps.csv`` and ``class_balance.csv``; return both fits' gaps."""
     gaps_offset = individual_gaps(portfolio, result_offset)
@@ -409,10 +379,20 @@ def _write_balance_tables(out, portfolio, result_offset, result_ratio):
             gaps_ratio.gap,
         ],
     )
-    _write_rows(
+    factor_indices = range(1, portfolio.q + 1) if portfolio.q else [0]
+    reports = [class_report(portfolio, (result_offset, result_ratio), j) for j in factor_indices]
+    ratios = np.concatenate([report.ratios for report in reports], axis=1)
+    _write_csv(
         out / "class_balance.csv",
         ["factor", "level", "loss_sum", "premium_sum_offset", "premium_sum_ratio", "ratio_offset", "ratio_ratio"],
-        _class_balance_rows(portfolio, result_offset, result_ratio),
+        [
+            [report.factor_name for report in reports for _ in range(len(report))],
+            np.concatenate([report.levels for report in reports]),
+            np.concatenate([report.loss_sums for report in reports]),
+            *np.concatenate([report.premium_sums for report in reports], axis=1),
+            # an undefined ratio (a level without losses) is an empty cell
+            *np.where(np.isnan(ratios), None, ratios),
+        ],
     )
     return gaps_offset, gaps_ratio
 
@@ -424,20 +404,22 @@ def cmd_compare(args):
     result_ratio = results[WeightScheme.RATIO]
     _write_fit_json(args.out, args, portfolio, results)
 
-    names = ["intercept", *portfolio.covariate_names]
-    coeff_rows = []
-    for name, bo, br in zip(names, result_offset.beta_hat, result_ratio.beta_hat):
-        ratio = float(bo) / float(br) if br != 0.0 else math.nan
-        coeff_rows.append([name, float(bo), float(br), ratio])
-    _write_rows(args.out / "coeff_ratios.csv", ["covariate", "beta_offset", "beta_ratio", "ratio"], coeff_rows)
+    beta_offset, beta_ratio = result_offset.beta_hat, result_ratio.beta_hat
+    coeff_ratios = np.full_like(beta_offset, np.nan)
+    np.divide(beta_offset, beta_ratio, out=coeff_ratios, where=beta_ratio != 0.0)
+    _write_csv(
+        args.out / "coeff_ratios.csv",
+        ["covariate", "beta_offset", "beta_ratio", "ratio"],
+        [["intercept", *portfolio.covariate_names], beta_offset, beta_ratio, coeff_ratios],
+    )
 
-    zeta_offset = np.exp(portfolio.design @ result_offset.beta_hat)
-    zeta_ratio = np.exp(portfolio.design @ result_ratio.beta_hat)
-    premium_ratios = zeta_offset / zeta_ratio
-    quantile_rows = [
-        [q, float(np.quantile(premium_ratios, q))] for q in _QUANTILES
-    ]
-    _write_rows(args.out / "premium_ratios.csv", ["quantile", "ratio"], quantile_rows)
+    zeta_offset = np.exp(portfolio.design @ beta_offset)
+    zeta_ratio = np.exp(portfolio.design @ beta_ratio)
+    _write_csv(
+        args.out / "premium_ratios.csv",
+        ["quantile", "ratio"],
+        [_QUANTILES, np.quantile(zeta_offset / zeta_ratio, _QUANTILES)],
+    )
 
     _write_balance_tables(args.out, portfolio, result_offset, result_ratio)
 
@@ -546,10 +528,11 @@ def build_parser():
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--input", required=True, type=Path, help="portfolio CSV")
         cmd.add_argument("--out", required=True, type=Path, help="output directory")
-        cmd.add_argument(
-            "--scheme", choices=("offset", "ratio", "both"), default="both",
-            help="which scheme(s) to fit (fit command only; compare/balance always fit both)",
-        )
+        if name == "fit":
+            cmd.add_argument(
+                "--scheme", choices=("offset", "ratio", "both"), default="both",
+                help="which scheme(s) to fit",
+            )
         _add_model_flags(cmd)
 
     sim = sub.add_parser("simulate", help="run a seeded gap experiment")

@@ -110,20 +110,18 @@ def _check_psd(covariance):
     return sym
 
 
-def premium_moments(x, beta, covariance, scheme=None, dispersion: float = 1.0) -> EstimatorMoments:
+def premium_moments(x, beta, covariance, scheme=None) -> EstimatorMoments:
     """Mean and variance of the lognormal premium estimator at row ``x``.
 
-    ``covariance`` is the coefficient covariance *including* dispersion;
-    callers holding a dispersion-free matrix pass it through
-    ``dispersion`` explicitly.  With quadratic form ``v = x @ Sigma @ x``:
+    ``covariance`` is the coefficient covariance *including* dispersion,
+    as ``coefficient_covariance`` returns it.  With quadratic form
+    ``v = x @ Sigma @ x``:
 
         mean = exp(x @ beta + v / 2),  variance = (exp(v) - 1) * mean**2.
     """
     x = np.asarray(x, dtype=float)
     beta = np.asarray(beta, dtype=float)
-    if dispersion <= 0.0:
-        raise ValueError(f"dispersion must be positive, got {dispersion}")
-    sigma = dispersion * _check_psd(covariance)
+    sigma = _check_psd(covariance)
     v = max(float(x @ sigma @ x), 0.0)
     mean = math.exp(float(x @ beta) + 0.5 * v)
     variance = math.expm1(v) * mean * mean

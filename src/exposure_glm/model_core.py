@@ -133,6 +133,16 @@ def _first_duplicate(ids):
         seen.add(cid)
 
 
+def _covariate_name_error(names):
+    """``(j, message)`` for the first empty or repeated name in ``names``, or None."""
+    for j, name in enumerate(names):
+        if not name.strip():
+            return j, f"covariate {j + 1} has an empty name"
+        if name in names[:j]:
+            return j, f"covariate name {name!r} is repeated"
+    return None
+
+
 class Portfolio:
     """A validated portfolio held as parallel columns plus its design matrix.
 
@@ -213,6 +223,8 @@ class Portfolio:
                 raise ValueError(
                     f"expected {q} covariate names, got {len(covariate_names)}"
                 )
+            if (error := _covariate_name_error(covariate_names)) is not None:
+                raise ValueError(error[1])
         design = np.empty((n, q + 1))
         design[:, 0] = 1.0
         design[:, 1:] = covariates

@@ -118,30 +118,29 @@ class TestClassReport:
     def test_homogeneous_ratio_portfolio_level_ratio_is_one(self):
         pf = random_portfolio(6, q=0)
         result = fit(pf, WeightScheme.RATIO, FAM, TIGHT)
-        rows = class_report(pf, result, 0)
-        assert len(rows) == 1
-        assert rows[0].single_level
-        assert rows[0].ratio == pytest.approx(1.0, abs=1e-12)
+        report = class_report(pf, [result], 0)
+        assert len(report) == 1
+        assert report.factor_name == "intercept"
+        assert report.ratios[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_intercept_reduces_to_balance_factor(self):
         pf = random_portfolio(7)
         result = fit(pf, WeightScheme.OFFSET, FAM)
-        rows = class_report(pf, result, 0)
-        assert rows[0].ratio == pytest.approx(balance_factor(pf, result), rel=1e-12)
+        report = class_report(pf, [result], 0)
+        assert report.ratios[0, 0] == pytest.approx(balance_factor(pf, result), rel=1e-12)
 
     def test_levels_identical_across_schemes_at_full_exposure(self):
         pf = random_portfolio(8, all_full=True)
         config = FitConfig(tolerance=1e-12)
-        rows_o = class_report(pf, fit(pf, WeightScheme.OFFSET, FAM, config), 1)
-        rows_r = class_report(pf, fit(pf, WeightScheme.RATIO, FAM, config), 1)
-        for ro, rr in zip(rows_o, rows_r):
-            assert ro.level == rr.level
-            assert ro.premium_sum == pytest.approx(rr.premium_sum, rel=1e-9)
+        fits = [fit(pf, scheme, FAM, config) for scheme in (WeightScheme.OFFSET, WeightScheme.RATIO)]
+        report = class_report(pf, fits, 1)
+        assert report.premium_sums.shape == (2, len(report))
+        for sum_o, sum_r in zip(*report.premium_sums):
+            assert sum_o == pytest.approx(sum_r, rel=1e-9)
 
     def test_rows_sorted_by_loss_sum(self):
         pf = random_portfolio(9)
-        rows = class_report(pf, fit(pf, WeightScheme.RATIO, FAM), 1)
-        losses = [row.loss_sum for row in rows]
+        losses = class_report(pf, [fit(pf, WeightScheme.RATIO, FAM)], 1).loss_sums.tolist()
         assert losses == sorted(losses)
 
     def test_zero_loss_level_reports_undefined_ratio(self):
@@ -149,15 +148,15 @@ class TestClassReport:
         y = np.array([0.0, 0.0, 5.0, 7.0, 0.0, 3.0])
         pf = Portfolio.from_arrays(np.full(6, 0.5), y, x[:, None])
         result = fit(pf, WeightScheme.RATIO, FAM)
-        rows = class_report(pf, result, 1)
-        undefined = [row for row in rows if row.ratio is None]
-        assert len(undefined) == 1
-        assert undefined[0].level == 0.0
-        assert undefined[0].premium_sum > 0.0
+        report = class_report(pf, [result], 1)
+        undefined = np.flatnonzero(np.isnan(report.ratios[0]))
+        assert undefined.tolist() == [0]
+        assert report.levels[0] == 0.0
+        assert report.premium_sums[0, 0] > 0.0
 
     def test_rows_match_naive_masked_sums_bit_for_bit(self):
-        # many levels, whole levels without losses (ratio None, loss sums
-        # tied at 0) and integer losses that tie some positive loss sums
+        # many levels, whole levels without losses (ratio undefined, loss
+        # sums tied at 0) and integer losses that tie some positive loss sums
         rng = np.random.default_rng(23)
         n = 3000
         t = np.where(rng.random(n) < 0.4, rng.uniform(0.1, 0.9, n), 1.0)
@@ -166,23 +165,35 @@ class TestClassReport:
         y[np.isin(level, level[:40])] = 0.0
         x = np.column_stack([(rng.random(n) < 0.5).astype(float), level])
         pf = Portfolio.from_arrays(t, y, x)
-        result = fit(pf, WeightScheme.OFFSET, FAM)
-        for j in range(pf.q + 1):
-            column = pf.design[:, j]
-            premiums = pf.exposures * np.exp(pf.design @ result.beta_hat)
-            levels = np.unique(column)
-            expected = []
-            for value in levels:
-                mask = column == value
-                loss_sum = float(pf.loss_costs[mask].sum())
-                premium_sum = float(premiums[mask].sum())
-                ratio = premium_sum / loss_sum if loss_sum > 0.0 else None
-                expected.append((float(value), loss_sum, premium_sum, ratio, levels.size == 1))
-            expected.sort(key=lambda row: row[1])
-            rows = class_report(pf, result, j)
-            got = [(r.level, r.loss_sum, r.premium_sum, r.ratio, r.single_level) for r in rows]
-            assert got == expected
-        losses = [row.loss_sum for row in class_report(pf, result, 2)]
+        fits = [fit(pf, WeightScheme.OFFSET, FAM), fit(pf, WeightScheme.RATIO, FAM)]
+        for fits_given in ([fits[0]], fits):
+            for j in range(pf.q + 1):
+                column = pf.design[:, j]
+                premiums = [pf.exposures * np.exp(pf.design @ result.beta_hat) for result in fits_given]
+                expected = []
+                for value in np.unique(column):
+                    mask = column == value
+                    loss_sum = float(pf.loss_costs[mask].sum())
+                    premium_sums = tuple(float(p[mask].sum()) for p in premiums)
+                    ratios = tuple(s / loss_sum if loss_sum > 0.0 else None for s in premium_sums)
+                    expected.append((float(value), loss_sum, premium_sums, ratios))
+                expected.sort(key=lambda row: row[1])
+                report = class_report(pf, fits_given, j)
+                ratios = [
+                    tuple(None if math.isnan(r) else r for r in level_ratios)
+                    for level_ratios in report.ratios.T.tolist()
+                ]
+                got = list(
+                    zip(
+                        report.levels.tolist(),
+                        report.loss_sums.tolist(),
+                        map(tuple, report.premium_sums.T.tolist()),
+                        ratios,
+                    )
+                )
+                assert got == expected
+                assert report.factor_name == ("intercept", "x1", "x2")[j]
+        losses = class_report(pf, fits, 2).loss_sums.tolist()
         assert sum(loss == 0.0 for loss in losses) >= 10
         assert len(set(losses)) < len(losses) - 10
 
@@ -195,12 +206,19 @@ class TestClassReport:
         def total_log_ratio(result):
             total = 0.0
             for j in range(1, pf.q + 1):
-                for row in class_report(pf, result, j):
-                    if row.ratio:
-                        total += abs(math.log(row.ratio))
+                for ratio in class_report(pf, [result], j).ratios[0].tolist():
+                    if not math.isnan(ratio):
+                        total += abs(math.log(ratio))
             return total
 
         assert total_log_ratio(experiment.fit_ratio) < total_log_ratio(experiment.fit_offset)
+
+    def test_record_is_read_only(self):
+        pf = random_portfolio(10)
+        report = class_report(pf, [fit(pf, WeightScheme.RATIO, FAM)], 1)
+        for array in (report.levels, report.loss_sums, report.premium_sums, report.ratios):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
 
 
 class TestGroupSummaries:

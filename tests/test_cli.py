@@ -62,6 +62,16 @@ class TestIngest:
         message = str(excinfo.value)
         assert "x1" in message and "x2" in message
 
+    @pytest.mark.parametrize(
+        "header,column",
+        [("x1,age,age", "age"), ("x1,", ""), ("x1, ,x3", "")],
+    )
+    def test_repeated_or_empty_covariate_name_names_column(self, tmp_path, header, column):
+        src = _write(tmp_path / "in.csv", f"contract_id,exposure,loss_cost,{header}\na,0.5,1.0,0,1,2\n")
+        with pytest.raises(IngestError) as excinfo:
+            ingest_csv(src)
+        assert (excinfo.value.row, excinfo.value.column) == (1, column)
+
     def test_bad_header_rejected(self, tmp_path):
         with pytest.raises(IngestError):
             ingest_csv(_write(tmp_path / "in.csv", "id,t,y\na,0.5,1\nb,1,2\n"))
@@ -341,6 +351,21 @@ class TestBalanceCommand:
         assert abs(payload["balance_factor_ratio"] - 1.0) < 0.2
         assert (out / "gaps.csv").exists() and (out / "class_balance.csv").exists()
 
+    def test_levels_grouped_once(self, tmp_path, monkeypatch):
+        # one grouping per covariate serves both fits
+        calls = []
+
+        def class_report(portfolio, fits, factor_index, report=cli.class_report):
+            calls.append(factor_index)
+            return report(portfolio, fits, factor_index)
+
+        monkeypatch.setattr(cli, "class_report", class_report)
+        synthetic = gen_mimic_portfolio(0.36, 80, seed=7)
+        src = tmp_path / "in.csv"
+        write_portfolio_csv(synthetic.portfolio, src)
+        assert main(["balance", "--input", str(src), "--out", str(tmp_path / "out")]) == 0
+        assert calls == list(range(1, synthetic.portfolio.q + 1))
+
 
 def _counts_file(tmp_path):
     rng = np.random.default_rng(8)
@@ -394,6 +419,14 @@ class TestErrorHandling:
         assert code == 1
         payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert payload["error"] == "ValueError"
+
+    @pytest.mark.parametrize("command", ["compare", "balance"])
+    def test_scheme_flag_is_fit_only(self, tmp_path, command):
+        src = _write(tmp_path / "in.csv", MINIMAL)
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--input", str(src), "--out", str(tmp_path / "o"), "--scheme", "offset"])
+        assert excinfo.value.code == 2
+        assert not (tmp_path / "o").exists()
 
     def test_rank_deficient_file_exits_nonzero(self, tmp_path, capsys):
         rows = ["contract_id,exposure,loss_cost,x1,x2"]

@@ -94,13 +94,6 @@ class TestPremiumMoments:
             assert moments.mean == pytest.approx(mc_mean, rel=0.01)
             assert moments.variance == pytest.approx(mc_var, rel=0.01)
 
-    def test_dispersion_multiplier(self):
-        x = np.array([1.0])
-        beta = np.array([0.0])
-        base = premium_moments(x, beta, np.array([[0.02]]))
-        via_dispersion = premium_moments(x, beta, np.array([[0.01]]), dispersion=2.0)
-        assert base.mean == pytest.approx(via_dispersion.mean, rel=1e-14)
-
     def test_rejects_asymmetric_covariance(self):
         with pytest.raises(ValueError):
             premium_moments(np.ones(2), np.zeros(2), np.array([[1.0, 0.5], [0.0, 1.0]]))

@@ -1,5 +1,6 @@
 """Exported names resolve, and the benchmark's tracer can hook the live package."""
 
+import csv
 import importlib
 import importlib.util
 from pathlib import Path
@@ -39,7 +40,7 @@ def _load_tracing():
     return tracing
 
 
-def test_benchmark_tracer_hooks_install_and_uninstall():
+def test_benchmark_tracer_hooks_install_and_uninstall(tmp_path):
     # perfbench/tracing.py replaces module and class attributes by name;
     # a refactor that removes or moves one breaks the traced benchmark run
     from exposure_glm import cli, solver
@@ -48,6 +49,7 @@ def test_benchmark_tracer_hooks_install_and_uninstall():
     hooks = (
         (solver, "quasi_loglik"),
         (cli, "fit"),
+        (cli, "class_report"),
         (exposure_glm, "covariance_dominance"),
         (exposure_glm.Portfolio, "from_arrays"),
         (exposure_glm.CountData, "from_arrays"),
@@ -61,6 +63,8 @@ def test_benchmark_tracer_hooks_install_and_uninstall():
         result = exposure_glm.fit(pf, WeightScheme.RATIO, fam)
         exposure_glm.covariance_dominance(pf, result.beta_hat, fam)
         exposure_glm.CountData.from_arrays([0.5, 1.0, 0.25], [1, 0, 2])
+        cli.write_portfolio_csv(pf, tmp_path / "in.csv")
+        assert cli.main(["balance", "--input", str(tmp_path / "in.csv"), "--out", str(tmp_path)]) == 0
     finally:
         uninstall()
     assert [owner.__dict__[attr] for owner, attr in hooks] == before
@@ -71,4 +75,10 @@ def test_benchmark_tracer_hooks_install_and_uninstall():
         "estimators.dominance",
         "estimators.covariance",
         "claim_count.build",
+        "balance.class_report",
     } <= names
+    # the benchmark counts class levels through the ``len`` notes of these spans
+    levels = [span[5] for span in tracer.spans if span[0] == "balance.class_report"]
+    assert len(levels) == pf.q
+    with open(tmp_path / "class_balance.csv", newline="") as fh:
+        assert sum(levels) == len(list(csv.reader(fh))) - 1

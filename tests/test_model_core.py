@@ -82,6 +82,21 @@ class TestDomainTypes:
         with pytest.raises(ValueError, match="duplicate contract id 'b'"):
             Portfolio.from_arrays([0.5, 1.0, 0.25], [1.0, 2.0, 3.0], contract_ids=["a", "b", "b"])
 
+    @pytest.mark.parametrize(
+        "names,message",
+        [
+            (["age", "age"], "covariate name 'age' is repeated"),
+            (["age", ""], "covariate 2 has an empty name"),
+            ([" ", "age"], "covariate 1 has an empty name"),
+        ],
+    )
+    def test_portfolio_rejects_repeated_or_empty_covariate_names(self, names, message):
+        with pytest.raises(ValueError, match=message):
+            Portfolio.from_arrays(
+                [0.5, 1.0, 0.25], [1.0, 2.0, 3.0], [[0.0, 1.0], [1.0, 0.0], [2.0, 3.0]],
+                covariate_names=names,
+            )
+
     def test_portfolio_columns(self):
         pf = Portfolio.from_arrays(
             [0.5, 1.0, 0.25], [1.0, 0.0, 3.0], [[1.0], [0.0], [2.0]],
