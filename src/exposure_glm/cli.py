@@ -28,14 +28,13 @@ from .claim_count import CountData, poisson_fit, zip_nonequivalence_check
 from .model_core import (
     Portfolio,
     RankDeficiencyError,
-    SingularInformationError,
     TweedieFamily,
     WeightScheme,
+    _CellError,
     _covariate_name_error,
-    _first_duplicate,
 )
 from .simulate import Scenario, ScenarioConfig, run_gap_experiment
-from .solver import AllZeroLossError, FitConfig, fit
+from .solver import FitConfig, fit
 
 __all__ = ["IngestError", "ingest_csv", "ingest_counts_csv", "main"]
 
@@ -133,51 +132,25 @@ def _write_json(path: Path, payload):
     _atomic_write(path, write)
 
 
-def _parse_column(cells, valid=None, describe=None):
-    """Parse a column of strings in bulk; return ``(values, error)``.
+def _parse_column(cells):
+    """Parse a column of strings in bulk; return ``(values, first)``.
 
-    ``error`` is None or ``(index, message)`` for the first cell that is
-    not a number, not finite, or fails ``valid`` (a vectorised predicate;
-    ``describe(value, cell)`` words its failure).  Values come from
-    Python's ``float`` and so match per-cell parsing exactly.
+    A cell that is not a number parses as NaN, and ``first`` is the index
+    of the first such cell, or None.  Values come from Python's ``float``
+    and so match per-cell parsing exactly.
     """
-    n = len(cells)
     try:
-        values = np.fromiter(map(float, cells), float, n)
-        stop = n
+        return np.fromiter(map(float, cells), float, len(cells)), None
     except ValueError:
-        for stop, cell in enumerate(cells):
-            try:
-                float(cell)
-            except ValueError:
-                break
-        values = np.fromiter(map(float, cells[:stop]), float, stop)
-    finite = np.isfinite(values)
-    ok = finite if valid is None else finite & valid(values)
-    bad = np.flatnonzero(~ok)
-    if bad.size:
-        i = int(bad[0])
-        message = describe(values[i], cells[i]) if finite[i] else f"not finite: {cells[i]!r}"
-        return values, (i, message)
-    if stop < n:
-        return values, (stop, f"not a number: {cells[stop]!r}")
-    return values, None
-
-
-_CHECKS = {
-    "exposure": (
-        lambda t: (t > 0.0) & (t <= 1.0),
-        lambda t, cell: f"exposure must lie in (0, 1], got {float(t)}",
-    ),
-    "loss_cost": (
-        lambda y: y >= 0.0,
-        lambda y, cell: f"loss cost must be >= 0, got {float(y)}",
-    ),
-    "count": (
-        lambda y: (y >= 0.0) & (y == np.floor(y)),
-        lambda y, cell: f"count must be a non-negative integer, got {cell!r}",
-    ),
-}
+        pass
+    values, first = [], None
+    for i, cell in enumerate(cells):
+        try:
+            values.append(float(cell))
+        except ValueError:
+            values.append(np.nan)
+            first = i if first is None else first
+    return np.array(values), first
 
 
 # Records are read and parsed a few hundred at a time: fewer than the
@@ -187,42 +160,51 @@ _CHECKS = {
 _READ_ROWS = 512
 
 
-def _ingest_columns(path, leading_columns):
-    """Numeric columns of an input CSV: ``(ids, names, t, y, covariates, row_of)``.
+def _read_records(reader, count):
+    """The next ``count`` records of ``reader`` or fewer; text that is not UTF-8 CSV is an IngestError."""
+    try:
+        return list(islice(reader, count))
+    except UnicodeDecodeError as exc:
+        raise IngestError(f"input file is not UTF-8: {exc.reason}") from exc
+    except csv.Error as exc:
+        raise IngestError(f"input file is not CSV: {exc}") from exc
 
-    ``row_of(i)`` is the line of data row ``i``, counting CSV records
-    from the header (row 1) and including blank records, which are
-    skipped.  A record with the wrong number of fields is reported as
-    soon as it is read.  Otherwise IngestError names the first bad cell
-    in row-major order: a cell that is not a finite number or is out of
-    range for its column, or a repeated contract id (at its second
-    occurrence).  Ids are compared here only when some cell is bad, to
-    order the two; on valid cells the container checks them once.
+
+def _ingest_columns(path, leading_columns):
+    """Parsed columns of an input CSV: ``(names, ids, columns, unparsable, row_of)``.
+
+    ``names`` are the header's field names, ``ids`` the contract ids and
+    ``columns`` one float array per later field.  Cells are parsed, not
+    checked: the container validates them.  A cell that is not a number
+    parses as NaN, and ``unparsable`` maps a field's position to
+    ``(index, text)`` of its first such cell.  ``row_of(i)`` is the line
+    of data row ``i``, counting CSV records from the header (row 1) and
+    including blank records, which are skipped.  An unreadable file, a
+    bad header and a record with the wrong number of fields raise
+    IngestError as soon as they are read.
     """
-    path = Path(path)
-    if not path.exists():
-        raise IngestError(f"input file not found: {path}")
-    with open(path, newline="", encoding="utf-8") as fh:
+    try:
+        fh = open(path, newline="", encoding="utf-8")
+    except OSError as exc:
+        raise IngestError(f"cannot read input file {path}: {exc.strerror}") from exc
+    with fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
+        header = next(iter(_read_records(reader, 1)), None)
         if header is None:
             raise IngestError("file is empty", row=1)
-        if [h.strip() for h in header[: len(leading_columns)]] != list(leading_columns):
+        names = [h.strip() for h in header]
+        if names[: len(leading_columns)] != list(leading_columns):
             raise IngestError(
                 f"header must start with {','.join(leading_columns)}, got {','.join(header)}",
                 row=1,
             )
-        covariate_names = [h.strip() for h in header[len(leading_columns) :]]
-        if (error := _covariate_name_error(covariate_names)) is not None:
-            raise IngestError(error[1], row=1, column=covariate_names[error[0]])
+        if (error := _covariate_name_error(names[len(leading_columns) :])) is not None:
+            raise IngestError(error[1], row=1, column=names[len(leading_columns) + error[0]])
         width = len(header)
-        checks = [_CHECKS[name] for name in leading_columns[1:]]
-        checks += [()] * (width - len(leading_columns))
-        ids, chunks = [], [[] for _ in checks]
-        errors = []  # (data row index, column position, message)
+        ids, chunks, unparsable = [], [[] for _ in range(width - 1)], {}
         blank_lines = []
         lines = 1  # records read so far, header included
-        while records := list(islice(reader, _READ_ROWS)):
+        while records := _read_records(reader, _READ_ROWS):
             first, lines = lines + 1, lines + len(records)
             if set(map(len, records)) - {width, 0}:
                 k = next(k for k, record in enumerate(records) if len(record) not in (width, 0))
@@ -230,18 +212,16 @@ def _ingest_columns(path, leading_columns):
             if not all(records):
                 blank_lines += [first + k for k, record in enumerate(records) if not record]
                 records = [record for record in records if record]
-            # After a bad cell only the record lengths are still checked:
-            # no later cell can come first in row-major order.
-            if errors or not records:
-                continue
+                if not records:
+                    continue
             offset = len(ids)
             cells = list(zip(*records))
             ids.extend(cells[0])
-            for position, (column, column_checks) in enumerate(zip(cells[1:], checks), start=1):
-                values, error = _parse_column(column, *column_checks)
+            for position, column in enumerate(cells[1:], start=1):
+                values, bad = _parse_column(column)
                 chunks[position - 1].append(values)
-                if error is not None:
-                    errors.append((offset + error[0], position, error[1]))
+                if bad is not None:
+                    unparsable.setdefault(position, (offset + bad, column[bad]))
     if not ids:
         raise IngestError("no data rows")
 
@@ -253,46 +233,41 @@ def _ingest_columns(path, leading_columns):
             line += 1
         return line
 
-    if errors:
-        if (repeat := _repeated_id(ids, row_of)) is not None:
-            errors.append(repeat)
-        i, position, message = min(errors)
-        names = [*leading_columns, *covariate_names]
-        raise IngestError(message, row=row_of(i), column=names[position])
-    t, y, *covariates = [np.concatenate(column) for column in chunks]
-    covariates = np.column_stack(covariates) if covariates else None
-    return ids, covariate_names, t, y, covariates, row_of
-
-
-def _repeated_id(ids, row_of):
-    """``(index, 0, message)`` for the first repeated contract id, or None."""
-    repeat = _first_duplicate(ids)
-    if repeat is None:
-        return None
-    first = row_of(ids.index(ids[repeat]))
-    return repeat, 0, f"duplicate contract id {ids[repeat]!r}, first on row {first}"
+    return names, ids, [np.concatenate(chunk) for chunk in chunks], unparsable, row_of
 
 
 def _ingest(path, value_column, container):
-    """Load and validate an input CSV as ``container``, a ``Portfolio`` class."""
-    ids, covariate_names, exposures, values, covariates, row_of = _ingest_columns(
+    """Load an input CSV as ``container``, a ``Portfolio`` class, which validates it."""
+    names, ids, columns, unparsable, row_of = _ingest_columns(
         path, ("contract_id", "exposure", value_column)
     )
+    exposures, values, *covariates = columns
+    covariate_names = names[3:]
     try:
         return container.from_arrays(
-            exposures, values, covariates, contract_ids=ids, covariate_names=covariate_names
+            exposures,
+            values,
+            np.column_stack(covariates) if covariates else None,
+            contract_ids=ids,
+            covariate_names=covariate_names,
         )
+    except _CellError as exc:
+        i, position = exc.index, exc.position
+        index, text = unparsable.get(position, (None, None))
+        if position == 0:
+            message = f"duplicate contract id {ids[i]!r}, first on row {row_of(ids.index(ids[i]))}"
+        elif index == i:
+            message = f"not a number: {text!r}"
+        else:
+            message = str(exc)
+        raise IngestError(message, row=row_of(i), column=names[position]) from exc
+    except RankDeficiencyError as exc:
+        design_names = ["intercept"] + covariate_names
+        involved = [design_names[j] for j in exc.column_indices if j < len(design_names)]
+        raise IngestError(
+            f"design matrix is rank deficient; columns involved: {', '.join(involved)}"
+        ) from exc
     except ValueError as exc:
-        # The container rejects repeated ids itself; whichever of its checks
-        # failed, a repeat is reported first and with its rows, like a bad cell.
-        if (repeat := _repeated_id(ids, row_of)) is not None:
-            raise IngestError(repeat[2], row=row_of(repeat[0]), column="contract_id") from exc
-        if isinstance(exc, RankDeficiencyError):
-            names = ["intercept"] + covariate_names
-            involved = [names[i] for i in exc.column_indices if i < len(names)]
-            raise IngestError(
-                f"design matrix is rank deficient; columns involved: {', '.join(involved)}"
-            ) from exc
         raise IngestError(str(exc)) from exc
 
 
@@ -321,10 +296,11 @@ _SCHEMES = {
 }
 
 
-def _fit_schemes(portfolio, args, schemes):
-    """Fit ``schemes`` in order under the invocation's family and stopping rule."""
+def _fit_schemes(args, schemes):
+    """Check the flags, then ingest ``args.input`` and fit ``schemes``: ``(portfolio, results)``."""
     family = TweedieFamily(p=args.p, phi=args.phi)
     fit_config = FitConfig(tolerance=args.tolerance, max_iterations=args.max_iterations)
+    portfolio = ingest_csv(args.input)
     results = {}
     for scheme in schemes:
         results[scheme] = fit(portfolio, scheme, family, fit_config)
@@ -332,7 +308,7 @@ def _fit_schemes(portfolio, args, schemes):
             "%s fit: converged=%s iterations=%d", scheme.value,
             results[scheme].converged, results[scheme].iterations,
         )
-    return results
+    return portfolio, results
 
 
 def _write_fit_json(out, args, portfolio, results):
@@ -357,8 +333,7 @@ def _write_fit_json(out, args, portfolio, results):
 
 
 def cmd_fit(args):
-    portfolio = ingest_csv(args.input)
-    results = _fit_schemes(portfolio, args, _SCHEMES[args.scheme])
+    portfolio, results = _fit_schemes(args, _SCHEMES[args.scheme])
     _write_fit_json(args.out, args, portfolio, results)
 
 
@@ -398,8 +373,7 @@ def _write_balance_tables(out, portfolio, result_offset, result_ratio):
 
 
 def cmd_compare(args):
-    portfolio = ingest_csv(args.input)
-    results = _fit_schemes(portfolio, args, _SCHEMES["both"])
+    portfolio, results = _fit_schemes(args, _SCHEMES["both"])
     result_offset = results[WeightScheme.OFFSET]
     result_ratio = results[WeightScheme.RATIO]
     _write_fit_json(args.out, args, portfolio, results)
@@ -425,8 +399,7 @@ def cmd_compare(args):
 
 
 def cmd_balance(args):
-    portfolio = ingest_csv(args.input)
-    results = _fit_schemes(portfolio, args, _SCHEMES["both"])
+    portfolio, results = _fit_schemes(args, _SCHEMES["both"])
     result_offset = results[WeightScheme.OFFSET]
     result_ratio = results[WeightScheme.RATIO]
     gaps_offset, gaps_ratio = _write_balance_tables(args.out, portfolio, result_offset, result_ratio)
@@ -562,18 +535,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if "p" in vars(args) and not (1.0 < args.p < 2.0):
-            raise ValueError(f"--p must lie strictly between 1 and 2, got {args.p}")
         args.out.mkdir(parents=True, exist_ok=True)
         _COMMANDS[args.command](args)
-    except (
-        IngestError,
-        RankDeficiencyError,
-        AllZeroLossError,
-        SingularInformationError,
-        ValueError,
-        RuntimeError,
-    ) as exc:
+    # every domain error of the package is a ValueError or a RuntimeError
+    except (ValueError, RuntimeError, OSError) as exc:
         json.dump(
             {"schema_version": SCHEMA_VERSION, "error": type(exc).__name__, "message": str(exc)},
             sys.stderr,

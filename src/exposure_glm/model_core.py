@@ -67,6 +67,19 @@ class SingularInformationError(RuntimeError):
     """
 
 
+class _CellError(ValueError):
+    """A bad input cell: ``index`` is its row, ``position`` its field.
+
+    Fields are numbered as in the CSV schema: 0 is the contract id, 1 the
+    exposure, 2 the value and ``3 + j`` covariate ``j``.
+    """
+
+    def __init__(self, message, index, position):
+        super().__init__(message)
+        self.index = index
+        self.position = position
+
+
 @dataclass(frozen=True)
 class TweedieFamily:
     """Variance power ``p`` and dispersion ``phi`` shared by all contracts.
@@ -153,7 +166,10 @@ class Portfolio:
     one column per covariate, and must have full column rank.  Row order
     is preserved from the input and all row-wise accumulations in this
     package run in that fixed order, so repeated evaluations are
-    bit-identical.  Errors name the first offending contract, by id when
+    bit-identical.  A bad cell (an exposure outside (0, 1], a value that
+    is negative or not finite, a covariate that is not finite, or the
+    second occurrence of a contract id) raises a ``ValueError`` naming
+    the first such cell in row-major order and its contract, by id when
     ids are given.
     """
 
@@ -185,36 +201,7 @@ class Portfolio:
         covariates = np.asarray(covariates, dtype=float)
         if covariates.ndim != 2 or covariates.shape[0] != n:
             raise ValueError(f"covariates must be an (n, q) array with n = {n} rows")
-
-        def contract(i):
-            return f"contract {ids[i]!r}" if ids is not None else f"the contract at index {i}"
-
-        bad = np.flatnonzero(~((exposures > 0.0) & (exposures <= 1.0)))
-        if bad.size:
-            raise ValueError(
-                f"exposure must lie in (0, 1], got {exposures[bad[0]]} for {contract(bad[0])}"
-            )
-        bad = np.flatnonzero(~(np.isfinite(loss_costs) & (loss_costs >= 0.0)))
-        if bad.size:
-            raise ValueError(
-                f"{value_name} must be finite and >= 0, got {loss_costs[bad[0]]} "
-                f"for {contract(bad[0])}"
-            )
-        bad = np.flatnonzero(~np.isfinite(covariates).all(axis=1))
-        if bad.size:
-            raise ValueError(f"non-finite covariate for {contract(bad[0])}")
         q = covariates.shape[1]
-        if n < q + 1:
-            raise ValueError(f"need at least q + 1 = {q + 1} observations, got {n}")
-        if self._integral:
-            bad = np.flatnonzero(loss_costs != np.floor(loss_costs))
-            if bad.size:
-                raise ValueError(
-                    f"{value_name} must be a non-negative integer, got {loss_costs[bad[0]]} "
-                    f"for {contract(bad[0])}"
-                )
-        if ids is not None and (repeat := _first_duplicate(ids)) is not None:
-            raise ValueError(f"duplicate contract id {ids[repeat]!r} at index {repeat}")
         if covariate_names is None:
             covariate_names = tuple(f"x{j}" for j in range(1, q + 1))
         else:
@@ -225,6 +212,37 @@ class Portfolio:
                 )
             if (error := _covariate_name_error(covariate_names)) is not None:
                 raise ValueError(error[1])
+
+        def first_bad(ok):
+            return n if ok.all() else int(ok.argmin())
+
+        value_ok = np.isfinite(loss_costs) & (loss_costs >= 0.0)
+        if self._integral:
+            value_ok &= loss_costs == np.floor(loss_costs)
+        # First bad row of each field: 1 exposure, 2 value, 3 + j covariate j.
+        # Ids (field 0) are only checked for repeats, up to the first bad row.
+        firsts = [first_bad((exposures > 0.0) & (exposures <= 1.0)), first_bad(value_ok)]
+        firsts += [first_bad(np.isfinite(column)) for column in covariates.T]
+        bad = min(firsts)
+        if ids is not None and (repeat := _first_duplicate(ids[: bad + 1])) is not None:
+            raise _CellError(f"duplicate contract id {ids[repeat]!r} at index {repeat}", repeat, 0)
+        if bad < n:
+            k = firsts.index(bad)
+            if k < 2:
+                field, cell = ("exposure", value_name)[k], (exposures, loss_costs)[k][bad]
+            else:
+                field, cell = f"covariate {covariate_names[k - 2]!r}", covariates[bad, k - 2]
+            if not math.isfinite(cell):
+                message = f"{field} is not finite, got {cell}"
+            elif k == 0:
+                message = f"exposure must lie in (0, 1], got {cell}"
+            else:
+                rule = "a non-negative integer" if self._integral else ">= 0"
+                message = f"{value_name} must be {rule}, got {cell}"
+            who = f"contract {ids[bad]!r}" if ids is not None else f"the contract at index {bad}"
+            raise _CellError(f"{message} for {who}", bad, k + 1)
+        if n < q + 1:
+            raise ValueError(f"need at least q + 1 = {q + 1} observations, got {n}")
         design = np.empty((n, q + 1))
         design[:, 0] = 1.0
         design[:, 1:] = covariates

@@ -57,8 +57,7 @@ class ScenarioConfig:
         self.scenario = Scenario(self.scenario)
         if self.n < 2:
             raise ValueError(f"need at least 2 contracts, got {self.n}")
-        if not (1.0 < self.p < 2.0):
-            raise ValueError(f"variance power must satisfy 1 < p < 2, got {self.p}")
+        TweedieFamily(p=self.p)
 
 
 @dataclass

@@ -186,7 +186,6 @@ class TestIngest:
             return scan(ids)
 
         monkeypatch.setattr(model_core, "_first_duplicate", first_duplicate)
-        monkeypatch.setattr(cli, "_first_duplicate", first_duplicate)
         INGESTS[value](_write(tmp_path / "in.csv", MINIMAL.replace("loss_cost", value)))
         assert scanned == [2]
 
@@ -419,6 +418,41 @@ class TestErrorHandling:
         assert code == 1
         payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert payload["error"] == "ValueError"
+
+    def test_bad_flag_reported_before_input_is_read(self, tmp_path, capsys):
+        src = _write(tmp_path / "in.csv", "contract_id,exposure,loss_cost\na,0.5,x\nb,1.0,1.0\n")
+        code = main(["fit", "--input", str(src), "--out", str(tmp_path / "o"), "--tol", "0"])
+        assert code == 1
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == "ValueError"
+        assert "tolerance" in payload["message"]
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b"contract_id,exposure,loss_cost\na,0.5,1.0\n\xff,1.0,2.0\n",
+            b"contract_id,exposure,loss_cost\n" + b"a" * 200_000 + b",0.5,1.0\n",
+        ],
+        ids=["not_utf8", "field_too_large"],
+    )
+    def test_unparsable_input_exits_nonzero(self, tmp_path, capsys, content):
+        src = tmp_path / "in.csv"
+        src.write_bytes(content)
+        assert main(["fit", "--input", str(src), "--out", str(tmp_path / "o")]) == 1
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == "IngestError"
+
+    def test_directory_as_input_exits_nonzero(self, tmp_path, capsys):
+        assert main(["fit", "--input", str(tmp_path), "--out", str(tmp_path / "o")]) == 1
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == "IngestError"
+
+    def test_file_as_output_directory_exits_nonzero(self, tmp_path, capsys):
+        src = _write(tmp_path / "in.csv", MINIMAL)
+        assert main(["fit", "--input", str(src), "--out", str(src)]) == 1
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == "FileExistsError"
+        assert src.read_text() == MINIMAL
 
     @pytest.mark.parametrize("command", ["compare", "balance"])
     def test_scheme_flag_is_fit_only(self, tmp_path, command):

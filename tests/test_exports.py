@@ -65,6 +65,8 @@ def test_benchmark_tracer_hooks_install_and_uninstall(tmp_path):
         exposure_glm.CountData.from_arrays([0.5, 1.0, 0.25], [1, 0, 2])
         cli.write_portfolio_csv(pf, tmp_path / "in.csv")
         assert cli.main(["balance", "--input", str(tmp_path / "in.csv"), "--out", str(tmp_path)]) == 0
+        compare = ["compare", "--input", str(tmp_path / "in.csv"), "--out", str(tmp_path / "compare")]
+        assert tracer.run_op(1, cli.main, compare) == 0
     finally:
         uninstall()
     assert [owner.__dict__[attr] for owner, attr in hooks] == before
@@ -78,7 +80,16 @@ def test_benchmark_tracer_hooks_install_and_uninstall(tmp_path):
         "balance.class_report",
     } <= names
     # the benchmark counts class levels through the ``len`` notes of these spans
-    levels = [span[5] for span in tracer.spans if span[0] == "balance.class_report"]
+    levels = [span[5] for span in tracer.spans if span[0] == "balance.class_report" and span[4] == 0]
     assert len(levels) == pf.q
     with open(tmp_path / "class_balance.csv", newline="") as fh:
         assert sum(levels) == len(list(csv.reader(fh))) - 1
+
+    # The benchmark reports ``cli.ingest_s`` and ``model_core.build_s``
+    # apart: ``compare`` builds its portfolio once, inside the ingest span
+    # (``from_arrays`` and the ``__init__`` it calls are both build spans).
+    spans = [i for i, span in enumerate(tracer.spans) if span[4] == 1]
+    (ingest,) = [i for i in spans if tracer.spans[i][0] == "cli.ingest"]
+    builds = [i for i in spans if tracer.spans[i][0] == "model_core.build"]
+    outermost = [i for i in builds if tracer.spans[tracer.spans[i][3]][0] != "model_core.build"]
+    assert [tracer.spans[i][3] for i in outermost] == [ingest]

@@ -82,6 +82,27 @@ class TestDomainTypes:
         with pytest.raises(ValueError, match="duplicate contract id 'b'"):
             Portfolio.from_arrays([0.5, 1.0, 0.25], [1.0, 2.0, 3.0], contract_ids=["a", "b", "b"])
 
+    @pytest.mark.parametrize("container", [Portfolio, CountData])
+    def test_first_bad_cell_in_row_major_order(self, container):
+        ids = ["a", "b", "c"]
+        # a bad value on row 1 comes before a bad exposure on row 2
+        with pytest.raises(ValueError, match=f"^{container._value_name} must .* contract 'b'$"):
+            container.from_arrays([0.5, 1.0, 0.0], [1.0, -1.0, 2.0], contract_ids=ids)
+        # a non-finite covariate is named, with its contract
+        with pytest.raises(ValueError, match="^covariate 'x2' is not finite, got nan for contract 'b'$"):
+            container.from_arrays(
+                [0.5, 1.0, 0.5], [1.0, 1.0, 2.0], [[0.0, 1.0], [1.0, np.nan], [2.0, 0.0]],
+                contract_ids=ids,
+            )
+        # the second occurrence of an id on row 1 comes before a bad cell on row 2
+        with pytest.raises(ValueError, match="^duplicate contract id 'a' at index 1$") as excinfo:
+            container.from_arrays([0.5, 1.0, 0.0], [1.0, 1.0, 2.0], contract_ids=["a", "a", "c"])
+        assert (excinfo.value.index, excinfo.value.position) == (1, 0)
+        # within a row, the leftmost bad field is reported
+        with pytest.raises(ValueError, match="^exposure must lie in") as excinfo:
+            container.from_arrays([0.5, 1.5, 1.0], [1.0, -1.0, 2.0], [[0.0], [np.inf], [1.0]])
+        assert (excinfo.value.index, excinfo.value.position) == (1, 1)
+
     @pytest.mark.parametrize(
         "names,message",
         [
