@@ -125,64 +125,44 @@ def poisson_fit(data: CountData, mode: str, tolerance: float = 1e-10, max_iterat
     return beta
 
 
+def _zip_terms(params: ZipParams, data: CountData, mode: str):
+    """``(weight, mean, count)`` of each contract's term in ``zip_loglik``."""
+    _check_mode(mode)
+    zeta = np.exp(data.design @ np.asarray(params.beta, dtype=float))
+    if mode == "offset":
+        return 1.0, data.exposures * zeta, data.counts
+    return data.exposures, zeta, data.normalized
+
+
 def zip_loglik(params: ZipParams, data: CountData, mode: str) -> float:
     """Zero-inflated Poisson log-likelihood in ``beta`` (factorials dropped).
 
-    Offset mode scores the raw counts with mean ``t * exp(x @ beta)``;
-    ratio mode weights each contract's annualized-count log-density by
-    its exposure with mean ``exp(x @ beta)``.  Terms constant in ``beta``
-    (the factorials) are omitted, which also makes non-integer annualized
-    counts admissible.
+    Offset mode scores the raw count ``y`` with weight 1 and mean
+    ``t * exp(x @ beta)``; ratio mode scores the annualized count
+    ``z = y / t`` with weight ``t`` and mean ``exp(x @ beta)``.  Both
+    modes share one zero set, as ``z`` is zero exactly where ``y`` is.
+    Terms constant in ``beta`` (the factorials) are omitted, which also
+    makes non-integer annualized counts admissible.
     """
-    _check_mode(mode)
+    w, mu, count = _zip_terms(params, data, mode)
     pi = params.zero_inflation
-    beta = np.asarray(params.beta, dtype=float)
-    X = data.design
-    s = X @ beta
-    if mode == "offset":
-        mu = data.exposures * np.exp(s)
-        zero = data.counts == 0
-        total = float(np.log(pi + (1.0 - pi) * np.exp(-mu[zero])).sum())
-        pos = ~zero
-        total += float(
-            (math.log1p(-pi) - mu[pos] + data.counts[pos] * np.log(mu[pos])).sum()
-        )
-        return total
-    zeta = np.exp(s)
-    z = data.normalized
-    zero = z == 0
-    t = data.exposures
-    total = float((t[zero] * np.log(pi + (1.0 - pi) * np.exp(-zeta[zero]))).sum())
+    w, zero = np.broadcast_to(w, mu.shape), data.counts == 0
     pos = ~zero
-    total += float(
-        (t[pos] * (math.log1p(-pi) - zeta[pos] + z[pos] * np.log(zeta[pos]))).sum()
-    )
-    return total
+    zeros = w[zero] * np.log(pi + (1.0 - pi) * np.exp(-mu[zero]))
+    positives = w[pos] * (math.log1p(-pi) - mu[pos] + count[pos] * np.log(mu[pos]))
+    return float(zeros.sum()) + float(positives.sum())
 
 
 def zip_score(params: ZipParams, data: CountData, mode: str):
     """Gradient of ``zip_loglik`` in ``beta`` (zero inflation held fixed)."""
-    _check_mode(mode)
+    w, mu, count = _zip_terms(params, data, mode)
     pi = params.zero_inflation
-    beta = np.asarray(params.beta, dtype=float)
-    X = data.design
-    s = X @ beta
-    if mode == "offset":
-        mu = data.exposures * np.exp(s)
-        coeff = np.where(
-            data.counts == 0,
-            -(1.0 - pi) * np.exp(-mu) * mu / (pi + (1.0 - pi) * np.exp(-mu)),
-            data.counts - mu,
-        )
-        return X.T @ coeff
-    zeta = np.exp(s)
-    t = data.exposures
     coeff = np.where(
-        data.normalized == 0,
-        -t * (1.0 - pi) * np.exp(-zeta) * zeta / (pi + (1.0 - pi) * np.exp(-zeta)),
-        t * (data.normalized - zeta),
+        data.counts == 0,
+        -w * (1.0 - pi) * np.exp(-mu) * mu / (pi + (1.0 - pi) * np.exp(-mu)),
+        w * (count - mu),
     )
-    return X.T @ coeff
+    return data.design.T @ coeff
 
 
 def zip_nonequivalence_check(

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .balance import balance_factor, class_report, individual_gaps, portfolio_gap
-from .claim_count import CountData, poisson_fit, zip_nonequivalence_check
+from .claim_count import CountData, ZipParams, poisson_fit, zip_nonequivalence_check
 from .model_core import (
     Portfolio,
     RankDeficiencyError,
@@ -83,8 +83,11 @@ def _atomic_write(path: Path, write, newline=None):
     the same name never share a temp file and readers never see a torn
     file.  The temp file is created with mode 0o666 and the process umask
     applied, as ``open()`` would create ``path``.  On any error it is
-    removed and ``path`` is left as it was.
+    removed and ``path`` is left as it was.  The directory of ``path`` is
+    created on the first write, so a command that fails before writing
+    leaves none behind.
     """
+    path.parent.mkdir(parents=True, exist_ok=True)
     while True:
         tmp = path.with_name(f"{path.name}.{os.urandom(6).hex()}.tmp")
         try:
@@ -447,6 +450,9 @@ def cmd_simulate(args):
 
 
 def cmd_counts(args):
+    # Check the flags before reading the input: these objects hold their rules.
+    FitConfig(tolerance=args.tolerance)
+    ZipParams(args.zero_inflation, ())
     data = ingest_counts_csv(args.input)
     # Both modes of poisson_fit are one computation: one fit serves both.
     beta = [float(b) for b in poisson_fit(data, "offset", tolerance=args.tolerance)]
@@ -535,7 +541,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args.out.mkdir(parents=True, exist_ok=True)
         _COMMANDS[args.command](args)
     # every domain error of the package is a ValueError or a RuntimeError
     except (ValueError, RuntimeError, OSError) as exc:

@@ -47,15 +47,13 @@ class WeightScheme(str, Enum):
 class RankDeficiencyError(ValueError):
     """Design matrix does not have full column rank.
 
-    ``column_indices`` lists the dependent design columns (0 is the
-    intercept); ``dependencies`` maps each dependent column to the
-    earlier columns it is a linear combination of.
+    ``column_indices`` lists the design columns involved in a linear
+    dependence (0 is the intercept).
     """
 
-    def __init__(self, message, column_indices=(), dependencies=None):
+    def __init__(self, message, column_indices=()):
         super().__init__(message)
         self.column_indices = tuple(column_indices)
-        self.dependencies = dict(dependencies or {})
 
 
 class SingularInformationError(RuntimeError):
@@ -100,38 +98,24 @@ class TweedieFamily:
             raise ValueError(f"dispersion must be positive and finite, got {self.phi}")
 
 
-def _dependency_diagnosis(design):
-    """Identify dependent design columns and what they depend on."""
-    n, k = design.shape
-    _, r, pivots = scipy.linalg.qr(design, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    tol = max(n, k) * np.finfo(float).eps * (diag.max() if diag.size else 0.0)
-    rank = int(np.sum(diag > tol))
-    dependent = sorted(int(c) for c in pivots[rank:])
-    independent = sorted(int(c) for c in pivots[:rank])
-    dependencies = {}
-    for col in dependent:
-        coef, *_ = np.linalg.lstsq(design[:, independent], design[:, col], rcond=None)
-        partners = tuple(
-            independent[j] for j in range(len(independent)) if abs(coef[j]) > 1e-8
-        )
-        dependencies[col] = partners
-    return dependent, dependencies
-
-
 def validate_design(design):
-    """Check a design matrix for full column rank; raise with diagnosis."""
+    """Check a design matrix for full column rank; raise naming the columns involved.
+
+    The columns involved are those on which the null space of the design
+    (its unit right singular vectors past the rank) has a component
+    above 1e-8.
+    """
     design = np.asarray(design, dtype=float)
     n, k = design.shape
-    if np.linalg.matrix_rank(design) == k:
+    rank = np.linalg.matrix_rank(design)
+    if rank == k:
         return design
-    dependent, dependencies = _dependency_diagnosis(design)
-    involved = sorted(set(dependent).union(*dependencies.values()) if dependent else [])
+    # all k right singular vectors, also when there are fewer rows than columns
+    null_space = np.linalg.svd(design, full_matrices=n < k)[2][rank:]
+    involved = np.flatnonzero(np.linalg.norm(null_space, axis=0) > 1e-8).tolist()
     raise RankDeficiencyError(
-        f"design matrix ({n} x {k}) is rank deficient; "
-        f"dependent columns {dependent} (linearly involved columns {involved})",
-        column_indices=involved or dependent,
-        dependencies=dependencies,
+        f"design matrix ({n} x {k}) is rank deficient; columns involved: {involved}",
+        column_indices=involved,
     )
 
 
@@ -326,9 +310,14 @@ def _cho_factor(info):
         ) from exc
 
 
+def _cho_solve(factor, rhs):
+    """Solve ``(X.T @ D @ X) @ x = rhs`` given the matrix's Cholesky factor."""
+    return scipy.linalg.cho_solve(factor, rhs)
+
+
 def _covariance(factor, phi):
     """Coefficient covariance ``phi * (X.T @ D @ X)**-1`` from its Cholesky factor."""
-    cov = phi * scipy.linalg.cho_solve(factor, np.eye(factor[0].shape[0]))
+    cov = phi * _cho_solve(factor, np.eye(factor[0].shape[0]))
     return 0.5 * (cov + cov.T)
 
 

@@ -16,7 +16,7 @@ from enum import Enum
 import numpy as np
 
 from .balance import IndividualGaps, individual_gaps, portfolio_gap
-from .model_core import Portfolio, TweedieFamily, WeightScheme
+from .model_core import Portfolio, RankDeficiencyError, TweedieFamily, WeightScheme, validate_design
 from .solver import FitConfig, FitResult, fit
 
 __all__ = [
@@ -153,9 +153,11 @@ def _full_rank_covariates(seed_seq, draw, attempts=64):
     """
     for child in seed_seq.spawn(attempts):
         covariates = draw(child)
-        design = np.column_stack([np.ones(covariates.shape[0]), covariates])
-        if np.linalg.matrix_rank(design) == design.shape[1]:
-            return covariates
+        try:
+            validate_design(np.column_stack([np.ones(covariates.shape[0]), covariates]))
+        except RankDeficiencyError:
+            continue
+        return covariates
     raise RuntimeError(f"no full-rank covariate draw in {attempts} attempts")
 
 

@@ -13,13 +13,13 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .model_core import (
     Portfolio,
     TweedieFamily,
     WeightScheme,
     _cho_factor,
+    _cho_solve,
     _covariance,
     _normal_equations,
     _scheme_weights,
@@ -140,7 +140,7 @@ def _irls(design, z, w, p, objective, beta, config: FitConfig):
         converged = gradient_norm < config.tolerance
         if converged or iteration == config.max_iterations:
             break
-        delta = scipy.linalg.cho_solve(factor, score)
+        delta = _cho_solve(factor, score)
         candidate = beta + delta
         value = objective(candidate)
         if config.step_halving:

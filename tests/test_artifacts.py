@@ -2,9 +2,12 @@
 
 The book has a binary factor and a sum insured with ~190 distinct values,
 about 30 of which carry no loss at all (undefined class ratios, tied
-loss sums), plus contract ids that need CSV quoting.  Every digest was
-recorded before the data path became columnar; a refactor that changes
-one byte of any artifact fails here.
+loss sums), plus contract ids that need CSV quoting.  A second book of
+claim counts (about three quarters zeros, mixed exposures) pins
+``counts.json``.  Every loss-cost digest was recorded before the data
+path became columnar, the counts digest before the Poisson solve and the
+zero-inflated likelihood were merged across modes; a refactor that
+changes one byte of any artifact fails here.
 
 Fitted values depend on how the BLAS and LAPACK kernels that numpy and
 scipy load round their sums, which varies with the CPU, the library build
@@ -40,6 +43,9 @@ PINNED = {
     "simulate": {
         "gap_experiment.csv": "6852966cdf2ad99a61d7b8e0c9ce378831e5b4ad671a6bbc2856c57ec83cdf19",
         "gap_totals.json": "0b8d52d10ad4311759a594fe9a770cfcd61137972317d412585aafa6e5e9aedd",
+    },
+    "counts": {
+        "counts.json": "f7df9e775fd198cdb212d2a5f94f8f474c9172de85a8f2d7a97a0ad2e4213e14",
     },
     "round_trip": {
         "book.csv": "dbf51655ec66d317cb13836490fb748c227facc2542c0841d831549a22098b0f",
@@ -87,6 +93,20 @@ def write_book(path, n=600, seed=20261018):
     return path
 
 
+def write_counts_book(path, n=600, seed=20261018):
+    rng = np.random.default_rng(seed)
+    t = np.where(rng.random(n) < 0.4, rng.uniform(30 / 365, 335 / 365, n), 1.0)
+    x1 = (rng.random(n) < 0.4).astype(float)
+    x2 = rng.normal(size=n)
+    y = rng.poisson(t * np.exp(-1.0 + 0.5 * x1 + 0.2 * x2))
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["contract_id", "exposure", "count", "x1", "x2"])
+        for i, values in enumerate(zip(t.tolist(), y.tolist(), x1.tolist(), x2.tolist())):
+            writer.writerow([f"c{i}", *map(repr, values)])
+    return path
+
+
 def digests(out_dir):
     return {
         path.name: hashlib.sha256(path.read_bytes()).hexdigest()
@@ -113,6 +133,14 @@ def test_simulate_artifacts_pinned(tmp_path):
     args = ["simulate", "--n", "300", "--seed", "4", "--scenario", "decreasing", "--heterogeneous"]
     assert main(args + ["--out", str(out)]) == 0
     assert digests(out) == PINNED["simulate"]
+
+
+@fitted_pins
+def test_counts_artifact_pinned(tmp_path):
+    book = write_counts_book(tmp_path / "counts.csv")
+    out = tmp_path / "out"
+    assert main(["counts", "--input", str(book), "--out", str(out)]) == 0
+    assert digests(out) == PINNED["counts"]
 
 
 def test_portfolio_csv_round_trip_pinned(book, tmp_path):

@@ -420,12 +420,25 @@ class TestErrorHandling:
         assert payload["error"] == "ValueError"
 
     def test_bad_flag_reported_before_input_is_read(self, tmp_path, capsys):
-        src = _write(tmp_path / "in.csv", "contract_id,exposure,loss_cost\na,0.5,x\nb,1.0,1.0\n")
-        code = main(["fit", "--input", str(src), "--out", str(tmp_path / "o"), "--tol", "0"])
-        assert code == 1
-        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-        assert payload["error"] == "ValueError"
-        assert "tolerance" in payload["message"]
+        for command, value, flag, word in (
+            ("fit", "loss_cost", "--tol", "tolerance"),
+            ("counts", "count", "--tol", "tolerance"),
+            ("counts", "count", "--zero-inflation", "zero inflation"),
+        ):
+            src = _write(tmp_path / "in.csv", f"contract_id,exposure,{value}\na,0.5,x\nb,1.0,1.0\n")
+            bad = "0" if flag == "--tol" else "2"
+            code = main([command, "--input", str(src), "--out", str(tmp_path / "o"), flag, bad])
+            assert code == 1
+            payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+            assert payload["error"] == "ValueError", (command, flag)
+            assert word in payload["message"]
+
+    def test_failed_command_leaves_no_output_directory(self, tmp_path, capsys):
+        src = _write(tmp_path / "in.csv", MINIMAL)
+        out = tmp_path / "op"
+        assert main(["fit", "--input", str(src), "--out", str(out), "--p", "3"]) == 1
+        assert main(["fit", "--input", str(tmp_path / "missing.csv"), "--out", str(out)]) == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "content",

@@ -32,12 +32,21 @@ def test_every_exported_name_resolves(module):
     assert len(set(mod.__all__)) == len(mod.__all__)
 
 
-def _load_tracing():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    return tracing
+def _load_perfbench(name):
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_profile_analysis_runs_clean():
+    # the ``p_profile`` workload calls the library through perfbench/child.py;
+    # an API change that breaks it fails here, not only in a benchmark run
+    child, checks, gen = (_load_perfbench(name) for name in ("child", "checks", "gen"))
+    book = gen.profile_book(1, n=2000)
+    units, problems, _ = checks.check_profile(book, *child.analyse(exposure_glm, book))
+    assert (units, problems) == (83, [])
 
 
 def test_benchmark_tracer_hooks_install_and_uninstall(tmp_path):
@@ -45,7 +54,7 @@ def test_benchmark_tracer_hooks_install_and_uninstall(tmp_path):
     # a refactor that removes or moves one breaks the traced benchmark run
     from exposure_glm import cli, solver
 
-    tracing = _load_tracing()
+    tracing = _load_perfbench("tracing")
     hooks = (
         (solver, "quasi_loglik"),
         (cli, "fit"),

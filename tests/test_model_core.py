@@ -167,6 +167,23 @@ class TestDomainTypes:
         # both covariate columns (design indices 1 and 2) are implicated
         assert set(excinfo.value.column_indices) == {1, 2}
 
+    @pytest.mark.parametrize(
+        "columns,involved",
+        [
+            (lambda x: [x[0], x[0]], {1, 2}),
+            (lambda x: [np.full_like(x[0], 3.0), x[1]], {0, 1}),
+            (lambda x: [x[0], x[0], x[2], 1.0 - x[2], x[4]], {0, 1, 2, 3, 4}),
+            (lambda x: [x[0], x[1], x[0] + x[1], x[4]], {1, 2, 3}),
+        ],
+        ids=["duplicate", "constant", "two_dependencies", "sum_of_two"],
+    )
+    def test_rank_deficiency_names_involved_columns(self, columns, involved):
+        # design column 0 is the intercept, column j covariate j
+        x = np.random.default_rng(3).normal(size=(5, 12))
+        with pytest.raises(RankDeficiencyError) as excinfo:
+            Portfolio.from_arrays(np.full(12, 0.5), np.ones(12), np.column_stack(columns(x)))
+        assert set(excinfo.value.column_indices) == involved
+
     def test_portfolio_rejects_constant_covariate(self):
         # a constant column duplicates the intercept
         with pytest.raises(RankDeficiencyError):
