@@ -150,23 +150,13 @@ def class_report(portfolio: Portfolio, fits, factor_index: int) -> ClassBalance:
     return ClassBalance(factor_name, *arrays)
 
 
-def group_summaries(portfolio: Portfolio, grouping="exposure"):
-    """Descriptive statistics per contract group.
+def group_summaries(portfolio: Portfolio):
+    """Descriptive statistics of the full-exposure (``t == 1``) and mid-term (``t < 1``) groups.
 
-    ``grouping`` is either the built-in ``"exposure"`` split (full
-    exposure ``t == 1`` vs. mid-term ``t < 1``) or a callable that takes
-    the portfolio and returns one label per contract.  Groups are
-    reported in sorted label order.
+    Groups are reported in sorted label order (``full_exposure``, then
+    ``mid_term``); a group without contracts is left out.
     """
-    if grouping == "exposure":
-        labels = np.where(portfolio.exposures == 1.0, "full_exposure", "mid_term")
-    elif callable(grouping):
-        labels = np.asarray(grouping(portfolio)).astype(str)
-        if labels.shape != (portfolio.n,):
-            raise ValueError(f"grouping must return {portfolio.n} labels, got shape {labels.shape}")
-    else:
-        raise ValueError(f"unknown grouping {grouping!r}")
-
+    labels = np.where(portfolio.exposures == 1.0, "full_exposure", "mid_term")
     portfolio_mean_loss = float(portfolio.loss_costs.mean())
     summaries = []
     for label in np.unique(labels).tolist():

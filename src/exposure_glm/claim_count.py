@@ -28,6 +28,11 @@ __all__ = [
 ]
 
 _MODES = ("offset", "ratio")
+_POISSON_MAX_ITERATIONS = 50
+# ZIP probe coefficient vectors as (intercept, every other coefficient),
+# and the spread of the mode difference above which the modes disagree.
+_ZIP_PROBES = ((0.0, 0.0), (0.2, 0.0), (0.1, 0.1), (-0.1, -0.1))
+_ZIP_THRESHOLD = 1e-6
 
 
 class CountData(Portfolio):
@@ -81,9 +86,7 @@ class ZipEvidence:
 
     equivalent: bool
     spread: float
-    probes: tuple
     differences: tuple
-    threshold: float
 
 
 def _check_mode(mode):
@@ -92,7 +95,7 @@ def _check_mode(mode):
     return mode
 
 
-def poisson_fit(data: CountData, mode: str, tolerance: float = 1e-10, max_iterations: int = 50):
+def poisson_fit(data: CountData, mode: str, tolerance: float = 1e-10):
     """Log-link Poisson coefficients under either mode, by the package's IRLS loop.
 
     Offset mode maximizes ``sum(-t * exp(x @ b) + y * (x @ b))``; ratio
@@ -104,7 +107,7 @@ def poisson_fit(data: CountData, mode: str, tolerance: float = 1e-10, max_iterat
     ``p = 1`` with weights ``t``, started at ``log(sum(y) / sum(t))``
     and stopped when the sup-norm of the score ``X.T @ (y - t * zeta)``
     falls below ``tolerance``.  Raises RuntimeError when that takes
-    more than ``max_iterations`` updates.
+    more than 50 updates.
     """
     _check_mode(mode)
     total = data.counts.sum()
@@ -118,10 +121,10 @@ def poisson_fit(data: CountData, mode: str, tolerance: float = 1e-10, max_iterat
         s = X @ beta
         return float(np.sum(t * (z * s - np.exp(s))))
 
-    config = FitConfig(tolerance=tolerance, max_iterations=max_iterations)
+    config = FitConfig(tolerance=tolerance, max_iterations=_POISSON_MAX_ITERATIONS)
     beta, _, converged, *_ = _irls(X, z, t, 1.0, objective, start, config)
     if not converged:
-        raise RuntimeError(f"Poisson {mode} fit did not converge in {max_iterations} iterations")
+        raise RuntimeError(f"Poisson {mode} fit did not converge in {_POISSON_MAX_ITERATIONS} iterations")
     return beta
 
 
@@ -165,40 +168,25 @@ def zip_score(params: ZipParams, data: CountData, mode: str):
     return data.design.T @ coeff
 
 
-def zip_nonequivalence_check(
-    data: CountData,
-    zero_inflation: float = 0.3,
-    probes=None,
-    threshold: float = 1e-6,
-) -> ZipEvidence:
+def zip_nonequivalence_check(data: CountData, zero_inflation: float = 0.3) -> ZipEvidence:
     """Probe whether the offset and ratio ZIP surfaces differ by a constant.
 
-    Evaluates ``loglik_offset - loglik_ratio`` at several coefficient
-    vectors; a spread above ``threshold`` means the modes rank
-    coefficient vectors differently and a choice between them is real.
-    With all exposures equal to one, or with no zero inflation, the
-    difference is constant and the report shows equivalence.
+    Evaluates ``loglik_offset - loglik_ratio`` at four coefficient
+    vectors (all zero; intercept 0.2; all 0.1; all -0.1); a spread above
+    1e-6 means the modes rank coefficient vectors differently and a
+    choice between them is real.  With all exposures equal to one, or
+    with no zero inflation, the difference is constant and the report
+    shows equivalence.
     """
-    k = data.q + 1
-    if probes is None:
-        base = np.zeros(k)
-        bump0 = np.zeros(k)
-        bump0[0] = 0.2
-        probes = [base, bump0, np.full(k, 0.1), np.full(k, -0.1)]
-    probes = [np.asarray(b, dtype=float) for b in probes]
-    if len(probes) < 3:
-        raise ValueError("need at least 3 probe points")
     differences = []
-    for b in probes:
-        params = ZipParams(zero_inflation=zero_inflation, beta=tuple(b))
+    for intercept, slope in _ZIP_PROBES:
+        params = ZipParams(zero_inflation=zero_inflation, beta=(intercept,) + (slope,) * data.q)
         differences.append(
             zip_loglik(params, data, "offset") - zip_loglik(params, data, "ratio")
         )
     spread = max(differences) - min(differences)
     return ZipEvidence(
-        equivalent=spread <= threshold,
+        equivalent=spread <= _ZIP_THRESHOLD,
         spread=spread,
-        probes=tuple(tuple(b) for b in probes),
         differences=tuple(differences),
-        threshold=threshold,
     )

@@ -1,4 +1,4 @@
-"""Premium computation and asymptotic comparison of the two fits.
+"""Premium-estimator moments and asymptotic comparison of the two fits.
 
 The coefficient estimator is asymptotically normal with covariance
 ``phi * (X.T @ D @ X)**-1``, so each contract's premium estimator
@@ -13,7 +13,6 @@ single matrix fact orders the premium-estimator means, variances and
 expected portfolio gaps between the two approaches.
 """
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -31,12 +30,10 @@ from .model_core import (
 )
 
 __all__ = [
-    "PremiumQuote",
     "EstimatorMoments",
     "Dominance",
     "DominanceReport",
     "MomentOrdering",
-    "premium",
     "premium_moments",
     "coefficient_covariance",
     "covariance_dominance",
@@ -46,21 +43,15 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class PremiumQuote:
-    """Annualized premium ``exp(x @ beta)`` and its exposure-scaled value."""
-
-    contract_id: str
-    annualized: float
-    exposure_scaled: float
-
-
-@dataclass(frozen=True)
 class EstimatorMoments:
-    """Lognormal mean/variance of a premium estimator under one scheme."""
+    """Lognormal mean/variance of a premium estimator under one scheme.
 
-    mean: float
-    variance: float
-    scheme: WeightScheme | None = None
+    Floats for one design row, arrays with one entry per row for a
+    matrix of rows.
+    """
+
+    mean: float | np.ndarray
+    variance: float | np.ndarray
 
 
 class Dominance(Enum):
@@ -75,26 +66,34 @@ class DominanceReport:
 
     verdict: Dominance
     difference: np.ndarray
-    min_eigenvalue: float
 
 
 @dataclass(frozen=True)
 class MomentOrdering:
-    """Premium-estimator moments for both schemes and their strict ordering."""
+    """Premium-estimator moments for both schemes and their strict ordering.
+
+    For a matrix of rows each ordering holds only if it holds at every row.
+    """
 
     offset: EstimatorMoments
     ratio: EstimatorMoments
     mean_strictly_ordered: bool
     variance_strictly_ordered: bool
-    degenerate_equal: bool
 
 
-def premium(beta, x, t: float, contract_id: str = "") -> PremiumQuote:
-    """Premium quote at design row ``x`` (leading 1): ``exp(x @ beta)`` and ``t`` times it."""
-    if not (0.0 < t <= 1.0):
-        raise ValueError(f"exposure must lie in (0, 1], got {t}")
-    annualized = float(np.exp(np.dot(np.asarray(x, float), np.asarray(beta, float))))
-    return PremiumQuote(contract_id=contract_id, annualized=annualized, exposure_scaled=t * annualized)
+def _lognormal_moments(x, beta, covariance) -> EstimatorMoments:
+    """Moments of ``exp(x @ beta_hat)`` at row ``x`` ``(k,)`` or at each row of ``x`` ``(m, k)``.
+
+    With quadratic form ``v = x @ Sigma @ x`` (clipped at zero):
+
+        mean = exp(x @ beta + v / 2),  variance = (exp(v) - 1) * mean**2.
+    """
+    v = np.maximum(np.einsum("...j,jk,...k->...", x, covariance, x), 0.0)
+    mean = np.exp(x @ beta + 0.5 * v)
+    variance = np.expm1(v) * mean * mean
+    if x.ndim == 1:
+        return EstimatorMoments(mean=float(mean), variance=float(variance))
+    return EstimatorMoments(mean=mean, variance=variance)
 
 
 def _check_psd(covariance):
@@ -110,22 +109,15 @@ def _check_psd(covariance):
     return sym
 
 
-def premium_moments(x, beta, covariance, scheme=None) -> EstimatorMoments:
-    """Mean and variance of the lognormal premium estimator at row ``x``.
+def premium_moments(x, beta, covariance) -> EstimatorMoments:
+    """Mean and variance of the lognormal premium estimator at design row(s) ``x``.
 
     ``covariance`` is the coefficient covariance *including* dispersion,
-    as ``coefficient_covariance`` returns it.  With quadratic form
-    ``v = x @ Sigma @ x``:
-
-        mean = exp(x @ beta + v / 2),  variance = (exp(v) - 1) * mean**2.
+    as ``coefficient_covariance`` returns it; it must be symmetric and
+    positive semidefinite.
     """
-    x = np.asarray(x, dtype=float)
-    beta = np.asarray(beta, dtype=float)
     sigma = _check_psd(covariance)
-    v = max(float(x @ sigma @ x), 0.0)
-    mean = math.exp(float(x @ beta) + 0.5 * v)
-    variance = math.expm1(v) * mean * mean
-    return EstimatorMoments(mean=mean, variance=variance, scheme=scheme)
+    return _lognormal_moments(np.asarray(x, dtype=float), np.asarray(beta, dtype=float), sigma)
 
 
 def coefficient_covariance(portfolio: Portfolio, beta, scheme: WeightScheme, family: TweedieFamily):
@@ -144,41 +136,45 @@ def covariance_dominance(portfolio: Portfolio, beta, family: TweedieFamily) -> D
     """Classify ``M = Cov_ratio - Cov_offset`` at ``beta``.
 
     Strictly positive definite whenever some exposure is below one; the
-    zero matrix when every exposure equals one.  The production verdict
-    uses a Cholesky factorization; eigenvalues are reported alongside so
-    an independent check can cross-validate.
+    zero matrix when every exposure equals one.  The verdict comes from
+    a Cholesky factorization of ``M``.
     """
     cov_offset = coefficient_covariance(portfolio, beta, WeightScheme.OFFSET, family)
     cov_ratio = coefficient_covariance(portfolio, beta, WeightScheme.RATIO, family)
     diff = cov_ratio - cov_offset
     diff = 0.5 * (diff + diff.T)
-    min_eig = float(np.linalg.eigvalsh(diff)[0])
-    all_full = bool(np.all(portfolio.exposures == 1.0))
     try:
         np.linalg.cholesky(diff)
         verdict = Dominance.STRICTLY_DOMINANT
     except np.linalg.LinAlgError:
         # Near the full-exposure boundary M collapses to zero; tolerate
         # floating-point noise there but nowhere else.
+        min_eig = float(np.linalg.eigvalsh(diff)[0])
+        all_full = bool(np.all(portfolio.exposures == 1.0))
         if all_full and min_eig >= -1e-10 * max(float(np.max(np.abs(diff))), 1e-300):
             verdict = Dominance.DEGENERATE_EQUAL
         else:
             verdict = Dominance.INDEFINITE
-    return DominanceReport(verdict=verdict, difference=diff, min_eigenvalue=min_eig)
+    return DominanceReport(verdict=verdict, difference=diff)
 
 
 def moment_ordering(x, beta, portfolio: Portfolio, family: TweedieFamily) -> MomentOrdering:
-    """Premium-estimator moments under both schemes for design row ``x``."""
-    cov_offset = coefficient_covariance(portfolio, beta, WeightScheme.OFFSET, family)
-    cov_ratio = coefficient_covariance(portfolio, beta, WeightScheme.RATIO, family)
-    off = premium_moments(x, beta, cov_offset, scheme=WeightScheme.OFFSET)
-    rat = premium_moments(x, beta, cov_ratio, scheme=WeightScheme.RATIO)
+    """Premium-estimator moments under both schemes at design row ``x`` or each row of matrix ``x``.
+
+    Both covariances are computed once per call, however many rows
+    ``x`` holds.
+    """
+    x = np.asarray(x, dtype=float)
+    beta = np.asarray(beta, dtype=float)
+    off, rat = (
+        _lognormal_moments(x, beta, coefficient_covariance(portfolio, beta, scheme, family))
+        for scheme in (WeightScheme.OFFSET, WeightScheme.RATIO)
+    )
     return MomentOrdering(
         offset=off,
         ratio=rat,
-        mean_strictly_ordered=off.mean < rat.mean,
-        variance_strictly_ordered=off.variance < rat.variance,
-        degenerate_equal=bool(np.all(portfolio.exposures == 1.0)),
+        mean_strictly_ordered=bool(np.all(off.mean < rat.mean)),
+        variance_strictly_ordered=bool(np.all(off.variance < rat.variance)),
     )
 
 
@@ -190,10 +186,6 @@ def expected_random_gap(portfolio: Portfolio, beta, family: TweedieFamily, schem
     negative of the two whenever some exposure is below one.
     """
     beta = np.asarray(beta, dtype=float)
-    scheme = WeightScheme(scheme)
-    cov = coefficient_covariance(portfolio, beta, scheme, family)
-    X = portfolio.design
-    scores = X @ beta
-    quad = np.einsum("ij,jk,ik->i", X, cov, X)
-    estimator_means = np.exp(scores + 0.5 * np.maximum(quad, 0.0))
-    return float(np.dot(portfolio.exposures, np.exp(scores) - estimator_means))
+    cov = coefficient_covariance(portfolio, beta, WeightScheme(scheme), family)
+    estimator_means = _lognormal_moments(portfolio.design, beta, cov).mean
+    return float(np.dot(portfolio.exposures, np.exp(portfolio.design @ beta) - estimator_means))

@@ -101,17 +101,21 @@ class TweedieFamily:
 def validate_design(design):
     """Check a design matrix for full column rank; raise naming the columns involved.
 
-    The columns involved are those on which the null space of the design
-    (its unit right singular vectors past the rank) has a component
-    above 1e-8.
+    The rank is that of the design as given.  The columns involved are
+    those on which the null space of the design with every nonzero
+    column scaled to unit norm (its last ``k - rank`` right singular
+    vectors) has a component above 1e-8, so the diagnosis does not
+    depend on the columns' scales.
     """
     design = np.asarray(design, dtype=float)
     n, k = design.shape
     rank = np.linalg.matrix_rank(design)
     if rank == k:
         return design
+    norms = np.linalg.norm(design, axis=0)
+    scaled = design / np.where(norms > 0.0, norms, 1.0)
     # all k right singular vectors, also when there are fewer rows than columns
-    null_space = np.linalg.svd(design, full_matrices=n < k)[2][rank:]
+    null_space = np.linalg.svd(scaled, full_matrices=n < k)[2][rank:]
     involved = np.flatnonzero(np.linalg.norm(null_space, axis=0) > 1e-8).tolist()
     raise RankDeficiencyError(
         f"design matrix ({n} x {k}) is rank deficient; columns involved: {involved}",

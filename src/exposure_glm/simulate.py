@@ -37,6 +37,14 @@ __all__ = [
 EXPOSURE_LO = 30.0 / 365.0
 EXPOSURE_HI = 335.0 / 365.0
 
+# The mimic book: the full-exposure group's mean loss cost, the mid-term
+# group's mean as a multiple of it, the share of zero losses in each
+# group and the success rates of its binary covariates.
+_MIMIC_MEAN_FULL = 100.0
+_MIMIC_REFERENCE_RATIO = 2.45 / 0.63
+_MIMIC_ZERO_MASS = 0.5
+_MIMIC_COVARIATE_RATES = (0.5, 0.3, 0.2)
+
 
 class Scenario(str, Enum):
     INCREASING = "increasing"
@@ -62,11 +70,9 @@ class ScenarioConfig:
 
 @dataclass
 class SyntheticPortfolio:
-    """A generated portfolio plus the metadata needed to regenerate it."""
+    """A generated portfolio plus the parameters it was drawn with."""
 
     portfolio: Portfolio
-    seed: int
-    scenario: Scenario | None = None
     metadata: dict = field(default_factory=dict)
 
 
@@ -138,8 +144,6 @@ def build_scenario_portfolio(config: ScenarioConfig) -> SyntheticPortfolio:
     portfolio = Portfolio.from_arrays(exposures, losses, covariates)
     return SyntheticPortfolio(
         portfolio=portfolio,
-        seed=config.seed,
-        scenario=config.scenario,
         metadata={"heterogeneous": config.heterogeneous, "p": config.p},
     )
 
@@ -161,17 +165,16 @@ def _full_rank_covariates(seed_seq, draw, attempts=64):
     raise RuntimeError(f"no full-rank covariate draw in {attempts} attempts")
 
 
-def run_gap_experiment(config: ScenarioConfig, fit_config: FitConfig | None = None) -> GapExperiment:
+def run_gap_experiment(config: ScenarioConfig) -> GapExperiment:
     """Fit both schemes on a scenario portfolio and collect gap curves.
 
-    The default stopping tolerance is much tighter than the general
-    solver default so that the ratio scheme's exact-balance identity is
-    visible down to ~1e-10 in the portfolio totals.
+    The stopping tolerance is much tighter than the general solver
+    default so that the ratio scheme's exact-balance identity is visible
+    down to ~1e-10 in the portfolio totals.
     """
     synthetic = build_scenario_portfolio(config)
-    if fit_config is None:
-        fit_config = FitConfig(tolerance=1e-12)
     family = TweedieFamily(p=config.p)
+    fit_config = FitConfig(tolerance=1e-12)
     fit_offset = fit(synthetic.portfolio, WeightScheme.OFFSET, family, fit_config)
     fit_ratio = fit(synthetic.portfolio, WeightScheme.RATIO, family, fit_config)
     gaps_offset = individual_gaps(synthetic.portfolio, fit_offset)
@@ -188,30 +191,21 @@ def run_gap_experiment(config: ScenarioConfig, fit_config: FitConfig | None = No
     )
 
 
-def gen_mimic_portfolio(
-    share_midterm: float,
-    n: int,
-    seed: int,
-    mean_full: float = 100.0,
-    reference_ratio: float = 2.45 / 0.63,
-    zero_mass: float = 0.5,
-    n_covariates: int = 3,
-) -> SyntheticPortfolio:
+def gen_mimic_portfolio(share_midterm: float, n: int, seed: int) -> SyntheticPortfolio:
     """Two-group portfolio shaped like a real book with mid-term cancellations.
 
     ``share_midterm`` of the contracts get uniform partial exposures (the
-    rest exactly 1), and the mid-term group's mean loss cost is
-    ``reference_ratio`` times the full-exposure group's, so its loss-cost
-    reference dominates.  Losses are zero-inflated gamma draws rescaled
-    so each group's sample mean hits its configured target exactly.
-    Contracts are sorted by exposure ascending.
+    rest exactly 1).  The full-exposure group's mean loss cost is 100 and
+    the mid-term group's 2.45 / 0.63 times that, so its loss-cost
+    reference dominates.  Losses are gamma draws (shape 1.5) zeroed with
+    probability one half and rescaled so each group's sample mean hits
+    its target exactly.  Three binary covariates have success rates 0.5,
+    0.3 and 0.2.  Contracts are sorted by exposure ascending.
     """
     if not (0.0 < share_midterm < 1.0):
         raise ValueError(f"mid-term share must lie in (0, 1), got {share_midterm}")
     if n < 4:
         raise ValueError(f"need at least 4 contracts, got {n}")
-    if not (0.0 <= zero_mass < 1.0):
-        raise ValueError(f"zero mass must lie in [0, 1), got {zero_mass}")
 
     n_mid = min(max(int(round(share_midterm * n)), 1), n - 1)
     n_full = n - n_mid
@@ -222,45 +216,32 @@ def gen_mimic_portfolio(
         [np.sort(np.random.default_rng(exp_seed).uniform(EXPOSURE_LO, EXPOSURE_HI, n_mid)), np.ones(n_full)]
     )
     loss_rng = np.random.default_rng(loss_seed)
+    mean_midterm = _MIMIC_MEAN_FULL * _MIMIC_REFERENCE_RATIO
     losses = np.concatenate(
-        [
-            _group_losses(loss_rng, n_mid, mean_full * reference_ratio, zero_mass),
-            _group_losses(loss_rng, n_full, mean_full, zero_mass),
-        ]
+        [_group_losses(loss_rng, n_mid, mean_midterm), _group_losses(loss_rng, n_full, _MIMIC_MEAN_FULL)]
     )
-    covariates = None
-    if n_covariates > 0:
-        probs = [0.5, 0.3, 0.2, 0.6, 0.4, 0.25, 0.35, 0.45][:n_covariates]
-        if len(probs) < n_covariates:
-            probs = probs + [0.5] * (n_covariates - len(probs))
 
-        def draw(child):
-            rng = np.random.default_rng(child)
-            return np.column_stack([(rng.random(n) < p).astype(float) for p in probs])
+    def draw(child):
+        rng = np.random.default_rng(child)
+        return np.column_stack([(rng.random(n) < rate).astype(float) for rate in _MIMIC_COVARIATE_RATES])
 
-        covariates = _full_rank_covariates(cov_seed, draw)
-
-    portfolio = Portfolio.from_arrays(exposures, losses, covariates)
+    portfolio = Portfolio.from_arrays(exposures, losses, _full_rank_covariates(cov_seed, draw))
     return SyntheticPortfolio(
         portfolio=portfolio,
-        seed=seed,
-        scenario=None,
         metadata={
             "share_midterm": n_mid / n,
             "n_midterm": n_mid,
             "n_full": n_full,
-            "mean_midterm": mean_full * reference_ratio,
-            "mean_full": mean_full,
+            "mean_midterm": mean_midterm,
+            "mean_full": _MIMIC_MEAN_FULL,
         },
     )
 
 
-def _group_losses(rng, size, target_mean, zero_mass):
+def _group_losses(rng, size, target_mean):
     """Zero-inflated gamma draws rescaled to hit target_mean exactly."""
-    positive = rng.random(size) >= zero_mass
+    positive = rng.random(size) >= _MIMIC_ZERO_MASS
     if not positive.any():
         positive[0] = True
     draws = np.where(positive, rng.gamma(shape=1.5, scale=1.0, size=size), 0.0)
-    if draws[positive].min() <= 0.0:  # gamma draws are a.s. positive; guard anyway
-        draws[positive] = np.maximum(draws[positive], 1e-12)
     return draws * (target_mean * size / draws.sum())

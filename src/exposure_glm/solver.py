@@ -10,7 +10,7 @@ fits the Poisson claim-count companion as the ``p = 1`` case.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,9 +83,7 @@ class FitResult:
     gradient_norm: float
     trace_beta: np.ndarray
     trace_objective: np.ndarray
-    scheme: WeightScheme
     n_obs: int
-    config: FitConfig = field(repr=False, default_factory=FitConfig)
 
 
 def homogeneous_mle(portfolio: Portfolio, scheme: WeightScheme, family: TweedieFamily) -> float:
@@ -190,7 +188,5 @@ def fit(
         gradient_norm=gradient_norm,
         trace_beta=np.asarray(trace_beta),
         trace_objective=np.asarray(trace_objective),
-        scheme=scheme,
         n_obs=portfolio.n,
-        config=config,
     )

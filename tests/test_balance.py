@@ -254,22 +254,6 @@ class TestGroupSummaries:
         pf = random_portfolio(13)
         assert sum(s.contract_share for s in group_summaries(pf)) == pytest.approx(1.0, abs=1e-12)
 
-    def test_custom_grouping_callable(self):
-        pf = random_portfolio(14)
-        summaries = group_summaries(
-            pf, grouping=lambda portfolio: np.where(portfolio.exposures < 0.5, "short", "long")
-        )
-        assert {s.label for s in summaries} <= {"short", "long"}
-        short = pf.exposures < 0.5
-        by_label = {s.label: s for s in summaries}
-        assert by_label["short"].contract_share == short.mean()
-        assert by_label["long"].mean_exposure == pf.exposures[~short].mean()
-
-    def test_grouping_must_label_every_contract(self):
-        pf = random_portfolio(14)
-        with pytest.raises(ValueError):
-            group_summaries(pf, grouping=lambda portfolio: ["a", "b"])
-
 
 class TestBalanceFactor:
     def test_homogeneous_ratio_is_one(self):

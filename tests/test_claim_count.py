@@ -147,10 +147,6 @@ class TestZipNonEquivalence:
         assert evidence.equivalent
         assert evidence.spread < 1e-10
 
-    def test_requires_three_probes(self):
-        with pytest.raises(ValueError):
-            zip_nonequivalence_check(zip_count_data(10), probes=[np.zeros(2)])
-
     def test_difference_constant_iff_degenerate(self):
         # mixed exposures and positive mass: the surfaces differ by a
         # beta-dependent amount; removing either ingredient flattens it

@@ -485,6 +485,15 @@ class TestErrorHandling:
         payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert "x1" in payload["message"] and "x2" in payload["message"]
 
+    def test_rank_diagnosis_ignores_column_scale(self, tmp_path, capsys):
+        x1 = np.random.default_rng(4).normal(size=12)
+        rows = ["contract_id,exposure,loss_cost,x1,x2"]
+        rows += [f"c{i},0.5,1.0,{v!r},{1e9 * v!r}" for i, v in enumerate(x1.tolist())]
+        src = _write(tmp_path / "in.csv", "\n".join(rows) + "\n")
+        assert main(["fit", "--input", str(src), "--out", str(tmp_path / "o")]) == 1
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert "columns involved: x1, x2" in payload["message"]
+
 
 class TestAtomicWrites:
     def test_failed_csv_write_keeps_previous_file(self, tmp_path, monkeypatch):

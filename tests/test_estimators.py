@@ -1,4 +1,4 @@
-"""Premium quotes, lognormal estimator moments, covariance dominance."""
+"""Lognormal estimator moments, covariance dominance."""
 
 import math
 
@@ -13,9 +13,9 @@ from exposure_glm import (
     WeightScheme,
     coefficient_covariance,
     covariance_dominance,
+    estimators,
     expected_random_gap,
     moment_ordering,
-    premium,
     premium_moments,
 )
 from exposure_glm.simulate import Scenario, ScenarioConfig, build_scenario_portfolio
@@ -31,29 +31,6 @@ def _scenario_portfolio(seed):
     return build_scenario_portfolio(
         ScenarioConfig(n=100, scenario=Scenario.INCREASING, heterogeneous=True, p=1.42, seed=seed)
     ).portfolio
-
-
-class TestPremium:
-    def test_zero_score(self):
-        quote = premium(np.zeros(3), np.array([1.0, 0.3, -0.2]), 0.4)
-        assert quote.annualized == 1.0
-        assert quote.exposure_scaled == pytest.approx(0.4)
-
-    def test_intercept_only(self):
-        quote = premium(np.array([math.log(100.0)]), np.array([1.0]), 0.5, contract_id="c9")
-        assert quote.annualized == pytest.approx(100.0, rel=1e-14)
-        assert quote.exposure_scaled == pytest.approx(50.0, rel=1e-14)
-        assert quote.contract_id == "c9"
-
-    def test_monotone_in_coefficients(self):
-        x = np.array([1.0, 2.0])
-        base = premium(np.array([0.1, 0.5]), x, 1.0).annualized
-        bumped = premium(np.array([0.1, 0.6]), x, 1.0).annualized
-        assert bumped > base
-
-    def test_exposure_bounds(self):
-        with pytest.raises(ValueError):
-            premium(np.zeros(1), np.ones(1), 0.0)
 
 
 class TestPremiumMoments:
@@ -132,7 +109,6 @@ class TestMomentOrdering:
     def test_full_exposure_equalities(self):
         pf = random_portfolio(21, all_full=True)
         ordering = moment_ordering(pf.design[0], np.array([0.5, 0.1, -0.2]), pf, FAM)
-        assert ordering.degenerate_equal
         assert ordering.offset.mean == ordering.ratio.mean
         assert ordering.offset.variance == ordering.ratio.variance
 
@@ -143,6 +119,31 @@ class TestMomentOrdering:
             ordering = moment_ordering(row, beta, pf, FAM)
             assert ordering.mean_strictly_ordered
             assert ordering.variance_strictly_ordered
+
+    def test_matrix_of_rows_takes_both_covariances_once(self, monkeypatch):
+        pf = _scenario_portfolio(3)
+        beta = np.array([2.0, 0.3, -0.2])
+        single = [moment_ordering(row, beta, pf, FAM) for row in pf.design]
+        assert type(single[0].offset.mean) is float and type(single[0].mean_strictly_ordered) is bool
+
+        calls = []
+
+        def coefficient_covariance(*args, raw=estimators.coefficient_covariance):
+            calls.append(args[2])
+            return raw(*args)
+
+        monkeypatch.setattr(estimators, "coefficient_covariance", coefficient_covariance)
+        ordering = moment_ordering(pf.design, beta, pf, FAM)
+        assert calls == [WeightScheme.OFFSET, WeightScheme.RATIO]
+        for scheme in ("offset", "ratio"):
+            for moment in ("mean", "variance"):
+                np.testing.assert_allclose(
+                    getattr(getattr(ordering, scheme), moment),
+                    [getattr(getattr(row, scheme), moment) for row in single],
+                    rtol=1e-13,
+                    atol=0.0,
+                )
+        assert ordering.mean_strictly_ordered and ordering.variance_strictly_ordered
 
     def test_single_contract_portfolio_rejected_by_rank(self):
         with pytest.raises(ValueError):

@@ -174,8 +174,10 @@ class TestDomainTypes:
             (lambda x: [np.full_like(x[0], 3.0), x[1]], {0, 1}),
             (lambda x: [x[0], x[0], x[2], 1.0 - x[2], x[4]], {0, 1, 2, 3, 4}),
             (lambda x: [x[0], x[1], x[0] + x[1], x[4]], {1, 2, 3}),
+            (lambda x: [x[0], 1e9 * x[0]], {1, 2}),
+            (lambda x: [1e-9 * x[0], x[0]], {1, 2}),
         ],
-        ids=["duplicate", "constant", "two_dependencies", "sum_of_two"],
+        ids=["duplicate", "constant", "two_dependencies", "sum_of_two", "scaled_up", "scaled_down"],
     )
     def test_rank_deficiency_names_involved_columns(self, columns, involved):
         # design column 0 is the intercept, column j covariate j

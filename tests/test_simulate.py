@@ -1,5 +1,7 @@
 """Generator contracts: determinism, bounds, rank-driven losses, mimic shape."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -148,6 +150,40 @@ class TestGenMimicPortfolio:
         b = gen_mimic_portfolio(0.36, 200, seed=19).portfolio
         np.testing.assert_array_equal(a.loss_costs, b.loss_costs)
         np.testing.assert_array_equal(a.design, b.design)
+
+    @pytest.mark.parametrize(
+        "share,n,seed,digests",
+        [
+            (
+                0.36,
+                1000,
+                15,
+                (
+                    "b083c02cd4adc544da6bb7ce40258c69884cbed008f41504f734c40fbff4994e",
+                    "6b5bc8317d3fddf550054bfe7845db72d774f80b67cdad21cd6f40271d53e5f2",
+                    "c304e4137aaa57e7668eb8a0414920372716c72e03b62be71735003947cfe392",
+                ),
+            ),
+            (
+                0.4,
+                60,
+                2,
+                (
+                    "170ed18d1038e575c742c9c4b3bb11876d893d8428f49f5b2e275cf9289ecc58",
+                    "c2def0e8dfeb02336d5e4eb6dc964773314ec537977cb7025f514806869046b2",
+                    "04d70f4e509d806ed6752c0a27dcad63d156df67543e50c30f93dc65395ac6a5",
+                ),
+            ),
+        ],
+    )
+    def test_arrays_pinned(self, share, n, seed, digests):
+        # sha256 of the exposures, loss costs and design; a change to any of
+        # the book's constants (group means, zero mass, covariate rates)
+        # changes them.  The arrays come from the generator and elementwise
+        # arithmetic only, no BLAS, so the pins hold on every platform.
+        pf = gen_mimic_portfolio(share, n, seed=seed).portfolio
+        arrays = (pf.exposures, pf.loss_costs, pf.design)
+        assert tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in arrays) == digests
 
     def test_share_bounds(self):
         with pytest.raises(ValueError):
