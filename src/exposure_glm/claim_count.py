@@ -106,8 +106,8 @@ def poisson_fit(data: CountData, mode: str, tolerance: float = 1e-10):
     So both modes run one computation: the Tweedie IRLS loop at
     ``p = 1`` with weights ``t``, started at ``log(sum(y) / sum(t))``
     and stopped when the sup-norm of the score ``X.T @ (y - t * zeta)``
-    falls below ``tolerance``.  Raises RuntimeError when that takes
-    more than 50 updates.
+    falls below ``tolerance`` or the score reaches its rounding floor.
+    Raises RuntimeError when that takes more than 50 updates.
     """
     _check_mode(mode)
     total = data.counts.sum()

@@ -485,7 +485,9 @@ def _add_model_flags(parser):
     parser.add_argument("--p", type=float, default=1.42, help="Tweedie variance power in (1, 2)")
     parser.add_argument("--phi", type=float, default=1.0, help="dispersion (scales covariances only)")
     parser.add_argument(
-        "--tol", dest="tolerance", type=float, default=1e-8, help="sup-norm gradient tolerance"
+        "--tol", dest="tolerance", type=float, default=1e-8,
+        help="sup-norm gradient tolerance; a fit also stops when every gradient "
+        "component is within 4x its rounding floor, whatever the loss scale",
     )
     parser.add_argument(
         "--max-iter", dest="max_iterations", type=int, default=100, help="IRLS iteration budget"
@@ -528,7 +530,7 @@ def build_parser():
     counts = sub.add_parser("counts", help="Poisson equivalence and zero-inflation evidence")
     counts.add_argument("--input", required=True, type=Path, help="claim-count CSV")
     counts.add_argument("--out", required=True, type=Path, help="output directory")
-    counts.add_argument("--tol", dest="tolerance", type=float, default=1e-10, help="score tolerance")
+    counts.add_argument("--tol", dest="tolerance", type=float, default=1e-10, help="score tolerance, or 4x the score's rounding floor")
     counts.add_argument(
         "--zero-inflation", type=float, default=0.3,
         help="zero-inflation mass used for the non-equivalence probe",

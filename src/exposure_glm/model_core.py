@@ -282,21 +282,29 @@ def _scheme_weights(scheme, exposures, p):
     return exposures
 
 
-def _normal_equations(beta, design, z, w, p):
-    """Dispersion-free ``(X.T @ D @ X, X.T @ D @ R)`` of the weighted Tweedie fit.
+def _scoring_pass(beta, design, z, w, p):
+    """``(X.T @ D @ X, X.T @ D @ R, sum(D * (Q + 1)))`` of the weighted Tweedie fit.
 
-    With ``s = X @ beta``, ``D = diag(w * exp((2 - p) * s))`` and
-    ``R = z * exp(-s) - 1``.  The quasi-log-likelihood has score
-    ``X.T @ D @ R / phi`` and Fisher information ``X.T @ D @ X / phi``.
-    At ``p = 1`` with ``w = t`` the score is the Poisson score
-    ``X.T @ (t * (z - exp(s)))`` and ``D`` its curvature.
+    With ``s = X @ beta``, ``D = diag(w * exp((2 - p) * s))``,
+    ``Q = z * exp(-s)`` and ``R = Q - 1``.  The quasi-log-likelihood has
+    score ``X.T @ D @ R / phi`` and Fisher information
+    ``X.T @ D @ X / phi``.  At ``p = 1`` with ``w = t`` the score is the
+    Poisson score ``X.T @ (t * (z - exp(s)))`` and ``D`` its curvature.
+    The third value bounds what rounds in each score component: every
+    term ``d_i * r_i`` and its two parts are at most ``d_i * (q_i + 1)``.
     """
     s = design @ beta
     d = w * np.exp((2.0 - p) * s)
-    r = z * np.exp(-s) - 1.0
+    q = z * np.exp(-s)
+    mass = float(np.dot(d, q) + d.sum())
     info = (design * d[:, None]).T @ design
     info = 0.5 * (info + info.T)
-    return info, design.T @ (d * r)
+    return info, design.T @ (d * (q - 1.0)), mass
+
+
+def _normal_equations(beta, design, z, w, p):
+    """Dispersion-free ``(X.T @ D @ X, X.T @ D @ R)``; see ``_scoring_pass``."""
+    return _scoring_pass(beta, design, z, w, p)[:2]
 
 
 def _cho_factor(info):

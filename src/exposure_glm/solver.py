@@ -2,8 +2,15 @@
 
 The update solves the symmetric positive-definite system
 ``(X.T @ D @ X) @ delta = X.T @ D @ R`` so the dispersion cancels
-exactly; convergence is declared on the sup-norm of the
-dispersion-scaled gradient ``X.T @ D @ R``.  Intercept-only portfolios
+exactly.  Convergence is declared on the dispersion-scaled gradient
+``g = X.T @ D @ R``: either its sup-norm is below the configured
+tolerance, or every ``|g_j|`` is within four times its rounding floor
+``eps * max_i |x_ij| * sum_i d_i (q_i + 1)`` (``q = z * exp(-s)``).
+The floor scales with the losses and the portfolio size as ``g``
+does, so the second rule stops at the same iterate at any loss scale.
+Every step is monotone, as in R's ``glm2`` (Marschner 2011): it is
+halved, at most 30 times, while the quasi-log-likelihood would fall by
+more than its rounding, ``64 * eps * |objective|``.  Intercept-only portfolios
 admit closed-form maximum-likelihood estimates (weighted means of the
 annualized losses) which also seed the IRLS iteration.  The same loop
 fits the Poisson claim-count companion as the ``p = 1`` case.
@@ -21,8 +28,8 @@ from .model_core import (
     _cho_factor,
     _cho_solve,
     _covariance,
-    _normal_equations,
     _scheme_weights,
+    _scoring_pass,
     quasi_loglik,
 )
 
@@ -34,6 +41,12 @@ __all__ = [
     "fit",
 ]
 
+_EPS = float(np.finfo(float).eps)
+# A score component at most this many times its rounding floor is noise.
+_FLOOR_MULTIPLE = 4.0
+# A step may lower the objective by this much of its magnitude, its own
+# rounding, before the step is halved.
+_OBJECTIVE_SLACK = 64.0 * _EPS
 _MAX_HALVINGS = 30
 
 
@@ -45,18 +58,21 @@ class AllZeroLossError(ValueError):
 class FitConfig:
     """Stopping rule and initialization for the IRLS iteration.
 
-    ``init`` is ``"homogeneous"`` (log of the intercept-only closed-form
-    estimate, remaining coordinates zero), ``"zeros"``, or an explicit
-    coefficient vector used as-is.  ``step_halving`` enables an optional
-    safeguard that halves the update whenever the quasi-log-likelihood
-    would decrease; it is off by default because the plain recursion
-    converges cleanly on well-posed portfolios.
+    The fit converges when the sup-norm of the dispersion-scaled score
+    drops below ``tolerance``, or when every score component is within
+    a small multiple of its floating-point rounding floor, which scales
+    with the losses and the number of contracts; the second rule makes
+    the stop independent of the loss scale.  ``max_iterations`` bounds
+    the number of updates.  ``init`` is ``"homogeneous"`` (log of the
+    intercept-only closed-form estimate, remaining coordinates zero),
+    ``"zeros"``, or an explicit coefficient vector used as-is.  Every
+    update is halved while it would lower the quasi-log-likelihood by
+    more than its rounding, so the objective never falls.
     """
 
     tolerance: float = 1e-8
     max_iterations: int = 100
     init: object = "homogeneous"
-    step_halving: bool = False
 
     def __post_init__(self):
         if not (self.tolerance > 0.0):
@@ -122,32 +138,41 @@ def _irls(design, z, w, p, objective, beta, config: FitConfig):
     """Fisher scoring for the weighted Tweedie fit on ``z`` with weights ``w``.
 
     Starts from ``beta`` and solves ``(X.T D X) delta = X.T D R`` once
-    per iteration until the sup-norm of ``X.T D R`` drops below
-    ``config.tolerance`` or the budget runs out.  ``objective`` is
-    evaluated at every iterate for the trace and step-halving.  Returns
-    ``(beta, factor, converged, gradient_norm, trace_beta,
-    trace_objective)`` with ``factor`` the Cholesky factor of
-    ``X.T D X`` at the returned ``beta``.
+    per iteration until the score ``g = X.T D R`` is done or the budget
+    runs out.  The score is done when its sup-norm drops below
+    ``config.tolerance`` or when every ``|g_j|`` is within
+    ``_FLOOR_MULTIPLE`` times its rounding floor
+    ``eps * max_i |x_ij| * sum_i d_i (q_i + 1)``, below which no update
+    can make it smaller.  A step that lowers ``objective`` by more than
+    ``_OBJECTIVE_SLACK * |objective|`` (or makes it non-finite) is
+    halved, up to ``_MAX_HALVINGS`` times.  Returns ``(beta, factor,
+    converged, gradient_norm, trace_beta, trace_objective)`` with
+    ``factor`` the Cholesky factor of ``X.T D X`` at the returned
+    ``beta``.
     """
+    # max_i |x_ij| per column, without an n x k copy of |X|
+    floor_scale = _FLOOR_MULTIPLE * _EPS * np.maximum(design.max(axis=0), -design.min(axis=0))
     trace_beta = [beta.copy()]
     trace_objective = [objective(beta)]
     for iteration in range(config.max_iterations + 1):
-        info, score = _normal_equations(beta, design, z, w, p)
+        info, score, mass = _scoring_pass(beta, design, z, w, p)
         factor = _cho_factor(info)
         gradient_norm = float(np.max(np.abs(score)))
-        converged = gradient_norm < config.tolerance
+        converged = gradient_norm < config.tolerance or bool(
+            np.all(np.abs(score) <= mass * floor_scale)
+        )
         if converged or iteration == config.max_iterations:
             break
         delta = _cho_solve(factor, score)
         candidate = beta + delta
         value = objective(candidate)
-        if config.step_halving:
-            halvings = 0
-            while value < trace_objective[-1] and halvings < _MAX_HALVINGS:
-                delta *= 0.5
-                candidate = beta + delta
-                value = objective(candidate)
-                halvings += 1
+        least = trace_objective[-1] - _OBJECTIVE_SLACK * abs(trace_objective[-1])
+        halvings = 0
+        while not value >= least and halvings < _MAX_HALVINGS:
+            delta *= 0.5
+            candidate = beta + delta
+            value = objective(candidate)
+            halvings += 1
         beta = candidate
         trace_beta.append(beta.copy())
         trace_objective.append(value)

@@ -77,10 +77,16 @@ class TestIrlsStep:
     def test_stationary_point_is_fixed(self):
         pf = random_portfolio(21)
         result = fit(pf, WeightScheme.OFFSET, FAM, FitConfig(tolerance=1e-13))
-        # a tolerance no gradient can meet forces exactly one update
-        config = FitConfig(tolerance=1e-300, max_iterations=1, init=result.beta_hat)
-        stepped = fit(pf, WeightScheme.OFFSET, FAM, config).beta_hat
-        assert np.max(np.abs(stepped - result.beta_hat)) < 1e-12
+        # At the optimum the score is already at its rounding floor and the
+        # fit takes no step.  So start 1e-11 away, where the score is far
+        # above the floor: one update then runs, and it lands within 1e-12
+        # of the optimum only if the optimum is its fixed point.
+        start = result.beta_hat + 1e-11
+        config = FitConfig(tolerance=1e-300, max_iterations=1, init=start)
+        stepped = fit(pf, WeightScheme.OFFSET, FAM, config)
+        assert stepped.iterations == 1
+        np.testing.assert_array_equal(stepped.trace_beta[0], start)
+        assert np.max(np.abs(stepped.beta_hat - result.beta_hat)) < 1e-12
 
     def test_intercept_only_reaches_closed_form(self):
         pf = random_portfolio(22, q=0)
@@ -152,12 +158,13 @@ class TestFit:
             Portfolio.from_arrays(np.full(8, 0.5), np.ones(8), np.column_stack([x, x]))
 
     def test_step_halving_never_lowers_objective(self):
+        # halving is always on: the default start and the far start from zero
         pf = random_portfolio(28)
-        config = FitConfig(init="zeros", step_halving=True)
-        result = fit(pf, WeightScheme.OFFSET, FAM, config)
-        assert result.converged
-        diffs = np.diff(result.trace_objective)
-        assert np.all(diffs >= -1e-9)
+        for config in (FitConfig(), FitConfig(init="zeros")):
+            result = fit(pf, WeightScheme.OFFSET, FAM, config)
+            assert result.converged
+            diffs = np.diff(result.trace_objective)
+            assert np.all(diffs >= -1e-9)
 
     def test_poisson_limit_proximity(self):
         # near p = 1 the two weightings almost coincide, so the fits do too
@@ -167,6 +174,55 @@ class TestFit:
         beta_o = fit(pf, WeightScheme.OFFSET, fam, config).beta_hat
         beta_r = fit(pf, WeightScheme.RATIO, fam, config).beta_hat
         assert np.max(np.abs(beta_o - beta_r)) < 1e-4
+
+
+def sparse_book(seed, n, scale):
+    """Exposures U(0.05, 1), two binary covariates, 90 % zero losses, gamma severities times ``scale``."""
+    rng = np.random.default_rng(seed)
+    t = rng.uniform(0.05, 1.0, n)
+    x = (rng.random((n, 2)) < 0.4).astype(float)
+    y = np.where(rng.random(n) < 0.9, 0.0, rng.gamma(1.5, 1.0, n)) * scale
+    return t, y, x
+
+
+# An absolute tolerance no score can meet: the scale-free floor rule alone stops.
+FLOOR_ONLY = FitConfig(tolerance=1e-300)
+
+
+class TestStoppingRule:
+    """The score's rounding floor stops the fit at any loss scale."""
+
+    def test_large_losses_converge_in_a_few_iterations(self):
+        # At this scale the score's rounding noise exceeds the absolute 1e-8,
+        # so that rule alone runs both fits to the budget.
+        pf = Portfolio.from_arrays(*sparse_book(0, 5000, 1e9))
+        for scheme in WeightScheme:
+            result = fit(pf, scheme, FAM)
+            assert result.converged
+            assert result.iterations <= 12
+
+    def test_loss_scale_moves_only_the_intercept(self):
+        t, y, x = sparse_book(1, 400, 1.0)
+        for scheme in WeightScheme:
+            base = fit(Portfolio.from_arrays(t, y, x), scheme, FAM, FLOOR_ONLY)
+            assert base.converged
+            for c in (1e-4, 1e5):
+                scaled = fit(Portfolio.from_arrays(t, c * y, x), scheme, FAM, FLOOR_ONLY)
+                assert scaled.converged
+                assert abs(scaled.iterations - base.iterations) <= 1
+                assert scaled.beta_hat[0] - math.log(c) == pytest.approx(base.beta_hat[0], abs=1e-12)
+                np.testing.assert_allclose(scaled.beta_hat[1:], base.beta_hat[1:], rtol=0, atol=1e-12)
+
+    def test_zero_start_reaches_the_optimum(self):
+        # the full first step from zero overshoots the intercept to ~194, where
+        # the next information matrix is singular; halving keeps every step uphill
+        pf = Portfolio.from_arrays(*sparse_book(0, 200, 1e3))
+        for scheme in WeightScheme:
+            result = fit(pf, scheme, FAM, FitConfig(init="zeros"))
+            assert result.converged
+            assert np.all(np.diff(result.trace_objective) >= -1e-9)
+            reference = fit(pf, scheme, FAM).beta_hat
+            assert np.max(np.abs(result.beta_hat - reference)) < 1e-8
 
 
 class TestGridOracle:
