@@ -7,7 +7,10 @@ claim counts (about three quarters zeros, mixed exposures) pins
 ``counts.json``.  Every loss-cost digest was recorded before the data
 path became columnar, the counts digest before the Poisson solve and the
 zero-inflated likelihood were merged across modes; a refactor that
-changes one byte of any artifact fails here.
+changes one byte of any artifact fails here.  The simulate digests were
+re-recorded once the fit stopped at the score's rounding floor: both
+fits stop earlier (10 iterations, not 45 and 12), coefficients move by
+at most 1.2e-14 and the gap totals by at most 3.2e-12 relative.
 
 Fitted values depend on how the BLAS and LAPACK kernels that numpy and
 scipy load round their sums, which varies with the CPU, the library build
@@ -41,8 +44,8 @@ PINNED = {
         "gaps.csv": "0f72ea4382cc492821eb30e547c537289012eee11ea7015dc87b0fc26c23677f",
     },
     "simulate": {
-        "gap_experiment.csv": "6852966cdf2ad99a61d7b8e0c9ce378831e5b4ad671a6bbc2856c57ec83cdf19",
-        "gap_totals.json": "0b8d52d10ad4311759a594fe9a770cfcd61137972317d412585aafa6e5e9aedd",
+        "gap_experiment.csv": "5f876774c5e11181e68b1bf8e32fbb819e23b52640ac2faf88cc337d48088d9c",
+        "gap_totals.json": "93b59205060f971a3959d70739e93e756f17c55602c82a56e0625442d9fb999b",
     },
     "counts": {
         "counts.json": "f7df9e775fd198cdb212d2a5f94f8f474c9172de85a8f2d7a97a0ad2e4213e14",
