@@ -530,7 +530,10 @@ def build_parser():
     counts = sub.add_parser("counts", help="Poisson equivalence and zero-inflation evidence")
     counts.add_argument("--input", required=True, type=Path, help="claim-count CSV")
     counts.add_argument("--out", required=True, type=Path, help="output directory")
-    counts.add_argument("--tol", dest="tolerance", type=float, default=1e-10, help="score tolerance, or 4x the score's rounding floor")
+    counts.add_argument(
+        "--tol", dest="tolerance", type=float, default=1e-10,
+        help="sup-norm score tolerance; the fit also stops at 4x the score's rounding floor",
+    )
     counts.add_argument(
         "--zero-inflation", type=float, default=0.3,
         help="zero-inflation mass used for the non-equivalence probe",

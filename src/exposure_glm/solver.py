@@ -10,9 +10,9 @@ The floor scales with the losses and the portfolio size as ``g``
 does, so the second rule stops at the same iterate at any loss scale.
 Every step is monotone, as in R's ``glm2`` (Marschner 2011): it is
 halved, at most 30 times, while the quasi-log-likelihood would fall by
-more than its rounding, ``64 * eps * |objective|``.  Intercept-only portfolios
-admit closed-form maximum-likelihood estimates (weighted means of the
-annualized losses) which also seed the IRLS iteration.  The same loop
+more than its rounding, ``64 * eps * |objective|``.  Intercept-only
+portfolios admit closed-form maximum-likelihood estimates (weighted
+means of the annualized losses) which also seed the IRLS iteration.  The same loop
 fits the Poisson claim-count companion as the ``p = 1`` case.
 """
 
@@ -66,8 +66,8 @@ class FitConfig:
     the number of updates.  ``init`` is ``"homogeneous"`` (log of the
     intercept-only closed-form estimate, remaining coordinates zero),
     ``"zeros"``, or an explicit coefficient vector used as-is.  Every
-    update is halved while it would lower the quasi-log-likelihood by
-    more than its rounding, so the objective never falls.
+    update is halved, at most 30 times, while it would lower the
+    quasi-log-likelihood by more than its rounding.
     """
 
     tolerance: float = 1e-8
@@ -138,14 +138,11 @@ def _irls(design, z, w, p, objective, beta, config: FitConfig):
     """Fisher scoring for the weighted Tweedie fit on ``z`` with weights ``w``.
 
     Starts from ``beta`` and solves ``(X.T D X) delta = X.T D R`` once
-    per iteration until the score ``g = X.T D R`` is done or the budget
-    runs out.  The score is done when its sup-norm drops below
-    ``config.tolerance`` or when every ``|g_j|`` is within
-    ``_FLOOR_MULTIPLE`` times its rounding floor
-    ``eps * max_i |x_ij| * sum_i d_i (q_i + 1)``, below which no update
-    can make it smaller.  A step that lowers ``objective`` by more than
-    ``_OBJECTIVE_SLACK * |objective|`` (or makes it non-finite) is
-    halved, up to ``_MAX_HALVINGS`` times.  Returns ``(beta, factor,
+    per iteration until the score meets ``config.tolerance`` or its
+    rounding floor (see the module docstring) or the budget runs out.
+    A step that lowers ``objective`` by more than
+    ``_OBJECTIVE_SLACK * |objective|``, or makes it non-finite, is
+    halved up to ``_MAX_HALVINGS`` times.  Returns ``(beta, factor,
     converged, gradient_norm, trace_beta, trace_objective)`` with
     ``factor`` the Cholesky factor of ``X.T D X`` at the returned
     ``beta``.
