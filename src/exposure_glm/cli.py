@@ -390,15 +390,13 @@ def cmd_compare(args):
         [["intercept", *portfolio.covariate_names], beta_offset, beta_ratio, coeff_ratios],
     )
 
-    zeta_offset = np.exp(portfolio.design @ beta_offset)
-    zeta_ratio = np.exp(portfolio.design @ beta_ratio)
+    gaps_offset, gaps_ratio = _write_balance_tables(args.out, portfolio, result_offset, result_ratio)
+    premium_ratios = gaps_offset.fitted_zeta / gaps_ratio.fitted_zeta
     _write_csv(
         args.out / "premium_ratios.csv",
         ["quantile", "ratio"],
-        [_QUANTILES, np.quantile(zeta_offset / zeta_ratio, _QUANTILES)],
+        [_QUANTILES, np.quantile(premium_ratios, _QUANTILES)],
     )
-
-    _write_balance_tables(args.out, portfolio, result_offset, result_ratio)
 
 
 def cmd_balance(args):

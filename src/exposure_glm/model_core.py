@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "WeightScheme",
@@ -59,9 +58,9 @@ class RankDeficiencyError(ValueError):
 class SingularInformationError(RuntimeError):
     """A symmetric positive-definite factorization failed.
 
-    On a validated portfolio this signals numerical degeneracy (for
-    example overflow of the weight matrix at an extreme coefficient
-    vector) rather than a modelling error.
+    On a validated portfolio this signals numerical degeneracy (under- or
+    overflow of the weight matrix at an extreme coefficient vector, so a
+    singular or a non-finite matrix) rather than a modelling error.
     """
 
 
@@ -308,28 +307,28 @@ def _normal_equations(beta, design, z, w, p):
 
 
 def _cho_factor(info):
-    """Cholesky factor of an information matrix ``X.T @ D @ X``.
+    """Lower Cholesky factor of an information matrix ``X.T @ D @ X``.
 
-    Raises SingularInformationError when the matrix is not numerically
-    positive definite, which on a full-rank design means the weights
-    ``D`` over- or underflowed.
+    Raises SingularInformationError when the matrix is not finite (which
+    ``np.linalg.cholesky`` does not check) or not numerically positive
+    definite: on a full-rank design, the weights ``D`` over- or underflowed.
     """
+    if not np.isfinite(info).all():
+        raise SingularInformationError("weighted information matrix is not finite")
     try:
-        return scipy.linalg.cho_factor(info)
-    except (scipy.linalg.LinAlgError, ValueError) as exc:
-        raise SingularInformationError(
-            "weighted information matrix is not positive definite"
-        ) from exc
+        return np.linalg.cholesky(info)
+    except np.linalg.LinAlgError as exc:
+        raise SingularInformationError("weighted information matrix is not positive definite") from exc
 
 
 def _cho_solve(factor, rhs):
-    """Solve ``(X.T @ D @ X) @ x = rhs`` given the matrix's Cholesky factor."""
-    return scipy.linalg.cho_solve(factor, rhs)
+    """Solve ``(X.T @ D @ X) @ x = rhs`` given the matrix's lower Cholesky factor."""
+    return np.linalg.solve(factor.T, np.linalg.solve(factor, rhs))
 
 
 def _covariance(factor, phi):
     """Coefficient covariance ``phi * (X.T @ D @ X)**-1`` from its Cholesky factor."""
-    cov = phi * _cho_solve(factor, np.eye(factor[0].shape[0]))
+    cov = phi * _cho_solve(factor, np.eye(len(factor)))
     return 0.5 * (cov + cov.T)
 
 

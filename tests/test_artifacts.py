@@ -12,12 +12,13 @@ re-recorded once the fit stopped at the score's rounding floor: both
 fits stop earlier (10 iterations, not 45 and 12), coefficients move by
 at most 1.2e-14 and the gap totals by at most 3.2e-12 relative.
 
-Fitted values depend on how the BLAS and LAPACK kernels that numpy and
-scipy load round their sums, which varies with the CPU, the library build
-and the thread count.  The pins of fitted artifacts therefore apply only
-where a probe of the same kernels, on fixed data of the fitted shapes,
-reproduces the digest recorded with them (numpy 2.4, scipy OpenBLAS,
-x86-64, 2 threads); elsewhere they skip.  The portfolio round trip uses
+Fitted values depend on how the BLAS and LAPACK kernels that numpy loads
+round their sums, which varies with the CPU, the library build and the
+thread count.  The pins of fitted artifacts therefore apply only where a
+probe of numpy's kernels that the fit calls (products, Cholesky factor,
+solves), on fixed data of the fitted shapes, reproduces the digest
+recorded with them (numpy 2.4 with its bundled OpenBLAS, x86-64,
+2 threads); elsewhere they skip.  The portfolio round trip uses
 no BLAS and is pinned everywhere.
 """
 
@@ -26,7 +27,6 @@ import hashlib
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from exposure_glm.cli import ingest_csv, main, write_portfolio_csv
 
@@ -57,7 +57,7 @@ PINNED = {
 
 
 # sha256 of ``blas_probe()`` where the PINNED digests were recorded
-BLAS_PROBE = "39d45b4be9ada5f12ac0caf8a61c93b3ad35ec13e14b3b9d49cc671287a5146d"
+BLAS_PROBE = "1e1c84d03f332aef19bb514434865010cdf4e2f585402ac16bec7264ee658b83"
 
 
 def blas_probe():
@@ -68,8 +68,9 @@ def blas_probe():
         X = np.column_stack([np.ones(n), rng.random(n), rng.random(n)])
         d, r, beta = rng.random(n), rng.standard_normal(n), rng.standard_normal(3)
         info = (X * d[:, None]).T @ X
-        factor = scipy.linalg.cho_factor(info)
-        for array in (X @ beta, info, X.T @ (d * r), scipy.linalg.cho_solve(factor, np.eye(3))):
+        factor = np.linalg.cholesky(info)
+        inverse = np.linalg.solve(factor.T, np.linalg.solve(factor, np.eye(3)))
+        for array in (X @ beta, info, X.T @ (d * r), inverse):
             digest.update(np.ascontiguousarray(array).tobytes())
     return digest.hexdigest()
 

@@ -190,24 +190,26 @@ class TestCoefficientCovariance:
         )
 
 
-# at this coefficient vector exp(-s) in the residual overflows as D underflows
+# at -2000 exp(-s) in the residual overflows as D underflows to 0; at +2000
+# D overflows to inf and X.T @ D @ X is not finite
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize(
+    "beta", [np.array([-2000.0, 0.0, 0.0]), np.array([2000.0, 0.0, 0.0])], ids=["underflow", "overflow"]
+)
 class TestSingularInformation:
-    """Every factorization of ``X.T @ D @ X`` reports underflow of ``D`` the same way."""
+    """Every factorization of ``X.T @ D @ X`` reports under- or overflow of ``D`` the same way."""
 
-    BETA = np.array([-2000.0, 0.0, 0.0])  # exp((2 - p) * -2000) underflows to 0
-
-    def test_coefficient_covariance_raises(self):
+    def test_coefficient_covariance_raises(self, beta):
         pf = random_portfolio(5)
         for scheme in WeightScheme:
             with pytest.raises(SingularInformationError):
-                coefficient_covariance(pf, self.BETA, scheme, FAM)
+                coefficient_covariance(pf, beta, scheme, FAM)
 
-    def test_covariance_dominance_raises(self):
+    def test_covariance_dominance_raises(self, beta):
         with pytest.raises(SingularInformationError):
-            covariance_dominance(random_portfolio(5), self.BETA, FAM)
+            covariance_dominance(random_portfolio(5), beta, FAM)
 
-    def test_fit_raises_from_its_start(self):
+    def test_fit_raises_from_its_start(self, beta):
         with pytest.raises(SingularInformationError):
-            fit(random_portfolio(5), WeightScheme.RATIO, FAM, FitConfig(init=self.BETA))
+            fit(random_portfolio(5), WeightScheme.RATIO, FAM, FitConfig(init=beta))

@@ -1,8 +1,12 @@
-"""Exported names resolve, and the benchmark's tracer can hook the live package."""
+"""Exported names resolve, numpy is the only runtime dependency, and the
+benchmark's tracer can hook the live package."""
 
 import csv
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -30,6 +34,20 @@ def test_every_exported_name_resolves(module):
     missing = [name for name in mod.__all__ if not hasattr(mod, name)]
     assert not missing, f"{module}.__all__ names undefined attributes: {missing}"
     assert len(set(mod.__all__)) == len(mod.__all__)
+
+
+def test_import_loads_numpy_as_the_only_dependency():
+    # a fresh interpreter shows every package that importing the library
+    # and its CLI pulls in beyond the standard library
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys; before = set(sys.modules); import exposure_glm, exposure_glm.cli; "
+        "print(sorted({m.partition('.')[0] for m in set(sys.modules) - before} "
+        "- set(sys.stdlib_module_names)))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "['exposure_glm', 'numpy']"
 
 
 def _load_perfbench(name):
