@@ -11,6 +11,11 @@ changes one byte of any artifact fails here.  The simulate digests were
 re-recorded once the fit stopped at the score's rounding floor: both
 fits stop earlier (10 iterations, not 45 and 12), coefficients move by
 at most 1.2e-14 and the gap totals by at most 3.2e-12 relative.
+The compare ``fit.json`` and ``coeff_ratios.csv`` and both simulate
+digests were re-recorded once more when the Cholesky factor and solve
+moved to ``numpy.linalg``: iteration counts are unchanged,
+coefficients move by at most 2.8e-15 and covariances by at most 6.2e-15
+relative; every other digest held.
 
 Fitted values depend on how the BLAS and LAPACK kernels that numpy loads
 round their sums, which varies with the CPU, the library build and the
@@ -33,8 +38,8 @@ from exposure_glm.cli import ingest_csv, main, write_portfolio_csv
 PINNED = {
     "compare": {
         "class_balance.csv": "b25ec2e84add935246ab807fbdf41b4d005f3f22f9b6fe1d5b6d9454878caed6",
-        "coeff_ratios.csv": "986f6e339709aa8b6af8463491f496f7ebef87577b240c7017cc50a8944dfc07",
-        "fit.json": "fd2791eee31e348eae976acd3603f4523cff0535eede0734ed850e799e022a15",
+        "coeff_ratios.csv": "8800d718a99f12efc7f1d1fdd5244946ad1a20f541743517188f58a027a6b166",
+        "fit.json": "b0131be7fad2ea2819664eb5f21c93da5a10c8125f9b36311e75a6d3d7f4691f",
         "gaps.csv": "0f72ea4382cc492821eb30e547c537289012eee11ea7015dc87b0fc26c23677f",
         "premium_ratios.csv": "969c78b5a59af5f41093a82d519fa41a8bfb43f6e65b7e6f879d89f6ddd900b3",
     },
@@ -44,8 +49,8 @@ PINNED = {
         "gaps.csv": "0f72ea4382cc492821eb30e547c537289012eee11ea7015dc87b0fc26c23677f",
     },
     "simulate": {
-        "gap_experiment.csv": "5f876774c5e11181e68b1bf8e32fbb819e23b52640ac2faf88cc337d48088d9c",
-        "gap_totals.json": "93b59205060f971a3959d70739e93e756f17c55602c82a56e0625442d9fb999b",
+        "gap_experiment.csv": "dd993362df13f61b5d6c42384ab8520b3146b15acd418e75dd70ca1cafee5308",
+        "gap_totals.json": "3a43566518614b515a90ae09dbfc99144340c78a28a18886464ace0d5c8d87f2",
     },
     "counts": {
         "counts.json": "f7df9e775fd198cdb212d2a5f94f8f474c9172de85a8f2d7a97a0ad2e4213e14",
