@@ -391,11 +391,10 @@ def cmd_compare(args):
     )
 
     gaps_offset, gaps_ratio = _write_balance_tables(args.out, portfolio, result_offset, result_ratio)
-    premium_ratios = gaps_offset.fitted_zeta / gaps_ratio.fitted_zeta
     _write_csv(
         args.out / "premium_ratios.csv",
         ["quantile", "ratio"],
-        [_QUANTILES, np.quantile(premium_ratios, _QUANTILES)],
+        [_QUANTILES, np.quantile(gaps_offset.fitted_zeta / gaps_ratio.fitted_zeta, _QUANTILES)],
     )
 
 
