@@ -340,41 +340,6 @@ def cmd_fit(args):
     _write_fit_json(args.out, args, portfolio, results)
 
 
-def _write_balance_tables(out, portfolio, result_offset, result_ratio):
-    """Write ``gaps.csv`` and ``class_balance.csv``; return both fits' gaps."""
-    gaps_offset = individual_gaps(portfolio, result_offset)
-    gaps_ratio = individual_gaps(portfolio, result_ratio)
-    _write_csv(
-        out / "gaps.csv",
-        ["contract_id", "exposure", "z", "zeta_offset", "zeta_ratio", "gap_offset", "gap_ratio"],
-        [
-            gaps_offset.contract_ids,
-            gaps_offset.exposure,
-            gaps_offset.observed_z,
-            gaps_offset.fitted_zeta,
-            gaps_ratio.fitted_zeta,
-            gaps_offset.gap,
-            gaps_ratio.gap,
-        ],
-    )
-    factor_indices = range(1, portfolio.q + 1) if portfolio.q else [0]
-    reports = [class_report(portfolio, (result_offset, result_ratio), j) for j in factor_indices]
-    ratios = np.concatenate([report.ratios for report in reports], axis=1)
-    _write_csv(
-        out / "class_balance.csv",
-        ["factor", "level", "loss_sum", "premium_sum_offset", "premium_sum_ratio", "ratio_offset", "ratio_ratio"],
-        [
-            [report.factor_name for report in reports for _ in range(len(report))],
-            np.concatenate([report.levels for report in reports]),
-            np.concatenate([report.loss_sums for report in reports]),
-            *np.concatenate([report.premium_sums for report in reports], axis=1),
-            # an undefined ratio (a level without losses) is an empty cell
-            *np.where(np.isnan(ratios), None, ratios),
-        ],
-    )
-    return gaps_offset, gaps_ratio
-
-
 def cmd_compare(args):
     portfolio, results = _fit_schemes(args, _SCHEMES["both"])
     result_offset = results[WeightScheme.OFFSET]
@@ -390,19 +355,41 @@ def cmd_compare(args):
         [["intercept", *portfolio.covariate_names], beta_offset, beta_ratio, coeff_ratios],
     )
 
-    gaps_offset, gaps_ratio = _write_balance_tables(args.out, portfolio, result_offset, result_ratio)
+    gaps_offset = individual_gaps(portfolio, result_offset)
+    gaps_ratio = individual_gaps(portfolio, result_ratio)
+    _write_csv(
+        args.out / "gaps.csv",
+        ["contract_id", "exposure", "z", "zeta_offset", "zeta_ratio", "gap_offset", "gap_ratio"],
+        [
+            gaps_offset.contract_ids,
+            gaps_offset.exposure,
+            gaps_offset.observed_z,
+            gaps_offset.fitted_zeta,
+            gaps_ratio.fitted_zeta,
+            gaps_offset.gap,
+            gaps_ratio.gap,
+        ],
+    )
+    factor_indices = range(1, portfolio.q + 1) if portfolio.q else [0]
+    reports = [class_report(portfolio, (result_offset, result_ratio), j) for j in factor_indices]
+    ratios = np.concatenate([report.ratios for report in reports], axis=1)
+    _write_csv(
+        args.out / "class_balance.csv",
+        ["factor", "level", "loss_sum", "premium_sum_offset", "premium_sum_ratio", "ratio_offset", "ratio_ratio"],
+        [
+            [report.factor_name for report in reports for _ in range(len(report))],
+            np.concatenate([report.levels for report in reports]),
+            np.concatenate([report.loss_sums for report in reports]),
+            *np.concatenate([report.premium_sums for report in reports], axis=1),
+            # an undefined ratio (a level without losses) is an empty cell
+            *np.where(np.isnan(ratios), None, ratios),
+        ],
+    )
     _write_csv(
         args.out / "premium_ratios.csv",
         ["quantile", "ratio"],
         [_QUANTILES, np.quantile(gaps_offset.fitted_zeta / gaps_ratio.fitted_zeta, _QUANTILES)],
     )
-
-
-def cmd_balance(args):
-    portfolio, results = _fit_schemes(args, _SCHEMES["both"])
-    result_offset = results[WeightScheme.OFFSET]
-    result_ratio = results[WeightScheme.RATIO]
-    gaps_offset, gaps_ratio = _write_balance_tables(args.out, portfolio, result_offset, result_ratio)
     _write_json(
         args.out / "balance.json",
         {
@@ -472,7 +459,8 @@ def cmd_counts(args):
 _COMMANDS = {
     "fit": cmd_fit,
     "compare": cmd_compare,
-    "balance": cmd_balance,
+    # ``balance`` is an alias of ``compare``; argparse reports the name typed
+    "balance": cmd_compare,
     "simulate": cmd_simulate,
     "counts": cmd_counts,
 }
@@ -500,10 +488,9 @@ def build_parser():
 
     for name, help_text in (
         ("fit", "fit one or both schemes and write fit.json"),
-        ("compare", "fit both schemes and write comparison tables"),
-        ("balance", "fit both schemes and write balance diagnostics"),
+        ("compare", "fit both schemes and write comparison and balance tables"),
     ):
-        cmd = sub.add_parser(name, help=help_text)
+        cmd = sub.add_parser(name, aliases=["balance"] if name == "compare" else [], help=help_text)
         cmd.add_argument("--input", required=True, type=Path, help="portfolio CSV")
         cmd.add_argument("--out", required=True, type=Path, help="output directory")
         if name == "fit":

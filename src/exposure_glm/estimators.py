@@ -25,8 +25,8 @@ from .model_core import (
     _check_beta,
     _cho_factor,
     _covariance,
-    _normal_equations,
     _scheme_weights,
+    _scoring_pass,
 )
 
 __all__ = [
@@ -128,7 +128,7 @@ def coefficient_covariance(portfolio: Portfolio, beta, scheme: WeightScheme, fam
     """
     beta = _check_beta(beta, portfolio)
     w = _scheme_weights(WeightScheme(scheme), portfolio.exposures, family.p)
-    info, _ = _normal_equations(beta, portfolio.design, portfolio.normalized, w, family.p)
+    info, _, _ = _scoring_pass(beta, portfolio.design, portfolio.normalized, w, family.p)
     return _covariance(_cho_factor(info), family.phi)
 
 

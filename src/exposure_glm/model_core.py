@@ -301,11 +301,6 @@ def _scoring_pass(beta, design, z, w, p):
     return info, design.T @ (d * (q - 1.0)), mass
 
 
-def _normal_equations(beta, design, z, w, p):
-    """Dispersion-free ``(X.T @ D @ X, X.T @ D @ R)``; see ``_scoring_pass``."""
-    return _scoring_pass(beta, design, z, w, p)[:2]
-
-
 def _cho_factor(info):
     """Lower Cholesky factor of an information matrix ``X.T @ D @ X``.
 

@@ -26,7 +26,7 @@ from exposure_glm import (
 )
 from exposure_glm.claim_count import poisson_fit
 from exposure_glm.cli import main, write_portfolio_csv
-from exposure_glm.model_core import _normal_equations, _scheme_weights
+from exposure_glm.model_core import _scheme_weights, _scoring_pass
 from exposure_glm.simulate import (
     Scenario,
     ScenarioConfig,
@@ -225,7 +225,7 @@ def test_criterion_07_gradient_and_fixed_points():
         for scheme in WeightScheme:
             beta = rng.normal(0.0, 0.4, 3)
             w = _scheme_weights(scheme, pf.exposures, fam.p)
-            analytic = _normal_equations(beta, pf.design, pf.normalized, w, fam.p)[1] / fam.phi
+            analytic = _scoring_pass(beta, pf.design, pf.normalized, w, fam.p)[1] / fam.phi
             numeric = finite_diff_gradient(lambda b: quasi_loglik(b, pf, scheme, fam), beta)
             rel = float(np.max(np.abs(analytic - numeric))) / max(1.0, float(np.max(np.abs(analytic))))
             worst_rel = max(worst_rel, rel)
@@ -322,7 +322,9 @@ def test_criterion_10_cli_determinism(tmp_path):
     src = tmp_path / "book.csv"
     write_portfolio_csv(synthetic.portfolio, src)
 
-    compare_outputs = ("fit.json", "coeff_ratios.csv", "premium_ratios.csv", "gaps.csv", "class_balance.csv")
+    compare_outputs = (
+        "fit.json", "coeff_ratios.csv", "premium_ratios.csv", "gaps.csv", "class_balance.csv", "balance.json",
+    )
     out_a, out_b = tmp_path / "cmp_a", tmp_path / "cmp_b"
     assert main(["compare", "--input", str(src), "--out", str(out_a)]) == 0
     assert main(["compare", "--input", str(src), "--out", str(out_b)]) == 0

@@ -11,7 +11,9 @@ from exposure_glm.simulate import gen_mimic_portfolio
 
 pytest.importorskip("pytest_benchmark")
 
-ARTIFACTS = ("fit.json", "coeff_ratios.csv", "premium_ratios.csv", "gaps.csv", "class_balance.csv")
+ARTIFACTS = (
+    "fit.json", "coeff_ratios.csv", "premium_ratios.csv", "gaps.csv", "class_balance.csv", "balance.json",
+)
 
 
 def test_compare_ten_thousand_contracts(benchmark, tmp_path):

@@ -297,6 +297,45 @@ class TestCompareCommand:
         assert fit_payload["schema_version"] == 1
         assert set(fit_payload["schemes"]) == {"offset", "ratio"}
 
+    def test_balance_json(self, tmp_path):
+        synthetic = gen_mimic_portfolio(0.36, 80, seed=7)
+        src = tmp_path / "in.csv"
+        write_portfolio_csv(synthetic.portfolio, src)
+        out = tmp_path / "out"
+        assert main(["compare", "--input", str(src), "--out", str(out)]) == 0
+        payload = json.loads((out / "balance.json").read_text())
+        assert abs(payload["balance_factor_ratio"] - 1.0) < 0.2
+        assert (out / "gaps.csv").exists() and (out / "class_balance.csv").exists()
+
+    def test_levels_grouped_once(self, tmp_path, monkeypatch):
+        # one grouping per covariate serves both fits
+        calls = []
+
+        def class_report(portfolio, fits, factor_index, report=cli.class_report):
+            calls.append(factor_index)
+            return report(portfolio, fits, factor_index)
+
+        monkeypatch.setattr(cli, "class_report", class_report)
+        synthetic = gen_mimic_portfolio(0.36, 80, seed=7)
+        src = tmp_path / "in.csv"
+        write_portfolio_csv(synthetic.portfolio, src)
+        assert main(["compare", "--input", str(src), "--out", str(tmp_path / "out")]) == 0
+        assert calls == list(range(1, synthetic.portfolio.q + 1))
+
+    def test_balance_is_another_name_for_compare(self, tmp_path):
+        src = tmp_path / "in.csv"
+        write_portfolio_csv(gen_mimic_portfolio(0.4, 60, seed=2).portfolio, src)
+        outputs = {}
+        for command in ("compare", "balance"):
+            out = tmp_path / command
+            assert main([command, "--input", str(src), "--out", str(out)]) == 0
+            outputs[command] = {path.name: path.read_bytes() for path in out.iterdir()}
+        assert outputs["balance"] == outputs["compare"]
+        assert sorted(outputs["compare"]) == [
+            "balance.json", "class_balance.csv", "coeff_ratios.csv", "fit.json", "gaps.csv",
+            "premium_ratios.csv",
+        ]
+
 
 class TestFitCommand:
     def test_single_scheme(self, tmp_path):
@@ -337,33 +376,6 @@ class TestSimulateCommand:
         main(["simulate", "--n", "30", "--seed", "1", "--out", str(out1)])
         main(["simulate", "--n", "30", "--seed", "2", "--out", str(out2)])
         assert (out1 / "gap_experiment.csv").read_bytes() != (out2 / "gap_experiment.csv").read_bytes()
-
-
-class TestBalanceCommand:
-    def test_balance_json(self, tmp_path):
-        synthetic = gen_mimic_portfolio(0.36, 80, seed=7)
-        src = tmp_path / "in.csv"
-        write_portfolio_csv(synthetic.portfolio, src)
-        out = tmp_path / "out"
-        assert main(["balance", "--input", str(src), "--out", str(out)]) == 0
-        payload = json.loads((out / "balance.json").read_text())
-        assert abs(payload["balance_factor_ratio"] - 1.0) < 0.2
-        assert (out / "gaps.csv").exists() and (out / "class_balance.csv").exists()
-
-    def test_levels_grouped_once(self, tmp_path, monkeypatch):
-        # one grouping per covariate serves both fits
-        calls = []
-
-        def class_report(portfolio, fits, factor_index, report=cli.class_report):
-            calls.append(factor_index)
-            return report(portfolio, fits, factor_index)
-
-        monkeypatch.setattr(cli, "class_report", class_report)
-        synthetic = gen_mimic_portfolio(0.36, 80, seed=7)
-        src = tmp_path / "in.csv"
-        write_portfolio_csv(synthetic.portfolio, src)
-        assert main(["balance", "--input", str(src), "--out", str(tmp_path / "out")]) == 0
-        assert calls == list(range(1, synthetic.portfolio.q + 1))
 
 
 def _counts_file(tmp_path):
