@@ -116,13 +116,8 @@ def poisson_fit(data: CountData, mode: str, tolerance: float = 1e-10):
     X, t, z = data.design, data.exposures, data.normalized
     start = np.zeros(data.q + 1)
     start[0] = math.log(total / t.sum())
-
-    def objective(beta):
-        s = X @ beta
-        return float(np.sum(t * (z * s - np.exp(s))))
-
     config = FitConfig(tolerance=tolerance, max_iterations=_POISSON_MAX_ITERATIONS)
-    beta, _, converged, *_ = _irls(X, z, t, 1.0, objective, start, config)
+    beta, _, converged, *_ = _irls(X, z, t, 1.0, start, config)
     if not converged:
         raise RuntimeError(f"Poisson {mode} fit did not converge in {_POISSON_MAX_ITERATIONS} iterations")
     return beta

@@ -128,7 +128,7 @@ def coefficient_covariance(portfolio: Portfolio, beta, scheme: WeightScheme, fam
     """
     beta = _check_beta(beta, portfolio)
     w = _scheme_weights(WeightScheme(scheme), portfolio.exposures, family.p)
-    info, _, _ = _scoring_pass(beta, portfolio.design, portfolio.normalized, w, family.p)
+    info = _scoring_pass(beta, portfolio.design, portfolio.normalized, w, family.p)[0]
     return _covariance(_cho_factor(info), family.phi)
 
 

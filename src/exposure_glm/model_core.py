@@ -1,4 +1,4 @@
-"""Tweedie quasi-likelihood kernels shared by the offset and ratio fits.
+"""Tweedie quasi-likelihood kernel shared by the offset and ratio fits.
 
 Both treatments of partial-year exposure regress the annualized loss cost
 ``z = y / t`` on the same log-linear score.  They differ in exactly one
@@ -7,8 +7,8 @@ place: the per-contract weight attached to the quasi-likelihood,
 * offset treatment: ``w = t ** (2 - p)``
 * ratio treatment:  ``w = t``
 
-Everything downstream (gradient, Fisher information, IRLS updates) is
-driven by the diagonal weight matrix
+Everything downstream (objective, gradient, Fisher information, IRLS
+updates) is driven by the diagonal weight matrix
 
     D = diag(w_i * exp((2 - p) * x_i @ beta)),
 
@@ -282,23 +282,32 @@ def _scheme_weights(scheme, exposures, p):
 
 
 def _scoring_pass(beta, design, z, w, p):
-    """``(X.T @ D @ X, X.T @ D @ R, sum(D * (Q + 1)))`` of the weighted Tweedie fit.
+    """``(X.T @ D @ X, X.T @ D @ R, sum(D * (Q + 1)), objective)`` of the weighted Tweedie fit.
 
     With ``s = X @ beta``, ``D = diag(w * exp((2 - p) * s))``,
-    ``Q = z * exp(-s)`` and ``R = Q - 1``.  The quasi-log-likelihood has
-    score ``X.T @ D @ R / phi`` and Fisher information
-    ``X.T @ D @ X / phi``.  At ``p = 1`` with ``w = t`` the score is the
-    Poisson score ``X.T @ (t * (z - exp(s)))`` and ``D`` its curvature.
+    ``Q = z * exp(-s)`` and ``R = Q - 1``.  Since ``d_i * q_i`` is
+    ``w_i * z_i * zeta_i**(1-p)``, the quasi-log-likelihood is the objective
+    ``sum(D * Q) / (1 - p) - sum(D) / (2 - p)`` over ``phi``, with score
+    ``X.T @ D @ R / phi`` and Fisher information ``X.T @ D @ X / phi``.
+    At ``p = 1`` with ``w = t`` the objective is the Poisson log-likelihood
+    ``sum(t * (z * s - exp(s)))``, the score ``X.T @ (t * (z - exp(s)))``.
     The third value bounds what rounds in each score component: every
     term ``d_i * r_i`` and its two parts are at most ``d_i * (q_i + 1)``.
+    Overflow is not warned about: a non-finite objective halves the
+    solver's step, a non-finite ``X.T @ D @ X`` fails in ``_cho_factor``.
     """
-    s = design @ beta
-    d = w * np.exp((2.0 - p) * s)
-    q = z * np.exp(-s)
-    mass = float(np.dot(d, q) + d.sum())
-    info = (design * d[:, None]).T @ design
-    info = 0.5 * (info + info.T)
-    return info, design.T @ (d * (q - 1.0)), mass
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = design @ beta
+        d = w * np.exp((2.0 - p) * s)
+        q = z * np.exp(-s)
+        mass = float(np.dot(d, q) + d.sum())
+        if p == 1.0:
+            objective = float((d * q * s).sum() - d.sum())
+        else:
+            objective = float((d * q).sum() / (1.0 - p) - d.sum() / (2.0 - p))
+        info = (design * d[:, None]).T @ design
+        info = 0.5 * (info + info.T)
+        return info, design.T @ (d * (q - 1.0)), mass, objective
 
 
 def _cho_factor(info):
@@ -328,7 +337,7 @@ def _covariance(factor, phi):
 
 
 def quasi_loglik(beta, portfolio: Portfolio, scheme: WeightScheme, family: TweedieFamily) -> float:
-    """Weighted Tweedie quasi-log-likelihood of ``beta`` (normalizer dropped).
+    """Weighted Tweedie quasi-log-likelihood of ``beta`` by the scoring pass (normalizer dropped).
 
     With score ``s_i = x_i @ beta``, fitted annualized mean
     ``zeta_i = exp(s_i)`` and scheme weight ``w_i``, returns
@@ -337,15 +346,9 @@ def quasi_loglik(beta, portfolio: Portfolio, scheme: WeightScheme, family: Tweed
                                  - zeta_i**(2-p) / (2-p)).
     """
     beta = _check_beta(beta, portfolio)
-    scheme = WeightScheme(scheme)
     p = family.p
-    s = portfolio.design @ beta
-    w = _scheme_weights(scheme, portfolio.exposures, p)
-    terms = w * (
-        np.exp((1.0 - p) * s) * portfolio.normalized / (1.0 - p)
-        - np.exp((2.0 - p) * s) / (2.0 - p)
-    )
-    return float(terms.sum() / family.phi)
+    w = _scheme_weights(WeightScheme(scheme), portfolio.exposures, p)
+    return _scoring_pass(beta, portfolio.design, portfolio.normalized, w, p)[3] / family.phi
 
 
 def _check_beta(beta, portfolio):

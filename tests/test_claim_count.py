@@ -14,6 +14,7 @@ from exposure_glm import (
     zip_nonequivalence_check,
     zip_score,
 )
+from exposure_glm.model_core import _scoring_pass
 from exposure_glm.verification import finite_diff_gradient, poisson_score
 
 from util import random_count_data, zip_count_data
@@ -79,6 +80,19 @@ class TestPoissonFit:
         expected = math.log(y.sum() / t.sum())
         for mode in ("offset", "ratio"):
             assert poisson_fit(data, mode)[0] == pytest.approx(expected, abs=1e-10)
+
+    def test_pass_objective_is_the_poisson_loglik(self):
+        # at p = 1 the scoring pass's objective is the Poisson log-likelihood
+        # in beta (factorials dropped), here computed directly
+        data = random_count_data(12, n=200)
+        t, z = data.exposures, data.normalized
+        rng = np.random.default_rng(13)
+        for _ in range(5):
+            beta = rng.normal(0.0, 0.5, data.q + 1)
+            s = data.design @ beta
+            expected = float(np.sum(t * (z * s - np.exp(s))))
+            objective = _scoring_pass(beta, data.design, z, t, 1.0)[3]
+            assert objective == pytest.approx(expected, rel=1e-13)
 
     def test_all_zero_counts_rejected(self):
         data = CountData.from_arrays([0.5, 1.0], [0, 0])

@@ -100,7 +100,6 @@ def test_benchmark_tracer_hooks_install_and_uninstall(tmp_path):
     names = {span[0] for span in tracer.spans}
     assert {
         "solver.fit",
-        "model_core.objective",
         "estimators.dominance",
         "estimators.covariance",
         "claim_count.build",

@@ -25,7 +25,7 @@ from util import random_portfolio, toy_portfolio
 def _system(beta, pf, scheme, fam):
     """Fisher information and score, ``(X.T D X, X.T D R) / phi``, from the kernel."""
     w = _scheme_weights(scheme, pf.exposures, fam.p)
-    info, score, _ = _scoring_pass(np.asarray(beta, float), pf.design, pf.normalized, w, fam.p)
+    info, score, *_ = _scoring_pass(np.asarray(beta, float), pf.design, pf.normalized, w, fam.p)
     return info / fam.phi, score / fam.phi
 
 

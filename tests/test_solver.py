@@ -1,6 +1,7 @@
 """Solver checks: closed forms, IRLS fixed points, convergence contracts."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,11 +15,13 @@ from exposure_glm import (
     WeightScheme,
     fit,
     homogeneous_mle,
+    poisson_fit,
     quasi_loglik,
 )
+from exposure_glm import claim_count, solver
 from exposure_glm.verification import GridSpec, grid_mle
 
-from util import random_portfolio, toy_portfolio
+from util import random_count_data, random_portfolio, toy_portfolio
 
 FAM = TweedieFamily(p=1.5)
 
@@ -152,6 +155,16 @@ class TestFit:
         with pytest.raises(AllZeroLossError):
             fit(pf, WeightScheme.RATIO, FAM)
 
+    def test_trace_objective_is_quasi_loglik(self):
+        # both are the scoring pass's objective over phi, so they agree exactly
+        pf = random_portfolio(31)
+        fam = TweedieFamily(p=1.5, phi=2.5)
+        for scheme in WeightScheme:
+            result = fit(pf, scheme, fam, FitConfig(init="zeros"))
+            assert result.iterations > 3
+            for beta, value in zip(result.trace_beta, result.trace_objective):
+                assert value == quasi_loglik(beta, pf, scheme, fam)
+
     def test_duplicate_columns_fail_at_construction(self):
         x = np.linspace(0.0, 1.0, 8)
         with pytest.raises(RankDeficiencyError):
@@ -223,6 +236,55 @@ class TestStoppingRule:
             assert np.all(np.diff(result.trace_objective) >= -1e-9)
             reference = fit(pf, scheme, FAM).beta_hat
             assert np.max(np.abs(result.beta_hat - reference)) < 1e-8
+
+
+class TestOnePassPerIterate:
+    """The scoring pass yields the objective: one pass per iterate, no other evaluation."""
+
+    def test_fits_need_no_separate_objective(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the solver evaluated quasi_loglik")
+
+        passes = []
+        scoring_pass = solver._scoring_pass
+
+        def counted(*args):
+            passes.append(args[4])
+            return scoring_pass(*args)
+
+        runs = []
+        irls = claim_count._irls
+
+        def recorded(*args):
+            runs.append(irls(*args))
+            return runs[-1]
+
+        monkeypatch.setattr(solver, "quasi_loglik", refuse)
+        monkeypatch.setattr(solver, "_scoring_pass", counted)
+        monkeypatch.setattr(claim_count, "_irls", recorded)
+        pf = random_portfolio(32, n=100)
+        for scheme in WeightScheme:
+            passes.clear()
+            result = fit(pf, scheme, FAM)
+            assert result.converged and result.iterations > 1
+            assert passes == [FAM.p] * (result.iterations + 1)
+        passes.clear()
+        poisson_fit(random_count_data(33, n=100), "offset")
+        (run,) = runs
+        iterations = len(run[4]) - 1  # the trace of iterates
+        assert iterations > 1
+        assert passes == [1.0] * (iterations + 1)
+
+    def test_zero_start_at_large_losses_does_not_warn(self):
+        # the first steps from zero overflow the exponentials; halving and the
+        # factorization handle every non-finite value, so nothing is warned
+        pf = Portfolio.from_arrays(*sparse_book(0, 200, 1e5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for scheme, iterations in ((WeightScheme.OFFSET, 20), (WeightScheme.RATIO, 17)):
+                result = fit(pf, scheme, FAM, FitConfig(init="zeros"))
+                assert result.converged
+                assert result.iterations == iterations
 
 
 class TestGridOracle:
