@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 # The benchmark's tracer hooks ``validate_design`` under this module's name.
-from .model_core import Portfolio, validate_design  # noqa: F401
+from .model_core import Portfolio, WeightScheme, validate_design  # noqa: F401
 from .solver import FitConfig, _irls
 
 __all__ = [
@@ -27,10 +27,9 @@ __all__ = [
     "zip_nonequivalence_check",
 ]
 
-_MODES = ("offset", "ratio")
 _POISSON_MAX_ITERATIONS = 50
 # ZIP probe coefficient vectors as (intercept, every other coefficient),
-# and the spread of the mode difference above which the modes disagree.
+# and the spread of the scheme difference above which the schemes disagree.
 _ZIP_PROBES = ((0.0, 0.0), (0.2, 0.0), (0.1, 0.1), (-0.1, -0.1))
 _ZIP_THRESHOLD = 1e-6
 
@@ -82,34 +81,28 @@ class ZipParams:
 
 @dataclass(frozen=True)
 class ZipEvidence:
-    """Probe-based evidence on whether the two modes can disagree."""
+    """Probe-based evidence on whether the two schemes can disagree."""
 
     equivalent: bool
     spread: float
     differences: tuple
 
 
-def _check_mode(mode):
-    if mode not in _MODES:
-        raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
-    return mode
+def poisson_fit(data: CountData, scheme: WeightScheme, tolerance: float = 1e-10):
+    """Log-link Poisson coefficients under either scheme, by the package's IRLS loop.
 
-
-def poisson_fit(data: CountData, mode: str, tolerance: float = 1e-10):
-    """Log-link Poisson coefficients under either mode, by the package's IRLS loop.
-
-    Offset mode maximizes ``sum(-t * exp(x @ b) + y * (x @ b))``; ratio
-    mode maximizes ``sum(t * (-exp(x @ b) + z * (x @ b)))``.  With
+    The offset scheme maximizes ``sum(-t * exp(x @ b) + y * (x @ b))``; the
+    ratio scheme ``sum(t * (-exp(x @ b) + z * (x @ b)))``.  With
     ``y = t * z`` the two objectives are the same function of ``b``,
     and both are the weighted Tweedie quasi-likelihood at ``p = 1``,
     where the offset weight ``t**(2-p)`` equals the ratio weight ``t``.
-    So both modes run one computation: the Tweedie IRLS loop at
+    So both schemes run one computation: the Tweedie IRLS loop at
     ``p = 1`` with weights ``t``, started at ``log(sum(y) / sum(t))``
     and stopped when the sup-norm of the score ``X.T @ (y - t * zeta)``
     falls below ``tolerance`` or the score reaches its rounding floor.
     Raises RuntimeError when that takes more than 50 updates.
     """
-    _check_mode(mode)
+    scheme = WeightScheme(scheme)
     total = data.counts.sum()
     if total <= 0:
         raise ValueError("cannot fit: all claim counts are zero")
@@ -119,30 +112,30 @@ def poisson_fit(data: CountData, mode: str, tolerance: float = 1e-10):
     config = FitConfig(tolerance=tolerance, max_iterations=_POISSON_MAX_ITERATIONS)
     beta, _, converged, *_ = _irls(X, z, t, 1.0, start, config)
     if not converged:
-        raise RuntimeError(f"Poisson {mode} fit did not converge in {_POISSON_MAX_ITERATIONS} iterations")
+        raise RuntimeError(f"Poisson {scheme.value} fit did not converge in {_POISSON_MAX_ITERATIONS} iterations")
     return beta
 
 
-def _zip_terms(params: ZipParams, data: CountData, mode: str):
+def _zip_terms(params: ZipParams, data: CountData, scheme: WeightScheme):
     """``(weight, mean, count)`` of each contract's term in ``zip_loglik``."""
-    _check_mode(mode)
+    scheme = WeightScheme(scheme)
     zeta = np.exp(data.design @ np.asarray(params.beta, dtype=float))
-    if mode == "offset":
+    if scheme is WeightScheme.OFFSET:
         return 1.0, data.exposures * zeta, data.counts
     return data.exposures, zeta, data.normalized
 
 
-def zip_loglik(params: ZipParams, data: CountData, mode: str) -> float:
+def zip_loglik(params: ZipParams, data: CountData, scheme: WeightScheme) -> float:
     """Zero-inflated Poisson log-likelihood in ``beta`` (factorials dropped).
 
-    Offset mode scores the raw count ``y`` with weight 1 and mean
-    ``t * exp(x @ beta)``; ratio mode scores the annualized count
+    The offset scheme scores the raw count ``y`` with weight 1 and mean
+    ``t * exp(x @ beta)``; the ratio scheme scores the annualized count
     ``z = y / t`` with weight ``t`` and mean ``exp(x @ beta)``.  Both
-    modes share one zero set, as ``z`` is zero exactly where ``y`` is.
+    schemes share one zero set, as ``z`` is zero exactly where ``y`` is.
     Terms constant in ``beta`` (the factorials) are omitted, which also
     makes non-integer annualized counts admissible.
     """
-    w, mu, count = _zip_terms(params, data, mode)
+    w, mu, count = _zip_terms(params, data, scheme)
     pi = params.zero_inflation
     w, zero = np.broadcast_to(w, mu.shape), data.counts == 0
     pos = ~zero
@@ -151,9 +144,9 @@ def zip_loglik(params: ZipParams, data: CountData, mode: str) -> float:
     return float(zeros.sum()) + float(positives.sum())
 
 
-def zip_score(params: ZipParams, data: CountData, mode: str):
+def zip_score(params: ZipParams, data: CountData, scheme: WeightScheme):
     """Gradient of ``zip_loglik`` in ``beta`` (zero inflation held fixed)."""
-    w, mu, count = _zip_terms(params, data, mode)
+    w, mu, count = _zip_terms(params, data, scheme)
     pi = params.zero_inflation
     coeff = np.where(
         data.counts == 0,
@@ -168,7 +161,7 @@ def zip_nonequivalence_check(data: CountData, zero_inflation: float = 0.3) -> Zi
 
     Evaluates ``loglik_offset - loglik_ratio`` at four coefficient
     vectors (all zero; intercept 0.2; all 0.1; all -0.1); a spread above
-    1e-6 means the modes rank coefficient vectors differently and a
+    1e-6 means the schemes rank coefficient vectors differently and a
     choice between them is real.  With all exposures equal to one, or
     with no zero inflation, the difference is constant and the report
     shows equivalence.
@@ -177,7 +170,7 @@ def zip_nonequivalence_check(data: CountData, zero_inflation: float = 0.3) -> Zi
     for intercept, slope in _ZIP_PROBES:
         params = ZipParams(zero_inflation=zero_inflation, beta=(intercept,) + (slope,) * data.q)
         differences.append(
-            zip_loglik(params, data, "offset") - zip_loglik(params, data, "ratio")
+            zip_loglik(params, data, WeightScheme.OFFSET) - zip_loglik(params, data, WeightScheme.RATIO)
         )
     spread = max(differences) - min(differences)
     return ZipEvidence(

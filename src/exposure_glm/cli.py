@@ -413,7 +413,7 @@ def cmd_simulate(args):
     experiment = run_gap_experiment(scenario_config)
     columns = experiment.columns()
     _write_csv(args.out / "gap_experiment.csv", list(columns), list(columns.values()))
-    portfolio = experiment.synthetic.portfolio
+    portfolio = experiment.portfolio
     _write_json(
         args.out / "gap_totals.json",
         {

@@ -300,11 +300,13 @@ def _scoring_pass(beta, design, z, w, p):
         s = design @ beta
         d = w * np.exp((2.0 - p) * s)
         q = z * np.exp(-s)
-        mass = float(np.dot(d, q) + d.sum())
+        dq = d * q
+        sum_dq, sum_d = dq.sum(), d.sum()
+        mass = float(sum_dq + sum_d)
         if p == 1.0:
-            objective = float((d * q * s).sum() - d.sum())
+            objective = float((dq * s).sum() - sum_d)
         else:
-            objective = float((d * q).sum() / (1.0 - p) - d.sum() / (2.0 - p))
+            objective = float(sum_dq / (1.0 - p) - sum_d / (2.0 - p))
         info = (design * d[:, None]).T @ design
         info = 0.5 * (info + info.T)
         return info, design.T @ (d * (q - 1.0)), mass, objective

@@ -10,13 +10,13 @@ single 64-bit integer via SeedSequence spawning, so every artifact is
 bit-reproducible across platforms from (seed, config) alone.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .balance import IndividualGaps, individual_gaps, portfolio_gap
-from .model_core import Portfolio, RankDeficiencyError, TweedieFamily, WeightScheme, validate_design
+from .model_core import Portfolio, RankDeficiencyError, TweedieFamily, WeightScheme
 from .solver import FitConfig, FitResult, fit
 
 __all__ = [
@@ -24,7 +24,6 @@ __all__ = [
     "EXPOSURE_HI",
     "Scenario",
     "ScenarioConfig",
-    "SyntheticPortfolio",
     "GapExperiment",
     "gen_exposures",
     "gen_losses",
@@ -69,19 +68,10 @@ class ScenarioConfig:
 
 
 @dataclass
-class SyntheticPortfolio:
-    """A generated portfolio plus the parameters it was drawn with."""
-
-    portfolio: Portfolio
-    metadata: dict = field(default_factory=dict)
-
-
-@dataclass
 class GapExperiment:
     """Both fits and their per-contract gap curves for one scenario."""
 
-    config: ScenarioConfig
-    synthetic: SyntheticPortfolio
+    portfolio: Portfolio
     fit_offset: FitResult
     fit_ratio: FitResult
     gaps_offset: IndividualGaps
@@ -128,40 +118,33 @@ def gen_covariates(n: int, seed) -> np.ndarray:
     return np.column_stack([x1, x2])
 
 
-def build_scenario_portfolio(config: ScenarioConfig) -> SyntheticPortfolio:
+def build_scenario_portfolio(config: ScenarioConfig) -> Portfolio:
     """Generate the portfolio for a gap experiment without fitting it."""
     root = np.random.SeedSequence(config.seed)
     exposure_seed, covariate_seed = root.spawn(2)
     exposures = gen_exposures(config.n, exposure_seed)
     losses = gen_losses(config.n, config.scenario)
-    covariates = None
-    if config.heterogeneous:
-        if config.n < 3:
-            raise ValueError("heterogeneous portfolios need at least 3 contracts")
-        covariates = _full_rank_covariates(
-            covariate_seed, lambda child: gen_covariates(config.n, child)
-        )
-    portfolio = Portfolio.from_arrays(exposures, losses, covariates)
-    return SyntheticPortfolio(
-        portfolio=portfolio,
-        metadata={"heterogeneous": config.heterogeneous, "p": config.p},
+    if not config.heterogeneous:
+        return Portfolio.from_arrays(exposures, losses)
+    if config.n < 3:
+        raise ValueError("heterogeneous portfolios need at least 3 contracts")
+    return _full_rank_portfolio(
+        covariate_seed, lambda child: Portfolio.from_arrays(exposures, losses, gen_covariates(config.n, child))
     )
 
 
-def _full_rank_covariates(seed_seq, draw, attempts=64):
-    """First ``draw(child_seed)`` whose design with an intercept has full column rank.
+def _full_rank_portfolio(seed_seq, build, attempts=64):
+    """First ``build(child_seed)`` that raises no RankDeficiencyError.
 
-    A constant or duplicated column would break the full-rank invariant,
-    so covariates are redrawn from spawned substreams of ``seed_seq``
-    (deterministic per seed).
+    A constant or duplicated covariate column would break the full-rank
+    invariant, so covariates are redrawn from spawned substreams of
+    ``seed_seq`` (deterministic per seed).
     """
     for child in seed_seq.spawn(attempts):
-        covariates = draw(child)
         try:
-            validate_design(np.column_stack([np.ones(covariates.shape[0]), covariates]))
+            return build(child)
         except RankDeficiencyError:
             continue
-        return covariates
     raise RuntimeError(f"no full-rank covariate draw in {attempts} attempts")
 
 
@@ -172,16 +155,15 @@ def run_gap_experiment(config: ScenarioConfig) -> GapExperiment:
     default so that the ratio scheme's exact-balance identity is visible
     down to ~1e-10 in the portfolio totals.
     """
-    synthetic = build_scenario_portfolio(config)
+    portfolio = build_scenario_portfolio(config)
     family = TweedieFamily(p=config.p)
     fit_config = FitConfig(tolerance=1e-12)
-    fit_offset = fit(synthetic.portfolio, WeightScheme.OFFSET, family, fit_config)
-    fit_ratio = fit(synthetic.portfolio, WeightScheme.RATIO, family, fit_config)
-    gaps_offset = individual_gaps(synthetic.portfolio, fit_offset)
-    gaps_ratio = individual_gaps(synthetic.portfolio, fit_ratio)
+    fit_offset = fit(portfolio, WeightScheme.OFFSET, family, fit_config)
+    fit_ratio = fit(portfolio, WeightScheme.RATIO, family, fit_config)
+    gaps_offset = individual_gaps(portfolio, fit_offset)
+    gaps_ratio = individual_gaps(portfolio, fit_ratio)
     return GapExperiment(
-        config=config,
-        synthetic=synthetic,
+        portfolio=portfolio,
         fit_offset=fit_offset,
         fit_ratio=fit_ratio,
         gaps_offset=gaps_offset,
@@ -191,7 +173,7 @@ def run_gap_experiment(config: ScenarioConfig) -> GapExperiment:
     )
 
 
-def gen_mimic_portfolio(share_midterm: float, n: int, seed: int) -> SyntheticPortfolio:
+def gen_mimic_portfolio(share_midterm: float, n: int, seed: int) -> Portfolio:
     """Two-group portfolio shaped like a real book with mid-term cancellations.
 
     ``share_midterm`` of the contracts get uniform partial exposures (the
@@ -221,21 +203,12 @@ def gen_mimic_portfolio(share_midterm: float, n: int, seed: int) -> SyntheticPor
         [_group_losses(loss_rng, n_mid, mean_midterm), _group_losses(loss_rng, n_full, _MIMIC_MEAN_FULL)]
     )
 
-    def draw(child):
+    def build(child):
         rng = np.random.default_rng(child)
-        return np.column_stack([(rng.random(n) < rate).astype(float) for rate in _MIMIC_COVARIATE_RATES])
+        covariates = np.column_stack([(rng.random(n) < rate).astype(float) for rate in _MIMIC_COVARIATE_RATES])
+        return Portfolio.from_arrays(exposures, losses, covariates)
 
-    portfolio = Portfolio.from_arrays(exposures, losses, _full_rank_covariates(cov_seed, draw))
-    return SyntheticPortfolio(
-        portfolio=portfolio,
-        metadata={
-            "share_midterm": n_mid / n,
-            "n_midterm": n_mid,
-            "n_full": n_full,
-            "mean_midterm": mean_midterm,
-            "mean_full": _MIMIC_MEAN_FULL,
-        },
-    )
+    return _full_rank_portfolio(cov_seed, build)
 
 
 def _group_losses(rng, size, target_mean):

@@ -160,11 +160,11 @@ def test_criterion_05_covariance_dominance():
     strict_ok = True
     worst_min_eig = math.inf
     for seed in range(100):
-        synthetic = build_scenario_portfolio(
+        book = build_scenario_portfolio(
             ScenarioConfig(n=100, scenario=Scenario.INCREASING, heterogeneous=True, p=1.42, seed=seed)
         )
         beta = np.random.default_rng(seed + 1000).normal(0.0, 0.5, 3)
-        report = covariance_dominance(synthetic.portfolio, beta, fam)
+        report = covariance_dominance(book, beta, fam)
         oracle_min = eig_min(report.difference)
         worst_min_eig = min(worst_min_eig, oracle_min)
         if report.verdict is not Dominance.STRICTLY_DOMINANT or oracle_min <= 0.0:
@@ -199,12 +199,12 @@ def test_criterion_06_moment_formulas():
     ordering_ok = True
     fam = TweedieFamily(p=1.42, phi=1.5)
     for seed in range(5):
-        synthetic = build_scenario_portfolio(
+        book = build_scenario_portfolio(
             ScenarioConfig(n=100, scenario=Scenario.INCREASING, heterogeneous=True, p=1.42, seed=seed + 50)
         )
         beta = np.array([2.0, 0.3, -0.2])
-        for row in synthetic.portfolio.design:
-            ordering = moment_ordering(row, beta, synthetic.portfolio, fam)
+        for row in book.design:
+            ordering = moment_ordering(row, beta, book, fam)
             if not (ordering.mean_strictly_ordered and ordering.variance_strictly_ordered):
                 ordering_ok = False
     ok = worst_mean < 0.01 and worst_var < 0.01 and ordering_ok
@@ -318,9 +318,9 @@ def test_criterion_09_invariance_of_formulations():
 
 
 def test_criterion_10_cli_determinism(tmp_path):
-    synthetic = gen_mimic_portfolio(0.36, 120, seed=9)
+    book = gen_mimic_portfolio(0.36, 120, seed=9)
     src = tmp_path / "book.csv"
-    write_portfolio_csv(synthetic.portfolio, src)
+    write_portfolio_csv(book, src)
 
     compare_outputs = (
         "fit.json", "coeff_ratios.csv", "premium_ratios.csv", "gaps.csv", "class_balance.csv", "balance.json",

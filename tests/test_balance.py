@@ -17,7 +17,14 @@ from exposure_glm import (
     individual_gaps,
     portfolio_gap,
 )
-from exposure_glm.simulate import Scenario, ScenarioConfig, gen_mimic_portfolio, run_gap_experiment
+from exposure_glm.simulate import (
+    _MIMIC_MEAN_FULL,
+    _MIMIC_REFERENCE_RATIO,
+    Scenario,
+    ScenarioConfig,
+    gen_mimic_portfolio,
+    run_gap_experiment,
+)
 
 from util import random_portfolio, toy_portfolio
 
@@ -201,7 +208,7 @@ class TestClassReport:
         experiment = run_gap_experiment(
             ScenarioConfig(n=100, scenario=Scenario.INCREASING, heterogeneous=True, p=1.42, seed=11)
         )
-        pf = experiment.synthetic.portfolio
+        pf = experiment.portfolio
 
         def total_log_ratio(result):
             total = 0.0
@@ -232,16 +239,16 @@ class TestGroupSummaries:
         assert summaries[0].loss_cost_reference == pytest.approx(1.0, rel=1e-12)
 
     def test_mimic_round_trip(self):
-        synthetic = gen_mimic_portfolio(0.36, 2000, seed=5)
-        summaries = {s.label: s for s in group_summaries(synthetic.portfolio)}
+        book = gen_mimic_portfolio(0.36, 2000, seed=5)
+        summaries = {s.label: s for s in group_summaries(book)}
         mid, full = summaries["mid_term"], summaries["full_exposure"]
         assert mid.contract_share == pytest.approx(0.36, abs=1e-12)
-        mean_loss = synthetic.portfolio.loss_costs.mean()
+        mean_loss = book.loss_costs.mean()
         assert mid.loss_cost_reference == pytest.approx(
-            synthetic.metadata["mean_midterm"] / mean_loss, rel=1e-9
+            _MIMIC_MEAN_FULL * _MIMIC_REFERENCE_RATIO / mean_loss, rel=1e-9
         )
         assert full.loss_cost_reference == pytest.approx(
-            synthetic.metadata["mean_full"] / mean_loss, rel=1e-9
+            _MIMIC_MEAN_FULL / mean_loss, rel=1e-9
         )
 
     def test_weighted_references_recombine_to_one(self):
@@ -265,7 +272,7 @@ class TestBalanceFactor:
         experiment = run_gap_experiment(
             ScenarioConfig(n=100, scenario=Scenario.DECREASING, heterogeneous=True, p=1.42, seed=16)
         )
-        factor = balance_factor(experiment.synthetic.portfolio, experiment.fit_ratio)
+        factor = balance_factor(experiment.portfolio, experiment.fit_ratio)
         assert abs(factor - 1.0) < 0.05
         assert abs(factor - 1.0) > 1e-12
 
@@ -273,7 +280,7 @@ class TestBalanceFactor:
         experiment = run_gap_experiment(
             ScenarioConfig(n=100, scenario=Scenario.DECREASING, heterogeneous=False, p=1.42, seed=17)
         )
-        assert balance_factor(experiment.synthetic.portfolio, experiment.fit_offset) > 1.0
+        assert balance_factor(experiment.portfolio, experiment.fit_offset) > 1.0
 
     def test_zero_total_loss_rejected(self):
         pf = Portfolio.from_arrays([0.5, 1.0], [1.0, 2.0])

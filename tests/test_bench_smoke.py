@@ -18,7 +18,7 @@ ARTIFACTS = (
 
 def test_compare_ten_thousand_contracts(benchmark, tmp_path):
     src = tmp_path / "book.csv"
-    write_portfolio_csv(gen_mimic_portfolio(0.4, 10_000, seed=3).portfolio, src)
+    write_portfolio_csv(gen_mimic_portfolio(0.4, 10_000, seed=3), src)
     out = tmp_path / "out"
     argv = ["compare", "--input", str(src), "--out", str(out)]
     assert benchmark.pedantic(main, args=(argv,), rounds=1, iterations=1) == 0

@@ -8,6 +8,7 @@ import pytest
 from exposure_glm import (
     CountData,
     Portfolio,
+    WeightScheme,
     ZipParams,
     poisson_fit,
     zip_loglik,
@@ -103,6 +104,19 @@ class TestPoissonFit:
         data = random_count_data(0)
         with pytest.raises(ValueError):
             poisson_fit(data, "weighted")
+        params = ZipParams(0.3, (0.0,) * (data.q + 1))
+        for function in (zip_loglik, zip_score):
+            with pytest.raises(ValueError):
+                function(params, data, "weighted")
+
+    def test_schemes_and_their_names_agree(self):
+        # the claim-count functions take a WeightScheme or its value, like fit
+        data = zip_count_data(0)
+        params = ZipParams(0.3, (0.1,) * (data.q + 1))
+        for scheme in WeightScheme:
+            assert poisson_fit(data, scheme).tobytes() == poisson_fit(data, scheme.value).tobytes()
+            assert zip_loglik(params, data, scheme) == zip_loglik(params, data, scheme.value)
+            assert zip_score(params, data, scheme).tobytes() == zip_score(params, data, scheme.value).tobytes()
 
 
 class TestZipLoglik:

@@ -229,13 +229,13 @@ class TestIngest:
         assert (excinfo.value.row, excinfo.value.column) == (3, "x1")
 
     def test_portfolio_round_trip(self, tmp_path):
-        synthetic = gen_mimic_portfolio(0.4, 50, seed=1)
+        book = gen_mimic_portfolio(0.4, 50, seed=1)
         path = tmp_path / "book.csv"
-        write_portfolio_csv(synthetic.portfolio, path)
+        write_portfolio_csv(book, path)
         loaded = ingest_csv(path)
-        np.testing.assert_array_equal(loaded.exposures, synthetic.portfolio.exposures)
-        np.testing.assert_array_equal(loaded.loss_costs, synthetic.portfolio.loss_costs)
-        np.testing.assert_array_equal(loaded.design, synthetic.portfolio.design)
+        np.testing.assert_array_equal(loaded.exposures, book.exposures)
+        np.testing.assert_array_equal(loaded.loss_costs, book.loss_costs)
+        np.testing.assert_array_equal(loaded.design, book.design)
 
 
 def _read_csv(path):
@@ -266,11 +266,11 @@ class TestCompareCommand:
             assert abs(float(row[1]) - 1.0) < 1e-8
 
     def test_decreasing_synthetic_premium_ratios_above_one(self, tmp_path):
-        synthetic = build_scenario_portfolio(
+        book = build_scenario_portfolio(
             ScenarioConfig(n=100, scenario=Scenario.DECREASING, heterogeneous=True, seed=3)
         )
         src = tmp_path / "in.csv"
-        write_portfolio_csv(synthetic.portfolio, src)
+        write_portfolio_csv(book, src)
         out = tmp_path / "out"
         assert main(["compare", "--input", str(src), "--out", str(out)]) == 0
         rows = _read_csv(out / "premium_ratios.csv")
@@ -298,9 +298,9 @@ class TestCompareCommand:
         assert set(fit_payload["schemes"]) == {"offset", "ratio"}
 
     def test_balance_json(self, tmp_path):
-        synthetic = gen_mimic_portfolio(0.36, 80, seed=7)
+        book = gen_mimic_portfolio(0.36, 80, seed=7)
         src = tmp_path / "in.csv"
-        write_portfolio_csv(synthetic.portfolio, src)
+        write_portfolio_csv(book, src)
         out = tmp_path / "out"
         assert main(["compare", "--input", str(src), "--out", str(out)]) == 0
         payload = json.loads((out / "balance.json").read_text())
@@ -316,15 +316,15 @@ class TestCompareCommand:
             return report(portfolio, fits, factor_index)
 
         monkeypatch.setattr(cli, "class_report", class_report)
-        synthetic = gen_mimic_portfolio(0.36, 80, seed=7)
+        book = gen_mimic_portfolio(0.36, 80, seed=7)
         src = tmp_path / "in.csv"
-        write_portfolio_csv(synthetic.portfolio, src)
+        write_portfolio_csv(book, src)
         assert main(["compare", "--input", str(src), "--out", str(tmp_path / "out")]) == 0
-        assert calls == list(range(1, synthetic.portfolio.q + 1))
+        assert calls == list(range(1, book.q + 1))
 
     def test_balance_is_another_name_for_compare(self, tmp_path):
         src = tmp_path / "in.csv"
-        write_portfolio_csv(gen_mimic_portfolio(0.4, 60, seed=2).portfolio, src)
+        write_portfolio_csv(gen_mimic_portfolio(0.4, 60, seed=2), src)
         outputs = {}
         for command in ("compare", "balance"):
             out = tmp_path / command
@@ -348,7 +348,7 @@ class TestFitCommand:
 
     def test_both_schemes_match_compare_byte_for_byte(self, tmp_path):
         src = tmp_path / "in.csv"
-        write_portfolio_csv(gen_mimic_portfolio(0.4, 60, seed=2).portfolio, src)
+        write_portfolio_csv(gen_mimic_portfolio(0.4, 60, seed=2), src)
         flags = ["--input", str(src), "--p", "1.3", "--phi", "2.5", "--tol", "1e-10"]
         assert main(["fit", *flags, "--out", str(tmp_path / "fit"), "--scheme", "both"]) == 0
         assert main(["compare", *flags, "--out", str(tmp_path / "compare")]) == 0

@@ -30,7 +30,7 @@ FAM = TweedieFamily(p=1.42)
 def _scenario_portfolio(seed):
     return build_scenario_portfolio(
         ScenarioConfig(n=100, scenario=Scenario.INCREASING, heterogeneous=True, p=1.42, seed=seed)
-    ).portfolio
+    )
 
 
 class TestPremiumMoments:

@@ -65,17 +65,29 @@ class TestGenCovariates:
 class TestBuildScenarioPortfolio:
     def test_portfolio_passes_construction_invariants(self):
         for seed in range(20):
-            synthetic = build_scenario_portfolio(
+            pf = build_scenario_portfolio(
                 ScenarioConfig(n=30, scenario=Scenario.INCREASING, heterogeneous=True, seed=seed)
             )
-            pf = synthetic.portfolio
             assert pf.n == 30 and pf.q == 2
             assert np.all(np.diff(pf.exposures) >= 0.0)
             assert np.all((pf.exposures >= EXPOSURE_LO) & (pf.exposures <= EXPOSURE_HI))
 
+    def test_draw_is_rank_checked_once(self, monkeypatch):
+        # the first covariate draw has full rank, so one Portfolio build checks it
+        calls = []
+
+        def matrix_rank(design, rank=np.linalg.matrix_rank):
+            calls.append(design.shape)
+            return rank(design)
+
+        monkeypatch.setattr(np.linalg, "matrix_rank", matrix_rank)
+        pf = build_scenario_portfolio(ScenarioConfig(n=30, heterogeneous=True, seed=0))
+        assert calls == [(30, 3)]
+        assert pf.q == 2
+
     def test_homogeneous_mode_has_no_covariates(self):
-        synthetic = build_scenario_portfolio(ScenarioConfig(n=10, seed=1))
-        assert synthetic.portfolio.q == 0
+        book = build_scenario_portfolio(ScenarioConfig(n=10, seed=1))
+        assert book.q == 0
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -107,7 +119,7 @@ class TestRunGapExperiment:
         assert list(columns) == ["rank", "exposure", "gap_offset", "gap_ratio"]
         assert columns["rank"].tolist() == list(range(1, 11))
         assert all(len(column) == 10 for column in columns.values())
-        np.testing.assert_array_equal(columns["exposure"], experiment.synthetic.portfolio.exposures)
+        np.testing.assert_array_equal(columns["exposure"], experiment.portfolio.exposures)
 
     def test_same_seed_reproduces_totals_exactly(self):
         a = run_gap_experiment(ScenarioConfig(n=50, seed=13))
@@ -122,32 +134,30 @@ class TestRunGapExperiment:
 
 class TestGenMimicPortfolio:
     def test_share_reproduced_exactly_in_counts(self):
-        synthetic = gen_mimic_portfolio(0.36, 1000, seed=15)
-        assert synthetic.metadata["n_midterm"] == 360
-        assert synthetic.metadata["n_full"] == 640
+        book = gen_mimic_portfolio(0.36, 1000, seed=15)
+        assert np.count_nonzero(book.exposures < 1.0) == 360
+        assert np.count_nonzero(book.exposures == 1.0) == 640
 
     def test_midterm_mean_exposure_near_half(self):
-        synthetic = gen_mimic_portfolio(0.36, 2000, seed=16)
-        pf = synthetic.portfolio
+        pf = gen_mimic_portfolio(0.36, 2000, seed=16)
         midterm = pf.exposures[pf.exposures < 1.0]
         assert abs(midterm.mean() - 0.5) < 0.05
 
     def test_group_references_ordered(self):
         from exposure_glm import group_summaries
 
-        synthetic = gen_mimic_portfolio(0.36, 1000, seed=17)
-        summaries = {s.label: s for s in group_summaries(synthetic.portfolio)}
+        book = gen_mimic_portfolio(0.36, 1000, seed=17)
+        summaries = {s.label: s for s in group_summaries(book)}
         assert summaries["mid_term"].loss_cost_reference > summaries["full_exposure"].loss_cost_reference
 
     def test_exposures_sorted_and_valid(self):
-        synthetic = gen_mimic_portfolio(0.4, 500, seed=18)
-        t = synthetic.portfolio.exposures
+        t = gen_mimic_portfolio(0.4, 500, seed=18).exposures
         assert np.all(np.diff(t) >= 0.0)
         assert np.all((t == 1.0) | ((t >= EXPOSURE_LO) & (t <= EXPOSURE_HI)))
 
     def test_seed_determinism(self):
-        a = gen_mimic_portfolio(0.36, 200, seed=19).portfolio
-        b = gen_mimic_portfolio(0.36, 200, seed=19).portfolio
+        a = gen_mimic_portfolio(0.36, 200, seed=19)
+        b = gen_mimic_portfolio(0.36, 200, seed=19)
         np.testing.assert_array_equal(a.loss_costs, b.loss_costs)
         np.testing.assert_array_equal(a.design, b.design)
 
@@ -181,7 +191,7 @@ class TestGenMimicPortfolio:
         # the book's constants (group means, zero mass, covariate rates)
         # changes them.  The arrays come from the generator and elementwise
         # arithmetic only, no BLAS, so the pins hold on every platform.
-        pf = gen_mimic_portfolio(share, n, seed=seed).portfolio
+        pf = gen_mimic_portfolio(share, n, seed=seed)
         arrays = (pf.exposures, pf.loss_costs, pf.design)
         assert tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in arrays) == digests
 
