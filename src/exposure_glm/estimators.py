@@ -25,8 +25,9 @@ from .model_core import (
     _check_beta,
     _cho_factor,
     _covariance,
+    _d_weights,
+    _gram,
     _scheme_weights,
-    _scoring_pass,
 )
 
 __all__ = [
@@ -128,8 +129,8 @@ def coefficient_covariance(portfolio: Portfolio, beta, scheme: WeightScheme, fam
     """
     beta = _check_beta(beta, portfolio)
     w = _scheme_weights(WeightScheme(scheme), portfolio.exposures, family.p)
-    info = _scoring_pass(beta, portfolio.design, portfolio.normalized, w, family.p)[0]
-    return _covariance(_cho_factor(info), family.phi)
+    d = _d_weights(portfolio.design @ beta, w, family.p)
+    return _covariance(_cho_factor(_gram(portfolio.design, d)), family.phi)
 
 
 def covariance_dominance(portfolio: Portfolio, beta, family: TweedieFamily) -> DominanceReport:

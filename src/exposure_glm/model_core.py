@@ -7,15 +7,17 @@ place: the per-contract weight attached to the quasi-likelihood,
 * offset treatment: ``w = t ** (2 - p)``
 * ratio treatment:  ``w = t``
 
-Everything downstream (objective, gradient, Fisher information, IRLS
-updates) is driven by the diagonal weight matrix
+Everything downstream (objective, gradient, expected and observed
+information, Newton updates) is driven by the diagonal weight matrix
 
     D = diag(w_i * exp((2 - p) * x_i @ beta)),
 
-so the weight choice is the single degree of freedom separating the two
-approaches.  The exponential-family normalizer is constant in ``beta``
-and deliberately dropped; objective values are therefore comparable only
-within a fixed (portfolio, scheme, family) triple.
+and the ratios ``Q = z * exp(-x @ beta)`` of the losses to their means,
+which do not involve ``w``; so the weight choice is the single degree of
+freedom separating the two approaches.  The exponential-family
+normalizer is constant in ``beta`` and deliberately dropped; objective
+values are therefore comparable only within a fixed (portfolio, scheme,
+family) triple.
 """
 
 import functools
@@ -281,24 +283,33 @@ def _scheme_weights(scheme, exposures, p):
     return exposures
 
 
+def _d_weights(s, w, p):
+    """The diagonal ``w * exp((2 - p) * s)`` of ``D`` at ``s = X @ beta``, without overflow warnings."""
+    with np.errstate(over="ignore"):
+        return w * np.exp((2.0 - p) * s)
+
+
 def _scoring_pass(beta, design, z, w, p):
-    """``(X.T @ D @ X, X.T @ D @ R, sum(D * (Q + 1)), objective)`` of the weighted Tweedie fit.
+    """``(D, Q, X.T @ D @ R, sum(D * (Q + 1)), objective)`` of the weighted Tweedie fit.
 
     With ``s = X @ beta``, ``D = diag(w * exp((2 - p) * s))``,
-    ``Q = z * exp(-s)`` and ``R = Q - 1``.  Since ``d_i * q_i`` is
+    ``Q = z * exp(-s)`` and ``R = Q - 1``; ``D`` and ``Q`` are returned as
+    their length-``n`` diagonals.  Since ``d_i * q_i`` is
     ``w_i * z_i * zeta_i**(1-p)``, the quasi-log-likelihood is the objective
     ``sum(D * Q) / (1 - p) - sum(D) / (2 - p)`` over ``phi``, with score
-    ``X.T @ D @ R / phi`` and Fisher information ``X.T @ D @ X / phi``.
+    ``X.T @ D @ R / phi``, Fisher (expected) information
+    ``X.T @ D @ X / phi`` and observed information ``X.T @ H @ X / phi``,
+    ``H = D * ((p - 1) * Q + (2 - p))``; ``_gram`` forms either.
     At ``p = 1`` with ``w = t`` the objective is the Poisson log-likelihood
     ``sum(t * (z * s - exp(s)))``, the score ``X.T @ (t * (z - exp(s)))``.
-    The third value bounds what rounds in each score component: every
+    The fourth value bounds what rounds in each score component: every
     term ``d_i * r_i`` and its two parts are at most ``d_i * (q_i + 1)``.
     Overflow is not warned about: a non-finite objective halves the
-    solver's step, a non-finite ``X.T @ D @ X`` fails in ``_cho_factor``.
+    solver's step, a non-finite information matrix fails in ``_cho_factor``.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         s = design @ beta
-        d = w * np.exp((2.0 - p) * s)
+        d = _d_weights(s, w, p)
         q = z * np.exp(-s)
         dq = d * q
         sum_dq, sum_d = dq.sum(), d.sum()
@@ -307,17 +318,29 @@ def _scoring_pass(beta, design, z, w, p):
             objective = float((dq * s).sum() - sum_d)
         else:
             objective = float(sum_dq / (1.0 - p) - sum_d / (2.0 - p))
-        info = (design * d[:, None]).T @ design
-        info = 0.5 * (info + info.T)
-        return info, design.T @ (d * (q - 1.0)), mass, objective
+        return d, q, design.T @ (d * (q - 1.0)), mass, objective
+
+
+def _observed_weights(d, q, p):
+    """The diagonal of ``H = D * ((p - 1) * Q + (2 - p))``, without overflow warnings."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return d * ((p - 1.0) * q + (2.0 - p))
+
+
+def _gram(design, v):
+    """``X.T @ diag(v) @ X``, symmetrized, without overflow warnings."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = (design * v[:, None]).T @ design
+    return 0.5 * (gram + gram.T)
 
 
 def _cho_factor(info):
-    """Lower Cholesky factor of an information matrix ``X.T @ D @ X``.
+    """Lower Cholesky factor of an information matrix ``X.T @ diag(v) @ X``.
 
     Raises SingularInformationError when the matrix is not finite (which
     ``np.linalg.cholesky`` does not check) or not numerically positive
-    definite: on a full-rank design, the weights ``D`` over- or underflowed.
+    definite: on a full-rank design, the positive weights ``v`` over- or
+    underflowed.
     """
     if not np.isfinite(info).all():
         raise SingularInformationError("weighted information matrix is not finite")
@@ -328,7 +351,7 @@ def _cho_factor(info):
 
 
 def _cho_solve(factor, rhs):
-    """Solve ``(X.T @ D @ X) @ x = rhs`` given the matrix's lower Cholesky factor."""
+    """Solve ``A @ x = rhs`` given the lower Cholesky factor of ``A``."""
     return np.linalg.solve(factor.T, np.linalg.solve(factor, rhs))
 
 
@@ -350,7 +373,7 @@ def quasi_loglik(beta, portfolio: Portfolio, scheme: WeightScheme, family: Tweed
     beta = _check_beta(beta, portfolio)
     p = family.p
     w = _scheme_weights(WeightScheme(scheme), portfolio.exposures, p)
-    return _scoring_pass(beta, portfolio.design, portfolio.normalized, w, p)[3] / family.phi
+    return _scoring_pass(beta, portfolio.design, portfolio.normalized, w, p)[4] / family.phi
 
 
 def _check_beta(beta, portfolio):

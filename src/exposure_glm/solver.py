@@ -1,20 +1,25 @@
 """IRLS fitting of the coefficient vector for either weight scheme.
 
-The update solves the symmetric positive-definite system
-``(X.T @ D @ X) @ delta = X.T @ D @ R`` so the dispersion cancels
-exactly.  Convergence is declared on the dispersion-scaled gradient
-``g = X.T @ D @ R``: either its sup-norm is below the configured
-tolerance, or every ``|g_j|`` is within four times its rounding floor
-``eps * max_i |x_ij| * sum_i d_i (q_i + 1)`` (``q = z * exp(-s)``).
-The floor scales with the losses and the portfolio size as ``g``
-does, so the second rule stops at the same iterate at any loss scale.
-Every step is monotone, as in R's ``glm2`` (Marschner 2011): it is
-halved, at most 30 times, while the quasi-log-likelihood would fall by
-more than its rounding, ``64 * eps * |objective|``.  The scoring pass
-at each candidate yields that objective with the next score and
-information, so an iteration without halving costs one pass.  Intercept-only
-portfolios admit closed-form maximum-likelihood estimates (weighted
-means of the annualized losses) which also seed the IRLS iteration.  The same loop
+Each update is a Newton step on the observed information: it solves the
+symmetric positive-definite system ``(X.T @ H @ X) @ delta = X.T @ D @ R``
+with ``H = D * ((p - 1) * Q + (2 - p))``, so the dispersion cancels
+exactly.  ``H`` is positive for ``1 <= p < 2`` because ``Q >= 0``, and
+equals ``D`` at ``p = 1``.  The reported covariance is the inverse
+expected information ``phi * (X.T @ D @ X)**-1`` at the final iterate,
+factored once after the loop.  Convergence is declared on the
+dispersion-scaled gradient ``g = X.T @ D @ R``: either its sup-norm is
+below the configured tolerance, or every ``|g_j|`` is within four times
+its rounding floor ``eps * max_i |x_ij| * sum_i d_i (q_i + 1)``
+(``q = z * exp(-s)``).  The floor scales with the losses and the
+portfolio size as ``g`` does, so the second rule stops at the same
+iterate at any loss scale.  Every step is monotone, as in R's ``glm2``
+(Marschner 2011): it is halved, at most 30 times, while the
+quasi-log-likelihood would fall by more than its rounding,
+``64 * eps * |objective|``.  The scoring pass at each candidate yields
+that objective with the next score, ``D`` and ``Q``, so an iteration
+without halving costs one pass.  Intercept-only portfolios admit
+closed-form maximum-likelihood estimates (weighted means of the
+annualized losses) which also seed the IRLS iteration.  The same loop
 fits the Poisson claim-count companion as the ``p = 1`` case.
 """
 
@@ -30,6 +35,8 @@ from .model_core import (
     _cho_factor,
     _cho_solve,
     _covariance,
+    _gram,
+    _observed_weights,
     _scheme_weights,
     _scoring_pass,
     quasi_loglik,  # noqa: F401  (the benchmark's tracer hooks it under this module's name)
@@ -87,9 +94,10 @@ class FitConfig:
 class FitResult:
     """Converged (or stalled) fit: estimate, covariance, and trace.
 
-    ``covariance`` is ``phi * (X.T @ D @ X)**-1`` evaluated at the final
-    coefficient vector; ``gradient_norm`` is the sup-norm of the
-    dispersion-scaled gradient there.  ``trace_beta`` holds every iterate
+    ``covariance`` is ``phi * (X.T @ D @ X)**-1``, the inverse expected
+    (not observed) information, at the final coefficient vector;
+    ``gradient_norm`` is the sup-norm of the dispersion-scaled gradient
+    there.  ``trace_beta`` holds every iterate
     starting from the initialization, ``trace_objective`` the matching
     quasi-log-likelihood values, equal to ``quasi_loglik`` there exactly.
     """
@@ -134,9 +142,9 @@ def _init_beta(portfolio: Portfolio, scheme: WeightScheme, family: TweedieFamily
 
 
 def _irls(design, z, w, p, beta, config: FitConfig):
-    """Fisher scoring for the weighted Tweedie fit on ``z`` with weights ``w``.
+    """Newton's method for the weighted Tweedie fit on ``z`` with weights ``w``.
 
-    Starts from ``beta`` and solves ``(X.T D X) delta = X.T D R`` once
+    Starts from ``beta`` and solves ``(X.T H X) delta = X.T D R`` once
     per iteration until the score meets ``config.tolerance`` or its
     rounding floor (see the module docstring) or the budget runs out.
     A step that lowers the scoring pass's objective (``phi`` times the
@@ -144,33 +152,33 @@ def _irls(design, z, w, p, beta, config: FitConfig):
     or makes it non-finite, is halved up to ``_MAX_HALVINGS`` times, each
     try one more pass.  Returns ``(beta, factor, converged, gradient_norm,
     trace_beta, trace_objective)`` with ``factor`` the Cholesky factor of
-    ``X.T D X`` at the returned ``beta``.
+    ``X.T D X`` at the returned ``beta``, from the ``D`` of its pass.
     """
     # max_i |x_ij| per column, without an n x k copy of |X|
     floor_scale = _FLOOR_MULTIPLE * _EPS * np.maximum(design.max(axis=0), -design.min(axis=0))
-    info, score, mass, value = _scoring_pass(beta, design, z, w, p)
+    d, q, score, mass, value = _scoring_pass(beta, design, z, w, p)
     trace_beta = [beta.copy()]
     trace_objective = [value]
     for iteration in range(config.max_iterations + 1):
-        factor = _cho_factor(info)
         gradient_norm = float(np.max(np.abs(score)))
         converged = gradient_norm < config.tolerance or bool(
             np.all(np.abs(score) <= mass * floor_scale)
         )
         if converged or iteration == config.max_iterations:
             break
-        delta = _cho_solve(factor, score)
+        delta = _cho_solve(_cho_factor(_gram(design, _observed_weights(d, q, p))), score)
+        del d, q  # so that the next pass does not hold them beside its own
         least = value - _OBJECTIVE_SLACK * abs(value)
         for _ in range(_MAX_HALVINGS + 1):
             candidate = beta + delta
-            info, score, mass, value = _scoring_pass(candidate, design, z, w, p)
+            d, q, score, mass, value = _scoring_pass(candidate, design, z, w, p)
             if value >= least:
                 break
             delta *= 0.5
         beta = candidate
         trace_beta.append(beta.copy())
         trace_objective.append(value)
-    return beta, factor, converged, gradient_norm, trace_beta, trace_objective
+    return beta, _cho_factor(_gram(design, d)), converged, gradient_norm, trace_beta, trace_objective
 
 
 def fit(

@@ -2,7 +2,7 @@
 
 These deliberately avoid the code paths of the operations they check:
 finite differences instead of the analytic score, lattice search instead
-of Fisher scoring, eigenvalues instead of Cholesky, Monte Carlo instead
+of the Newton iteration, eigenvalues instead of Cholesky, Monte Carlo instead
 of closed-form lognormal moments, a loss-cost-scale refit instead of
 the weighted annualized-loss formulation, and the raw-count Poisson
 score instead of the Tweedie kernel at ``p = 1``.

@@ -225,7 +225,7 @@ def test_criterion_07_gradient_and_fixed_points():
         for scheme in WeightScheme:
             beta = rng.normal(0.0, 0.4, 3)
             w = _scheme_weights(scheme, pf.exposures, fam.p)
-            analytic = _scoring_pass(beta, pf.design, pf.normalized, w, fam.p)[1] / fam.phi
+            analytic = _scoring_pass(beta, pf.design, pf.normalized, w, fam.p)[2] / fam.phi
             numeric = finite_diff_gradient(lambda b: quasi_loglik(b, pf, scheme, fam), beta)
             rel = float(np.max(np.abs(analytic - numeric))) / max(1.0, float(np.max(np.abs(analytic))))
             worst_rel = max(worst_rel, rel)

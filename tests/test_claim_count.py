@@ -92,7 +92,7 @@ class TestPoissonFit:
             beta = rng.normal(0.0, 0.5, data.q + 1)
             s = data.design @ beta
             expected = float(np.sum(t * (z * s - np.exp(s))))
-            objective = _scoring_pass(beta, data.design, z, t, 1.0)[3]
+            objective = _scoring_pass(beta, data.design, z, t, 1.0)[4]
             assert objective == pytest.approx(expected, rel=1e-13)
 
     def test_all_zero_counts_rejected(self):

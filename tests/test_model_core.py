@@ -15,7 +15,7 @@ from exposure_glm import (
     homogeneous_mle,
     quasi_loglik,
 )
-from exposure_glm.model_core import _scheme_weights, _scoring_pass
+from exposure_glm.model_core import _gram, _scheme_weights, _scoring_pass
 from exposure_glm.solver import FitConfig, fit
 from exposure_glm.verification import eig_min, finite_diff_gradient
 
@@ -25,21 +25,14 @@ from util import random_portfolio, toy_portfolio
 def _system(beta, pf, scheme, fam):
     """Fisher information and score, ``(X.T D X, X.T D R) / phi``, from the kernel."""
     w = _scheme_weights(scheme, pf.exposures, fam.p)
-    info, score, *_ = _scoring_pass(np.asarray(beta, float), pf.design, pf.normalized, w, fam.p)
-    return info / fam.phi, score / fam.phi
+    d, _, score, *_ = _scoring_pass(np.asarray(beta, float), pf.design, pf.normalized, w, fam.p)
+    return _gram(pf.design, d) / fam.phi, score / fam.phi
 
 
 def _d_diagonal(beta, pf, scheme, fam):
-    """Diagonal of ``D``, one kernel call per contract.
-
-    On contract ``i`` alone the kernel returns ``d_i * x_i x_i.T``,
-    whose intercept entry is ``d_i``.
-    """
+    """Diagonal of ``D``, as the kernel returns it."""
     w = _scheme_weights(scheme, pf.exposures, fam.p)
-    rows = [slice(i, i + 1) for i in range(pf.n)]
-    return np.array(
-        [_scoring_pass(beta, pf.design[r], pf.normalized[r], w[r], fam.p)[0][0, 0] for r in rows]
-    )
+    return _scoring_pass(beta, pf.design, pf.normalized, w, fam.p)[0]
 
 
 class TestDomainTypes:

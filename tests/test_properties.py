@@ -17,8 +17,7 @@ from exposure_glm import FitConfig, Portfolio, TweedieFamily, WeightScheme, fit
 
 PROPERTY = settings(max_examples=25, derandomize=True, database=None, deadline=None)
 # An absolute tolerance no score can meet, so the scale-free floor rule alone
-# stops; Fisher scoring converges only linearly on books with many zero
-# losses at p near 2, so the budget is large.
+# stops; the budget is far above what a fit of these books needs.
 FLOOR_ONLY = FitConfig(tolerance=1e-300, max_iterations=1000)
 
 
@@ -44,9 +43,8 @@ def test_scaling_losses_moves_only_the_intercept(book, c, scheme):
     t, y, x, p = book
     family = TweedieFamily(p=p)
     base = fit(Portfolio.from_arrays(t, y, x), scheme, family, FLOOR_ONLY)
-    # On a few tiny books the Fisher-scoring update overshoots the optimum
-    # more than twofold in some direction, and the fit wanders near it at
-    # every loss scale.  The property is about the optimum: skip those.
+    # The property is about the optimum: skip a book whose fit stalls
+    # before it (none of these examples does).
     assume(base.converged)
     scaled = fit(Portfolio.from_arrays(t, c * y, x), scheme, family, FLOOR_ONLY)
     assert scaled.converged

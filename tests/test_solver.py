@@ -75,7 +75,7 @@ class TestInitBeta:
 
 
 class TestIrlsStep:
-    """One Fisher-scoring update of the fit's loop."""
+    """One Newton update of the fit's loop."""
 
     def test_stationary_point_is_fixed(self):
         pf = random_portfolio(21)
@@ -99,6 +99,33 @@ class TestIrlsStep:
             assert beta[0] == pytest.approx(
                 math.log(homogeneous_mle(pf, scheme, FAM)), abs=1e-8
             )
+
+    def test_small_zero_heavy_book_near_two_converges(self):
+        # Steps on the expected information X.T D X left both fits of this
+        # book at the 100-iteration budget; steps on the observed
+        # information converge in a few.
+        pf = random_portfolio(0, n=24, q=2, zero_frac=0.85)
+        for scheme in WeightScheme:
+            result = fit(pf, scheme, TweedieFamily(p=1.9))
+            assert result.converged
+            assert result.iterations <= 10
+
+    def test_covariance_is_the_inverse_expected_information(self):
+        # The steps use X.T H X; the reported covariance stays
+        # phi * (X.T D X)**-1 at beta_hat, built here from its definition.
+        pf = random_portfolio(0, n=24, q=2, zero_frac=0.85)
+        fam = TweedieFamily(p=1.9, phi=1.7)
+        X, t, z, p = pf.design, pf.exposures, pf.normalized, fam.p
+        for scheme, w in ((WeightScheme.OFFSET, t ** (2.0 - p)), (WeightScheme.RATIO, t)):
+            result = fit(pf, scheme, fam)
+            s = X @ result.beta_hat
+            d = w * np.exp((2.0 - p) * s)
+            h = d * ((p - 1.0) * z * np.exp(-s) + (2.0 - p))
+            expected = fam.phi * np.linalg.inv((X * d[:, None]).T @ X)
+            observed = fam.phi * np.linalg.inv((X * h[:, None]).T @ X)
+            scale = np.max(np.abs(expected))
+            np.testing.assert_allclose(result.covariance, expected, rtol=0.0, atol=1e-13 * scale)
+            assert np.max(np.abs(result.covariance - observed)) > 1e-2 * scale
 
 
 class TestFit:
