@@ -126,8 +126,6 @@ def build_scenario_portfolio(config: ScenarioConfig) -> Portfolio:
     losses = gen_losses(config.n, config.scenario)
     if not config.heterogeneous:
         return Portfolio.from_arrays(exposures, losses)
-    if config.n < 3:
-        raise ValueError("heterogeneous portfolios need at least 3 contracts")
     return _full_rank_portfolio(
         covariate_seed, lambda child: Portfolio.from_arrays(exposures, losses, gen_covariates(config.n, child))
     )

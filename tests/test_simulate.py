@@ -131,6 +131,13 @@ class TestRunGapExperiment:
         experiment = run_gap_experiment(ScenarioConfig(n=2, seed=14))
         assert len(experiment.columns()["rank"]) == 2
 
+    def test_heterogeneous_minimum_is_the_containers(self):
+        # an intercept and two covariates need three contracts; the
+        # Portfolio the generator builds says so
+        config = ScenarioConfig(n=2, heterogeneous=True, seed=14)
+        with pytest.raises(ValueError, match=r"need at least q \+ 1 = 3 observations, got 2"):
+            build_scenario_portfolio(config)
+
 
 class TestGenMimicPortfolio:
     def test_share_reproduced_exactly_in_counts(self):
