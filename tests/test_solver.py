@@ -308,7 +308,7 @@ class TestOnePassPerIterate:
         pf = Portfolio.from_arrays(*sparse_book(0, 200, 1e5))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for scheme, iterations in ((WeightScheme.OFFSET, 20), (WeightScheme.RATIO, 17)):
+            for scheme, iterations in ((WeightScheme.OFFSET, 9), (WeightScheme.RATIO, 9)):
                 result = fit(pf, scheme, FAM, FitConfig(init="zeros"))
                 assert result.converged
                 assert result.iterations == iterations
