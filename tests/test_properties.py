@@ -17,7 +17,7 @@ from exposure_glm import FitConfig, Portfolio, TweedieFamily, WeightScheme, fit
 
 PROPERTY = settings(max_examples=25, derandomize=True, database=None, deadline=None)
 # An absolute tolerance no score can meet, so the scale-free floor rule alone
-# stops; the budget is far above what a fit of these books needs.
+# stops; the budget is generous, so a slow fit still reaches the floor.
 FLOOR_ONLY = FitConfig(tolerance=1e-300, max_iterations=1000)
 
 
