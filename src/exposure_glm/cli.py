@@ -1,6 +1,7 @@
 """Command-line surface: ingest CSV portfolios, fit, compare, simulate, report.
 
-Input schema (UTF-8, ``.`` decimal, no thousands separators):
+Input schema (UTF-8 with or without the byte-order mark that spreadsheet
+exports write, ``.`` decimal, no thousands separators):
 
     contract_id,exposure,loss_cost,x1,...,xq
 
@@ -187,7 +188,7 @@ def _ingest_columns(path, leading_columns):
     IngestError as soon as they are read.
     """
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        fh = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise IngestError(f"cannot read input file {path}: {exc.strerror}") from exc
     with fh:

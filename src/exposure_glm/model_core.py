@@ -382,4 +382,6 @@ def _check_beta(beta, portfolio):
         raise ValueError(
             f"coefficient vector must have length {portfolio.q + 1}, got shape {beta.shape}"
         )
+    if not np.all(np.isfinite(beta)):
+        raise ValueError(f"coefficient vector must be finite, got {beta}")
     return beta

@@ -24,6 +24,7 @@ fits the Poisson claim-count companion as the ``p = 1`` case.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,7 @@ from .model_core import (
     Portfolio,
     TweedieFamily,
     WeightScheme,
+    _check_beta,
     _cho_factor,
     _cho_solve,
     _covariance,
@@ -86,6 +88,8 @@ class FitConfig:
     def __post_init__(self):
         if not (self.tolerance > 0.0):
             raise ValueError(f"tolerance must be positive, got {self.tolerance}")
+        if not isinstance(self.max_iterations, numbers.Integral):
+            raise ValueError(f"max_iterations must be an integer, got {self.max_iterations!r}")
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
 
@@ -135,10 +139,7 @@ def _init_beta(portfolio: Portfolio, scheme: WeightScheme, family: TweedieFamily
             beta[0] = math.log(homogeneous_mle(portfolio, scheme, family))
             return beta
         raise ValueError(f"unknown init strategy {init!r}")
-    beta = np.asarray(init, dtype=float).copy()
-    if beta.shape != (k,):
-        raise ValueError(f"init vector must have length {k}, got shape {beta.shape}")
-    return beta
+    return _check_beta(init, portfolio).copy()
 
 
 def _irls(design, z, w, p, beta, config: FitConfig):

@@ -34,7 +34,7 @@ from exposure_glm.simulate import (
     gen_mimic_portfolio,
     run_gap_experiment,
 )
-from exposure_glm.verification import (
+from oracles import (
     GridSpec,
     eig_min,
     finite_diff_gradient,

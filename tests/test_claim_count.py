@@ -16,7 +16,7 @@ from exposure_glm import (
     zip_score,
 )
 from exposure_glm.model_core import _scoring_pass
-from exposure_glm.verification import finite_diff_gradient, poisson_score
+from oracles import finite_diff_gradient, poisson_score
 
 from util import random_count_data, zip_count_data
 

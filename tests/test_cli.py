@@ -336,6 +336,25 @@ class TestCompareCommand:
             "premium_ratios.csv",
         ]
 
+    def test_byte_order_mark_changes_nothing(self, tmp_path):
+        # spreadsheet "CSV UTF-8" exports start with a UTF-8 byte-order mark
+        plain, marked = tmp_path / "plain", tmp_path / "marked"
+        plain.mkdir()
+        marked.mkdir()
+        write_portfolio_csv(gen_mimic_portfolio(0.4, 60, seed=2), plain / "in.csv")
+        (marked / "in.csv").write_bytes(b"\xef\xbb\xbf" + (plain / "in.csv").read_bytes())
+        books = [ingest_csv(d / "in.csv") for d in (plain, marked)]
+        for attr in ("contract_ids", "covariate_names"):
+            assert getattr(books[0], attr) == getattr(books[1], attr)
+        for attr in ("exposures", "loss_costs", "design"):
+            np.testing.assert_array_equal(getattr(books[0], attr), getattr(books[1], attr))
+        for d in (plain, marked):
+            assert main(["compare", "--input", str(d / "in.csv"), "--out", str(d / "out")]) == 0
+        names = sorted(path.name for path in (plain / "out").iterdir())
+        assert names == sorted(path.name for path in (marked / "out").iterdir())
+        for name in names:
+            assert (plain / "out" / name).read_bytes() == (marked / "out" / name).read_bytes()
+
 
 class TestFitCommand:
     def test_single_scheme(self, tmp_path):

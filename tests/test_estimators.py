@@ -17,10 +17,11 @@ from exposure_glm import (
     expected_random_gap,
     moment_ordering,
     premium_moments,
+    quasi_loglik,
 )
 from exposure_glm.simulate import Scenario, ScenarioConfig, build_scenario_portfolio
 from exposure_glm.solver import FitConfig, fit
-from exposure_glm.verification import eig_min, mc_lognormal_moments
+from oracles import eig_min, mc_lognormal_moments
 
 from util import random_portfolio
 
@@ -213,3 +214,23 @@ class TestSingularInformation:
     def test_fit_raises_from_its_start(self, beta):
         with pytest.raises(SingularInformationError):
             fit(random_portfolio(5), WeightScheme.RATIO, FAM, FitConfig(init=beta))
+
+
+# A non-finite coefficient vector is bad input, not numerical degeneracy.
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda pf, beta: quasi_loglik(beta, pf, WeightScheme.RATIO, FAM),
+        lambda pf, beta: coefficient_covariance(pf, beta, WeightScheme.OFFSET, FAM),
+        lambda pf, beta: covariance_dominance(pf, beta, FAM),
+        lambda pf, beta: moment_ordering(pf.design[0], beta, pf, FAM),
+        lambda pf, beta: expected_random_gap(pf, beta, FAM, WeightScheme.RATIO),
+        lambda pf, beta: fit(pf, WeightScheme.RATIO, FAM, FitConfig(init=beta)),
+    ],
+    ids=["quasi_loglik", "coefficient_covariance", "covariance_dominance", "moment_ordering",
+         "expected_random_gap", "fit"],
+)
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_coefficients_rejected(call, bad):
+    with pytest.raises(ValueError, match="coefficient vector must be finite"):
+        call(random_portfolio(5), np.array([bad, 0.0, 0.0]))

@@ -1,10 +1,12 @@
-"""Exported names resolve, numpy is the only runtime dependency, and the
-benchmark's tracer can hook the live package."""
+"""Exported names resolve, the package ships only its own modules, numpy
+is the only runtime dependency, and the benchmark's tracer can hook the
+live package."""
 
 import csv
 import importlib
 import importlib.util
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -24,7 +26,6 @@ MODULES = (
     "model_core",
     "simulate",
     "solver",
-    "verification",
 )
 
 
@@ -34,6 +35,17 @@ def test_every_exported_name_resolves(module):
     missing = [name for name in mod.__all__ if not hasattr(mod, name)]
     assert not missing, f"{module}.__all__ names undefined attributes: {missing}"
     assert len(set(mod.__all__)) == len(mod.__all__)
+
+
+def test_package_ships_exactly_these_modules():
+    # test-only code (the oracles live in tests/oracles.py) stays out of the package
+    assert {m.name for m in pkgutil.iter_modules(exposure_glm.__path__)} == set(MODULES)
+
+
+def test_generator_internals_live_in_simulate_only():
+    internals = {"gen_exposures", "gen_losses", "gen_covariates", "EXPOSURE_LO", "EXPOSURE_HI"}
+    assert not internals & set(exposure_glm.__all__)
+    assert internals <= set(exposure_glm.simulate.__all__)
 
 
 def test_import_loads_numpy_as_the_only_dependency():

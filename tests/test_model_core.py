@@ -17,7 +17,7 @@ from exposure_glm import (
 )
 from exposure_glm.model_core import _gram, _scheme_weights, _scoring_pass
 from exposure_glm.solver import FitConfig, fit
-from exposure_glm.verification import eig_min, finite_diff_gradient
+from oracles import eig_min, finite_diff_gradient
 
 from util import random_portfolio, toy_portfolio
 

@@ -19,7 +19,7 @@ from exposure_glm import (
     quasi_loglik,
 )
 from exposure_glm import claim_count, solver
-from exposure_glm.verification import GridSpec, grid_mle
+from oracles import GridSpec, grid_mle
 
 from util import random_count_data, random_portfolio, toy_portfolio
 
@@ -176,6 +176,10 @@ class TestFit:
         result = fit(pf, WeightScheme.OFFSET, FAM, FitConfig(tolerance=1e-14, max_iterations=1, init="zeros"))
         assert not result.converged
         assert result.iterations == 1
+
+    def test_fractional_iteration_budget_rejected(self):
+        with pytest.raises(ValueError, match="max_iterations"):
+            FitConfig(max_iterations=2.5)
 
     def test_all_zero_losses_rejected(self):
         pf = Portfolio.from_arrays([0.5, 1.0], [0.0, 0.0])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from exposure_glm import TweedieFamily, WeightScheme, fit, FitConfig, quasi_loglik
-from exposure_glm.verification import (
+from oracles import (
     GridSpec,
     eig_min,
     finite_diff_gradient,
