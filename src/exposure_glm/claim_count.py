@@ -88,7 +88,7 @@ class ZipEvidence:
     differences: tuple
 
 
-def poisson_fit(data: CountData, scheme: WeightScheme, tolerance: float = 1e-10):
+def poisson_fit(data: CountData, scheme: WeightScheme):
     """Log-link Poisson coefficients under either scheme, by the package's IRLS loop.
 
     The offset scheme maximizes ``sum(-t * exp(x @ b) + y * (x @ b))``; the
@@ -98,8 +98,8 @@ def poisson_fit(data: CountData, scheme: WeightScheme, tolerance: float = 1e-10)
     where the offset weight ``t**(2-p)`` equals the ratio weight ``t``.
     So both schemes run one computation: the Tweedie IRLS loop at
     ``p = 1`` with weights ``t``, started at ``log(sum(y) / sum(t))``
-    and stopped when the sup-norm of the score ``X.T @ (y - t * zeta)``
-    falls below ``tolerance`` or the score reaches its rounding floor.
+    and stopped when every component of the score ``X.T @ (y - t * zeta)``
+    reaches its rounding floor.
     Raises RuntimeError when that takes more than 50 updates.
     """
     scheme = WeightScheme(scheme)
@@ -109,7 +109,7 @@ def poisson_fit(data: CountData, scheme: WeightScheme, tolerance: float = 1e-10)
     X, t, z = data.design, data.exposures, data.normalized
     start = np.zeros(data.q + 1)
     start[0] = math.log(total / t.sum())
-    config = FitConfig(tolerance=tolerance, max_iterations=_POISSON_MAX_ITERATIONS)
+    config = FitConfig(max_iterations=_POISSON_MAX_ITERATIONS)
     beta, _, converged, *_ = _irls(X, z, t, 1.0, start, config)
     if not converged:
         raise RuntimeError(f"Poisson {scheme.value} fit did not converge in {_POISSON_MAX_ITERATIONS} iterations")

@@ -303,7 +303,7 @@ _SCHEMES = {
 def _fit_schemes(args, schemes):
     """Check the flags, then ingest ``args.input`` and fit ``schemes``: ``(portfolio, results)``."""
     family = TweedieFamily(p=args.p, phi=args.phi)
-    fit_config = FitConfig(tolerance=args.tolerance, max_iterations=args.max_iterations)
+    fit_config = FitConfig(max_iterations=args.max_iterations)
     portfolio = ingest_csv(args.input)
     results = {}
     for scheme in schemes:
@@ -435,12 +435,11 @@ def cmd_simulate(args):
 
 
 def cmd_counts(args):
-    # Check the flags before reading the input: these objects hold their rules.
-    FitConfig(tolerance=args.tolerance)
+    # Check the flag before reading the input: ZipParams holds its rule.
     ZipParams(args.zero_inflation, ())
     data = ingest_counts_csv(args.input)
     # Both modes of poisson_fit are one computation: one fit serves both.
-    beta = [float(b) for b in poisson_fit(data, "offset", tolerance=args.tolerance)]
+    beta = [float(b) for b in poisson_fit(data, "offset")]
     evidence = zip_nonequivalence_check(data, zero_inflation=args.zero_inflation)
     _write_json(
         args.out / "counts.json",
@@ -471,12 +470,9 @@ def _add_model_flags(parser):
     parser.add_argument("--p", type=float, default=1.42, help="Tweedie variance power in (1, 2)")
     parser.add_argument("--phi", type=float, default=1.0, help="dispersion (scales covariances only)")
     parser.add_argument(
-        "--tol", dest="tolerance", type=float, default=1e-8,
-        help="sup-norm gradient tolerance; a fit also stops when every gradient "
-        "component is within 4x its rounding floor, whatever the loss scale",
-    )
-    parser.add_argument(
-        "--max-iter", dest="max_iterations", type=int, default=100, help="IRLS iteration budget"
+        "--max-iter", dest="max_iterations", type=int, default=100,
+        help="IRLS iteration budget; a fit stops sooner when every score component "
+        "is within 4x its rounding floor, whatever the loss scale",
     )
 
 
@@ -515,10 +511,6 @@ def build_parser():
     counts = sub.add_parser("counts", help="Poisson equivalence and zero-inflation evidence")
     counts.add_argument("--input", required=True, type=Path, help="claim-count CSV")
     counts.add_argument("--out", required=True, type=Path, help="output directory")
-    counts.add_argument(
-        "--tol", dest="tolerance", type=float, default=1e-10,
-        help="sup-norm score tolerance; the fit also stops at 4x the score's rounding floor",
-    )
     counts.add_argument(
         "--zero-inflation", type=float, default=0.3,
         help="zero-inflation mass used for the non-equivalence probe",

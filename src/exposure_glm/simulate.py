@@ -17,7 +17,7 @@ import numpy as np
 
 from .balance import IndividualGaps, individual_gaps, portfolio_gap
 from .model_core import Portfolio, RankDeficiencyError, TweedieFamily, WeightScheme
-from .solver import FitConfig, FitResult, fit
+from .solver import FitResult, fit
 
 __all__ = [
     "EXPOSURE_LO",
@@ -147,17 +147,11 @@ def _full_rank_portfolio(seed_seq, build, attempts=64):
 
 
 def run_gap_experiment(config: ScenarioConfig) -> GapExperiment:
-    """Fit both schemes on a scenario portfolio and collect gap curves.
-
-    The stopping tolerance is much tighter than the general solver
-    default so that the ratio scheme's exact-balance identity is visible
-    down to ~1e-10 in the portfolio totals.
-    """
+    """Fit both schemes on a scenario portfolio and collect gap curves."""
     portfolio = build_scenario_portfolio(config)
     family = TweedieFamily(p=config.p)
-    fit_config = FitConfig(tolerance=1e-12)
-    fit_offset = fit(portfolio, WeightScheme.OFFSET, family, fit_config)
-    fit_ratio = fit(portfolio, WeightScheme.RATIO, family, fit_config)
+    fit_offset = fit(portfolio, WeightScheme.OFFSET, family)
+    fit_ratio = fit(portfolio, WeightScheme.RATIO, family)
     gaps_offset = individual_gaps(portfolio, fit_offset)
     gaps_ratio = individual_gaps(portfolio, fit_ratio)
     return GapExperiment(

@@ -7,17 +7,16 @@ exactly.  ``H`` is positive for ``1 <= p < 2`` because ``Q >= 0``, and
 equals ``D`` at ``p = 1``.  The reported covariance is the inverse
 expected information ``phi * (X.T @ D @ X)**-1`` at the final iterate,
 factored once after the loop.  Convergence is declared on the
-dispersion-scaled gradient ``g = X.T @ D @ R``: either its sup-norm is
-below the configured tolerance, or every ``|g_j|`` is within four times
-its rounding floor ``eps * max_i |x_ij| * sum_i d_i (q_i + 1)``
-(``q = z * exp(-s)``).  The floor scales with the losses and the
-portfolio size as ``g`` does, so the second rule stops at the same
-iterate at any loss scale.  Every step is monotone, as in R's ``glm2``
-(Marschner 2011): it is halved, at most 30 times, while the
-quasi-log-likelihood would fall by more than its rounding,
-``64 * eps * |objective|``.  The scoring pass at each candidate yields
-that objective with the next score, ``D`` and ``Q``, so an iteration
-without halving costs one pass.  Intercept-only portfolios admit
+dispersion-scaled gradient ``g = X.T @ D @ R`` by one rule: every
+``|g_j|`` is within four times its rounding floor
+``eps * max_i |x_ij| * sum_i d_i (q_i + 1)`` (``q = z * exp(-s)``).
+The floor scales with the losses and the portfolio size as ``g`` does,
+so the fit stops at the same iterate at any loss scale.  Every step is
+monotone, as in R's ``glm2`` (Marschner 2011): it is halved, at most 30
+times, while the quasi-log-likelihood would fall by more than its
+rounding, ``64 * eps * |objective|``.  The scoring pass at each candidate
+yields that objective with the next score, ``D`` and ``Q``, so an
+iteration without halving costs one pass.  Intercept-only portfolios admit
 closed-form maximum-likelihood estimates (weighted means of the
 annualized losses) which also seed the IRLS iteration.  The same loop
 fits the Poisson claim-count companion as the ``p = 1`` case.
@@ -67,27 +66,23 @@ class AllZeroLossError(ValueError):
 
 @dataclass
 class FitConfig:
-    """Stopping rule and initialization for the IRLS iteration.
+    """Iteration budget and initialization for the IRLS iteration.
 
-    The fit converges when the sup-norm of the dispersion-scaled score
-    drops below ``tolerance``, or when every score component is within
-    a small multiple of its floating-point rounding floor, which scales
-    with the losses and the number of contracts; the second rule makes
-    the stop independent of the loss scale.  ``max_iterations`` bounds
-    the number of updates.  ``init`` is ``"homogeneous"`` (log of the
-    intercept-only closed-form estimate, remaining coordinates zero),
-    ``"zeros"``, or an explicit coefficient vector used as-is.  Every
-    update is halved, at most 30 times, while it would lower the
-    quasi-log-likelihood by more than its rounding.
+    The fit converges when every component of the dispersion-scaled score
+    is within a small multiple of its floating-point rounding floor, which
+    scales with the losses and the number of contracts, so the stop does
+    not depend on the loss scale; there is no other stopping rule.
+    ``max_iterations`` bounds the number of updates.  ``init`` is
+    ``"homogeneous"`` (log of the intercept-only closed-form estimate,
+    remaining coordinates zero), ``"zeros"``, or an explicit coefficient
+    vector used as-is.  Every update is halved, at most 30 times, while
+    it would lower the quasi-log-likelihood by more than its rounding.
     """
 
-    tolerance: float = 1e-8
     max_iterations: int = 100
     init: object = "homogeneous"
 
     def __post_init__(self):
-        if not (self.tolerance > 0.0):
-            raise ValueError(f"tolerance must be positive, got {self.tolerance}")
         if not isinstance(self.max_iterations, numbers.Integral):
             raise ValueError(f"max_iterations must be an integer, got {self.max_iterations!r}")
         if self.max_iterations < 1:
@@ -146,8 +141,8 @@ def _irls(design, z, w, p, beta, config: FitConfig):
     """Newton's method for the weighted Tweedie fit on ``z`` with weights ``w``.
 
     Starts from ``beta`` and solves ``(X.T H X) delta = X.T D R`` once
-    per iteration until the score meets ``config.tolerance`` or its
-    rounding floor (see the module docstring) or the budget runs out.
+    per iteration until every score component is within its rounding
+    floor (see the module docstring) or the budget runs out.
     A step that lowers the scoring pass's objective (``phi`` times the
     quasi-log-likelihood) by more than ``_OBJECTIVE_SLACK * |objective|``,
     or makes it non-finite, is halved up to ``_MAX_HALVINGS`` times, each
@@ -162,9 +157,7 @@ def _irls(design, z, w, p, beta, config: FitConfig):
     trace_objective = [value]
     for iteration in range(config.max_iterations + 1):
         gradient_norm = float(np.max(np.abs(score)))
-        converged = gradient_norm < config.tolerance or bool(
-            np.all(np.abs(score) <= mass * floor_scale)
-        )
+        converged = bool(np.all(np.abs(score) <= mass * floor_scale))
         if converged or iteration == config.max_iterations:
             break
         delta = _cho_solve(_cho_factor(_gram(design, _observed_weights(d, q, p))), score)

@@ -12,7 +12,6 @@ import pytest
 
 from exposure_glm import (
     Dominance,
-    FitConfig,
     Portfolio,
     TweedieFamily,
     WeightScheme,
@@ -46,7 +45,6 @@ from oracles import (
 
 from util import random_count_data, random_portfolio, zip_count_data
 
-TIGHT = FitConfig(tolerance=1e-12)
 
 
 def _report(number, label, ok, detail=""):
@@ -72,7 +70,7 @@ def test_criterion_01_homogeneous_ratio_balance():
     for seed in range(100):
         pf = _random_homogeneous(seed)
         p = float(np.random.default_rng(seed + 500).uniform(1.05, 1.95))
-        result = fit(pf, WeightScheme.RATIO, TweedieFamily(p=p), TIGHT)
+        result = fit(pf, WeightScheme.RATIO, TweedieFamily(p=p))
         total_loss = pf.loss_costs.sum()
         premium_total = float(np.dot(pf.exposures, np.exp(pf.design @ result.beta_hat)))
         worst = max(worst, abs(premium_total - total_loss) / total_loss)
@@ -92,7 +90,7 @@ def test_criterion_02_homogeneous_offset_imbalance():
         pf = _random_homogeneous(seed)
         p = float(np.random.default_rng(seed + 500).uniform(1.05, 1.95))
         fam = TweedieFamily(p=p)
-        result = fit(pf, WeightScheme.OFFSET, fam, TIGHT)
+        result = fit(pf, WeightScheme.OFFSET, fam)
         total_loss = pf.loss_costs.sum()
         premium_total = float(np.dot(pf.exposures, np.exp(pf.design @ result.beta_hat)))
         min_margin = min(min_margin, abs(premium_total - total_loss) / total_loss)
@@ -114,9 +112,8 @@ def test_criterion_03_full_exposure_equivalence():
     for seed in range(10):
         pf = random_portfolio(seed + 300, n=60, q=2, all_full=True)
         fam = TweedieFamily(p=1.42)
-        config = FitConfig(tolerance=1e-10)
-        beta_o = fit(pf, WeightScheme.OFFSET, fam, config).beta_hat
-        beta_r = fit(pf, WeightScheme.RATIO, fam, config).beta_hat
+        beta_o = fit(pf, WeightScheme.OFFSET, fam).beta_hat
+        beta_r = fit(pf, WeightScheme.RATIO, fam).beta_hat
         worst = max(worst, float(np.max(np.abs(beta_o - beta_r))))
     _report(
         3,
@@ -130,8 +127,8 @@ def test_criterion_04_poisson_equivalence_and_zip_evidence():
     worst = worst_score = 0.0
     for seed in range(20):
         data = random_count_data(seed)
-        beta_o = poisson_fit(data, "offset", tolerance=1e-12)
-        beta_r = poisson_fit(data, "ratio", tolerance=1e-12)
+        beta_o = poisson_fit(data, "offset")
+        beta_r = poisson_fit(data, "ratio")
         worst = max(worst, float(np.max(np.abs(beta_o - beta_r))))
         # both modes share one loop; the raw-count score is the independent check
         worst_score = max(worst_score, float(np.max(np.abs(poisson_score(beta_o, data, "offset")))))
@@ -234,7 +231,7 @@ def test_criterion_07_gradient_and_fixed_points():
     for seed in range(10):
         pf = random_portfolio(seed + 250, n=40, q=2)
         for scheme in WeightScheme:
-            result = fit(pf, scheme, fam, FitConfig(tolerance=1e-8))
+            result = fit(pf, scheme, fam)
             if not result.converged or result.gradient_norm >= 1e-8:
                 fixed_ok = False
 
@@ -243,7 +240,7 @@ def test_criterion_07_gradient_and_fixed_points():
     pf = random_portfolio(30, n=30, q=1, zero_frac=0.2)
     fam15 = TweedieFamily(p=1.5)
     for scheme in WeightScheme:
-        beta_hat = fit(pf, scheme, fam15, TIGHT).beta_hat
+        beta_hat = fit(pf, scheme, fam15).beta_hat
 
         def objective(b, scheme=scheme):
             return quasi_loglik(b, pf, scheme, fam15)
@@ -306,7 +303,7 @@ def test_criterion_09_invariance_of_formulations():
     worst = 0.0
     for seed in range(10):
         pf = random_portfolio(seed + 400, n=50, q=2)
-        weighted = fit(pf, WeightScheme.OFFSET, fam, FitConfig(tolerance=1e-11)).beta_hat
+        weighted = fit(pf, WeightScheme.OFFSET, fam).beta_hat
         loss_scale = offset_loss_irls(pf, fam, tolerance=1e-11)
         worst = max(worst, float(np.max(np.abs(weighted - loss_scale))))
     _report(

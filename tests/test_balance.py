@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from exposure_glm import (
-    FitConfig,
     Portfolio,
     TweedieFamily,
     WeightScheme,
@@ -29,20 +28,19 @@ from exposure_glm.simulate import (
 from util import random_portfolio, toy_portfolio
 
 FAM = TweedieFamily(p=1.5)
-TIGHT = FitConfig(tolerance=1e-14)
 
 
 class TestIndividualGaps:
     def test_ratio_gaps_sum_to_zero_on_homogeneous_portfolio(self):
         for seed in range(5):
             pf = random_portfolio(seed, q=0)
-            result = fit(pf, WeightScheme.RATIO, FAM, TIGHT)
+            result = fit(pf, WeightScheme.RATIO, FAM)
             gaps = individual_gaps(pf, result)
             assert abs(portfolio_gap(gaps)) < 1e-10
 
     def test_offset_gaps_do_not_balance(self):
         pf = toy_portfolio()
-        result = fit(pf, WeightScheme.OFFSET, FAM, TIGHT)
+        result = fit(pf, WeightScheme.OFFSET, FAM)
         assert abs(portfolio_gap(individual_gaps(pf, result))) > 1e-6
 
     def test_perfect_fit_contract_has_zero_gap(self):
@@ -52,7 +50,7 @@ class TestIndividualGaps:
         beta = np.array([1.0, 0.5])
         y = t * np.exp(np.column_stack([np.ones(10), x]) @ beta)
         pf = Portfolio.from_arrays(t, y, x)
-        result = fit(pf, WeightScheme.RATIO, FAM, TIGHT)
+        result = fit(pf, WeightScheme.RATIO, FAM)
         assert individual_gaps(pf, result).gap == pytest.approx(np.zeros(10), abs=1e-9)
 
     def test_gap_identity_holds_exactly(self):
@@ -86,22 +84,21 @@ class TestIndividualGaps:
 
     def test_records_identical_across_schemes_at_full_exposure(self):
         pf = random_portfolio(5, all_full=True)
-        config = FitConfig(tolerance=1e-12)
-        gaps_o = individual_gaps(pf, fit(pf, WeightScheme.OFFSET, FAM, config))
-        gaps_r = individual_gaps(pf, fit(pf, WeightScheme.RATIO, FAM, config))
+        gaps_o = individual_gaps(pf, fit(pf, WeightScheme.OFFSET, FAM))
+        gaps_r = individual_gaps(pf, fit(pf, WeightScheme.RATIO, FAM))
         assert gaps_o.fitted_zeta == pytest.approx(gaps_r.fitted_zeta, rel=1e-10)
         assert gaps_o.gap == pytest.approx(gaps_r.gap, abs=1e-9)
 
 
 class TestPortfolioGap:
     def test_ratio_toy_portfolio_balances(self):
-        result = fit(toy_portfolio(), WeightScheme.RATIO, FAM, TIGHT)
+        result = fit(toy_portfolio(), WeightScheme.RATIO, FAM)
         assert abs(portfolio_gap(individual_gaps(toy_portfolio(), result))) < 1e-12
 
     def test_offset_toy_portfolio_value(self):
         # 25 - 1.5 * weighted-mean estimate, evaluated from the closed form
         expected = 25.0 - 1.5 * (math.sqrt(0.5) * 10.0 + 20.0) / (math.sqrt(0.5) + 1.0)
-        result = fit(toy_portfolio(), WeightScheme.OFFSET, FAM, TIGHT)
+        result = fit(toy_portfolio(), WeightScheme.OFFSET, FAM)
         assert portfolio_gap(individual_gaps(toy_portfolio(), result)) == pytest.approx(
             expected, abs=1e-9
         )
@@ -124,7 +121,7 @@ class TestPortfolioGap:
 class TestClassReport:
     def test_homogeneous_ratio_portfolio_level_ratio_is_one(self):
         pf = random_portfolio(6, q=0)
-        result = fit(pf, WeightScheme.RATIO, FAM, TIGHT)
+        result = fit(pf, WeightScheme.RATIO, FAM)
         report = class_report(pf, [result], 0)
         assert len(report) == 1
         assert report.factor_name == "intercept"
@@ -138,8 +135,7 @@ class TestClassReport:
 
     def test_levels_identical_across_schemes_at_full_exposure(self):
         pf = random_portfolio(8, all_full=True)
-        config = FitConfig(tolerance=1e-12)
-        fits = [fit(pf, scheme, FAM, config) for scheme in (WeightScheme.OFFSET, WeightScheme.RATIO)]
+        fits = [fit(pf, scheme, FAM) for scheme in (WeightScheme.OFFSET, WeightScheme.RATIO)]
         report = class_report(pf, fits, 1)
         assert report.premium_sums.shape == (2, len(report))
         for sum_o, sum_r in zip(*report.premium_sums):
@@ -151,10 +147,13 @@ class TestClassReport:
         assert losses == sorted(losses)
 
     def test_zero_loss_level_reports_undefined_ratio(self):
-        x = np.array([0.0, 0.0, 1.0, 1.0, 0.0, 1.0])
+        # x is one numeric column, so level 0 has no losses but does not
+        # separate the zeros: the fit has an optimum and converges
+        x = np.array([0.0, 0.0, 1.0, 1.0, 2.0, 2.0])
         y = np.array([0.0, 0.0, 5.0, 7.0, 0.0, 3.0])
         pf = Portfolio.from_arrays(np.full(6, 0.5), y, x[:, None])
         result = fit(pf, WeightScheme.RATIO, FAM)
+        assert result.converged
         report = class_report(pf, [result], 1)
         undefined = np.flatnonzero(np.isnan(report.ratios[0]))
         assert undefined.tolist() == [0]
@@ -265,7 +264,7 @@ class TestGroupSummaries:
 class TestBalanceFactor:
     def test_homogeneous_ratio_is_one(self):
         pf = random_portfolio(15, q=0)
-        result = fit(pf, WeightScheme.RATIO, FAM, TIGHT)
+        result = fit(pf, WeightScheme.RATIO, FAM)
         assert balance_factor(pf, result) == pytest.approx(1.0, abs=1e-12)
 
     def test_heterogeneous_ratio_near_but_not_exactly_one(self):

@@ -1,16 +1,18 @@
 """CLI surface: ingestion diagnostics, output schemas, determinism, exit codes."""
 
+import argparse
 import csv
 import json
 import os
 import stat
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from exposure_glm import cli, model_core
-from exposure_glm.cli import IngestError, ingest_csv, ingest_counts_csv, main, write_portfolio_csv
+from exposure_glm.cli import IngestError, build_parser, ingest_csv, ingest_counts_csv, main, write_portfolio_csv
 from exposure_glm.simulate import Scenario, ScenarioConfig, build_scenario_portfolio, gen_mimic_portfolio
 
 
@@ -368,7 +370,7 @@ class TestFitCommand:
     def test_both_schemes_match_compare_byte_for_byte(self, tmp_path):
         src = tmp_path / "in.csv"
         write_portfolio_csv(gen_mimic_portfolio(0.4, 60, seed=2), src)
-        flags = ["--input", str(src), "--p", "1.3", "--phi", "2.5", "--tol", "1e-10"]
+        flags = ["--input", str(src), "--p", "1.3", "--phi", "2.5", "--max-iter", "50"]
         assert main(["fit", *flags, "--out", str(tmp_path / "fit"), "--scheme", "both"]) == 0
         assert main(["compare", *flags, "--out", str(tmp_path / "compare")]) == 0
         fit_json = (tmp_path / "fit" / "fit.json").read_bytes()
@@ -451,13 +453,11 @@ class TestErrorHandling:
         assert payload["error"] == "ValueError"
 
     def test_bad_flag_reported_before_input_is_read(self, tmp_path, capsys):
-        for command, value, flag, word in (
-            ("fit", "loss_cost", "--tol", "tolerance"),
-            ("counts", "count", "--tol", "tolerance"),
-            ("counts", "count", "--zero-inflation", "zero inflation"),
+        for command, value, flag, bad, word in (
+            ("fit", "loss_cost", "--max-iter", "0", "max_iterations"),
+            ("counts", "count", "--zero-inflation", "2", "zero inflation"),
         ):
             src = _write(tmp_path / "in.csv", f"contract_id,exposure,{value}\na,0.5,x\nb,1.0,1.0\n")
-            bad = "0" if flag == "--tol" else "2"
             code = main([command, "--input", str(src), "--out", str(tmp_path / "o"), flag, bad])
             assert code == 1
             payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
@@ -503,6 +503,15 @@ class TestErrorHandling:
         src = _write(tmp_path / "in.csv", MINIMAL)
         with pytest.raises(SystemExit) as excinfo:
             main([command, "--input", str(src), "--out", str(tmp_path / "o"), "--scheme", "offset"])
+        assert excinfo.value.code == 2
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["fit", "compare", "balance", "counts"])
+    def test_no_tolerance_flag(self, tmp_path, command):
+        # the score's rounding floor is the only stopping rule
+        src = _write(tmp_path / "in.csv", MINIMAL)
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--input", str(src), "--out", str(tmp_path / "o"), "--tol", "1e-8"])
         assert excinfo.value.code == 2
         assert not (tmp_path / "o").exists()
 
@@ -599,3 +608,21 @@ class TestCsvOutput:
     def test_single_empty_column_cell_is_quoted_like_csv_writer(self, tmp_path):
         cli._write_csv(tmp_path / "out.csv", ["a"], [["", "b"]])
         assert (tmp_path / "out.csv").read_text() == 'a\n""\nb\n'
+
+
+class TestUsage:
+    def test_readme_synopsis_lists_every_flag(self):
+        # each ``exposure-glm <command>`` line of the README's CLI block names
+        # exactly the flags of that command's parser (text after ``#`` aside)
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("## CLI", 1)[1].split("```")[1]
+        (subparsers,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        documented = {}
+        for line in block.splitlines():
+            words = line.split("#", 1)[0].split()
+            if words[:1] == ["exposure-glm"]:
+                documented[words[1]] = {w.strip("[]") for w in words if w.strip("[]").startswith("--")}
+        assert set(documented) == {"fit", "compare", "simulate", "counts"}
+        for command, flags in documented.items():
+            options = {o for a in subparsers.choices[command]._actions for o in a.option_strings}
+            assert flags == options - {"-h", "--help"}, command

@@ -183,7 +183,7 @@ class TestCoefficientCovariance:
 
         pf = random_portfolio(23)
         fam = TweedieFamily(p=1.42, phi=2.5)
-        result = fit(pf, WeightScheme.OFFSET, fam, FitConfig(tolerance=1e-12))
+        result = fit(pf, WeightScheme.OFFSET, fam)
         np.testing.assert_allclose(
             coefficient_covariance(pf, result.beta_hat, WeightScheme.OFFSET, fam),
             result.covariance,

@@ -16,7 +16,7 @@ from exposure_glm import (
     quasi_loglik,
 )
 from exposure_glm.model_core import _gram, _scheme_weights, _scoring_pass
-from exposure_glm.solver import FitConfig, fit
+from exposure_glm.solver import fit
 from oracles import eig_min, finite_diff_gradient
 
 from util import random_portfolio, toy_portfolio
@@ -257,7 +257,7 @@ class TestQuasiLoglik:
     def test_local_maximum_at_fit(self):
         pf = toy_portfolio()
         fam = TweedieFamily(p=1.5)
-        beta_hat = fit(pf, WeightScheme.RATIO, fam, FitConfig(tolerance=1e-13)).beta_hat
+        beta_hat = fit(pf, WeightScheme.RATIO, fam).beta_hat
         top = quasi_loglik(beta_hat, pf, WeightScheme.RATIO, fam)
         for eps in (1e-4, -1e-4):
             assert top >= quasi_loglik(beta_hat + eps, pf, WeightScheme.RATIO, fam)

@@ -11,6 +11,7 @@ from exposure_glm import (
     FitConfig,
     Portfolio,
     RankDeficiencyError,
+    SingularInformationError,
     TweedieFamily,
     WeightScheme,
     fit,
@@ -79,13 +80,13 @@ class TestIrlsStep:
 
     def test_stationary_point_is_fixed(self):
         pf = random_portfolio(21)
-        result = fit(pf, WeightScheme.OFFSET, FAM, FitConfig(tolerance=1e-13))
+        result = fit(pf, WeightScheme.OFFSET, FAM)
         # At the optimum the score is already at its rounding floor and the
         # fit takes no step.  So start 1e-11 away, where the score is far
         # above the floor: one update then runs, and it lands within 1e-12
         # of the optimum only if the optimum is its fixed point.
         start = result.beta_hat + 1e-11
-        config = FitConfig(tolerance=1e-300, max_iterations=1, init=start)
+        config = FitConfig(max_iterations=1, init=start)
         stepped = fit(pf, WeightScheme.OFFSET, FAM, config)
         assert stepped.iterations == 1
         np.testing.assert_array_equal(stepped.trace_beta[0], start)
@@ -94,7 +95,7 @@ class TestIrlsStep:
     def test_intercept_only_reaches_closed_form(self):
         pf = random_portfolio(22, q=0)
         for scheme in WeightScheme:
-            config = FitConfig(tolerance=1e-300, max_iterations=60, init="zeros")
+            config = FitConfig(max_iterations=60, init="zeros")
             beta = fit(pf, scheme, FAM, config).beta_hat
             assert beta[0] == pytest.approx(
                 math.log(homogeneous_mle(pf, scheme, FAM)), abs=1e-8
@@ -131,9 +132,8 @@ class TestIrlsStep:
 class TestFit:
     def test_full_exposure_schemes_agree(self):
         pf = random_portfolio(23, all_full=True)
-        config = FitConfig(tolerance=1e-10)
-        beta_o = fit(pf, WeightScheme.OFFSET, FAM, config).beta_hat
-        beta_r = fit(pf, WeightScheme.RATIO, FAM, config).beta_hat
+        beta_o = fit(pf, WeightScheme.OFFSET, FAM).beta_hat
+        beta_r = fit(pf, WeightScheme.RATIO, FAM).beta_hat
         assert np.max(np.abs(beta_o - beta_r)) < 1e-8
 
     def test_converges_quickly_on_heterogeneous_portfolios(self):
@@ -146,7 +146,7 @@ class TestFit:
 
     def test_fixed_point_criterion(self):
         pf = random_portfolio(24)
-        result = fit(pf, WeightScheme.RATIO, FAM, FitConfig(tolerance=1e-9))
+        result = fit(pf, WeightScheme.RATIO, FAM)
         assert result.converged
         assert result.gradient_norm < 1e-9
 
@@ -173,7 +173,7 @@ class TestFit:
 
     def test_nonconvergence_is_reported_not_raised(self):
         pf = random_portfolio(27)
-        result = fit(pf, WeightScheme.OFFSET, FAM, FitConfig(tolerance=1e-14, max_iterations=1, init="zeros"))
+        result = fit(pf, WeightScheme.OFFSET, FAM, FitConfig(max_iterations=1, init="zeros"))
         assert not result.converged
         assert result.iterations == 1
 
@@ -214,9 +214,8 @@ class TestFit:
         # near p = 1 the two weightings almost coincide, so the fits do too
         pf = random_portfolio(29, n=60, q=1)
         fam = TweedieFamily(p=1.0 + 1e-6)
-        config = FitConfig(tolerance=1e-12)
-        beta_o = fit(pf, WeightScheme.OFFSET, fam, config).beta_hat
-        beta_r = fit(pf, WeightScheme.RATIO, fam, config).beta_hat
+        beta_o = fit(pf, WeightScheme.OFFSET, fam).beta_hat
+        beta_r = fit(pf, WeightScheme.RATIO, fam).beta_hat
         assert np.max(np.abs(beta_o - beta_r)) < 1e-4
 
 
@@ -229,16 +228,12 @@ def sparse_book(seed, n, scale):
     return t, y, x
 
 
-# An absolute tolerance no score can meet: the scale-free floor rule alone stops.
-FLOOR_ONLY = FitConfig(tolerance=1e-300)
-
-
 class TestStoppingRule:
     """The score's rounding floor stops the fit at any loss scale."""
 
     def test_large_losses_converge_in_a_few_iterations(self):
-        # At this scale the score's rounding noise exceeds the absolute 1e-8,
-        # so that rule alone runs both fits to the budget.
+        # At this scale the score's rounding noise exceeds an absolute
+        # threshold such as 1e-8, which would run both fits to the budget.
         pf = Portfolio.from_arrays(*sparse_book(0, 5000, 1e9))
         for scheme in WeightScheme:
             result = fit(pf, scheme, FAM)
@@ -248,10 +243,10 @@ class TestStoppingRule:
     def test_loss_scale_moves_only_the_intercept(self):
         t, y, x = sparse_book(1, 400, 1.0)
         for scheme in WeightScheme:
-            base = fit(Portfolio.from_arrays(t, y, x), scheme, FAM, FLOOR_ONLY)
+            base = fit(Portfolio.from_arrays(t, y, x), scheme, FAM)
             assert base.converged
             for c in (1e-4, 1e5):
-                scaled = fit(Portfolio.from_arrays(t, c * y, x), scheme, FAM, FLOOR_ONLY)
+                scaled = fit(Portfolio.from_arrays(t, c * y, x), scheme, FAM)
                 assert scaled.converged
                 assert abs(scaled.iterations - base.iterations) <= 1
                 assert scaled.beta_hat[0] - math.log(c) == pytest.approx(base.beta_hat[0], abs=1e-12)
@@ -267,6 +262,21 @@ class TestStoppingRule:
             assert np.all(np.diff(result.trace_objective) >= -1e-9)
             reference = fit(pf, scheme, FAM).beta_hat
             assert np.max(np.abs(result.beta_hat - reference)) < 1e-8
+
+    def test_separated_book_never_reports_convergence(self):
+        # level 0 of the binary covariate has no losses, so the slope's
+        # optimum lies at +inf: no fit may stop at a finite slope as if it
+        # had found it, whatever the loss scale
+        x = np.array([0.0, 0.0, 1.0, 1.0, 0.0, 1.0])[:, None]
+        y = np.array([0.0, 0.0, 5.0, 7.0, 0.0, 3.0])
+        for scheme in WeightScheme:
+            for c in (1e-3, 1.0, 1e3, 1e6):
+                pf = Portfolio.from_arrays(np.full(6, 0.5), c * y, x)
+                try:
+                    result = fit(pf, scheme, FAM)
+                except SingularInformationError:
+                    continue
+                assert not result.converged, (scheme, c, result.beta_hat)
 
 
 class TestOnePassPerIterate:
@@ -322,7 +332,7 @@ class TestGridOracle:
     def test_matches_grid_search_with_one_covariate(self):
         pf = random_portfolio(30, n=30, q=1, zero_frac=0.2)
         for scheme in WeightScheme:
-            beta_hat = fit(pf, scheme, FAM, FitConfig(tolerance=1e-12)).beta_hat
+            beta_hat = fit(pf, scheme, FAM).beta_hat
 
             def objective(b):
                 return quasi_loglik(b, pf, scheme, FAM)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from exposure_glm import TweedieFamily, WeightScheme, fit, FitConfig, quasi_loglik
+from exposure_glm import TweedieFamily, WeightScheme, fit, quasi_loglik
 from oracles import (
     GridSpec,
     eig_min,
@@ -119,7 +119,7 @@ class TestOffsetLossIrls:
         fam = TweedieFamily(p=1.42)
         for seed in range(5):
             pf = random_portfolio(seed + 70, n=50)
-            packaged = fit(pf, WeightScheme.OFFSET, fam, FitConfig(tolerance=1e-11)).beta_hat
+            packaged = fit(pf, WeightScheme.OFFSET, fam).beta_hat
             oracle = offset_loss_irls(pf, fam, tolerance=1e-11)
             assert np.max(np.abs(packaged - oracle)) < 1e-9
 
