@@ -15,6 +15,7 @@ variable (error, info or debug; default error), logged to stderr.
 
 import argparse
 import csv
+import io
 import json
 import logging
 import os
@@ -69,13 +70,6 @@ def _setup_logging():
     )
 
 
-def _format_column(column):
-    """Cells of one output column: floats with 17 significant digits, None empty."""
-    if isinstance(column, np.ndarray) and column.dtype.kind == "f":
-        return [format(v, ".17g") for v in column.tolist()]
-    return [format(v, ".17g") if isinstance(v, float) else "" if v is None else str(v) for v in column]
-
-
 def _atomic_write(path: Path, write, newline=None):
     """Write ``path`` through ``write(fh)``, all at once or not at all.
 
@@ -107,23 +101,56 @@ def _atomic_write(path: Path, write, newline=None):
 
 
 _CHUNK_ROWS = 4096
+# A cell holding one of these goes through ``csv.writer``; any other is
+# written as it is.
+_SPECIAL = (",", '"', "\r", "\n")
+
+
+def _csv_cell(cell):
+    """``cell`` as ``csv.writer`` writes it alone on a row, without the line end."""
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerow([cell])
+    return buffer.getvalue()[:-1]
+
+
+def _text_cells(column, alone):
+    """Cells of a column that is not a float array, as ``csv.writer`` writes them.
+
+    Floats carry 17 significant digits, None is empty and anything else
+    is its ``str``.  A cell with a delimiter, a quote or a line break
+    goes through ``csv.writer``, which quotes it as the running Python
+    does, and so does an empty cell of a one-column file (``alone``).
+    """
+    if not set(map(type, column)) <= {str}:
+        column = [format(v, ".17g") if isinstance(v, float) else "" if v is None else str(v) for v in column]
+    joined = "".join(column)
+    if not any(s in joined for s in _SPECIAL) and (not alone or all(column)):
+        return column
+    return [_csv_cell(c) if (alone and not c) or any(s in c for s in _SPECIAL) else c for c in column]
 
 
 def _write_csv(path: Path, header, columns):
     """Write equal-length ``columns`` under ``header`` as a CSV file.
 
-    Rows are formatted and written in chunks, so memory stays bounded
-    whatever the number of rows.
+    The bytes are those of ``csv.writer(lineterminator="\\n")``.  Each
+    row is one ``%`` operation on a template with ``%.17g`` for a float
+    array column and ``%s`` for any other.  Rows are formatted and
+    written in chunks, so memory stays bounded whatever the number of rows.
     """
     n = len(columns[0])
+    alone = len(columns) == 1
+    floats = [isinstance(column, np.ndarray) and column.dtype.kind == "f" for column in columns]
+    row = ",".join("%.17g" if is_float else "%s" for is_float in floats) + "\n"
 
     def write(fh):
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
+        fh.write(",".join(_text_cells(header, alone)) + "\n")
         for start in range(0, n, _CHUNK_ROWS):
-            writer.writerows(
-                zip(*(_format_column(column[start : start + _CHUNK_ROWS]) for column in columns))
-            )
+            rows = slice(start, start + _CHUNK_ROWS)
+            cells = [
+                column[rows].tolist() if is_float else _text_cells(column[rows], alone)
+                for column, is_float in zip(columns, floats)
+            ]
+            fh.write("".join([row % values for values in zip(*cells)]))
 
     _atomic_write(path, write, newline="")
 

@@ -63,6 +63,9 @@ class SingularInformationError(RuntimeError):
     On a validated portfolio this signals numerical degeneracy (under- or
     overflow of the weight matrix at an extreme coefficient vector, so a
     singular or a non-finite matrix) rather than a modelling error.
+    ``fit`` also raises it, before iterating, for a book whose optimum
+    lies at infinity: a two-valued covariate with a level whose losses
+    are all zero.
     """
 
 

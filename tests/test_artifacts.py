@@ -37,7 +37,10 @@ probe of numpy's kernels that the fit calls (products, Cholesky factor,
 solves), on fixed data of the fitted shapes, reproduces the digest
 recorded with them (numpy 2.4 with its bundled OpenBLAS, x86-64,
 2 threads); elsewhere they skip.  The portfolio round trip uses
-no BLAS and is pinned everywhere.
+no BLAS and is pinned everywhere.  So is the content of the compare
+tables: ``gaps.csv`` and ``class_balance.csv`` are read back with
+``csv.reader`` and every id and number checked against the library's
+own fits of the book in the same process.
 """
 
 import csv
@@ -46,6 +49,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from exposure_glm import TweedieFamily, WeightScheme, class_report, fit, individual_gaps
 from exposure_glm.cli import ingest_csv, main, write_portfolio_csv
 
 PINNED = {
@@ -166,3 +170,52 @@ def test_portfolio_csv_round_trip_pinned(book, tmp_path):
     out.mkdir()
     write_portfolio_csv(ingest_csv(book), out / "book.csv")
     assert digests(out) == PINNED["round_trip"]
+
+
+def read_table(path):
+    """Header and rows of an artifact CSV, read back with ``csv.reader``."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    return header, rows
+
+
+def assert_cells_hold(cells, expected):
+    """Cells are empty where ``expected`` is NaN and parse to its float64 bit for bit elsewhere."""
+    expected = np.asarray(expected, dtype=float)
+    undefined = np.isnan(expected)
+    assert [cell == "" for cell in cells] == undefined.tolist()
+    parsed = np.array([float(cell) for cell in cells if cell != ""])
+    assert parsed.tobytes() == expected[~undefined].tobytes()
+
+
+def test_compare_tables_hold_the_fitted_values(book, tmp_path):
+    # Not gated on the BLAS probe: the expected values are the library's own
+    # fits of the same book in this process, so only the CSV round trip of
+    # ids and numbers is under test.
+    out = tmp_path / "out"
+    assert main(["compare", "--input", str(book), "--out", str(out)]) == 0
+    portfolio = ingest_csv(book)
+    fits = [fit(portfolio, scheme, TweedieFamily(p=1.42)) for scheme in (WeightScheme.OFFSET, WeightScheme.RATIO)]
+
+    offset, ratio = (individual_gaps(portfolio, result) for result in fits)
+    header, rows = read_table(out / "gaps.csv")
+    assert header == ["contract_id", "exposure", "z", "zeta_offset", "zeta_ratio", "gap_offset", "gap_ratio"]
+    ids, *columns = zip(*rows)
+    assert ids == portfolio.contract_ids and {"c,1", 'q"2'} <= set(ids)
+    expected = [offset.exposure, offset.observed_z, offset.fitted_zeta, ratio.fitted_zeta, offset.gap, ratio.gap]
+    for cells, values in zip(columns, expected, strict=True):
+        assert_cells_hold(cells, values)
+
+    reports = [class_report(portfolio, fits, j) for j in range(1, portfolio.q + 1)]
+    header, rows = read_table(out / "class_balance.csv")
+    assert header[:3] == ["factor", "level", "loss_sum"] and len(header) == 7
+    factors, *columns = zip(*rows)
+    assert list(factors) == [report.factor_name for report in reports for _ in range(len(report))]
+    expected = [
+        np.concatenate([report.levels for report in reports]),
+        np.concatenate([report.loss_sums for report in reports]),
+        *np.concatenate([report.premium_sums for report in reports], axis=1),
+        *np.concatenate([report.ratios for report in reports], axis=1),
+    ]
+    for cells, values in zip(columns, expected, strict=True):
+        assert_cells_hold(cells, values)

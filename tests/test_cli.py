@@ -2,14 +2,19 @@
 
 import argparse
 import csv
+import io
 import json
 import os
 import stat
+import tempfile
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from exposure_glm import cli, model_core
 from exposure_glm.cli import IngestError, build_parser, ingest_csv, ingest_counts_csv, main, write_portfolio_csv
@@ -525,6 +530,21 @@ class TestErrorHandling:
         payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert "x1" in payload["message"] and "x2" in payload["message"]
 
+    @pytest.mark.parametrize("command", ["fit", "compare"])
+    def test_separated_book_exits_nonzero_naming_the_level(self, tmp_path, capsys, command):
+        # every loss at x1 = 0 is zero, so neither fit has a finite optimum
+        rows = ["contract_id,exposure,loss_cost,x1"]
+        rows += [f"c{i},{t},{y},{x}" for i, (t, x, y) in enumerate(zip(
+            (0.5, 1, 0.7, 1, 0.3, 1), (0, 0, 1, 1, 0, 1), (0, 0, 5, 7, 0, 3)
+        ))]
+        src = _write(tmp_path / "in.csv", "\n".join(rows) + "\n")
+        out = tmp_path / "o"
+        assert main([command, "--input", str(src), "--out", str(out), "--p", "1.42"]) == 1
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == "SingularInformationError"
+        assert payload["message"].endswith("every loss is zero where x1 = 0")
+        assert not out.exists()
+
     def test_rank_diagnosis_ignores_column_scale(self, tmp_path, capsys):
         x1 = np.random.default_rng(4).normal(size=12)
         rows = ["contract_id,exposure,loss_cost,x1,x2"]
@@ -584,6 +604,47 @@ class TestAtomicWrites:
             assert stat.S_IMODE((tmp_path / name).stat().st_mode) == 0o640
 
 
+def _csv_writer_bytes(header, columns):
+    """``header`` and ``columns`` as ``csv.writer`` writes them under the per-cell rule of ``_write_csv``."""
+
+    def cells(column):
+        if isinstance(column, np.ndarray) and column.dtype.kind == "f":
+            return [format(v, ".17g") for v in column.tolist()]
+        return [format(v, ".17g") if isinstance(v, float) else "" if v is None else str(v) for v in column]
+
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(zip(*map(cells, columns)))
+    return buffer.getvalue().encode()
+
+
+# ids and free text: CSV delimiters, quotes, line breaks, spaces and non-ASCII,
+# among any other character that UTF-8 can encode
+CSV_TEXT = st.text(
+    st.sampled_from([",", '"', "\r", "\n", " ", "a", "é", "\u2028", "\x00"])
+    | st.characters(exclude_categories=("Cs",)),
+    max_size=6,
+)
+CSV_FLOATS = st.floats() | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1e300, -1e300, 1e-300, -1e-300, np.nan]
+)
+CSV_CELLS = {
+    "float array": CSV_FLOATS,
+    "int array": st.integers(-(2**63), 2**63 - 1),
+    "ids": CSV_TEXT,
+    "text list": CSV_TEXT,
+    "mixed": st.none() | CSV_FLOATS | CSV_TEXT | st.integers(),
+}
+CSV_COLUMN_TYPES = {
+    "float array": lambda cells: np.array(cells, dtype=float),
+    "int array": lambda cells: np.array(cells, dtype=np.int64),
+    "ids": tuple,
+    "text list": list,
+    "mixed": list,
+}
+
+
 class TestCsvOutput:
     def test_bytes_match_csv_writer(self, tmp_path, monkeypatch):
         # chunks of three rows; cells that need quoting fall in two of them
@@ -608,6 +669,23 @@ class TestCsvOutput:
     def test_single_empty_column_cell_is_quoted_like_csv_writer(self, tmp_path):
         cli._write_csv(tmp_path / "out.csv", ["a"], [["", "b"]])
         assert (tmp_path / "out.csv").read_text() == 'a\n""\nb\n'
+
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(st.data())
+    def test_random_tables_match_csv_writer(self, data):
+        n = data.draw(st.integers(0, 9), label="rows")
+        kinds = data.draw(st.lists(st.sampled_from(sorted(CSV_CELLS)), min_size=1, max_size=5), label="kinds")
+        header = data.draw(st.lists(CSV_TEXT, min_size=len(kinds), max_size=len(kinds)), label="header")
+        columns = [
+            CSV_COLUMN_TYPES[kind](data.draw(st.lists(CSV_CELLS[kind], min_size=n, max_size=n), label=kind))
+            for kind in kinds
+        ]
+        chunk_rows = data.draw(st.integers(1, 5), label="chunk rows")
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(cli, "_CHUNK_ROWS", chunk_rows):
+            path = Path(tmp) / "out.csv"
+            cli._write_csv(path, header, columns)
+            written = path.read_bytes()
+        assert written == _csv_writer_bytes(header, columns)
 
 
 class TestUsage:

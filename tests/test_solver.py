@@ -279,6 +279,47 @@ class TestStoppingRule:
                 assert not result.converged, (scheme, c, result.beta_hat)
 
 
+# A book whose zero losses all sit at x1 = 0: its optimum lies at infinity.
+SEPARATED_BOOK = {
+    "exposures": [0.5, 1.0, 0.7, 1.0, 0.3, 1.0],
+    "x1": [0.0, 0.0, 1.0, 1.0, 0.0, 1.0],
+    "losses": [0.0, 0.0, 5.0, 7.0, 0.0, 3.0],
+}
+
+
+class TestSeparation:
+    """A two-valued covariate with a level without losses stops the fit before it iterates."""
+
+    def test_loss_free_level_is_named_before_any_pass(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the fit iterated")
+
+        monkeypatch.setattr(solver, "_scoring_pass", refuse)
+        book = SEPARATED_BOOK
+        pf = Portfolio.from_arrays(book["exposures"], book["losses"], np.array(book["x1"])[:, None])
+        for scheme in WeightScheme:
+            with pytest.raises(SingularInformationError, match="every loss is zero where x1 = 0$"):
+                fit(pf, scheme, TweedieFamily(p=1.42))
+
+    def test_upper_level_of_a_named_covariate(self):
+        # the first covariate has losses at both levels; the second has none at 2.5
+        x = np.array([[0.0, -1.0], [1.0, -1.0], [0.0, 2.5], [1.0, 2.5], [1.0, -1.0], [0.0, 2.5]])
+        y = np.array([4.0, 6.0, 0.0, 0.0, 3.0, 0.0])
+        pf = Portfolio.from_arrays(np.full(6, 0.5), y, x, covariate_names=("urban", "zone"))
+        with pytest.raises(SingularInformationError, match="where zone = 2.5$"):
+            fit(pf, WeightScheme.RATIO, FAM)
+
+    def test_losses_at_every_level_fit(self):
+        # the same book with one more loss at x1 = 0 has a finite optimum
+        book = SEPARATED_BOOK
+        y = np.array(book["losses"])
+        y[0] = 2.0
+        pf = Portfolio.from_arrays(book["exposures"], y, np.array(book["x1"])[:, None])
+        for scheme in WeightScheme:
+            result = fit(pf, scheme, TweedieFamily(p=1.42))
+            assert result.converged and np.all(np.abs(result.beta_hat) < 10.0)
+
+
 class TestOnePassPerIterate:
     """The scoring pass yields the objective: one pass per iterate, no other evaluation."""
 
