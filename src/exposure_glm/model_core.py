@@ -64,8 +64,8 @@ class SingularInformationError(RuntimeError):
     overflow of the weight matrix at an extreme coefficient vector, so a
     singular or a non-finite matrix) rather than a modelling error.
     ``fit`` also raises it, before iterating, for a book whose optimum
-    lies at infinity: a two-valued covariate with a level whose losses
-    are all zero.
+    lies at infinity: a covariate whose positive losses all sit at its
+    maximum, or all at its minimum.
     """
 
 

@@ -139,26 +139,26 @@ def _init_beta(portfolio: Portfolio, scheme: WeightScheme, family: TweedieFamily
 
 
 def _check_separation(portfolio: Portfolio):
-    """Raise SingularInformationError if a level of a two-valued covariate has no losses.
+    """Raise SingularInformationError if a covariate holds every loss at its maximum or its minimum.
 
-    Moving the linear predictor of that level towards -inf, and no other,
-    raises the quasi-log-likelihood of its zero losses and changes no
-    other term, so no finite optimum exists: the iteration would drift
-    until ``D`` under- or overflows, or stop at its rounding floor at an
-    arbitrary coefficient (Santos Silva & Tenreyro 2010).
+    Then moving the predictor along ``c * (x_j - max x_j)`` (or the minimum)
+    lowers the premium of loss-free rows only, which raises the
+    quasi-log-likelihood without bound, so no finite optimum exists: the
+    iteration would drift until ``D`` under- or overflows, or stop at its
+    rounding floor at an arbitrary coefficient (Santos Silva & Tenreyro 2010).
     """
     covariates = portfolio.design[:, 1:].T.copy()  # one contiguous row per covariate, as in _irls
     lo, hi = covariates.min(axis=1), covariates.max(axis=1)
-    at_lo, at_hi = covariates == lo[:, None], covariates == hi[:, None]
-    losses = portfolio.loss_costs > 0.0
-    empty_lo, empty_hi = ~(at_lo & losses).any(axis=1), ~(at_hi & losses).any(axis=1)
-    separated = (at_lo | at_hi).all(axis=1) & (empty_lo | empty_hi)
+    losses = covariates.compress(portfolio.loss_costs > 0.0, axis=1)  # twice as fast as a boolean index
+    at_hi, at_lo = losses.min(axis=1) == hi, losses.max(axis=1) == lo
+    separated = (lo < hi) & (at_hi | at_lo)
     if separated.any():
         j = int(separated.argmax())
-        raise SingularInformationError(
-            f"no finite optimum: every loss is zero where {portfolio.covariate_names[j]} = "
-            f"{lo[j] if empty_lo[j] else hi[j]:.17g}"
-        )
+        x, name = covariates[j], portfolio.covariate_names[j]
+        op, level = ("<", hi[j]) if at_hi[j] else (">", lo[j])
+        if ((x == lo[j]) | (x == hi[j])).all():  # two-valued: name the loss-free level
+            op, level = "=", lo[j] if at_hi[j] else hi[j]
+        raise SingularInformationError(f"no finite optimum: every loss is zero where {name} {op} {level:.17g}")
 
 
 def _irls(design, z, w, p, beta, config: FitConfig):
@@ -211,9 +211,9 @@ def fit(
     Returns a FitResult with ``converged=False`` (rather than raising)
     when the iteration budget is exhausted.  A singular weighted
     information matrix aborts with SingularInformationError, and so does
-    a two-valued covariate with a level whose losses are all zero,
-    before any iteration: no finite coefficient maximizes the
-    quasi-log-likelihood of such a book.
+    a covariate whose positive losses all sit at its maximum, or all at
+    its minimum, before any iteration: no finite coefficient maximizes
+    the quasi-log-likelihood of such a book.
     """
     scheme = WeightScheme(scheme)
     config = config if config is not None else FitConfig()

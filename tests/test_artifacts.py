@@ -50,6 +50,7 @@ import numpy as np
 import pytest
 
 from exposure_glm import TweedieFamily, WeightScheme, class_report, fit, individual_gaps
+from exposure_glm import cli
 from exposure_glm.cli import ingest_csv, main, write_portfolio_csv
 
 PINNED = {
@@ -166,6 +167,26 @@ def test_counts_artifact_pinned(tmp_path):
 
 
 def test_portfolio_csv_round_trip_pinned(book, tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    write_portfolio_csv(ingest_csv(book), out / "book.csv")
+    assert digests(out) == PINNED["round_trip"]
+
+
+# In chunks of 7 rows every CSV artifact above spans several chunks, which
+# forked workers render where more than one CPU is available.
+@fitted_pins
+def test_fitted_pins_hold_in_chunks_of_seven_rows(book, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", 7)
+    assert main(["compare", "--input", str(book), "--out", str(tmp_path / "compare")]) == 0
+    assert digests(tmp_path / "compare") == PINNED["compare"]
+    args = ["simulate", "--n", "300", "--seed", "4", "--scenario", "decreasing", "--heterogeneous"]
+    assert main(args + ["--out", str(tmp_path / "simulate")]) == 0
+    assert digests(tmp_path / "simulate") == PINNED["simulate"]
+
+
+def test_round_trip_pin_holds_in_chunks_of_seven_rows(book, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", 7)
     out = tmp_path / "out"
     out.mkdir()
     write_portfolio_csv(ingest_csv(book), out / "book.csv")

@@ -1,11 +1,14 @@
 """CLI surface: ingestion diagnostics, output schemas, determinism, exit codes."""
 
 import argparse
+import contextlib
 import csv
 import io
 import json
 import os
+import signal
 import stat
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -229,6 +232,11 @@ class TestIngest:
         assert portfolio.n == n
         assert peak < 3 * held, (peak, held)
 
+    def test_reference_path_holds_one_batch_of_cells(self, tmp_path):
+        # the same bound where np.loadtxt fails and _ingest_columns reads the file
+        with mock.patch.object(np, "loadtxt", side_effect=ValueError("fast path off")):
+            self.test_ingest_holds_one_batch_of_cells(tmp_path)
+
     def test_counts_first_error_in_row_major_order(self, tmp_path):
         text = "contract_id,exposure,count,x1\na,0.5,1,0\nb,0.5,2,nan\nc,2.0,1,1\nd,0.5,-1,0\n"
         with pytest.raises(IngestError) as excinfo:
@@ -243,6 +251,103 @@ class TestIngest:
         np.testing.assert_array_equal(loaded.exposures, book.exposures)
         np.testing.assert_array_equal(loaded.loss_costs, book.loss_costs)
         np.testing.assert_array_equal(loaded.design, book.design)
+
+
+def _ingest_or_error(ingest, path):
+    """What ``ingest(path)`` gives: the portfolio's content, or the IngestError's text, row and column."""
+    try:
+        pf = ingest(path)
+    except IngestError as exc:
+        return ("error", str(exc), exc.row, exc.column)
+    arrays = (pf.exposures, pf.loss_costs, pf.design)
+    return ("portfolio", pf.contract_ids, pf.covariate_names, *(a.tobytes() for a in arrays))
+
+
+def _fallback_only(ingest, path):
+    """``ingest(path)`` with ``np.loadtxt`` failing, so that ``_ingest_columns`` reads the file."""
+    with mock.patch.object(np, "loadtxt", side_effect=ValueError("fast path off")):
+        return _ingest_or_error(ingest, path)
+
+
+# cells of small input files: CSV quoting, line breaks, blank and
+# whitespace-only lines, comment and digit-group characters, NBSP,
+# Arabic-Indic digits, NaN, overflow and a signed zero
+INGEST_TOKENS = ['"', ",", "\r\n", "\n", " ", "#", "_", "\xa0", "\u0661", "a", "1", "0.5", "nan", "1e400", "-0"]
+INGEST_CELL = st.one_of(
+    st.sampled_from(["0.5", "1", "0.25", "0", "2", "-0", "1e400", "nan", " 1", "1\xa0", "\u0661", "1_0", '"0.5"']),
+    st.lists(st.sampled_from(INGEST_TOKENS), max_size=4).map("".join),
+)
+INGEST_ID = st.one_of(
+    st.sampled_from(["a", "b", "#c", '"d,e"', '"f\ng"', '"h""i"', " j", ""]),
+    st.lists(st.sampled_from(INGEST_TOKENS), max_size=3).map("".join),
+)
+
+
+class TestIngestFastPath:
+    """``np.loadtxt`` reads valid files; the reference ``_ingest_columns`` path gives the same portfolio or error."""
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(st.data())
+    def test_fast_path_matches_fallback(self, data):
+        value = data.draw(st.sampled_from(sorted(INGESTS)), label="value column")
+        q = data.draw(st.integers(0, 2), label="covariates")
+        n = data.draw(st.integers(0, 6), label="rows")
+        lines = [",".join(["contract_id", "exposure", value, *(f"x{j + 1}" for j in range(q))])]
+        for i in range(n):
+            # a valid row unless a cell is drawn from the tokens instead
+            valid = [f"c{i}", repr((i + 1) / 8), repr(float(i % 3)), repr(float(i)), repr(float(i * i))][: 3 + q]
+            cells = [data.draw(INGEST_CELL if k else INGEST_ID) if data.draw(st.integers(0, 7)) == 0 else cell
+                     for k, cell in enumerate(valid)]
+            lines.append(",".join(cells))
+            if data.draw(st.integers(0, 4), label="blank line after") == 0:
+                lines.append(data.draw(st.sampled_from(["", " ", "\xa0"])))
+        ending = data.draw(st.sampled_from(["\n", "\r\n"]), label="line ending")
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "in.csv"
+            path.write_bytes(ending.join(lines).encode() + ending.encode() * data.draw(st.integers(0, 1)))
+            assert _ingest_or_error(INGESTS[value], path) == _fallback_only(INGESTS[value], path)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            ["a" * 200_000 + ",0.5,1.0,0", "b,1.0,2.0,1"],  # an id past the field-size limit
+            ["a,0.5,1.0,0", "b," + "0" * 200_000 + "1,2.0,1"],  # a number past it
+            ['"' + "a," * 70_000 + '",0.5,1.0,0', "b,1.0,2.0,1"],  # a quoted id with commas past it
+            ["#a,0.5,1.0,0", "b,1.0,2.0,1", "c,0.25,3.0,0", "d,0.5,0.0,1"],  # an id that starts like a comment
+            ['"a\nb",0.5,1.0,0', '"c\r\nd",1.0,2.0,1'],  # quoted ids with line breaks
+            ["a,0.5,1.0,0", "", "b,1.0,2.0,1", "a,1.0,3.0,0"],  # a repeated id after a blank line
+        ],
+        ids=["long_id", "long_number", "long_quoted_id", "comment_id", "multiline_id", "duplicate_after_blank"],
+    )
+    def test_edge_cases_match_fallback(self, tmp_path, rows):
+        path = _write(tmp_path / "in.csv", "contract_id,exposure,loss_cost,x1\n" + "\n".join(rows) + "\n")
+        assert _ingest_or_error(ingest_csv, path) == _fallback_only(ingest_csv, path)
+
+    def test_edge_case_outcomes(self, tmp_path):
+        header = "contract_id,exposure,loss_cost,x1\n"
+        for rows in (["a" * 200_000 + ",0.5,1.0,0"], ["b," + "0" * 200_000 + "1,2.0,1"]):
+            with pytest.raises(IngestError, match="field larger than field limit"):
+                ingest_csv(_write(tmp_path / "long.csv", header + "\n".join(rows) + "\n"))
+        text = header + '#a,0.5,1.0,0\n"b\nc",1.0,2.0,1\nd,1.0,0.0,0\ne,0.5,4.0,1\n'
+        assert ingest_csv(_write(tmp_path / "ids.csv", text)).contract_ids == ("#a", "b\nc", "d", "e")
+        with pytest.raises(IngestError) as excinfo:
+            ingest_csv(_write(tmp_path / "dup.csv", header + "a,0.5,1.0,0\n\nb,1.0,2.0,1\na,1.0,3.0,0\n"))
+        assert (excinfo.value.row, excinfo.value.column) == (5, "contract_id")
+        assert "first on row 2" in str(excinfo.value)
+
+    @pytest.mark.parametrize("value", INGESTS)
+    def test_valid_file_is_read_once(self, tmp_path, monkeypatch, value):
+        def refuse(*args):
+            raise AssertionError("the file was read again")
+
+        monkeypatch.setattr(cli, "_ingest_columns", refuse)
+        text = f'contract_id,exposure,{value},x1\na,0.5,1,0\n"b,1",1.0,2,1\n\n"c""2",0.25,0,1\n'
+        pf = INGESTS[value](_write(tmp_path / "in.csv", text))
+        assert pf.contract_ids == ("a", "b,1", 'c"2')
+        np.testing.assert_array_equal(pf.design[:, 1], [0.0, 1.0, 1.0])
+        # one data row is a table of one row, not a scalar
+        pf = INGESTS[value](_write(tmp_path / "one.csv", f"contract_id,exposure,{value}\na,0.5,1\n"))
+        assert pf.contract_ids == ("a",) and pf.loss_costs.tolist() == [1.0]
 
 
 def _read_csv(path):
@@ -545,6 +650,21 @@ class TestErrorHandling:
         assert payload["message"].endswith("every loss is zero where x1 = 0")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["fit", "compare"])
+    def test_book_separated_at_a_column_maximum_exits_nonzero(self, tmp_path, capsys, command):
+        # every loss sits at x1 = 2, the top of three levels
+        rows = ["contract_id,exposure,loss_cost,x1"]
+        rows += [f"c{i},{t},{y},{x}" for i, (t, x, y) in enumerate(zip(
+            (0.5, 1, 0.7, 1, 0.3, 1, 0.6, 0.9, 1), (0, 0, 1, 1, 2, 2, 0, 1, 2), (0, 0, 0, 0, 5, 7, 0, 0, 3)
+        ))]
+        src = _write(tmp_path / "in.csv", "\n".join(rows) + "\n")
+        out = tmp_path / "o"
+        assert main([command, "--input", str(src), "--out", str(out), "--p", "1.42"]) == 1
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == "SingularInformationError"
+        assert payload["message"].endswith("every loss is zero where x1 < 2")
+        assert not out.exists()
+
     def test_rank_diagnosis_ignores_column_scale(self, tmp_path, capsys):
         x1 = np.random.default_rng(4).normal(size=12)
         rows = ["contract_id,exposure,loss_cost,x1,x2"]
@@ -686,6 +806,117 @@ class TestCsvOutput:
             cli._write_csv(path, header, columns)
             written = path.read_bytes()
         assert written == _csv_writer_bytes(header, columns)
+
+
+def _deal_to(monkeypatch, processes, chunk_rows):
+    """Make ``_write_csv`` render chunks of ``chunk_rows`` rows in ``processes`` processes."""
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", chunk_rows)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(processes)))
+
+
+def _assert_no_children():
+    # every worker process has been reaped
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Raise TimeoutError in this process if the block takes longer than ``seconds``."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _striped_book(path, n=40):
+    """A book whose ids need quoting, some across line breaks, around the first chunk boundaries."""
+    rng = np.random.default_rng(11)
+    ids = [f"c{i}" for i in range(n)]
+    ids[1:6] = ["a\nb", 'q"r', "s,t", "u\r\nv", ""]
+    t = np.where(rng.random(n) < 0.5, 0.5, 1.0)
+    x1 = np.arange(n) % 2
+    y = np.where(rng.random(n) < 0.3, 0.0, rng.gamma(1.5, 10.0, n))
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["contract_id", "exposure", "loss_cost", "x1", "x2"])
+        for row in zip(ids, t.tolist(), y.tolist(), x1.tolist(), rng.normal(size=n).tolist()):
+            writer.writerow(row)
+    return path
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="CSV chunks are rendered by forked workers on Linux only")
+class TestStripedWriter:
+    """Chunks rendered by forked workers are written in order, byte for byte as by one process."""
+
+    def artifacts(self, tmp_path, monkeypatch, processes, chunk_rows):
+        _deal_to(monkeypatch, processes, chunk_rows)
+        out = tmp_path / f"{processes}-{chunk_rows}"
+        book = _striped_book(tmp_path / "book.csv")
+        assert main(["compare", "--input", str(book), "--out", str(out / "compare")]) == 0
+        _assert_no_children()
+        simulate = ["simulate", "--n", "30", "--seed", "3", "--heterogeneous"]
+        assert main(simulate + ["--out", str(out / "simulate")]) == 0
+        _assert_no_children()
+        write_portfolio_csv(ingest_csv(book), out / "book.csv")
+        cli._write_csv(out / "one_column.csv", ["a"], [["", "b", "", "c\nd", "", "e"]])
+        _assert_no_children()
+        return {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+
+    def test_artifacts_do_not_depend_on_chunks_or_processes(self, tmp_path, monkeypatch):
+        reference = self.artifacts(tmp_path, monkeypatch, 1, 4096)
+        assert len(reference) == 10
+        assert reference["one_column.csv"] == b'a\n""\nb\n""\n"c\nd"\n""\ne\n'
+        assert b'"a\nb"' in reference["book.csv"] and b'"u\r\nv"' in reference["compare/gaps.csv"]
+        for processes in (1, 2, 4):
+            for chunk_rows in (1, 3, 4096):
+                assert self.artifacts(tmp_path, monkeypatch, processes, chunk_rows) == reference, (processes, chunk_rows)
+
+    def test_failed_worker_fails_the_command(self, tmp_path, monkeypatch, capsys):
+        _deal_to(monkeypatch, 2, 1)
+        parent = os.getpid()
+
+        def text_cells(column, alone, real=cli._text_cells):
+            if os.getpid() != parent:
+                raise RuntimeError("cannot render")
+            return real(column, alone)
+
+        monkeypatch.setattr(cli, "_text_cells", text_cells)
+        out = tmp_path / "out"
+        assert main(["compare", "--input", str(_striped_book(tmp_path / "book.csv")), "--out", str(out)]) == 1
+        _assert_no_children()
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == "RuntimeError"
+        # the first file written after fit.json fails in its second chunk, the worker's first
+        assert payload["message"] == "the worker process rendering coeff_ratios.csv from data row 2 failed"
+        assert [p.name for p in out.iterdir()] == ["fit.json"]
+
+    def test_failing_parent_reaps_blocked_workers(self, tmp_path, monkeypatch):
+        # Each worker's chunk is larger than a pipe holds (1 MiB at most), so
+        # the workers are still writing when this process fails on its own
+        # second chunk.
+        _deal_to(monkeypatch, 4, 1)
+        parent = os.getpid()
+
+        class FailsHere:
+            def __str__(self):
+                if os.getpid() == parent:
+                    raise ValueError("cannot render")
+                return "late"
+
+        path = tmp_path / "out.csv"
+        cells = ["x" * 1_500_000] * 4 + [FailsHere()] + ["y" * 1_500_000] * 3
+        with _deadline(60), pytest.raises(ValueError, match="cannot render"):
+            cli._write_csv(path, ["a"], [cells])
+        _assert_no_children()
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestUsage:

@@ -62,6 +62,19 @@ def test_import_loads_numpy_as_the_only_dependency():
     assert out.stdout.strip() == "['exposure_glm', 'numpy']"
 
 
+def test_cli_import_loads_no_process_pool():
+    # the CLI forks its CSV workers with os.fork: importing it loads neither
+    # multiprocessing nor concurrent.futures, which would add to every start
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys, exposure_glm.cli; "
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] in ('multiprocessing', 'concurrent')))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
 def _load_perfbench(name):
     path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
     spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)

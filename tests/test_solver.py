@@ -287,8 +287,16 @@ SEPARATED_BOOK = {
 }
 
 
+# every loss sits where x1 is at its maximum, 2; rows at x1 = 0 and 1 have none
+TOP_SEPARATED_BOOK = {
+    "exposures": [0.5, 1.0, 0.7, 1.0, 0.3, 1.0, 0.6, 0.9, 1.0],
+    "x1": [0.0, 0.0, 1.0, 1.0, 2.0, 2.0, 0.0, 1.0, 2.0],
+    "losses": [0.0, 0.0, 0.0, 0.0, 5.0, 7.0, 0.0, 0.0, 3.0],
+}
+
+
 class TestSeparation:
-    """A two-valued covariate with a level without losses stops the fit before it iterates."""
+    """A covariate whose losses all sit at its maximum, or all at its minimum, stops the fit before it iterates."""
 
     def test_loss_free_level_is_named_before_any_pass(self, monkeypatch):
         def refuse(*args):
@@ -308,6 +316,34 @@ class TestSeparation:
         pf = Portfolio.from_arrays(np.full(6, 0.5), y, x, covariate_names=("urban", "zone"))
         with pytest.raises(SingularInformationError, match="where zone = 2.5$"):
             fit(pf, WeightScheme.RATIO, FAM)
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0])
+    def test_losses_only_at_the_maximum_of_a_three_valued_column(self, monkeypatch, scale):
+        # the ratio fit used to report converged=True at beta1 = 58.5
+        def refuse(*args):
+            raise AssertionError("the fit iterated")
+
+        monkeypatch.setattr(solver, "_scoring_pass", refuse)
+        book = TOP_SEPARATED_BOOK
+        x = np.array(book["x1"])[:, None]
+        pf = Portfolio.from_arrays(book["exposures"], scale * np.array(book["losses"]), x)
+        for scheme in WeightScheme:
+            with pytest.raises(SingularInformationError, match="every loss is zero where x1 < 2$"):
+                fit(pf, scheme, TweedieFamily(p=1.42))
+        # mirrored, every loss sits at the minimum
+        pf = Portfolio.from_arrays(book["exposures"], scale * np.array(book["losses"]), 0.5 - x)
+        with pytest.raises(SingularInformationError, match="every loss is zero where x1 > -1.5$"):
+            fit(pf, WeightScheme.RATIO, TweedieFamily(p=1.42))
+
+    def test_losses_inside_the_range_fit(self):
+        # losses at the middle and top of the column: a finite optimum exists
+        book = TOP_SEPARATED_BOOK
+        y = np.array(book["losses"])
+        y[2] = 4.0
+        pf = Portfolio.from_arrays(book["exposures"], y, np.array(book["x1"])[:, None])
+        for scheme in WeightScheme:
+            result = fit(pf, scheme, TweedieFamily(p=1.42))
+            assert result.converged and np.all(np.abs(result.beta_hat) < 10.0)
 
     def test_losses_at_every_level_fit(self):
         # the same book with one more loss at x1 = 0 has a finite optimum
