@@ -2,11 +2,9 @@
 
 from .balance import (
     ClassBalance,
-    GroupSummary,
     IndividualGaps,
     balance_factor,
     class_report,
-    group_summaries,
     individual_gaps,
     portfolio_gap,
 )
@@ -48,7 +46,6 @@ from .simulate import (
 )
 from .solver import (
     AllZeroLossError,
-    FitConfig,
     FitResult,
     fit,
     homogeneous_mle,
@@ -63,10 +60,8 @@ __all__ = [
     "Dominance",
     "DominanceReport",
     "EstimatorMoments",
-    "FitConfig",
     "FitResult",
     "GapExperiment",
-    "GroupSummary",
     "IndividualGaps",
     "MomentOrdering",
     "Portfolio",
@@ -86,7 +81,6 @@ __all__ = [
     "expected_random_gap",
     "fit",
     "gen_mimic_portfolio",
-    "group_summaries",
     "homogeneous_mle",
     "individual_gaps",
     "moment_ordering",

@@ -1,4 +1,4 @@
-"""Observed-gap diagnostics: individual gaps, class balance, group summaries.
+"""Observed-gap diagnostics: individual gaps, class balance, balance factor.
 
 The individual gap of a contract is ``t * (z - zeta_hat)``, the shortfall
 of its exposure-scaled premium against its observed loss cost.  A ratio
@@ -7,7 +7,6 @@ does not, and the sign of its total tracks whether losses increase or
 decrease with exposure.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,11 +17,9 @@ from .solver import FitResult
 __all__ = [
     "IndividualGaps",
     "ClassBalance",
-    "GroupSummary",
     "individual_gaps",
     "portfolio_gap",
     "class_report",
-    "group_summaries",
     "balance_factor",
 ]
 
@@ -63,20 +60,6 @@ class ClassBalance:
 
     def __len__(self):
         return self.levels.size
-
-
-@dataclass(frozen=True)
-class GroupSummary:
-    """Contract share, mean exposure and loss-cost reference of one group.
-
-    The reference is the group's mean loss cost divided by the portfolio
-    mean loss cost, so contract-share-weighted references recombine to 1.
-    """
-
-    label: str
-    contract_share: float
-    mean_exposure: float
-    loss_cost_reference: float
 
 
 def _check_fit(portfolio, fit):
@@ -148,33 +131,6 @@ def class_report(portfolio: Portfolio, fits, factor_index: int) -> ClassBalance:
         array.flags.writeable = False
     factor_name = "intercept" if factor_index == 0 else portfolio.covariate_names[factor_index - 1]
     return ClassBalance(factor_name, *arrays)
-
-
-def group_summaries(portfolio: Portfolio):
-    """Descriptive statistics of the full-exposure (``t == 1``) and mid-term (``t < 1``) groups.
-
-    Groups are reported in sorted label order (``full_exposure``, then
-    ``mid_term``); a group without contracts is left out.
-    """
-    labels = np.where(portfolio.exposures == 1.0, "full_exposure", "mid_term")
-    portfolio_mean_loss = float(portfolio.loss_costs.mean())
-    summaries = []
-    for label in np.unique(labels).tolist():
-        mask = labels == label
-        count = int(mask.sum())
-        group_mean_loss = float(portfolio.loss_costs[mask].mean())
-        reference = (
-            group_mean_loss / portfolio_mean_loss if portfolio_mean_loss > 0.0 else math.nan
-        )
-        summaries.append(
-            GroupSummary(
-                label=label,
-                contract_share=count / portfolio.n,
-                mean_exposure=float(portfolio.exposures[mask].mean()),
-                loss_cost_reference=reference,
-            )
-        )
-    return summaries
 
 
 def balance_factor(portfolio: Portfolio, fit: FitResult) -> float:

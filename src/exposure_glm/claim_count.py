@@ -15,7 +15,7 @@ import numpy as np
 
 # The benchmark's tracer hooks ``validate_design`` under this module's name.
 from .model_core import Portfolio, WeightScheme, validate_design  # noqa: F401
-from .solver import FitConfig, _irls
+from .solver import _irls
 
 __all__ = [
     "CountData",
@@ -109,8 +109,7 @@ def poisson_fit(data: CountData, scheme: WeightScheme):
     X, t, z = data.design, data.exposures, data.normalized
     start = np.zeros(data.q + 1)
     start[0] = math.log(total / t.sum())
-    config = FitConfig(max_iterations=_POISSON_MAX_ITERATIONS)
-    beta, _, converged, *_ = _irls(X, z, t, 1.0, start, config)
+    beta, _, converged, *_ = _irls(X, z, t, 1.0, start, _POISSON_MAX_ITERATIONS)
     if not converged:
         raise RuntimeError(f"Poisson {scheme.value} fit did not converge in {_POISSON_MAX_ITERATIONS} iterations")
     return beta

@@ -39,7 +39,7 @@ from .model_core import (
     _covariate_name_error,
 )
 from .simulate import Scenario, ScenarioConfig, run_gap_experiment
-from .solver import FitConfig, fit
+from .solver import _check_budget, fit
 
 __all__ = ["IngestError", "ingest_csv", "ingest_counts_csv", "main"]
 
@@ -390,11 +390,11 @@ _SCHEMES = {
 def _fit_schemes(args, schemes):
     """Check the flags, then ingest ``args.input`` and fit ``schemes``: ``(portfolio, results)``."""
     family = TweedieFamily(p=args.p, phi=args.phi)
-    fit_config = FitConfig(max_iterations=args.max_iterations)
+    _check_budget(args.max_iterations)
     portfolio = ingest_csv(args.input)
     results = {}
     for scheme in schemes:
-        results[scheme] = fit(portfolio, scheme, family, fit_config)
+        results[scheme] = fit(portfolio, scheme, family, args.max_iterations)
         log.info(
             "%s fit: converged=%s iterations=%d", scheme.value,
             results[scheme].converged, results[scheme].iterations,

@@ -22,6 +22,7 @@ family) triple.
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -377,6 +378,12 @@ def quasi_loglik(beta, portfolio: Portfolio, scheme: WeightScheme, family: Tweed
     p = family.p
     w = _scheme_weights(WeightScheme(scheme), portfolio.exposures, p)
     return _scoring_pass(beta, portfolio.design, portfolio.normalized, w, p)[4] / family.phi
+
+
+def _check_integer(name, value):
+    """Raise ValueError naming ``name`` unless ``value`` is an integer; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _check_beta(beta, portfolio):

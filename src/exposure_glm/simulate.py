@@ -16,7 +16,7 @@ from enum import Enum
 import numpy as np
 
 from .balance import IndividualGaps, individual_gaps, portfolio_gap
-from .model_core import Portfolio, RankDeficiencyError, TweedieFamily, WeightScheme
+from .model_core import Portfolio, RankDeficiencyError, TweedieFamily, WeightScheme, _check_integer
 from .solver import FitResult, fit
 
 __all__ = [
@@ -62,6 +62,7 @@ class ScenarioConfig:
 
     def __post_init__(self):
         self.scenario = Scenario(self.scenario)
+        _check_integer("n", self.n)
         if self.n < 2:
             raise ValueError(f"need at least 2 contracts, got {self.n}")
         TweedieFamily(p=self.p)
@@ -178,6 +179,7 @@ def gen_mimic_portfolio(share_midterm: float, n: int, seed: int) -> Portfolio:
     """
     if not (0.0 < share_midterm < 1.0):
         raise ValueError(f"mid-term share must lie in (0, 1), got {share_midterm}")
+    _check_integer("n", n)
     if n < 4:
         raise ValueError(f"need at least 4 contracts, got {n}")
 

@@ -23,7 +23,6 @@ fits the Poisson claim-count companion as the ``p = 1`` case.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +32,7 @@ from .model_core import (
     SingularInformationError,
     TweedieFamily,
     WeightScheme,
-    _check_beta,
+    _check_integer,
     _cho_factor,
     _cho_solve,
     _covariance,
@@ -45,7 +44,6 @@ from .model_core import (
 )
 
 __all__ = [
-    "FitConfig",
     "FitResult",
     "AllZeroLossError",
     "homogeneous_mle",
@@ -66,31 +64,6 @@ class AllZeroLossError(ValueError):
 
 
 @dataclass
-class FitConfig:
-    """Iteration budget and initialization for the IRLS iteration.
-
-    The fit converges when every component of the dispersion-scaled score
-    is within a small multiple of its floating-point rounding floor, which
-    scales with the losses and the number of contracts, so the stop does
-    not depend on the loss scale; there is no other stopping rule.
-    ``max_iterations`` bounds the number of updates.  ``init`` is
-    ``"homogeneous"`` (log of the intercept-only closed-form estimate,
-    remaining coordinates zero), ``"zeros"``, or an explicit coefficient
-    vector used as-is.  Every update is halved, at most 30 times, while
-    it would lower the quasi-log-likelihood by more than its rounding.
-    """
-
-    max_iterations: int = 100
-    init: object = "homogeneous"
-
-    def __post_init__(self):
-        if not isinstance(self.max_iterations, numbers.Integral):
-            raise ValueError(f"max_iterations must be an integer, got {self.max_iterations!r}")
-        if self.max_iterations < 1:
-            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
-
-
-@dataclass
 class FitResult:
     """Converged (or stalled) fit: estimate, covariance, and trace.
 
@@ -98,7 +71,7 @@ class FitResult:
     (not observed) information, at the final coefficient vector;
     ``gradient_norm`` is the sup-norm of the dispersion-scaled gradient
     there.  ``trace_beta`` holds every iterate
-    starting from the initialization, ``trace_objective`` the matching
+    starting from the closed-form start, ``trace_objective`` the matching
     quasi-log-likelihood values, equal to ``quasi_loglik`` there exactly.
     """
 
@@ -122,20 +95,11 @@ def homogeneous_mle(portfolio: Portfolio, scheme: WeightScheme, family: TweedieF
     return float(np.dot(w, portfolio.normalized) / w.sum())
 
 
-def _init_beta(portfolio: Portfolio, scheme: WeightScheme, family: TweedieFamily, config: FitConfig):
-    """Starting coefficient vector according to ``config.init``."""
-    k = portfolio.q + 1
-    init = config.init
-    if isinstance(init, str):
-        if init == "zeros":
-            return np.zeros(k)
-        if init == "homogeneous":
-            # positive: fit has already rejected a portfolio without losses
-            beta = np.zeros(k)
-            beta[0] = math.log(homogeneous_mle(portfolio, scheme, family))
-            return beta
-        raise ValueError(f"unknown init strategy {init!r}")
-    return _check_beta(init, portfolio).copy()
+def _check_budget(max_iterations):
+    """Raise ValueError unless ``max_iterations`` is an integer of at least 1."""
+    _check_integer("max_iterations", max_iterations)
+    if max_iterations < 1:
+        raise ValueError(f"max_iterations must be >= 1, got {max_iterations}")
 
 
 def _check_separation(portfolio: Portfolio):
@@ -161,12 +125,12 @@ def _check_separation(portfolio: Portfolio):
         raise SingularInformationError(f"no finite optimum: every loss is zero where {name} {op} {level:.17g}")
 
 
-def _irls(design, z, w, p, beta, config: FitConfig):
+def _irls(design, z, w, p, beta, max_iterations):
     """Newton's method for the weighted Tweedie fit on ``z`` with weights ``w``.
 
     Starts from ``beta`` and solves ``(X.T H X) delta = X.T D R`` once
     per iteration until every score component is within its rounding
-    floor (see the module docstring) or the budget runs out.
+    floor (see the module docstring) or ``max_iterations`` updates are spent.
     A step that lowers the scoring pass's objective (``phi`` times the
     quasi-log-likelihood) by more than ``_OBJECTIVE_SLACK * |objective|``,
     or makes it non-finite, is halved up to ``_MAX_HALVINGS`` times, each
@@ -180,10 +144,10 @@ def _irls(design, z, w, p, beta, config: FitConfig):
     d, q, score, mass, value = _scoring_pass(beta, design, z, w, p)
     trace_beta = [beta.copy()]
     trace_objective = [value]
-    for iteration in range(config.max_iterations + 1):
+    for iteration in range(max_iterations + 1):
         gradient_norm = float(np.max(np.abs(score)))
         converged = bool(np.all(np.abs(score) <= mass * floor_scale))
-        if converged or iteration == config.max_iterations:
+        if converged or iteration == max_iterations:
             break
         delta = _cho_solve(_cho_factor(_gram(design, _observed_weights(d, q, p))), score)
         del d, q  # so that the next pass does not hold them beside its own
@@ -204,30 +168,35 @@ def fit(
     portfolio: Portfolio,
     scheme: WeightScheme,
     family: TweedieFamily,
-    config: FitConfig | None = None,
+    max_iterations: int = 100,
 ) -> FitResult:
     """Fit the coefficient vector by IRLS under the given weight scheme.
 
-    Returns a FitResult with ``converged=False`` (rather than raising)
-    when the iteration budget is exhausted.  A singular weighted
-    information matrix aborts with SingularInformationError, and so does
-    a covariate whose positive losses all sit at its maximum, or all at
-    its minimum, before any iteration: no finite coefficient maximizes
-    the quasi-log-likelihood of such a book.
+    The iteration starts at ``[log homogeneous_mle, 0, ..., 0]`` and takes
+    at most ``max_iterations`` updates, each halved while it would lower
+    the quasi-log-likelihood.  Returns a FitResult with
+    ``converged=False`` (rather than raising) when the budget is
+    exhausted.  A singular weighted information matrix aborts with
+    SingularInformationError, and so does a covariate whose positive
+    losses all sit at its maximum, or all at its minimum, before any
+    iteration: no finite coefficient maximizes the quasi-log-likelihood
+    of such a book.
     """
     scheme = WeightScheme(scheme)
-    config = config if config is not None else FitConfig()
+    _check_budget(max_iterations)
     if portfolio.loss_costs.sum() <= 0.0:
         raise AllZeroLossError("cannot fit a portfolio whose loss costs are all zero")
     _check_separation(portfolio)
+    start = np.zeros(portfolio.q + 1)
+    start[0] = math.log(homogeneous_mle(portfolio, scheme, family))  # positive: the book has a loss
 
     beta, factor, converged, gradient_norm, trace_beta, trace_objective = _irls(
         portfolio.design,
         portfolio.normalized,
         _scheme_weights(scheme, portfolio.exposures, family.p),
         family.p,
-        _init_beta(portfolio, scheme, family, config),
-        config,
+        start,
+        max_iterations,
     )
     return FitResult(
         beta_hat=beta,

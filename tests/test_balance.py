@@ -1,4 +1,4 @@
-"""Gap records, portfolio totals, class balance, group summaries."""
+"""Gap records, portfolio totals, class balance, balance factor."""
 
 import math
 
@@ -12,18 +12,10 @@ from exposure_glm import (
     balance_factor,
     class_report,
     fit,
-    group_summaries,
     individual_gaps,
     portfolio_gap,
 )
-from exposure_glm.simulate import (
-    _MIMIC_MEAN_FULL,
-    _MIMIC_REFERENCE_RATIO,
-    Scenario,
-    ScenarioConfig,
-    gen_mimic_portfolio,
-    run_gap_experiment,
-)
+from exposure_glm.simulate import Scenario, ScenarioConfig, run_gap_experiment
 
 from util import random_portfolio, toy_portfolio
 
@@ -225,40 +217,6 @@ class TestClassReport:
         for array in (report.levels, report.loss_sums, report.premium_sums, report.ratios):
             with pytest.raises(ValueError):
                 array[0] = 0.0
-
-
-class TestGroupSummaries:
-    def test_all_full_exposure_single_group(self):
-        pf = random_portfolio(12, all_full=True)
-        summaries = group_summaries(pf)
-        assert len(summaries) == 1
-        assert summaries[0].label == "full_exposure"
-        assert summaries[0].contract_share == 1.0
-        assert summaries[0].mean_exposure == 1.0
-        assert summaries[0].loss_cost_reference == pytest.approx(1.0, rel=1e-12)
-
-    def test_mimic_round_trip(self):
-        book = gen_mimic_portfolio(0.36, 2000, seed=5)
-        summaries = {s.label: s for s in group_summaries(book)}
-        mid, full = summaries["mid_term"], summaries["full_exposure"]
-        assert mid.contract_share == pytest.approx(0.36, abs=1e-12)
-        mean_loss = book.loss_costs.mean()
-        assert mid.loss_cost_reference == pytest.approx(
-            _MIMIC_MEAN_FULL * _MIMIC_REFERENCE_RATIO / mean_loss, rel=1e-9
-        )
-        assert full.loss_cost_reference == pytest.approx(
-            _MIMIC_MEAN_FULL / mean_loss, rel=1e-9
-        )
-
-    def test_weighted_references_recombine_to_one(self):
-        for seed in range(5):
-            pf = random_portfolio(seed + 60, n=50)
-            total = sum(s.contract_share * s.loss_cost_reference for s in group_summaries(pf))
-            assert total == pytest.approx(1.0, rel=1e-12)
-
-    def test_shares_sum_to_one(self):
-        pf = random_portfolio(13)
-        assert sum(s.contract_share for s in group_summaries(pf)) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestBalanceFactor:

@@ -20,10 +20,10 @@ from exposure_glm import (
     quasi_loglik,
 )
 from exposure_glm.simulate import Scenario, ScenarioConfig, build_scenario_portfolio
-from exposure_glm.solver import FitConfig, fit
+from exposure_glm.solver import fit
 from oracles import eig_min, mc_lognormal_moments
 
-from util import random_portfolio
+from util import fit_from, random_portfolio
 
 FAM = TweedieFamily(p=1.42)
 
@@ -179,8 +179,6 @@ class TestExpectedRandomGap:
 
 class TestCoefficientCovariance:
     def test_matches_fit_covariance(self):
-        from exposure_glm import FitConfig, fit
-
         pf = random_portfolio(23)
         fam = TweedieFamily(p=1.42, phi=2.5)
         result = fit(pf, WeightScheme.OFFSET, fam)
@@ -213,7 +211,7 @@ class TestSingularInformation:
 
     def test_fit_raises_from_its_start(self, beta):
         with pytest.raises(SingularInformationError):
-            fit(random_portfolio(5), WeightScheme.RATIO, FAM, FitConfig(init=beta))
+            fit_from(beta, random_portfolio(5), WeightScheme.RATIO, FAM)
 
 
 # A non-finite coefficient vector is bad input, not numerical degeneracy.
@@ -225,10 +223,9 @@ class TestSingularInformation:
         lambda pf, beta: covariance_dominance(pf, beta, FAM),
         lambda pf, beta: moment_ordering(pf.design[0], beta, pf, FAM),
         lambda pf, beta: expected_random_gap(pf, beta, FAM, WeightScheme.RATIO),
-        lambda pf, beta: fit(pf, WeightScheme.RATIO, FAM, FitConfig(init=beta)),
     ],
     ids=["quasi_loglik", "coefficient_covariance", "covariance_dominance", "moment_ordering",
-         "expected_random_gap", "fit"],
+         "expected_random_gap"],
 )
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_non_finite_coefficients_rejected(call, bad):

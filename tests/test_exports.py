@@ -1,12 +1,13 @@
-"""Exported names resolve, the package ships only its own modules, numpy
-is the only runtime dependency, and the benchmark's tracer can hook the
-live package."""
+"""Exported names resolve and the README counts them, the package ships
+only its own modules, numpy is the only runtime dependency, and the
+benchmark's tracer can hook the live package."""
 
 import csv
 import importlib
 import importlib.util
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -35,6 +36,12 @@ def test_every_exported_name_resolves(module):
     missing = [name for name in mod.__all__ if not hasattr(mod, name)]
     assert not missing, f"{module}.__all__ names undefined attributes: {missing}"
     assert len(set(mod.__all__)) == len(mod.__all__)
+
+
+def test_readme_counts_every_exported_name():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (count,) = re.findall(r"The package exports (\d+) names", readme)
+    assert int(count) == len(exposure_glm.__all__)
 
 
 def test_package_ships_exactly_these_modules():

@@ -95,6 +95,11 @@ class TestBuildScenarioPortfolio:
         with pytest.raises(ValueError):
             ScenarioConfig(p=2.0)
 
+    @pytest.mark.parametrize("n", [2.0, 100.5, True, "100", None])
+    def test_non_integer_size_rejected(self, n):
+        with pytest.raises(ValueError, match="^n must be an integer"):
+            ScenarioConfig(n=n)
+
 
 class TestRunGapExperiment:
     def test_homogeneous_ratio_balances(self):
@@ -151,11 +156,17 @@ class TestGenMimicPortfolio:
         assert abs(midterm.mean() - 0.5) < 0.05
 
     def test_group_references_ordered(self):
-        from exposure_glm import group_summaries
-
         book = gen_mimic_portfolio(0.36, 1000, seed=17)
-        summaries = {s.label: s for s in group_summaries(book)}
-        assert summaries["mid_term"].loss_cost_reference > summaries["full_exposure"].loss_cost_reference
+        midterm = book.exposures < 1.0
+        assert book.loss_costs[midterm].mean() > book.loss_costs[~midterm].mean()
+
+    def test_mimic_round_trip(self):
+        book = gen_mimic_portfolio(0.36, 2000, seed=5)
+        midterm = book.exposures < 1.0
+        assert np.count_nonzero(midterm) / book.n == 0.36
+        mid, full = book.loss_costs[midterm].mean(), book.loss_costs[~midterm].mean()
+        assert mid == pytest.approx(100.0 * 2.45 / 0.63, rel=1e-9)
+        assert full == pytest.approx(100.0, rel=1e-9)
 
     def test_exposures_sorted_and_valid(self):
         t = gen_mimic_portfolio(0.4, 500, seed=18).exposures
@@ -205,3 +216,8 @@ class TestGenMimicPortfolio:
     def test_share_bounds(self):
         with pytest.raises(ValueError):
             gen_mimic_portfolio(1.0, 100, seed=0)
+
+    @pytest.mark.parametrize("n", [100.0, 100.5, True, "100", None])
+    def test_non_integer_size_rejected(self, n):
+        with pytest.raises(ValueError, match="^n must be an integer"):
+            gen_mimic_portfolio(0.36, n, seed=1)

@@ -8,7 +8,6 @@ import pytest
 
 from exposure_glm import (
     AllZeroLossError,
-    FitConfig,
     Portfolio,
     RankDeficiencyError,
     SingularInformationError,
@@ -22,7 +21,7 @@ from exposure_glm import (
 from exposure_glm import claim_count, solver
 from oracles import GridSpec, grid_mle
 
-from util import random_count_data, random_portfolio, toy_portfolio
+from util import fit_from, random_count_data, random_portfolio, toy_portfolio
 
 FAM = TweedieFamily(p=1.5)
 
@@ -53,26 +52,26 @@ class TestHomogeneousMle:
 
 
 class TestInitBeta:
-    """The start of the iteration, ``trace_beta[0]``, per ``FitConfig.init``."""
+    """The start of the iteration, ``trace_beta[0]``: the intercept-only closed form."""
 
     def test_homogeneous_intercept(self):
-        beta = fit(toy_portfolio(), WeightScheme.RATIO, FAM, FitConfig()).trace_beta[0]
+        beta = fit(toy_portfolio(), WeightScheme.RATIO, FAM).trace_beta[0]
         assert beta[0] == pytest.approx(math.log(25.0 / 1.5), rel=1e-15)
 
-    def test_user_vector_passthrough(self):
-        user = np.array([1.0])
-        result = fit(toy_portfolio(), WeightScheme.RATIO, FAM, FitConfig(init=user))
-        np.testing.assert_array_equal(result.trace_beta[0], [1.0])
-        np.testing.assert_array_equal(user, [1.0])  # the caller's vector is not updated in place
-
-    def test_zeros(self):
-        beta = fit(toy_portfolio(), WeightScheme.RATIO, FAM, FitConfig(init="zeros")).trace_beta[0]
-        np.testing.assert_array_equal(beta, np.zeros(1))
+    def test_every_fit_starts_at_the_closed_form(self):
+        for seed in range(4):
+            pf = random_portfolio(seed + 50)
+            for scheme in WeightScheme:
+                start = np.zeros(pf.q + 1)
+                start[0] = math.log(homogeneous_mle(pf, scheme, FAM))
+                for budget in (1, 100):
+                    result = fit(pf, scheme, FAM, budget)
+                    assert result.trace_beta[0].tobytes() == start.tobytes()
 
     def test_all_zero_losses_rejected(self):
         pf = Portfolio.from_arrays([0.5, 1.0], [0.0, 0.0])
         with pytest.raises(AllZeroLossError):
-            fit(pf, WeightScheme.RATIO, FAM, FitConfig())
+            fit(pf, WeightScheme.RATIO, FAM)
 
 
 class TestIrlsStep:
@@ -86,8 +85,7 @@ class TestIrlsStep:
         # above the floor: one update then runs, and it lands within 1e-12
         # of the optimum only if the optimum is its fixed point.
         start = result.beta_hat + 1e-11
-        config = FitConfig(max_iterations=1, init=start)
-        stepped = fit(pf, WeightScheme.OFFSET, FAM, config)
+        stepped = fit_from(start, pf, WeightScheme.OFFSET, FAM, max_iterations=1)
         assert stepped.iterations == 1
         np.testing.assert_array_equal(stepped.trace_beta[0], start)
         assert np.max(np.abs(stepped.beta_hat - result.beta_hat)) < 1e-12
@@ -95,8 +93,7 @@ class TestIrlsStep:
     def test_intercept_only_reaches_closed_form(self):
         pf = random_portfolio(22, q=0)
         for scheme in WeightScheme:
-            config = FitConfig(max_iterations=60, init="zeros")
-            beta = fit(pf, scheme, FAM, config).beta_hat
+            beta = fit_from(np.zeros(1), pf, scheme, FAM, max_iterations=60).beta_hat
             assert beta[0] == pytest.approx(
                 math.log(homogeneous_mle(pf, scheme, FAM)), abs=1e-8
             )
@@ -173,13 +170,15 @@ class TestFit:
 
     def test_nonconvergence_is_reported_not_raised(self):
         pf = random_portfolio(27)
-        result = fit(pf, WeightScheme.OFFSET, FAM, FitConfig(max_iterations=1, init="zeros"))
+        result = fit_from(np.zeros(pf.q + 1), pf, WeightScheme.OFFSET, FAM, max_iterations=1)
         assert not result.converged
         assert result.iterations == 1
 
     def test_fractional_iteration_budget_rejected(self):
-        with pytest.raises(ValueError, match="max_iterations"):
-            FitConfig(max_iterations=2.5)
+        # a bool is an Integral but no budget: True must not mean one update
+        for budget in (2.5, True):
+            with pytest.raises(ValueError, match="max_iterations"):
+                fit(toy_portfolio(), WeightScheme.RATIO, FAM, budget)
 
     def test_all_zero_losses_rejected(self):
         pf = Portfolio.from_arrays([0.5, 1.0], [0.0, 0.0])
@@ -191,7 +190,7 @@ class TestFit:
         pf = random_portfolio(31)
         fam = TweedieFamily(p=1.5, phi=2.5)
         for scheme in WeightScheme:
-            result = fit(pf, scheme, fam, FitConfig(init="zeros"))
+            result = fit_from(np.zeros(pf.q + 1), pf, scheme, fam)
             assert result.iterations > 3
             for beta, value in zip(result.trace_beta, result.trace_objective):
                 assert value == quasi_loglik(beta, pf, scheme, fam)
@@ -204,8 +203,8 @@ class TestFit:
     def test_step_halving_never_lowers_objective(self):
         # halving is always on: the default start and the far start from zero
         pf = random_portfolio(28)
-        for config in (FitConfig(), FitConfig(init="zeros")):
-            result = fit(pf, WeightScheme.OFFSET, FAM, config)
+        zero_start = fit_from(np.zeros(pf.q + 1), pf, WeightScheme.OFFSET, FAM)
+        for result in (fit(pf, WeightScheme.OFFSET, FAM), zero_start):
             assert result.converged
             diffs = np.diff(result.trace_objective)
             assert np.all(diffs >= -1e-9)
@@ -257,7 +256,7 @@ class TestStoppingRule:
         # the next information matrix is singular; halving keeps every step uphill
         pf = Portfolio.from_arrays(*sparse_book(0, 200, 1e3))
         for scheme in WeightScheme:
-            result = fit(pf, scheme, FAM, FitConfig(init="zeros"))
+            result = fit_from(np.zeros(pf.q + 1), pf, scheme, FAM)
             assert result.converged
             assert np.all(np.diff(result.trace_objective) >= -1e-9)
             reference = fit(pf, scheme, FAM).beta_hat
@@ -400,7 +399,7 @@ class TestOnePassPerIterate:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for scheme, iterations in ((WeightScheme.OFFSET, 9), (WeightScheme.RATIO, 9)):
-                result = fit(pf, scheme, FAM, FitConfig(init="zeros"))
+                result = fit_from(np.zeros(pf.q + 1), pf, scheme, FAM)
                 assert result.converged
                 assert result.iterations == iterations
 
