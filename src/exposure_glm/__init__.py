@@ -2,7 +2,6 @@
 
 from .balance import (
     ClassBalance,
-    IndividualGaps,
     balance_factor,
     class_report,
     individual_gaps,
@@ -37,7 +36,6 @@ from .model_core import (
     quasi_loglik,
 )
 from .simulate import (
-    GapExperiment,
     Scenario,
     ScenarioConfig,
     build_scenario_portfolio,
@@ -61,8 +59,6 @@ __all__ = [
     "DominanceReport",
     "EstimatorMoments",
     "FitResult",
-    "GapExperiment",
-    "IndividualGaps",
     "MomentOrdering",
     "Portfolio",
     "RankDeficiencyError",

@@ -15,31 +15,12 @@ from .model_core import Portfolio
 from .solver import FitResult
 
 __all__ = [
-    "IndividualGaps",
     "ClassBalance",
     "individual_gaps",
     "portfolio_gap",
     "class_report",
     "balance_factor",
 ]
-
-
-@dataclass(frozen=True)
-class IndividualGaps:
-    """Per-contract gap columns of one fit, in portfolio order.
-
-    ``gap = exposure * (observed_z - fitted_zeta)`` entrywise; the
-    arrays are read-only.
-    """
-
-    contract_ids: tuple
-    exposure: np.ndarray
-    observed_z: np.ndarray
-    fitted_zeta: np.ndarray
-    gap: np.ndarray
-
-    def __len__(self):
-        return len(self.contract_ids)
 
 
 @dataclass(frozen=True)
@@ -74,25 +55,20 @@ def _fitted_zetas(portfolio, fit):
     return np.exp(portfolio.design @ fit.beta_hat)
 
 
-def individual_gaps(portfolio: Portfolio, fit: FitResult) -> IndividualGaps:
-    """Per-contract gaps ``t_i * (z_i - zeta_hat_i)``, portfolio order preserved."""
+def individual_gaps(portfolio: Portfolio, fit: FitResult):
+    """Per-contract ``(fitted_zeta, gap)``, ``gap = t * (z - fitted_zeta)``, in portfolio order."""
     _check_fit(portfolio, fit)
     zetas = _fitted_zetas(portfolio, fit)
-    gaps = portfolio.exposures * (portfolio.normalized - zetas)
-    columns = [portfolio.exposures.view(), portfolio.normalized.view(), zetas, gaps]
-    for column in columns:
-        column.flags.writeable = False
-    return IndividualGaps(portfolio.contract_ids, *columns)
+    return zetas, portfolio.exposures * (portfolio.normalized - zetas)
 
 
 def portfolio_gap(gaps) -> float:
-    """Sum of individual gaps, accumulated left to right in portfolio order.
+    """Sum of an array or sequence of gaps, accumulated left to right in portfolio order.
 
-    Takes an ``IndividualGaps`` record or a plain sequence of gaps.  The
-    running sum is sequential on purpose: a pairwise or compensated sum
+    The running sum is sequential on purpose: a pairwise or compensated sum
     would change the reported total in its last bits.
     """
-    values = np.asarray(getattr(gaps, "gap", gaps), dtype=float)
+    values = np.asarray(gaps, dtype=float)
     if values.size == 0:
         raise ValueError("gap list is empty")
     return float(np.cumsum(values)[-1])

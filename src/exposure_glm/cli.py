@@ -443,20 +443,13 @@ def cmd_compare(args):
         [["intercept", *portfolio.covariate_names], beta_offset, beta_ratio, coeff_ratios],
     )
 
-    gaps_offset = individual_gaps(portfolio, result_offset)
-    gaps_ratio = individual_gaps(portfolio, result_ratio)
+    zeta_offset, gap_offset = individual_gaps(portfolio, result_offset)
+    zeta_ratio, gap_ratio = individual_gaps(portfolio, result_ratio)
     _write_csv(
         args.out / "gaps.csv",
         ["contract_id", "exposure", "z", "zeta_offset", "zeta_ratio", "gap_offset", "gap_ratio"],
-        [
-            gaps_offset.contract_ids,
-            gaps_offset.exposure,
-            gaps_offset.observed_z,
-            gaps_offset.fitted_zeta,
-            gaps_ratio.fitted_zeta,
-            gaps_offset.gap,
-            gaps_ratio.gap,
-        ],
+        [portfolio.contract_ids, portfolio.exposures, portfolio.normalized,
+         zeta_offset, zeta_ratio, gap_offset, gap_ratio],
     )
     factor_indices = range(1, portfolio.q + 1) if portfolio.q else [0]
     reports = [class_report(portfolio, (result_offset, result_ratio), j) for j in factor_indices]
@@ -476,7 +469,7 @@ def cmd_compare(args):
     _write_csv(
         args.out / "premium_ratios.csv",
         ["quantile", "ratio"],
-        [_QUANTILES, np.quantile(gaps_offset.fitted_zeta / gaps_ratio.fitted_zeta, _QUANTILES)],
+        [_QUANTILES, np.quantile(zeta_offset / zeta_ratio, _QUANTILES)],
     )
     _write_json(
         args.out / "balance.json",
@@ -484,8 +477,8 @@ def cmd_compare(args):
             "schema_version": SCHEMA_VERSION,
             "balance_factor_offset": balance_factor(portfolio, result_offset),
             "balance_factor_ratio": balance_factor(portfolio, result_ratio),
-            "portfolio_gap_offset": portfolio_gap(gaps_offset),
-            "portfolio_gap_ratio": portfolio_gap(gaps_ratio),
+            "portfolio_gap_offset": portfolio_gap(gap_offset),
+            "portfolio_gap_ratio": portfolio_gap(gap_ratio),
         },
     )
 
@@ -498,10 +491,13 @@ def cmd_simulate(args):
         p=args.p,
         seed=args.seed,
     )
-    experiment = run_gap_experiment(scenario_config)
-    columns = experiment.columns()
-    _write_csv(args.out / "gap_experiment.csv", list(columns), list(columns.values()))
-    portfolio = experiment.portfolio
+    portfolio, fit_offset, fit_ratio = run_gap_experiment(scenario_config)
+    gap_offset, gap_ratio = (individual_gaps(portfolio, result)[1] for result in (fit_offset, fit_ratio))
+    _write_csv(
+        args.out / "gap_experiment.csv",
+        ["rank", "exposure", "gap_offset", "gap_ratio"],
+        [np.arange(1, portfolio.n + 1), portfolio.exposures, gap_offset, gap_ratio],
+    )
     _write_json(
         args.out / "gap_totals.json",
         {
@@ -511,12 +507,12 @@ def cmd_simulate(args):
             "heterogeneous": args.heterogeneous,
             "p": args.p,
             "seed": args.seed,
-            "total_gap_offset": experiment.total_offset,
-            "total_gap_ratio": experiment.total_ratio,
-            "balance_factor_offset": balance_factor(portfolio, experiment.fit_offset),
-            "balance_factor_ratio": balance_factor(portfolio, experiment.fit_ratio),
-            "iterations_offset": experiment.fit_offset.iterations,
-            "iterations_ratio": experiment.fit_ratio.iterations,
+            "total_gap_offset": portfolio_gap(gap_offset),
+            "total_gap_ratio": portfolio_gap(gap_ratio),
+            "balance_factor_offset": balance_factor(portfolio, fit_offset),
+            "balance_factor_ratio": balance_factor(portfolio, fit_ratio),
+            "iterations_offset": fit_offset.iterations,
+            "iterations_ratio": fit_ratio.iterations,
         },
     )
 

@@ -115,10 +115,13 @@ def premium_moments(x, beta, covariance) -> EstimatorMoments:
 
     ``covariance`` is the coefficient covariance *including* dispersion,
     as ``coefficient_covariance`` returns it; it must be symmetric and
-    positive semidefinite.
+    positive semidefinite, and ``beta`` finite.
     """
     sigma = _check_psd(covariance)
-    return _lognormal_moments(np.asarray(x, dtype=float), np.asarray(beta, dtype=float), sigma)
+    beta, x = _check_beta(beta, len(sigma)), np.asarray(x, dtype=float)
+    if x.shape[-1:] != beta.shape:
+        raise ValueError(f"x of shape {x.shape} does not match coefficient vector of shape {beta.shape}")
+    return _lognormal_moments(x, beta, sigma)
 
 
 def coefficient_covariance(portfolio: Portfolio, beta, scheme: WeightScheme, family: TweedieFamily):
@@ -127,7 +130,7 @@ def coefficient_covariance(portfolio: Portfolio, beta, scheme: WeightScheme, fam
     Raises SingularInformationError when ``X.T @ D @ X`` is numerically
     singular at ``beta``.
     """
-    beta = _check_beta(beta, portfolio)
+    beta = _check_beta(beta, portfolio.q + 1)
     w = _scheme_weights(WeightScheme(scheme), portfolio.exposures, family.p)
     d = _d_weights(portfolio.design @ beta, w, family.p)
     return _covariance(_cho_factor(_gram(portfolio.design, d)), family.phi)

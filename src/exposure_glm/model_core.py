@@ -374,7 +374,7 @@ def quasi_loglik(beta, portfolio: Portfolio, scheme: WeightScheme, family: Tweed
         (1 / phi) * sum_i w_i * (zeta_i**(1-p) * z_i / (1-p)
                                  - zeta_i**(2-p) / (2-p)).
     """
-    beta = _check_beta(beta, portfolio)
+    beta = _check_beta(beta, portfolio.q + 1)
     p = family.p
     w = _scheme_weights(WeightScheme(scheme), portfolio.exposures, p)
     return _scoring_pass(beta, portfolio.design, portfolio.normalized, w, p)[4] / family.phi
@@ -386,12 +386,10 @@ def _check_integer(name, value):
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
-def _check_beta(beta, portfolio):
+def _check_beta(beta, k):
     beta = np.asarray(beta, dtype=float)
-    if beta.shape != (portfolio.q + 1,):
-        raise ValueError(
-            f"coefficient vector must have length {portfolio.q + 1}, got shape {beta.shape}"
-        )
+    if beta.shape != (k,):
+        raise ValueError(f"coefficient vector must have length {k}, got shape {beta.shape}")
     if not np.all(np.isfinite(beta)):
         raise ValueError(f"coefficient vector must be finite, got {beta}")
     return beta

@@ -3,7 +3,7 @@
 The gap experiment draws exposures uniformly on [30/365, 335/365], sorts
 them ascending, assigns deterministic loss costs by rank (increasing
 ``y_i = i`` or decreasing ``y_i = n - i + 1``) and optionally two binary
-risk factors, then fits both schemes and reports per-contract gaps.
+risk factors with success rates 0.75 and 0.15, then fits both schemes.
 
 All randomness flows through numpy's PCG64 generator seeded from a
 single 64-bit integer via SeedSequence spawning, so every artifact is
@@ -15,19 +15,14 @@ from enum import Enum
 
 import numpy as np
 
-from .balance import IndividualGaps, individual_gaps, portfolio_gap
 from .model_core import Portfolio, RankDeficiencyError, TweedieFamily, WeightScheme, _check_integer
-from .solver import FitResult, fit
+from .solver import fit
 
 __all__ = [
     "EXPOSURE_LO",
     "EXPOSURE_HI",
     "Scenario",
     "ScenarioConfig",
-    "GapExperiment",
-    "gen_exposures",
-    "gen_losses",
-    "gen_covariates",
     "build_scenario_portfolio",
     "run_gap_experiment",
     "gen_mimic_portfolio",
@@ -35,6 +30,9 @@ __all__ = [
 
 EXPOSURE_LO = 30.0 / 365.0
 EXPOSURE_HI = 335.0 / 365.0
+
+# Success rates of the gap experiment's two binary risk factors.
+_SCENARIO_COVARIATE_RATES = (0.75, 0.15)
 
 # The mimic book: the full-exposure group's mean loss cost, the mid-term
 # group's mean as a multiple of it, the share of zero losses in each
@@ -65,105 +63,50 @@ class ScenarioConfig:
         _check_integer("n", self.n)
         if self.n < 2:
             raise ValueError(f"need at least 2 contracts, got {self.n}")
+        _check_seed(self.seed)
         TweedieFamily(p=self.p)
 
 
-@dataclass
-class GapExperiment:
-    """Both fits and their per-contract gap curves for one scenario."""
-
-    portfolio: Portfolio
-    fit_offset: FitResult
-    fit_ratio: FitResult
-    gaps_offset: IndividualGaps
-    gaps_ratio: IndividualGaps
-    total_offset: float
-    total_ratio: float
-
-    def columns(self):
-        """Columns ``rank``, ``exposure``, ``gap_offset``, ``gap_ratio``, rank ascending."""
-        return {
-            "rank": np.arange(1, len(self.gaps_offset) + 1),
-            "exposure": self.gaps_offset.exposure,
-            "gap_offset": self.gaps_offset.gap,
-            "gap_ratio": self.gaps_ratio.gap,
-        }
-
-
-def gen_exposures(n: int, seed) -> np.ndarray:
-    """n exposures drawn uniformly on [30/365, 335/365], sorted ascending."""
-    if n < 2:
-        raise ValueError(f"need at least 2 contracts, got {n}")
-    rng = np.random.default_rng(seed)
-    return np.sort(rng.uniform(EXPOSURE_LO, EXPOSURE_HI, n))
-
-
-def gen_losses(n: int, scenario) -> np.ndarray:
-    """Deterministic loss costs by exposure rank ``i = 1..n``.
-
-    Increasing: ``y_i = i``.  Decreasing: ``y_i = n - i + 1``, the exact
-    reversal.
-    """
-    scenario = Scenario(scenario)
-    ranks = np.arange(1, n + 1, dtype=float)
-    if scenario is Scenario.INCREASING:
-        return ranks
-    return n - ranks + 1.0
-
-
-def gen_covariates(n: int, seed) -> np.ndarray:
-    """Two binary per-contract risk factors with success rates 0.75 and 0.15."""
-    rng = np.random.default_rng(seed)
-    x1 = (rng.random(n) < 0.75).astype(float)
-    x2 = (rng.random(n) < 0.15).astype(float)
-    return np.column_stack([x1, x2])
+def _check_seed(seed):
+    _check_integer("seed", seed)
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
 
 
 def build_scenario_portfolio(config: ScenarioConfig) -> Portfolio:
     """Generate the portfolio for a gap experiment without fitting it."""
-    root = np.random.SeedSequence(config.seed)
-    exposure_seed, covariate_seed = root.spawn(2)
-    exposures = gen_exposures(config.n, exposure_seed)
-    losses = gen_losses(config.n, config.scenario)
+    exposure_seed, covariate_seed = np.random.SeedSequence(config.seed).spawn(2)
+    exposures = np.sort(np.random.default_rng(exposure_seed).uniform(EXPOSURE_LO, EXPOSURE_HI, config.n))
+    ranks = np.arange(1, config.n + 1, dtype=float)
+    losses = ranks if Scenario(config.scenario) is Scenario.INCREASING else config.n - ranks + 1.0
     if not config.heterogeneous:
         return Portfolio.from_arrays(exposures, losses)
-    return _full_rank_portfolio(
-        covariate_seed, lambda child: Portfolio.from_arrays(exposures, losses, gen_covariates(config.n, child))
-    )
+    return _full_rank_portfolio(covariate_seed, exposures, losses, _SCENARIO_COVARIATE_RATES)
 
 
-def _full_rank_portfolio(seed_seq, build, attempts=64):
-    """First ``build(child_seed)`` that raises no RankDeficiencyError.
+def _full_rank_portfolio(seed_seq, exposures, losses, rates, attempts=64):
+    """Portfolio of ``exposures`` and ``losses`` with binary covariates of success ``rates``.
 
     A constant or duplicated covariate column would break the full-rank
     invariant, so covariates are redrawn from spawned substreams of
-    ``seed_seq`` (deterministic per seed).
+    ``seed_seq`` (deterministic per seed) until a draw raises no
+    RankDeficiencyError.
     """
     for child in seed_seq.spawn(attempts):
+        rng = np.random.default_rng(child)
+        covariates = np.column_stack([(rng.random(len(exposures)) < rate).astype(float) for rate in rates])
         try:
-            return build(child)
+            return Portfolio.from_arrays(exposures, losses, covariates)
         except RankDeficiencyError:
             continue
     raise RuntimeError(f"no full-rank covariate draw in {attempts} attempts")
 
 
-def run_gap_experiment(config: ScenarioConfig) -> GapExperiment:
-    """Fit both schemes on a scenario portfolio and collect gap curves."""
+def run_gap_experiment(config: ScenarioConfig):
+    """Fit both schemes on a scenario portfolio: ``(portfolio, fit_offset, fit_ratio)``."""
     portfolio = build_scenario_portfolio(config)
     family = TweedieFamily(p=config.p)
-    fit_offset = fit(portfolio, WeightScheme.OFFSET, family)
-    fit_ratio = fit(portfolio, WeightScheme.RATIO, family)
-    gaps_offset = individual_gaps(portfolio, fit_offset)
-    gaps_ratio = individual_gaps(portfolio, fit_ratio)
-    return GapExperiment(
-        portfolio=portfolio,
-        fit_offset=fit_offset,
-        fit_ratio=fit_ratio,
-        gaps_offset=gaps_offset,
-        gaps_ratio=gaps_ratio,
-        total_offset=portfolio_gap(gaps_offset),
-        total_ratio=portfolio_gap(gaps_ratio),
-    )
+    return portfolio, fit(portfolio, WeightScheme.OFFSET, family), fit(portfolio, WeightScheme.RATIO, family)
 
 
 def gen_mimic_portfolio(share_midterm: float, n: int, seed: int) -> Portfolio:
@@ -182,6 +125,7 @@ def gen_mimic_portfolio(share_midterm: float, n: int, seed: int) -> Portfolio:
     _check_integer("n", n)
     if n < 4:
         raise ValueError(f"need at least 4 contracts, got {n}")
+    _check_seed(seed)
 
     n_mid = min(max(int(round(share_midterm * n)), 1), n - 1)
     n_full = n - n_mid
@@ -196,13 +140,7 @@ def gen_mimic_portfolio(share_midterm: float, n: int, seed: int) -> Portfolio:
     losses = np.concatenate(
         [_group_losses(loss_rng, n_mid, mean_midterm), _group_losses(loss_rng, n_full, _MIMIC_MEAN_FULL)]
     )
-
-    def build(child):
-        rng = np.random.default_rng(child)
-        covariates = np.column_stack([(rng.random(n) < rate).astype(float) for rate in _MIMIC_COVARIATE_RATES])
-        return Portfolio.from_arrays(exposures, losses, covariates)
-
-    return _full_rank_portfolio(cov_seed, build)
+    return _full_rank_portfolio(cov_seed, exposures, losses, _MIMIC_COVARIATE_RATES)
 
 
 def _group_losses(rng, size, target_mean):

@@ -218,12 +218,12 @@ def test_compare_tables_hold_the_fitted_values(book, tmp_path):
     portfolio = ingest_csv(book)
     fits = [fit(portfolio, scheme, TweedieFamily(p=1.42)) for scheme in (WeightScheme.OFFSET, WeightScheme.RATIO)]
 
-    offset, ratio = (individual_gaps(portfolio, result) for result in fits)
+    (zeta_offset, gap_offset), (zeta_ratio, gap_ratio) = (individual_gaps(portfolio, result) for result in fits)
     header, rows = read_table(out / "gaps.csv")
     assert header == ["contract_id", "exposure", "z", "zeta_offset", "zeta_ratio", "gap_offset", "gap_ratio"]
     ids, *columns = zip(*rows)
     assert ids == portfolio.contract_ids and {"c,1", 'q"2'} <= set(ids)
-    expected = [offset.exposure, offset.observed_z, offset.fitted_zeta, ratio.fitted_zeta, offset.gap, ratio.gap]
+    expected = [portfolio.exposures, portfolio.normalized, zeta_offset, zeta_ratio, gap_offset, gap_ratio]
     for cells, values in zip(columns, expected, strict=True):
         assert_cells_hold(cells, values)
 

@@ -1,4 +1,4 @@
-"""Gap records, portfolio totals, class balance, balance factor."""
+"""Gap arrays, portfolio totals, class balance, balance factor."""
 
 import math
 
@@ -17,7 +17,7 @@ from exposure_glm import (
 )
 from exposure_glm.simulate import Scenario, ScenarioConfig, run_gap_experiment
 
-from util import random_portfolio, toy_portfolio
+from util import gap_totals, random_portfolio, toy_portfolio
 
 FAM = TweedieFamily(p=1.5)
 
@@ -27,13 +27,13 @@ class TestIndividualGaps:
         for seed in range(5):
             pf = random_portfolio(seed, q=0)
             result = fit(pf, WeightScheme.RATIO, FAM)
-            gaps = individual_gaps(pf, result)
-            assert abs(portfolio_gap(gaps)) < 1e-10
+            _, gap = individual_gaps(pf, result)
+            assert abs(portfolio_gap(gap)) < 1e-10
 
     def test_offset_gaps_do_not_balance(self):
         pf = toy_portfolio()
         result = fit(pf, WeightScheme.OFFSET, FAM)
-        assert abs(portfolio_gap(individual_gaps(pf, result))) > 1e-6
+        assert abs(portfolio_gap(individual_gaps(pf, result)[1])) > 1e-6
 
     def test_perfect_fit_contract_has_zero_gap(self):
         rng = np.random.default_rng(1)
@@ -43,29 +43,24 @@ class TestIndividualGaps:
         y = t * np.exp(np.column_stack([np.ones(10), x]) @ beta)
         pf = Portfolio.from_arrays(t, y, x)
         result = fit(pf, WeightScheme.RATIO, FAM)
-        assert individual_gaps(pf, result).gap == pytest.approx(np.zeros(10), abs=1e-9)
+        assert individual_gaps(pf, result)[1] == pytest.approx(np.zeros(10), abs=1e-9)
 
     def test_gap_identity_holds_exactly(self):
         pf = random_portfolio(2)
         result = fit(pf, WeightScheme.OFFSET, FAM)
-        gaps = individual_gaps(pf, result)
-        assert len(gaps) == pf.n
-        assert gaps.contract_ids == pf.contract_ids
-        np.testing.assert_array_equal(gaps.exposure, pf.exposures)
-        np.testing.assert_array_equal(gaps.observed_z, pf.loss_costs / pf.exposures)
-        np.testing.assert_array_equal(gaps.fitted_zeta, np.exp(pf.design @ result.beta_hat))
-        np.testing.assert_array_equal(gaps.gap, gaps.exposure * (gaps.observed_z - gaps.fitted_zeta))
+        zeta, gap = individual_gaps(pf, result)
+        assert zeta.shape == gap.shape == (pf.n,)
+        np.testing.assert_array_equal(pf.normalized, pf.loss_costs / pf.exposures)
+        np.testing.assert_array_equal(zeta, np.exp(pf.design @ result.beta_hat))
+        np.testing.assert_array_equal(gap, pf.exposures * (pf.normalized - zeta))
 
-    def test_record_is_frozen(self):
+    def test_arrays_are_fresh(self):
+        # the two arrays are the fit's own: writing to them leaves the portfolio as it was
         pf = random_portfolio(2)
-        gaps = individual_gaps(pf, fit(pf, WeightScheme.OFFSET, FAM))
-        with pytest.raises(AttributeError):
-            gaps.gap = np.zeros(pf.n)
-        with pytest.raises(ValueError):
-            gaps.gap[0] = 0.0
-        with pytest.raises(ValueError):
-            gaps.exposure[0] = 0.5
-        assert pf.exposures.flags.writeable
+        columns = (pf.exposures, pf.loss_costs, pf.normalized, pf.design)
+        for array in individual_gaps(pf, fit(pf, WeightScheme.OFFSET, FAM)):
+            assert array.dtype == float and array.flags.writeable
+            assert not any(np.shares_memory(array, column) for column in columns)
 
     def test_mismatched_fit_rejected(self):
         pf_a = random_portfolio(3, n=20)
@@ -76,22 +71,22 @@ class TestIndividualGaps:
 
     def test_records_identical_across_schemes_at_full_exposure(self):
         pf = random_portfolio(5, all_full=True)
-        gaps_o = individual_gaps(pf, fit(pf, WeightScheme.OFFSET, FAM))
-        gaps_r = individual_gaps(pf, fit(pf, WeightScheme.RATIO, FAM))
-        assert gaps_o.fitted_zeta == pytest.approx(gaps_r.fitted_zeta, rel=1e-10)
-        assert gaps_o.gap == pytest.approx(gaps_r.gap, abs=1e-9)
+        zeta_o, gap_o = individual_gaps(pf, fit(pf, WeightScheme.OFFSET, FAM))
+        zeta_r, gap_r = individual_gaps(pf, fit(pf, WeightScheme.RATIO, FAM))
+        assert zeta_o == pytest.approx(zeta_r, rel=1e-10)
+        assert gap_o == pytest.approx(gap_r, abs=1e-9)
 
 
 class TestPortfolioGap:
     def test_ratio_toy_portfolio_balances(self):
         result = fit(toy_portfolio(), WeightScheme.RATIO, FAM)
-        assert abs(portfolio_gap(individual_gaps(toy_portfolio(), result))) < 1e-12
+        assert abs(portfolio_gap(individual_gaps(toy_portfolio(), result)[1])) < 1e-12
 
     def test_offset_toy_portfolio_value(self):
         # 25 - 1.5 * weighted-mean estimate, evaluated from the closed form
         expected = 25.0 - 1.5 * (math.sqrt(0.5) * 10.0 + 20.0) / (math.sqrt(0.5) + 1.0)
         result = fit(toy_portfolio(), WeightScheme.OFFSET, FAM)
-        assert portfolio_gap(individual_gaps(toy_portfolio(), result)) == pytest.approx(
+        assert portfolio_gap(individual_gaps(toy_portfolio(), result)[1]) == pytest.approx(
             expected, abs=1e-9
         )
 
@@ -103,11 +98,12 @@ class TestPortfolioGap:
         # the running sum is 1.0; a compensated sum (math.fsum) would give 2.0
         assert portfolio_gap([1e16, 1.0, -1e16, 1.0]) == 1.0
         pf = random_portfolio(21, n=500)
-        gaps = individual_gaps(pf, fit(pf, WeightScheme.OFFSET, FAM))
+        _, gaps = individual_gaps(pf, fit(pf, WeightScheme.OFFSET, FAM))
         total = 0.0
-        for gap in gaps.gap.tolist():
+        for gap in gaps.tolist():
             total += gap
         assert portfolio_gap(gaps) == total
+        assert portfolio_gap(gaps.tolist()) == total
 
 
 class TestClassReport:
@@ -196,10 +192,9 @@ class TestClassReport:
         assert len(set(losses)) < len(losses) - 10
 
     def test_ratio_rows_closer_to_balance_than_offset_rows(self):
-        experiment = run_gap_experiment(
+        pf, fit_offset, fit_ratio = run_gap_experiment(
             ScenarioConfig(n=100, scenario=Scenario.INCREASING, heterogeneous=True, p=1.42, seed=11)
         )
-        pf = experiment.portfolio
 
         def total_log_ratio(result):
             total = 0.0
@@ -209,7 +204,7 @@ class TestClassReport:
                         total += abs(math.log(ratio))
             return total
 
-        assert total_log_ratio(experiment.fit_ratio) < total_log_ratio(experiment.fit_offset)
+        assert total_log_ratio(fit_ratio) < total_log_ratio(fit_offset)
 
     def test_record_is_read_only(self):
         pf = random_portfolio(10)
@@ -226,18 +221,18 @@ class TestBalanceFactor:
         assert balance_factor(pf, result) == pytest.approx(1.0, abs=1e-12)
 
     def test_heterogeneous_ratio_near_but_not_exactly_one(self):
-        experiment = run_gap_experiment(
+        pf, _, fit_ratio = run_gap_experiment(
             ScenarioConfig(n=100, scenario=Scenario.DECREASING, heterogeneous=True, p=1.42, seed=16)
         )
-        factor = balance_factor(experiment.portfolio, experiment.fit_ratio)
+        factor = balance_factor(pf, fit_ratio)
         assert abs(factor - 1.0) < 0.05
         assert abs(factor - 1.0) > 1e-12
 
     def test_offset_decreasing_scenario_overshoots(self):
-        experiment = run_gap_experiment(
+        pf, fit_offset, _ = run_gap_experiment(
             ScenarioConfig(n=100, scenario=Scenario.DECREASING, heterogeneous=False, p=1.42, seed=17)
         )
-        assert balance_factor(experiment.portfolio, experiment.fit_offset) > 1.0
+        assert balance_factor(pf, fit_offset) > 1.0
 
     def test_zero_total_loss_rejected(self):
         pf = Portfolio.from_arrays([0.5, 1.0], [1.0, 2.0])
@@ -250,9 +245,9 @@ class TestBalanceFactor:
 class TestSignLaws:
     @pytest.mark.parametrize("p", [1.2, 1.42, 1.8])
     def test_offset_total_sign_tracks_scenario(self, p):
-        increasing = run_gap_experiment(ScenarioConfig(n=100, scenario=Scenario.INCREASING, p=p, seed=18))
-        decreasing = run_gap_experiment(ScenarioConfig(n=100, scenario=Scenario.DECREASING, p=p, seed=18))
-        assert increasing.total_offset > 0.0
-        assert decreasing.total_offset < 0.0
-        assert abs(increasing.total_ratio) < abs(increasing.total_offset)
-        assert abs(decreasing.total_ratio) < abs(decreasing.total_offset)
+        increasing = gap_totals(ScenarioConfig(n=100, scenario=Scenario.INCREASING, p=p, seed=18))
+        decreasing = gap_totals(ScenarioConfig(n=100, scenario=Scenario.DECREASING, p=p, seed=18))
+        assert increasing[0] > 0.0
+        assert decreasing[0] < 0.0
+        assert abs(increasing[1]) < abs(increasing[0])
+        assert abs(decreasing[1]) < abs(decreasing[0])

@@ -508,6 +508,13 @@ class TestSimulateCommand:
         main(["simulate", "--n", "30", "--seed", "2", "--out", str(out2)])
         assert (out1 / "gap_experiment.csv").read_bytes() != (out2 / "gap_experiment.csv").read_bytes()
 
+    def test_negative_seed_exits_nonzero(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["simulate", "--seed", "-1", "--out", str(out)]) == 1
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["message"] == "seed must be non-negative, got -1"
+        assert not out.exists()
+
 
 def _counts_file(tmp_path):
     rng = np.random.default_rng(8)

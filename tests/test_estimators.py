@@ -223,11 +223,26 @@ class TestSingularInformation:
         lambda pf, beta: covariance_dominance(pf, beta, FAM),
         lambda pf, beta: moment_ordering(pf.design[0], beta, pf, FAM),
         lambda pf, beta: expected_random_gap(pf, beta, FAM, WeightScheme.RATIO),
+        lambda pf, beta: premium_moments(pf.design[0], beta, np.eye(3)),
     ],
     ids=["quasi_loglik", "coefficient_covariance", "covariance_dominance", "moment_ordering",
-         "expected_random_gap"],
+         "expected_random_gap", "premium_moments"],
 )
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_non_finite_coefficients_rejected(call, bad):
     with pytest.raises(ValueError, match="coefficient vector must be finite"):
         call(random_portfolio(5), np.array([bad, 0.0, 0.0]))
+
+
+@pytest.mark.parametrize(
+    "x,beta,covariance,message",
+    [
+        ([1.0, 0.0, 0.0], [0.0, 0.0], np.eye(3), r"must have length 3, got shape \(2,\)"),
+        ([1.0, 0.0], [0.0, 0.0, 0.0], np.eye(3), r"x of shape \(2,\) does not match .* shape \(3,\)"),
+        (np.ones((4, 2)), [0.0, 0.0, 0.0], np.eye(3), r"x of shape \(4, 2\) does not match .* shape \(3,\)"),
+    ],
+    ids=["beta", "row", "rows"],
+)
+def test_premium_moments_rejects_mismatched_shapes(x, beta, covariance, message):
+    with pytest.raises(ValueError, match=message):
+        premium_moments(x, beta, covariance)

@@ -11,55 +11,72 @@ from exposure_glm.simulate import (
     Scenario,
     ScenarioConfig,
     build_scenario_portfolio,
-    gen_covariates,
-    gen_exposures,
-    gen_losses,
     gen_mimic_portfolio,
     run_gap_experiment,
 )
+from exposure_glm.cli import main
+
+from util import gap_totals
+
+
+def scenario_columns(n, seed, scenario=Scenario.INCREASING, heterogeneous=False):
+    """``(exposures, loss_costs, covariates)`` of the scenario portfolio."""
+    pf = build_scenario_portfolio(ScenarioConfig(n=n, scenario=scenario, heterogeneous=heterogeneous, seed=seed))
+    return pf.exposures, pf.loss_costs, pf.design[:, 1:]
 
 
 class TestGenExposures:
+    """The exposure column of ``build_scenario_portfolio``."""
+
     def test_within_interval(self):
-        t = gen_exposures(500, seed=1)
+        t, _, _ = scenario_columns(500, seed=1)
         assert np.all(t >= EXPOSURE_LO) and np.all(t <= EXPOSURE_HI)
 
     def test_sorted_ascending(self):
-        t = gen_exposures(200, seed=2)
+        t, _, _ = scenario_columns(200, seed=2)
         assert np.all(np.diff(t) >= 0.0)
 
     def test_seed_determinism(self):
-        np.testing.assert_array_equal(gen_exposures(100, seed=3), gen_exposures(100, seed=3))
+        np.testing.assert_array_equal(scenario_columns(100, seed=3)[0], scenario_columns(100, seed=3)[0])
 
     def test_minimum_size(self):
-        with pytest.raises(ValueError):
-            gen_exposures(1, seed=0)
+        with pytest.raises(ValueError, match="need at least 2 contracts, got 1"):
+            scenario_columns(1, seed=0)
 
 
 class TestGenLosses:
+    """The loss-cost column of ``build_scenario_portfolio``, by exposure rank."""
+
     def test_increasing(self):
-        np.testing.assert_array_equal(gen_losses(3, Scenario.INCREASING), [1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(scenario_columns(3, 0, Scenario.INCREASING)[1], [1.0, 2.0, 3.0])
 
     def test_decreasing_corrected_reversal(self):
-        np.testing.assert_array_equal(gen_losses(3, Scenario.DECREASING), [3.0, 2.0, 1.0])
+        np.testing.assert_array_equal(scenario_columns(3, 0, Scenario.DECREASING)[1], [3.0, 2.0, 1.0])
 
     def test_total_losses_match_across_scenarios(self):
-        assert gen_losses(100, Scenario.INCREASING).sum() == gen_losses(100, Scenario.DECREASING).sum()
+        increasing = scenario_columns(100, 4, Scenario.INCREASING)[1]
+        decreasing = scenario_columns(100, 4, Scenario.DECREASING)[1]
+        assert increasing.sum() == decreasing.sum()
+        np.testing.assert_array_equal(decreasing, increasing[::-1])
 
 
 class TestGenCovariates:
+    """The covariate columns of a heterogeneous ``build_scenario_portfolio``."""
+
     def test_binary_values_in_default_mode(self):
-        cov = gen_covariates(500, seed=5)
+        _, _, cov = scenario_columns(500, 5, heterogeneous=True)
         assert cov.shape == (500, 2)
         assert set(np.unique(cov)) <= {0.0, 1.0}
 
     def test_column_means_match_success_rates(self):
-        cov = gen_covariates(100_000, seed=6)
+        _, _, cov = scenario_columns(100_000, 6, heterogeneous=True)
         assert abs(cov[:, 0].mean() - 0.75) < 0.01
         assert abs(cov[:, 1].mean() - 0.15) < 0.01
 
     def test_seed_determinism(self):
-        np.testing.assert_array_equal(gen_covariates(50, seed=8), gen_covariates(50, seed=8))
+        a, b = (scenario_columns(50, 8, heterogeneous=True) for _ in range(2))
+        for column_a, column_b in zip(a, b):
+            np.testing.assert_array_equal(column_a, column_b)
 
 
 class TestBuildScenarioPortfolio:
@@ -100,41 +117,54 @@ class TestBuildScenarioPortfolio:
         with pytest.raises(ValueError, match="^n must be an integer"):
             ScenarioConfig(n=n)
 
+    @pytest.mark.parametrize("seed", [1.5, True, -1, "3"])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(ValueError, match="^seed must be"):
+            ScenarioConfig(seed=seed)
+
 
 class TestRunGapExperiment:
     def test_homogeneous_ratio_balances(self):
-        experiment = run_gap_experiment(ScenarioConfig(n=100, seed=9))
-        assert abs(experiment.total_ratio) < 1e-10
+        _, total_ratio = gap_totals(ScenarioConfig(n=100, seed=9))
+        assert abs(total_ratio) < 1e-10
 
     def test_offset_signs(self):
-        increasing = run_gap_experiment(ScenarioConfig(n=100, scenario=Scenario.INCREASING, seed=10))
-        decreasing = run_gap_experiment(ScenarioConfig(n=100, scenario=Scenario.DECREASING, seed=10))
-        assert increasing.total_offset > 0.0
-        assert decreasing.total_offset < 0.0
+        increasing, _ = gap_totals(ScenarioConfig(n=100, scenario=Scenario.INCREASING, seed=10))
+        decreasing, _ = gap_totals(ScenarioConfig(n=100, scenario=Scenario.DECREASING, seed=10))
+        assert increasing > 0.0
+        assert decreasing < 0.0
 
     def test_heterogeneous_ratio_total_smaller_than_offset(self):
-        experiment = run_gap_experiment(
+        total_offset, total_ratio = gap_totals(
             ScenarioConfig(n=100, scenario=Scenario.INCREASING, heterogeneous=True, seed=11)
         )
-        assert abs(experiment.total_ratio) < abs(experiment.total_offset)
+        assert abs(total_ratio) < abs(total_offset)
 
-    def test_rows_are_rank_indexed(self):
-        experiment = run_gap_experiment(ScenarioConfig(n=10, seed=12))
-        columns = experiment.columns()
-        assert list(columns) == ["rank", "exposure", "gap_offset", "gap_ratio"]
-        assert columns["rank"].tolist() == list(range(1, 11))
-        assert all(len(column) == 10 for column in columns.values())
-        np.testing.assert_array_equal(columns["exposure"], experiment.portfolio.exposures)
+    def test_rows_are_rank_indexed(self, tmp_path):
+        assert main(["simulate", "--n", "10", "--seed", "12", "--out", str(tmp_path)]) == 0
+        portfolio, _, _ = run_gap_experiment(ScenarioConfig(n=10, seed=12))
+        rows = (tmp_path / "gap_experiment.csv").read_text().splitlines()
+        assert rows[0] == "rank,exposure,gap_offset,gap_ratio"
+        ranks, exposures = zip(*(row.split(",")[:2] for row in rows[1:]))
+        assert ranks == tuple(str(i) for i in range(1, 11))
+        np.testing.assert_array_equal(np.array(exposures, dtype=float), portfolio.exposures)
+
+    def test_returns_the_book_and_both_fits(self):
+        config = ScenarioConfig(n=30, heterogeneous=True, seed=12)
+        portfolio, fit_offset, fit_ratio = run_gap_experiment(config)
+        book = build_scenario_portfolio(config)
+        np.testing.assert_array_equal(portfolio.design, book.design)
+        np.testing.assert_array_equal(portfolio.loss_costs, book.loss_costs)
+        assert (fit_offset.n_obs, fit_ratio.n_obs) == (30, 30)
+        assert fit_offset.converged and fit_ratio.converged
 
     def test_same_seed_reproduces_totals_exactly(self):
-        a = run_gap_experiment(ScenarioConfig(n=50, seed=13))
-        b = run_gap_experiment(ScenarioConfig(n=50, seed=13))
-        assert a.total_offset == b.total_offset
-        assert a.total_ratio == b.total_ratio
+        assert gap_totals(ScenarioConfig(n=50, seed=13)) == gap_totals(ScenarioConfig(n=50, seed=13))
 
     def test_minimum_portfolio_runs(self):
-        experiment = run_gap_experiment(ScenarioConfig(n=2, seed=14))
-        assert len(experiment.columns()["rank"]) == 2
+        portfolio, fit_offset, fit_ratio = run_gap_experiment(ScenarioConfig(n=2, seed=14))
+        assert portfolio.n == 2
+        assert fit_offset.converged and fit_ratio.converged
 
     def test_heterogeneous_minimum_is_the_containers(self):
         # an intercept and two covariates need three contracts; the
@@ -221,3 +251,8 @@ class TestGenMimicPortfolio:
     def test_non_integer_size_rejected(self, n):
         with pytest.raises(ValueError, match="^n must be an integer"):
             gen_mimic_portfolio(0.36, n, seed=1)
+
+    @pytest.mark.parametrize("seed", [1.5, True, -1, "3"])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(ValueError, match="^seed must be"):
+            gen_mimic_portfolio(0.36, 100, seed=seed)

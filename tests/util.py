@@ -2,7 +2,17 @@
 
 import numpy as np
 
-from exposure_glm import CountData, FitResult, Portfolio, WeightScheme, model_core, solver
+from exposure_glm import (
+    CountData,
+    FitResult,
+    Portfolio,
+    WeightScheme,
+    individual_gaps,
+    model_core,
+    portfolio_gap,
+    run_gap_experiment,
+    solver,
+)
 
 
 def toy_portfolio():
@@ -47,6 +57,12 @@ def fit_from(start, portfolio, scheme, family, max_iterations=100):
         beta, model_core._covariance(factor, family.phi), len(trace_beta) - 1, converged, gradient_norm,
         np.asarray(trace_beta), np.asarray(trace_objective) / family.phi, portfolio.n,
     )
+
+
+def gap_totals(config):
+    """Portfolio gaps ``(offset, ratio)`` of the gap experiment ``config``, as ``simulate`` reports them."""
+    portfolio, *fits = run_gap_experiment(config)
+    return tuple(portfolio_gap(individual_gaps(portfolio, result)[1]) for result in fits)
 
 
 def random_count_data(seed, n=60, q=2):
