@@ -25,15 +25,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ClassBalance:
-    """Aggregate losses vs. premiums per level of one risk factor.
+    """Aggregate losses vs. premiums per level of each risk factor.
 
-    One entry per level, ordered by ascending loss sum, ties by
-    ascending level.  ``premium_sums`` and ``ratios`` hold one row per
-    fit, in the order the fits were given; a ratio is NaN (undefined)
-    where the level has no losses.  The arrays are read-only.
+    One entry per (factor, level), ``factors`` naming its factor; within
+    a factor, entries are ordered by ascending loss sum, ties by level.
+    ``premium_sums`` and ``ratios`` hold one row per fit, in fit order;
+    a ratio is NaN where the level has no losses.  Arrays are read-only.
     """
 
-    factor_name: str
+    factors: tuple
     levels: np.ndarray
     loss_sums: np.ndarray
     premium_sums: np.ndarray
@@ -74,39 +74,39 @@ def portfolio_gap(gaps) -> float:
     return float(np.cumsum(values)[-1])
 
 
-def class_report(portfolio: Portfolio, fits, factor_index: int) -> ClassBalance:
-    """Balance of each fit in ``fits`` per level of design column ``factor_index``.
+def class_report(portfolio: Portfolio, fits) -> ClassBalance:
+    """Balance of each fit in ``fits`` per level of every covariate, in design order.
 
-    Index 0 is the intercept (a single constant level), indices 1..q the
-    covariates; every distinct value is a level, so a continuous column
-    yields one entry per value.  The column is grouped once for all fits.
-    A level with zero losses keeps its premium sums and reports an
-    undefined ratio instead of an infinite one.
+    A book without covariates reports its intercept, one level of value 1.
+    Every distinct value is a level, valued as its first contract.  Each
+    fit's premiums are computed once and each column sorted once.  A level
+    with zero losses reports an undefined ratio instead of an infinite one.
     """
     for fit in fits:
         _check_fit(portfolio, fit)
-    if not (0 <= factor_index <= portfolio.q):
-        raise ValueError(f"factor index must lie in [0, {portfolio.q}], got {factor_index}")
-
-    column = portfolio.design[:, factor_index]
-    levels, inverse, counts = np.unique(column, return_inverse=True, return_counts=True)
-    # A stable sort keeps each level's contracts in portfolio order, so
-    # every slice sum below adds the same values in the same order as a
-    # boolean mask of that level would.
-    order = np.argsort(inverse, kind="stable")
-    columns = [portfolio.loss_costs[order]]
-    columns += [(portfolio.exposures * _fitted_zetas(portfolio, fit))[order] for fit in fits]
-    splits = np.cumsum(counts)[:-1]
-    sums = np.array([[part.sum() for part in np.split(values, splits)] for values in columns])
-    rank = np.argsort(sums[0], kind="stable")
-    loss_sums, premium_sums = sums[0, rank], sums[1:, rank]
+    columns = [portfolio.loss_costs] + [portfolio.exposures * _fitted_zetas(portfolio, fit) for fit in fits]
+    factors, levels, tables = [], [], []
+    for j, name in list(enumerate(portfolio.covariate_names, start=1)) or [(0, "intercept")]:
+        column = portfolio.design[:, j]
+        # A stable sort keeps each level's contracts in portfolio order, so
+        # every slice sum below adds the same values in the same order as a
+        # boolean mask of that level would.
+        order = np.argsort(column, kind="stable")
+        ordered = column[order]
+        starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+        table = np.array([[part.sum() for part in np.split(values[order], starts[1:])] for values in columns])
+        rank = np.argsort(table[0], kind="stable")
+        factors += [name] * rank.size
+        levels.append(ordered[starts[rank]])
+        tables.append(table[:, rank])
+    sums = np.concatenate(tables, axis=1)
+    loss_sums, premium_sums = sums[0], sums[1:]
     ratios = np.full_like(premium_sums, np.nan)
     np.divide(premium_sums, loss_sums, out=ratios, where=loss_sums > 0.0)
-    arrays = [levels[rank], loss_sums, premium_sums, ratios]
+    arrays = [np.concatenate(levels), loss_sums, premium_sums, ratios]
     for array in arrays:
         array.flags.writeable = False
-    factor_name = "intercept" if factor_index == 0 else portfolio.covariate_names[factor_index - 1]
-    return ClassBalance(factor_name, *arrays)
+    return ClassBalance(tuple(factors), *arrays)
 
 
 def balance_factor(portfolio: Portfolio, fit: FitResult) -> float:

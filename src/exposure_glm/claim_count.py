@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 # The benchmark's tracer hooks ``validate_design`` under this module's name.
-from .model_core import Portfolio, WeightScheme, validate_design  # noqa: F401
+from .model_core import Portfolio, WeightScheme, _check_beta, validate_design  # noqa: F401
 from .solver import _irls
 
 __all__ = [
@@ -118,7 +118,7 @@ def poisson_fit(data: CountData, scheme: WeightScheme):
 def _zip_terms(params: ZipParams, data: CountData, scheme: WeightScheme):
     """``(weight, mean, count)`` of each contract's term in ``zip_loglik``."""
     scheme = WeightScheme(scheme)
-    zeta = np.exp(data.design @ np.asarray(params.beta, dtype=float))
+    zeta = np.exp(data.design @ _check_beta(params.beta, data.q + 1))
     if scheme is WeightScheme.OFFSET:
         return 1.0, data.exposures * zeta, data.counts
     return data.exposures, zeta, data.normalized

@@ -451,19 +451,17 @@ def cmd_compare(args):
         [portfolio.contract_ids, portfolio.exposures, portfolio.normalized,
          zeta_offset, zeta_ratio, gap_offset, gap_ratio],
     )
-    factor_indices = range(1, portfolio.q + 1) if portfolio.q else [0]
-    reports = [class_report(portfolio, (result_offset, result_ratio), j) for j in factor_indices]
-    ratios = np.concatenate([report.ratios for report in reports], axis=1)
+    report = class_report(portfolio, (result_offset, result_ratio))
     _write_csv(
         args.out / "class_balance.csv",
         ["factor", "level", "loss_sum", "premium_sum_offset", "premium_sum_ratio", "ratio_offset", "ratio_ratio"],
         [
-            [report.factor_name for report in reports for _ in range(len(report))],
-            np.concatenate([report.levels for report in reports]),
-            np.concatenate([report.loss_sums for report in reports]),
-            *np.concatenate([report.premium_sums for report in reports], axis=1),
+            report.factors,
+            report.levels,
+            report.loss_sums,
+            *report.premium_sums,
             # an undefined ratio (a level without losses) is an empty cell
-            *np.where(np.isnan(ratios), None, ratios),
+            *np.where(np.isnan(report.ratios), None, report.ratios),
         ],
     )
     _write_csv(

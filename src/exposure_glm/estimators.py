@@ -89,6 +89,9 @@ def _lognormal_moments(x, beta, covariance) -> EstimatorMoments:
 
         mean = exp(x @ beta + v / 2),  variance = (exp(v) - 1) * mean**2.
     """
+    x = np.asarray(x, dtype=float)
+    if x.shape[-1:] != beta.shape:
+        raise ValueError(f"x of shape {x.shape} does not match coefficient vector of shape {beta.shape}")
     v = np.maximum(np.einsum("...j,jk,...k->...", x, covariance, x), 0.0)
     mean = np.exp(x @ beta + 0.5 * v)
     variance = np.expm1(v) * mean * mean
@@ -118,10 +121,7 @@ def premium_moments(x, beta, covariance) -> EstimatorMoments:
     positive semidefinite, and ``beta`` finite.
     """
     sigma = _check_psd(covariance)
-    beta, x = _check_beta(beta, len(sigma)), np.asarray(x, dtype=float)
-    if x.shape[-1:] != beta.shape:
-        raise ValueError(f"x of shape {x.shape} does not match coefficient vector of shape {beta.shape}")
-    return _lognormal_moments(x, beta, sigma)
+    return _lognormal_moments(x, _check_beta(beta, len(sigma)), sigma)
 
 
 def coefficient_covariance(portfolio: Portfolio, beta, scheme: WeightScheme, family: TweedieFamily):
@@ -168,7 +168,6 @@ def moment_ordering(x, beta, portfolio: Portfolio, family: TweedieFamily) -> Mom
     Both covariances are computed once per call, however many rows
     ``x`` holds.
     """
-    x = np.asarray(x, dtype=float)
     beta = np.asarray(beta, dtype=float)
     off, rat = (
         _lognormal_moments(x, beta, coefficient_covariance(portfolio, beta, scheme, family))

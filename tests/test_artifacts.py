@@ -227,16 +227,11 @@ def test_compare_tables_hold_the_fitted_values(book, tmp_path):
     for cells, values in zip(columns, expected, strict=True):
         assert_cells_hold(cells, values)
 
-    reports = [class_report(portfolio, fits, j) for j in range(1, portfolio.q + 1)]
+    report = class_report(portfolio, fits)
     header, rows = read_table(out / "class_balance.csv")
     assert header[:3] == ["factor", "level", "loss_sum"] and len(header) == 7
     factors, *columns = zip(*rows)
-    assert list(factors) == [report.factor_name for report in reports for _ in range(len(report))]
-    expected = [
-        np.concatenate([report.levels for report in reports]),
-        np.concatenate([report.loss_sums for report in reports]),
-        *np.concatenate([report.premium_sums for report in reports], axis=1),
-        *np.concatenate([report.ratios for report in reports], axis=1),
-    ]
+    assert factors == report.factors
+    expected = [report.levels, report.loss_sums, *report.premium_sums, *report.ratios]
     for cells, values in zip(columns, expected, strict=True):
         assert_cells_hold(cells, values)

@@ -106,33 +106,41 @@ class TestPortfolioGap:
         assert portfolio_gap(gaps.tolist()) == total
 
 
+def factor_rows(report, name):
+    """Row indices of ``report`` that belong to factor ``name``."""
+    return [i for i, factor in enumerate(report.factors) if factor == name]
+
+
 class TestClassReport:
     def test_homogeneous_ratio_portfolio_level_ratio_is_one(self):
         pf = random_portfolio(6, q=0)
         result = fit(pf, WeightScheme.RATIO, FAM)
-        report = class_report(pf, [result], 0)
+        report = class_report(pf, [result])
         assert len(report) == 1
-        assert report.factor_name == "intercept"
+        assert report.factors == ("intercept",)
         assert report.ratios[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_intercept_reduces_to_balance_factor(self):
-        pf = random_portfolio(7)
+        pf = random_portfolio(7, q=0)
         result = fit(pf, WeightScheme.OFFSET, FAM)
-        report = class_report(pf, [result], 0)
+        report = class_report(pf, [result])
         assert report.ratios[0, 0] == pytest.approx(balance_factor(pf, result), rel=1e-12)
 
     def test_levels_identical_across_schemes_at_full_exposure(self):
         pf = random_portfolio(8, all_full=True)
         fits = [fit(pf, scheme, FAM) for scheme in (WeightScheme.OFFSET, WeightScheme.RATIO)]
-        report = class_report(pf, fits, 1)
+        report = class_report(pf, fits)
         assert report.premium_sums.shape == (2, len(report))
         for sum_o, sum_r in zip(*report.premium_sums):
             assert sum_o == pytest.approx(sum_r, rel=1e-9)
 
     def test_rows_sorted_by_loss_sum(self):
         pf = random_portfolio(9)
-        losses = class_report(pf, [fit(pf, WeightScheme.RATIO, FAM)], 1).loss_sums.tolist()
-        assert losses == sorted(losses)
+        report = class_report(pf, [fit(pf, WeightScheme.RATIO, FAM)])
+        assert report.factors == ("x1",) * 2 + ("x2",) * (len(report) - 2)
+        for name in pf.covariate_names:
+            losses = report.loss_sums[factor_rows(report, name)].tolist()
+            assert losses == sorted(losses)
 
     def test_zero_loss_level_reports_undefined_ratio(self):
         # x is one numeric column, so level 0 has no losses but does not
@@ -142,15 +150,27 @@ class TestClassReport:
         pf = Portfolio.from_arrays(np.full(6, 0.5), y, x[:, None])
         result = fit(pf, WeightScheme.RATIO, FAM)
         assert result.converged
-        report = class_report(pf, [result], 1)
+        report = class_report(pf, [result])
         undefined = np.flatnonzero(np.isnan(report.ratios[0]))
         assert undefined.tolist() == [0]
         assert report.levels[0] == 0.0
         assert report.premium_sums[0, 0] > 0.0
 
+    def test_signed_zeros_form_one_level(self):
+        # -0.0 == 0.0, so both are one level, valued as its first contract
+        x = np.array([1.0, -0.0, 0.0, 1.0, 0.0, 2.0, 2.0])
+        y = np.array([4.0, 0.0, 6.0, 0.0, 2.0, 5.0, 1.0])
+        pf = Portfolio.from_arrays(np.full(7, 0.5), y, x[:, None])
+        report = class_report(pf, [fit(pf, WeightScheme.RATIO, FAM)])
+        assert len(report) == 3
+        (zero,) = np.flatnonzero(report.levels == 0.0)
+        assert math.copysign(1.0, report.levels[zero]) == -1.0
+        assert report.loss_sums[zero] == pf.loss_costs[x == 0.0].sum()
+
     def test_rows_match_naive_masked_sums_bit_for_bit(self):
         # many levels, whole levels without losses (ratio undefined, loss
-        # sums tied at 0) and integer losses that tie some positive loss sums
+        # sums tied at 0) and integer losses that tie some positive loss sums;
+        # the same book without covariates reports its intercept
         rng = np.random.default_rng(23)
         n = 3000
         t = np.where(rng.random(n) < 0.4, rng.uniform(0.1, 0.9, n), 1.0)
@@ -158,21 +178,27 @@ class TestClassReport:
         y = np.where(rng.random(n) < 0.5, 0.0, rng.integers(1, 6, n).astype(float))
         y[np.isin(level, level[:40])] = 0.0
         x = np.column_stack([(rng.random(n) < 0.5).astype(float), level])
-        pf = Portfolio.from_arrays(t, y, x)
-        fits = [fit(pf, WeightScheme.OFFSET, FAM), fit(pf, WeightScheme.RATIO, FAM)]
-        for fits_given in ([fits[0]], fits):
-            for j in range(pf.q + 1):
-                column = pf.design[:, j]
+        for pf, factors in (
+            (Portfolio.from_arrays(t, y), [(0, "intercept")]),
+            (Portfolio.from_arrays(t, y, x), [(1, "x1"), (2, "x2")]),
+        ):
+            fits = [fit(pf, WeightScheme.OFFSET, FAM), fit(pf, WeightScheme.RATIO, FAM)]
+            for fits_given in ([fits[0]], fits):
                 premiums = [pf.exposures * np.exp(pf.design @ result.beta_hat) for result in fits_given]
-                expected = []
-                for value in np.unique(column):
-                    mask = column == value
-                    loss_sum = float(pf.loss_costs[mask].sum())
-                    premium_sums = tuple(float(p[mask].sum()) for p in premiums)
-                    ratios = tuple(s / loss_sum if loss_sum > 0.0 else None for s in premium_sums)
-                    expected.append((float(value), loss_sum, premium_sums, ratios))
-                expected.sort(key=lambda row: row[1])
-                report = class_report(pf, fits_given, j)
+                expected, names = [], []
+                for j, name in factors:
+                    column = pf.design[:, j]
+                    rows = []
+                    for value in np.unique(column):
+                        mask = column == value
+                        loss_sum = float(pf.loss_costs[mask].sum())
+                        premium_sums = tuple(float(p[mask].sum()) for p in premiums)
+                        ratios = tuple(s / loss_sum if loss_sum > 0.0 else None for s in premium_sums)
+                        rows.append((float(value), loss_sum, premium_sums, ratios))
+                    rows.sort(key=lambda row: row[1])
+                    expected += rows
+                    names += [name] * len(rows)
+                report = class_report(pf, fits_given)
                 ratios = [
                     tuple(None if math.isnan(r) else r for r in level_ratios)
                     for level_ratios in report.ratios.T.tolist()
@@ -186,8 +212,8 @@ class TestClassReport:
                     )
                 )
                 assert got == expected
-                assert report.factor_name == ("intercept", "x1", "x2")[j]
-        losses = class_report(pf, fits, 2).loss_sums.tolist()
+                assert list(report.factors) == names
+        losses = report.loss_sums[factor_rows(report, "x2")].tolist()
         assert sum(loss == 0.0 for loss in losses) >= 10
         assert len(set(losses)) < len(losses) - 10
 
@@ -198,17 +224,16 @@ class TestClassReport:
 
         def total_log_ratio(result):
             total = 0.0
-            for j in range(1, pf.q + 1):
-                for ratio in class_report(pf, [result], j).ratios[0].tolist():
-                    if not math.isnan(ratio):
-                        total += abs(math.log(ratio))
+            for ratio in class_report(pf, [result]).ratios[0].tolist():
+                if not math.isnan(ratio):
+                    total += abs(math.log(ratio))
             return total
 
         assert total_log_ratio(fit_ratio) < total_log_ratio(fit_offset)
 
     def test_record_is_read_only(self):
         pf = random_portfolio(10)
-        report = class_report(pf, [fit(pf, WeightScheme.RATIO, FAM)], 1)
+        report = class_report(pf, [fit(pf, WeightScheme.RATIO, FAM)])
         for array in (report.levels, report.loss_sums, report.premium_sums, report.ratios):
             with pytest.raises(ValueError):
                 array[0] = 0.0

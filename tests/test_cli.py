@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exposure_glm import cli, model_core
+from exposure_glm import balance, cli, model_core
 from exposure_glm.cli import IngestError, build_parser, ingest_csv, ingest_counts_csv, main, write_portfolio_csv
 from exposure_glm.simulate import Scenario, ScenarioConfig, build_scenario_portfolio, gen_mimic_portfolio
 
@@ -420,19 +420,48 @@ class TestCompareCommand:
         assert (out / "gaps.csv").exists() and (out / "class_balance.csv").exists()
 
     def test_levels_grouped_once(self, tmp_path, monkeypatch):
-        # one grouping per covariate serves both fits
+        # one class report serves every covariate and both fits
         calls = []
 
-        def class_report(portfolio, fits, factor_index, report=cli.class_report):
-            calls.append(factor_index)
-            return report(portfolio, fits, factor_index)
+        def class_report(portfolio, fits, report=cli.class_report):
+            calls.append(len(fits))
+            return report(portfolio, fits)
 
         monkeypatch.setattr(cli, "class_report", class_report)
         book = gen_mimic_portfolio(0.36, 80, seed=7)
         src = tmp_path / "in.csv"
         write_portfolio_csv(book, src)
         assert main(["compare", "--input", str(src), "--out", str(tmp_path / "out")]) == 0
-        assert calls == list(range(1, book.q + 1))
+        assert calls == [2]
+
+    def test_premiums_evaluated_once_per_diagnostic(self, tmp_path, monkeypatch):
+        # exp(X beta) per fit: once each for the gaps, the class report and
+        # the balance factor, however many covariates the book has
+        calls = []
+
+        def fitted_zetas(portfolio, fit, zetas=balance._fitted_zetas):
+            calls.append(fit)
+            return zetas(portfolio, fit)
+
+        monkeypatch.setattr(balance, "_fitted_zetas", fitted_zetas)
+        book = gen_mimic_portfolio(0.36, 80, seed=7)
+        assert book.q == 3
+        src = tmp_path / "in.csv"
+        write_portfolio_csv(book, src)
+        assert main(["compare", "--input", str(src), "--out", str(tmp_path / "out")]) == 0
+        assert len(calls) == 6 and len(set(map(id, calls))) == 2
+
+    def test_book_without_covariates_reports_its_intercept(self, tmp_path):
+        rng = np.random.default_rng(5)
+        t = np.where(rng.random(60) < 0.4, rng.uniform(0.1, 0.9, 60), 1.0)
+        y = np.where(rng.random(60) < 0.5, 0.0, rng.gamma(2.0, 40.0, 60)) * t
+        src = tmp_path / "in.csv"
+        write_portfolio_csv(model_core.Portfolio.from_arrays(t, y), src)
+        assert main(["compare", "--input", str(src), "--out", str(tmp_path / "out")]) == 0
+        with open(tmp_path / "out" / "class_balance.csv", newline="") as fh:
+            (row,) = csv.DictReader(fh)
+        assert (row["factor"], row["level"]) == ("intercept", "1")
+        assert abs(float(row["ratio_ratio"]) - 1.0) <= 1e-12
 
     def test_balance_is_another_name_for_compare(self, tmp_path):
         src = tmp_path / "in.csv"

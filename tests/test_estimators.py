@@ -11,6 +11,7 @@ from exposure_glm import (
     SingularInformationError,
     TweedieFamily,
     WeightScheme,
+    ZipParams,
     coefficient_covariance,
     covariance_dominance,
     estimators,
@@ -18,12 +19,14 @@ from exposure_glm import (
     moment_ordering,
     premium_moments,
     quasi_loglik,
+    zip_loglik,
+    zip_score,
 )
 from exposure_glm.simulate import Scenario, ScenarioConfig, build_scenario_portfolio
 from exposure_glm.solver import fit
 from oracles import eig_min, mc_lognormal_moments
 
-from util import fit_from, random_portfolio
+from util import fit_from, random_count_data, random_portfolio
 
 FAM = TweedieFamily(p=1.42)
 
@@ -224,14 +227,22 @@ class TestSingularInformation:
         lambda pf, beta: moment_ordering(pf.design[0], beta, pf, FAM),
         lambda pf, beta: expected_random_gap(pf, beta, FAM, WeightScheme.RATIO),
         lambda pf, beta: premium_moments(pf.design[0], beta, np.eye(3)),
+        lambda pf, beta: zip_loglik(ZipParams(0.3, beta), random_count_data(5), WeightScheme.OFFSET),
+        lambda pf, beta: zip_score(ZipParams(0.3, beta), random_count_data(5), WeightScheme.RATIO),
     ],
     ids=["quasi_loglik", "coefficient_covariance", "covariance_dominance", "moment_ordering",
-         "expected_random_gap", "premium_moments"],
+         "expected_random_gap", "premium_moments", "zip_loglik", "zip_score"],
 )
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_non_finite_coefficients_rejected(call, bad):
     with pytest.raises(ValueError, match="coefficient vector must be finite"):
         call(random_portfolio(5), np.array([bad, 0.0, 0.0]))
+
+
+@pytest.mark.parametrize("function", [zip_loglik, zip_score])
+def test_zip_rejects_coefficient_vector_of_wrong_length(function):
+    with pytest.raises(ValueError, match=r"must have length 3, got shape \(2,\)"):
+        function(ZipParams(0.3, (0.0, 0.0)), random_count_data(5), WeightScheme.RATIO)
 
 
 @pytest.mark.parametrize(
@@ -246,3 +257,16 @@ def test_non_finite_coefficients_rejected(call, bad):
 def test_premium_moments_rejects_mismatched_shapes(x, beta, covariance, message):
     with pytest.raises(ValueError, match=message):
         premium_moments(x, beta, covariance)
+
+
+@pytest.mark.parametrize(
+    "x,message",
+    [
+        (np.ones(2), r"x of shape \(2,\) does not match .* shape \(3,\)"),
+        (np.ones((4, 2)), r"x of shape \(4, 2\) does not match .* shape \(3,\)"),
+    ],
+    ids=["row", "rows"],
+)
+def test_moment_ordering_rejects_mismatched_shapes(x, message):
+    with pytest.raises(ValueError, match=message):
+        moment_ordering(x, np.zeros(3), random_portfolio(5), FAM)

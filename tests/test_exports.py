@@ -179,11 +179,13 @@ def test_benchmark_tracer_hooks_install_and_uninstall(tmp_path):
         "claim_count.build",
         "balance.class_report",
     } <= names
-    # the benchmark counts class levels through the ``len`` notes of these spans
-    levels = [span[5] for span in tracer.spans if span[0] == "balance.class_report" and span[4] == 0]
-    assert len(levels) == pf.q
-    with open(tmp_path / "class_balance.csv", newline="") as fh:
-        assert sum(levels) == len(list(csv.reader(fh))) - 1
+    # the benchmark counts class levels through the ``len`` notes of these
+    # spans: one per command, noting every row of ``class_balance.csv``
+    for op, out in ((0, tmp_path), (1, tmp_path / "compare")):
+        levels = [span[5] for span in tracer.spans if span[0] == "balance.class_report" and span[4] == op]
+        assert len(levels) == 1
+        with open(out / "class_balance.csv", newline="") as fh:
+            assert sum(levels) == len(list(csv.reader(fh))) - 1
 
     # The benchmark reports ``cli.ingest_s`` and ``model_core.build_s``
     # apart: ``compare`` builds its portfolio once, inside the ingest span
