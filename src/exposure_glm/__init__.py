@@ -10,7 +10,6 @@ from .balance import (
 from .claim_count import (
     CountData,
     ZipEvidence,
-    ZipParams,
     poisson_fit,
     zip_loglik,
     zip_nonequivalence_check,
@@ -19,7 +18,6 @@ from .claim_count import (
 from .estimators import (
     Dominance,
     DominanceReport,
-    EstimatorMoments,
     MomentOrdering,
     coefficient_covariance,
     covariance_dominance,
@@ -37,7 +35,6 @@ from .model_core import (
 )
 from .simulate import (
     Scenario,
-    ScenarioConfig,
     build_scenario_portfolio,
     gen_mimic_portfolio,
     run_gap_experiment,
@@ -57,18 +54,15 @@ __all__ = [
     "CountData",
     "Dominance",
     "DominanceReport",
-    "EstimatorMoments",
     "FitResult",
     "MomentOrdering",
     "Portfolio",
     "RankDeficiencyError",
     "Scenario",
-    "ScenarioConfig",
     "SingularInformationError",
     "TweedieFamily",
     "WeightScheme",
     "ZipEvidence",
-    "ZipParams",
     "balance_factor",
     "build_scenario_portfolio",
     "class_report",

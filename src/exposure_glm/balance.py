@@ -75,13 +75,14 @@ def portfolio_gap(gaps) -> float:
 
 
 def class_report(portfolio: Portfolio, fits) -> ClassBalance:
-    """Balance of each fit in ``fits`` per level of every covariate, in design order.
+    """Balance of each fit in the iterable ``fits`` per level of every covariate, in design order.
 
     A book without covariates reports its intercept, one level of value 1.
     Every distinct value is a level, valued as its first contract.  Each
     fit's premiums are computed once and each column sorted once.  A level
     with zero losses reports an undefined ratio instead of an infinite one.
     """
+    fits = tuple(fits)
     for fit in fits:
         _check_fit(portfolio, fit)
     columns = [portfolio.loss_costs] + [portfolio.exposures * _fitted_zetas(portfolio, fit) for fit in fits]

@@ -19,7 +19,6 @@ from .solver import _irls
 
 __all__ = [
     "CountData",
-    "ZipParams",
     "ZipEvidence",
     "poisson_fit",
     "zip_loglik",
@@ -60,26 +59,6 @@ class CountData(Portfolio):
 
 
 @dataclass(frozen=True)
-class ZipParams:
-    """Zero-inflation mass plus Poisson-part coefficients.
-
-    The zero-inflation parameter is the extra probability of a zero on
-    top of the Poisson mass; it is a different quantity from the Tweedie
-    dispersion even though the two share a symbol in places.
-    """
-
-    zero_inflation: float
-    beta: tuple
-
-    def __post_init__(self):
-        if not (0.0 <= self.zero_inflation < 1.0):
-            raise ValueError(
-                f"zero inflation must lie in [0, 1), got {self.zero_inflation}"
-            )
-        object.__setattr__(self, "beta", tuple(float(b) for b in self.beta))
-
-
-@dataclass(frozen=True)
 class ZipEvidence:
     """Probe-based evidence on whether the two schemes can disagree."""
 
@@ -115,17 +94,27 @@ def poisson_fit(data: CountData, scheme: WeightScheme):
     return beta
 
 
-def _zip_terms(params: ZipParams, data: CountData, scheme: WeightScheme):
+def _check_zero_inflation(zero_inflation):
+    if not (0.0 <= zero_inflation < 1.0):
+        raise ValueError(f"zero inflation must lie in [0, 1), got {zero_inflation}")
+
+
+def _zip_terms(beta, zero_inflation, data: CountData, scheme: WeightScheme):
     """``(weight, mean, count)`` of each contract's term in ``zip_loglik``."""
+    _check_zero_inflation(zero_inflation)
     scheme = WeightScheme(scheme)
-    zeta = np.exp(data.design @ _check_beta(params.beta, data.q + 1))
+    zeta = np.exp(data.design @ _check_beta(beta, data.q + 1))
     if scheme is WeightScheme.OFFSET:
         return 1.0, data.exposures * zeta, data.counts
     return data.exposures, zeta, data.normalized
 
 
-def zip_loglik(params: ZipParams, data: CountData, scheme: WeightScheme) -> float:
+def zip_loglik(beta, zero_inflation, data: CountData, scheme: WeightScheme) -> float:
     """Zero-inflated Poisson log-likelihood in ``beta`` (factorials dropped).
+
+    ``zero_inflation``, in [0, 1), is the extra probability of a zero on
+    top of the Poisson mass; it is a different quantity from the Tweedie
+    dispersion even though the two share a symbol in places.
 
     The offset scheme scores the raw count ``y`` with weight 1 and mean
     ``t * exp(x @ beta)``; the ratio scheme scores the annualized count
@@ -134,8 +123,8 @@ def zip_loglik(params: ZipParams, data: CountData, scheme: WeightScheme) -> floa
     Terms constant in ``beta`` (the factorials) are omitted, which also
     makes non-integer annualized counts admissible.
     """
-    w, mu, count = _zip_terms(params, data, scheme)
-    pi = params.zero_inflation
+    w, mu, count = _zip_terms(beta, zero_inflation, data, scheme)
+    pi = zero_inflation
     w, zero = np.broadcast_to(w, mu.shape), data.counts == 0
     pos = ~zero
     zeros = w[zero] * np.log(pi + (1.0 - pi) * np.exp(-mu[zero]))
@@ -143,10 +132,10 @@ def zip_loglik(params: ZipParams, data: CountData, scheme: WeightScheme) -> floa
     return float(zeros.sum()) + float(positives.sum())
 
 
-def zip_score(params: ZipParams, data: CountData, scheme: WeightScheme):
+def zip_score(beta, zero_inflation, data: CountData, scheme: WeightScheme):
     """Gradient of ``zip_loglik`` in ``beta`` (zero inflation held fixed)."""
-    w, mu, count = _zip_terms(params, data, scheme)
-    pi = params.zero_inflation
+    w, mu, count = _zip_terms(beta, zero_inflation, data, scheme)
+    pi = zero_inflation
     coeff = np.where(
         data.counts == 0,
         -w * (1.0 - pi) * np.exp(-mu) * mu / (pi + (1.0 - pi) * np.exp(-mu)),
@@ -163,14 +152,20 @@ def zip_nonequivalence_check(data: CountData, zero_inflation: float = 0.3) -> Zi
     1e-6 means the schemes rank coefficient vectors differently and a
     choice between them is real.  With all exposures equal to one, or
     with no zero inflation, the difference is constant and the report
-    shows equivalence.
+    shows equivalence.  A probe whose difference is not finite, as when
+    a covariate's scale overflows ``exp(x @ beta)``, raises ValueError.
     """
     differences = []
     for intercept, slope in _ZIP_PROBES:
-        params = ZipParams(zero_inflation=zero_inflation, beta=(intercept,) + (slope,) * data.q)
-        differences.append(
-            zip_loglik(params, data, WeightScheme.OFFSET) - zip_loglik(params, data, WeightScheme.RATIO)
-        )
+        beta = (intercept,) + (slope,) * data.q
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            offset, ratio = (zip_loglik(beta, zero_inflation, data, scheme) for scheme in WeightScheme)
+        if not math.isfinite(offset - ratio):
+            raise ValueError(
+                f"the ZIP probe at intercept {intercept}, other coefficients {slope} gives a "
+                f"non-finite log-likelihood difference ({offset} - {ratio}); rescale the covariates"
+            )
+        differences.append(offset - ratio)
     spread = max(differences) - min(differences)
     return ZipEvidence(
         equivalent=spread <= _ZIP_THRESHOLD,

@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .balance import balance_factor, class_report, individual_gaps, portfolio_gap
-from .claim_count import CountData, ZipParams, poisson_fit, zip_nonequivalence_check
+from .claim_count import CountData, _check_zero_inflation, poisson_fit, zip_nonequivalence_check
 from .model_core import (
     Portfolio,
     RankDeficiencyError,
@@ -38,7 +38,7 @@ from .model_core import (
     _CellError,
     _covariate_name_error,
 )
-from .simulate import Scenario, ScenarioConfig, run_gap_experiment
+from .simulate import run_gap_experiment
 from .solver import _check_budget, fit
 
 __all__ = ["IngestError", "ingest_csv", "ingest_counts_csv", "main"]
@@ -201,7 +201,7 @@ def _write_csv(path: Path, header, columns):
 
 def _write_json(path: Path, payload):
     def write(fh):
-        json.dump(payload, fh, indent=2)
+        json.dump(payload, fh, indent=2, allow_nan=False)
         fh.write("\n")
 
     _atomic_write(path, write)
@@ -482,14 +482,7 @@ def cmd_compare(args):
 
 
 def cmd_simulate(args):
-    scenario_config = ScenarioConfig(
-        n=args.n,
-        scenario=Scenario(args.scenario),
-        heterogeneous=args.heterogeneous,
-        p=args.p,
-        seed=args.seed,
-    )
-    portfolio, fit_offset, fit_ratio = run_gap_experiment(scenario_config)
+    portfolio, fit_offset, fit_ratio = run_gap_experiment(args.n, args.scenario, args.heterogeneous, args.p, args.seed)
     gap_offset, gap_ratio = (individual_gaps(portfolio, result)[1] for result in (fit_offset, fit_ratio))
     _write_csv(
         args.out / "gap_experiment.csv",
@@ -501,7 +494,7 @@ def cmd_simulate(args):
         {
             "schema_version": SCHEMA_VERSION,
             "n": args.n,
-            "scenario": scenario_config.scenario.value,
+            "scenario": args.scenario,
             "heterogeneous": args.heterogeneous,
             "p": args.p,
             "seed": args.seed,
@@ -516,8 +509,7 @@ def cmd_simulate(args):
 
 
 def cmd_counts(args):
-    # Check the flag before reading the input: ZipParams holds its rule.
-    ZipParams(args.zero_inflation, ())
+    _check_zero_inflation(args.zero_inflation)
     data = ingest_counts_csv(args.input)
     # Both modes of poisson_fit are one computation: one fit serves both.
     beta = [float(b) for b in poisson_fit(data, "offset")]

@@ -31,7 +31,6 @@ from .model_core import (
 )
 
 __all__ = [
-    "EstimatorMoments",
     "Dominance",
     "DominanceReport",
     "MomentOrdering",
@@ -41,18 +40,6 @@ __all__ = [
     "moment_ordering",
     "expected_random_gap",
 ]
-
-
-@dataclass(frozen=True)
-class EstimatorMoments:
-    """Lognormal mean/variance of a premium estimator under one scheme.
-
-    Floats for one design row, arrays with one entry per row for a
-    matrix of rows.
-    """
-
-    mean: float | np.ndarray
-    variance: float | np.ndarray
 
 
 class Dominance(Enum):
@@ -73,16 +60,18 @@ class DominanceReport:
 class MomentOrdering:
     """Premium-estimator moments for both schemes and their strict ordering.
 
-    For a matrix of rows each ordering holds only if it holds at every row.
+    ``offset`` and ``ratio`` are ``(mean, variance)`` pairs as
+    ``premium_moments`` returns them.  For a matrix of rows each ordering
+    holds only if it holds at every row.
     """
 
-    offset: EstimatorMoments
-    ratio: EstimatorMoments
+    offset: tuple
+    ratio: tuple
     mean_strictly_ordered: bool
     variance_strictly_ordered: bool
 
 
-def _lognormal_moments(x, beta, covariance) -> EstimatorMoments:
+def _lognormal_moments(x, beta, covariance):
     """Moments of ``exp(x @ beta_hat)`` at row ``x`` ``(k,)`` or at each row of ``x`` ``(m, k)``.
 
     With quadratic form ``v = x @ Sigma @ x`` (clipped at zero):
@@ -92,18 +81,22 @@ def _lognormal_moments(x, beta, covariance) -> EstimatorMoments:
     x = np.asarray(x, dtype=float)
     if x.shape[-1:] != beta.shape:
         raise ValueError(f"x of shape {x.shape} does not match coefficient vector of shape {beta.shape}")
+    if not np.isfinite(x).all():
+        raise ValueError("x must be finite")
     v = np.maximum(np.einsum("...j,jk,...k->...", x, covariance, x), 0.0)
     mean = np.exp(x @ beta + 0.5 * v)
     variance = np.expm1(v) * mean * mean
     if x.ndim == 1:
-        return EstimatorMoments(mean=float(mean), variance=float(variance))
-    return EstimatorMoments(mean=mean, variance=variance)
+        return float(mean), float(variance)
+    return mean, variance
 
 
 def _check_psd(covariance):
     covariance = np.asarray(covariance, dtype=float)
     if covariance.ndim != 2 or covariance.shape[0] != covariance.shape[1]:
         raise ValueError("covariance must be a square matrix")
+    if not np.isfinite(covariance).all():
+        raise ValueError("covariance must be finite")
     if np.max(np.abs(covariance - covariance.T)) > 1e-10 * max(1.0, np.max(np.abs(covariance))):
         raise ValueError("covariance must be symmetric")
     sym = 0.5 * (covariance + covariance.T)
@@ -113,12 +106,13 @@ def _check_psd(covariance):
     return sym
 
 
-def premium_moments(x, beta, covariance) -> EstimatorMoments:
-    """Mean and variance of the lognormal premium estimator at design row(s) ``x``.
+def premium_moments(x, beta, covariance):
+    """``(mean, variance)`` of the lognormal premium estimator at design row(s) ``x``.
 
-    ``covariance`` is the coefficient covariance *including* dispersion,
-    as ``coefficient_covariance`` returns it; it must be symmetric and
-    positive semidefinite, and ``beta`` finite.
+    Floats for one design row, arrays with one entry per row for a matrix
+    of rows.  ``covariance`` is the coefficient covariance *including*
+    dispersion, as ``coefficient_covariance`` returns it; it must be
+    finite, symmetric and positive semidefinite, and ``x`` and ``beta`` finite.
     """
     sigma = _check_psd(covariance)
     return _lognormal_moments(x, _check_beta(beta, len(sigma)), sigma)
@@ -176,8 +170,8 @@ def moment_ordering(x, beta, portfolio: Portfolio, family: TweedieFamily) -> Mom
     return MomentOrdering(
         offset=off,
         ratio=rat,
-        mean_strictly_ordered=bool(np.all(off.mean < rat.mean)),
-        variance_strictly_ordered=bool(np.all(off.variance < rat.variance)),
+        mean_strictly_ordered=bool(np.all(off[0] < rat[0])),
+        variance_strictly_ordered=bool(np.all(off[1] < rat[1])),
     )
 
 
@@ -190,5 +184,5 @@ def expected_random_gap(portfolio: Portfolio, beta, family: TweedieFamily, schem
     """
     beta = np.asarray(beta, dtype=float)
     cov = coefficient_covariance(portfolio, beta, WeightScheme(scheme), family)
-    estimator_means = _lognormal_moments(portfolio.design, beta, cov).mean
+    estimator_means, _ = _lognormal_moments(portfolio.design, beta, cov)
     return float(np.dot(portfolio.exposures, np.exp(portfolio.design @ beta) - estimator_means))

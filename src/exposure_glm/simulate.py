@@ -7,10 +7,9 @@ risk factors with success rates 0.75 and 0.15, then fits both schemes.
 
 All randomness flows through numpy's PCG64 generator seeded from a
 single 64-bit integer via SeedSequence spawning, so every artifact is
-bit-reproducible across platforms from (seed, config) alone.
+bit-reproducible across platforms from the seed and the other inputs alone.
 """
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -22,7 +21,6 @@ __all__ = [
     "EXPOSURE_LO",
     "EXPOSURE_HI",
     "Scenario",
-    "ScenarioConfig",
     "build_scenario_portfolio",
     "run_gap_experiment",
     "gen_mimic_portfolio",
@@ -48,38 +46,30 @@ class Scenario(str, Enum):
     DECREASING = "decreasing"
 
 
-@dataclass
-class ScenarioConfig:
-    """Setup of one gap experiment."""
-
-    n: int = 100
-    scenario: Scenario = Scenario.INCREASING
-    heterogeneous: bool = False
-    p: float = 1.42
-    seed: int = 0
-
-    def __post_init__(self):
-        self.scenario = Scenario(self.scenario)
-        _check_integer("n", self.n)
-        if self.n < 2:
-            raise ValueError(f"need at least 2 contracts, got {self.n}")
-        _check_seed(self.seed)
-        TweedieFamily(p=self.p)
-
-
 def _check_seed(seed):
     _check_integer("seed", seed)
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
 
 
-def build_scenario_portfolio(config: ScenarioConfig) -> Portfolio:
+def _check_scenario(n, scenario, seed):
+    """``Scenario(scenario)`` once ``n`` and ``seed`` are checked, in that order."""
+    scenario = Scenario(scenario)
+    _check_integer("n", n)
+    if n < 2:
+        raise ValueError(f"need at least 2 contracts, got {n}")
+    _check_seed(seed)
+    return scenario
+
+
+def build_scenario_portfolio(n=100, scenario="increasing", heterogeneous=False, seed=0) -> Portfolio:
     """Generate the portfolio for a gap experiment without fitting it."""
-    exposure_seed, covariate_seed = np.random.SeedSequence(config.seed).spawn(2)
-    exposures = np.sort(np.random.default_rng(exposure_seed).uniform(EXPOSURE_LO, EXPOSURE_HI, config.n))
-    ranks = np.arange(1, config.n + 1, dtype=float)
-    losses = ranks if Scenario(config.scenario) is Scenario.INCREASING else config.n - ranks + 1.0
-    if not config.heterogeneous:
+    scenario = _check_scenario(n, scenario, seed)
+    exposure_seed, covariate_seed = np.random.SeedSequence(seed).spawn(2)
+    exposures = np.sort(np.random.default_rng(exposure_seed).uniform(EXPOSURE_LO, EXPOSURE_HI, n))
+    ranks = np.arange(1, n + 1, dtype=float)
+    losses = ranks if scenario is Scenario.INCREASING else n - ranks + 1.0
+    if not heterogeneous:
         return Portfolio.from_arrays(exposures, losses)
     return _full_rank_portfolio(covariate_seed, exposures, losses, _SCENARIO_COVARIATE_RATES)
 
@@ -102,10 +92,14 @@ def _full_rank_portfolio(seed_seq, exposures, losses, rates, attempts=64):
     raise RuntimeError(f"no full-rank covariate draw in {attempts} attempts")
 
 
-def run_gap_experiment(config: ScenarioConfig):
-    """Fit both schemes on a scenario portfolio: ``(portfolio, fit_offset, fit_ratio)``."""
-    portfolio = build_scenario_portfolio(config)
-    family = TweedieFamily(p=config.p)
+def run_gap_experiment(n=100, scenario="increasing", heterogeneous=False, p=1.42, seed=0):
+    """Fit both schemes on a scenario portfolio: ``(portfolio, fit_offset, fit_ratio)``.
+
+    ``p`` is checked after the scenario's other inputs and before the book is drawn.
+    """
+    _check_scenario(n, scenario, seed)
+    family = TweedieFamily(p=p)
+    portfolio = build_scenario_portfolio(n, scenario, heterogeneous, seed)
     return portfolio, fit(portfolio, WeightScheme.OFFSET, family), fit(portfolio, WeightScheme.RATIO, family)
 
 

@@ -28,7 +28,6 @@ from exposure_glm.cli import main, write_portfolio_csv
 from exposure_glm.model_core import _scheme_weights, _scoring_pass
 from exposure_glm.simulate import (
     Scenario,
-    ScenarioConfig,
     build_scenario_portfolio,
     gen_mimic_portfolio,
 )
@@ -156,9 +155,7 @@ def test_criterion_05_covariance_dominance():
     strict_ok = True
     worst_min_eig = math.inf
     for seed in range(100):
-        book = build_scenario_portfolio(
-            ScenarioConfig(n=100, scenario=Scenario.INCREASING, heterogeneous=True, p=1.42, seed=seed)
-        )
+        book = build_scenario_portfolio(n=100, scenario=Scenario.INCREASING, heterogeneous=True, seed=seed)
         beta = np.random.default_rng(seed + 1000).normal(0.0, 0.5, 3)
         report = covariance_dominance(book, beta, fam)
         oracle_min = eig_min(report.difference)
@@ -187,17 +184,15 @@ def test_criterion_06_moment_formulas():
         a = rng.normal(0.0, 1.0, (k, k))
         sigma = a @ a.T
         sigma *= rng.uniform(0.01, 0.15) / max(float(x @ sigma @ x), 1e-12)
-        moments = premium_moments(x, beta, sigma)
+        mean, variance = premium_moments(x, beta, sigma)
         mc_mean, mc_var = mc_lognormal_moments(x, beta, sigma, 1_000_000, seed=seed)
-        worst_mean = max(worst_mean, abs(moments.mean - mc_mean) / mc_mean)
-        worst_var = max(worst_var, abs(moments.variance - mc_var) / mc_var)
+        worst_mean = max(worst_mean, abs(mean - mc_mean) / mc_mean)
+        worst_var = max(worst_var, abs(variance - mc_var) / mc_var)
 
     ordering_ok = True
     fam = TweedieFamily(p=1.42, phi=1.5)
     for seed in range(5):
-        book = build_scenario_portfolio(
-            ScenarioConfig(n=100, scenario=Scenario.INCREASING, heterogeneous=True, p=1.42, seed=seed + 50)
-        )
+        book = build_scenario_portfolio(n=100, scenario=Scenario.INCREASING, heterogeneous=True, seed=seed + 50)
         beta = np.array([2.0, 0.3, -0.2])
         for row in book.design:
             ordering = moment_ordering(row, beta, book, fam)
@@ -268,10 +263,8 @@ def test_criterion_08_gap_sign_laws():
     details = []
     for p in (1.2, 1.42, 1.8):
         for scenario in (Scenario.INCREASING, Scenario.DECREASING):
-            homo = gap_totals(ScenarioConfig(n=100, scenario=scenario, p=p, seed=20260810))
-            hetero = gap_totals(
-                ScenarioConfig(n=100, scenario=scenario, heterogeneous=True, p=p, seed=20260810)
-            )
+            homo = gap_totals(n=100, scenario=scenario, p=p, seed=20260810)
+            hetero = gap_totals(n=100, scenario=scenario, heterogeneous=True, p=p, seed=20260810)
             if abs(homo[1]) >= 1e-8:
                 ok = False
                 details.append(f"homogeneous ratio gap {homo[1]:.1e} at p={p}")

@@ -9,7 +9,6 @@ from exposure_glm import (
     CountData,
     Portfolio,
     WeightScheme,
-    ZipParams,
     poisson_fit,
     zip_loglik,
     zip_nonequivalence_check,
@@ -18,7 +17,7 @@ from exposure_glm import (
 from exposure_glm.model_core import _scoring_pass
 from oracles import finite_diff_gradient, poisson_score
 
-from util import random_count_data, zip_count_data
+from util import overflowing_count_data, random_count_data, zip_count_data
 
 
 class TestCountTypes:
@@ -50,9 +49,11 @@ class TestCountTypes:
             CountData.from_arrays([0.5, 1.0], [1, 0], contract_ids=["a", "a"])
 
     def test_zip_params_zero_inflation_bounds(self):
-        with pytest.raises(ValueError):
-            ZipParams(1.0, (0.0,))
-        assert ZipParams(0.0, (0.1, 0.2)).beta == (0.1, 0.2)
+        data = CountData.from_arrays([0.5, 1.0], [1, 0])
+        for function in (zip_loglik, zip_score):
+            with pytest.raises(ValueError, match=r"zero inflation must lie in \[0, 1\), got 1.0"):
+                function((0.0,), 1.0, data, "offset")
+            function((0.0,), 0.0, data, "offset")
 
 
 class TestPoissonFit:
@@ -104,19 +105,19 @@ class TestPoissonFit:
         data = random_count_data(0)
         with pytest.raises(ValueError):
             poisson_fit(data, "weighted")
-        params = ZipParams(0.3, (0.0,) * (data.q + 1))
+        beta = (0.0,) * (data.q + 1)
         for function in (zip_loglik, zip_score):
             with pytest.raises(ValueError):
-                function(params, data, "weighted")
+                function(beta, 0.3, data, "weighted")
 
     def test_schemes_and_their_names_agree(self):
         # the claim-count functions take a WeightScheme or its value, like fit
         data = zip_count_data(0)
-        params = ZipParams(0.3, (0.1,) * (data.q + 1))
+        beta = (0.1,) * (data.q + 1)
         for scheme in WeightScheme:
             assert poisson_fit(data, scheme).tobytes() == poisson_fit(data, scheme.value).tobytes()
-            assert zip_loglik(params, data, scheme) == zip_loglik(params, data, scheme.value)
-            assert zip_score(params, data, scheme).tobytes() == zip_score(params, data, scheme.value).tobytes()
+            assert zip_loglik(beta, 0.3, data, scheme) == zip_loglik(beta, 0.3, data, scheme.value)
+            assert zip_score(beta, 0.3, data, scheme).tobytes() == zip_score(beta, 0.3, data, scheme.value).tobytes()
 
 
 class TestZipLoglik:
@@ -126,22 +127,20 @@ class TestZipLoglik:
         for _ in range(5):
             beta = rng.normal(0, 0.3, 2)
             for mode in ("offset", "ratio"):
-                zip_grad = zip_score(ZipParams(0.0, tuple(beta)), data, mode)
+                zip_grad = zip_score(beta, 0.0, data, mode)
                 poisson_grad = poisson_score(beta, data, mode)
                 assert np.max(np.abs(zip_grad - poisson_grad)) < 1e-10
 
     def test_full_exposure_scores_coincide_across_modes(self):
         data = zip_count_data(3, all_full=True)
-        params = ZipParams(0.3, (0.2, -0.1))
-        grad_offset = zip_score(params, data, "offset")
-        grad_ratio = zip_score(params, data, "ratio")
+        grad_offset = zip_score((0.2, -0.1), 0.3, data, "offset")
+        grad_ratio = zip_score((0.2, -0.1), 0.3, data, "ratio")
         np.testing.assert_allclose(grad_offset, grad_ratio, atol=1e-12)
 
     def test_mixed_exposure_scores_differ(self):
         data = zip_count_data(4)
-        params = ZipParams(0.3, (0.2, -0.1))
-        grad_offset = zip_score(params, data, "offset")
-        grad_ratio = zip_score(params, data, "ratio")
+        grad_offset = zip_score((0.2, -0.1), 0.3, data, "offset")
+        grad_ratio = zip_score((0.2, -0.1), 0.3, data, "ratio")
         assert np.max(np.abs(grad_offset - grad_ratio)) > 1e-6
 
     def test_score_matches_finite_differences(self):
@@ -151,9 +150,9 @@ class TestZipLoglik:
             beta = rng.normal(0, 0.3, 2)
 
             def objective(b):
-                return zip_loglik(ZipParams(0.25, tuple(b)), data, mode)
+                return zip_loglik(b, 0.25, data, mode)
 
-            analytic = zip_score(ZipParams(0.25, tuple(beta)), data, mode)
+            analytic = zip_score(beta, 0.25, data, mode)
             numeric = finite_diff_gradient(objective, beta)
             rel = np.max(np.abs(analytic - numeric)) / max(1.0, np.max(np.abs(analytic)))
             assert rel < 1e-6
@@ -164,6 +163,14 @@ class TestZipNonEquivalence:
         evidence = zip_nonequivalence_check(zip_count_data(7), zero_inflation=0.3)
         assert not evidence.equivalent
         assert evidence.spread > 1e-6
+
+    def test_probe_that_overflows_is_rejected(self):
+        # a sum insured in the thousands overflows exp(x @ beta) at the
+        # all-0.1 probe; its NaN difference must not vanish from the spread
+        data = overflowing_count_data()
+        for zero_inflation in (0.3, 0.0):
+            with pytest.raises(ValueError, match="probe at intercept 0.1, other coefficients 0.1 gives a non-finite"):
+                zip_nonequivalence_check(data, zero_inflation)
 
     def test_full_exposure_reports_equivalence(self):
         evidence = zip_nonequivalence_check(zip_count_data(8, all_full=True), zero_inflation=0.3)

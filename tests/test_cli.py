@@ -21,7 +21,9 @@ from hypothesis import strategies as st
 
 from exposure_glm import balance, cli, model_core
 from exposure_glm.cli import IngestError, build_parser, ingest_csv, ingest_counts_csv, main, write_portfolio_csv
-from exposure_glm.simulate import Scenario, ScenarioConfig, build_scenario_portfolio, gen_mimic_portfolio
+from exposure_glm.simulate import Scenario, build_scenario_portfolio, gen_mimic_portfolio
+
+from util import overflowing_count_data
 
 
 def _write(path, text):
@@ -378,9 +380,7 @@ class TestCompareCommand:
             assert abs(float(row[1]) - 1.0) < 1e-8
 
     def test_decreasing_synthetic_premium_ratios_above_one(self, tmp_path):
-        book = build_scenario_portfolio(
-            ScenarioConfig(n=100, scenario=Scenario.DECREASING, heterogeneous=True, seed=3)
-        )
+        book = build_scenario_portfolio(n=100, scenario=Scenario.DECREASING, heterogeneous=True, seed=3)
         src = tmp_path / "in.csv"
         write_portfolio_csv(book, src)
         out = tmp_path / "out"
@@ -610,6 +610,18 @@ class TestErrorHandling:
             assert payload["error"] == "ValueError", (command, flag)
             assert word in payload["message"]
 
+    def test_overflowing_zip_probe_exits_nonzero(self, tmp_path, capsys):
+        data = overflowing_count_data()
+        rows = zip(data.contract_ids, data.exposures.tolist(), data.counts.tolist(), data.design[:, 1].tolist())
+        src = _write(tmp_path / "in.csv", "contract_id,exposure,count,sum_insured\n"
+                     + "".join(f"{i},{t!r},{y:.0f},{x!r}\n" for i, t, y, x in rows))
+        out = tmp_path / "out"
+        assert main(["counts", "--input", str(src), "--out", str(out)]) == 1
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == "ValueError"
+        assert "non-finite log-likelihood difference" in payload["message"]
+        assert not out.exists()
+
     def test_failed_command_leaves_no_output_directory(self, tmp_path, capsys):
         src = _write(tmp_path / "in.csv", MINIMAL)
         out = tmp_path / "op"
@@ -736,6 +748,12 @@ class TestAtomicWrites:
             cli._write_json(path, {"a": 2, "b": object()})
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_json_write_rejects_non_finite_values(self, tmp_path, value):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            cli._write_json(tmp_path / "out.json", {"a": [1.0, value]})
+        assert list(tmp_path.iterdir()) == []
 
     def test_overlapping_writes_to_one_name_do_not_collide(self, tmp_path):
         path = tmp_path / "out.csv"

@@ -9,7 +9,6 @@ from exposure_glm.simulate import (
     EXPOSURE_HI,
     EXPOSURE_LO,
     Scenario,
-    ScenarioConfig,
     build_scenario_portfolio,
     gen_mimic_portfolio,
     run_gap_experiment,
@@ -21,7 +20,7 @@ from util import gap_totals
 
 def scenario_columns(n, seed, scenario=Scenario.INCREASING, heterogeneous=False):
     """``(exposures, loss_costs, covariates)`` of the scenario portfolio."""
-    pf = build_scenario_portfolio(ScenarioConfig(n=n, scenario=scenario, heterogeneous=heterogeneous, seed=seed))
+    pf = build_scenario_portfolio(n=n, scenario=scenario, heterogeneous=heterogeneous, seed=seed)
     return pf.exposures, pf.loss_costs, pf.design[:, 1:]
 
 
@@ -82,9 +81,7 @@ class TestGenCovariates:
 class TestBuildScenarioPortfolio:
     def test_portfolio_passes_construction_invariants(self):
         for seed in range(20):
-            pf = build_scenario_portfolio(
-                ScenarioConfig(n=30, scenario=Scenario.INCREASING, heterogeneous=True, seed=seed)
-            )
+            pf = build_scenario_portfolio(n=30, scenario=Scenario.INCREASING, heterogeneous=True, seed=seed)
             assert pf.n == 30 and pf.q == 2
             assert np.all(np.diff(pf.exposures) >= 0.0)
             assert np.all((pf.exposures >= EXPOSURE_LO) & (pf.exposures <= EXPOSURE_HI))
@@ -98,51 +95,62 @@ class TestBuildScenarioPortfolio:
             return rank(design)
 
         monkeypatch.setattr(np.linalg, "matrix_rank", matrix_rank)
-        pf = build_scenario_portfolio(ScenarioConfig(n=30, heterogeneous=True, seed=0))
+        pf = build_scenario_portfolio(n=30, heterogeneous=True, seed=0)
         assert calls == [(30, 3)]
         assert pf.q == 2
 
     def test_homogeneous_mode_has_no_covariates(self):
-        book = build_scenario_portfolio(ScenarioConfig(n=10, seed=1))
+        book = build_scenario_portfolio(n=10, seed=1)
         assert book.q == 0
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            ScenarioConfig(n=1)
+            build_scenario_portfolio(n=1)
         with pytest.raises(ValueError):
-            ScenarioConfig(p=2.0)
+            run_gap_experiment(p=2.0)
+
+    def test_unknown_scenario_rejected(self):
+        with pytest.raises(ValueError, match="'sideways' is not a valid Scenario"):
+            build_scenario_portfolio(scenario="sideways")
+
+    def test_gap_experiment_checks_p_after_the_scenario_and_before_the_draw(self):
+        with pytest.raises(ValueError, match="^need at least 2 contracts"):
+            run_gap_experiment(n=1, p=3.0)
+        with pytest.raises(ValueError, match="^seed must be"):
+            run_gap_experiment(seed=-1, p=3.0)
+        # the draw itself would fail: two contracts cannot carry two covariates
+        with pytest.raises(ValueError, match="^variance power must satisfy 1 < p < 2, got 3.0"):
+            run_gap_experiment(n=2, heterogeneous=True, p=3.0)
 
     @pytest.mark.parametrize("n", [2.0, 100.5, True, "100", None])
     def test_non_integer_size_rejected(self, n):
         with pytest.raises(ValueError, match="^n must be an integer"):
-            ScenarioConfig(n=n)
+            build_scenario_portfolio(n=n)
 
     @pytest.mark.parametrize("seed", [1.5, True, -1, "3"])
     def test_bad_seed_rejected(self, seed):
         with pytest.raises(ValueError, match="^seed must be"):
-            ScenarioConfig(seed=seed)
+            build_scenario_portfolio(seed=seed)
 
 
 class TestRunGapExperiment:
     def test_homogeneous_ratio_balances(self):
-        _, total_ratio = gap_totals(ScenarioConfig(n=100, seed=9))
+        _, total_ratio = gap_totals(n=100, seed=9)
         assert abs(total_ratio) < 1e-10
 
     def test_offset_signs(self):
-        increasing, _ = gap_totals(ScenarioConfig(n=100, scenario=Scenario.INCREASING, seed=10))
-        decreasing, _ = gap_totals(ScenarioConfig(n=100, scenario=Scenario.DECREASING, seed=10))
+        increasing, _ = gap_totals(n=100, scenario=Scenario.INCREASING, seed=10)
+        decreasing, _ = gap_totals(n=100, scenario=Scenario.DECREASING, seed=10)
         assert increasing > 0.0
         assert decreasing < 0.0
 
     def test_heterogeneous_ratio_total_smaller_than_offset(self):
-        total_offset, total_ratio = gap_totals(
-            ScenarioConfig(n=100, scenario=Scenario.INCREASING, heterogeneous=True, seed=11)
-        )
+        total_offset, total_ratio = gap_totals(n=100, scenario=Scenario.INCREASING, heterogeneous=True, seed=11)
         assert abs(total_ratio) < abs(total_offset)
 
     def test_rows_are_rank_indexed(self, tmp_path):
         assert main(["simulate", "--n", "10", "--seed", "12", "--out", str(tmp_path)]) == 0
-        portfolio, _, _ = run_gap_experiment(ScenarioConfig(n=10, seed=12))
+        portfolio, _, _ = run_gap_experiment(n=10, seed=12)
         rows = (tmp_path / "gap_experiment.csv").read_text().splitlines()
         assert rows[0] == "rank,exposure,gap_offset,gap_ratio"
         ranks, exposures = zip(*(row.split(",")[:2] for row in rows[1:]))
@@ -150,28 +158,26 @@ class TestRunGapExperiment:
         np.testing.assert_array_equal(np.array(exposures, dtype=float), portfolio.exposures)
 
     def test_returns_the_book_and_both_fits(self):
-        config = ScenarioConfig(n=30, heterogeneous=True, seed=12)
-        portfolio, fit_offset, fit_ratio = run_gap_experiment(config)
-        book = build_scenario_portfolio(config)
+        portfolio, fit_offset, fit_ratio = run_gap_experiment(n=30, heterogeneous=True, seed=12)
+        book = build_scenario_portfolio(n=30, heterogeneous=True, seed=12)
         np.testing.assert_array_equal(portfolio.design, book.design)
         np.testing.assert_array_equal(portfolio.loss_costs, book.loss_costs)
         assert (fit_offset.n_obs, fit_ratio.n_obs) == (30, 30)
         assert fit_offset.converged and fit_ratio.converged
 
     def test_same_seed_reproduces_totals_exactly(self):
-        assert gap_totals(ScenarioConfig(n=50, seed=13)) == gap_totals(ScenarioConfig(n=50, seed=13))
+        assert gap_totals(n=50, seed=13) == gap_totals(n=50, seed=13)
 
     def test_minimum_portfolio_runs(self):
-        portfolio, fit_offset, fit_ratio = run_gap_experiment(ScenarioConfig(n=2, seed=14))
+        portfolio, fit_offset, fit_ratio = run_gap_experiment(n=2, seed=14)
         assert portfolio.n == 2
         assert fit_offset.converged and fit_ratio.converged
 
     def test_heterogeneous_minimum_is_the_containers(self):
         # an intercept and two covariates need three contracts; the
         # Portfolio the generator builds says so
-        config = ScenarioConfig(n=2, heterogeneous=True, seed=14)
         with pytest.raises(ValueError, match=r"need at least q \+ 1 = 3 observations, got 2"):
-            build_scenario_portfolio(config)
+            build_scenario_portfolio(n=2, heterogeneous=True, seed=14)
 
 
 class TestGenMimicPortfolio:

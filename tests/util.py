@@ -59,9 +59,9 @@ def fit_from(start, portfolio, scheme, family, max_iterations=100):
     )
 
 
-def gap_totals(config):
-    """Portfolio gaps ``(offset, ratio)`` of the gap experiment ``config``, as ``simulate`` reports them."""
-    portfolio, *fits = run_gap_experiment(config)
+def gap_totals(**inputs):
+    """Portfolio gaps ``(offset, ratio)`` of ``run_gap_experiment(**inputs)``, as ``simulate`` reports them."""
+    portfolio, *fits = run_gap_experiment(**inputs)
     return tuple(portfolio_gap(individual_gaps(portfolio, result)[1]) for result in fits)
 
 
@@ -78,6 +78,13 @@ def random_count_data(seed, n=60, q=2):
     if counts.sum() == 0:
         counts[0] = 1
     return CountData.from_arrays(t, counts, covariates)
+
+
+def overflowing_count_data(n=200):
+    """Poisson counts with one covariate, a sum insured between 5000 and 15000."""
+    rng = np.random.default_rng(0)
+    t = np.where(rng.random(n) < 0.5, 1.0, rng.uniform(0.1, 1.0, n))
+    return CountData.from_arrays(t, rng.poisson(0.3 * t), rng.uniform(5000.0, 15000.0, (n, 1)))
 
 
 def zip_count_data(seed, n=80, zero_inflation=0.3, all_full=False):
