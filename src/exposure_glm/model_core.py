@@ -156,10 +156,11 @@ class Portfolio:
     (0, 1]), ``loss_costs`` (finite, ``>= 0``) and ``normalized`` (the
     annualized loss ``z = y / t``) are length-``n`` float arrays.  The
     design matrix carries a leading intercept column of ones followed by
-    one column per covariate, and must have full column rank.  Row order
-    is preserved from the input and all row-wise accumulations in this
-    package run in that fixed order, so repeated evaluations are
-    bit-identical.  A bad cell (an exposure outside (0, 1], a value that
+    one column per covariate, and must have full column rank.  It is held
+    column-major, so each column and ``design.T`` are contiguous.  Row
+    order is preserved from the input and every sum over rows in this
+    package, blocked or not, runs in a fixed order, so repeated
+    evaluations are bit-identical.  A bad cell (an exposure outside (0, 1], a value that
     is negative or not finite, a covariate that is not finite, or the
     second occurrence of a contract id) raises a ``ValueError`` naming
     the first such cell in row-major order and its contract, by id when
@@ -236,7 +237,7 @@ class Portfolio:
             raise _CellError(f"{message} for {who}", bad, k + 1)
         if n < q + 1:
             raise ValueError(f"need at least q + 1 = {q + 1} observations, got {n}")
-        design = np.empty((n, q + 1))
+        design = np.empty((n, q + 1), order="F")
         design[:, 0] = 1.0
         design[:, 1:] = covariates
         validate_design(design)
@@ -331,10 +332,27 @@ def _observed_weights(d, q, p):
         return d * ((p - 1.0) * q + (2.0 - p))
 
 
+# Cells of the design in one block of ``_gram``: 2**15 doubles, 256 KiB,
+# so a block and its weighted copy stay in a core's cache.
+_GRAM_BLOCK_CELLS = 2**15
+
+
 def _gram(design, v):
-    """``X.T @ diag(v) @ X``, symmetrized, without overflow warnings."""
+    """``X.T @ diag(v) @ X``, symmetrized, without overflow warnings.
+
+    Sums ``(block * v[rows]) @ block.T`` over consecutive column slices of
+    ``design.T`` of ``_GRAM_BLOCK_CELLS`` cells each, in row order, so the
+    weighted copy of a block is formed in cache and the sum runs in the
+    same order on every call.
+    """
+    rows_t = design.T
+    k, n = rows_t.shape
+    step = max(1, _GRAM_BLOCK_CELLS // k)
+    gram = np.zeros((k, k))
     with np.errstate(over="ignore", invalid="ignore"):
-        gram = (design * v[:, None]).T @ design
+        for start in range(0, n, step):
+            block = rows_t[:, start : start + step]
+            gram += (block * v[start : start + step]) @ block.T
     return 0.5 * (gram + gram.T)
 
 

@@ -111,7 +111,7 @@ def _check_separation(portfolio: Portfolio):
     iteration would drift until ``D`` under- or overflows, or stop at its
     rounding floor at an arbitrary coefficient (Santos Silva & Tenreyro 2010).
     """
-    covariates = portfolio.design[:, 1:].T.copy()  # one contiguous row per covariate, as in _irls
+    covariates = portfolio.design[:, 1:].T  # one contiguous row per covariate
     lo, hi = covariates.min(axis=1), covariates.max(axis=1)
     losses = covariates.compress(portfolio.loss_costs > 0.0, axis=1)  # twice as fast as a boolean index
     at_hi, at_lo = losses.min(axis=1) == hi, losses.max(axis=1) == lo
@@ -138,9 +138,8 @@ def _irls(design, z, w, p, beta, max_iterations):
     trace_beta, trace_objective)`` with ``factor`` the Cholesky factor of
     ``X.T D X`` at the returned ``beta``, from the ``D`` of its pass.
     """
-    # max_i |x_ij| per column, along the rows of a C-ordered |X.T|: twice as
-    # fast as down the columns of the design
-    floor_scale = _FLOOR_MULTIPLE * _EPS * np.abs(design.T, order="C").max(axis=1)
+    # max_i |x_ij| per column, down the contiguous columns of the column-major design
+    floor_scale = _FLOOR_MULTIPLE * _EPS * np.abs(design).max(axis=0)
     d, q, score, mass, value = _scoring_pass(beta, design, z, w, p)
     trace_beta = [beta.copy()]
     trace_objective = [value]
