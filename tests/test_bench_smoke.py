@@ -1,13 +1,17 @@
-"""Smoke benchmark of ``exposure-glm compare`` on a 10^4-contract book.
+"""Smoke benchmarks: ``exposure-glm compare`` on a 10^4-contract book, both fits of a 10^5 x 9 book.
 
-pytest-benchmark records how long one run takes; the test asserts only
-that the command succeeds and writes every artifact, never a time.
+pytest-benchmark records how long one run takes; the tests assert only
+that the command succeeds and writes every artifact, or that both fits
+converge, never a time.
 """
 
 import pytest
 
+from exposure_glm import TweedieFamily, WeightScheme, fit
 from exposure_glm.cli import main, write_portfolio_csv
 from exposure_glm.simulate import gen_mimic_portfolio
+
+from util import random_portfolio
 
 pytest.importorskip("pytest_benchmark")
 
@@ -24,3 +28,15 @@ def test_compare_ten_thousand_contracts(benchmark, tmp_path):
     assert benchmark.pedantic(main, args=(argv,), rounds=1, iterations=1) == 0
     assert sorted(p.name for p in out.iterdir()) == sorted(ARTIFACTS)
     assert sum(1 for _ in open(out / "gaps.csv", encoding="utf-8")) == 10_001
+
+
+def test_fit_hundred_thousand_by_nine(benchmark):
+    # 10^5 rows of 9 design columns span many blocks of the X' diag(v) X kernel
+    pf = random_portfolio(11, n=100_000, q=8)
+    family = TweedieFamily(p=1.5)
+
+    def fit_both():
+        return [fit(pf, scheme, family) for scheme in WeightScheme]
+
+    results = benchmark.pedantic(fit_both, rounds=1, iterations=1)
+    assert all(result.converged for result in results)

@@ -337,6 +337,13 @@ class TestIngestFastPath:
         assert (excinfo.value.row, excinfo.value.column) == (5, "contract_id")
         assert "first on row 2" in str(excinfo.value)
 
+    def test_design_is_column_major_on_both_paths(self, tmp_path):
+        text = "contract_id,exposure,loss_cost,x1,x2\na,0.5,1,0,2\nb,1.0,2,1,3\nc,0.25,0,1,5\nd,1.0,4,0,1\n"
+        path = _write(tmp_path / "in.csv", text)
+        assert ingest_csv(path).design.flags.f_contiguous
+        with mock.patch.object(np, "loadtxt", side_effect=ValueError("fast path off")):
+            assert ingest_csv(path).design.flags.f_contiguous
+
     @pytest.mark.parametrize("value", INGESTS)
     def test_valid_file_is_read_once(self, tmp_path, monkeypatch, value):
         def refuse(*args):

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,12 +11,13 @@ from exposure_glm import (
     CountData,
     Portfolio,
     RankDeficiencyError,
+    SingularInformationError,
     TweedieFamily,
     WeightScheme,
     homogeneous_mle,
     quasi_loglik,
 )
-from exposure_glm.model_core import _gram, _scheme_weights, _scoring_pass
+from exposure_glm.model_core import _GRAM_BLOCK_CELLS, _cho_factor, _gram, _scheme_weights, _scoring_pass
 from exposure_glm.solver import fit
 from oracles import eig_min, finite_diff_gradient
 
@@ -397,3 +399,61 @@ class TestFisherInfo:
             beta = rng.normal(0, 0.5, 3)
             info = _system(beta, pf, WeightScheme.OFFSET, TweedieFamily(p=1.7))[0]
             assert eig_min(info) > 0.0
+
+
+def _gram_case(k, blocks, remainder, seed=0):
+    """A column-major design of ``blocks`` full ``_gram`` blocks plus ``remainder`` rows, and weights."""
+    rng = np.random.default_rng(seed)
+    n = blocks * max(1, _GRAM_BLOCK_CELLS // k) + remainder
+    design = np.empty((n, k), order="F")
+    design[:, 0] = 1.0
+    design[:, 1:] = rng.normal(0.0, 3.0, (n, k - 1))
+    return design, rng.lognormal(0.0, 2.0, n)
+
+
+class TestGramKernel:
+    """``_gram`` against a per-entry ``math.fsum`` of the products, within the dot-product bound."""
+
+    @staticmethod
+    def assert_within_dot_bound(design, v):
+        gram = _gram(design, v)
+        n, k = design.shape
+        eps = np.finfo(float).eps
+        for j in range(k):
+            for m in range(k):
+                terms = design[:, j] * v * design[:, m]
+                bound = n * eps * math.fsum(np.abs(terms))
+                assert abs(gram[j, m] - math.fsum(terms)) <= bound, (j, m)
+        assert np.array_equal(gram, gram.T)
+
+    def test_one_block(self):
+        design, v = _gram_case(k=4, blocks=0, remainder=500)
+        self.assert_within_dot_bound(design, v)
+
+    @pytest.mark.parametrize("k", [1, 4, 9])
+    def test_full_blocks_and_ragged_remainder(self, k):
+        design, v = _gram_case(k, blocks=3, remainder=7)
+        self.assert_within_dot_bound(design, v)
+
+    def test_row_major_design(self):
+        design, v = _gram_case(k=4, blocks=3, remainder=7)
+        self.assert_within_dot_bound(np.ascontiguousarray(design), v)
+
+    def test_infinite_weight_in_last_block_is_singular(self):
+        design, v = _gram_case(k=4, blocks=3, remainder=7)
+        v[-1] = np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            info = _gram(design, v)
+        with pytest.raises(SingularInformationError, match="not finite"):
+            _cho_factor(info)
+
+
+class TestDesignLayout:
+    @pytest.mark.parametrize("container", [Portfolio, CountData])
+    def test_from_arrays_design_is_column_major(self, container):
+        rng = np.random.default_rng(3)
+        covariates = rng.integers(0, 3, (50, 2)).astype(float)  # row-major input
+        pf = container.from_arrays(np.full(50, 0.5), rng.integers(0, 4, 50).astype(float), covariates)
+        assert pf.design.flags.f_contiguous
+        np.testing.assert_array_equal(pf.design[:, 1:], covariates)

@@ -79,6 +79,9 @@ class TestGenCovariates:
 
 
 class TestBuildScenarioPortfolio:
+    def test_design_is_column_major(self):
+        assert build_scenario_portfolio(n=30, heterogeneous=True, seed=0).design.flags.f_contiguous
+
     def test_portfolio_passes_construction_invariants(self):
         for seed in range(20):
             pf = build_scenario_portfolio(n=30, scenario=Scenario.INCREASING, heterogeneous=True, seed=seed)

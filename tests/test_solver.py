@@ -18,7 +18,7 @@ from exposure_glm import (
     poisson_fit,
     quasi_loglik,
 )
-from exposure_glm import claim_count, solver
+from exposure_glm import claim_count, model_core, solver
 from oracles import GridSpec, grid_mle
 
 from util import fit_from, random_count_data, random_portfolio, toy_portfolio
@@ -292,6 +292,16 @@ TOP_SEPARATED_BOOK = {
     "x1": [0.0, 0.0, 1.0, 1.0, 2.0, 2.0, 0.0, 1.0, 2.0],
     "losses": [0.0, 0.0, 0.0, 0.0, 5.0, 7.0, 0.0, 0.0, 3.0],
 }
+
+
+class TestDeterminism:
+    def test_refits_of_a_book_larger_than_a_block_are_bit_identical(self):
+        pf = random_portfolio(5, n=20_000, q=8)
+        assert pf.design.size > 2 * model_core._GRAM_BLOCK_CELLS
+        for scheme in WeightScheme:
+            first, second = (fit(pf, scheme, FAM) for _ in range(2))
+            for name in ("beta_hat", "covariance", "trace_objective"):
+                assert getattr(first, name).tobytes() == getattr(second, name).tobytes(), name
 
 
 class TestSeparation:
