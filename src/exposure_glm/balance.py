@@ -74,13 +74,34 @@ def portfolio_gap(gaps) -> float:
     return float(np.cumsum(values)[-1])
 
 
+def _level_sums(values, starts, lengths):
+    """``values[a:a + m].sum()`` for each level's start ``a`` and length ``m``, bit for bit.
+
+    numpy adds a contiguous float64 slice of fewer than 8 values left to
+    right from ``+0.0`` (its pairwise blocking starts at 8), so levels of
+    1-7 values are summed by position, one vectorised pass a position;
+    longer levels, at most ``n / 8`` of them, are left to ``np.sum``.
+    """
+    sums = 0.0 + values[starts]  # from +0.0, as np.sum: a level of one -0.0 sums to 0.0
+    short = np.flatnonzero(lengths < 8)
+    for k in range(1, 7):
+        short = short[lengths[short] > k]
+        sums[short] += values[starts[short] + k]
+    long = np.flatnonzero(lengths >= 8)
+    sums[long] = [values[a:a + m].sum() for a, m in zip(starts[long].tolist(), lengths[long].tolist())]
+    return sums
+
+
 def class_report(portfolio: Portfolio, fits) -> ClassBalance:
     """Balance of each fit in the iterable ``fits`` per level of every covariate, in design order.
 
     A book without covariates reports its intercept, one level of value 1.
     Every distinct value is a level, valued as its first contract.  Each
-    fit's premiums are computed once and each column sorted once.  A level
-    with zero losses reports an undefined ratio instead of an infinite one.
+    fit's premiums are computed once and each column sorted once.  Levels
+    of fewer than 8 contracts are summed in a few vectorised passes by
+    position, longer ones by ``np.sum`` on their slice; either way a sum
+    equals a masked ``.sum()`` of the level bit for bit.  A level with
+    zero losses reports an undefined ratio instead of an infinite one.
     """
     fits = tuple(fits)
     for fit in fits:
@@ -95,7 +116,8 @@ def class_report(portfolio: Portfolio, fits) -> ClassBalance:
         order = np.argsort(column, kind="stable")
         ordered = column[order]
         starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
-        table = np.array([[part.sum() for part in np.split(values[order], starts[1:])] for values in columns])
+        lengths = np.diff(starts, append=ordered.size)
+        table = np.array([_level_sums(values[order], starts, lengths) for values in columns])
         rank = np.argsort(table[0], kind="stable")
         factors += [name] * rank.size
         levels.append(ordered[starts[rank]])

@@ -313,7 +313,7 @@ def _ingest_columns(path, leading_columns):
 
 def _from_columns(container, names, ids, columns):
     exposures, values, *covariates = columns
-    covariates = np.column_stack(covariates) if covariates else None
+    covariates = np.array(covariates).T if covariates else None  # column-major, as the design
     return container.from_arrays(exposures, values, covariates, contract_ids=ids, covariate_names=names[3:])
 
 
@@ -370,14 +370,6 @@ def ingest_csv(path) -> Portfolio:
 def ingest_counts_csv(path) -> CountData:
     """Load and validate a claim-count CSV."""
     return _ingest(path, "count", CountData)
-
-
-def write_portfolio_csv(portfolio: Portfolio, path):
-    """Serialize a portfolio back to the input schema (round-trippable)."""
-    header = ["contract_id", "exposure", "loss_cost", *portfolio.covariate_names]
-    columns = [portfolio.contract_ids, portfolio.exposures, portfolio.loss_costs]
-    columns += [portfolio.design[:, j] for j in range(1, portfolio.q + 1)]
-    _write_csv(Path(path), header, columns)
 
 
 _SCHEMES = {

@@ -24,7 +24,7 @@ from exposure_glm import (
     zip_nonequivalence_check,
 )
 from exposure_glm.claim_count import poisson_fit
-from exposure_glm.cli import main, write_portfolio_csv
+from exposure_glm.cli import main
 from exposure_glm.model_core import _scheme_weights, _scoring_pass
 from exposure_glm.simulate import (
     Scenario,
@@ -41,7 +41,7 @@ from oracles import (
     poisson_score,
 )
 
-from util import gap_totals, random_count_data, random_portfolio, zip_count_data
+from util import gap_totals, random_count_data, random_portfolio, write_portfolio_csv, zip_count_data
 
 
 

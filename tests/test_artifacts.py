@@ -63,7 +63,9 @@ import pytest
 
 from exposure_glm import TweedieFamily, WeightScheme, class_report, fit, individual_gaps
 from exposure_glm import cli
-from exposure_glm.cli import ingest_csv, main, write_portfolio_csv
+from exposure_glm.cli import ingest_csv, main
+
+from util import write_portfolio_csv
 
 PINNED = {
     "compare": {

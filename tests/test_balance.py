@@ -111,6 +111,46 @@ def factor_rows(report, name):
     return [i for i, factor in enumerate(report.factors) if factor == name]
 
 
+def masked_sum_rows(pf, fits_given, factors):
+    """The class report of ``fits_given`` from one boolean mask and ``.sum()`` a level.
+
+    ``factors`` lists the ``(design column, name)`` pairs to report.
+    Returns the rows, one ``(level, loss sum, premium sums, ratios)`` a
+    level with None for an undefined ratio, and the factor name of each.
+    """
+    premiums = [pf.exposures * np.exp(pf.design @ result.beta_hat) for result in fits_given]
+    expected, names = [], []
+    for j, name in factors:
+        column = pf.design[:, j]
+        rows = []
+        for value in np.unique(column):
+            mask = column == value
+            loss_sum = float(pf.loss_costs[mask].sum())
+            premium_sums = tuple(float(p[mask].sum()) for p in premiums)
+            ratios = tuple(s / loss_sum if loss_sum > 0.0 else None for s in premium_sums)
+            rows.append((float(value), loss_sum, premium_sums, ratios))
+        rows.sort(key=lambda row: row[1])
+        expected += rows
+        names += [name] * len(rows)
+    return expected, names
+
+
+def report_rows(report):
+    """``report`` as the rows of ``masked_sum_rows``."""
+    ratios = [
+        tuple(None if math.isnan(r) else r for r in level_ratios)
+        for level_ratios in report.ratios.T.tolist()
+    ]
+    return list(
+        zip(
+            report.levels.tolist(),
+            report.loss_sums.tolist(),
+            map(tuple, report.premium_sums.T.tolist()),
+            ratios,
+        )
+    )
+
+
 class TestClassReport:
     def test_homogeneous_ratio_portfolio_level_ratio_is_one(self):
         pf = random_portfolio(6, q=0)
@@ -184,38 +224,62 @@ class TestClassReport:
         ):
             fits = [fit(pf, WeightScheme.OFFSET, FAM), fit(pf, WeightScheme.RATIO, FAM)]
             for fits_given in ([fits[0]], fits):
-                premiums = [pf.exposures * np.exp(pf.design @ result.beta_hat) for result in fits_given]
-                expected, names = [], []
-                for j, name in factors:
-                    column = pf.design[:, j]
-                    rows = []
-                    for value in np.unique(column):
-                        mask = column == value
-                        loss_sum = float(pf.loss_costs[mask].sum())
-                        premium_sums = tuple(float(p[mask].sum()) for p in premiums)
-                        ratios = tuple(s / loss_sum if loss_sum > 0.0 else None for s in premium_sums)
-                        rows.append((float(value), loss_sum, premium_sums, ratios))
-                    rows.sort(key=lambda row: row[1])
-                    expected += rows
-                    names += [name] * len(rows)
+                expected, names = masked_sum_rows(pf, fits_given, factors)
                 report = class_report(pf, fits_given)
-                ratios = [
-                    tuple(None if math.isnan(r) else r for r in level_ratios)
-                    for level_ratios in report.ratios.T.tolist()
-                ]
-                got = list(
-                    zip(
-                        report.levels.tolist(),
-                        report.loss_sums.tolist(),
-                        map(tuple, report.premium_sums.T.tolist()),
-                        ratios,
-                    )
-                )
-                assert got == expected
+                assert report_rows(report) == expected
                 assert list(report.factors) == names
         losses = report.loss_sums[factor_rows(report, "x2")].tolist()
         assert sum(loss == 0.0 for loss in losses) >= 10
         assert len(set(losses)) < len(losses) - 10
+
+    @staticmethod
+    def assert_matches_masked_sums(pf):
+        """Check ``class_report`` of one fit and of two against ``masked_sum_rows``; return the latter report."""
+        factors = list(enumerate(pf.covariate_names, start=1))
+        fits = [fit(pf, WeightScheme.OFFSET, FAM), fit(pf, WeightScheme.RATIO, FAM)]
+        for fits_given in ([fits[1]], fits):
+            expected, names = masked_sum_rows(pf, fits_given, factors)
+            report = class_report(pf, fits_given)
+            assert report_rows(report) == expected
+            assert list(report.factors) == names
+        return report
+
+    def test_levels_straddling_eight_contracts_match_masked_sums(self):
+        # numpy adds fewer than 8 values left to right and 8 or more
+        # pairwise; levels of 1-10, 16 and 137 contracts fall on both sides.
+        # Losses span 1e-3 to 1e6, so another order of addition moves bits.
+        rng = np.random.default_rng(31)
+        sizes = [*range(1, 11), 16, 137]
+        level = rng.permutation(np.repeat(np.arange(len(sizes), dtype=float), sizes))
+        n = level.size
+        t = np.where(rng.random(n) < 0.4, rng.uniform(0.1, 0.9, n), 1.0)
+        y = np.where(rng.random(n) < 0.3, 0.0, rng.gamma(2.0, 1.0, n) * 10.0 ** rng.uniform(-3.0, 6.0, n))
+        report = self.assert_matches_masked_sums(Portfolio.from_arrays(t, y, level[:, None]))
+        assert len(report) == len(sizes)
+        assert sorted(np.unique(level, return_counts=True)[1].tolist()) == sizes
+
+    def test_column_of_distinct_values_matches_masked_sums(self):
+        rng = np.random.default_rng(41)
+        n = 400
+        t = np.where(rng.random(n) < 0.4, rng.uniform(0.1, 0.9, n), 1.0)
+        y = np.where(rng.random(n) < 0.5, 0.0, rng.gamma(2.0, 40.0, n))
+        x = np.column_stack([(rng.random(n) < 0.5).astype(float), rng.normal(0.0, 0.5, n)])
+        report = self.assert_matches_masked_sums(Portfolio.from_arrays(t, y, x))
+        assert len(factor_rows(report, "x2")) == n
+
+    def test_level_of_negative_zero_losses_sums_to_positive_zero(self):
+        # np.sum of -0.0 values is +0.0, so the masked sum of a level whose
+        # losses are all -0.0 is too, for a short level (3) and a long one (9)
+        rng = np.random.default_rng(43)
+        level = rng.permutation(np.repeat([0.0, 1.0, 2.0, 3.0], [20, 3, 9, 20]))
+        y = rng.gamma(2.0, 40.0, level.size)
+        y[(level == 1.0) | (level == 2.0)] = -0.0
+        pf = Portfolio.from_arrays(np.full(level.size, 0.5), y, level[:, None])
+        assert math.copysign(1.0, pf.loss_costs[level == 1.0][0]) == -1.0
+        report = self.assert_matches_masked_sums(pf)
+        assert report.levels[:2].tolist() == [1.0, 2.0]
+        assert [math.copysign(1.0, s) for s in report.loss_sums[:2].tolist()] == [1.0, 1.0]
+        assert np.isnan(report.ratios[:, :2]).all()
 
     def test_ratio_rows_closer_to_balance_than_offset_rows(self):
         pf, fit_offset, fit_ratio = run_gap_experiment(

@@ -1,17 +1,18 @@
-"""Smoke benchmarks: ``exposure-glm compare`` on a 10^4-contract book, both fits of a 10^5 x 9 book.
+"""Smoke benchmarks: ``exposure-glm compare`` on a 10^4-contract book, both fits of a 10^5 x 9 book,
+the class report of a 10^5-row book with about 2·10^5 levels.
 
 pytest-benchmark records how long one run takes; the tests assert only
-that the command succeeds and writes every artifact, or that both fits
-converge, never a time.
+that the command succeeds and writes every artifact, that both fits
+converge, or the report's row count, never a time.
 """
 
 import pytest
 
-from exposure_glm import TweedieFamily, WeightScheme, fit
-from exposure_glm.cli import main, write_portfolio_csv
+from exposure_glm import TweedieFamily, WeightScheme, class_report, fit
+from exposure_glm.cli import main
 from exposure_glm.simulate import gen_mimic_portfolio
 
-from util import random_portfolio
+from util import random_portfolio, write_portfolio_csv
 
 pytest.importorskip("pytest_benchmark")
 
@@ -40,3 +41,12 @@ def test_fit_hundred_thousand_by_nine(benchmark):
 
     results = benchmark.pedantic(fit_both, rounds=1, iterations=1)
     assert all(result.converged for result in results)
+
+
+def test_class_report_two_hundred_thousand_levels(benchmark):
+    # a binary covariate and two continuous ones, whose every value is a
+    # level of one contract, summed by the position passes
+    pf = random_portfolio(12, n=100_000, q=3)
+    fits = [fit(pf, scheme, TweedieFamily(p=1.5)) for scheme in WeightScheme]
+    report = benchmark.pedantic(class_report, args=(pf, fits), rounds=1, iterations=1)
+    assert len(report) == 2 + 2 * pf.n

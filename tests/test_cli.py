@@ -20,10 +20,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exposure_glm import balance, cli, model_core
-from exposure_glm.cli import IngestError, build_parser, ingest_csv, ingest_counts_csv, main, write_portfolio_csv
+from exposure_glm.cli import IngestError, build_parser, ingest_csv, ingest_counts_csv, main
 from exposure_glm.simulate import Scenario, build_scenario_portfolio, gen_mimic_portfolio
 
-from util import overflowing_count_data
+from util import overflowing_count_data, write_portfolio_csv
 
 
 def _write(path, text):

@@ -19,7 +19,7 @@ import pytest
 import exposure_glm
 from exposure_glm import TweedieFamily, WeightScheme
 
-from util import random_portfolio
+from util import random_portfolio, write_portfolio_csv
 
 MODULES = (
     "balance",
@@ -164,7 +164,7 @@ def test_benchmark_tracer_hooks_install_and_uninstall(tmp_path):
         result = exposure_glm.fit(pf, WeightScheme.RATIO, fam)
         exposure_glm.covariance_dominance(pf, result.beta_hat, fam)
         exposure_glm.CountData.from_arrays([0.5, 1.0, 0.25], [1, 0, 2])
-        cli.write_portfolio_csv(pf, tmp_path / "in.csv")
+        write_portfolio_csv(pf, tmp_path / "in.csv")
         assert cli.main(["balance", "--input", str(tmp_path / "in.csv"), "--out", str(tmp_path)]) == 0
         compare = ["compare", "--input", str(tmp_path / "in.csv"), "--out", str(tmp_path / "compare")]
         assert tracer.run_op(1, cli.main, compare) == 0

@@ -1,5 +1,7 @@
 """Shared portfolio builders for the test suite (all seeded, all frozen)."""
 
+from pathlib import Path
+
 import numpy as np
 
 from exposure_glm import (
@@ -13,6 +15,7 @@ from exposure_glm import (
     run_gap_experiment,
     solver,
 )
+from exposure_glm.cli import _write_csv
 
 
 def toy_portfolio():
@@ -100,3 +103,11 @@ def zip_count_data(seed, n=80, zero_inflation=0.3, all_full=False):
     if counts.sum() == 0:
         counts[0] = 1
     return CountData.from_arrays(t, counts, x)
+
+
+def write_portfolio_csv(portfolio, path):
+    """Serialize a portfolio back to the input schema (round-trippable)."""
+    header = ["contract_id", "exposure", "loss_cost", *portfolio.covariate_names]
+    columns = [portfolio.contract_ids, portfolio.exposures, portfolio.loss_costs]
+    columns += [portfolio.design[:, j] for j in range(1, portfolio.q + 1)]
+    _write_csv(Path(path), header, columns)
