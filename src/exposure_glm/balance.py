@@ -77,12 +77,10 @@ def portfolio_gap(gaps) -> float:
 def _level_sums(values, starts, lengths):
     """``values[a:a + m].sum()`` for each level's start ``a`` and length ``m``, bit for bit.
 
-    numpy adds a contiguous float64 slice of fewer than 8 values left to
-    right from ``+0.0`` (its pairwise blocking starts at 8), so levels of
-    1-7 values are summed by position, one vectorised pass a position;
-    longer levels, at most ``n / 8`` of them, are left to ``np.sum``.
+    numpy adds fewer than 8 contiguous float64 values left to right from ``+0.0``, so shorter
+    levels take one vectorised pass a position; only longer ones, at most n / 8, call ``np.sum``.
     """
-    sums = 0.0 + values[starts]  # from +0.0, as np.sum: a level of one -0.0 sums to 0.0
+    sums = 0.0 + values[starts]  # as np.sum, a level of one -0.0 sums to +0.0
     short = np.flatnonzero(lengths < 8)
     for k in range(1, 7):
         short = short[lengths[short] > k]
@@ -98,10 +96,9 @@ def class_report(portfolio: Portfolio, fits) -> ClassBalance:
     A book without covariates reports its intercept, one level of value 1.
     Every distinct value is a level, valued as its first contract.  Each
     fit's premiums are computed once and each column sorted once.  Levels
-    of fewer than 8 contracts are summed in a few vectorised passes by
-    position, longer ones by ``np.sum`` on their slice; either way a sum
-    equals a masked ``.sum()`` of the level bit for bit.  A level with
-    zero losses reports an undefined ratio instead of an infinite one.
+    of fewer than 8 contracts are summed in passes by position, longer
+    ones by ``np.sum``; each sum equals a masked ``.sum()`` bit for bit.
+    A level with zero losses reports an undefined ratio, not an infinite one.
     """
     fits = tuple(fits)
     for fit in fits:
@@ -111,8 +108,7 @@ def class_report(portfolio: Portfolio, fits) -> ClassBalance:
     for j, name in list(enumerate(portfolio.covariate_names, start=1)) or [(0, "intercept")]:
         column = portfolio.design[:, j]
         # A stable sort keeps each level's contracts in portfolio order, so
-        # every slice sum below adds the same values in the same order as a
-        # boolean mask of that level would.
+        # every level sum adds them in the order a boolean mask would.
         order = np.argsort(column, kind="stable")
         ordered = column[order]
         starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
