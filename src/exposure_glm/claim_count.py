@@ -88,10 +88,10 @@ def poisson_fit(data: CountData, scheme: WeightScheme):
     X, t, z = data.design, data.exposures, data.normalized
     start = np.zeros(data.q + 1)
     start[0] = math.log(total / t.sum())
-    beta, _, converged, *_ = _irls(X, z, t, 1.0, start, _POISSON_MAX_ITERATIONS)
-    if not converged:
+    result = _irls(X, z, t, 1.0, 1.0, start, _POISSON_MAX_ITERATIONS)  # p = 1, phi = 1
+    if not result.converged:
         raise RuntimeError(f"Poisson {scheme.value} fit did not converge in {_POISSON_MAX_ITERATIONS} iterations")
-    return beta
+    return result.beta_hat
 
 
 def _check_zero_inflation(zero_inflation):

@@ -521,49 +521,38 @@ def cmd_counts(args):
     )
 
 
-_COMMANDS = {
-    "fit": cmd_fit,
-    "compare": cmd_compare,
-    # ``balance`` is an alias of ``compare``; argparse reports the name typed
-    "balance": cmd_compare,
-    "simulate": cmd_simulate,
-    "counts": cmd_counts,
-}
-
-
-def _add_model_flags(parser):
-    parser.add_argument("--p", type=float, default=1.42, help="Tweedie variance power in (1, 2)")
-    parser.add_argument("--phi", type=float, default=1.0, help="dispersion (scales covariances only)")
-    parser.add_argument(
-        "--max-iter", dest="max_iterations", type=int, default=100,
-        help="IRLS iteration budget; a fit stops sooner when every score component "
-        "is within 4x its rounding floor, whatever the loss scale",
-    )
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="exposure-glm",
         description="Fit and compare offset vs. ratio exposure treatments for Tweedie loss-cost GLMs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    for name, help_text in (
-        ("fit", "fit one or both schemes and write fit.json"),
-        ("compare", "fit both schemes and write comparison and balance tables"),
-    ):
-        cmd = sub.add_parser(name, aliases=["balance"] if name == "compare" else [], help=help_text)
-        cmd.add_argument("--input", required=True, type=Path, help="portfolio CSV")
-        cmd.add_argument("--out", required=True, type=Path, help="output directory")
-        if name == "fit":
-            cmd.add_argument(
-                "--scheme", choices=("offset", "ratio", "both"), default="both",
-                help="which scheme(s) to fit",
-            )
-        _add_model_flags(cmd)
-
+    fit_cmd = sub.add_parser("fit", help="fit one or both schemes and write fit.json")
+    fit_cmd.set_defaults(run=cmd_fit)
+    # ``balance`` is another name of ``compare``, kept while the benchmark's ``balance_levels`` runs it
+    compare = sub.add_parser(
+        "compare", aliases=["balance"], help="fit both schemes and write comparison and balance tables"
+    )
+    compare.set_defaults(run=cmd_compare)
     sim = sub.add_parser("simulate", help="run a seeded gap experiment")
-    sim.add_argument("--out", required=True, type=Path, help="output directory")
+    sim.set_defaults(run=cmd_simulate)
+    counts = sub.add_parser("counts", help="Poisson equivalence and zero-inflation evidence")
+    counts.set_defaults(run=cmd_counts)
+
+    for cmd, input_help in ((fit_cmd, "portfolio CSV"), (compare, "portfolio CSV"), (counts, "claim-count CSV")):
+        cmd.add_argument("--input", required=True, type=Path, help=input_help)
+    for cmd in (fit_cmd, compare, sim, counts):
+        cmd.add_argument("--out", required=True, type=Path, help="output directory")
+    for cmd in (fit_cmd, compare, sim):
+        cmd.add_argument("--p", type=float, default=1.42, help="Tweedie variance power in (1, 2)")
+    for cmd in (fit_cmd, compare):
+        cmd.add_argument("--phi", type=float, default=1.0, help="dispersion (scales covariances only)")
+        cmd.add_argument(
+            "--max-iter", dest="max_iterations", type=int, default=100,
+            help="IRLS iteration budget; a fit stops sooner when every score component "
+            "is within 4x its rounding floor, whatever the loss scale",
+        )
+    fit_cmd.add_argument("--scheme", choices=tuple(_SCHEMES), default="both", help="which scheme(s) to fit")
     sim.add_argument("--n", type=int, default=100, help="number of contracts")
     sim.add_argument("--seed", type=int, default=0, help="64-bit experiment seed")
     sim.add_argument(
@@ -571,11 +560,6 @@ def build_parser():
         help="how loss costs move with exposure rank",
     )
     sim.add_argument("--heterogeneous", action="store_true", help="include two binary risk factors")
-    sim.add_argument("--p", type=float, default=1.42, help="Tweedie variance power in (1, 2)")
-
-    counts = sub.add_parser("counts", help="Poisson equivalence and zero-inflation evidence")
-    counts.add_argument("--input", required=True, type=Path, help="claim-count CSV")
-    counts.add_argument("--out", required=True, type=Path, help="output directory")
     counts.add_argument(
         "--zero-inflation", type=float, default=0.3,
         help="zero-inflation mass used for the non-equivalence probe",
@@ -588,7 +572,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _COMMANDS[args.command](args)
+        args.run(args)
     # every domain error of the package is a ValueError or a RuntimeError
     except (ValueError, RuntimeError, OSError) as exc:
         json.dump(

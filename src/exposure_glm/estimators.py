@@ -8,11 +8,13 @@ dominates and the covariance difference
 
     M = Cov_ratio - Cov_offset
 
-is positive definite whenever some contract has partial exposure.  That
-single matrix fact orders the premium-estimator means, variances and
-expected portfolio gaps between the two approaches.
+is positive semidefinite, of the rank of the design rows with partial
+exposure, and so positive definite when those rows have full column
+rank.  That single matrix fact orders the premium-estimator means,
+variances and expected portfolio gaps between the two approaches.
 """
 
+import contextlib
 from dataclasses import dataclass
 from enum import Enum
 
@@ -45,6 +47,7 @@ __all__ = [
 class Dominance(Enum):
     STRICTLY_DOMINANT = "strictly_dominant"
     DEGENERATE_EQUAL = "degenerate_equal"
+    SEMIDEFINITE = "semidefinite"
     INDEFINITE = "indefinite"
 
 
@@ -133,26 +136,31 @@ def coefficient_covariance(portfolio: Portfolio, beta, scheme: WeightScheme, fam
 def covariance_dominance(portfolio: Portfolio, beta, family: TweedieFamily) -> DominanceReport:
     """Classify ``M = Cov_ratio - Cov_offset`` at ``beta``.
 
-    Strictly positive definite whenever some exposure is below one; the
-    zero matrix when every exposure equals one.  The verdict comes from
-    a Cholesky factorization of ``M``.
+    ``M`` is positive semidefinite, of the rank ``r`` of the design rows
+    whose exposure is below one.  With ``k`` coefficients it is
+    STRICTLY_DOMINANT when at least ``k`` contracts are partial and ``M``
+    has a Cholesky factor; otherwise DEGENERATE_EQUAL (``M = 0``) for
+    ``r = 0``, SEMIDEFINITE for ``0 < r < k`` and INDEFINITE for ``r = k``
+    (positive definite, but too near singular to factor).  ``k`` or more
+    collinear partial rows can still pass the factorization by rounding.
     """
     cov_offset = coefficient_covariance(portfolio, beta, WeightScheme.OFFSET, family)
     cov_ratio = coefficient_covariance(portfolio, beta, WeightScheme.RATIO, family)
     diff = cov_ratio - cov_offset
     diff = 0.5 * (diff + diff.T)
-    try:
-        np.linalg.cholesky(diff)
-        verdict = Dominance.STRICTLY_DOMINANT
-    except np.linalg.LinAlgError:
-        # Near the full-exposure boundary M collapses to zero; tolerate
-        # floating-point noise there but nowhere else.
-        min_eig = float(np.linalg.eigvalsh(diff)[0])
-        all_full = bool(np.all(portfolio.exposures == 1.0))
-        if all_full and min_eig >= -1e-10 * max(float(np.max(np.abs(diff))), 1e-300):
-            verdict = Dominance.DEGENERATE_EQUAL
-        else:
-            verdict = Dominance.INDEFINITE
+    k, partial = len(diff), portfolio.exposures < 1.0
+    if np.count_nonzero(partial) >= k:
+        with contextlib.suppress(np.linalg.LinAlgError):
+            np.linalg.cholesky(diff)
+            return DominanceReport(verdict=Dominance.STRICTLY_DOMINANT, difference=diff)
+    # M = Cov_ratio X'(D_offset - D_ratio)X Cov_offset / phi, and D_offset > D_ratio exactly where t < 1
+    rank = int(np.linalg.matrix_rank(portfolio.design[partial])) if partial.any() else 0
+    if rank == 0:
+        verdict = Dominance.DEGENERATE_EQUAL
+    elif rank < k:
+        verdict = Dominance.SEMIDEFINITE
+    else:
+        verdict = Dominance.INDEFINITE
     return DominanceReport(verdict=verdict, difference=diff)
 
 

@@ -125,7 +125,7 @@ def _check_separation(portfolio: Portfolio):
         raise SingularInformationError(f"no finite optimum: every loss is zero where {name} {op} {level:.17g}")
 
 
-def _irls(design, z, w, p, beta, max_iterations):
+def _irls(design, z, w, p, phi, beta, max_iterations):
     """Newton's method for the weighted Tweedie fit on ``z`` with weights ``w``.
 
     Starts from ``beta`` and solves ``(X.T H X) delta = X.T D R`` once
@@ -134,9 +134,9 @@ def _irls(design, z, w, p, beta, max_iterations):
     A step that lowers the scoring pass's objective (``phi`` times the
     quasi-log-likelihood) by more than ``_OBJECTIVE_SLACK * |objective|``,
     or makes it non-finite, is halved up to ``_MAX_HALVINGS`` times, each
-    try one more pass.  Returns ``(beta, factor, converged, gradient_norm,
-    trace_beta, trace_objective)`` with ``factor`` the Cholesky factor of
-    ``X.T D X`` at the returned ``beta``, from the ``D`` of its pass.
+    try one more pass.  Returns the FitResult at the last iterate, its
+    covariance factored from the ``D`` of that iterate's pass and scaled
+    by the dispersion ``phi``, which also divides the objective trace.
     """
     # max_i |x_ij| per column, down the contiguous columns of the column-major design
     floor_scale = _FLOOR_MULTIPLE * _EPS * np.abs(design).max(axis=0)
@@ -160,7 +160,16 @@ def _irls(design, z, w, p, beta, max_iterations):
         beta = candidate
         trace_beta.append(beta.copy())
         trace_objective.append(value)
-    return beta, _cho_factor(_gram(design, d)), converged, gradient_norm, trace_beta, trace_objective
+    return FitResult(
+        beta_hat=beta,
+        covariance=_covariance(_cho_factor(_gram(design, d)), phi),
+        iterations=iteration,
+        converged=converged,
+        gradient_norm=gradient_norm,
+        trace_beta=np.asarray(trace_beta),
+        trace_objective=np.asarray(trace_objective) / phi,
+        n_obs=len(z),
+    )
 
 
 def fit(
@@ -189,21 +198,12 @@ def fit(
     start = np.zeros(portfolio.q + 1)
     start[0] = math.log(homogeneous_mle(portfolio, scheme, family))  # positive: the book has a loss
 
-    beta, factor, converged, gradient_norm, trace_beta, trace_objective = _irls(
+    return _irls(
         portfolio.design,
         portfolio.normalized,
         _scheme_weights(scheme, portfolio.exposures, family.p),
         family.p,
+        family.phi,
         start,
         max_iterations,
-    )
-    return FitResult(
-        beta_hat=beta,
-        covariance=_covariance(factor, family.phi),
-        iterations=len(trace_beta) - 1,
-        converged=converged,
-        gradient_norm=gradient_norm,
-        trace_beta=np.asarray(trace_beta),
-        trace_objective=np.asarray(trace_objective) / family.phi,
-        n_obs=portfolio.n,
     )

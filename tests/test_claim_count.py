@@ -14,6 +14,7 @@ from exposure_glm import (
     zip_nonequivalence_check,
     zip_score,
 )
+from exposure_glm import claim_count
 from exposure_glm.model_core import _scoring_pass
 from oracles import finite_diff_gradient, poisson_score
 
@@ -100,6 +101,11 @@ class TestPoissonFit:
         data = CountData.from_arrays([0.5, 1.0], [0, 0])
         with pytest.raises(ValueError):
             poisson_fit(data, "offset")
+
+    def test_budget_exhausted_raises(self, monkeypatch):
+        monkeypatch.setattr(claim_count, "_POISSON_MAX_ITERATIONS", 1)
+        with pytest.raises(RuntimeError, match="^Poisson offset fit did not converge in 1 iterations$"):
+            poisson_fit(random_count_data(0), "offset")
 
     def test_unknown_mode_rejected(self):
         data = random_count_data(0)

@@ -132,6 +132,15 @@ class TestIngest:
         assert "expected 4 fields, got 3" in str(excinfo.value)
 
     @pytest.mark.parametrize("value", INGESTS)
+    @pytest.mark.parametrize("content", [b"", b"\xef\xbb\xbf"], ids=["empty", "byte_order_mark_only"])
+    def test_file_without_header_is_empty(self, tmp_path, value, content):
+        path = tmp_path / "in.csv"
+        path.write_bytes(content)
+        with pytest.raises(IngestError, match="^row 1: file is empty$") as excinfo:
+            INGESTS[value](path)
+        assert (excinfo.value.row, excinfo.value.column) == (1, None)
+
+    @pytest.mark.parametrize("value", INGESTS)
     def test_duplicate_contract_id_names_second_row(self, tmp_path, value):
         text = f"contract_id,exposure,{value}\na,0.5,1.0\nb,1.0,2.0\na,0.5,3.0\nc,1.0,4.0\n"
         with pytest.raises(IngestError) as excinfo:

@@ -81,6 +81,21 @@ class TestPremiumMoments:
             premium_moments(np.ones(2), np.zeros(2), np.diag([1.0, -1.0]))
 
 
+def _partial_book(partial, exposure, shared_row=False):
+    """1000 full-year contracts but the first ``partial``, two normal covariates, gamma losses.
+
+    With ``shared_row`` the partial contracts share the first design row.
+    """
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(1000, 2))
+    y = rng.gamma(2.0, 10.0, 1000)
+    if shared_row:
+        x[:partial] = x[0]
+    t = np.ones(1000)
+    t[:partial] = exposure
+    return Portfolio.from_arrays(t, y, x)
+
+
 class TestCovarianceDominance:
     def test_full_exposure_gives_zero_difference(self):
         pf = random_portfolio(19, all_full=True)
@@ -104,6 +119,28 @@ class TestCovarianceDominance:
         # sum of weights: offset 0.25**0.5 + 1 = 1.5, ratio 0.25 + 1 = 1.25
         assert report.difference[0, 0] == pytest.approx(1.0 / 1.25 - 1.0 / 1.5, rel=1e-12)
         assert report.verdict is Dominance.STRICTLY_DOMINANT
+
+    # The rank of M is the rank of the partial-exposure design rows.
+    @pytest.mark.parametrize(
+        "partial, exposure, shared_row",
+        [(1, 364 / 365, False), (2, 0.5, False), (20, 0.5, True)],
+        ids=["one_contract_at_364_days", "two_contracts", "twenty_contracts_one_row"],
+    )
+    def test_rank_deficient_partial_rows_are_semidefinite(self, partial, exposure, shared_row):
+        # these read STRICTLY_DOMINANT or INDEFINITE by rounding when the
+        # verdict came from the factorization alone
+        fam = TweedieFamily(p=1.5)
+        pf = _partial_book(partial, exposure, shared_row)
+        report = covariance_dominance(pf, fit(pf, WeightScheme.OFFSET, fam).beta_hat, fam)
+        assert report.verdict is Dominance.SEMIDEFINITE
+        assert np.linalg.matrix_rank(pf.design[pf.exposures < 1.0]) < pf.q + 1
+
+    def test_as_many_partial_rows_as_coefficients_are_strictly_dominant(self):
+        fam = TweedieFamily(p=1.5)
+        pf = _partial_book(3, 0.5)
+        report = covariance_dominance(pf, fit(pf, WeightScheme.OFFSET, fam).beta_hat, fam)
+        assert report.verdict is Dominance.STRICTLY_DOMINANT
+        assert eig_min(report.difference) > 0.0
 
 
 class TestMomentOrdering:

@@ -37,6 +37,10 @@ def _d_diagonal(beta, pf, scheme, fam):
     return _scoring_pass(beta, pf.design, pf.normalized, w, fam.p)[0]
 
 
+LENGTHS = "exposures and loss costs must be equal-length 1-D arrays"
+COVARIATE_SHAPE = r"covariates must be an \(n, q\) array with n = 2 rows"
+
+
 class TestDomainTypes:
     def test_family_rejects_bad_variance_power(self):
         for p in (1.0, 2.0, 0.5, 2.5):
@@ -72,6 +76,24 @@ class TestDomainTypes:
     def test_portfolio_rejects_invalid_columns(self, exposures, losses, covariates):
         with pytest.raises(ValueError):
             Portfolio.from_arrays(exposures, losses, covariates)
+
+    @pytest.mark.parametrize(
+        "arguments,message",
+        [
+            (([0.5, 1.0], [1.0]), LENGTHS),
+            (([[0.5, 1.0]], [[1.0, 2.0]]), LENGTHS),
+            (([], []), "need at least one contract"),
+            (([0.5, 1.0], [1.0, 2.0], None, ["a", "b", "c"]), "expected 2 contract ids, got 3"),
+            (([0.5, 1.0], [1.0, 2.0], [0.0, 1.0]), COVARIATE_SHAPE),
+            (([0.5, 1.0], [1.0, 2.0], [[0.0], [1.0], [2.0]]), COVARIATE_SHAPE),
+            (([0.5, 1.0], [1.0, 2.0], [[0.0], [1.0]], None, ["x1", "x2"]), "expected 1 covariate names, got 2"),
+        ],
+        ids=["unequal", "two_dimensional", "no_contracts", "three_ids", "one_dimensional_covariates",
+             "wrong_covariate_rows", "two_names"],
+    )
+    def test_portfolio_rejects_mismatched_arguments(self, arguments, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Portfolio.from_arrays(*arguments)
 
     def test_portfolio_rejects_duplicate_contract_ids(self):
         with pytest.raises(ValueError, match="duplicate contract id 'b'"):

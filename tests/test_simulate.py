@@ -9,6 +9,7 @@ from exposure_glm.simulate import (
     EXPOSURE_HI,
     EXPOSURE_LO,
     Scenario,
+    _full_rank_portfolio,
     build_scenario_portfolio,
     gen_mimic_portfolio,
     run_gap_experiment,
@@ -211,6 +212,16 @@ class TestGenMimicPortfolio:
         t = gen_mimic_portfolio(0.4, 500, seed=18).exposures
         assert np.all(np.diff(t) >= 0.0)
         assert np.all((t == 1.0) | ((t >= EXPOSURE_LO) & (t <= EXPOSURE_HI)))
+
+    def test_too_few_contracts_rejected(self):
+        with pytest.raises(ValueError, match="^need at least 4 contracts, got 3$"):
+            gen_mimic_portfolio(0.4, 3, seed=0)
+
+    def test_no_full_rank_draw_raises(self):
+        # a covariate of success rate 0 is constant in every draw
+        exposures = np.array([0.5, 1.0, 0.25, 1.0])
+        with pytest.raises(RuntimeError, match="^no full-rank covariate draw in 64 attempts$"):
+            _full_rank_portfolio(np.random.SeedSequence(0), exposures, np.ones(4), rates=(0.0,))
 
     def test_seed_determinism(self):
         a = gen_mimic_portfolio(0.36, 200, seed=19)

@@ -6,7 +6,6 @@ import numpy as np
 
 from exposure_glm import (
     CountData,
-    FitResult,
     Portfolio,
     WeightScheme,
     individual_gaps,
@@ -48,17 +47,12 @@ def random_portfolio(seed, n=40, q=2, zero_frac=0.3, full_frac=0.3, all_full=Fal
 def fit_from(start, portfolio, scheme, family, max_iterations=100):
     """``fit`` started at ``start`` instead of the closed form.
 
-    Runs the fit's own loop, ``solver._irls``, on the fit's inputs and
-    reports as ``fit`` does, without ``fit``'s checks of the book.
+    Runs the fit's own loop, ``solver._irls``, on the fit's inputs,
+    without ``fit``'s checks of the book.
     """
-    p = family.p
-    w = model_core._scheme_weights(WeightScheme(scheme), portfolio.exposures, p)
-    beta, factor, converged, gradient_norm, trace_beta, trace_objective = solver._irls(
-        portfolio.design, portfolio.normalized, w, p, np.array(start, dtype=float), max_iterations
-    )
-    return FitResult(
-        beta, model_core._covariance(factor, family.phi), len(trace_beta) - 1, converged, gradient_norm,
-        np.asarray(trace_beta), np.asarray(trace_objective) / family.phi, portfolio.n,
+    w = model_core._scheme_weights(WeightScheme(scheme), portfolio.exposures, family.p)
+    return solver._irls(
+        portfolio.design, portfolio.normalized, w, family.p, family.phi, np.array(start, dtype=float), max_iterations
     )
 
 
