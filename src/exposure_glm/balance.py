@@ -2,9 +2,9 @@
 
 The individual gap of a contract is ``t * (z - zeta_hat)``, the shortfall
 of its exposure-scaled premium against its observed loss cost.  A ratio
-fit with an intercept zeroes the portfolio total exactly; an offset fit
-does not, and the sign of its total tracks whether losses increase or
-decrease with exposure.
+fit with an intercept zeroes the portfolio total exactly only without
+covariates (or at p = 1); an offset fit misses by far more, and the sign
+of its total tracks whether losses increase or decrease with exposure.
 """
 
 from dataclasses import dataclass

@@ -783,6 +783,17 @@ class TestAtomicWrites:
         assert path.read_text() == "a\nouter\n"
         assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
+    def test_taken_temp_name_is_drawn_again(self, tmp_path, monkeypatch):
+        path = tmp_path / "out.json"
+        taken = tmp_path / f"out.json.{bytes(6).hex()}.tmp"
+        taken.write_text("someone else's")
+        names = iter([bytes(6), b"\x01" * 6])
+        monkeypatch.setattr(cli.os, "urandom", lambda size: next(names))
+        cli._write_json(path, {"a": 1})
+        assert json.loads(path.read_text()) == {"a": 1}
+        assert taken.read_text() == "someone else's"
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["out.json", taken.name])
+
     def test_file_mode_follows_umask(self, tmp_path):
         mask = os.umask(0o027)
         try:

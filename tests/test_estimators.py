@@ -123,12 +123,12 @@ class TestCovarianceDominance:
     # The rank of M is the rank of the partial-exposure design rows.
     @pytest.mark.parametrize(
         "partial, exposure, shared_row",
-        [(1, 364 / 365, False), (2, 0.5, False), (20, 0.5, True)],
-        ids=["one_contract_at_364_days", "two_contracts", "twenty_contracts_one_row"],
+        [(1, 364 / 365, False), (2, 0.5, False), (3, 0.5, True), (20, 0.5, True)],
+        ids=["one_contract_at_364_days", "two_contracts", "three_contracts_one_row", "twenty_contracts_one_row"],
     )
     def test_rank_deficient_partial_rows_are_semidefinite(self, partial, exposure, shared_row):
-        # these read STRICTLY_DOMINANT or INDEFINITE by rounding when the
-        # verdict came from the factorization alone
+        # a Cholesky factor of the computed M exists for some of these
+        # books by rounding; the verdict follows the rank all the same
         fam = TweedieFamily(p=1.5)
         pf = _partial_book(partial, exposure, shared_row)
         report = covariance_dominance(pf, fit(pf, WeightScheme.OFFSET, fam).beta_hat, fam)
@@ -141,6 +141,14 @@ class TestCovarianceDominance:
         report = covariance_dominance(pf, fit(pf, WeightScheme.OFFSET, fam).beta_hat, fam)
         assert report.verdict is Dominance.STRICTLY_DOMINANT
         assert eig_min(report.difference) > 0.0
+
+    def test_full_rank_partial_rows_of_almost_no_weight_are_strictly_dominant(self):
+        # M is too near zero to factor here, so the rank of the partial rows decides
+        fam = TweedieFamily(p=1.5)
+        pf = _partial_book(3, 1 - 1e-12)
+        report = covariance_dominance(pf, fit(pf, WeightScheme.OFFSET, fam).beta_hat, fam)
+        assert report.verdict is Dominance.STRICTLY_DOMINANT
+        assert np.linalg.matrix_rank(pf.design[pf.exposures < 1.0]) == 3
 
 
 class TestMomentOrdering:
@@ -284,8 +292,9 @@ def test_zip_rejects_coefficient_vector_of_wrong_length(function):
         ([1.0, 0.0, 0.0], [0.0, 0.0], np.eye(3), r"must have length 3, got shape \(2,\)"),
         ([1.0, 0.0], [0.0, 0.0, 0.0], np.eye(3), r"x of shape \(2,\) does not match .* shape \(3,\)"),
         (np.ones((4, 2)), [0.0, 0.0, 0.0], np.eye(3), r"x of shape \(4, 2\) does not match .* shape \(3,\)"),
+        (np.ones(2), np.zeros(2), np.ones((2, 3)), "covariance must be a square matrix"),
     ],
-    ids=["beta", "row", "rows"],
+    ids=["beta", "row", "rows", "covariance"],
 )
 def test_premium_moments_rejects_mismatched_shapes(x, beta, covariance, message):
     with pytest.raises(ValueError, match=message):

@@ -48,6 +48,12 @@ def test_readme_counts_every_exported_name():
     assert int(count) == len(exposure_glm.__all__)
 
 
+def test_readme_lists_every_dominance_verdict():
+    # the backticked ALL-CAPS words of the Estimators section are the verdicts
+    section = README.read_text(encoding="utf-8").partition("### Estimators")[2].partition("\n### ")[0]
+    assert set(re.findall(r"`([A-Z][A-Z_]+)`", section)) == {m.name for m in exposure_glm.Dominance}
+
+
 README_BLOCKS = re.findall(r"^```python\n(.*?)^```$", README.read_text(encoding="utf-8"), re.M | re.S)
 
 

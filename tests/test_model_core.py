@@ -59,6 +59,11 @@ class TestDomainTypes:
         with pytest.raises(ValueError, match="loss cost.*contract 'b'"):
             Portfolio.from_arrays([0.5, 0.5], [1.0, -1.0], contract_ids=["a", "b"])
 
+    def test_repr_names_type_and_shape(self):
+        pf = Portfolio.from_arrays([0.5, 1.0, 1.0, 1.0], [1.0, 2.0, 3.0, 4.0], [[0.0, 1.0], [1.0, 0.0], [1.0, 1.0], [0.0, 0.5]])
+        assert repr(pf) == "Portfolio(n=4, q=2)"
+        assert repr(CountData.from_arrays([0.5, 1.0, 0.25], [1, 0, 2])) == "CountData(n=3, q=0)"
+
     def test_observation_accepts_exact_zero_loss(self):
         pf = Portfolio.from_arrays([0.5], [0.0], contract_ids=["a"])
         assert pf.loss_costs[0] == 0.0

@@ -208,6 +208,13 @@ class TestGenMimicPortfolio:
         assert mid == pytest.approx(100.0 * 2.45 / 0.63, rel=1e-9)
         assert full == pytest.approx(100.0, rel=1e-9)
 
+    def test_group_of_one_zeroed_draw_keeps_its_loss(self):
+        # the one mid-term contract's draw falls in the zero mass; the group
+        # keeps it, so its loss cost is the group's target mean
+        book = gen_mimic_portfolio(0.25, 4, seed=1)
+        assert np.count_nonzero(book.exposures < 1.0) == 1
+        assert book.loss_costs[0] == pytest.approx(100.0 * 2.45 / 0.63, rel=1e-9)
+
     def test_exposures_sorted_and_valid(self):
         t = gen_mimic_portfolio(0.4, 500, seed=18).exposures
         assert np.all(np.diff(t) >= 0.0)
