@@ -15,7 +15,7 @@ import numpy as np
 
 # The benchmark's tracer hooks ``validate_design`` under this module's name.
 from .model_core import Portfolio, WeightScheme, _check_beta, validate_design  # noqa: F401
-from .solver import _irls
+from .solver import _fit
 
 __all__ = [
     "CountData",
@@ -75,20 +75,16 @@ def poisson_fit(data: CountData, scheme: WeightScheme):
     ``y = t * z`` the two objectives are the same function of ``b``,
     and both are the weighted Tweedie quasi-likelihood at ``p = 1``,
     where the offset weight ``t**(2-p)`` equals the ratio weight ``t``.
-    So both schemes run one computation: the Tweedie IRLS loop at
-    ``p = 1`` with weights ``t``, started at ``log(sum(y) / sum(t))``
+    So both schemes run one computation, ``fit``'s: the Tweedie IRLS loop
+    at ``p = 1`` with weights ``t``, started at ``log(sum(y) / sum(t))``
     and stopped when every component of the score ``X.T @ (y - t * zeta)``
-    reaches its rounding floor.
-    Raises RuntimeError when that takes more than 50 updates.
+    reaches its rounding floor.  Like ``fit``, it first refuses a book
+    with no finite optimum: AllZeroLossError when every count is zero,
+    SingularInformationError when one covariate separates the counts.
+    Raises RuntimeError when the loop takes more than 50 updates.
     """
     scheme = WeightScheme(scheme)
-    total = data.counts.sum()
-    if total <= 0:
-        raise ValueError("cannot fit: all claim counts are zero")
-    X, t, z = data.design, data.exposures, data.normalized
-    start = np.zeros(data.q + 1)
-    start[0] = math.log(total / t.sum())
-    result = _irls(X, z, t, 1.0, 1.0, start, _POISSON_MAX_ITERATIONS)  # p = 1, phi = 1
+    result = _fit(data, data.exposures, 1.0, 1.0, _POISSON_MAX_ITERATIONS)  # p = 1, phi = 1
     if not result.converged:
         raise RuntimeError(f"Poisson {scheme.value} fit did not converge in {_POISSON_MAX_ITERATIONS} iterations")
     return result.beta_hat

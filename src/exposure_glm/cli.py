@@ -573,8 +573,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         args.run(args)
-    # every domain error of the package is a ValueError or a RuntimeError
-    except (ValueError, RuntimeError, OSError) as exc:
+    # every domain error of the package is a ValueError or a RuntimeError; an
+    # unreadable or unwritable path and a book too large for memory fail the same way
+    except (ValueError, RuntimeError, OSError, MemoryError) as exc:
         json.dump(
             {"schema_version": SCHEMA_VERSION, "error": type(exc).__name__, "message": str(exc)},
             sys.stderr,

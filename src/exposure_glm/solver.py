@@ -18,8 +18,9 @@ rounding, ``64 * eps * |objective|``.  The scoring pass at each candidate
 yields that objective with the next score, ``D`` and ``Q``, so an
 iteration without halving costs one pass.  Intercept-only portfolios admit
 closed-form maximum-likelihood estimates (weighted means of the
-annualized losses) which also seed the IRLS iteration.  The same loop
-fits the Poisson claim-count companion as the ``p = 1`` case.
+annualized losses) which also seed the IRLS iteration.  The same path,
+refusals of a book included, fits the Poisson claim-count companion as
+the ``p = 1`` case.
 """
 
 import math
@@ -60,7 +61,7 @@ _MAX_HALVINGS = 30
 
 
 class AllZeroLossError(ValueError):
-    """Every loss cost is zero, so the log-scale intercept is undefined."""
+    """Every loss cost (or count) is zero, so the log-scale intercept is undefined."""
 
 
 @dataclass
@@ -92,7 +93,11 @@ def homogeneous_mle(portfolio: Portfolio, scheme: WeightScheme, family: TweedieF
     exposure, which is what makes the ratio fit financially balanced.
     """
     w = _scheme_weights(WeightScheme(scheme), portfolio.exposures, family.p)
-    return float(np.dot(w, portfolio.normalized) / w.sum())
+    return _weighted_mean(w, portfolio.normalized)
+
+
+def _weighted_mean(w, z):
+    return float(np.dot(w, z) / w.sum())
 
 
 def _check_budget(max_iterations):
@@ -122,7 +127,8 @@ def _check_separation(portfolio: Portfolio):
         op, level = ("<", hi[j]) if at_hi[j] else (">", lo[j])
         if ((x == lo[j]) | (x == hi[j])).all():  # two-valued: name the loss-free level
             op, level = "=", lo[j] if at_hi[j] else hi[j]
-        raise SingularInformationError(f"no finite optimum: every loss is zero where {name} {op} {level:.17g}")
+        noun = portfolio._value_name.split()[0]  # "loss" of a loss cost, "count" of a count
+        raise SingularInformationError(f"no finite optimum: every {noun} is zero where {name} {op} {level:.17g}")
 
 
 def _irls(design, z, w, p, phi, beta, max_iterations):
@@ -172,6 +178,16 @@ def _irls(design, z, w, p, phi, beta, max_iterations):
     )
 
 
+def _fit(portfolio: Portfolio, w, p, phi, max_iterations):
+    """Refuse a book with no finite optimum, else run ``_irls`` from ``[log(sum(w*z) / sum(w)), 0, ..., 0]``."""
+    if portfolio.loss_costs.sum() <= 0.0:
+        raise AllZeroLossError(f"cannot fit a portfolio whose {portfolio._value_name}s are all zero")
+    _check_separation(portfolio)
+    start = np.zeros(portfolio.q + 1)
+    start[0] = math.log(_weighted_mean(w, portfolio.normalized))  # positive: the book has a loss
+    return _irls(portfolio.design, portfolio.normalized, w, p, phi, start, max_iterations)
+
+
 def fit(
     portfolio: Portfolio,
     scheme: WeightScheme,
@@ -192,18 +208,5 @@ def fit(
     """
     scheme = WeightScheme(scheme)
     _check_budget(max_iterations)
-    if portfolio.loss_costs.sum() <= 0.0:
-        raise AllZeroLossError("cannot fit a portfolio whose loss costs are all zero")
-    _check_separation(portfolio)
-    start = np.zeros(portfolio.q + 1)
-    start[0] = math.log(homogeneous_mle(portfolio, scheme, family))  # positive: the book has a loss
-
-    return _irls(
-        portfolio.design,
-        portfolio.normalized,
-        _scheme_weights(scheme, portfolio.exposures, family.p),
-        family.p,
-        family.phi,
-        start,
-        max_iterations,
-    )
+    w = _scheme_weights(scheme, portfolio.exposures, family.p)
+    return _fit(portfolio, w, family.p, family.phi, max_iterations)

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from exposure_glm import (
+    AllZeroLossError,
     CountData,
     Portfolio,
+    SingularInformationError,
     WeightScheme,
     poisson_fit,
     zip_loglik,
@@ -99,7 +101,7 @@ class TestPoissonFit:
 
     def test_all_zero_counts_rejected(self):
         data = CountData.from_arrays([0.5, 1.0], [0, 0])
-        with pytest.raises(ValueError):
+        with pytest.raises(AllZeroLossError):
             poisson_fit(data, "offset")
 
     def test_budget_exhausted_raises(self, monkeypatch):
@@ -124,6 +126,43 @@ class TestPoissonFit:
             assert poisson_fit(data, scheme).tobytes() == poisson_fit(data, scheme.value).tobytes()
             assert zip_loglik(beta, 0.3, data, scheme) == zip_loglik(beta, 0.3, data, scheme.value)
             assert zip_score(beta, 0.3, data, scheme).tobytes() == zip_score(beta, 0.3, data, scheme.value).tobytes()
+
+
+def _separated_count_data(seed, levels, n=100):
+    """Poisson counts at rate 0.3 where ``x1`` is at its top level, none elsewhere; ``x2`` is normal."""
+    rng = np.random.default_rng(seed)
+    x1 = rng.integers(0, levels, n).astype(float)
+    x2 = rng.normal(size=n)
+    t = np.where(rng.random(n) < 0.4, rng.uniform(0.08, 0.92, n), 1.0)
+    top = x1 == levels - 1
+    y = np.where(top, rng.poisson(0.3 * t), 0)
+    y[top.argmax()] = max(y[top.argmax()], 1)
+    return CountData.from_arrays(t, y, np.column_stack([x1, x2]))
+
+
+class TestPoissonRefusals:
+    """Like ``fit``, ``poisson_fit`` refuses a count book with no finite optimum before it iterates."""
+
+    @pytest.mark.parametrize("scheme", list(WeightScheme))
+    def test_book_separated_at_a_level_refused(self, scheme):
+        # a binary x1: every count at x1 = 0 is zero
+        for seed in range(5):
+            with pytest.raises(SingularInformationError, match="every count is zero where x1 = 0$"):
+                poisson_fit(_separated_count_data(seed, 2), scheme)
+
+    @pytest.mark.parametrize("scheme", list(WeightScheme))
+    def test_book_separated_at_a_column_maximum_refused(self, scheme):
+        # a four-level x1: every count sits at its maximum, 3
+        for seed in range(5):
+            with pytest.raises(SingularInformationError, match="every count is zero where x1 < 3$"):
+                poisson_fit(_separated_count_data(seed, 4), scheme)
+
+    def test_all_zero_book_refused_naming_counts(self):
+        data = CountData.from_arrays([0.5, 1.0, 0.25], [0, 0, 0], [[1.0], [0.0], [2.0]])
+        for scheme in WeightScheme:
+            with pytest.raises(AllZeroLossError, match="^cannot fit a portfolio whose counts are all zero$"):
+                poisson_fit(data, scheme)
+        assert issubclass(AllZeroLossError, ValueError)  # callers catching ValueError still catch it
 
 
 class TestZipLoglik:

@@ -626,6 +626,24 @@ class TestErrorHandling:
             assert payload["error"] == "ValueError", (command, flag)
             assert word in payload["message"]
 
+    @pytest.mark.parametrize("command, stage", [("simulate", "run_gap_experiment"), ("fit", "ingest_csv")])
+    def test_allocation_failure_exits_nonzero(self, tmp_path, capsys, monkeypatch, command, stage):
+        # numpy raises MemoryError for an array too large for memory; a stand-in
+        # raises it here, as a real allocation that large can start an OOM kill
+        def refuse(*args):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array with shape (1000000000000,)")
+
+        monkeypatch.setattr(cli, stage, refuse)
+        out = tmp_path / "out"
+        args = [command, "--out", str(out)]
+        if command == "fit":
+            args += ["--input", str(_write(tmp_path / "in.csv", MINIMAL))]
+        assert main(args) == 1
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == "MemoryError"
+        assert payload["message"].startswith("Unable to allocate 7.28 TiB")
+        assert not out.exists()
+
     def test_overflowing_zip_probe_exits_nonzero(self, tmp_path, capsys):
         data = overflowing_count_data()
         rows = zip(data.contract_ids, data.exposures.tolist(), data.counts.tolist(), data.design[:, 1].tolist())
@@ -712,6 +730,24 @@ class TestErrorHandling:
         payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert payload["error"] == "SingularInformationError"
         assert payload["message"].endswith("every loss is zero where x1 = 0")
+        assert not out.exists()
+
+    def test_separated_count_book_exits_nonzero_naming_the_level(self, tmp_path, capsys):
+        # every count at x1 = 0 is zero, so the Poisson fit has no finite optimum;
+        # unrefused, it stopped "converged" at beta = [-35.09, 33.71, -0.198]
+        rng = np.random.default_rng(1)
+        x1, x2 = (rng.random(100) < 0.5).tolist(), rng.normal(size=100).tolist()
+        t = np.where(rng.random(100) < 0.4, rng.uniform(0.08, 0.92, 100), 1.0)
+        y = np.where(x1, rng.poisson(0.3 * t), 0).tolist()
+        t = t.tolist()
+        rows = ["contract_id,exposure,count,x1,x2"]
+        rows += [f"c{i},{t[i]!r},{y[i]},{x1[i]:d},{x2[i]!r}" for i in range(100)]
+        src = _write(tmp_path / "in.csv", "\n".join(rows) + "\n")
+        out = tmp_path / "o"
+        assert main(["counts", "--input", str(src), "--out", str(out)]) == 1
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == "SingularInformationError"
+        assert payload["message"].endswith("every count is zero where x1 = 0")
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["fit", "compare"])

@@ -92,6 +92,29 @@ def test_every_import_is_used_or_exported():
     assert unused == TRACER_REEXPORTS
 
 
+def _names(node):
+    """The identifiers a syntax node spells as a name, an attribute or an import."""
+    if isinstance(node, ast.Name):
+        return {node.id}
+    if isinstance(node, ast.Attribute):
+        return {node.attr}
+    if isinstance(node, (ast.Import, ast.ImportFrom)):
+        return {alias.name for alias in node.names}
+    return set()
+
+
+def test_only_the_solver_names_the_fit_loop():
+    # a fit's setup (its refusals of a book and its start) is written once,
+    # in solver._fit; a module that ran _irls itself would have to copy it
+    package = Path(exposure_glm.__file__).parent
+    naming = {
+        path.name
+        for path in package.glob("*.py")
+        if any("_irls" in _names(node) for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+    }
+    assert naming == {"solver.py"}
+
+
 def test_package_ships_exactly_these_modules():
     # test-only code (the oracles live in tests/oracles.py) stays out of the package
     assert {m.name for m in pkgutil.iter_modules(exposure_glm.__path__)} == set(MODULES)

@@ -18,7 +18,7 @@ from exposure_glm import (
     poisson_fit,
     quasi_loglik,
 )
-from exposure_glm import claim_count, model_core, solver
+from exposure_glm import model_core, solver
 from oracles import GridSpec, grid_mle
 
 from util import fit_from, random_count_data, random_portfolio, toy_portfolio
@@ -397,7 +397,7 @@ class TestOnePassPerIterate:
             return scoring_pass(*args)
 
         runs = []
-        irls = claim_count._irls
+        irls = solver._irls
 
         def recorded(*args):
             runs.append(irls(*args))
@@ -405,7 +405,6 @@ class TestOnePassPerIterate:
 
         monkeypatch.setattr(solver, "quasi_loglik", refuse)
         monkeypatch.setattr(solver, "_scoring_pass", counted)
-        monkeypatch.setattr(claim_count, "_irls", recorded)
         pf = random_portfolio(32, n=100)
         for scheme in WeightScheme:
             passes.clear()
@@ -413,6 +412,7 @@ class TestOnePassPerIterate:
             assert result.converged and result.iterations > 1
             assert passes == [FAM.p] * (result.iterations + 1)
         passes.clear()
+        monkeypatch.setattr(solver, "_irls", recorded)  # the fits above ran the loop too
         poisson_fit(random_count_data(33, n=100), "offset")
         (run,) = runs
         assert run.iterations > 1
