@@ -26,9 +26,9 @@ __all__ = [
     "zip_nonequivalence_check",
 ]
 
-_POISSON_MAX_ITERATIONS = 50
-# ZIP probe coefficient vectors as (intercept, every other coefficient),
-# and the spread of the scheme difference above which the schemes disagree.
+# ZIP probe coefficient vectors as (intercept, every other coefficient
+# times its column's largest |x|), and the spread of the scheme difference
+# above which the schemes disagree.
 _ZIP_PROBES = ((0.0, 0.0), (0.2, 0.0), (0.1, 0.1), (-0.1, -0.1))
 _ZIP_THRESHOLD = 1e-6
 
@@ -81,12 +81,13 @@ def poisson_fit(data: CountData, scheme: WeightScheme):
     reaches its rounding floor.  Like ``fit``, it first refuses a book
     with no finite optimum: AllZeroLossError when every count is zero,
     SingularInformationError when one covariate separates the counts.
-    Raises RuntimeError when the loop takes more than 50 updates.
+    Raises RuntimeError when the loop reaches ``fit``'s cap of 100 updates
+    unconverged.
     """
     scheme = WeightScheme(scheme)
-    result = _fit(data, data.exposures, 1.0, 1.0, _POISSON_MAX_ITERATIONS)  # p = 1, phi = 1
+    result = _fit(data, data.exposures, 1.0, 1.0)  # p = 1, phi = 1
     if not result.converged:
-        raise RuntimeError(f"Poisson {scheme.value} fit did not converge in {_POISSON_MAX_ITERATIONS} iterations")
+        raise RuntimeError(f"Poisson {scheme.value} fit did not converge in {result.iterations} iterations")
     return result.beta_hat
 
 
@@ -144,22 +145,25 @@ def zip_nonequivalence_check(data: CountData, zero_inflation: float = 0.3) -> Zi
     """Probe whether the offset and ratio ZIP surfaces differ by a constant.
 
     Evaluates ``loglik_offset - loglik_ratio`` at four coefficient
-    vectors (all zero; intercept 0.2; all 0.1; all -0.1); a spread above
-    1e-6 means the schemes rank coefficient vectors differently and a
-    choice between them is real.  With all exposures equal to one, or
-    with no zero inflation, the difference is constant and the report
-    shows equivalence.  A probe whose difference is not finite, as when
-    a covariate's scale overflows ``exp(x @ beta)``, raises ValueError.
+    vectors (all zero; intercept 0.2; all 0.1; all -0.1), each slope
+    divided by its column's largest ``|x|`` so that the probes move
+    ``x @ beta`` by at most 0.1 per covariate whatever the covariates'
+    units; a spread above 1e-6 means the schemes rank coefficient vectors
+    differently and a choice between them is real.  With all exposures
+    equal to one, or with no zero inflation, the difference is constant
+    and the report shows equivalence.  A probe whose difference is not
+    finite raises ValueError.
     """
+    scale = np.abs(data.design).max(axis=0)  # 1 for the intercept; no column of a full-rank design is zero
     differences = []
     for intercept, slope in _ZIP_PROBES:
-        beta = (intercept,) + (slope,) * data.q
+        beta = np.array((intercept,) + (slope,) * data.q) / scale
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             offset, ratio = (zip_loglik(beta, zero_inflation, data, scheme) for scheme in WeightScheme)
         if not math.isfinite(offset - ratio):
             raise ValueError(
-                f"the ZIP probe at intercept {intercept}, other coefficients {slope} gives a "
-                f"non-finite log-likelihood difference ({offset} - {ratio}); rescale the covariates"
+                f"the ZIP probe at intercept {intercept}, other coefficients {slope} over each covariate's "
+                f"largest |x|, gives a non-finite log-likelihood difference ({offset} - {ratio})"
             )
         differences.append(offset - ratio)
     spread = max(differences) - min(differences)

@@ -39,7 +39,7 @@ from .model_core import (
     _covariate_name_error,
 )
 from .simulate import run_gap_experiment
-from .solver import _check_budget, fit
+from .solver import fit
 
 __all__ = ["IngestError", "ingest_csv", "ingest_counts_csv", "main"]
 
@@ -73,7 +73,7 @@ def _setup_logging():
     )
 
 
-def _atomic_write(path: Path, write, newline=None):
+def _atomic_write(path: Path, write):
     """Write ``path`` through ``write(fh)``, all at once or not at all.
 
     The content goes to a new temp file of a random name beside ``path``,
@@ -83,7 +83,8 @@ def _atomic_write(path: Path, write, newline=None):
     applied, as ``open()`` would create ``path``.  On any error it is
     removed and ``path`` is left as it was.  The directory of ``path`` is
     created on the first write, so a command that fails before writing
-    leaves none behind.
+    leaves none behind.  Line ends are written as given (``newline=""``),
+    so an artifact has the same bytes on every platform.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
     while True:
@@ -94,7 +95,7 @@ def _atomic_write(path: Path, write, newline=None):
         except FileExistsError:
             continue
     try:
-        with open(fd, "w", encoding="utf-8", newline=newline) as fh:
+        with open(fd, "w", encoding="utf-8", newline="") as fh:
             write(fh)
         os.replace(tmp, path)
     except BaseException:
@@ -196,7 +197,7 @@ def _write_csv(path: Path, header, columns):
         fh.write(",".join(_text_cells(header, alone)) + "\n")
         _render_in_order(render, range(0, n, _CHUNK_ROWS), fh.write, path.name)
 
-    _atomic_write(path, write, newline="")
+    _atomic_write(path, write)
 
 
 def _write_json(path: Path, payload):
@@ -382,11 +383,10 @@ _SCHEMES = {
 def _fit_schemes(args, schemes):
     """Check the flags, then ingest ``args.input`` and fit ``schemes``: ``(portfolio, results)``."""
     family = TweedieFamily(p=args.p, phi=args.phi)
-    _check_budget(args.max_iterations)
     portfolio = ingest_csv(args.input)
     results = {}
     for scheme in schemes:
-        results[scheme] = fit(portfolio, scheme, family, args.max_iterations)
+        results[scheme] = fit(portfolio, scheme, family)
         log.info(
             "%s fit: converged=%s iterations=%d", scheme.value,
             results[scheme].converged, results[scheme].iterations,
@@ -547,11 +547,6 @@ def build_parser():
         cmd.add_argument("--p", type=float, default=1.42, help="Tweedie variance power in (1, 2)")
     for cmd in (fit_cmd, compare):
         cmd.add_argument("--phi", type=float, default=1.0, help="dispersion (scales covariances only)")
-        cmd.add_argument(
-            "--max-iter", dest="max_iterations", type=int, default=100,
-            help="IRLS iteration budget; a fit stops sooner when every score component "
-            "is within 4x its rounding floor, whatever the loss scale",
-        )
     fit_cmd.add_argument("--scheme", choices=tuple(_SCHEMES), default="both", help="which scheme(s) to fit")
     sim.add_argument("--n", type=int, default=100, help="number of contracts")
     sim.add_argument("--seed", type=int, default=0, help="64-bit experiment seed")

@@ -31,6 +31,8 @@ EXPOSURE_HI = 335.0 / 365.0
 
 # Success rates of the gap experiment's two binary risk factors.
 _SCENARIO_COVARIATE_RATES = (0.75, 0.15)
+# Covariate draws tried before a full-rank gap-experiment book is given up.
+_DRAW_ATTEMPTS = 64
 
 # The mimic book: the full-exposure group's mean loss cost, the mid-term
 # group's mean as a multiple of it, the share of zero losses in each
@@ -74,7 +76,7 @@ def build_scenario_portfolio(n=100, scenario="increasing", heterogeneous=False, 
     return _full_rank_portfolio(covariate_seed, exposures, losses, _SCENARIO_COVARIATE_RATES)
 
 
-def _full_rank_portfolio(seed_seq, exposures, losses, rates, attempts=64):
+def _full_rank_portfolio(seed_seq, exposures, losses, rates):
     """Portfolio of ``exposures`` and ``losses`` with binary covariates of success ``rates``.
 
     A constant or duplicated covariate column would break the full-rank
@@ -82,14 +84,14 @@ def _full_rank_portfolio(seed_seq, exposures, losses, rates, attempts=64):
     ``seed_seq`` (deterministic per seed) until a draw raises no
     RankDeficiencyError.
     """
-    for child in seed_seq.spawn(attempts):
+    for child in seed_seq.spawn(_DRAW_ATTEMPTS):
         rng = np.random.default_rng(child)
         covariates = np.column_stack([(rng.random(len(exposures)) < rate).astype(float) for rate in rates])
         try:
             return Portfolio.from_arrays(exposures, losses, covariates)
         except RankDeficiencyError:
             continue
-    raise RuntimeError(f"no full-rank covariate draw in {attempts} attempts")
+    raise RuntimeError(f"no full-rank covariate draw in {_DRAW_ATTEMPTS} attempts")
 
 
 def run_gap_experiment(n=100, scenario="increasing", heterogeneous=False, p=1.42, seed=0):

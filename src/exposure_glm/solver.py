@@ -33,7 +33,6 @@ from .model_core import (
     SingularInformationError,
     TweedieFamily,
     WeightScheme,
-    _check_integer,
     _cho_factor,
     _cho_solve,
     _covariance,
@@ -58,6 +57,8 @@ _FLOOR_MULTIPLE = 4.0
 # rounding, before the step is halved.
 _OBJECTIVE_SLACK = 64.0 * _EPS
 _MAX_HALVINGS = 30
+# Updates a fit may take before it stops unconverged.
+_MAX_ITERATIONS = 100
 
 
 class AllZeroLossError(ValueError):
@@ -98,13 +99,6 @@ def homogeneous_mle(portfolio: Portfolio, scheme: WeightScheme, family: TweedieF
 
 def _weighted_mean(w, z):
     return float(np.dot(w, z) / w.sum())
-
-
-def _check_budget(max_iterations):
-    """Raise ValueError unless ``max_iterations`` is an integer of at least 1."""
-    _check_integer("max_iterations", max_iterations)
-    if max_iterations < 1:
-        raise ValueError(f"max_iterations must be >= 1, got {max_iterations}")
 
 
 def _check_separation(portfolio: Portfolio):
@@ -178,35 +172,32 @@ def _irls(design, z, w, p, phi, beta, max_iterations):
     )
 
 
-def _fit(portfolio: Portfolio, w, p, phi, max_iterations):
-    """Refuse a book with no finite optimum, else run ``_irls`` from ``[log(sum(w*z) / sum(w)), 0, ..., 0]``."""
+def _fit(portfolio: Portfolio, w, p, phi):
+    """Refuse a book with no finite optimum, else run ``_irls`` from ``[log(sum(w*z) / sum(w)), 0, ..., 0]``.
+
+    The loop takes at most ``_MAX_ITERATIONS`` (100) updates.
+    """
     if portfolio.loss_costs.sum() <= 0.0:
         raise AllZeroLossError(f"cannot fit a portfolio whose {portfolio._value_name}s are all zero")
     _check_separation(portfolio)
     start = np.zeros(portfolio.q + 1)
     start[0] = math.log(_weighted_mean(w, portfolio.normalized))  # positive: the book has a loss
-    return _irls(portfolio.design, portfolio.normalized, w, p, phi, start, max_iterations)
+    return _irls(portfolio.design, portfolio.normalized, w, p, phi, start, _MAX_ITERATIONS)
 
 
-def fit(
-    portfolio: Portfolio,
-    scheme: WeightScheme,
-    family: TweedieFamily,
-    max_iterations: int = 100,
-) -> FitResult:
+def fit(portfolio: Portfolio, scheme: WeightScheme, family: TweedieFamily) -> FitResult:
     """Fit the coefficient vector by IRLS under the given weight scheme.
 
     The iteration starts at ``[log homogeneous_mle, 0, ..., 0]`` and takes
-    at most ``max_iterations`` updates, each halved while it would lower
+    at most 100 updates, a fixed cap, each halved while it would lower
     the quasi-log-likelihood.  Returns a FitResult with
-    ``converged=False`` (rather than raising) when the budget is
-    exhausted.  A singular weighted information matrix aborts with
+    ``converged=False`` (rather than raising) when the cap is
+    reached.  A singular weighted information matrix aborts with
     SingularInformationError, and so does a covariate whose positive
     losses all sit at its maximum, or all at its minimum, before any
     iteration: no finite coefficient maximizes the quasi-log-likelihood
     of such a book.
     """
     scheme = WeightScheme(scheme)
-    _check_budget(max_iterations)
     w = _scheme_weights(scheme, portfolio.exposures, family.p)
-    return _fit(portfolio, w, family.p, family.phi, max_iterations)
+    return _fit(portfolio, w, family.p, family.phi)

@@ -10,17 +10,19 @@ from exposure_glm import (
     CountData,
     Portfolio,
     SingularInformationError,
+    TweedieFamily,
     WeightScheme,
+    fit,
     poisson_fit,
     zip_loglik,
     zip_nonequivalence_check,
     zip_score,
 )
-from exposure_glm import claim_count
+from exposure_glm import claim_count, solver
 from exposure_glm.model_core import _scoring_pass
 from oracles import finite_diff_gradient, poisson_score
 
-from util import overflowing_count_data, random_count_data, zip_count_data
+from util import overflowing_count_data, random_count_data, random_portfolio, zip_count_data
 
 
 class TestCountTypes:
@@ -105,9 +107,13 @@ class TestPoissonFit:
             poisson_fit(data, "offset")
 
     def test_budget_exhausted_raises(self, monkeypatch):
-        monkeypatch.setattr(claim_count, "_POISSON_MAX_ITERATIONS", 1)
+        # one cap governs both fits: fit reports what poisson_fit refuses
+        monkeypatch.setattr(solver, "_MAX_ITERATIONS", 1)
         with pytest.raises(RuntimeError, match="^Poisson offset fit did not converge in 1 iterations$"):
             poisson_fit(random_count_data(0), "offset")
+        result = fit(random_portfolio(27), WeightScheme.OFFSET, TweedieFamily(p=1.5))
+        assert not result.converged
+        assert result.iterations == 1
 
     def test_unknown_mode_rejected(self):
         data = random_count_data(0)
@@ -209,13 +215,23 @@ class TestZipNonEquivalence:
         assert not evidence.equivalent
         assert evidence.spread > 1e-6
 
-    def test_probe_that_overflows_is_rejected(self):
-        # a sum insured in the thousands overflows exp(x @ beta) at the
-        # all-0.1 probe; its NaN difference must not vanish from the spread
+    def test_currency_scale_covariate_gives_finite_report(self):
+        # a sum insured in the thousands would overflow exp(x @ beta) at an
+        # absolute slope of 0.1; the probes scale with each column instead
         data = overflowing_count_data()
+        evidence = zip_nonequivalence_check(data, 0.3)
+        assert all(map(math.isfinite, evidence.differences))
+        assert not evidence.equivalent
+        rescaled = CountData.from_arrays(data.exposures, data.counts, data.design[:, 1:] / 1000.0)
+        assert zip_nonequivalence_check(rescaled, 0.3).differences == pytest.approx(evidence.differences, rel=1e-12)
+        assert zip_nonequivalence_check(data, 0.0).equivalent
+
+    def test_probe_that_overflows_is_rejected(self, monkeypatch):
+        # a probe whose NaN difference would vanish from the spread is refused
+        monkeypatch.setattr(claim_count, "_ZIP_PROBES", ((0.0, 0.0), (0.1, 1000.0)))
         for zero_inflation in (0.3, 0.0):
-            with pytest.raises(ValueError, match="probe at intercept 0.1, other coefficients 0.1 gives a non-finite"):
-                zip_nonequivalence_check(data, zero_inflation)
+            with pytest.raises(ValueError, match="probe at intercept 0.1, other coefficients 1000.0 over each"):
+                zip_nonequivalence_check(zip_count_data(7), zero_inflation)
 
     def test_full_exposure_reports_equivalence(self):
         evidence = zip_nonequivalence_check(zip_count_data(8, all_full=True), zero_inflation=0.3)

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exposure_glm import balance, cli, model_core
+from exposure_glm import balance, claim_count, cli, model_core
 from exposure_glm.cli import IngestError, build_parser, ingest_csv, ingest_counts_csv, main
 from exposure_glm.simulate import Scenario, build_scenario_portfolio, gen_mimic_portfolio
 
@@ -525,7 +525,7 @@ class TestFitCommand:
     def test_both_schemes_match_compare_byte_for_byte(self, tmp_path):
         src = tmp_path / "in.csv"
         write_portfolio_csv(gen_mimic_portfolio(0.4, 60, seed=2), src)
-        flags = ["--input", str(src), "--p", "1.3", "--phi", "2.5", "--max-iter", "50"]
+        flags = ["--input", str(src), "--p", "1.3", "--phi", "2.5"]
         assert main(["fit", *flags, "--out", str(tmp_path / "fit"), "--scheme", "both"]) == 0
         assert main(["compare", *flags, "--out", str(tmp_path / "compare")]) == 0
         fit_json = (tmp_path / "fit" / "fit.json").read_bytes()
@@ -575,6 +575,14 @@ def _counts_file(tmp_path):
     return _write(tmp_path / "counts.csv", "\n".join(lines) + "\n")
 
 
+def _write_sum_insured_counts(path):
+    """The claim counts of ``overflowing_count_data`` as a CSV with a ``sum_insured`` column."""
+    data = overflowing_count_data()
+    rows = zip(data.contract_ids, data.exposures.tolist(), data.counts.tolist(), data.design[:, 1].tolist())
+    return _write(path, "contract_id,exposure,count,sum_insured\n"
+                  + "".join(f"{i},{t!r},{y:.0f},{x!r}\n" for i, t, y, x in rows))
+
+
 class TestCountsCommand:
     def test_counts_outputs(self, tmp_path):
         src = _counts_file(tmp_path)
@@ -598,6 +606,15 @@ class TestCountsCommand:
         payload = json.loads((out / "counts.json").read_text())
         assert payload["poisson_beta_offset"] == payload["poisson_beta_ratio"]
 
+    def test_currency_scale_covariate_reports(self, tmp_path):
+        # a sum insured in the thousands: the ZIP probes scale with the column
+        src = _write_sum_insured_counts(tmp_path / "in.csv")
+        out = tmp_path / "out"
+        assert main(["counts", "--input", str(src), "--out", str(out)]) == 0
+        payload = json.loads((out / "counts.json").read_text())
+        assert payload["zip_equivalent"] is False
+        assert payload["zip_spread"] > 1e-6
+
 
 class TestErrorHandling:
     def test_missing_input_exits_nonzero(self, tmp_path, capsys):
@@ -616,7 +633,7 @@ class TestErrorHandling:
 
     def test_bad_flag_reported_before_input_is_read(self, tmp_path, capsys):
         for command, value, flag, bad, word in (
-            ("fit", "loss_cost", "--max-iter", "0", "max_iterations"),
+            ("fit", "loss_cost", "--phi", "0", "dispersion"),
             ("counts", "count", "--zero-inflation", "2", "zero inflation"),
         ):
             src = _write(tmp_path / "in.csv", f"contract_id,exposure,{value}\na,0.5,x\nb,1.0,1.0\n")
@@ -644,11 +661,9 @@ class TestErrorHandling:
         assert payload["message"].startswith("Unable to allocate 7.28 TiB")
         assert not out.exists()
 
-    def test_overflowing_zip_probe_exits_nonzero(self, tmp_path, capsys):
-        data = overflowing_count_data()
-        rows = zip(data.contract_ids, data.exposures.tolist(), data.counts.tolist(), data.design[:, 1].tolist())
-        src = _write(tmp_path / "in.csv", "contract_id,exposure,count,sum_insured\n"
-                     + "".join(f"{i},{t!r},{y:.0f},{x!r}\n" for i, t, y, x in rows))
+    def test_overflowing_zip_probe_exits_nonzero(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(claim_count, "_ZIP_PROBES", ((0.0, 0.0), (0.1, 1000.0)))
+        src = _write_sum_insured_counts(tmp_path / "in.csv")
         out = tmp_path / "out"
         assert main(["counts", "--input", str(src), "--out", str(out)]) == 1
         payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
@@ -700,12 +715,13 @@ class TestErrorHandling:
 
     @pytest.mark.parametrize("command", ["fit", "compare", "balance", "counts"])
     def test_no_tolerance_flag(self, tmp_path, command):
-        # the score's rounding floor is the only stopping rule
+        # the score's rounding floor is the only stopping rule, under a fixed cap
         src = _write(tmp_path / "in.csv", MINIMAL)
-        with pytest.raises(SystemExit) as excinfo:
-            main([command, "--input", str(src), "--out", str(tmp_path / "o"), "--tol", "1e-8"])
-        assert excinfo.value.code == 2
-        assert not (tmp_path / "o").exists()
+        for flag, value in (("--tol", "1e-8"), ("--max-iter", "5")):
+            with pytest.raises(SystemExit) as excinfo:
+                main([command, "--input", str(src), "--out", str(tmp_path / "o"), flag, value])
+            assert excinfo.value.code == 2
+            assert not (tmp_path / "o").exists()
 
     def test_rank_deficient_file_exits_nonzero(self, tmp_path, capsys):
         rows = ["contract_id,exposure,loss_cost,x1,x2"]
@@ -829,6 +845,21 @@ class TestAtomicWrites:
         assert json.loads(path.read_text()) == {"a": 1}
         assert taken.read_text() == "someone else's"
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["out.json", taken.name])
+
+    def test_every_artifact_is_written_without_newline_translation(self, tmp_path, monkeypatch):
+        # ``newline=""`` writes "\n" as it is, not as the platform's line end
+        writes = []
+
+        def spy(file, mode="r", *args, **kwargs):
+            if "w" in mode:
+                writes.append(kwargs.get("newline"))
+            return open(file, mode, *args, **kwargs)
+
+        src = tmp_path / "in.csv"
+        write_portfolio_csv(gen_mimic_portfolio(0.4, 60, seed=2), src)
+        monkeypatch.setattr(cli, "open", spy, raising=False)
+        assert main(["compare", "--input", str(src), "--out", str(tmp_path / "out")]) == 0
+        assert writes == [""] * 6
 
     def test_file_mode_follows_umask(self, tmp_path):
         mask = os.umask(0o027)

@@ -58,14 +58,15 @@ class TestInitBeta:
         beta = fit(toy_portfolio(), WeightScheme.RATIO, FAM).trace_beta[0]
         assert beta[0] == pytest.approx(math.log(25.0 / 1.5), rel=1e-15)
 
-    def test_every_fit_starts_at_the_closed_form(self):
+    def test_every_fit_starts_at_the_closed_form(self, monkeypatch):
         for seed in range(4):
             pf = random_portfolio(seed + 50)
             for scheme in WeightScheme:
                 start = np.zeros(pf.q + 1)
                 start[0] = math.log(homogeneous_mle(pf, scheme, FAM))
-                for budget in (1, 100):
-                    result = fit(pf, scheme, FAM, budget)
+                for cap in (1, 100):
+                    monkeypatch.setattr(solver, "_MAX_ITERATIONS", cap)
+                    result = fit(pf, scheme, FAM)
                     assert result.trace_beta[0].tobytes() == start.tobytes()
 
     def test_all_zero_losses_rejected(self):
@@ -174,11 +175,10 @@ class TestFit:
         assert not result.converged
         assert result.iterations == 1
 
-    def test_fractional_iteration_budget_rejected(self):
-        # a bool is an Integral but no budget: True must not mean one update
-        for budget in (2.5, True):
-            with pytest.raises(ValueError, match="max_iterations"):
-                fit(toy_portfolio(), WeightScheme.RATIO, FAM, budget)
+    def test_iteration_budget_rejected(self):
+        # the cap is fixed: fit takes no budget
+        with pytest.raises(TypeError):
+            fit(toy_portfolio(), WeightScheme.RATIO, FAM, 100)
 
     def test_all_zero_losses_rejected(self):
         pf = Portfolio.from_arrays([0.5, 1.0], [0.0, 0.0])
