@@ -432,7 +432,8 @@ def cmd_compare(args):
     _write_csv(
         args.out / "coeff_ratios.csv",
         ["covariate", "beta_offset", "beta_ratio", "ratio"],
-        [["intercept", *portfolio.covariate_names], beta_offset, beta_ratio, coeff_ratios],
+        [["intercept", *portfolio.covariate_names], beta_offset, beta_ratio,
+         np.where(np.isnan(coeff_ratios), None, coeff_ratios)],
     )
 
     zeta_offset, gap_offset = individual_gaps(portfolio, result_offset)

@@ -14,7 +14,6 @@ rank.  That single matrix fact orders the premium-estimator means,
 variances and expected portfolio gaps between the two approaches.
 """
 
-import contextlib
 from dataclasses import dataclass
 from enum import Enum
 
@@ -22,7 +21,6 @@ import numpy as np
 
 from .model_core import (
     Portfolio,
-    SingularInformationError,
     TweedieFamily,
     WeightScheme,
     _check_beta,
@@ -43,13 +41,6 @@ __all__ = [
     "moment_ordering",
     "expected_random_gap",
 ]
-
-
-# Squared Cholesky pivots of S M S above this floor certify r = k.  S Cov_ratio S has a unit diagonal,
-# so rounding leaves a direction that M lacks a pivot of a few eps times the scaled information's
-# condition: at most 24 eps on 2160 rank-deficient books (covariate scales 1 to 10**6, correlations to
-# 0.999), against at least 1.3e4 eps on full-rank ones at t <= 0.999.  Below it the rank decides.
-_FULL_RANK_PIVOT = 2.0**12 * np.finfo(float).eps
 
 
 class Dominance(Enum):
@@ -144,24 +135,22 @@ def covariance_dominance(portfolio: Portfolio, beta, family: TweedieFamily) -> D
     """Classify ``M = Cov_ratio - Cov_offset`` at ``beta`` by the rank ``r`` of the partial rows.
 
     ``M`` is positive semidefinite, of the rank ``r`` of the design rows with
-    exposure below one.  With ``k`` coefficients the verdict is DEGENERATE_EQUAL
-    (``M = 0``) for ``r = 0``, SEMIDEFINITE for ``0 < r < k`` and STRICTLY_DOMINANT
-    for ``r = k``, which a Cholesky factor of ``S M S``, ``S = diag(Cov_ratio)**-1/2``,
-    certifies without computing ``r``.  ``difference`` is the computed ``M``: its
-    smallest eigenvalue can round below zero when the partial rows weigh almost nothing.
+    exposure below one, since ``M = Cov_ratio X'(D_offset - D_ratio)X Cov_offset / phi``
+    and ``D_offset > D_ratio`` exactly where ``t < 1``.  With ``k`` coefficients the
+    verdict is DEGENERATE_EQUAL (``M = 0``) for ``r = 0``, SEMIDEFINITE for
+    ``0 < r < k`` and STRICTLY_DOMINANT for ``r = k``; ``r`` depends on the book
+    alone and is computed once per portfolio, on the first call.  ``difference`` is
+    the computed ``M``: its smallest eigenvalue can round below zero when the
+    partial rows weigh almost nothing.
     """
     cov_offset = coefficient_covariance(portfolio, beta, WeightScheme.OFFSET, family)
     cov_ratio = coefficient_covariance(portfolio, beta, WeightScheme.RATIO, family)
-    diff = cov_ratio - cov_offset
-    k, partial, sd = len(diff), portfolio.exposures < 1.0, np.sqrt(np.diag(cov_ratio))
-    with contextlib.suppress(SingularInformationError):
-        if np.min(np.diag(_cho_factor(diff / np.outer(sd, sd)))) ** 2 > _FULL_RANK_PIVOT:
-            return DominanceReport(verdict=Dominance.STRICTLY_DOMINANT, difference=diff)
-    # M = Cov_ratio X'(D_offset - D_ratio)X Cov_offset / phi, and D_offset > D_ratio exactly where t < 1
-    rank = int(np.linalg.matrix_rank(portfolio.design[partial])) if partial.any() else 0
-    if rank == k:
-        return DominanceReport(verdict=Dominance.STRICTLY_DOMINANT, difference=diff)
-    return DominanceReport(verdict=Dominance.SEMIDEFINITE if rank else Dominance.DEGENERATE_EQUAL, difference=diff)
+    rank = portfolio._partial_rank
+    if rank == portfolio.q + 1:
+        verdict = Dominance.STRICTLY_DOMINANT
+    else:
+        verdict = Dominance.SEMIDEFINITE if rank else Dominance.DEGENERATE_EQUAL
+    return DominanceReport(verdict=verdict, difference=cov_ratio - cov_offset)
 
 
 def moment_ordering(x, beta, portfolio: Portfolio, family: TweedieFamily) -> MomentOrdering:

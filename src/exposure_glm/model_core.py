@@ -257,6 +257,12 @@ class Portfolio:
         """Default ids ``c1..cn``, built on first read; given ids are stored instead."""
         return tuple(f"c{i + 1}" for i in range(self.n))
 
+    @functools.cached_property
+    def _partial_rank(self):
+        """Rank of the design rows with exposure below one (0 if none), computed on first read."""
+        partial = self.exposures < 1.0
+        return int(np.linalg.matrix_rank(self.design.T.compress(partial, axis=1))) if partial.any() else 0
+
     @classmethod
     def from_arrays(
         cls,

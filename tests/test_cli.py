@@ -479,6 +479,14 @@ class TestCompareCommand:
         assert (row["factor"], row["level"]) == ("intercept", "1")
         assert abs(float(row["ratio_ratio"]) - 1.0) <= 1e-12
 
+    def test_undefined_coefficient_ratio_is_an_empty_cell(self, tmp_path):
+        # z = 1 throughout, so both intercepts are exactly 0 and their ratio is undefined,
+        # written as class_balance.csv writes an undefined ratio
+        src = _write(tmp_path / "in.csv", "contract_id,exposure,loss_cost\nc1,0.5,0.5\nc2,1,1\nc3,0.25,0.25\n")
+        assert main(["compare", "--input", str(src), "--out", str(tmp_path / "out")]) == 0
+        text = (tmp_path / "out" / "coeff_ratios.csv").read_bytes().decode()
+        assert text == "covariate,beta_offset,beta_ratio,ratio\nintercept,0,0,\n"
+
     def test_balance_is_another_name_for_compare(self, tmp_path):
         src = tmp_path / "in.csv"
         write_portfolio_csv(gen_mimic_portfolio(0.4, 60, seed=2), src)

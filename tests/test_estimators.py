@@ -127,8 +127,8 @@ class TestCovarianceDominance:
         ids=["one_contract_at_364_days", "two_contracts", "three_contracts_one_row", "twenty_contracts_one_row"],
     )
     def test_rank_deficient_partial_rows_are_semidefinite(self, partial, exposure, shared_row):
-        # a Cholesky factor of the computed M exists for some of these
-        # books by rounding; the verdict follows the rank all the same
+        # the computed M rounds to a positive definite matrix for some of
+        # these books; the verdict follows the rank all the same
         fam = TweedieFamily(p=1.5)
         pf = _partial_book(partial, exposure, shared_row)
         report = covariance_dominance(pf, fit(pf, WeightScheme.OFFSET, fam).beta_hat, fam)
@@ -143,12 +143,44 @@ class TestCovarianceDominance:
         assert eig_min(report.difference) > 0.0
 
     def test_full_rank_partial_rows_of_almost_no_weight_are_strictly_dominant(self):
-        # M is too near zero to factor here, so the rank of the partial rows decides
+        # M is all but zero here; the rank of the partial rows decides all the same
         fam = TweedieFamily(p=1.5)
         pf = _partial_book(3, 1 - 1e-12)
         report = covariance_dominance(pf, fit(pf, WeightScheme.OFFSET, fam).beta_hat, fam)
         assert report.verdict is Dominance.STRICTLY_DOMINANT
         assert np.linalg.matrix_rank(pf.design[pf.exposures < 1.0]) == 3
+
+    @pytest.mark.parametrize(
+        "book, verdict",
+        [
+            ((0, 0.5), Dominance.DEGENERATE_EQUAL),
+            ((3, 0.5, True), Dominance.SEMIDEFINITE),
+            ((3, 0.5), Dominance.STRICTLY_DOMINANT),
+        ],
+        ids=["full_exposure", "three_contracts_one_row", "three_contracts"],
+    )
+    @pytest.mark.parametrize("p", [1.1, 1.5, 1.9])
+    def test_verdict_depends_on_the_book_alone(self, book, verdict, p):
+        fam = TweedieFamily(p=p)
+        pf = _partial_book(*book)
+        beta = fit(pf, WeightScheme.OFFSET, fam).beta_hat
+        for at in (beta, beta + np.array([3.0, 0.0, 0.0])):
+            assert covariance_dominance(pf, at, fam).verdict is verdict
+
+    def test_partial_rank_is_computed_once_per_book(self, monkeypatch):
+        pf = _partial_book(5, 0.5)
+        beta = fit(pf, WeightScheme.OFFSET, FAM).beta_hat
+        calls = []
+
+        def matrix_rank(a, rank=np.linalg.matrix_rank):
+            calls.append(a)
+            return rank(a)
+
+        monkeypatch.setattr(np.linalg, "matrix_rank", matrix_rank)
+        for _ in range(10):
+            assert covariance_dominance(pf, beta, FAM).verdict is Dominance.STRICTLY_DOMINANT
+        assert len(calls) == 1
+        np.testing.assert_array_equal(calls[0], pf.design[pf.exposures < 1.0].T)
 
 
 class TestMomentOrdering:

@@ -115,6 +115,18 @@ def test_only_the_solver_names_the_fit_loop():
     assert naming == {"solver.py"}
 
 
+def test_only_the_container_names_matrix_rank():
+    # the rank rules (full column rank of the design, the rank of the
+    # partial rows behind the dominance verdict) live in model_core alone
+    package = Path(exposure_glm.__file__).parent
+    naming = {
+        path.name
+        for path in package.glob("*.py")
+        if any("matrix_rank" in _names(node) for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+    }
+    assert naming == {"model_core.py"}
+
+
 def test_package_ships_exactly_these_modules():
     # test-only code (the oracles live in tests/oracles.py) stays out of the package
     assert {m.name for m in pkgutil.iter_modules(exposure_glm.__path__)} == set(MODULES)
