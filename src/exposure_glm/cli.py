@@ -64,13 +64,15 @@ class IngestError(ValueError):
 
 
 def _setup_logging():
+    """Log ``exposure_glm`` at the level ``EXPOSURE_GLM_LOG`` names to this call's stderr alone, not via root."""
     level = os.environ.get("EXPOSURE_GLM_LOG", "error").strip().lower()
-    mapping = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
-    logging.basicConfig(
-        level=mapping.get(level, logging.ERROR),
-        format="%(levelname)s %(name)s: %(message)s",
-        stream=sys.stderr,
-    )
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    for old in log.handlers[:]:
+        log.removeHandler(old)
+    log.addHandler(handler)
+    log.setLevel({"info": logging.INFO, "debug": logging.DEBUG}.get(level, logging.ERROR))
+    log.propagate = False
 
 
 def _atomic_write(path: Path, write):
@@ -246,58 +248,52 @@ def _read_records(reader, count):
         raise IngestError(f"input file is not CSV: {exc}") from exc
 
 
-def _ingest_columns(path, leading_columns):
-    """Parsed columns of an input CSV: ``(names, ids, columns, unparsable, row_of)``.
+def _read_header(reader, leading):
+    """The header's field names; an empty file, other leading columns or a bad covariate name is an IngestError."""
+    if (header := next(iter(_read_records(reader, 1)), None)) is None:
+        raise IngestError("file is empty", row=1)
+    names = [h.strip() for h in header]
+    if names[: len(leading)] != list(leading):
+        raise IngestError(f"header must start with {','.join(leading)}, got {','.join(header)}", row=1)
+    if (error := _covariate_name_error(names[len(leading) :])) is not None:
+        raise IngestError(error[1], row=1, column=names[len(leading) + error[0]])
+    return names
 
-    ``names`` are the header's field names, ``ids`` the contract ids and
-    ``columns`` one float array per later field.  Cells are parsed, not
-    checked: the container validates them.  A cell that is not a number
-    parses as NaN, and ``unparsable`` maps a field's position to
-    ``(index, text)`` of its first such cell.  ``row_of(i)`` is the line
-    of data row ``i``, counting CSV records from the header (row 1) and
-    including blank records, which are skipped.  An unreadable file, a
-    bad header and a record with the wrong number of fields raise
-    IngestError as soon as they are read.
+
+def _ingest_columns(fh, leading):
+    """Parsed columns of the open input CSV ``fh``: ``(names, ids, columns, unparsable, row_of)``.
+
+    ``fh`` is read from its first byte: it is rewound if it is seekable.  ``names`` are the header's field
+    names, ``ids`` the contract ids and ``columns`` one float array per later field.  Cells are parsed, not
+    checked: the container validates them.  A cell that is not a number parses as NaN, and ``unparsable``
+    maps a field's position to ``(index, text)`` of its first such cell.  ``row_of(i)`` is the line of data
+    row ``i``, counting CSV records from the header (row 1) and including blank records, which are skipped.
+    A bad header and a record with the wrong number of fields raise IngestError as soon as they are read.
     """
-    try:
-        fh = open(path, newline="", encoding="utf-8-sig")
-    except OSError as exc:
-        raise IngestError(f"cannot read input file {path}: {exc.strerror}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        header = next(iter(_read_records(reader, 1)), None)
-        if header is None:
-            raise IngestError("file is empty", row=1)
-        names = [h.strip() for h in header]
-        if names[: len(leading_columns)] != list(leading_columns):
-            raise IngestError(
-                f"header must start with {','.join(leading_columns)}, got {','.join(header)}",
-                row=1,
-            )
-        if (error := _covariate_name_error(names[len(leading_columns) :])) is not None:
-            raise IngestError(error[1], row=1, column=names[len(leading_columns) + error[0]])
-        width = len(header)
-        ids, chunks, unparsable = [], [[] for _ in range(width - 1)], {}
-        blank_lines = []
-        lines = 1  # records read so far, header included
-        while records := _read_records(reader, _READ_ROWS):
-            first, lines = lines + 1, lines + len(records)
-            if set(map(len, records)) - {width, 0}:
-                k = next(k for k, record in enumerate(records) if len(record) not in (width, 0))
-                raise IngestError(f"expected {width} fields, got {len(records[k])}", row=first + k)
-            if not all(records):
-                blank_lines += [first + k for k, record in enumerate(records) if not record]
-                records = [record for record in records if record]
-                if not records:
-                    continue
-            offset = len(ids)
-            cells = list(zip(*records))
-            ids.extend(cells[0])
-            for position, column in enumerate(cells[1:], start=1):
-                values, bad = _parse_column(column)
-                chunks[position - 1].append(values)
-                if bad is not None:
-                    unparsable.setdefault(position, (offset + bad, column[bad]))
+    if fh.seekable():
+        fh.seek(0)
+    reader = csv.reader(fh)
+    width = len(names := _read_header(reader, leading))
+    ids, chunks, unparsable, blank_lines = [], [[] for _ in range(width - 1)], {}, []
+    lines = 1  # records read so far, header included
+    while records := _read_records(reader, _READ_ROWS):
+        first, lines = lines + 1, lines + len(records)
+        if set(map(len, records)) - {width, 0}:
+            k = next(k for k, record in enumerate(records) if len(record) not in (width, 0))
+            raise IngestError(f"expected {width} fields, got {len(records[k])}", row=first + k)
+        if not all(records):
+            blank_lines += [first + k for k, record in enumerate(records) if not record]
+            records = [record for record in records if record]
+            if not records:
+                continue
+        offset = len(ids)
+        cells = list(zip(*records))
+        ids.extend(cells[0])
+        for position, column in enumerate(cells[1:], start=1):
+            values, bad = _parse_column(column)
+            chunks[position - 1].append(values)
+            if bad is not None:
+                unparsable.setdefault(position, (offset + bad, column[bad]))
     if not ids:
         raise IngestError("no data rows")
 
@@ -312,55 +308,66 @@ def _ingest_columns(path, leading_columns):
     return names, ids, [np.concatenate(chunk) for chunk in chunks], unparsable, row_of
 
 
-def _from_columns(container, names, ids, columns):
-    exposures, values, *covariates = columns
-    covariates = np.array(covariates).T if covariates else None  # column-major, as the design
-    return container.from_arrays(exposures, values, covariates, contract_ids=ids, covariate_names=names[3:])
+def _loadtxt_columns(fh, leading):
+    """``(names, ids, columns)`` of a regular file ``fh`` by one ``np.loadtxt`` call, or None where it gives up.
+
+    ``np.loadtxt`` reads rows as ``csv.reader`` and ``float`` would.  A pipe or an empty file is given up unread;
+    so is a file where a field may pass ``csv.field_size_limit()``, or with no row, or that ``np.loadtxt`` fails on.
+    """
+    step = (limit := csv.field_size_limit()) // 4
+    try:
+        with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as view:
+            if any(view.find(b",", i, i + step) < 0 for i in range(0, len(view) - step, step)):
+                return None
+    except (OSError, ValueError):
+        return None
+    names = _read_header(csv.reader(fh), leading)
+    dtype = "O" + ",f8" * (len(names) - 1)  # the id, then one float per field
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # no data rows warns; such a file is given up
+            table = np.loadtxt(fh, dtype, delimiter=",", quotechar='"', comments=None, ndmin=1)
+    except ValueError:
+        return None
+    if not (ids := table["f0"].tolist()) or max(map(len, ids)) > limit:
+        return None
+    return names, ids, [table[f"f{k}"] for k in range(1, len(names))]
 
 
 def _ingest(path, value_column, container):
     """Load an input CSV as ``container``, a ``Portfolio`` class, which validates it.
 
-    One ``np.loadtxt`` call reads a regular file's rows as ``csv.reader`` and ``float`` would.  Where it
-    fails, an id or limit // 4 bytes without a comma may pass ``csv.field_size_limit()``, no row is read
-    or the container rejects the arrays, ``_ingest_columns`` reads it again and names the first bad cell.
+    The path is opened once; the handle goes to ``_loadtxt_columns`` and, where it gives up, to ``_ingest_columns``.
+    The container is built once; if it rejects a cell that ``np.loadtxt`` read, ``_ingest_columns`` counts its row.
     """
-    leading, limit = ("contract_id", "exposure", value_column), csv.field_size_limit()
+    leading = ("contract_id", "exposure", value_column)
     try:
-        with open(path, newline="", encoding="utf-8-sig") as fh, warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # no data rows warns; such a file is read again below
-            with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as view:
-                step = limit // 4
-                if any(view.find(b",", i, i + step) < 0 for i in range(0, len(view) - step, step)):
-                    raise ValueError("a field may pass the field-size limit")
-            names = [h.strip() for h in next(csv.reader(fh), [])]
-            dtype = "O" + ",f8" * (len(names) - 1)  # the id, then one float per field
-            table = np.loadtxt(fh, dtype, delimiter=",", quotechar='"', comments=None, ndmin=1)
-        if names[:3] == list(leading) and (ids := table["f0"].tolist()) and max(map(len, ids)) <= limit:
-            return _from_columns(container, names, ids, [table[f"f{k}"] for k in range(1, len(names))])
-    except (OSError, ValueError, csv.Error):
-        pass
-    names, ids, columns, unparsable, row_of = _ingest_columns(path, leading)
-    try:
-        return _from_columns(container, names, ids, columns)
-    except _CellError as exc:
-        i, position = exc.index, exc.position
-        index, text = unparsable.get(position, (None, None))
-        if position == 0:
-            message = f"duplicate contract id {ids[i]!r}, first on row {row_of(ids.index(ids[i]))}"
-        elif index == i:
-            message = f"not a number: {text!r}"
-        else:
-            message = str(exc)
-        raise IngestError(message, row=row_of(i), column=names[position]) from exc
-    except RankDeficiencyError as exc:
-        design_names = ["intercept"] + names[3:]
-        involved = [design_names[j] for j in exc.column_indices if j < len(design_names)]
-        raise IngestError(
-            f"design matrix is rank deficient; columns involved: {', '.join(involved)}"
-        ) from exc
-    except ValueError as exc:
-        raise IngestError(str(exc)) from exc
+        fh = open(path, newline="", encoding="utf-8-sig")
+    except OSError as exc:
+        raise IngestError(f"cannot read input file {path}: {exc.strerror}") from exc
+    with fh:
+        parsed = _loadtxt_columns(fh, leading) or _ingest_columns(fh, leading)
+        names, ids, (exposures, values, *covariates), *reference = parsed
+        covariates = np.array(covariates).T if covariates else None  # column-major, as the design
+        try:
+            return container.from_arrays(exposures, values, covariates, contract_ids=ids, covariate_names=names[3:])
+        except _CellError as exc:
+            unparsable, row_of = reference or _ingest_columns(fh, leading)[3:]  # the reference counts records
+            i, position = exc.index, exc.position
+            index, text = unparsable.get(position, (None, None))
+            if position == 0:
+                message = f"duplicate contract id {ids[i]!r}, first on row {row_of(ids.index(ids[i]))}"
+            elif index == i:
+                message = f"not a number: {text!r}"
+            else:
+                message = str(exc)
+            raise IngestError(message, row=row_of(i), column=names[position]) from exc
+        except RankDeficiencyError as exc:
+            design_names = ["intercept"] + names[3:]
+            involved = [design_names[j] for j in exc.column_indices if j < len(design_names)]
+            raise IngestError(f"design matrix is rank deficient; columns involved: {', '.join(involved)}") from exc
+        except ValueError as exc:
+            raise IngestError(str(exc)) from exc
 
 
 def ingest_csv(path) -> Portfolio:

@@ -6,8 +6,9 @@ them ascending, assigns deterministic loss costs by rank (increasing
 risk factors with success rates 0.75 and 0.15, then fits both schemes.
 
 All randomness flows through numpy's PCG64 generator seeded from a
-single 64-bit integer via SeedSequence spawning, so every artifact is
-bit-reproducible across platforms from the seed and the other inputs alone.
+single 64-bit integer via SeedSequence spawning, so a seeded book is the
+same on every platform.  Fitted values also depend on the BLAS kernel, so
+artifacts are byte-identical across reruns on one machine and BLAS build.
 """
 
 from enum import Enum

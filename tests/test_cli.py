@@ -1,15 +1,20 @@
 """CLI surface: ingestion diagnostics, output schemas, determinism, exit codes."""
 
 import argparse
+import builtins
 import contextlib
 import csv
 import io
 import json
+import logging
+import mmap
 import os
 import signal
 import stat
 import sys
 import tempfile
+import threading
+import time
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -366,6 +371,133 @@ class TestIngestFastPath:
         # one data row is a table of one row, not a scalar
         pf = INGESTS[value](_write(tmp_path / "one.csv", f"contract_id,exposure,{value}\na,0.5,1\n"))
         assert pf.contract_ids == ("a",) and pf.loss_costs.tolist() == [1.0]
+
+
+def _feed(fifo, text):
+    """Start a thread that writes ``text`` into the named pipe ``fifo``, then closes it."""
+
+    def write():
+        # ``os.open``, so that a spy on ``open`` sees only the reader
+        with open(os.open(fifo, os.O_WRONLY), "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    return writer
+
+
+def _slow_mmap(monkeypatch):
+    """Make ``mmap.mmap`` wait 0.3 s before the real call, time for a pipe's writer to finish."""
+
+    def slow(*args, real=mmap.mmap, **kwargs):
+        time.sleep(0.3)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(mmap, "mmap", slow)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="named pipes are POSIX only")
+class TestIngestOpensOnce:
+    """One open of the input, one header rule, one container build; a pipe is read once, from its first byte."""
+
+    def test_pipe_whose_writer_finished_first(self, tmp_path, monkeypatch):
+        fifo = tmp_path / "in.csv"
+        os.mkfifo(fifo)
+        _slow_mmap(monkeypatch)
+        writer = _feed(fifo, MINIMAL)
+        with _deadline(5):
+            pf = ingest_csv(fifo)
+        writer.join(5)
+        assert not writer.is_alive()
+        assert pf.contract_ids == ("a", "b")
+        np.testing.assert_array_equal(pf.loss_costs, [10.0, 20.0])
+
+    @pytest.mark.parametrize("case", ["valid", "bad_exposure", "pipe"])
+    def test_input_is_opened_once(self, tmp_path, monkeypatch, case):
+        path = tmp_path / "in.csv"
+        opened = []
+
+        def spy(file, *args, real=open, **kwargs):
+            if not isinstance(file, int) and Path(file) == path:
+                opened.append(file)
+            return real(file, *args, **kwargs)
+
+        if case == "pipe":
+            os.mkfifo(path)
+            _slow_mmap(monkeypatch)
+            writer = _feed(path, MINIMAL)
+        else:
+            _write(path, MINIMAL.replace("b,1.0", "b,0.0") if case == "bad_exposure" else MINIMAL)
+        monkeypatch.setattr(builtins, "open", spy)
+        with _deadline(5):
+            if case == "bad_exposure":
+                with pytest.raises(IngestError) as excinfo:
+                    ingest_csv(path)
+                assert (excinfo.value.row, excinfo.value.column) == (3, "exposure")
+            else:
+                assert ingest_csv(path).contract_ids == ("a", "b")
+        if case == "pipe":
+            writer.join(5)
+            assert not writer.is_alive()
+        assert len(opened) == 1
+
+    @pytest.mark.parametrize("value", INGESTS)
+    def test_rank_deficient_file_is_read_once(self, tmp_path, monkeypatch, value):
+        def refuse(*args):
+            raise AssertionError("the file was read again")
+
+        monkeypatch.setattr(cli, "_ingest_columns", refuse)
+        rows = [f"contract_id,exposure,{value},x1,x2"] + [f"c{i},0.5,1,{i % 3},{i % 3}" for i in range(8)]
+        with pytest.raises(IngestError, match="columns involved: x1, x2$"):
+            INGESTS[value](_write(tmp_path / "in.csv", "\n".join(rows) + "\n"))
+
+    @pytest.mark.parametrize(
+        "header,column",
+        [("contract_id,exposure,loss_cost,x1,x1", "x1"), ("contract_id,exposure,losscost,x1", None)],
+        ids=["repeated_covariate", "no_loss_cost"],
+    )
+    def test_bad_header_is_found_before_the_rows_are_parsed(self, tmp_path, monkeypatch, header, column):
+        calls = []
+
+        def spy(*args, real=np.loadtxt, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", spy)
+        covariates = header.count(",") - 2
+        rows = [",".join([f"c{i}", "0.5", "1", *map(str, range(i, i + covariates))]) for i in range(4)]
+        with pytest.raises(IngestError) as excinfo:
+            ingest_csv(_write(tmp_path / "in.csv", "\n".join([header, *rows]) + "\n"))
+        assert (excinfo.value.row, excinfo.value.column) == (1, column)
+        assert calls == []
+
+    @pytest.mark.parametrize("value", INGESTS)
+    def test_bad_cell_builds_the_container_once(self, tmp_path, monkeypatch, value):
+        builds = []
+
+        def spy(self, *args, real=model_core.Portfolio.__init__, **kwargs):
+            builds.append(type(self))
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(model_core.Portfolio, "__init__", spy)
+        text = f"contract_id,exposure,{value},x1\na,0.5,1,0\n\nb,1.0,2,1\nc,1.5,1,0\n"
+        with pytest.raises(IngestError) as excinfo:
+            INGESTS[value](_write(tmp_path / "in.csv", text))
+        assert (excinfo.value.row, excinfo.value.column) == (5, "exposure")
+        assert builds == [model_core.Portfolio if value == "loss_cost" else claim_count.CountData]
+
+    def test_large_book_through_a_pipe_matches_the_file(self, tmp_path):
+        path = tmp_path / "book.csv"
+        write_portfolio_csv(gen_mimic_portfolio(0.4, 10_000, seed=7), path)
+        fifo = tmp_path / "pipe.csv"
+        os.mkfifo(fifo)
+        writer = _feed(fifo, path.read_text(encoding="utf-8"))
+        with _deadline(20):
+            through_pipe = _ingest_or_error(ingest_csv, fifo)
+        writer.join(5)
+        assert not writer.is_alive()
+        assert through_pipe[0] == "portfolio" and len(through_pipe[1]) == 10_000
+        assert through_pipe == _ingest_or_error(ingest_csv, path)
 
 
 def _read_csv(path):
@@ -1091,3 +1223,45 @@ class TestUsage:
         for command, flags in documented.items():
             options = {o for a in subparsers.choices[command]._actions for o in a.option_strings}
             assert flags == options - {"-h", "--help"}, command
+
+
+@pytest.fixture
+def restore_package_logger():
+    """Put back the level, handlers and propagation of the ``exposure_glm`` logger, which ``main`` sets."""
+    logger = logging.getLogger("exposure_glm")
+    saved = logger.level, logger.handlers[:], logger.propagate
+    yield
+    logger.setLevel(saved[0])
+    logger.handlers[:] = saved[1]
+    logger.propagate = saved[2]
+
+
+@pytest.mark.usefixtures("restore_package_logger")
+class TestLogging:
+    """Every ``main`` call reads ``EXPOSURE_GLM_LOG`` and logs to that call's stderr."""
+
+    @staticmethod
+    def simulate(monkeypatch, capsys, out, level):
+        """What ``exposure-glm simulate`` writes to stderr under ``EXPOSURE_GLM_LOG=level``."""
+        monkeypatch.setenv("EXPOSURE_GLM_LOG", level)
+        capsys.readouterr()
+        assert main(["simulate", "--n", "20", "--out", str(out)]) == 0
+        return capsys.readouterr().err
+
+    @pytest.mark.parametrize("levels", [("error", "info"), ("info", "error")], ids=["error_first", "info_first"])
+    def test_each_run_reads_the_level(self, tmp_path, monkeypatch, capsys, levels):
+        root = logging.getLogger()
+        before = root.level, root.handlers[:]
+        for level in levels:
+            err = self.simulate(monkeypatch, capsys, tmp_path / level, level)
+            written = [tmp_path / level / name for name in ("gap_experiment.csv", "gap_totals.json")]
+            assert err == ("".join(f"INFO exposure_glm: wrote {path}\n" for path in written) if level == "info" else "")
+        assert (root.level, root.handlers) == before
+
+    def test_debug_prints_what_info_prints(self, tmp_path, monkeypatch, capsys):
+        info = self.simulate(monkeypatch, capsys, tmp_path, "info")
+        assert info and self.simulate(monkeypatch, capsys, tmp_path, "debug") == info
+
+    def test_unknown_level_acts_as_error(self, tmp_path, monkeypatch, capsys):
+        assert self.simulate(monkeypatch, capsys, tmp_path, "info")
+        assert self.simulate(monkeypatch, capsys, tmp_path, "verbose") == ""
