@@ -261,13 +261,13 @@ def _read_header(reader, leading):
 
 
 def _ingest_columns(fh, leading):
-    """Parsed columns of the open input CSV ``fh``: ``(names, ids, columns, unparsable, row_of)``.
+    """Parsed columns of the open input CSV ``fh``: ``(names, ids, columns, unparsable, blank_lines)``.
 
     ``fh`` is read from its first byte: it is rewound if it is seekable.  ``names`` are the header's field
     names, ``ids`` the contract ids and ``columns`` one float array per later field.  Cells are parsed, not
     checked: the container validates them.  A cell that is not a number parses as NaN, and ``unparsable``
-    maps a field's position to ``(index, text)`` of its first such cell.  ``row_of(i)`` is the line of data
-    row ``i``, counting CSV records from the header (row 1) and including blank records, which are skipped.
+    maps a field's position to ``(index, text)`` of its first such cell.  ``blank_lines`` numbers the blank
+    records, which are skipped, counting CSV records from the header (row 1); ``_row_of`` reads them.
     A bad header and a record with the wrong number of fields raise IngestError as soon as they are read.
     """
     if fh.seekable():
@@ -296,16 +296,23 @@ def _ingest_columns(fh, leading):
                 unparsable.setdefault(position, (offset + bad, column[bad]))
     if not ids:
         raise IngestError("no data rows")
+    return names, ids, [np.concatenate(chunk) for chunk in chunks], unparsable, blank_lines
 
-    def row_of(i):
-        line = i + 2
-        for blank in blank_lines:
-            if blank > line:
-                break
-            line += 1
-        return line
 
-    return names, ids, [np.concatenate(chunk) for chunk in chunks], unparsable, row_of
+def _blank_lines(fh):
+    """Numbers of the blank records of the regular file ``fh``, the header's being 1, read by ``csv.reader`` alone."""
+    fh.seek(0)
+    return [line for line, record in enumerate(csv.reader(fh), start=1) if not record]
+
+
+def _row_of(i, blank_lines):
+    """The line of data row ``i``, counting CSV records from the header (row 1), the blank ones included."""
+    line = i + 2
+    for blank in blank_lines:
+        if blank > line:
+            break
+        line += 1
+    return line
 
 
 def _loadtxt_columns(fh, leading):
@@ -338,7 +345,7 @@ def _ingest(path, value_column, container):
     """Load an input CSV as ``container``, a ``Portfolio`` class, which validates it.
 
     The path is opened once; the handle goes to ``_loadtxt_columns`` and, where it gives up, to ``_ingest_columns``.
-    The container is built once; if it rejects a cell that ``np.loadtxt`` read, ``_ingest_columns`` counts its row.
+    The container is built once; if it rejects a cell that ``np.loadtxt`` read, ``_blank_lines`` counts its row.
     """
     leading = ("contract_id", "exposure", value_column)
     try:
@@ -352,16 +359,16 @@ def _ingest(path, value_column, container):
         try:
             return container.from_arrays(exposures, values, covariates, contract_ids=ids, covariate_names=names[3:])
         except _CellError as exc:
-            unparsable, row_of = reference or _ingest_columns(fh, leading)[3:]  # the reference counts records
+            unparsable, blank_lines = reference or ({}, _blank_lines(fh))
             i, position = exc.index, exc.position
             index, text = unparsable.get(position, (None, None))
             if position == 0:
-                message = f"duplicate contract id {ids[i]!r}, first on row {row_of(ids.index(ids[i]))}"
+                message = f"duplicate contract id {ids[i]!r}, first on row {_row_of(ids.index(ids[i]), blank_lines)}"
             elif index == i:
                 message = f"not a number: {text!r}"
             else:
                 message = str(exc)
-            raise IngestError(message, row=row_of(i), column=names[position]) from exc
+            raise IngestError(message, row=_row_of(i, blank_lines), column=names[position]) from exc
         except RankDeficiencyError as exc:
             design_names = ["intercept"] + names[3:]
             involved = [design_names[j] for j in exc.column_indices if j < len(design_names)]

@@ -131,6 +131,19 @@ def coefficient_covariance(portfolio: Portfolio, beta, scheme: WeightScheme, fam
     return _covariance(_cho_factor(_gram(portfolio.design, d)), family.phi)
 
 
+def _covariance_pair(portfolio: Portfolio, beta, family: TweedieFamily):
+    """``(Cov_offset, Cov_ratio)`` at ``beta``, kept on the read-only book for its last ``(beta, family)``.
+
+    One tuple ``(key, pair)``, replaced whole; a failed factorisation is not kept.  The pair never leaves this module.
+    """
+    key = (_check_beta(beta, portfolio.q + 1).tobytes(), family)
+    kept = portfolio.__dict__.get("_covariances")
+    if kept is None or kept[0] != key:
+        kept = key, tuple(coefficient_covariance(portfolio, beta, scheme, family) for scheme in WeightScheme)
+        portfolio._covariances = kept
+    return kept[1]
+
+
 def covariance_dominance(portfolio: Portfolio, beta, family: TweedieFamily) -> DominanceReport:
     """Classify ``M = Cov_ratio - Cov_offset`` at ``beta`` by the rank ``r`` of the partial rows.
 
@@ -143,8 +156,7 @@ def covariance_dominance(portfolio: Portfolio, beta, family: TweedieFamily) -> D
     the computed ``M``: its smallest eigenvalue can round below zero when the
     partial rows weigh almost nothing.
     """
-    cov_offset = coefficient_covariance(portfolio, beta, WeightScheme.OFFSET, family)
-    cov_ratio = coefficient_covariance(portfolio, beta, WeightScheme.RATIO, family)
+    cov_offset, cov_ratio = _covariance_pair(portfolio, beta, family)
     rank = portfolio._partial_rank
     if rank == portfolio.q + 1:
         verdict = Dominance.STRICTLY_DOMINANT
@@ -156,14 +168,12 @@ def covariance_dominance(portfolio: Portfolio, beta, family: TweedieFamily) -> D
 def moment_ordering(x, beta, portfolio: Portfolio, family: TweedieFamily) -> MomentOrdering:
     """Premium-estimator moments under both schemes at design row ``x`` or each row of matrix ``x``.
 
-    Both covariances are computed once per call, however many rows
-    ``x`` holds.
+    Shares with ``covariance_dominance`` the pair of covariances kept for the
+    book's last ``(beta, family)``, however many rows ``x`` holds.
     """
+    covariances = _covariance_pair(portfolio, beta, family)
     beta = np.asarray(beta, dtype=float)
-    off, rat = (
-        _lognormal_moments(x, beta, coefficient_covariance(portfolio, beta, scheme, family))
-        for scheme in (WeightScheme.OFFSET, WeightScheme.RATIO)
-    )
+    off, rat = (_lognormal_moments(x, beta, covariance) for covariance in covariances)
     return MomentOrdering(
         offset=off,
         ratio=rat,

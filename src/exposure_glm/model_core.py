@@ -248,6 +248,8 @@ class Portfolio:
         self.loss_costs = loss_costs
         self.normalized = loss_costs / exposures
         self.design = design
+        for array in (exposures, loss_costs, self.normalized, design):
+            array.flags.writeable = False  # so the values kept per book cannot go stale
         self.covariate_names = covariate_names
         self.n = n
         self.q = q
@@ -262,6 +264,29 @@ class Portfolio:
         """Rank of the design rows with exposure below one (0 if none), computed on first read."""
         partial = self.exposures < 1.0
         return int(np.linalg.matrix_rank(self.design.T.compress(partial, axis=1))) if partial.any() else 0
+
+    @functools.cached_property
+    def _separation(self):
+        """Why no fit of this book has a finite optimum, or None; computed on first read, by ``solver._fit``.
+
+        None exists when a covariate holds every positive value at its maximum (or minimum): moving the
+        predictor along ``c * (x_j - max x_j)`` lowers only loss-free premiums, raising the quasi-log-likelihood
+        without bound (Santos Silva & Tenreyro 2010).  The book must hold a positive value.
+        """
+        covariates = self.design[:, 1:].T  # one contiguous row per covariate
+        lo, hi = covariates.min(axis=1), covariates.max(axis=1)
+        losses = covariates.compress(self.loss_costs > 0.0, axis=1)  # twice as fast as a boolean index
+        at_hi, at_lo = losses.min(axis=1) == hi, losses.max(axis=1) == lo
+        separated = (lo < hi) & (at_hi | at_lo)
+        if not separated.any():
+            return None
+        j = int(separated.argmax())
+        x, name = covariates[j], self.covariate_names[j]
+        op, level = ("<", hi[j]) if at_hi[j] else (">", lo[j])
+        if ((x == lo[j]) | (x == hi[j])).all():  # two-valued: name the loss-free level
+            op, level = "=", lo[j] if at_hi[j] else hi[j]
+        noun = self._value_name.split()[0]  # "loss" of a loss cost, "count" of a count
+        return f"no finite optimum: every {noun} is zero where {name} {op} {level:.17g}"
 
     @classmethod
     def from_arrays(

@@ -101,30 +101,6 @@ def _weighted_mean(w, z):
     return float(np.dot(w, z) / w.sum())
 
 
-def _check_separation(portfolio: Portfolio):
-    """Raise SingularInformationError if a covariate holds every loss at its maximum or its minimum.
-
-    Then moving the predictor along ``c * (x_j - max x_j)`` (or the minimum)
-    lowers the premium of loss-free rows only, which raises the
-    quasi-log-likelihood without bound, so no finite optimum exists: the
-    iteration would drift until ``D`` under- or overflows, or stop at its
-    rounding floor at an arbitrary coefficient (Santos Silva & Tenreyro 2010).
-    """
-    covariates = portfolio.design[:, 1:].T  # one contiguous row per covariate
-    lo, hi = covariates.min(axis=1), covariates.max(axis=1)
-    losses = covariates.compress(portfolio.loss_costs > 0.0, axis=1)  # twice as fast as a boolean index
-    at_hi, at_lo = losses.min(axis=1) == hi, losses.max(axis=1) == lo
-    separated = (lo < hi) & (at_hi | at_lo)
-    if separated.any():
-        j = int(separated.argmax())
-        x, name = covariates[j], portfolio.covariate_names[j]
-        op, level = ("<", hi[j]) if at_hi[j] else (">", lo[j])
-        if ((x == lo[j]) | (x == hi[j])).all():  # two-valued: name the loss-free level
-            op, level = "=", lo[j] if at_hi[j] else hi[j]
-        noun = portfolio._value_name.split()[0]  # "loss" of a loss cost, "count" of a count
-        raise SingularInformationError(f"no finite optimum: every {noun} is zero where {name} {op} {level:.17g}")
-
-
 def _irls(design, z, w, p, phi, beta, max_iterations):
     """Newton's method for the weighted Tweedie fit on ``z`` with weights ``w``.
 
@@ -179,7 +155,8 @@ def _fit(portfolio: Portfolio, w, p, phi):
     """
     if portfolio.loss_costs.sum() <= 0.0:
         raise AllZeroLossError(f"cannot fit a portfolio whose {portfolio._value_name}s are all zero")
-    _check_separation(portfolio)
+    if (message := portfolio._separation) is not None:
+        raise SingularInformationError(message)
     start = np.zeros(portfolio.q + 1)
     start[0] = math.log(_weighted_mean(w, portfolio.normalized))  # positive: the book has a loss
     return _irls(portfolio.design, portfolio.normalized, w, p, phi, start, _MAX_ITERATIONS)

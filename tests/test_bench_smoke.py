@@ -1,17 +1,25 @@
 """Smoke runs at benchmark scale: ``exposure-glm compare`` on a 10^4-contract book, both fits of a 10^5 x 9 book,
-the class report of a 10^5-row book with about 2·10^5 levels.
+the class report of a 10^5-row book with about 2·10^5 levels, and the p-profile call sequence on a small book.
 
 Each test calls its function once and asserts only that the command
-succeeds and writes every artifact, that both fits converge, or the
-report's row count, never a time.  The benchmark itself is
-``perfbench/run.py``.
+succeeds and writes every artifact, that both fits converge, the
+report's row count, or how often the work is done, never a time.  The
+benchmark itself is ``perfbench/run.py``.
 """
 
-from exposure_glm import TweedieFamily, WeightScheme, class_report, fit
+from exposure_glm import (
+    TweedieFamily,
+    WeightScheme,
+    balance_factor,
+    class_report,
+    covariance_dominance,
+    fit,
+    moment_ordering,
+)
 from exposure_glm.cli import main
 from exposure_glm.simulate import gen_mimic_portfolio
 
-from util import random_portfolio, write_portfolio_csv
+from util import random_portfolio, spy_covariance, spy_separation, write_portfolio_csv
 
 ARTIFACTS = (
     "fit.json", "coeff_ratios.csv", "premium_ratios.csv", "gaps.csv", "class_balance.csv", "balance.json",
@@ -42,3 +50,21 @@ def test_class_report_two_hundred_thousand_levels():
     fits = [fit(pf, scheme, TweedieFamily(p=1.5)) for scheme in WeightScheme]
     report = class_report(pf, fits)
     assert len(report) == 2 + 2 * pf.n
+
+
+def test_p_profile_factorises_each_covariance_once_per_p(monkeypatch):
+    # the benchmark's p-profile analysis: per p, both fits, the dominance,
+    # four one-row moment calls and two balance factors, all at the offset
+    # fit's coefficients; each p needs one factorisation per scheme
+    factorised, scanned = spy_covariance(monkeypatch), spy_separation(monkeypatch)
+    pf = random_portfolio(13, n=2_000, q=8)
+    grid = [i / 10 for i in range(11, 20)]
+    for p in grid:
+        family = TweedieFamily(p=p)
+        offset, ratio = (fit(pf, scheme, family) for scheme in WeightScheme)
+        covariance_dominance(pf, offset.beta_hat, family)
+        for x in pf.design[:4]:
+            moment_ordering(x, offset.beta_hat, pf, family)
+        balance_factor(pf, offset), balance_factor(pf, ratio)
+    assert factorised == [WeightScheme.OFFSET, WeightScheme.RATIO] * len(grid)
+    assert scanned == [pf]

@@ -372,6 +372,20 @@ class TestIngestFastPath:
         pf = INGESTS[value](_write(tmp_path / "one.csv", f"contract_id,exposure,{value}\na,0.5,1\n"))
         assert pf.contract_ids == ("a",) and pf.loss_costs.tolist() == [1.0]
 
+    @pytest.mark.parametrize("value", INGESTS)
+    def test_cell_error_counts_records_without_parsing(self, tmp_path, monkeypatch, value):
+        def refuse(*args):
+            raise AssertionError("the cells were parsed again")
+
+        monkeypatch.setattr(cli, "_ingest_columns", refuse)
+        monkeypatch.setattr(cli, "_parse_column", refuse)
+        # a blank record and a two-line one come before the bad cell, which np.loadtxt read as a number
+        text = f'contract_id,exposure,{value},x1\na,0.5,1,0\n\n"b\nc",1.0,2,1\nd,1.5,0,1\ne,0.25,1,0\n'
+        with pytest.raises(IngestError) as excinfo:
+            INGESTS[value](_write(tmp_path / "in.csv", text))
+        assert (excinfo.value.row, excinfo.value.column) == (5, "exposure")
+        assert str(excinfo.value) == "row 5, column 'exposure': exposure must lie in (0, 1], got 1.5 for contract 'd'"
+
 
 def _feed(fifo, text):
     """Start a thread that writes ``text`` into the named pipe ``fifo``, then closes it."""

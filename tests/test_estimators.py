@@ -25,13 +25,18 @@ from exposure_glm.simulate import Scenario, build_scenario_portfolio
 from exposure_glm.solver import fit
 from oracles import eig_min, mc_lognormal_moments
 
-from util import fit_from, random_count_data, random_portfolio
+from util import fit_from, random_count_data, random_portfolio, spy_covariance
 
 FAM = TweedieFamily(p=1.42)
 
 
 def _scenario_portfolio(seed):
     return build_scenario_portfolio(n=100, scenario=Scenario.INCREASING, heterogeneous=True, seed=seed)
+
+
+def _rebuilt(pf):
+    """A separately built portfolio of the same arrays, which shares no kept value with ``pf``."""
+    return Portfolio.from_arrays(pf.exposures, pf.loss_costs, pf.design[:, 1:])
 
 
 class TestPremiumMoments:
@@ -200,16 +205,12 @@ class TestMomentOrdering:
     def test_matrix_of_rows_takes_both_covariances_once(self, monkeypatch):
         pf = _scenario_portfolio(3)
         beta = np.array([2.0, 0.3, -0.2])
-        single = [moment_ordering(row, beta, pf, FAM) for row in pf.design]
+        # the reference runs on a book of its own, so that it leaves pf's covariances unkept
+        reference = _rebuilt(pf)
+        single = [moment_ordering(row, beta, reference, FAM) for row in reference.design]
         assert type(single[0].offset[0]) is float and type(single[0].mean_strictly_ordered) is bool
 
-        calls = []
-
-        def coefficient_covariance(*args, raw=estimators.coefficient_covariance):
-            calls.append(args[2])
-            return raw(*args)
-
-        monkeypatch.setattr(estimators, "coefficient_covariance", coefficient_covariance)
+        calls = spy_covariance(monkeypatch)
         ordering = moment_ordering(pf.design, beta, pf, FAM)
         assert calls == [WeightScheme.OFFSET, WeightScheme.RATIO]
         for scheme in ("offset", "ratio"):
@@ -225,6 +226,61 @@ class TestMomentOrdering:
     def test_single_contract_portfolio_rejected_by_rank(self):
         with pytest.raises(ValueError):
             Portfolio.from_arrays([0.5], [1.0], [[1.0]])
+
+
+class TestCovariancesKeptPerBook:
+    """Dominance and moment calls share both covariances, kept for the book's last ``(beta, family)``."""
+
+    def _book_and_beta(self):
+        pf = _scenario_portfolio(6)
+        return pf, fit(pf, WeightScheme.OFFSET, FAM).beta_hat
+
+    def test_one_pair_per_beta_and_family(self, monkeypatch):
+        pf, beta = self._book_and_beta()
+        calls = spy_covariance(monkeypatch)
+        dominance = covariance_dominance(pf, beta, FAM)
+        orderings = [moment_ordering(row, beta, pf, FAM) for row in pf.design[:4]]
+        assert calls == [WeightScheme.OFFSET, WeightScheme.RATIO]
+        fresh = _rebuilt(pf)
+        np.testing.assert_array_equal(dominance.difference, covariance_dominance(fresh, beta, FAM).difference)
+        for row, ordering in zip(fresh.design[:4], orderings):
+            assert ordering == moment_ordering(row, beta, fresh, FAM)
+
+    @pytest.mark.parametrize("change", ["ulp", "p", "phi"])
+    def test_another_beta_p_or_phi_recomputes(self, monkeypatch, change):
+        pf, beta = self._book_and_beta()
+        other_beta, other_family = beta, FAM
+        if change == "ulp":
+            other_beta = beta.copy()
+            other_beta[1] = np.nextafter(beta[1], np.inf)
+        else:
+            other_family = TweedieFamily(p=1.43) if change == "p" else TweedieFamily(p=FAM.p, phi=2.0)
+        calls = spy_covariance(monkeypatch)
+        steps = ((beta, FAM), (other_beta, other_family), (beta, FAM))
+        kept = [(covariance_dominance(pf, at, family), moment_ordering(pf.design[0], at, pf, family))
+                for at, family in steps]
+        assert calls == [WeightScheme.OFFSET, WeightScheme.RATIO] * 3
+        # every reused pair is the pair a book of its own computes
+        fresh = _rebuilt(pf)
+        for (at, family), (dominance, ordering) in zip(steps, kept):
+            np.testing.assert_array_equal(dominance.difference, covariance_dominance(fresh, at, family).difference)
+            assert ordering == moment_ordering(pf.design[0], at, fresh, family)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_singular_beta_is_not_kept(self, monkeypatch):
+        pf, beta = self._book_and_beta()
+        calls = spy_covariance(monkeypatch)
+        difference = covariance_dominance(pf, beta, FAM).difference
+        overflow = np.array([2000.0, 0.0, 0.0])
+        for _ in range(2):
+            with pytest.raises(SingularInformationError):
+                covariance_dominance(pf, overflow, FAM)
+            with pytest.raises(SingularInformationError):
+                moment_ordering(pf.design[0], overflow, pf, FAM)
+        # the good pair is still kept, and the good beta still works
+        np.testing.assert_array_equal(covariance_dominance(pf, beta, FAM).difference, difference)
+        assert calls == [WeightScheme.OFFSET, WeightScheme.RATIO] + [WeightScheme.OFFSET] * 4
 
 
 class TestExpectedRandomGap:

@@ -484,3 +484,19 @@ class TestDesignLayout:
         pf = container.from_arrays(np.full(50, 0.5), rng.integers(0, 4, 50).astype(float), covariates)
         assert pf.design.flags.f_contiguous
         np.testing.assert_array_equal(pf.design[:, 1:], covariates)
+
+    @pytest.mark.parametrize("container", [Portfolio, CountData])
+    def test_arrays_are_read_only(self, container):
+        # the values kept per book (the partial rank, the separation verdict,
+        # the covariance pair) cannot go stale under a write
+        exposures, values, covariates = np.array([0.5, 1.0, 0.25]), np.array([1.0, 0.0, 2.0]), np.eye(3)[:, :2]
+        pf = container.from_arrays(exposures, values, covariates)
+        for name in ("exposures", "loss_costs", "normalized", "design"):
+            array = getattr(pf, name)
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.75
+            with pytest.raises(ValueError, match="read-only"):
+                array *= 2.0
+        # the caller's arrays are copies and stay writable
+        exposures[0] = covariates[0, 0] = 0.75
+        assert pf.exposures[0] == 0.5 and pf.design[0, 1] == 1.0

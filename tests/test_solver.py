@@ -21,7 +21,7 @@ from exposure_glm import (
 from exposure_glm import model_core, solver
 from oracles import GridSpec, grid_mle
 
-from util import fit_from, random_count_data, random_portfolio, toy_portfolio
+from util import fit_from, random_count_data, random_portfolio, spy_separation, toy_portfolio
 
 FAM = TweedieFamily(p=1.5)
 
@@ -380,6 +380,24 @@ class TestSeparation:
         for scheme in WeightScheme:
             result = fit(pf, scheme, TweedieFamily(p=1.42))
             assert result.converged and np.all(np.abs(result.beta_hat) < 10.0)
+
+    def test_scan_runs_once_per_book(self, monkeypatch):
+        scanned = spy_separation(monkeypatch)
+        pf = random_portfolio(7)
+        for family in (FAM, TweedieFamily(p=1.8)):
+            for scheme in WeightScheme:
+                assert fit(pf, scheme, family).converged
+        assert scanned == [pf]
+        book = SEPARATED_BOOK
+        separated = Portfolio.from_arrays(book["exposures"], book["losses"], np.array(book["x1"])[:, None])
+        messages = []
+        for family in (FAM, TweedieFamily(p=1.8)):
+            for scheme in WeightScheme:
+                with pytest.raises(SingularInformationError) as excinfo:
+                    fit(separated, scheme, family)
+                messages.append(str(excinfo.value))
+        assert scanned == [pf, separated]
+        assert messages == ["no finite optimum: every loss is zero where x1 = 0"] * 4
 
 
 class TestOnePassPerIterate:

@@ -1,5 +1,6 @@
 """Shared portfolio builders for the test suite (all seeded, all frozen)."""
 
+import functools
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,7 @@ from exposure_glm import (
     CountData,
     Portfolio,
     WeightScheme,
+    estimators,
     individual_gaps,
     model_core,
     portfolio_gap,
@@ -105,3 +107,30 @@ def write_portfolio_csv(portfolio, path):
     columns = [portfolio.contract_ids, portfolio.exposures, portfolio.loss_costs]
     columns += [portfolio.design[:, j] for j in range(1, portfolio.q + 1)]
     _write_csv(Path(path), header, columns)
+
+
+def spy_covariance(monkeypatch):
+    """Record the scheme of every ``coefficient_covariance`` call the estimators make."""
+    calls = []
+
+    def coefficient_covariance(*args, raw=estimators.coefficient_covariance):
+        calls.append(args[2])
+        return raw(*args)
+
+    monkeypatch.setattr(estimators, "coefficient_covariance", coefficient_covariance)
+    return calls
+
+
+def spy_separation(monkeypatch):
+    """Record every book whose separation scan, ``Portfolio._separation``, runs."""
+    scan = Portfolio.__dict__["_separation"].func
+    scanned = []
+
+    def counted(portfolio):
+        scanned.append(portfolio)
+        return scan(portfolio)
+
+    spy = functools.cached_property(counted)
+    spy.__set_name__(Portfolio, "_separation")
+    monkeypatch.setattr(Portfolio, "_separation", spy)
+    return scanned
