@@ -21,7 +21,10 @@ import json
 import logging
 import mmap
 import os
+import shutil
+import stat
 import sys
+import tempfile
 import warnings
 from itertools import islice
 from pathlib import Path
@@ -210,25 +213,20 @@ def _write_json(path: Path, payload):
     _atomic_write(path, write)
 
 
-def _parse_column(cells):
-    """Parse a column of strings in bulk; return ``(values, first)``.
-
-    A cell that is not a number parses as NaN, and ``first`` is the index
-    of the first such cell, or None.  Values come from Python's ``float``
-    and so match per-cell parsing exactly.
-    """
+def _number(text):
+    """``float(text)``, or None for a cell that is not a number."""
     try:
-        return np.fromiter(map(float, cells), float, len(cells)), None
+        return float(text)
     except ValueError:
-        pass
-    values, first = [], None
-    for i, cell in enumerate(cells):
-        try:
-            values.append(float(cell))
-        except ValueError:
-            values.append(np.nan)
-            first = i if first is None else first
-    return np.array(values), first
+        return None
+
+
+def _parse_column(cells):
+    """Parse a column of strings in bulk by Python's ``float``; a cell that is not a number parses as NaN."""
+    try:
+        return np.fromiter(map(float, cells), float, len(cells))
+    except ValueError:
+        return np.array([_number(cell) for cell in cells], float)
 
 
 # Records are read and parsed a few hundred at a time: fewer than the
@@ -261,65 +259,52 @@ def _read_header(reader, leading):
 
 
 def _ingest_columns(fh, leading):
-    """Parsed columns of the open input CSV ``fh``: ``(names, ids, columns, unparsable, blank_lines)``.
+    """Parsed columns of the open input CSV ``fh``, read from its first byte: ``(names, ids, columns)``.
 
-    ``fh`` is read from its first byte: it is rewound if it is seekable.  ``names`` are the header's field
-    names, ``ids`` the contract ids and ``columns`` one float array per later field.  Cells are parsed, not
-    checked: the container validates them.  A cell that is not a number parses as NaN, and ``unparsable``
-    maps a field's position to ``(index, text)`` of its first such cell.  ``blank_lines`` numbers the blank
-    records, which are skipped, counting CSV records from the header (row 1); ``_row_of`` reads them.
-    A bad header and a record with the wrong number of fields raise IngestError as soon as they are read.
+    ``names`` are the header's field names, ``ids`` the contract ids and ``columns`` one float array per later
+    field.  Blank records are skipped.  Cells are parsed, not checked: the container validates them, and a cell
+    that is not a number parses as NaN.  A bad header and a record with the wrong number of fields raise
+    IngestError as soon as they are read.
     """
-    if fh.seekable():
-        fh.seek(0)
+    fh.seek(0)
     reader = csv.reader(fh)
     width = len(names := _read_header(reader, leading))
-    ids, chunks, unparsable, blank_lines = [], [[] for _ in range(width - 1)], {}, []
+    ids, chunks = [], [[] for _ in range(width - 1)]
     lines = 1  # records read so far, header included
     while records := _read_records(reader, _READ_ROWS):
         first, lines = lines + 1, lines + len(records)
         if set(map(len, records)) - {width, 0}:
             k = next(k for k, record in enumerate(records) if len(record) not in (width, 0))
             raise IngestError(f"expected {width} fields, got {len(records[k])}", row=first + k)
-        if not all(records):
-            blank_lines += [first + k for k, record in enumerate(records) if not record]
-            records = [record for record in records if record]
-            if not records:
-                continue
-        offset = len(ids)
-        cells = list(zip(*records))
-        ids.extend(cells[0])
-        for position, column in enumerate(cells[1:], start=1):
-            values, bad = _parse_column(column)
-            chunks[position - 1].append(values)
-            if bad is not None:
-                unparsable.setdefault(position, (offset + bad, column[bad]))
+        if records := [record for record in records if record]:
+            cells = list(zip(*records))
+            ids.extend(cells[0])
+            for chunk, column in zip(chunks, cells[1:]):
+                chunk.append(_parse_column(column))
     if not ids:
         raise IngestError("no data rows")
-    return names, ids, [np.concatenate(chunk) for chunk in chunks], unparsable, blank_lines
+    return names, ids, [np.concatenate(chunk) for chunk in chunks]
 
 
-def _blank_lines(fh):
-    """Numbers of the blank records of the regular file ``fh``, the header's being 1, read by ``csv.reader`` alone."""
+def _cells_of(fh, indices, position):
+    """``(row, text)`` of field ``position`` of each data row in ``indices`` of ``fh``, read by ``csv.reader`` alone.
+
+    Data rows are the records after the header that are not blank, numbered from 0; ``row`` counts every CSV
+    record from the header (row 1), blank ones included.  The walk stops at the last data row asked for.
+    """
     fh.seek(0)
-    return [line for line, record in enumerate(csv.reader(fh), start=1) if not record]
-
-
-def _row_of(i, blank_lines):
-    """The line of data row ``i``, counting CSV records from the header (row 1), the blank ones included."""
-    line = i + 2
-    for blank in blank_lines:
-        if blank > line:
-            break
-        line += 1
-    return line
+    records = ((row, record) for row, record in enumerate(csv.reader(fh), start=1) if record)
+    data = enumerate(islice(records, 1, max(indices) + 2))  # past the header
+    found = {i: (row, record[position]) for i, (row, record) in data if i in indices}
+    return [found[i] for i in indices]
 
 
 def _loadtxt_columns(fh, leading):
-    """``(names, ids, columns)`` of a regular file ``fh`` by one ``np.loadtxt`` call, or None where it gives up.
+    """``(names, ids, columns)`` of the input ``fh`` by one ``np.loadtxt`` call, or None where it gives up.
 
-    ``np.loadtxt`` reads rows as ``csv.reader`` and ``float`` would.  A pipe or an empty file is given up unread;
-    so is a file where a field may pass ``csv.field_size_limit()``, or with no row, or that ``np.loadtxt`` fails on.
+    ``np.loadtxt`` reads rows as ``csv.reader`` and ``float`` would.  A file that cannot be mapped (an empty one)
+    is given up unread; so is a file where a field may pass ``csv.field_size_limit()``, or with no row, or that
+    ``np.loadtxt`` fails on.
     """
     step = (limit := csv.field_size_limit()) // 4
     try:
@@ -332,7 +317,8 @@ def _loadtxt_columns(fh, leading):
     dtype = "O" + ",f8" * (len(names) - 1)  # the id, then one float per field
     try:
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # no data rows warns; such a file is given up
+            # no data rows warns; such a file is given up
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
             table = np.loadtxt(fh, dtype, delimiter=",", quotechar='"', comments=None, ndmin=1)
     except ValueError:
         return None
@@ -344,31 +330,34 @@ def _loadtxt_columns(fh, leading):
 def _ingest(path, value_column, container):
     """Load an input CSV as ``container``, a ``Portfolio`` class, which validates it.
 
-    The path is opened once; the handle goes to ``_loadtxt_columns`` and, where it gives up, to ``_ingest_columns``.
-    The container is built once; if it rejects a cell that ``np.loadtxt`` read, ``_blank_lines`` counts its row.
+    The path is opened once.  An input that is not a regular file (a pipe, say) is first copied to an unnamed
+    temporary file, so that every handle can be mapped and read again.  The handle goes to ``_loadtxt_columns``
+    and, where it gives up, to ``_ingest_columns``.  The container is built once; if it rejects a cell,
+    ``_cells_of`` finds the cell's row.
     """
     leading = ("contract_id", "exposure", value_column)
     try:
         fh = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise IngestError(f"cannot read input file {path}: {exc.strerror}") from exc
-    with fh:
-        parsed = _loadtxt_columns(fh, leading) or _ingest_columns(fh, leading)
-        names, ids, (exposures, values, *covariates), *reference = parsed
+    with fh, contextlib.ExitStack() as stack:
+        if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            copy = stack.enter_context(tempfile.TemporaryFile())
+            shutil.copyfileobj(fh.buffer, copy)
+            copy.seek(0)
+            fh = stack.enter_context(io.TextIOWrapper(copy, newline="", encoding="utf-8-sig"))
+        names, ids, (exposures, values, *covariates) = _loadtxt_columns(fh, leading) or _ingest_columns(fh, leading)
         covariates = np.array(covariates).T if covariates else None  # column-major, as the design
         try:
             return container.from_arrays(exposures, values, covariates, contract_ids=ids, covariate_names=names[3:])
         except _CellError as exc:
-            unparsable, blank_lines = reference or ({}, _blank_lines(fh))
             i, position = exc.index, exc.position
-            index, text = unparsable.get(position, (None, None))
+            (row, text), (first_row, _) = _cells_of(fh, (i, ids.index(ids[i]) if position == 0 else i), position)
             if position == 0:
-                message = f"duplicate contract id {ids[i]!r}, first on row {_row_of(ids.index(ids[i]), blank_lines)}"
-            elif index == i:
-                message = f"not a number: {text!r}"
+                message = f"duplicate contract id {ids[i]!r}, first on row {first_row}"
             else:
-                message = str(exc)
-            raise IngestError(message, row=_row_of(i, blank_lines), column=names[position]) from exc
+                message = str(exc) if _number(text) is not None else f"not a number: {text!r}"
+            raise IngestError(message, row=row, column=names[position]) from exc
         except RankDeficiencyError as exc:
             design_names = ["intercept"] + names[3:]
             involved = [design_names[j] for j in exc.column_indices if j < len(design_names)]

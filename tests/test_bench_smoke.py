@@ -32,7 +32,8 @@ def test_compare_ten_thousand_contracts(tmp_path):
     out = tmp_path / "out"
     assert main(["compare", "--input", str(src), "--out", str(out)]) == 0
     assert sorted(p.name for p in out.iterdir()) == sorted(ARTIFACTS)
-    assert sum(1 for _ in open(out / "gaps.csv", encoding="utf-8")) == 10_001
+    with open(out / "gaps.csv", encoding="utf-8") as fh:
+        assert sum(1 for _ in fh) == 10_001
 
 
 def test_fit_hundred_thousand_by_nine():

@@ -4,11 +4,13 @@ import argparse
 import builtins
 import contextlib
 import csv
+import errno
 import io
 import json
 import logging
 import mmap
 import os
+import shutil
 import signal
 import stat
 import sys
@@ -16,6 +18,7 @@ import tempfile
 import threading
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -358,6 +361,20 @@ class TestIngestFastPath:
         with mock.patch.object(np, "loadtxt", side_effect=ValueError("fast path off")):
             assert ingest_csv(path).design.flags.f_contiguous
 
+    def test_other_warnings_of_loadtxt_reach_the_caller(self, tmp_path, monkeypatch):
+        def warn(*args, real=np.loadtxt, **kwargs):
+            warnings.warn("a deprecated loadtxt argument", DeprecationWarning)
+            return real(*args, **kwargs)
+
+        with monkeypatch.context() as patch, pytest.warns(DeprecationWarning, match="^a deprecated loadtxt argument$"):
+            patch.setattr(np, "loadtxt", warn)
+            assert ingest_csv(_write(tmp_path / "in.csv", MINIMAL)).contract_ids == ("a", "b")
+        # the one warning kept from the caller: a file without data rows, which is reported instead
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IngestError, match="^no data rows$"):
+                ingest_csv(_write(tmp_path / "header.csv", "contract_id,exposure,loss_cost,x1\n"))
+
     @pytest.mark.parametrize("value", INGESTS)
     def test_valid_file_is_read_once(self, tmp_path, monkeypatch, value):
         def refuse(*args):
@@ -400,6 +417,17 @@ def _feed(fifo, text):
     return writer
 
 
+def _through_pipe(fifo, text, ingest):
+    """``_ingest_or_error(ingest, fifo)`` while a thread writes ``text`` into the new named pipe ``fifo``."""
+    os.mkfifo(fifo)
+    writer = _feed(fifo, text)
+    with _deadline(5):
+        outcome = _ingest_or_error(ingest, fifo)
+    writer.join(5)
+    assert not writer.is_alive()
+    return outcome
+
+
 def _slow_mmap(monkeypatch):
     """Make ``mmap.mmap`` wait 0.3 s before the real call, time for a pipe's writer to finish."""
 
@@ -412,7 +440,7 @@ def _slow_mmap(monkeypatch):
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="named pipes are POSIX only")
 class TestIngestOpensOnce:
-    """One open of the input, one header rule, one container build; a pipe is read once, from its first byte."""
+    """One open of the input, one header rule, one container build; a pipe is copied once, then read as a file."""
 
     def test_pipe_whose_writer_finished_first(self, tmp_path, monkeypatch):
         fifo = tmp_path / "in.csv"
@@ -499,6 +527,56 @@ class TestIngestOpensOnce:
             INGESTS[value](_write(tmp_path / "in.csv", text))
         assert (excinfo.value.row, excinfo.value.column) == (5, "exposure")
         assert builds == [model_core.Portfolio if value == "loss_cost" else claim_count.CountData]
+
+    @pytest.mark.parametrize("value", INGESTS)
+    def test_valid_pipe_is_read_by_loadtxt(self, tmp_path, monkeypatch, value):
+        text = f'contract_id,exposure,{value},x1\na,0.5,1,0\n"b,1",1.0,2,1\n\n"c""2",0.25,0,1\n'
+        expected = _ingest_or_error(INGESTS[value], _write(tmp_path / "in.csv", text))
+
+        def refuse(*args):
+            raise AssertionError("the reference reader read a valid pipe")
+
+        monkeypatch.setattr(cli, "_ingest_columns", refuse)
+        through_pipe = _through_pipe(tmp_path / "pipe.csv", text, INGESTS[value])
+        assert through_pipe[:2] == ("portfolio", ("a", "b,1", 'c"2'))
+        assert through_pipe == expected
+
+    @pytest.mark.parametrize("value", INGESTS)
+    @pytest.mark.parametrize(
+        "last,column,message",
+        [
+            ("d,0.5,x,1", "value", "not a number: 'x'"),
+            ("d,1.5,0,1", "exposure", "exposure must lie in (0, 1], got 1.5 for contract 'd'"),
+            ("a,0.5,0,1", "contract_id", "duplicate contract id 'a', first on row 2"),
+            ('"b\nc",0.5,0,1', "contract_id", "duplicate contract id 'b\\nc', first on row 4"),
+        ],
+        ids=["not_a_number", "out_of_range", "repeated_id", "repeated_two_line_id"],
+    )
+    def test_pipe_error_matches_the_file(self, tmp_path, value, last, column, message):
+        # a blank record and a two-line quoted id come before the bad cell, on row 5
+        text = f'contract_id,exposure,{value},x1\na,0.5,1,0\n\n"b\nc",1.0,2,1\n{last}\n'
+        column = value if column == "value" else column
+        from_file = _ingest_or_error(INGESTS[value], _write(tmp_path / "in.csv", text))
+        assert from_file == ("error", f"row 5, column {column!r}: {message}", 5, column)
+        assert _through_pipe(tmp_path / "pipe.csv", text, INGESTS[value]) == from_file
+
+    def test_failed_copy_of_a_pipe_exits_nonzero(self, tmp_path, monkeypatch, capsys):
+        def disk_full(source, target):
+            target.write(source.read(10))
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(shutil, "copyfileobj", disk_full)
+        fifo = tmp_path / "in.csv"
+        os.mkfifo(fifo)
+        writer = _feed(fifo, MINIMAL)
+        with _deadline(5):
+            assert main(["fit", "--input", str(fifo), "--out", str(tmp_path / "o")]) == 1
+        writer.join(5)
+        assert not writer.is_alive()
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "OSError"
+        assert not (tmp_path / "o").exists()
 
     def test_large_book_through_a_pipe_matches_the_file(self, tmp_path):
         path = tmp_path / "book.csv"
