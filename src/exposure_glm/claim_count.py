@@ -8,6 +8,7 @@ breaks that proportionality: the two log-likelihood surfaces then differ
 by a non-constant function of ``beta`` whenever exposures are mixed.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -48,6 +49,11 @@ class CountData(Portfolio):
     def counts(self):
         return self.loss_costs
 
+    @functools.cached_property
+    def _poisson(self):
+        """This book's Poisson fit, for both schemes, run on first read by ``poisson_fit``; a refusal is not kept."""
+        return _fit(self, WeightScheme.RATIO, 1.0, 1.0)  # p = 1, phi = 1: the weights are the exposures
+
     # Defined here rather than inherited: the benchmark's tracer hooks
     # ``CountData.__dict__["from_arrays"]`` to time count builds apart.
     @classmethod
@@ -82,13 +88,14 @@ def poisson_fit(data: CountData, scheme: WeightScheme):
     with no finite optimum: AllZeroLossError when every count is zero,
     SingularInformationError when one covariate separates the counts.
     Raises RuntimeError when the loop reaches ``fit``'s cap of 100 updates
-    unconverged.
+    unconverged.  The fit runs once per book, on the first call; every
+    call returns a copy of its coefficients and raises as the first did.
     """
     scheme = WeightScheme(scheme)
-    result = _fit(data, data.exposures, 1.0, 1.0)  # p = 1, phi = 1
+    result = data._poisson
     if not result.converged:
         raise RuntimeError(f"Poisson {scheme.value} fit did not converge in {result.iterations} iterations")
-    return result.beta_hat
+    return result.beta_hat.copy()
 
 
 def _check_zero_inflation(zero_inflation):
@@ -154,10 +161,9 @@ def zip_nonequivalence_check(data: CountData, zero_inflation: float = 0.3) -> Zi
     and the report shows equivalence.  A probe whose difference is not
     finite raises ValueError.
     """
-    scale = np.abs(data.design).max(axis=0)  # 1 for the intercept; no column of a full-rank design is zero
     differences = []
     for intercept, slope in _ZIP_PROBES:
-        beta = np.array((intercept,) + (slope,) * data.q) / scale
+        beta = np.array((intercept,) + (slope,) * data.q) / data._column_scale
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             offset, ratio = (zip_loglik(beta, zero_inflation, data, scheme) for scheme in WeightScheme)
         if not math.isfinite(offset - ratio):

@@ -216,7 +216,8 @@ class Portfolio:
         # First bad row of each field: 1 exposure, 2 value, 3 + j covariate j.
         # Ids (field 0) are only checked for repeats, up to the first bad row.
         firsts = [first_bad((exposures > 0.0) & (exposures <= 1.0)), first_bad(value_ok)]
-        firsts += [first_bad(np.isfinite(column)) for column in covariates.T]
+        if not np.isfinite(covariates).all():  # one pass over the block; the column scans only locate the cell
+            firsts += [first_bad(np.isfinite(column)) for column in covariates.T]
         bad = min(firsts)
         if ids is not None and (repeat := _first_duplicate(ids[: bad + 1])) is not None:
             raise _CellError(f"duplicate contract id {ids[repeat]!r} at index {repeat}", repeat, 0)
@@ -264,6 +265,13 @@ class Portfolio:
         """Rank of the design rows with exposure below one (0 if none), computed on first read."""
         partial = self.exposures < 1.0
         return int(np.linalg.matrix_rank(self.design.T.compress(partial, axis=1))) if partial.any() else 0
+
+    @functools.cached_property
+    def _column_scale(self):
+        """``max_i |x_ij|`` per design column, computed on first read: it scales each fit's floor and the ZIP probes."""
+        scale = np.abs(self.design).max(axis=0)  # 1 for the intercept; no column of a full-rank design is zero
+        scale.flags.writeable = False
+        return scale
 
     @functools.cached_property
     def _separation(self):

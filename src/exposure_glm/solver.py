@@ -6,7 +6,7 @@ with ``H = D * ((p - 1) * Q + (2 - p))``, so the dispersion cancels
 exactly.  ``H`` is positive for ``1 <= p < 2`` because ``Q >= 0``, and
 equals ``D`` at ``p = 1``.  The reported covariance is the inverse
 expected information ``phi * (X.T @ D @ X)**-1`` at the final iterate,
-factored once after the loop.  Convergence is declared on the
+factored on first read, once.  Convergence is declared on the
 dispersion-scaled gradient ``g = X.T @ D @ R`` by one rule: every
 ``|g_j|`` is within four times its rounding floor
 ``eps * max_i |x_ij| * sum_i d_i (q_i + 1)`` (``q = z * exp(-s)``).
@@ -23,8 +23,9 @@ refusals of a book included, fits the Poisson claim-count companion as
 the ``p = 1`` case.
 """
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,6 +37,7 @@ from .model_core import (
     _cho_factor,
     _cho_solve,
     _covariance,
+    _d_weights,
     _gram,
     _observed_weights,
     _scheme_weights,
@@ -70,21 +72,34 @@ class FitResult:
     """Converged (or stalled) fit: estimate, covariance, and trace.
 
     ``covariance`` is ``phi * (X.T @ D @ X)**-1``, the inverse expected
-    (not observed) information, at the final coefficient vector;
-    ``gradient_norm`` is the sup-norm of the dispersion-scaled gradient
-    there.  ``trace_beta`` holds every iterate
+    (not observed) information, at the final coefficient vector, factorised
+    on first read, once; ``gradient_norm`` is the sup-norm of the
+    dispersion-scaled gradient there.  ``trace_beta`` holds every iterate
     starting from the closed-form start, ``trace_objective`` the matching
     quasi-log-likelihood values, equal to ``quasi_loglik`` there exactly.
     """
 
     beta_hat: np.ndarray
-    covariance: np.ndarray
     iterations: int
     converged: bool
     gradient_norm: float
     trace_beta: np.ndarray
     trace_objective: np.ndarray
     n_obs: int
+    # (design, exposures, scheme, p, phi, beta) of ``covariance``: the book's arrays and a copy of the final
+    # iterate, so a fit holds no n-long array of its own and a write into ``beta_hat`` changes nothing
+    _covariance_inputs: tuple = field(repr=False, compare=False)
+
+    @functools.cached_property
+    def covariance(self):
+        """``phi * (X.T @ D @ X)**-1`` at the final iterate, factorised on first read and kept.
+
+        A fit whose covariance is never read factorises nothing after its last step.  Raises
+        SingularInformationError, on that read, when ``X.T @ D @ X`` is numerically singular there.
+        """
+        design, exposures, scheme, p, phi, beta = self._covariance_inputs
+        d = _d_weights(design @ beta, _scheme_weights(scheme, exposures, p), p)
+        return _covariance(_cho_factor(_gram(design, d)), phi)
 
 
 def homogeneous_mle(portfolio: Portfolio, scheme: WeightScheme, family: TweedieFamily) -> float:
@@ -101,21 +116,22 @@ def _weighted_mean(w, z):
     return float(np.dot(w, z) / w.sum())
 
 
-def _irls(design, z, w, p, phi, beta, max_iterations):
-    """Newton's method for the weighted Tweedie fit on ``z`` with weights ``w``.
+def _irls(design, z, exposures, scheme, p, phi, beta, max_iterations, scale):
+    """Newton's method for the weighted Tweedie fit on ``z`` with the scheme's weights of ``exposures``.
 
     Starts from ``beta`` and solves ``(X.T H X) delta = X.T D R`` once
     per iteration until every score component is within its rounding
-    floor (see the module docstring) or ``max_iterations`` updates are spent.
+    floor (see the module docstring; ``scale`` is ``max_i |x_ij|`` per
+    column, ``Portfolio._column_scale``) or ``max_iterations`` updates are spent.
     A step that lowers the scoring pass's objective (``phi`` times the
     quasi-log-likelihood) by more than ``_OBJECTIVE_SLACK * |objective|``,
     or makes it non-finite, is halved up to ``_MAX_HALVINGS`` times, each
-    try one more pass.  Returns the FitResult at the last iterate, its
-    covariance factored from the ``D`` of that iterate's pass and scaled
-    by the dispersion ``phi``, which also divides the objective trace.
+    try one more pass.  Returns the FitResult at the last iterate, whose
+    covariance is factored on first read from the ``D`` at that iterate
+    and scaled by the dispersion ``phi``, which also divides the objective trace.
     """
-    # max_i |x_ij| per column, down the contiguous columns of the column-major design
-    floor_scale = _FLOOR_MULTIPLE * _EPS * np.abs(design).max(axis=0)
+    w = _scheme_weights(scheme, exposures, p)
+    floor_scale = _FLOOR_MULTIPLE * _EPS * scale
     d, q, score, mass, value = _scoring_pass(beta, design, z, w, p)
     trace_beta = [beta.copy()]
     trace_objective = [value]
@@ -138,28 +154,32 @@ def _irls(design, z, w, p, phi, beta, max_iterations):
         trace_objective.append(value)
     return FitResult(
         beta_hat=beta,
-        covariance=_covariance(_cho_factor(_gram(design, d)), phi),
         iterations=iteration,
         converged=converged,
         gradient_norm=gradient_norm,
         trace_beta=np.asarray(trace_beta),
         trace_objective=np.asarray(trace_objective) / phi,
         n_obs=len(z),
+        _covariance_inputs=(design, exposures, scheme, p, phi, beta.copy()),
     )
 
 
-def _fit(portfolio: Portfolio, w, p, phi):
+def _fit(portfolio: Portfolio, scheme: WeightScheme, p, phi):
     """Refuse a book with no finite optimum, else run ``_irls`` from ``[log(sum(w*z) / sum(w)), 0, ..., 0]``.
 
-    The loop takes at most ``_MAX_ITERATIONS`` (100) updates.
+    ``w`` is the scheme's weights at ``p``.  The loop takes at most ``_MAX_ITERATIONS`` (100) updates.
     """
     if portfolio.loss_costs.sum() <= 0.0:
         raise AllZeroLossError(f"cannot fit a portfolio whose {portfolio._value_name}s are all zero")
     if (message := portfolio._separation) is not None:
         raise SingularInformationError(message)
     start = np.zeros(portfolio.q + 1)
+    w = _scheme_weights(scheme, portfolio.exposures, p)
     start[0] = math.log(_weighted_mean(w, portfolio.normalized))  # positive: the book has a loss
-    return _irls(portfolio.design, portfolio.normalized, w, p, phi, start, _MAX_ITERATIONS)
+    return _irls(
+        portfolio.design, portfolio.normalized, portfolio.exposures, scheme, p, phi, start, _MAX_ITERATIONS,
+        portfolio._column_scale,
+    )
 
 
 def fit(portfolio: Portfolio, scheme: WeightScheme, family: TweedieFamily) -> FitResult:
@@ -173,8 +193,7 @@ def fit(portfolio: Portfolio, scheme: WeightScheme, family: TweedieFamily) -> Fi
     SingularInformationError, and so does a covariate whose positive
     losses all sit at its maximum, or all at its minimum, before any
     iteration: no finite coefficient maximizes the quasi-log-likelihood
-    of such a book.
+    of such a book.  The covariance is factorised when first read, once;
+    a singular final ``X.T @ D @ X`` raises SingularInformationError there.
     """
-    scheme = WeightScheme(scheme)
-    w = _scheme_weights(scheme, portfolio.exposures, family.p)
-    return _fit(portfolio, w, family.p, family.phi)
+    return _fit(portfolio, WeightScheme(scheme), family.p, family.phi)

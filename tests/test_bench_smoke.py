@@ -19,7 +19,7 @@ from exposure_glm import (
 from exposure_glm.cli import main
 from exposure_glm.simulate import gen_mimic_portfolio
 
-from util import random_portfolio, spy_covariance, spy_separation, write_portfolio_csv
+from util import random_portfolio, spy_book_fact, spy_covariance, spy_gram, write_portfolio_csv
 
 ARTIFACTS = (
     "fit.json", "coeff_ratios.csv", "premium_ratios.csv", "gaps.csv", "class_balance.csv", "balance.json",
@@ -56,10 +56,13 @@ def test_class_report_two_hundred_thousand_levels():
 def test_p_profile_factorises_each_covariance_once_per_p(monkeypatch):
     # the benchmark's p-profile analysis: per p, both fits, the dominance,
     # four one-row moment calls and two balance factors, all at the offset
-    # fit's coefficients; each p needs one factorisation per scheme
-    factorised, scanned = spy_covariance(monkeypatch), spy_separation(monkeypatch)
+    # fit's coefficients; each p needs one factorisation per scheme, and a
+    # fit whose covariance is not read forms no X' D X beyond its Newton steps
+    factorised, grams = spy_covariance(monkeypatch), spy_gram(monkeypatch)
+    scanned, scaled = spy_book_fact(monkeypatch, "_separation"), spy_book_fact(monkeypatch, "_column_scale")
     pf = random_portfolio(13, n=2_000, q=8)
     grid = [i / 10 for i in range(11, 20)]
+    steps = 0
     for p in grid:
         family = TweedieFamily(p=p)
         offset, ratio = (fit(pf, scheme, family) for scheme in WeightScheme)
@@ -67,5 +70,7 @@ def test_p_profile_factorises_each_covariance_once_per_p(monkeypatch):
         for x in pf.design[:4]:
             moment_ordering(x, offset.beta_hat, pf, family)
         balance_factor(pf, offset), balance_factor(pf, ratio)
+        steps += offset.iterations + ratio.iterations
     assert factorised == [WeightScheme.OFFSET, WeightScheme.RATIO] * len(grid)
-    assert scanned == [pf]
+    assert len(grams) == steps + 2 * len(grid)
+    assert scanned == scaled == [pf]

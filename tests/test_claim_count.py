@@ -102,9 +102,27 @@ class TestPoissonFit:
             assert objective == pytest.approx(expected, rel=1e-13)
 
     def test_all_zero_counts_rejected(self):
+        # a refusal is not kept: every call raises it
         data = CountData.from_arrays([0.5, 1.0], [0, 0])
-        with pytest.raises(AllZeroLossError):
-            poisson_fit(data, "offset")
+        for _ in range(2):
+            with pytest.raises(AllZeroLossError):
+                poisson_fit(data, "offset")
+
+    def test_one_fit_per_book(self, monkeypatch):
+        runs = []
+
+        def counted(*args, irls=solver._irls):
+            runs.append(irls(*args))
+            return runs[-1]
+
+        monkeypatch.setattr(solver, "_irls", counted)
+        data = random_count_data(34)
+        offset, ratio = (poisson_fit(data, scheme) for scheme in WeightScheme)
+        assert len(runs) == 1
+        assert offset is not ratio
+        np.testing.assert_array_equal(offset, ratio)
+        offset[:] = 0.0  # a caller's write reaches no later call
+        np.testing.assert_array_equal(poisson_fit(data, "offset"), ratio)
 
     def test_budget_exhausted_raises(self, monkeypatch):
         # one cap governs both fits: fit reports what poisson_fit refuses

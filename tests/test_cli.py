@@ -8,7 +8,6 @@ import errno
 import io
 import json
 import logging
-import mmap
 import os
 import shutil
 import signal
@@ -16,7 +15,6 @@ import stat
 import sys
 import tempfile
 import threading
-import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -428,14 +426,14 @@ def _through_pipe(fifo, text, ingest):
     return outcome
 
 
-def _slow_mmap(monkeypatch):
-    """Make ``mmap.mmap`` wait 0.3 s before the real call, time for a pipe's writer to finish."""
+def _copy_after(monkeypatch, writer):
+    """Make ``shutil.copyfileobj`` join the thread ``writer`` before the real copy: a pipe's writer finishes first."""
 
-    def slow(*args, real=mmap.mmap, **kwargs):
-        time.sleep(0.3)
+    def copy(*args, real=shutil.copyfileobj, **kwargs):
+        writer.join(5)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(mmap, "mmap", slow)
+    monkeypatch.setattr(shutil, "copyfileobj", copy)
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="named pipes are POSIX only")
@@ -445,8 +443,8 @@ class TestIngestOpensOnce:
     def test_pipe_whose_writer_finished_first(self, tmp_path, monkeypatch):
         fifo = tmp_path / "in.csv"
         os.mkfifo(fifo)
-        _slow_mmap(monkeypatch)
         writer = _feed(fifo, MINIMAL)
+        _copy_after(monkeypatch, writer)
         with _deadline(5):
             pf = ingest_csv(fifo)
         writer.join(5)
@@ -466,8 +464,8 @@ class TestIngestOpensOnce:
 
         if case == "pipe":
             os.mkfifo(path)
-            _slow_mmap(monkeypatch)
             writer = _feed(path, MINIMAL)
+            _copy_after(monkeypatch, writer)
         else:
             _write(path, MINIMAL.replace("b,1.0", "b,0.0") if case == "bad_exposure" else MINIMAL)
         monkeypatch.setattr(builtins, "open", spy)

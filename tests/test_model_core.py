@@ -116,6 +116,13 @@ class TestDomainTypes:
                 [0.5, 1.0, 0.5], [1.0, 1.0, 2.0], [[0.0, 1.0], [1.0, np.nan], [2.0, 0.0]],
                 contract_ids=ids,
             )
+        # of non-finite covariates in two columns on adjacent rows, the upper row's is named
+        with pytest.raises(ValueError, match="^covariate 'x2' is not finite, got inf for contract 'b'$") as excinfo:
+            container.from_arrays(
+                [0.5, 1.0, 0.5], [1.0, 1.0, 2.0], [[0.0, 1.0], [1.0, np.inf], [np.nan, 0.0]],
+                contract_ids=ids,
+            )
+        assert (excinfo.value.index, excinfo.value.position) == (1, 4)
         # the second occurrence of an id on row 1 comes before a bad cell on row 2
         with pytest.raises(ValueError, match="^duplicate contract id 'a' at index 1$") as excinfo:
             container.from_arrays([0.5, 1.0, 0.0], [1.0, 1.0, 2.0], contract_ids=["a", "a", "c"])

@@ -13,15 +13,25 @@ from exposure_glm import (
     SingularInformationError,
     TweedieFamily,
     WeightScheme,
+    coefficient_covariance,
     fit,
     homogeneous_mle,
     poisson_fit,
     quasi_loglik,
+    zip_nonequivalence_check,
 )
 from exposure_glm import model_core, solver
 from oracles import GridSpec, grid_mle
 
-from util import fit_from, random_count_data, random_portfolio, spy_separation, toy_portfolio
+from util import (
+    fit_from,
+    random_count_data,
+    random_portfolio,
+    spy_book_fact,
+    spy_gram,
+    toy_portfolio,
+    zip_count_data,
+)
 
 FAM = TweedieFamily(p=1.5)
 
@@ -382,7 +392,7 @@ class TestSeparation:
             assert result.converged and np.all(np.abs(result.beta_hat) < 10.0)
 
     def test_scan_runs_once_per_book(self, monkeypatch):
-        scanned = spy_separation(monkeypatch)
+        scanned = spy_book_fact(monkeypatch, "_separation")
         pf = random_portfolio(7)
         for family in (FAM, TweedieFamily(p=1.8)):
             for scheme in WeightScheme:
@@ -445,6 +455,33 @@ class TestOnePassPerIterate:
                 result = fit_from(np.zeros(pf.q + 1), pf, scheme, FAM)
                 assert result.converged
                 assert result.iterations == iterations
+
+
+class TestWorkDoneOnce:
+    """A fit factorises its covariance only when it is read; a book computes its column scale once."""
+
+    def test_covariance_is_factorised_once_on_first_read(self, monkeypatch):
+        pf = random_portfolio(36)
+        grams = spy_gram(monkeypatch)
+        result = fit(pf, WeightScheme.OFFSET, FAM)
+        assert len(grams) == result.iterations
+        expected = coefficient_covariance(pf, result.beta_hat, WeightScheme.OFFSET, FAM)
+        result.beta_hat += 1.0  # a write into the estimate does not reach the covariance
+        grams.clear()
+        first = result.covariance
+        assert result.covariance is first
+        assert len(grams) == 1
+        assert first.tobytes() == expected.tobytes()
+
+    def test_column_scale_is_computed_once_per_book(self, monkeypatch):
+        scanned = spy_book_fact(monkeypatch, "_column_scale")
+        data = zip_count_data(3)
+        for family in (FAM, TweedieFamily(p=1.8)):
+            for scheme in WeightScheme:
+                assert fit(data, scheme, family).converged
+        zip_nonequivalence_check(data)
+        assert scanned == [data]
+        np.testing.assert_array_equal(data._column_scale, np.abs(data.design).max(axis=0))
 
 
 class TestGridOracle:

@@ -52,9 +52,9 @@ def fit_from(start, portfolio, scheme, family, max_iterations=100):
     Runs the fit's own loop, ``solver._irls``, on the fit's inputs,
     without ``fit``'s checks of the book.
     """
-    w = model_core._scheme_weights(WeightScheme(scheme), portfolio.exposures, family.p)
     return solver._irls(
-        portfolio.design, portfolio.normalized, w, family.p, family.phi, np.array(start, dtype=float), max_iterations
+        portfolio.design, portfolio.normalized, portfolio.exposures, WeightScheme(scheme), family.p, family.phi,
+        np.array(start, dtype=float), max_iterations, portfolio._column_scale,
     )
 
 
@@ -121,16 +121,29 @@ def spy_covariance(monkeypatch):
     return calls
 
 
-def spy_separation(monkeypatch):
-    """Record every book whose separation scan, ``Portfolio._separation``, runs."""
-    scan = Portfolio.__dict__["_separation"].func
-    scanned = []
+def spy_gram(monkeypatch):
+    """Record the weights of every ``X.T @ diag(v) @ X`` that the solver and the estimators form."""
+    weights = []
+
+    def gram(design, v, raw=model_core._gram):
+        weights.append(v)
+        return raw(design, v)
+
+    for module in (solver, estimators):
+        monkeypatch.setattr(module, "_gram", gram)
+    return weights
+
+
+def spy_book_fact(monkeypatch, name):
+    """Record every book whose kept fact ``Portfolio.<name>`` (``_separation``, ``_column_scale``) is computed."""
+    compute = Portfolio.__dict__[name].func
+    computed = []
 
     def counted(portfolio):
-        scanned.append(portfolio)
-        return scan(portfolio)
+        computed.append(portfolio)
+        return compute(portfolio)
 
     spy = functools.cached_property(counted)
-    spy.__set_name__(Portfolio, "_separation")
-    monkeypatch.setattr(Portfolio, "_separation", spy)
-    return scanned
+    spy.__set_name__(Portfolio, name)
+    monkeypatch.setattr(Portfolio, name, spy)
+    return computed
