@@ -27,6 +27,7 @@ import sys
 import tempfile
 import warnings
 from itertools import islice
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -179,24 +180,39 @@ def _render_in_order(render, starts, emit, name):
             os.waitpid(pid, 0)
 
 
+def _float_cells(column):
+    """Cells of a float array column at ``%.17g`` as float64, by one ``%`` on a template repeated per cell.
+
+    Where at most half of the cells are distinct bit patterns (so ``-0.0``
+    is not ``0.0``), only the distinct values are formatted.
+    """
+    values = column.astype(np.float64, copy=False)
+    bits = np.sort(values.view(np.int64))
+    bits = bits[np.r_[True, bits[1:] != bits[:-1]]]
+    if 2 * len(bits) <= len(values):
+        return itemgetter(*np.searchsorted(bits, values.view(np.int64)).tolist())(_float_cells(bits.view(np.float64)))
+    return ("%.17g," * len(values) % tuple(values.tolist()))[:-1].split(",")
+
+
 def _write_csv(path: Path, header, columns):
     """Write equal-length ``columns`` under ``header`` as a CSV file.
 
-    The bytes are those of ``csv.writer(lineterminator="\\n")``.  Each
-    row is one ``%`` operation on a template with ``%.17g`` for a float
-    array column and ``%s`` for any other.  Chunks of rows are formatted,
-    by up to four processes, and written in order, so memory stays bounded.
+    The bytes are those of ``csv.writer(lineterminator="\\n")``.  Chunks of
+    rows are formatted, by up to four processes, and written in order, so
+    memory stays bounded.  A chunk is formatted column by column, by
+    ``_float_cells`` for a float array and ``_text_cells`` for any other,
+    into one list of cells and delimiters that is joined once.
     """
-    n = len(columns[0])
-    alone = len(columns) == 1
+    n, width = len(columns[0]), len(columns)
+    alone = width == 1
     floats = [isinstance(column, np.ndarray) and column.dtype.kind == "f" for column in columns]
-    row = ",".join("%.17g" if is_float else "%s" for is_float in floats) + "\n"
 
     def render(start):
         rows = slice(start, start + _CHUNK_ROWS)
-        cells = [column[rows].tolist() if is_float else _text_cells(column[rows], alone)
-                 for column, is_float in zip(columns, floats)]
-        return "".join([row % values for values in zip(*cells)])
+        flat = ([","] * (2 * width - 1) + ["\n"]) * len(range(n)[rows])  # cell, delimiter, ..., cell, line end
+        for j, (column, is_float) in enumerate(zip(columns, floats)):
+            flat[2 * j :: 2 * width] = _float_cells(column[rows]) if is_float else _text_cells(column[rows], alone)
+        return "".join(flat)
 
     def write(fh):
         fh.write(",".join(_text_cells(header, alone)) + "\n")

@@ -264,7 +264,7 @@ class Portfolio:
     def _partial_rank(self):
         """Rank of the design rows with exposure below one (0 if none), computed on first read."""
         partial = self.exposures < 1.0
-        return int(np.linalg.matrix_rank(self.design.T.compress(partial, axis=1))) if partial.any() else 0
+        return int(np.linalg.matrix_rank(self.design.compress(partial, axis=0))) if partial.any() else 0
 
     @functools.cached_property
     def _column_scale(self):

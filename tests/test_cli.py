@@ -1127,8 +1127,13 @@ CSV_TEXT = st.text(
 CSV_FLOATS = st.floats() | st.sampled_from(
     [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1e300, -1e300, 1e-300, -1e-300, np.nan]
 )
+# few distinct values, so that chunks take the distinct-values path, among them
+# the ones a lookup could conflate: signed zeros, NaN and the smallest subnormal
+CSV_REPEATED_FLOATS = st.sampled_from([0.0, -0.0, 1.0, 0.1, np.nan, np.inf, -np.inf, 5e-324])
 CSV_CELLS = {
     "float array": CSV_FLOATS,
+    "float32 array": st.floats(width=32) | st.sampled_from([0.0, -0.0, 0.1, 1e-45, np.nan]),
+    "repeated float array": CSV_REPEATED_FLOATS,
     "int array": st.integers(-(2**63), 2**63 - 1),
     "ids": CSV_TEXT,
     "text list": CSV_TEXT,
@@ -1136,6 +1141,8 @@ CSV_CELLS = {
 }
 CSV_COLUMN_TYPES = {
     "float array": lambda cells: np.array(cells, dtype=float),
+    "float32 array": lambda cells: np.array(cells, dtype=np.float32),
+    "repeated float array": lambda cells: np.array(cells, dtype=float),
     "int array": lambda cells: np.array(cells, dtype=np.int64),
     "ids": tuple,
     "text list": list,
@@ -1167,6 +1174,28 @@ class TestCsvOutput:
     def test_single_empty_column_cell_is_quoted_like_csv_writer(self, tmp_path):
         cli._write_csv(tmp_path / "out.csv", ["a"], [["", "b"]])
         assert (tmp_path / "out.csv").read_text() == 'a\n""\nb\n'
+
+    @pytest.mark.parametrize("n", [4095, 4096, 4097])
+    def test_signed_zeros_across_a_chunk_boundary(self, tmp_path, n):
+        # full-size chunks take the distinct-values path for the zeros column,
+        # a one-row last chunk does not; 0.0 and -0.0 must keep their signs
+        rng = np.random.default_rng(n)
+        zeros = np.where(rng.random(n) < 0.5, 0.0, -0.0)
+        zeros[-1] = -0.0
+        header = ["id", "zeros", "float32", "strided", "distinct"]
+        columns = [
+            tuple(f"c{i}" for i in range(n)),
+            zeros,
+            np.where(rng.random(n) < 0.7, 1.0, 0.1).astype(np.float32),
+            np.repeat([0.1, -0.0], n)[::2],
+            rng.normal(size=n),
+        ]
+        path = tmp_path / "out.csv"
+        cli._write_csv(path, header, columns)
+        written = path.read_bytes()
+        assert written == _csv_writer_bytes(header, columns)
+        signs = [line.split(b",")[1] for line in written.splitlines()[1:]]
+        assert signs == [b"-0" if negative else b"0" for negative in np.signbit(zeros)]
 
     @settings(max_examples=100, derandomize=True, database=None, deadline=None)
     @given(st.data())

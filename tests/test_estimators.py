@@ -185,7 +185,7 @@ class TestCovarianceDominance:
         for _ in range(10):
             assert covariance_dominance(pf, beta, FAM).verdict is Dominance.STRICTLY_DOMINANT
         assert len(calls) == 1
-        np.testing.assert_array_equal(calls[0], pf.design[pf.exposures < 1.0].T)
+        np.testing.assert_array_equal(calls[0], pf.design[pf.exposures < 1.0])  # the tall view: rows below full exposure
 
 
 class TestMomentOrdering:
