@@ -1,12 +1,14 @@
 """Command-line surface: ingest CSV portfolios, fit, compare, simulate, report.
 
 Input schema (UTF-8 with or without the byte-order mark that spreadsheet
-exports write, ``.`` decimal, no thousands separators):
+exports write; a number is what ``np.loadtxt``, the one parser of cells,
+reads as a float64: ASCII digits, ``.`` decimal, no digit groups):
 
     contract_id,exposure,loss_cost,x1,...,xq
 
 for loss-cost commands, and ``contract_id,exposure,count,x1,...,xq`` for
-the claim-count command.  All output files are written atomically
+the claim-count command.  A bad file is reported at its first error in
+file order, by row and column.  All output files are written atomically
 (temp-then-rename), numbers carry 17 significant digits, and every
 artifact is a deterministic function of (input bytes, flags, seed).
 Log verbosity is controlled by the ``EXPOSURE_GLM_LOG`` environment
@@ -95,11 +97,9 @@ def _atomic_write(path: Path, write):
     path.parent.mkdir(parents=True, exist_ok=True)
     while True:
         tmp = path.with_name(f"{path.name}.{os.urandom(6).hex()}.tmp")
-        try:
+        with contextlib.suppress(FileExistsError):
             fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
             break
-        except FileExistsError:
-            continue
     try:
         with open(fd, "w", encoding="utf-8", newline="") as fh:
             write(fh)
@@ -222,49 +222,42 @@ def _write_csv(path: Path, header, columns):
 
 
 def _write_json(path: Path, payload):
-    def write(fh):
-        json.dump(payload, fh, indent=2, allow_nan=False)
-        fh.write("\n")
+    _atomic_write(path, lambda fh: fh.write(json.dumps(payload, indent=2, allow_nan=False) + "\n"))
 
-    _atomic_write(path, write)
+
+def _table(rows):
+    """The float table ``np.loadtxt`` reads from ``rows`` of cell texts, each quoted so that it is read as it is."""
+    text = '"' + '"\n"'.join(map('","'.join, rows)) + '"'
+    if text.count('"') != 2 * sum(map(len, rows)):  # np.loadtxt refuses a cell that holds a quote
+        raise ValueError("a cell holds a quote")
+    return np.loadtxt(io.StringIO(text), float, delimiter=",", quotechar='"', comments=None, ndmin=2)
 
 
 def _number(text):
-    """``float(text)``, or None for a cell that is not a number."""
+    """The value ``np.loadtxt`` reads from the cell ``text``, or None where it refuses it."""
+    with contextlib.suppress(ValueError):
+        return _table([[text]]).item()
+
+
+def _records(fh):
+    """``(row, record)`` of the header (row 1) and each later record of ``fh`` that is not blank, by ``csv.reader``.
+
+    Rows count blank records too.  Text that is not UTF-8 CSV is an IngestError when it is read.
+    """
+    fh.seek(0)
+    records = enumerate(csv.reader(fh), start=1)
     try:
-        return float(text)
-    except ValueError:
-        return None
-
-
-def _parse_column(cells):
-    """Parse a column of strings in bulk by Python's ``float``; a cell that is not a number parses as NaN."""
-    try:
-        return np.fromiter(map(float, cells), float, len(cells))
-    except ValueError:
-        return np.array([_number(cell) for cell in cells], float)
-
-
-# Records are read and parsed a few hundred at a time: fewer than the
-# garbage collector's first threshold (700 new objects) are alive at once,
-# so reading a large file starts no collection, and no more than one
-# batch of cells is ever held as strings.
-_READ_ROWS = 512
-
-
-def _read_records(reader, count):
-    """The next ``count`` records of ``reader`` or fewer; text that is not UTF-8 CSV is an IngestError."""
-    try:
-        return list(islice(reader, count))
+        yield next(records, (1, None))
+        yield from filter(itemgetter(1), records)
     except UnicodeDecodeError as exc:
         raise IngestError(f"input file is not UTF-8: {exc.reason}") from exc
     except csv.Error as exc:
         raise IngestError(f"input file is not CSV: {exc}") from exc
 
 
-def _read_header(reader, leading):
-    """The header's field names; an empty file, other leading columns or a bad covariate name is an IngestError."""
-    if (header := next(iter(_read_records(reader, 1)), None)) is None:
+def _read_header(fh, leading):
+    """The header's field names, leaving ``fh`` at the first data row; a missing or bad header is an IngestError."""
+    if (header := next(_records(fh))[1]) is None:
         raise IngestError("file is empty", row=1)
     names = [h.strip() for h in header]
     if names[: len(leading)] != list(leading):
@@ -274,82 +267,84 @@ def _read_header(reader, leading):
     return names
 
 
-def _ingest_columns(fh, leading):
-    """Parsed columns of the open input CSV ``fh``, read from its first byte: ``(names, ids, columns)``.
-
-    ``names`` are the header's field names, ``ids`` the contract ids and ``columns`` one float array per later
-    field.  Blank records are skipped.  Cells are parsed, not checked: the container validates them, and a cell
-    that is not a number parses as NaN.  A bad header and a record with the wrong number of fields raise
-    IngestError as soon as they are read.
-    """
-    fh.seek(0)
-    reader = csv.reader(fh)
-    width = len(names := _read_header(reader, leading))
-    ids, chunks = [], [[] for _ in range(width - 1)]
-    lines = 1  # records read so far, header included
-    while records := _read_records(reader, _READ_ROWS):
-        first, lines = lines + 1, lines + len(records)
-        if set(map(len, records)) - {width, 0}:
-            k = next(k for k, record in enumerate(records) if len(record) not in (width, 0))
-            raise IngestError(f"expected {width} fields, got {len(records[k])}", row=first + k)
-        if records := [record for record in records if record]:
-            cells = list(zip(*records))
-            ids.extend(cells[0])
-            for chunk, column in zip(chunks, cells[1:]):
-                chunk.append(_parse_column(column))
-    if not ids:
-        raise IngestError("no data rows")
-    return names, ids, [np.concatenate(chunk) for chunk in chunks]
-
-
 def _cells_of(fh, indices, position):
-    """``(row, text)`` of field ``position`` of each data row in ``indices`` of ``fh``, read by ``csv.reader`` alone.
-
-    Data rows are the records after the header that are not blank, numbered from 0; ``row`` counts every CSV
-    record from the header (row 1), blank ones included.  The walk stops at the last data row asked for.
-    """
-    fh.seek(0)
-    records = ((row, record) for row, record in enumerate(csv.reader(fh), start=1) if record)
-    data = enumerate(islice(records, 1, max(indices) + 2))  # past the header
+    """``(row, text)`` of field ``position`` of each data record in ``indices`` of ``fh``, numbered from 0."""
+    data = enumerate(islice(_records(fh), 1, max(indices) + 2))  # past the header, to the last record asked for
     found = {i: (row, record[position]) for i, (row, record) in data if i in indices}
     return [found[i] for i in indices]
 
 
-def _loadtxt_columns(fh, leading):
-    """``(names, ids, columns)`` of the input ``fh`` by one ``np.loadtxt`` call, or None where it gives up.
+_CHECK_ROWS = 256  # records read at a time: no more than a batch of cells is held as strings
 
-    ``np.loadtxt`` reads rows as ``csv.reader`` and ``float`` would.  A file that cannot be mapped (an empty one)
-    is given up unread; so is a file where a field may pass ``csv.field_size_limit()``, or with no row, or that
-    ``np.loadtxt`` fails on.
+
+def _walk(fh, width):
+    """``(ids, cells, bad, error)`` of the data records of ``fh`` up to the first bad one, read by ``csv.reader``.
+
+    A bad record has other than ``width`` fields or a number cell that ``np.loadtxt`` refuses.  ``ids`` and the float
+    table ``cells`` hold the records before it and ``bad``, ``(row, record)`` of one of ``width`` fields, each refused
+    cell as NaN.  ``error`` is the IngestError of one of another width, or of reading the file (a field past
+    ``csv.field_size_limit()``, say) after good records.  One ``np.loadtxt`` call parses a batch of good records; a
+    batch that it fails on is parsed record by record, cell by cell.
     """
-    step = (limit := csv.field_size_limit()) // 4
-    try:
-        with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as view:
-            if any(view.find(b",", i, i + step) < 0 for i in range(0, len(view) - step, step)):
-                return None
-    except (OSError, ValueError):
-        return None
-    names = _read_header(csv.reader(fh), leading)
-    dtype = "O" + ",f8" * (len(names) - 1)  # the id, then one float per field
-    try:
+    data = islice(_records(fh), 1, None)
+    ids, tables, bad, error, full = [], [np.empty((0, width - 1))], None, None, True
+    while full and not (bad or error):
+        batch = []
+        try:
+            for item in islice(data, _CHECK_ROWS):
+                batch.append(item)
+        except IngestError as exc:
+            error = exc
+        full = len(batch) == _CHECK_ROWS
+        with contextlib.suppress(ValueError):
+            if error is None and {len(record) for _, record in batch} == {width}:
+                tables.append(_table([record[1:] for _, record in batch]))
+                ids += [record[0] for _, record in batch]
+                continue
+        for row, record in batch:
+            if len(record) != width:
+                error = IngestError(f"expected {width} fields, got {len(record)}", row=row)
+                break
+            ids.append(record[0])
+            tables.append(np.array([cells := [*map(_number, record[1:])]], float))  # a refused cell, None, is NaN
+            if None in cells:
+                bad, error = (row, record), None
+                break
+    return ids, np.concatenate(tables), bad, error
+
+
+def _read_columns(fh, leading):
+    """Field names, contract ids, a float array per later field, and the walk's ``bad`` and ``error``, or None.
+
+    One ``np.loadtxt`` call reads the data rows; where it fails, or where a field may pass the field-size limit,
+    ``_walk`` reads them.  Cells are parsed, not checked: the container validates them.
+    """
+    names = _read_header(fh, leading)
+    step = (limit := csv.field_size_limit()) // 4  # a field past the limit has a quarter of it without a comma
+    table = None
+    with contextlib.suppress(OSError, ValueError):  # a file that cannot be mapped or np.loadtxt fails on is walked
+        with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as view:  # unmapped before it is read
+            fits = all(view.find(b",", i, i + step) >= 0 for i in range(0, len(view) - step, step))
         with warnings.catch_warnings():
-            # no data rows warns; such a file is given up
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            table = np.loadtxt(fh, dtype, delimiter=",", quotechar='"', comments=None, ndmin=1)
-    except ValueError:
-        return None
-    if not (ids := table["f0"].tolist()) or max(map(len, ids)) > limit:
-        return None
-    return names, ids, [table[f"f{k}"] for k in range(1, len(names))]
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)  # reported instead
+            dtype = "O" + ",f8" * (len(names) - 1)  # the id, then one float per field
+            table = np.loadtxt(fh, dtype, delimiter=",", quotechar='"', comments=None, ndmin=1) if fits else None
+    if table is not None and max(map(len, ids := table["f0"].tolist()), default=0) <= limit:
+        columns, bad, error = [table[f"f{j}"] for j in range(1, len(names))], None, None
+    else:
+        ids, cells, bad, error = _walk(fh, len(names))
+        columns = list(cells.T)
+    if not ids and not error:
+        raise IngestError("no data rows")
+    return names, ids, columns, bad, error
 
 
 def _ingest(path, value_column, container):
     """Load an input CSV as ``container``, a ``Portfolio`` class, which validates it.
 
-    The path is opened once.  An input that is not a regular file (a pipe, say) is first copied to an unnamed
-    temporary file, so that every handle can be mapped and read again.  The handle goes to ``_loadtxt_columns``
-    and, where it gives up, to ``_ingest_columns``.  The container is built once; if it rejects a cell,
-    ``_cells_of`` finds the cell's row.
+    The path is opened once; an input that is not a regular file (a pipe, say) is first copied to an unnamed
+    temporary file, so that every handle can be mapped and read again.  The container is built once.  The first
+    error in the file is reported: a cell that it rejects (``_cells_of`` finds the row), and else the walk's.
     """
     leading = ("contract_id", "exposure", value_column)
     try:
@@ -362,13 +357,16 @@ def _ingest(path, value_column, container):
             shutil.copyfileobj(fh.buffer, copy)
             copy.seek(0)
             fh = stack.enter_context(io.TextIOWrapper(copy, newline="", encoding="utf-8-sig"))
-        names, ids, (exposures, values, *covariates) = _loadtxt_columns(fh, leading) or _ingest_columns(fh, leading)
+        names, ids, (exposures, values, *covariates), bad, error = _read_columns(fh, leading)
         covariates = np.array(covariates).T if covariates else None  # column-major, as the design
         try:
-            return container.from_arrays(exposures, values, covariates, contract_ids=ids, covariate_names=names[3:])
+            book = container.from_arrays(exposures, values, covariates, contract_ids=ids, covariate_names=names[3:])
         except _CellError as exc:
             i, position = exc.index, exc.position
-            (row, text), (first_row, _) = _cells_of(fh, (i, ids.index(ids[i]) if position == 0 else i), position)
+            if bad and i == len(ids) - 1 and position:  # a cell of the bad record
+                row, text = bad[0], bad[1][position]
+            else:
+                (row, text), (first_row, _) = _cells_of(fh, (i, ids.index(ids[i]) if position == 0 else i), position)
             if position == 0:
                 message = f"duplicate contract id {ids[i]!r}, first on row {first_row}"
             else:
@@ -376,10 +374,13 @@ def _ingest(path, value_column, container):
             raise IngestError(message, row=row, column=names[position]) from exc
         except RankDeficiencyError as exc:
             design_names = ["intercept"] + names[3:]
-            involved = [design_names[j] for j in exc.column_indices if j < len(design_names)]
-            raise IngestError(f"design matrix is rank deficient; columns involved: {', '.join(involved)}") from exc
+            involved = ", ".join(design_names[j] for j in exc.column_indices if j < len(design_names))
+            raise error or IngestError(f"design matrix is rank deficient; columns involved: {involved}") from exc
         except ValueError as exc:
-            raise IngestError(str(exc)) from exc
+            raise error or IngestError(str(exc)) from exc
+        if error:
+            raise error
+        return book
 
 
 def ingest_csv(path) -> Portfolio:
@@ -591,11 +592,8 @@ def main(argv=None) -> int:
     # every domain error of the package is a ValueError or a RuntimeError; an
     # unreadable or unwritable path and a book too large for memory fail the same way
     except (ValueError, RuntimeError, OSError, MemoryError) as exc:
-        json.dump(
-            {"schema_version": SCHEMA_VERSION, "error": type(exc).__name__, "message": str(exc)},
-            sys.stderr,
-        )
-        sys.stderr.write("\n")
+        error = {"schema_version": SCHEMA_VERSION, "error": type(exc).__name__, "message": str(exc)}
+        sys.stderr.write(json.dumps(error) + "\n")
         return 1
     return 0
 

@@ -103,24 +103,34 @@ class TweedieFamily:
             raise ValueError(f"dispersion must be positive and finite, got {self.phi}")
 
 
+def _unit_columns(matrix):
+    """``matrix`` with every nonzero column at unit norm, scaled first to a largest ``|x|`` of 1 so no norm overflows."""
+    matrix = matrix / np.where((top := np.abs(matrix).max(axis=0, initial=0.0)) > 0.0, top, 1.0)
+    return matrix / np.where(top > 0.0, np.linalg.norm(matrix, axis=0), 1.0)
+
+
+def _rank(matrix):
+    """``np.linalg.matrix_rank`` of ``matrix`` if full, else of ``_unit_columns(matrix)``: units cannot lower it."""
+    rank = int(np.linalg.matrix_rank(matrix))
+    return rank if rank == matrix.shape[1] else int(np.linalg.matrix_rank(_unit_columns(matrix)))
+
+
 def validate_design(design):
     """Check a design matrix for full column rank; raise naming the columns involved.
 
-    The rank is that of the design as given.  The columns involved are
-    those on which the null space of the design with every nonzero
-    column scaled to unit norm (its last ``k - rank`` right singular
-    vectors) has a component above 1e-8, so the diagnosis does not
-    depend on the columns' scales.
+    The rank is ``_rank``'s, since ``np.linalg.matrix_rank``'s tolerance
+    grows with the largest column.  The columns involved are those on which
+    the null space of ``_unit_columns(design)`` (its last ``k - rank`` right
+    singular vectors) has a component above 1e-8.  So neither depends on
+    the columns' units.
     """
     design = np.asarray(design, dtype=float)
     n, k = design.shape
-    rank = np.linalg.matrix_rank(design)
+    rank = _rank(design)
     if rank == k:
         return design
-    norms = np.linalg.norm(design, axis=0)
-    scaled = design / np.where(norms > 0.0, norms, 1.0)
     # all k right singular vectors, also when there are fewer rows than columns
-    null_space = np.linalg.svd(scaled, full_matrices=n < k)[2][rank:]
+    null_space = np.linalg.svd(_unit_columns(design), full_matrices=n < k)[2][rank:]
     involved = np.flatnonzero(np.linalg.norm(null_space, axis=0) > 1e-8).tolist()
     raise RankDeficiencyError(
         f"design matrix ({n} x {k}) is rank deficient; columns involved: {involved}",
@@ -262,9 +272,9 @@ class Portfolio:
 
     @functools.cached_property
     def _partial_rank(self):
-        """Rank of the design rows with exposure below one (0 if none), computed on first read."""
+        """``_rank`` of the design rows with exposure below one (0 if none), computed on first read."""
         partial = self.exposures < 1.0
-        return int(np.linalg.matrix_rank(self.design.compress(partial, axis=0))) if partial.any() else 0
+        return _rank(self.design.compress(partial, axis=0)) if partial.any() else 0
 
     @functools.cached_property
     def _column_scale(self):

@@ -4,15 +4,21 @@ These deliberately avoid the code paths of the operations they check:
 finite differences instead of the analytic score, lattice search instead
 of the Newton iteration, eigenvalues instead of Cholesky, Monte Carlo instead
 of closed-form lognormal moments, a loss-cost-scale refit instead of
-the weighted annualized-loss formulation, and the raw-count Poisson
-score instead of the Tweedie kernel at ``p = 1``.
+the weighted annualized-loss formulation, the raw-count Poisson
+score instead of the Tweedie kernel at ``p = 1``, and a record-by-record
+CSV read instead of the CLI's whole-file ``np.loadtxt`` call.
 """
 
+import csv
+import io
 import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from exposure_glm.cli import IngestError
+from exposure_glm.model_core import RankDeficiencyError, _CellError
 
 __all__ = [
     "GridSpec",
@@ -23,6 +29,7 @@ __all__ = [
     "mc_lognormal_moments",
     "offset_loss_irls",
     "poisson_score",
+    "ingest_by_records",
 ]
 
 
@@ -174,3 +181,70 @@ def poisson_score(beta, data, mode: str):
         zeta = np.exp(X @ beta)
         return X.T @ (data.exposures * (data.normalized - zeta))
     raise ValueError(f"mode must be 'offset' or 'ratio', got {mode!r}")
+
+
+def _loadtxt_cell(text):
+    """The value ``np.loadtxt`` reads from a file of the one quoted cell ``text``, or None where it refuses it."""
+    try:
+        one_cell = io.StringIO('"' + text.replace('"', '""') + '"')
+        return float(np.loadtxt(one_cell, delimiter=",", quotechar='"', comments=None))
+    except ValueError:
+        return None
+
+
+def ingest_by_records(path, value_column, container):
+    """What ``exposure_glm.cli`` should make of the UTF-8 input CSV ``path``: a ``container`` or an ``IngestError``.
+
+    Records are read one at a time by ``csv.reader``, and each number cell
+    by its own ``np.loadtxt`` call.  Rows count every record from the
+    header (row 1), blank ones included, and the header is taken as valid.
+    Reading stops at the first record with the wrong field count or a cell
+    ``np.loadtxt`` refuses, or at a CSV error.  The container then judges
+    the values of the rows read, refused cells as NaN; the first cell it
+    rejects is reported, and else the error that stopped the reading: the
+    first error in file order.
+    """
+    rows, records, error = [], [], None
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        names = [name.strip() for name in next(reader)]
+        try:
+            for row, record in enumerate(reader, start=2):
+                if record and len(record) != len(names):
+                    error = IngestError(f"expected {len(names)} fields, got {len(record)}", row=row)
+                    break
+                if record:
+                    rows.append(row)
+                    records.append(record)
+                    if None in map(_loadtxt_cell, record[1:]):
+                        break
+        except csv.Error as exc:
+            error = IngestError(f"input file is not CSV: {exc}")
+    if not records and error is None:
+        raise IngestError("no data rows")
+    ids = [record[0] for record in records]
+    values = np.array([[_loadtxt_cell(cell) for cell in record[1:]] for record in records], float)
+    values = values.reshape(len(records), len(names) - 1)
+    try:
+        book = container.from_arrays(
+            values[:, 0], values[:, 1], values[:, 2:], contract_ids=ids, covariate_names=names[3:]
+        )
+    except _CellError as exc:
+        i, position = exc.index, exc.position
+        text = records[i][position]
+        if position == 0:
+            message = f"duplicate contract id {text!r}, first on row {rows[ids.index(text)]}"
+        elif _loadtxt_cell(text) is None:
+            message = f"not a number: {text!r}"
+        else:
+            message = str(exc)
+        raise IngestError(message, row=rows[i], column=names[position]) from None
+    except RankDeficiencyError as exc:
+        columns = ["intercept", *names[3:]]
+        involved = ", ".join(columns[j] for j in exc.column_indices)
+        raise error or IngestError(f"design matrix is rank deficient; columns involved: {involved}") from None
+    except ValueError as exc:
+        raise error or IngestError(str(exc)) from None
+    if error is not None:
+        raise error
+    return book

@@ -29,6 +29,7 @@ from exposure_glm import balance, claim_count, cli, model_core
 from exposure_glm.cli import IngestError, build_parser, ingest_csv, ingest_counts_csv, main
 from exposure_glm.simulate import Scenario, build_scenario_portfolio, gen_mimic_portfolio
 
+from oracles import ingest_by_records
 from util import overflowing_count_data, write_portfolio_csv
 
 
@@ -169,7 +170,8 @@ class TestIngest:
 
     @pytest.mark.parametrize("batch", [1, 2, 3, 512])
     def test_records_read_in_batches(self, tmp_path, monkeypatch, batch):
-        monkeypatch.setattr(cli, "_READ_ROWS", batch)
+        # the records of a file that np.loadtxt fails on are checked ``_CHECK_ROWS`` at a time
+        monkeypatch.setattr(cli, "_CHECK_ROWS", batch)
         head = 'contract_id,exposure,loss_cost\na,0.5,1.0\n\n\nb,1.0,2.0\n"c,1",0.25,3.0\n\n'
         pf = ingest_csv(_write(tmp_path / "ok.csv", head + "d,1.0,4.0\n"))
         assert pf.contract_ids == ("a", "b", "c,1", "d")
@@ -186,12 +188,16 @@ class TestIngest:
         # (except at 512): the precedence must not depend on that.
         for ingest, value in ((ingest_csv, "loss_cost"), (ingest_counts_csv, "count")):
             header = f"contract_id,exposure,{value}\n"
-            # a bad cell, then a short record: the short record is reported
+            # a bad cell, then a short record: the first error in the file, the cell
             text = header + "a,0.5,x\nb,1.0,1\nc,1.0,2\nd,0.5,1\ne,1.0\nf,1.0,1\n"
-            with pytest.raises(IngestError) as excinfo:
+            with pytest.raises(IngestError, match="^row 2, column '[a-z_]+': not a number: 'x'$") as excinfo:
                 ingest(_write(tmp_path / "cell_short.csv", text))
-            assert excinfo.value.row == 6
-            assert "expected 3 fields, got 2" in str(excinfo.value)
+            assert (excinfo.value.row, excinfo.value.column) == (2, value)
+            # a value out of range, then a short record: the value
+            text = header + "a,0.5,1\nb,1.5,1\nc,1.0,2\nd,0.5,1\ne,1.0\nf,1.0,1\n"
+            with pytest.raises(IngestError) as excinfo:
+                ingest(_write(tmp_path / "range_short.csv", text))
+            assert (excinfo.value.row, excinfo.value.column) == (3, "exposure")
             # a bad cell, then the second occurrence of an id: the cell
             text = header + "a,0.5,1\nb,1.0,-1\nc,1.0,2\nd,0.5,1\ne,1.0,1\na,1.0,1\n"
             with pytest.raises(IngestError) as excinfo:
@@ -225,34 +231,77 @@ class TestIngest:
             INGESTS[value](_write(tmp_path / "in.csv", "\n".join(rows) + "\n"))
         assert "columns involved: x1, x2" in str(excinfo.value)
 
-    def test_ingest_holds_one_batch_of_cells(self, tmp_path):
-        # The traced peak during ingest stays within a small multiple of
-        # the portfolio it returns: the file's cells are never all held
-        # as strings at once.  Cells are written as ``repr`` floats:
-        # one-character cells such as ``1`` are shared string objects
-        # and would hide the cost.
+    @pytest.mark.parametrize("cell", ["1_0", "\u0661"], ids=["digit_group", "arabic_indic_digit"])
+    @pytest.mark.parametrize("value", INGESTS)
+    def test_numbers_are_ascii_without_digit_groups(self, tmp_path, value, cell):
+        # Python's float reads these as 10.0 and 1.0; np.loadtxt, the one reader, refuses them
+        text = f"contract_id,exposure,{value},x1\na,0.5,1,0\nb,1.0,{cell},1\nc,0.25,2,{cell}\n"
+        with pytest.raises(IngestError) as excinfo:
+            INGESTS[value](_write(tmp_path / "in.csv", text))
+        assert str(excinfo.value) == f"row 3, column {value!r}: not a number: {cell!r}"
+        assert (excinfo.value.row, excinfo.value.column) == (3, value)
+
+    @pytest.mark.parametrize("batch", [None, 1, 2])
+    @pytest.mark.parametrize("cell", ["x", "1.5"])
+    def test_bad_cell_before_an_overlong_field(self, tmp_path, monkeypatch, batch, cell):
+        # the error of a record past csv.field_size_limit() comes after the bad cell on row 2, read ahead or not
+        if batch is not None:
+            monkeypatch.setattr(cli, "_CHECK_ROWS", batch)
+        text = f"contract_id,exposure,loss_cost,x1\na,{cell},1.0,0\nb,1.0,2.0,1\nc,0.5,{'0' * 200_000}1,1\n"
+        with pytest.raises(IngestError) as excinfo:
+            ingest_csv(_write(tmp_path / "in.csv", text))
+        assert (excinfo.value.row, excinfo.value.column) == (2, "exposure")
+        assert ("not a number: 'x'" if cell == "x" else "got 1.5 for contract 'a'") in str(excinfo.value)
+        with pytest.raises(IngestError, match="^input file is not CSV: field larger than field limit"):
+            ingest_csv(_write(tmp_path / "good.csv", text.replace(f"a,{cell},", "a,0.5,")))
+
+    @staticmethod
+    def _book_of_reprs(path, n):
+        """A file of ``n`` contracts whose cells are ``repr`` floats; one-character cells such as ``1`` are shared
+        string objects and would hide the cost of holding cells as strings."""
         rng = np.random.default_rng(5)
-        n = 50_000
         exposures = np.where(rng.random(n) < 0.4, rng.uniform(0.08, 0.92, n), 1.0)
         losses = np.where(rng.random(n) < 0.5, 0.0, rng.gamma(1.5, 100.0, n))
         covariates = (rng.random((n, 3)) < [0.5, 0.3, 0.2]).astype(float)
         lines = ["contract_id,exposure,loss_cost,x1,x2,x3"]
         for i, (t, y, row) in enumerate(zip(exposures.tolist(), losses.tolist(), covariates.tolist())):
             lines.append(",".join((f"c{i + 1}", repr(t), repr(y), *map(repr, row))))
-        path = _write(tmp_path / "book.csv", "\n".join(lines) + "\n")
+        return _write(path, "\n".join(lines) + "\n")
+
+    @staticmethod
+    def _traced(ingest):
+        """``(outcome, held, peak)``: what ``ingest()`` returns or raises, and the traced memory then and at peak."""
         tracemalloc.start()
         try:
-            portfolio = ingest_csv(path)
+            try:
+                outcome = ingest()
+            except IngestError as exc:
+                outcome = exc
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert portfolio.n == n
+        return outcome, held, peak
+
+    def test_ingest_holds_one_batch_of_cells(self, tmp_path):
+        # The traced peak during ingest stays within a small multiple of
+        # the portfolio it returns: the file's cells are never all held
+        # as strings at once.
+        path = self._book_of_reprs(tmp_path / "book.csv", 50_000)
+        portfolio, held, peak = self._traced(lambda: ingest_csv(path))
+        assert portfolio.n == 50_000
         assert peak < 3 * held, (peak, held)
 
-    def test_reference_path_holds_one_batch_of_cells(self, tmp_path):
-        # the same bound where np.loadtxt fails and _ingest_columns reads the file
-        with mock.patch.object(np, "loadtxt", side_effect=ValueError("fast path off")):
-            self.test_ingest_holds_one_batch_of_cells(tmp_path)
+    def test_failing_path_holds_one_batch_of_cells(self, tmp_path):
+        # the same bound where np.loadtxt fails on the last row and the walk reads every record again
+        path = self._book_of_reprs(tmp_path / "book.csv", 50_000)
+        _, held, _ = self._traced(lambda: ingest_csv(path))
+        lines = path.read_text(encoding="utf-8").splitlines()
+        fields = lines[-1].split(",")
+        lines[-1] = ",".join([*fields[:2], "x", *fields[3:]])
+        bad = _write(tmp_path / "bad.csv", "\n".join(lines) + "\n")
+        error, _, peak = self._traced(lambda: ingest_csv(bad))
+        assert (error.row, error.column) == (50_001, "loss_cost")
+        assert peak < 3 * held, (peak, held)
 
     def test_counts_first_error_in_row_major_order(self, tmp_path):
         text = "contract_id,exposure,count,x1\na,0.5,1,0\nb,0.5,2,nan\nc,2.0,1,1\nd,0.5,-1,0\n"
@@ -280,10 +329,10 @@ def _ingest_or_error(ingest, path):
     return ("portfolio", pf.contract_ids, pf.covariate_names, *(a.tobytes() for a in arrays))
 
 
-def _fallback_only(ingest, path):
-    """``ingest(path)`` with ``np.loadtxt`` failing, so that ``_ingest_columns`` reads the file."""
-    with mock.patch.object(np, "loadtxt", side_effect=ValueError("fast path off")):
-        return _ingest_or_error(ingest, path)
+def _by_records(value, path):
+    """``_ingest_or_error`` of ``path`` by ``oracles.ingest_by_records``, for the ``value`` column's container."""
+    container = {"loss_cost": model_core.Portfolio, "count": claim_count.CountData}[value]
+    return _ingest_or_error(lambda path: ingest_by_records(path, value, container), path)
 
 
 # cells of small input files: CSV quoting, line breaks, blank and
@@ -301,11 +350,11 @@ INGEST_ID = st.one_of(
 
 
 class TestIngestFastPath:
-    """``np.loadtxt`` reads valid files; the reference ``_ingest_columns`` path gives the same portfolio or error."""
+    """One ``np.loadtxt`` call reads a valid file; ingest gives the portfolio or error the record oracle gives."""
 
     @settings(max_examples=200, derandomize=True, database=None, deadline=None)
     @given(st.data())
-    def test_fast_path_matches_fallback(self, data):
+    def test_ingest_matches_record_oracle(self, data):
         value = data.draw(st.sampled_from(sorted(INGESTS)), label="value column")
         q = data.draw(st.integers(0, 2), label="covariates")
         n = data.draw(st.integers(0, 6), label="rows")
@@ -322,7 +371,7 @@ class TestIngestFastPath:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "in.csv"
             path.write_bytes(ending.join(lines).encode() + ending.encode() * data.draw(st.integers(0, 1)))
-            assert _ingest_or_error(INGESTS[value], path) == _fallback_only(INGESTS[value], path)
+            assert _ingest_or_error(INGESTS[value], path) == _by_records(value, path)
 
     @pytest.mark.parametrize(
         "rows",
@@ -336,9 +385,9 @@ class TestIngestFastPath:
         ],
         ids=["long_id", "long_number", "long_quoted_id", "comment_id", "multiline_id", "duplicate_after_blank"],
     )
-    def test_edge_cases_match_fallback(self, tmp_path, rows):
+    def test_edge_cases_match_record_oracle(self, tmp_path, rows):
         path = _write(tmp_path / "in.csv", "contract_id,exposure,loss_cost,x1\n" + "\n".join(rows) + "\n")
-        assert _ingest_or_error(ingest_csv, path) == _fallback_only(ingest_csv, path)
+        assert _ingest_or_error(ingest_csv, path) == _by_records("loss_cost", path)
 
     def test_edge_case_outcomes(self, tmp_path):
         header = "contract_id,exposure,loss_cost,x1\n"
@@ -352,12 +401,16 @@ class TestIngestFastPath:
         assert (excinfo.value.row, excinfo.value.column) == (5, "contract_id")
         assert "first on row 2" in str(excinfo.value)
 
-    def test_design_is_column_major_on_both_paths(self, tmp_path):
+    def test_design_is_column_major_on_both_paths(self, tmp_path, monkeypatch):
         text = "contract_id,exposure,loss_cost,x1,x2\na,0.5,1,0,2\nb,1.0,2,1,3\nc,0.25,0,1,5\nd,1.0,4,0,1\n"
-        path = _write(tmp_path / "in.csv", text)
-        assert ingest_csv(path).design.flags.f_contiguous
-        with mock.patch.object(np, "loadtxt", side_effect=ValueError("fast path off")):
-            assert ingest_csv(path).design.flags.f_contiguous
+        assert ingest_csv(_write(tmp_path / "in.csv", text)).design.flags.f_contiguous
+        # an id of 100 000 characters may pass the field-size limit for all the comma check knows, so the
+        # walk reads the file, finds no bad record and keeps every row
+        walks = []
+        monkeypatch.setattr(cli, "_walk", lambda *args, real=cli._walk: walks.append(1) or real(*args))
+        pf = ingest_csv(_write(tmp_path / "long_id.csv", text.replace("\na,", "\n" + "a" * 100_000 + ",")))
+        assert walks == [1] and pf.contract_ids[1:] == ("b", "c", "d") and len(pf.contract_ids[0]) == 100_000
+        assert pf.design.flags.f_contiguous
 
     def test_other_warnings_of_loadtxt_reach_the_caller(self, tmp_path, monkeypatch):
         def warn(*args, real=np.loadtxt, **kwargs):
@@ -378,7 +431,7 @@ class TestIngestFastPath:
         def refuse(*args):
             raise AssertionError("the file was read again")
 
-        monkeypatch.setattr(cli, "_ingest_columns", refuse)
+        monkeypatch.setattr(cli, "_walk", refuse)
         text = f'contract_id,exposure,{value},x1\na,0.5,1,0\n"b,1",1.0,2,1\n\n"c""2",0.25,0,1\n'
         pf = INGESTS[value](_write(tmp_path / "in.csv", text))
         assert pf.contract_ids == ("a", "b,1", 'c"2')
@@ -392,8 +445,7 @@ class TestIngestFastPath:
         def refuse(*args):
             raise AssertionError("the cells were parsed again")
 
-        monkeypatch.setattr(cli, "_ingest_columns", refuse)
-        monkeypatch.setattr(cli, "_parse_column", refuse)
+        monkeypatch.setattr(cli, "_walk", refuse)
         # a blank record and a two-line one come before the bad cell, which np.loadtxt read as a number
         text = f'contract_id,exposure,{value},x1\na,0.5,1,0\n\n"b\nc",1.0,2,1\nd,1.5,0,1\ne,0.25,1,0\n'
         with pytest.raises(IngestError) as excinfo:
@@ -486,7 +538,7 @@ class TestIngestOpensOnce:
         def refuse(*args):
             raise AssertionError("the file was read again")
 
-        monkeypatch.setattr(cli, "_ingest_columns", refuse)
+        monkeypatch.setattr(cli, "_walk", refuse)
         rows = [f"contract_id,exposure,{value},x1,x2"] + [f"c{i},0.5,1,{i % 3},{i % 3}" for i in range(8)]
         with pytest.raises(IngestError, match="columns involved: x1, x2$"):
             INGESTS[value](_write(tmp_path / "in.csv", "\n".join(rows) + "\n"))
@@ -532,9 +584,9 @@ class TestIngestOpensOnce:
         expected = _ingest_or_error(INGESTS[value], _write(tmp_path / "in.csv", text))
 
         def refuse(*args):
-            raise AssertionError("the reference reader read a valid pipe")
+            raise AssertionError("the walk read a valid pipe")
 
-        monkeypatch.setattr(cli, "_ingest_columns", refuse)
+        monkeypatch.setattr(cli, "_walk", refuse)
         through_pipe = _through_pipe(tmp_path / "pipe.csv", text, INGESTS[value])
         assert through_pipe[:2] == ("portfolio", ("a", "b,1", 'c"2'))
         assert through_pipe == expected

@@ -215,6 +215,19 @@ class TestDomainTypes:
             Portfolio.from_arrays(np.full(12, 0.5), np.ones(12), np.column_stack(columns(x)))
         assert set(excinfo.value.column_indices) == involved
 
+    def test_rank_does_not_depend_on_column_units(self):
+        # matrix_rank's tolerance grows with the largest column: the design as given fails at 1e-200, 1e12 and 1e200
+        rng = np.random.default_rng(24)
+        n = 10_000
+        exposures = np.where(rng.random(n) < 0.4, rng.uniform(0.1, 0.9, n), 1.0)
+        binary, amount = (rng.random(n) < 0.3).astype(float), rng.uniform(0.5, 1.5, n)
+        for units in (1e-200, 1e-8, 1.0, 1e6, 1e11, 1e12, 1e200):
+            pf = Portfolio.from_arrays(exposures, np.ones(n), np.column_stack([binary, units * amount]))
+            assert pf._partial_rank == 3, units
+            with pytest.raises(RankDeficiencyError) as excinfo:
+                Portfolio.from_arrays(exposures, np.ones(n), np.column_stack([binary, units * binary]))
+            assert excinfo.value.column_indices == (1, 2), units
+
     def test_portfolio_rejects_constant_covariate(self):
         # a constant column duplicates the intercept
         with pytest.raises(RankDeficiencyError):

@@ -1,6 +1,6 @@
 """Property tests of the fit on small random books, drawn by hypothesis.
 
-Each book has 8 to 40 contracts with exposures in [0.05, 1], zero or
+Each book has 20 to 60 contracts with exposures in [0.05, 1], zero or
 gamma losses at a loss scale from 1e-4 to 1e6, and up to two normal
 covariates.  At least ``q + 2`` losses are positive, so the covariates
 cannot separate the zeros and the optimum exists.  The examples are
