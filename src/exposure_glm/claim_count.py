@@ -103,14 +103,21 @@ def _check_zero_inflation(zero_inflation):
         raise ValueError(f"zero inflation must lie in [0, 1), got {zero_inflation}")
 
 
-def _zip_terms(beta, zero_inflation, data: CountData, scheme: WeightScheme):
-    """``(weight, mean, count)`` of each contract's term in ``zip_loglik``."""
-    _check_zero_inflation(zero_inflation)
-    scheme = WeightScheme(scheme)
-    zeta = np.exp(data.design @ _check_beta(beta, data.q + 1))
+def _zip_terms(zeta, data: CountData, scheme: WeightScheme):
+    """``(weight, mean, count)`` of each contract's term in ``zip_loglik`` at ``zeta = exp(X @ beta)``."""
     if scheme is WeightScheme.OFFSET:
         return 1.0, data.exposures * zeta, data.counts
     return data.exposures, zeta, data.normalized
+
+
+def _zip_sum(zeta, zero_inflation, data: CountData, scheme: WeightScheme, zero):
+    """``zip_loglik`` at ``zeta = exp(X @ beta)``; ``zero``, ``data.counts == 0``, serves both schemes."""
+    w, mu, count = _zip_terms(zeta, data, scheme)
+    pi = zero_inflation
+    w, pos = np.broadcast_to(w, mu.shape), ~zero
+    zeros = w[zero] * np.log(pi + (1.0 - pi) * np.exp(-mu[zero]))
+    positives = w[pos] * (math.log1p(-pi) - mu[pos] + count[pos] * np.log(mu[pos]))
+    return float(zeros.sum()) + float(positives.sum())
 
 
 def zip_loglik(beta, zero_inflation, data: CountData, scheme: WeightScheme) -> float:
@@ -127,18 +134,17 @@ def zip_loglik(beta, zero_inflation, data: CountData, scheme: WeightScheme) -> f
     Terms constant in ``beta`` (the factorials) are omitted, which also
     makes non-integer annualized counts admissible.
     """
-    w, mu, count = _zip_terms(beta, zero_inflation, data, scheme)
-    pi = zero_inflation
-    w, zero = np.broadcast_to(w, mu.shape), data.counts == 0
-    pos = ~zero
-    zeros = w[zero] * np.log(pi + (1.0 - pi) * np.exp(-mu[zero]))
-    positives = w[pos] * (math.log1p(-pi) - mu[pos] + count[pos] * np.log(mu[pos]))
-    return float(zeros.sum()) + float(positives.sum())
+    _check_zero_inflation(zero_inflation)
+    scheme = WeightScheme(scheme)
+    zeta = np.exp(data.design @ _check_beta(beta, data.q + 1))
+    return _zip_sum(zeta, zero_inflation, data, scheme, data.counts == 0)
 
 
 def zip_score(beta, zero_inflation, data: CountData, scheme: WeightScheme):
     """Gradient of ``zip_loglik`` in ``beta`` (zero inflation held fixed)."""
-    w, mu, count = _zip_terms(beta, zero_inflation, data, scheme)
+    _check_zero_inflation(zero_inflation)
+    scheme = WeightScheme(scheme)
+    w, mu, count = _zip_terms(np.exp(data.design @ _check_beta(beta, data.q + 1)), data, scheme)
     pi = zero_inflation
     coeff = np.where(
         data.counts == 0,
@@ -161,11 +167,13 @@ def zip_nonequivalence_check(data: CountData, zero_inflation: float = 0.3) -> Zi
     and the report shows equivalence.  A probe whose difference is not
     finite raises ValueError.
     """
-    differences = []
+    _check_zero_inflation(zero_inflation)
+    differences, zero = [], data.counts == 0
     for intercept, slope in _ZIP_PROBES:
         beta = np.array((intercept,) + (slope,) * data.q) / data._column_scale
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            offset, ratio = (zip_loglik(beta, zero_inflation, data, scheme) for scheme in WeightScheme)
+            zeta = np.exp(data.design @ beta)  # one per probe: both schemes' terms are functions of it
+            offset, ratio = (_zip_sum(zeta, zero_inflation, data, scheme, zero) for scheme in WeightScheme)
         if not math.isfinite(offset - ratio):
             raise ValueError(
                 f"the ZIP probe at intercept {intercept}, other coefficients {slope} over each covariate's "

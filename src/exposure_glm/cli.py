@@ -242,23 +242,44 @@ def _number(text):
 def _records(fh):
     """``(row, record)`` of the header (row 1) and each later record of ``fh`` that is not blank, by ``csv.reader``.
 
-    Rows count blank records too.  Text that is not UTF-8 CSV is an IngestError when it is read.
+    Rows count blank records too.  Text that is not CSV is an IngestError when it is read; ``fh`` decodes a byte
+    that is not UTF-8 as a lone surrogate, which ``_undecodable`` reports at its cell.
     """
     fh.seek(0)
     records = enumerate(csv.reader(fh), start=1)
     try:
         yield next(records, (1, None))
         yield from filter(itemgetter(1), records)
-    except UnicodeDecodeError as exc:
-        raise IngestError(f"input file is not UTF-8: {exc.reason}") from exc
     except csv.Error as exc:
         raise IngestError(f"input file is not CSV: {exc}") from exc
+
+
+def _undecodable(text):
+    """``not UTF-8: <reason>`` for a cell read with ``errors="surrogateescape"`` that holds such a byte, else None."""
+    try:
+        text.encode("utf-8", "surrogateescape").decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return f"not UTF-8: {exc.reason}"
+    return None
+
+
+def _first_undecodable(cells):
+    """Index of the first of ``cells`` that holds a byte that is not UTF-8 (a lone surrogate), or None."""
+    if (joined := "".join(cells)).isascii():
+        return None
+    try:
+        joined.encode("utf-8")  # strict: a surrogate cannot be encoded
+    except UnicodeEncodeError as exc:
+        return int(np.searchsorted(np.cumsum([len(cell) for cell in cells]), exc.start, side="right"))
+    return None
 
 
 def _read_header(fh, leading):
     """The header's field names, leaving ``fh`` at the first data row; a missing or bad header is an IngestError."""
     if (header := next(_records(fh))[1]) is None:
         raise IngestError("file is empty", row=1)
+    if (j := _first_undecodable(header)) is not None:
+        raise IngestError(_undecodable(header[j]), row=1)
     names = [h.strip() for h in header]
     if names[: len(leading)] != list(leading):
         raise IngestError(f"header must start with {','.join(leading)}, got {','.join(header)}", row=1)
@@ -317,7 +338,8 @@ def _read_columns(fh, leading):
     """Field names, contract ids, a float array per later field, and the walk's ``bad`` and ``error``, or None.
 
     One ``np.loadtxt`` call reads the data rows; where it fails, or where a field may pass the field-size limit,
-    ``_walk`` reads them.  Cells are parsed, not checked: the container validates them.
+    ``_walk`` reads them.  Cells are parsed, not checked: the container validates them.  An id that is not UTF-8 is
+    ``error``, with the rows from its own on dropped.
     """
     names = _read_header(fh, leading)
     step = (limit := csv.field_size_limit()) // 4  # a field past the limit has a quarter of it without a comma
@@ -334,6 +356,10 @@ def _read_columns(fh, leading):
     else:
         ids, cells, bad, error = _walk(fh, len(names))
         columns = list(cells.T)
+    if (i := _first_undecodable(ids)) is not None:  # the first error unless the container finds one before row i
+        ((row, text),) = _cells_of(fh, (i,), 0)
+        ids, columns, bad = ids[:i], [column[:i] for column in columns], None
+        error = IngestError(_undecodable(text), row=row, column=leading[0])
     if not ids and not error:
         raise IngestError("no data rows")
     return names, ids, columns, bad, error
@@ -348,7 +374,7 @@ def _ingest(path, value_column, container):
     """
     leading = ("contract_id", "exposure", value_column)
     try:
-        fh = open(path, newline="", encoding="utf-8-sig")
+        fh = open(path, newline="", encoding="utf-8-sig", errors="surrogateescape")
     except OSError as exc:
         raise IngestError(f"cannot read input file {path}: {exc.strerror}") from exc
     with fh, contextlib.ExitStack() as stack:
@@ -356,7 +382,7 @@ def _ingest(path, value_column, container):
             copy = stack.enter_context(tempfile.TemporaryFile())
             shutil.copyfileobj(fh.buffer, copy)
             copy.seek(0)
-            fh = stack.enter_context(io.TextIOWrapper(copy, newline="", encoding="utf-8-sig"))
+            fh = stack.enter_context(io.TextIOWrapper(copy, newline="", encoding="utf-8-sig", errors="surrogateescape"))
         names, ids, (exposures, values, *covariates), bad, error = _read_columns(fh, leading)
         covariates = np.array(covariates).T if covariates else None  # column-major, as the design
         try:
@@ -370,7 +396,7 @@ def _ingest(path, value_column, container):
             if position == 0:
                 message = f"duplicate contract id {ids[i]!r}, first on row {first_row}"
             else:
-                message = str(exc) if _number(text) is not None else f"not a number: {text!r}"
+                message = _undecodable(text) or (str(exc) if _number(text) is not None else f"not a number: {text!r}")
             raise IngestError(message, row=row, column=names[position]) from exc
         except RankDeficiencyError as exc:
             design_names = ["intercept"] + names[3:]
@@ -440,6 +466,24 @@ def cmd_fit(args):
     _write_fit_json(args.out, args, portfolio, results)
 
 
+def _quantiles(values, levels):
+    """``np.quantile(values, levels)`` bit for bit, by its linear rule on one ``np.partition``.
+
+    ``np.quantile`` calls ``np.unique``, which imports ``numpy.ma``: about 10-20 ms in a fresh process.  As
+    there, a NaN makes every quantile NaN.
+    """
+    n = len(values)
+    index = (n - 1) * np.asarray(levels, dtype=float)
+    below = np.floor(index).astype(np.intp)
+    above = np.minimum(below + 1, n - 1)
+    ordered = np.partition(values, sorted({*below.tolist(), *above.tolist(), n - 1}))
+    if np.isnan(ordered[-1]):
+        return np.full(len(index), ordered[-1])
+    a, b, gamma = ordered[below], ordered[above], index - below
+    diff = b - a
+    return np.subtract(b, diff * (1 - gamma), out=a + diff * gamma, where=gamma >= 0.5)
+
+
 def cmd_compare(args):
     portfolio, results = _fit_schemes(args, _SCHEMES["both"])
     result_offset = results[WeightScheme.OFFSET]
@@ -480,7 +524,7 @@ def cmd_compare(args):
     _write_csv(
         args.out / "premium_ratios.csv",
         ["quantile", "ratio"],
-        [_QUANTILES, np.quantile(zeta_offset / zeta_ratio, _QUANTILES)],
+        [_QUANTILES, _quantiles(zeta_offset / zeta_ratio, _QUANTILES)],
     )
     _write_json(
         args.out / "balance.json",

@@ -109,10 +109,27 @@ def _unit_columns(matrix):
     return matrix / np.where(top > 0.0, np.linalg.norm(matrix, axis=0), 1.0)
 
 
-def _rank(matrix):
-    """``np.linalg.matrix_rank`` of ``matrix`` if full, else of ``_unit_columns(matrix)``: units cannot lower it."""
+def _rank(matrix, rows=None):
+    """Column rank of ``matrix``, or of its rows where the boolean array ``rows`` holds; units cannot lower it.
+
+    Full on a Gram certificate: ``_gram`` of the rows at unit diagonal has its smallest eigenvalue above 1e-10 of
+    its largest, so the rows at unit column norms have condition number below 1e5, far inside ``matrix_rank``'s
+    tolerance.  Else (fewer rows than columns, a diagonal entry that is not a finite normal float, a failed bound)
+    ``np.linalg.matrix_rank`` of the rows as given if full, else of ``_unit_columns`` of them.
+    """
+    k = matrix.shape[1]
+    weights = np.ones(len(matrix)) if rows is None else rows.astype(float)
+    if 0 < k <= weights.sum():
+        gram = _gram(matrix, weights)
+        if np.isfinite(gram).all() and (diagonal := np.diag(gram)).min() >= np.finfo(float).tiny:
+            scale = 1.0 / np.sqrt(diagonal)
+            eigenvalues = np.linalg.eigvalsh(gram * scale * scale[:, None])
+            if eigenvalues[0] > 1e-10 * eigenvalues[-1]:
+                return k
+    if rows is not None:
+        matrix = matrix.compress(rows, axis=0)
     rank = int(np.linalg.matrix_rank(matrix))
-    return rank if rank == matrix.shape[1] else int(np.linalg.matrix_rank(_unit_columns(matrix)))
+    return rank if rank == k else int(np.linalg.matrix_rank(_unit_columns(matrix)))
 
 
 def validate_design(design):
@@ -274,7 +291,7 @@ class Portfolio:
     def _partial_rank(self):
         """``_rank`` of the design rows with exposure below one (0 if none), computed on first read."""
         partial = self.exposures < 1.0
-        return _rank(self.design.compress(partial, axis=0)) if partial.any() else 0
+        return _rank(self.design, partial) if partial.any() else 0
 
     @functools.cached_property
     def _column_scale(self):
@@ -338,9 +355,10 @@ def _scheme_weights(scheme, exposures, p):
 
 
 def _d_weights(s, w, p):
-    """The diagonal ``w * exp((2 - p) * s)`` of ``D`` at ``s = X @ beta``, without overflow warnings."""
+    """The diagonal ``w * exp((2 - p) * s)`` of ``D`` at ``s = X @ beta``, in one new array, warning of no overflow."""
     with np.errstate(over="ignore"):
-        return w * np.exp((2.0 - p) * s)
+        d = np.multiply(2.0 - p, s)
+        return np.multiply(w, np.exp(d, out=d), out=d)
 
 
 def _scoring_pass(beta, design, z, w, p):
@@ -360,25 +378,28 @@ def _scoring_pass(beta, design, z, w, p):
     term ``d_i * r_i`` and its two parts are at most ``d_i * (q_i + 1)``.
     Overflow is not warned about: a non-finite objective halves the
     solver's step, a non-finite information matrix fails in ``_cho_factor``.
+    Every n-long temporary is written in place (``out=``): ``R`` and ``D * R`` into ``s`` once it is spent.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         s = design @ beta
         d = _d_weights(s, w, p)
-        q = z * np.exp(-s)
+        q = np.negative(s)
+        np.multiply(z, np.exp(q, out=q), out=q)
         dq = d * q
         sum_dq, sum_d = dq.sum(), d.sum()
         mass = float(sum_dq + sum_d)
         if p == 1.0:
-            objective = float((dq * s).sum() - sum_d)
+            objective = float(np.multiply(dq, s, out=dq).sum() - sum_d)
         else:
             objective = float(sum_dq / (1.0 - p) - sum_d / (2.0 - p))
-        return d, q, design.T @ (d * (q - 1.0)), mass, objective
+        return d, q, design.T @ np.multiply(d, np.subtract(q, 1.0, out=s), out=s), mass, objective
 
 
 def _observed_weights(d, q, p):
-    """The diagonal of ``H = D * ((p - 1) * Q + (2 - p))``, without overflow warnings."""
+    """The diagonal of ``H = D * ((p - 1) * Q + (2 - p))``, in one new array, without overflow warnings."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return d * ((p - 1.0) * q + (2.0 - p))
+        h = np.multiply(p - 1.0, q)
+        return np.multiply(d, np.add(h, 2.0 - p, out=h), out=h)
 
 
 # Cells of the design in one block of ``_gram``: 2**15 doubles, 256 KiB,

@@ -116,8 +116,8 @@ def _weighted_mean(w, z):
     return float(np.dot(w, z) / w.sum())
 
 
-def _irls(design, z, exposures, scheme, p, phi, beta, max_iterations, scale):
-    """Newton's method for the weighted Tweedie fit on ``z`` with the scheme's weights of ``exposures``.
+def _irls(design, z, exposures, scheme, w, p, phi, beta, max_iterations, scale):
+    """Newton's method for the weighted Tweedie fit on ``z`` with ``w``, the scheme's weights of ``exposures``.
 
     Starts from ``beta`` and solves ``(X.T H X) delta = X.T D R`` once
     per iteration until every score component is within its rounding
@@ -130,7 +130,6 @@ def _irls(design, z, exposures, scheme, p, phi, beta, max_iterations, scale):
     covariance is factored on first read from the ``D`` at that iterate
     and scaled by the dispersion ``phi``, which also divides the objective trace.
     """
-    w = _scheme_weights(scheme, exposures, p)
     floor_scale = _FLOOR_MULTIPLE * _EPS * scale
     d, q, score, mass, value = _scoring_pass(beta, design, z, w, p)
     trace_beta = [beta.copy()]
@@ -177,7 +176,7 @@ def _fit(portfolio: Portfolio, scheme: WeightScheme, p, phi):
     w = _scheme_weights(scheme, portfolio.exposures, p)
     start[0] = math.log(_weighted_mean(w, portfolio.normalized))  # positive: the book has a loss
     return _irls(
-        portfolio.design, portfolio.normalized, portfolio.exposures, scheme, p, phi, start, _MAX_ITERATIONS,
+        portfolio.design, portfolio.normalized, portfolio.exposures, scheme, w, p, phi, start, _MAX_ITERATIONS,
         portfolio._column_scale,
     )
 

@@ -5,8 +5,9 @@ finite differences instead of the analytic score, lattice search instead
 of the Newton iteration, eigenvalues instead of Cholesky, Monte Carlo instead
 of closed-form lognormal moments, a loss-cost-scale refit instead of
 the weighted annualized-loss formulation, the raw-count Poisson
-score instead of the Tweedie kernel at ``p = 1``, and a record-by-record
-CSV read instead of the CLI's whole-file ``np.loadtxt`` call.
+score instead of the Tweedie kernel at ``p = 1``, a record-by-record
+CSV read instead of the CLI's whole-file ``np.loadtxt`` call, and SVDs
+alone instead of the container's Gram certificate for a rank.
 """
 
 import csv
@@ -30,6 +31,7 @@ __all__ = [
     "offset_loss_irls",
     "poisson_score",
     "ingest_by_records",
+    "svd_rank",
 ]
 
 
@@ -248,3 +250,19 @@ def ingest_by_records(path, value_column, container):
     if error is not None:
         raise error
     return book
+
+
+def svd_rank(matrix):
+    """Column rank of ``matrix`` by SVDs alone, as the container ranked before its Gram certificate.
+
+    ``np.linalg.matrix_rank`` of ``matrix`` as given where that is full, and else of ``matrix`` with every nonzero
+    column at unit norm, each first divided by its largest ``|x|`` so that no norm overflows.
+    """
+    matrix = np.asarray(matrix, dtype=float)
+    rank = int(np.linalg.matrix_rank(matrix))
+    if rank == matrix.shape[1]:
+        return rank
+    top = np.abs(matrix).max(axis=0, initial=0.0)
+    scaled = matrix / np.where(top > 0.0, top, 1.0)
+    norms = np.sqrt((scaled * scaled).sum(axis=0))
+    return int(np.linalg.matrix_rank(scaled / np.where(norms > 0.0, norms, 1.0)))

@@ -7,7 +7,10 @@ report's row count, or how often the work is done, never a time.  The
 benchmark itself is ``perfbench/run.py``.
 """
 
+import numpy as np
+
 from exposure_glm import (
+    CountData,
     TweedieFamily,
     WeightScheme,
     balance_factor,
@@ -15,6 +18,7 @@ from exposure_glm import (
     covariance_dominance,
     fit,
     moment_ordering,
+    zip_nonequivalence_check,
 )
 from exposure_glm.cli import main
 from exposure_glm.simulate import gen_mimic_portfolio
@@ -57,9 +61,21 @@ def test_p_profile_factorises_each_covariance_once_per_p(monkeypatch):
     # the benchmark's p-profile analysis: per p, both fits, the dominance,
     # four one-row moment calls and two balance factors, all at the offset
     # fit's coefficients; each p needs one factorisation per scheme, and a
-    # fit whose covariance is not read forms no X' D X beyond its Newton steps
+    # fit whose covariance is not read forms no X' D X beyond its Newton steps;
+    # the book and its partial rows have full rank on the Gram certificate, so no SVD runs
     factorised, grams = spy_covariance(monkeypatch), spy_gram(monkeypatch)
     scanned, scaled = spy_book_fact(monkeypatch, "_separation"), spy_book_fact(monkeypatch, "_column_scale")
+    svds = []
+
+    def spy(name, raw):
+        def counted(*args, **kwargs):
+            svds.append(name)
+            return raw(*args, **kwargs)
+
+        return counted
+
+    for name in ("svd", "matrix_rank"):
+        monkeypatch.setattr(np.linalg, name, spy(name, getattr(np.linalg, name)))
     pf = random_portfolio(13, n=2_000, q=8)
     grid = [i / 10 for i in range(11, 20)]
     steps = 0
@@ -74,3 +90,7 @@ def test_p_profile_factorises_each_covariance_once_per_p(monkeypatch):
     assert factorised == [WeightScheme.OFFSET, WeightScheme.RATIO] * len(grid)
     assert len(grams) == steps + 2 * len(grid)
     assert scanned == scaled == [pf]
+    counts = CountData.from_arrays(pf.exposures, np.floor(pf.loss_costs / 40.0), pf.design[:, 1:])
+    zip_nonequivalence_check(counts)
+    assert pf._partial_rank == counts._partial_rank == pf.q + 1
+    assert svds == []

@@ -251,6 +251,16 @@ class TestZipNonEquivalence:
             with pytest.raises(ValueError, match="probe at intercept 0.1, other coefficients 1000.0 over each"):
                 zip_nonequivalence_check(zip_count_data(7), zero_inflation)
 
+    @pytest.mark.parametrize("zero_inflation", [0.0, 0.3, 0.9])
+    def test_each_difference_is_the_loglik_difference_bit_for_bit(self, zero_inflation):
+        # one exp(X @ beta) and one zero split per probe serve both schemes
+        for data in (zip_count_data(12), overflowing_count_data()):
+            evidence = zip_nonequivalence_check(data, zero_inflation)
+            for (intercept, slope), difference in zip(claim_count._ZIP_PROBES, evidence.differences, strict=True):
+                beta = np.array((intercept,) + (slope,) * data.q) / data._column_scale
+                offset, ratio = (zip_loglik(beta, zero_inflation, data, scheme) for scheme in WeightScheme)
+                assert difference == offset - ratio
+
     def test_full_exposure_reports_equivalence(self):
         evidence = zip_nonequivalence_check(zip_count_data(8, all_full=True), zero_inflation=0.3)
         assert evidence.equivalent

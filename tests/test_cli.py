@@ -12,6 +12,7 @@ import os
 import shutil
 import signal
 import stat
+import subprocess
 import sys
 import tempfile
 import threading
@@ -255,6 +256,45 @@ class TestIngest:
         with pytest.raises(IngestError, match="^input file is not CSV: field larger than field limit"):
             ingest_csv(_write(tmp_path / "good.csv", text.replace(f"a,{cell},", "a,0.5,")))
 
+    @pytest.mark.parametrize("value", INGESTS)
+    @pytest.mark.parametrize("batch", [None, 1])
+    @pytest.mark.parametrize(
+        "rows,where,reason",
+        [
+            ([b"a,1.5,1,0", b"b,0.5,1,1", b"c\xff,0.5,1,0"], (2, "exposure"), None),
+            ([b"a,0.5,1.\xff,0", b"b,0.5,1,1", b"c,1.5,1,0"], (2, None), "invalid start byte"),
+            ([b"a,0.5,1,0", b"b\xff,0.5,1,1", b"c,1.5,1,0", b"d,0.5,1,0,9"], (3, "contract_id"), "invalid start byte"),
+            ([b"a,0.5,1,0", b"b,0.5,1,1", b"c,0.5,1,\xc3("], (4, "x1"), "invalid continuation byte"),
+            # both past the decoder's first 8 KiB
+            ([b"c%d,0.5,1,0" % i for i in range(3000)] + [b"x,1.5,1,0", b"\xff,0.5,1,0"], (3002, "exposure"), None),
+        ],
+        ids=["bad_cell_first", "bad_byte_first", "bad_id_first", "split_character", "long_file"],
+    )
+    def test_bytes_that_are_not_utf8_are_reported_in_file_order(
+        self, tmp_path, monkeypatch, value, batch, rows, where, reason
+    ):
+        # the decoder reads ahead of the records: a bad byte keeps its row and cannot hide a bad cell before it
+        if batch is not None:
+            monkeypatch.setattr(cli, "_CHECK_ROWS", batch)
+        src = tmp_path / "in.csv"
+        src.write_bytes(b"\n".join([f"contract_id,exposure,{value},x1".encode(), *rows]) + b"\n")
+        with pytest.raises(IngestError) as excinfo:
+            INGESTS[value](src)
+        row, column = where
+        assert (excinfo.value.row, excinfo.value.column) == (row, column or value)
+        if reason is not None:
+            assert str(excinfo.value).endswith(f"not UTF-8: {reason}")
+
+    def test_header_that_is_not_utf8_is_row_one(self, tmp_path):
+        src = tmp_path / "in.csv"
+        src.write_bytes(b"contract_id,exposure,loss_cost,x\xff\na,1.5,1,0\n")
+        with pytest.raises(IngestError, match="^row 1: not UTF-8: invalid start byte$"):
+            ingest_csv(src)
+
+    def test_ids_in_utf8_are_kept(self, tmp_path):
+        text = "contract_id,exposure,loss_cost,x1\n\u00e9,0.5,10.0,0\n\u6771\u4eac,1.0,20.0,1\n\ufeffc,1.0,5.0,0\n"
+        assert ingest_csv(_write(tmp_path / "in.csv", text)).contract_ids == ("\u00e9", "\u6771\u4eac", "\ufeffc")
+
     @staticmethod
     def _book_of_reprs(path, n):
         """A file of ``n`` contracts whose cells are ``repr`` floats; one-character cells such as ``1`` are shared
@@ -492,6 +532,22 @@ def _copy_after(monkeypatch, writer):
 class TestIngestOpensOnce:
     """One open of the input, one header rule, one container build; a pipe is copied once, then read as a file."""
 
+    def test_pipe_bytes_that_are_not_utf8(self, tmp_path):
+        # the copy of a pipe is decoded as the file is: the bad cell on row 2 comes before the bad byte on row 3
+        fifo = tmp_path / "in.csv"
+        os.mkfifo(fifo)
+
+        def write():
+            with open(os.open(fifo, os.O_WRONLY), "wb") as fh:
+                fh.write(b"contract_id,exposure,loss_cost\na,x,1\n\xff,0.5,1\n")
+
+        writer = threading.Thread(target=write, daemon=True)
+        writer.start()
+        with _deadline(5), pytest.raises(IngestError, match="^row 2, column 'exposure': not a number: 'x'$"):
+            ingest_csv(fifo)
+        writer.join(5)
+        assert not writer.is_alive()
+
     def test_pipe_whose_writer_finished_first(self, tmp_path, monkeypatch):
         fifo = tmp_path / "in.csv"
         os.mkfifo(fifo)
@@ -668,6 +724,35 @@ class TestCompareCommand:
         quantiles = _read_csv(out / "premium_ratios.csv")
         for row in quantiles[1:]:
             assert abs(float(row[1]) - 1.0) < 1e-8
+
+    @pytest.mark.parametrize("n", [*range(1, 60), 1000, 4097, 200_000])
+    def test_quantiles_equal_numpy_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        for values in (rng.lognormal(0.0, 0.5, n), np.round(rng.lognormal(0.0, 0.5, n), 1), 1e-300 * rng.random(n)):
+            got, expected = cli._quantiles(values, cli._QUANTILES), np.quantile(values, cli._QUANTILES)
+            assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "values", [[1.0, np.nan, 2.0], [np.inf], [1.0, np.inf], [-np.inf, 1.0, 3.0], [5.0]],
+        ids=["nan", "inf", "one_inf", "minus_inf", "one"],
+    )
+    def test_quantiles_of_special_values_equal_numpy(self, values):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # inf - inf warns in both
+            got, expected = cli._quantiles(np.array(values), cli._QUANTILES), np.quantile(values, cli._QUANTILES)
+        np.testing.assert_array_equal(got, expected)
+
+    def test_compare_does_not_import_numpy_ma(self, tmp_path):
+        # np.quantile would: its np.unique imports numpy.ma, 10-20 ms in a fresh process
+        src = _write(tmp_path / "in.csv", MINIMAL)
+        code = (
+            "import sys; from exposure_glm.cli import main; "
+            f"assert main(['compare', '--input', {str(src)!r}, '--out', {str(tmp_path / 'out')!r}]) == 0; "
+            "print('numpy.ma' in sys.modules)"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
 
     def test_decreasing_synthetic_premium_ratios_above_one(self, tmp_path):
         book = build_scenario_portfolio(n=100, scenario=Scenario.DECREASING, heterogeneous=True, seed=3)

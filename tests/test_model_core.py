@@ -17,9 +17,17 @@ from exposure_glm import (
     homogeneous_mle,
     quasi_loglik,
 )
-from exposure_glm.model_core import _GRAM_BLOCK_CELLS, _cho_factor, _gram, _scheme_weights, _scoring_pass
+from exposure_glm.model_core import (
+    _GRAM_BLOCK_CELLS,
+    _cho_factor,
+    _gram,
+    _observed_weights,
+    _rank,
+    _scheme_weights,
+    _scoring_pass,
+)
 from exposure_glm.solver import fit
-from oracles import eig_min, finite_diff_gradient
+from oracles import eig_min, finite_diff_gradient, svd_rank
 
 from util import random_portfolio, toy_portfolio
 
@@ -232,6 +240,92 @@ class TestDomainTypes:
         # a constant column duplicates the intercept
         with pytest.raises(RankDeficiencyError):
             Portfolio.from_arrays(np.full(6, 0.5), np.ones(6), np.ones((6, 1)))
+
+
+def _rank_survey():
+    """``(name, matrix, rows)``: full, dependent and badly scaled designs, short ones, partial rows of every rank."""
+    rng = np.random.default_rng(38)
+    n = 400
+    x = np.column_stack([np.ones(n), (rng.random(n) < 0.4).astype(float), rng.normal(size=(n, 4))])
+    yield "full", x, None
+    yield "duplicate", np.column_stack([x, x[:, 2]]), None
+    yield "constant", np.column_stack([x, np.full(n, 3.0)]), None
+    yield "sum_of_two", np.column_stack([x, x[:, 2] + x[:, 3]]), None
+    noise = rng.normal(size=n)
+    for gap in (1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12, 1e-14):  # both sides of the certificate's bound
+        yield f"near_duplicate_{gap:g}", np.column_stack([x, x[:, 2] + gap * noise]), None
+    for units in (1e-200, 1e-160, 1e-8, 1e-4, 1.0, 1e4, 1e8, 1e12, 1e160, 1e200):
+        scaled = x.copy()
+        scaled[:, 3] *= units
+        yield f"units_{units:g}", scaled, None
+        yield f"units_{units:g}_duplicate", np.column_stack([scaled, 2.0 * scaled[:, 3]]), None
+    yield "fewer_rows", x[:4], None
+    yield "one_row", x[:1], None
+    k = x.shape[1]
+    for r in range(1, k + 1):
+        partial = rng.random(n) < 0.4
+        mixed = x.copy()
+        # the partial rows span r dimensions: each is a random combination of r fixed rows
+        mixed[partial] = rng.normal(size=(int(partial.sum()), r)) @ x[:r]
+        yield f"partial_rank_{r}", mixed, partial
+    sparse = np.zeros(n, bool)
+    sparse[[5, 9, 11]] = True  # three partial rows of six columns
+    yield "three_partial_rows", x, sparse
+
+
+class TestRankCertificate:
+    """``_rank`` accepts full rank on a Gram certificate and otherwise keeps the SVD rule's verdict."""
+
+    def test_rank_agrees_with_svd_rule(self, monkeypatch):
+        svds, certified = [], []
+
+        def matrix_rank(matrix, raw=np.linalg.matrix_rank):
+            svds.append(matrix.shape)
+            return raw(matrix)
+
+        for name, matrix, rows in _rank_survey():
+            expected = svd_rank(matrix if rows is None else matrix[rows])
+            svds.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(np.linalg, "matrix_rank", matrix_rank)
+                assert _rank(matrix, rows) == expected, name
+            if not svds:
+                certified.append(name)
+                assert expected == matrix.shape[1], name
+        assert {"full", "units_1e-08", "units_1e+12", "partial_rank_6", "near_duplicate_0.01"} <= set(certified)
+        assert not any("duplicate" in name and "near" not in name for name in certified)
+
+
+def _scoring_pass_before(beta, design, z, w, p):
+    """The scoring pass as written before its temporaries were reused: one new array per operation."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = design @ beta
+        d = w * np.exp((2.0 - p) * s)
+        q = z * np.exp(-s)
+        dq = d * q
+        sum_dq, sum_d = dq.sum(), d.sum()
+        mass = float(sum_dq + sum_d)
+        if p == 1.0:
+            objective = float((dq * s).sum() - sum_d)
+        else:
+            objective = float(sum_dq / (1.0 - p) - sum_d / (2.0 - p))
+        return d, q, design.T @ (d * (q - 1.0)), mass, objective, d * ((p - 1.0) * q + (2.0 - p))
+
+
+class TestScoringPassInPlace:
+    @pytest.mark.parametrize("p", [1.0, 1.1, 1.5, 1.9])
+    @pytest.mark.parametrize(
+        "intercept", [0.0, 3.0, -750.0, 750.0], ids=["zero", "fitted", "q_overflows", "d_overflows"]
+    )
+    def test_pass_equals_the_formula_bit_for_bit(self, p, intercept):
+        pf = random_portfolio(39, n=3000, q=3)
+        beta = np.array([intercept, 0.3, -0.2, 0.1])
+        w = pf.exposures if p == 1.0 else _scheme_weights(WeightScheme.OFFSET, pf.exposures, p)
+        *expected, observed = _scoring_pass_before(beta, pf.design, pf.normalized, w, p)
+        got = _scoring_pass(beta, pf.design, pf.normalized, w, p)
+        for mine, theirs in zip(got, expected):
+            np.testing.assert_array_equal(mine, theirs)
+        np.testing.assert_array_equal(_observed_weights(got[0], got[1], p), observed)
 
 
 class TestNormalize:

@@ -5,6 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from exposure_glm import model_core
 from exposure_glm.simulate import (
     EXPOSURE_HI,
     EXPOSURE_LO,
@@ -94,11 +95,11 @@ class TestBuildScenarioPortfolio:
         # the first covariate draw has full rank, so one Portfolio build checks it
         calls = []
 
-        def matrix_rank(design, rank=np.linalg.matrix_rank):
-            calls.append(design.shape)
-            return rank(design)
+        def rank(matrix, rows=None, raw=model_core._rank):
+            calls.append(matrix.shape)
+            return raw(matrix, rows)
 
-        monkeypatch.setattr(np.linalg, "matrix_rank", matrix_rank)
+        monkeypatch.setattr(model_core, "_rank", rank)
         pf = build_scenario_portfolio(n=30, heterogeneous=True, seed=0)
         assert calls == [(30, 3)]
         assert pf.q == 2

@@ -17,6 +17,7 @@ from exposure_glm import (
     solver,
 )
 from exposure_glm.cli import _write_csv
+from exposure_glm.model_core import _scheme_weights
 
 
 def toy_portfolio():
@@ -52,8 +53,10 @@ def fit_from(start, portfolio, scheme, family, max_iterations=100):
     Runs the fit's own loop, ``solver._irls``, on the fit's inputs,
     without ``fit``'s checks of the book.
     """
+    scheme = WeightScheme(scheme)
     return solver._irls(
-        portfolio.design, portfolio.normalized, portfolio.exposures, WeightScheme(scheme), family.p, family.phi,
+        portfolio.design, portfolio.normalized, portfolio.exposures, scheme,
+        _scheme_weights(scheme, portfolio.exposures, family.p), family.p, family.phi,
         np.array(start, dtype=float), max_iterations, portfolio._column_scale,
     )
 
