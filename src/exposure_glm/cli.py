@@ -153,7 +153,13 @@ def _render_in_order(render, starts, emit, name):
             read_end, write_end = os.pipe()
             with contextlib.suppress(OSError):  # a pipe that holds whole chunks spares a hand-off per 64 KiB
                 fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, 1 << 20)
-            if (pid := os.fork()) == 0:
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_end)
+                os.close(write_end)
+                raise
+            if pid == 0:
                 try:
                     os.close(read_end)
                     with open(write_end, "wb") as pipe:
@@ -288,10 +294,10 @@ def _read_header(fh, leading):
     return names
 
 
-def _cells_of(fh, indices, position):
-    """``(row, text)`` of field ``position`` of each data record in ``indices`` of ``fh``, numbered from 0."""
+def _rows_of(fh, indices):
+    """The row of each data record in ``indices`` of ``fh``, numbered from 0."""
     data = enumerate(islice(_records(fh), 1, max(indices) + 2))  # past the header, to the last record asked for
-    found = {i: (row, record[position]) for i, (row, record) in data if i in indices}
+    found = {i: row for i, (row, _) in data if i in indices}
     return [found[i] for i in indices]
 
 
@@ -357,9 +363,9 @@ def _read_columns(fh, leading):
         ids, cells, bad, error = _walk(fh, len(names))
         columns = list(cells.T)
     if (i := _first_undecodable(ids)) is not None:  # the first error unless the container finds one before row i
-        ((row, text),) = _cells_of(fh, (i,), 0)
+        (row,) = _rows_of(fh, (i,))
+        error = IngestError(_undecodable(ids[i]), row=row, column=leading[0])
         ids, columns, bad = ids[:i], [column[:i] for column in columns], None
-        error = IngestError(_undecodable(text), row=row, column=leading[0])
     if not ids and not error:
         raise IngestError("no data rows")
     return names, ids, columns, bad, error
@@ -370,7 +376,7 @@ def _ingest(path, value_column, container):
 
     The path is opened once; an input that is not a regular file (a pipe, say) is first copied to an unnamed
     temporary file, so that every handle can be mapped and read again.  The container is built once.  The first
-    error in the file is reported: a cell that it rejects (``_cells_of`` finds the row), and else the walk's.
+    error in the file is reported: a cell that it rejects (``_rows_of`` finds the row), and else the walk's.
     """
     leading = ("contract_id", "exposure", value_column)
     try:
@@ -389,14 +395,12 @@ def _ingest(path, value_column, container):
             book = container.from_arrays(exposures, values, covariates, contract_ids=ids, covariate_names=names[3:])
         except _CellError as exc:
             i, position = exc.index, exc.position
-            if bad and i == len(ids) - 1 and position:  # a cell of the bad record
+            if bad and i == len(ids) - 1 and position:  # a cell of the walk's stopped record, the only unparsed one
                 row, text = bad[0], bad[1][position]
-            else:
-                (row, text), (first_row, _) = _cells_of(fh, (i, ids.index(ids[i]) if position == 0 else i), position)
-            if position == 0:
-                message = f"duplicate contract id {ids[i]!r}, first on row {first_row}"
-            else:
                 message = _undecodable(text) or (str(exc) if _number(text) is not None else f"not a number: {text!r}")
+            else:  # an id, or a cell that np.loadtxt parsed
+                row, first_row = _rows_of(fh, (i, ids.index(ids[i]) if position == 0 else i))
+                message = str(exc) if position else f"duplicate contract id {ids[i]!r}, first on row {first_row}"
             raise IngestError(message, row=row, column=names[position]) from exc
         except RankDeficiencyError as exc:
             design_names = ["intercept"] + names[3:]

@@ -24,11 +24,7 @@ from .model_core import (
     TweedieFamily,
     WeightScheme,
     _check_beta,
-    _cho_factor,
     _covariance,
-    _d_weights,
-    _gram,
-    _scheme_weights,
 )
 
 __all__ = [
@@ -126,9 +122,7 @@ def coefficient_covariance(portfolio: Portfolio, beta, scheme: WeightScheme, fam
     singular at ``beta``.
     """
     beta = _check_beta(beta, portfolio.q + 1)
-    w = _scheme_weights(WeightScheme(scheme), portfolio.exposures, family.p)
-    d = _d_weights(portfolio.design @ beta, w, family.p)
-    return _covariance(_cho_factor(_gram(portfolio.design, d)), family.phi)
+    return _covariance(portfolio.design, portfolio.exposures, WeightScheme(scheme), family.p, family.phi, beta)
 
 
 def _covariance_pair(portfolio: Portfolio, beta, family: TweedieFamily):

@@ -296,7 +296,8 @@ class Portfolio:
     @functools.cached_property
     def _column_scale(self):
         """``max_i |x_ij|`` per design column, computed on first read: it scales each fit's floor and the ZIP probes."""
-        scale = np.abs(self.design).max(axis=0)  # 1 for the intercept; no column of a full-rank design is zero
+        # max |x| with no copy of |X|; 1 for the intercept, and no column of a full-rank design is zero
+        scale = np.maximum(self.design.max(axis=0), -self.design.min(axis=0))
         scale.flags.writeable = False
         return scale
 
@@ -449,8 +450,10 @@ def _cho_solve(factor, rhs):
     return np.linalg.solve(factor.T, np.linalg.solve(factor, rhs))
 
 
-def _covariance(factor, phi):
-    """Coefficient covariance ``phi * (X.T @ D @ X)**-1`` from its Cholesky factor."""
+def _covariance(design, exposures, scheme, p, phi, beta):
+    """The coefficient covariance ``phi * (X.T @ D @ X)**-1`` at ``beta``, ``D`` from the scheme's weights."""
+    d = _d_weights(design @ beta, _scheme_weights(scheme, exposures, p), p)
+    factor = _cho_factor(_gram(design, d))
     cov = phi * _cho_solve(factor, np.eye(len(factor)))
     return 0.5 * (cov + cov.T)
 

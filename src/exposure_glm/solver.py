@@ -18,9 +18,10 @@ rounding, ``64 * eps * |objective|``.  The scoring pass at each candidate
 yields that objective with the next score, ``D`` and ``Q``, so an
 iteration without halving costs one pass.  Intercept-only portfolios admit
 closed-form maximum-likelihood estimates (weighted means of the
-annualized losses) which also seed the IRLS iteration.  The same path,
-refusals of a book included, fits the Poisson claim-count companion as
-the ``p = 1`` case.
+annualized losses) which also seed the IRLS iteration; the loop derives
+that start and the scheme's weights ``w`` itself, once per fit.  The
+same path, refusals of a book included, fits the Poisson claim-count
+companion as the ``p = 1`` case.
 """
 
 import functools
@@ -37,7 +38,6 @@ from .model_core import (
     _cho_factor,
     _cho_solve,
     _covariance,
-    _d_weights,
     _gram,
     _observed_weights,
     _scheme_weights,
@@ -97,9 +97,7 @@ class FitResult:
         A fit whose covariance is never read factorises nothing after its last step.  Raises
         SingularInformationError, on that read, when ``X.T @ D @ X`` is numerically singular there.
         """
-        design, exposures, scheme, p, phi, beta = self._covariance_inputs
-        d = _d_weights(design @ beta, _scheme_weights(scheme, exposures, p), p)
-        return _covariance(_cho_factor(_gram(design, d)), phi)
+        return _covariance(*self._covariance_inputs)
 
 
 def homogeneous_mle(portfolio: Portfolio, scheme: WeightScheme, family: TweedieFamily) -> float:
@@ -116,13 +114,15 @@ def _weighted_mean(w, z):
     return float(np.dot(w, z) / w.sum())
 
 
-def _irls(design, z, exposures, scheme, w, p, phi, beta, max_iterations, scale):
+def _irls(design, z, exposures, scheme, p, phi, beta, max_iterations, scale):
     """Newton's method for the weighted Tweedie fit on ``z`` with ``w``, the scheme's weights of ``exposures``.
 
-    Starts from ``beta`` and solves ``(X.T H X) delta = X.T D R`` once
-    per iteration until every score component is within its rounding
-    floor (see the module docstring; ``scale`` is ``max_i |x_ij|`` per
-    column, ``Portfolio._column_scale``) or ``max_iterations`` updates are spent.
+    Computes ``w`` once and starts from ``beta``, or, where it is None, from
+    the closed form ``[log(sum(w*z) / sum(w)), 0, ..., 0]``.  Solves
+    ``(X.T H X) delta = X.T D R`` once per iteration until every score
+    component is within its rounding floor (see the module docstring;
+    ``scale`` is ``max_i |x_ij|`` per column, ``Portfolio._column_scale``)
+    or ``max_iterations`` updates are spent.
     A step that lowers the scoring pass's objective (``phi`` times the
     quasi-log-likelihood) by more than ``_OBJECTIVE_SLACK * |objective|``,
     or makes it non-finite, is halved up to ``_MAX_HALVINGS`` times, each
@@ -130,6 +130,10 @@ def _irls(design, z, exposures, scheme, w, p, phi, beta, max_iterations, scale):
     covariance is factored on first read from the ``D`` at that iterate
     and scaled by the dispersion ``phi``, which also divides the objective trace.
     """
+    w = _scheme_weights(scheme, exposures, p)
+    if beta is None:
+        beta = np.zeros(design.shape[1])
+        beta[0] = math.log(_weighted_mean(w, z))  # the mean is positive: ``_fit`` refuses a book without a loss
     floor_scale = _FLOOR_MULTIPLE * _EPS * scale
     d, q, score, mass, value = _scoring_pass(beta, design, z, w, p)
     trace_beta = [beta.copy()]
@@ -164,19 +168,13 @@ def _irls(design, z, exposures, scheme, w, p, phi, beta, max_iterations, scale):
 
 
 def _fit(portfolio: Portfolio, scheme: WeightScheme, p, phi):
-    """Refuse a book with no finite optimum, else run ``_irls`` from ``[log(sum(w*z) / sum(w)), 0, ..., 0]``.
-
-    ``w`` is the scheme's weights at ``p``.  The loop takes at most ``_MAX_ITERATIONS`` (100) updates.
-    """
+    """Refuse a book with no finite optimum, else run ``_irls`` from its closed-form start, for at most 100 updates."""
     if portfolio.loss_costs.sum() <= 0.0:
         raise AllZeroLossError(f"cannot fit a portfolio whose {portfolio._value_name}s are all zero")
     if (message := portfolio._separation) is not None:
         raise SingularInformationError(message)
-    start = np.zeros(portfolio.q + 1)
-    w = _scheme_weights(scheme, portfolio.exposures, p)
-    start[0] = math.log(_weighted_mean(w, portfolio.normalized))  # positive: the book has a loss
     return _irls(
-        portfolio.design, portfolio.normalized, portfolio.exposures, scheme, w, p, phi, start, _MAX_ITERATIONS,
+        portfolio.design, portfolio.normalized, portfolio.exposures, scheme, p, phi, None, _MAX_ITERATIONS,
         portfolio._column_scale,
     )
 

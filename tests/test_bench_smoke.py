@@ -62,7 +62,8 @@ def test_p_profile_factorises_each_covariance_once_per_p(monkeypatch):
     # four one-row moment calls and two balance factors, all at the offset
     # fit's coefficients; each p needs one factorisation per scheme, and a
     # fit whose covariance is not read forms no X' D X beyond its Newton steps;
-    # the book and its partial rows have full rank on the Gram certificate, so no SVD runs
+    # the book and its partial rows have full rank on the Gram certificate, one
+    # X' X each, so no SVD runs
     factorised, grams = spy_covariance(monkeypatch), spy_gram(monkeypatch)
     scanned, scaled = spy_book_fact(monkeypatch, "_separation"), spy_book_fact(monkeypatch, "_column_scale")
     svds = []
@@ -88,7 +89,7 @@ def test_p_profile_factorises_each_covariance_once_per_p(monkeypatch):
         balance_factor(pf, offset), balance_factor(pf, ratio)
         steps += offset.iterations + ratio.iterations
     assert factorised == [WeightScheme.OFFSET, WeightScheme.RATIO] * len(grid)
-    assert len(grams) == steps + 2 * len(grid)
+    assert len(grams) == 2 + steps + 2 * len(grid)
     assert scanned == scaled == [pf]
     counts = CountData.from_arrays(pf.exposures, np.floor(pf.loss_costs / 40.0), pf.design[:, 1:])
     zip_nonequivalence_check(counts)

@@ -1442,6 +1442,26 @@ class TestStripedWriter:
         assert payload["message"] == "the worker process rendering coeff_ratios.csv from data row 2 failed"
         assert [p.name for p in out.iterdir()] == ["fit.json"]
 
+    @pytest.mark.parametrize("started", [0, 2])
+    def test_failed_fork_closes_its_pipe(self, tmp_path, monkeypatch, started):
+        # os.fork raises (EAGAIN, say) after ``started`` workers: no pipe end stays open, every worker is reaped
+        _deal_to(monkeypatch, 4, 1)
+        forks = []
+
+        def fork(real=os.fork):
+            if len(forks) == started:
+                raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+            forks.append(real())
+            return forks[-1]
+
+        monkeypatch.setattr(os, "fork", fork)
+        before = sorted(os.listdir("/proc/self/fd"))
+        with _deadline(60), pytest.raises(BlockingIOError):
+            cli._write_csv(tmp_path / "out.csv", ["a"], [[str(i) for i in range(8)]])
+        assert sorted(os.listdir("/proc/self/fd")) == before
+        _assert_no_children()
+        assert list(tmp_path.iterdir()) == []
+
     def test_failing_parent_reaps_blocked_workers(self, tmp_path, monkeypatch):
         # Each worker's chunk is larger than a pipe holds (1 MiB at most), so
         # the workers are still writing when this process fails on its own

@@ -103,28 +103,32 @@ def _names(node):
     return set()
 
 
-def test_only_the_solver_names_the_fit_loop():
-    # a fit's setup (its refusals of a book and its start) is written once,
-    # in solver._fit; a module that ran _irls itself would have to copy it
+def _modules_naming(name):
+    """The package's module files that spell ``name`` as a name, an attribute or an import."""
     package = Path(exposure_glm.__file__).parent
-    naming = {
+    return {
         path.name
         for path in package.glob("*.py")
-        if any("_irls" in _names(node) for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+        if any(name in _names(node) for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
     }
-    assert naming == {"solver.py"}
+
+
+def test_only_the_solver_names_the_fit_loop():
+    # a fit's refusals of a book are written once, in solver._fit, and its
+    # weights and start in _irls; a module that ran _irls would skip the refusals
+    assert _modules_naming("_irls") == {"solver.py"}
 
 
 def test_only_the_container_names_matrix_rank():
     # the rank rules (full column rank of the design, the rank of the
     # partial rows behind the dominance verdict) live in model_core alone
-    package = Path(exposure_glm.__file__).parent
-    naming = {
-        path.name
-        for path in package.glob("*.py")
-        if any("matrix_rank" in _names(node) for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
-    }
-    assert naming == {"model_core.py"}
+    assert _modules_naming("matrix_rank") == {"model_core.py"}
+
+
+def test_only_the_container_names_the_covariance_weights():
+    # the diagonal of D is formed in model_core alone: by the scoring pass and
+    # by _covariance, the one routine that goes from beta to a covariance
+    assert _modules_naming("_d_weights") == {"model_core.py"}
 
 
 def test_package_ships_exactly_these_modules():

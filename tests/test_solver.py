@@ -483,6 +483,41 @@ class TestWorkDoneOnce:
         assert scanned == [data]
         np.testing.assert_array_equal(data._column_scale, np.abs(data.design).max(axis=0))
 
+    def test_column_scale_is_the_largest_magnitude_bit_for_bit(self):
+        # a column's max and -min give max |x| without a copy: at signed zeros, subnormals and +-1e200
+        tiny = 5e-324
+        covariates = [
+            [0.0, -1e200, tiny],
+            [-0.0, 1e200, -tiny],
+            [2.0, -3.0, -0.0],
+            [-2.5, 1e-300, 0.0],
+            [tiny, 7.0, -2 * tiny],
+            [1.0, -1e200, 3 * tiny],
+        ]
+        pf = Portfolio.from_arrays(np.ones(6), np.ones(6), covariates)
+        expected = np.abs(pf.design).max(axis=0)
+        np.testing.assert_array_equal(pf._column_scale, expected)
+        assert pf._column_scale.tobytes() == expected.tobytes()
+        np.testing.assert_array_equal(expected, [1.0, 2.5, 1e200, 3 * tiny])
+
+    def test_a_fit_computes_its_scheme_weights_once(self, monkeypatch):
+        # t**(2-p) is evaluated once per offset fit, for its start and its loop; a covariance read is one more
+        calls = []
+
+        def counted(scheme, exposures, p, raw=model_core._scheme_weights):
+            calls.append(scheme)
+            return raw(scheme, exposures, p)
+
+        for module in (solver, model_core):
+            monkeypatch.setattr(module, "_scheme_weights", counted)
+        pf = random_portfolio(37)
+        for scheme in WeightScheme:
+            calls.clear()
+            result = fit(pf, scheme, FAM)
+            assert calls == [scheme]
+            assert result.covariance is not None
+            assert calls == [scheme, scheme]
+
 
 class TestGridOracle:
     def test_matches_grid_search_with_one_covariate(self):

@@ -17,7 +17,6 @@ from exposure_glm import (
     solver,
 )
 from exposure_glm.cli import _write_csv
-from exposure_glm.model_core import _scheme_weights
 
 
 def toy_portfolio():
@@ -53,10 +52,8 @@ def fit_from(start, portfolio, scheme, family, max_iterations=100):
     Runs the fit's own loop, ``solver._irls``, on the fit's inputs,
     without ``fit``'s checks of the book.
     """
-    scheme = WeightScheme(scheme)
     return solver._irls(
-        portfolio.design, portfolio.normalized, portfolio.exposures, scheme,
-        _scheme_weights(scheme, portfolio.exposures, family.p), family.p, family.phi,
+        portfolio.design, portfolio.normalized, portfolio.exposures, WeightScheme(scheme), family.p, family.phi,
         np.array(start, dtype=float), max_iterations, portfolio._column_scale,
     )
 
@@ -125,14 +122,14 @@ def spy_covariance(monkeypatch):
 
 
 def spy_gram(monkeypatch):
-    """Record the weights of every ``X.T @ diag(v) @ X`` that the solver and the estimators form."""
+    """Record the weights of every ``X.T @ diag(v) @ X``: Newton steps, covariances and rank checks."""
     weights = []
 
     def gram(design, v, raw=model_core._gram):
         weights.append(v)
         return raw(design, v)
 
-    for module in (solver, estimators):
+    for module in (solver, model_core):
         monkeypatch.setattr(module, "_gram", gram)
     return weights
 
