@@ -11,9 +11,7 @@ from .claim_count import (
     CountData,
     ZipEvidence,
     poisson_fit,
-    zip_loglik,
     zip_nonequivalence_check,
-    zip_score,
 )
 from .estimators import (
     Dominance,
@@ -21,7 +19,6 @@ from .estimators import (
     MomentOrdering,
     coefficient_covariance,
     covariance_dominance,
-    expected_random_gap,
     moment_ordering,
     premium_moments,
 )
@@ -68,7 +65,6 @@ __all__ = [
     "class_report",
     "coefficient_covariance",
     "covariance_dominance",
-    "expected_random_gap",
     "fit",
     "gen_mimic_portfolio",
     "homogeneous_mle",
@@ -79,7 +75,5 @@ __all__ = [
     "premium_moments",
     "quasi_loglik",
     "run_gap_experiment",
-    "zip_loglik",
     "zip_nonequivalence_check",
-    "zip_score",
 ]

@@ -3,9 +3,10 @@
 For Poisson counts the offset fit (mean ``t * exp(x @ beta)`` on the raw
 count) and the ratio fit (exposure-weighted regression on the
 annualized count ``z = y / t``) have proportional score functions, so
-they estimate identical coefficients.  Adding a zero-inflation mass
-breaks that proportionality: the two log-likelihood surfaces then differ
-by a non-constant function of ``beta`` whenever exposures are mixed.
+they estimate identical coefficients: ``poisson_fit`` runs one fit for
+both.  Adding a zero-inflation mass breaks that proportionality: the two
+log-likelihood surfaces then differ by a non-constant function of
+``beta`` whenever exposures are mixed, as ``zip_nonequivalence_check`` probes.
 """
 
 import functools
@@ -15,21 +16,20 @@ from dataclasses import dataclass
 import numpy as np
 
 # The benchmark's tracer hooks ``validate_design`` under this module's name.
-from .model_core import Portfolio, WeightScheme, _check_beta, validate_design  # noqa: F401
+from .model_core import Portfolio, WeightScheme, validate_design  # noqa: F401
 from .solver import _fit
 
 __all__ = [
     "CountData",
     "ZipEvidence",
     "poisson_fit",
-    "zip_loglik",
-    "zip_score",
     "zip_nonequivalence_check",
 ]
 
-# ZIP probe coefficient vectors as (intercept, every other coefficient
-# times its column's largest |x|), and the spread of the scheme difference
-# above which the schemes disagree.
+# The coefficient vectors at which zip_nonequivalence_check evaluates
+# both schemes' ZIP log-likelihoods, as (intercept, every other
+# coefficient times its column's largest |x|), and the spread of their
+# difference above which the schemes disagree.
 _ZIP_PROBES = ((0.0, 0.0), (0.2, 0.0), (0.1, 0.1), (-0.1, -0.1))
 _ZIP_THRESHOLD = 1e-6
 
@@ -103,55 +103,31 @@ def _check_zero_inflation(zero_inflation):
         raise ValueError(f"zero inflation must lie in [0, 1), got {zero_inflation}")
 
 
-def _zip_terms(zeta, data: CountData, scheme: WeightScheme):
-    """``(weight, mean, count)`` of each contract's term in ``zip_loglik`` at ``zeta = exp(X @ beta)``."""
-    if scheme is WeightScheme.OFFSET:
-        return 1.0, data.exposures * zeta, data.counts
-    return data.exposures, zeta, data.normalized
+def _zip_log_likelihoods(data: CountData, zero_inflation, betas):
+    """The offset and ratio zero-inflated Poisson log-likelihoods (factorials dropped), a pair per ``beta``.
 
-
-def _zip_sum(zeta, zero_inflation, data: CountData, scheme: WeightScheme, zero):
-    """``zip_loglik`` at ``zeta = exp(X @ beta)``; ``zero``, ``data.counts == 0``, serves both schemes."""
-    w, mu, count = _zip_terms(zeta, data, scheme)
-    pi = zero_inflation
-    w, pos = np.broadcast_to(w, mu.shape), ~zero
-    zeros = w[zero] * np.log(pi + (1.0 - pi) * np.exp(-mu[zero]))
-    positives = w[pos] * (math.log1p(-pi) - mu[pos] + count[pos] * np.log(mu[pos]))
-    return float(zeros.sum()) + float(positives.sum())
-
-
-def zip_loglik(beta, zero_inflation, data: CountData, scheme: WeightScheme) -> float:
-    """Zero-inflated Poisson log-likelihood in ``beta`` (factorials dropped).
-
-    ``zero_inflation``, in [0, 1), is the extra probability of a zero on
-    top of the Poisson mass; it is a different quantity from the Tweedie
-    dispersion even though the two share a symbol in places.
-
-    The offset scheme scores the raw count ``y`` with weight 1 and mean
-    ``t * exp(x @ beta)``; the ratio scheme scores the annualized count
-    ``z = y / t`` with weight ``t`` and mean ``exp(x @ beta)``.  Both
-    schemes share one zero set, as ``z`` is zero exactly where ``y`` is.
-    Terms constant in ``beta`` (the factorials) are omitted, which also
-    makes non-integer annualized counts admissible.
+    Both schemes share one zero set, as ``z = y / t`` is zero exactly where
+    ``y`` is, so the book is split into its zero-count rows and the others
+    once, and each ``exp(X @ beta)`` once per ``beta``.
     """
-    _check_zero_inflation(zero_inflation)
-    scheme = WeightScheme(scheme)
-    zeta = np.exp(data.design @ _check_beta(beta, data.q + 1))
-    return _zip_sum(zeta, zero_inflation, data, scheme, data.counts == 0)
-
-
-def zip_score(beta, zero_inflation, data: CountData, scheme: WeightScheme):
-    """Gradient of ``zip_loglik`` in ``beta`` (zero inflation held fixed)."""
-    _check_zero_inflation(zero_inflation)
-    scheme = WeightScheme(scheme)
-    w, mu, count = _zip_terms(np.exp(data.design @ _check_beta(beta, data.q + 1)), data, scheme)
-    pi = zero_inflation
-    coeff = np.where(
-        data.counts == 0,
-        -w * (1.0 - pi) * np.exp(-mu) * mu / (pi + (1.0 - pi) * np.exp(-mu)),
-        w * (count - mu),
-    )
-    return data.design.T @ coeff
+    pi, zero = zero_inflation, data.counts == 0
+    pos = ~zero
+    t_zero, t_pos, y_pos, z_pos = data.exposures[zero], data.exposures[pos], data.counts[pos], data.normalized[pos]
+    logliks = []
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for beta in betas:
+            zeta = np.exp(data.design @ beta)
+            zeta_zero, zeta_pos = zeta[zero], zeta[pos]
+            del zeta  # only the halves are needed; holding zeta too adds an n-long array to the peak
+            logliks.append([
+                float((w_zero * np.log(pi + (1.0 - pi) * np.exp(-mu_zero))).sum())
+                + float((w_pos * (math.log1p(-pi) - mu_pos + count * np.log(mu_pos))).sum())
+                for w_zero, mu_zero, w_pos, mu_pos, count in (
+                    (1.0, t_zero * zeta_zero, 1.0, t_pos * zeta_pos, y_pos),  # offset: weight 1, mean t * zeta, count y
+                    (t_zero, zeta_zero, t_pos, zeta_pos, z_pos),  # ratio: weight t, mean zeta, count z
+                )
+            ])
+    return logliks
 
 
 def zip_nonequivalence_check(data: CountData, zero_inflation: float = 0.3) -> ZipEvidence:
@@ -165,15 +141,13 @@ def zip_nonequivalence_check(data: CountData, zero_inflation: float = 0.3) -> Zi
     differently and a choice between them is real.  With all exposures
     equal to one, or with no zero inflation, the difference is constant
     and the report shows equivalence.  A probe whose difference is not
-    finite raises ValueError.
+    finite raises ValueError.  ``zero_inflation``, in [0, 1), is the extra
+    probability of a zero on top of the Poisson mass, not a dispersion.
     """
     _check_zero_inflation(zero_inflation)
-    differences, zero = [], data.counts == 0
-    for intercept, slope in _ZIP_PROBES:
-        beta = np.array((intercept,) + (slope,) * data.q) / data._column_scale
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            zeta = np.exp(data.design @ beta)  # one per probe: both schemes' terms are functions of it
-            offset, ratio = (_zip_sum(zeta, zero_inflation, data, scheme, zero) for scheme in WeightScheme)
+    betas = [np.array((intercept,) + (slope,) * data.q) / data._column_scale for intercept, slope in _ZIP_PROBES]
+    differences = []
+    for (intercept, slope), (offset, ratio) in zip(_ZIP_PROBES, _zip_log_likelihoods(data, zero_inflation, betas)):
         if not math.isfinite(offset - ratio):
             raise ValueError(
                 f"the ZIP probe at intercept {intercept}, other coefficients {slope} over each covariate's "

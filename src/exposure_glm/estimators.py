@@ -35,7 +35,6 @@ __all__ = [
     "coefficient_covariance",
     "covariance_dominance",
     "moment_ordering",
-    "expected_random_gap",
 ]
 
 
@@ -174,16 +173,3 @@ def moment_ordering(x, beta, portfolio: Portfolio, family: TweedieFamily) -> Mom
         mean_strictly_ordered=bool(np.all(off[0] < rat[0])),
         variance_strictly_ordered=bool(np.all(off[1] < rat[1])),
     )
-
-
-def expected_random_gap(portfolio: Portfolio, beta, family: TweedieFamily, scheme: WeightScheme) -> float:
-    """Expected portfolio gap ``sum_i t_i * (zeta_i - E[zeta_hat_i])`` at true ``beta``.
-
-    Non-positive for positive dispersion because the lognormal premium
-    estimator is biased upward; the ratio scheme's gap is the more
-    negative of the two whenever some exposure is below one.
-    """
-    beta = np.asarray(beta, dtype=float)
-    cov = coefficient_covariance(portfolio, beta, WeightScheme(scheme), family)
-    estimator_means, _ = _lognormal_moments(portfolio.design, beta, cov)
-    return float(np.dot(portfolio.exposures, np.exp(portfolio.design @ beta) - estimator_means))

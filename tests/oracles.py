@@ -5,7 +5,9 @@ finite differences instead of the analytic score, lattice search instead
 of the Newton iteration, eigenvalues instead of Cholesky, Monte Carlo instead
 of closed-form lognormal moments, a loss-cost-scale refit instead of
 the weighted annualized-loss formulation, the raw-count Poisson
-score instead of the Tweedie kernel at ``p = 1``, a record-by-record
+score instead of the Tweedie kernel at ``p = 1``, each scheme's
+zero-inflated Poisson log-likelihood masked over the whole book instead
+of one split of the book shared by both schemes, a record-by-record
 CSV read instead of the CLI's whole-file ``np.loadtxt`` call, and SVDs
 alone instead of the container's Gram certificate for a rank.
 """
@@ -30,6 +32,7 @@ __all__ = [
     "mc_lognormal_moments",
     "offset_loss_irls",
     "poisson_score",
+    "zip_loglik",
     "ingest_by_records",
     "svd_rank",
 ]
@@ -183,6 +186,31 @@ def poisson_score(beta, data, mode: str):
         zeta = np.exp(X @ beta)
         return X.T @ (data.exposures * (data.normalized - zeta))
     raise ValueError(f"mode must be 'offset' or 'ratio', got {mode!r}")
+
+
+def zip_loglik(beta, zero_inflation, data, scheme: str):
+    """Zero-inflated Poisson log-likelihood (factorials dropped) for either scheme, as an independent oracle.
+
+    The offset scheme scores the raw count ``y`` with weight 1 and mean
+    ``t * exp(x @ beta)``; the ratio scheme scores the annualized count
+    ``z = y / t`` with weight ``t`` and mean ``exp(x @ beta)``.  A zero
+    count has probability ``pi + (1 - pi) * exp(-mu)`` and a positive one
+    ``(1 - pi)`` times its Poisson mass.
+    """
+    pi = zero_inflation
+    zeta = np.exp(data.design @ np.asarray(beta, dtype=float))
+    zero, positive = data.counts == 0, data.counts > 0
+    if scheme == "offset":
+        mu = data.exposures * zeta
+        zeros = np.log(pi + (1.0 - pi) * np.exp(-mu[zero]))
+        positives = math.log1p(-pi) - mu[positive] + data.counts[positive] * np.log(mu[positive])
+    elif scheme == "ratio":
+        t, z = data.exposures, data.normalized
+        zeros = t[zero] * np.log(pi + (1.0 - pi) * np.exp(-zeta[zero]))
+        positives = t[positive] * (math.log1p(-pi) - zeta[positive] + z[positive] * np.log(zeta[positive]))
+    else:
+        raise ValueError(f"scheme must be 'offset' or 'ratio', got {scheme!r}")
+    return float(zeros.sum()) + float(positives.sum())
 
 
 def _loadtxt_cell(text):

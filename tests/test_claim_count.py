@@ -14,13 +14,11 @@ from exposure_glm import (
     WeightScheme,
     fit,
     poisson_fit,
-    zip_loglik,
     zip_nonequivalence_check,
-    zip_score,
 )
 from exposure_glm import claim_count, solver
 from exposure_glm.model_core import _scoring_pass
-from oracles import finite_diff_gradient, poisson_score
+from oracles import finite_diff_gradient, poisson_score, zip_loglik
 
 from util import overflowing_count_data, random_count_data, random_portfolio, zip_count_data
 
@@ -55,10 +53,10 @@ class TestCountTypes:
 
     def test_zip_params_zero_inflation_bounds(self):
         data = CountData.from_arrays([0.5, 1.0], [1, 0])
-        for function in (zip_loglik, zip_score):
-            with pytest.raises(ValueError, match=r"zero inflation must lie in \[0, 1\), got 1.0"):
-                function((0.0,), 1.0, data, "offset")
-            function((0.0,), 0.0, data, "offset")
+        for bad in (1.0, -0.1):
+            with pytest.raises(ValueError, match=rf"^zero inflation must lie in \[0, 1\), got {bad}$"):
+                zip_nonequivalence_check(data, bad)
+        zip_nonequivalence_check(data, 0.0)
 
 
 class TestPoissonFit:
@@ -137,19 +135,12 @@ class TestPoissonFit:
         data = random_count_data(0)
         with pytest.raises(ValueError):
             poisson_fit(data, "weighted")
-        beta = (0.0,) * (data.q + 1)
-        for function in (zip_loglik, zip_score):
-            with pytest.raises(ValueError):
-                function(beta, 0.3, data, "weighted")
 
     def test_schemes_and_their_names_agree(self):
-        # the claim-count functions take a WeightScheme or its value, like fit
+        # poisson_fit takes a WeightScheme or its value, like fit
         data = zip_count_data(0)
-        beta = (0.1,) * (data.q + 1)
         for scheme in WeightScheme:
             assert poisson_fit(data, scheme).tobytes() == poisson_fit(data, scheme.value).tobytes()
-            assert zip_loglik(beta, 0.3, data, scheme) == zip_loglik(beta, 0.3, data, scheme.value)
-            assert zip_score(beta, 0.3, data, scheme).tobytes() == zip_score(beta, 0.3, data, scheme.value).tobytes()
 
 
 def _separated_count_data(seed, levels, n=100):
@@ -189,42 +180,49 @@ class TestPoissonRefusals:
         assert issubclass(AllZeroLossError, ValueError)  # callers catching ValueError still catch it
 
 
-class TestZipLoglik:
+def _zip_scheme_loglik(data, zero_inflation, scheme):
+    """``beta ->`` one scheme's ZIP log-likelihood as ``zip_nonequivalence_check`` computes it."""
+    index = ("offset", "ratio").index(scheme)
+    return lambda beta: claim_count._zip_log_likelihoods(data, zero_inflation, [np.asarray(beta, dtype=float)])[0][index]
+
+
+class TestZipLogLikelihoods:
     def test_zero_inflation_zero_scores_match_poisson(self):
+        # without the extra zero mass each scheme's surface is its Poisson one
         data = zip_count_data(1)
         rng = np.random.default_rng(2)
         for _ in range(5):
             beta = rng.normal(0, 0.3, 2)
-            for mode in ("offset", "ratio"):
-                zip_grad = zip_score(beta, 0.0, data, mode)
-                poisson_grad = poisson_score(beta, data, mode)
-                assert np.max(np.abs(zip_grad - poisson_grad)) < 1e-10
+            for scheme in ("offset", "ratio"):
+                numeric = finite_diff_gradient(_zip_scheme_loglik(data, 0.0, scheme), beta)
+                analytic = poisson_score(beta, data, scheme)
+                assert np.max(np.abs(numeric - analytic)) / max(1.0, np.max(np.abs(analytic))) < 1e-6
 
-    def test_full_exposure_scores_coincide_across_modes(self):
+    def test_full_exposure_schemes_coincide_bit_for_bit(self):
+        # t = 1 makes the ratio scheme's weight, mean and count the offset scheme's
         data = zip_count_data(3, all_full=True)
-        grad_offset = zip_score((0.2, -0.1), 0.3, data, "offset")
-        grad_ratio = zip_score((0.2, -0.1), 0.3, data, "ratio")
-        np.testing.assert_allclose(grad_offset, grad_ratio, atol=1e-12)
+        rng = np.random.default_rng(4)
+        betas = [rng.normal(0, 0.3, 2) for _ in range(5)]
+        for offset, ratio in claim_count._zip_log_likelihoods(data, 0.3, betas):
+            assert offset == ratio
 
     def test_mixed_exposure_scores_differ(self):
         data = zip_count_data(4)
-        grad_offset = zip_score((0.2, -0.1), 0.3, data, "offset")
-        grad_ratio = zip_score((0.2, -0.1), 0.3, data, "ratio")
+        beta = np.array([0.2, -0.1])
+        grad_offset, grad_ratio = (
+            finite_diff_gradient(_zip_scheme_loglik(data, 0.3, scheme), beta) for scheme in ("offset", "ratio")
+        )
         assert np.max(np.abs(grad_offset - grad_ratio)) > 1e-6
 
-    def test_score_matches_finite_differences(self):
-        data = zip_count_data(5)
+    def test_each_loglik_is_the_oracle_bit_for_bit(self):
+        # away from the probes too, at two covariates, and with a pair per beta in the order given
+        data = random_count_data(5)
         rng = np.random.default_rng(6)
-        for mode in ("offset", "ratio"):
-            beta = rng.normal(0, 0.3, 2)
-
-            def objective(b):
-                return zip_loglik(b, 0.25, data, mode)
-
-            analytic = zip_score(beta, 0.25, data, mode)
-            numeric = finite_diff_gradient(objective, beta)
-            rel = np.max(np.abs(analytic - numeric)) / max(1.0, np.max(np.abs(analytic)))
-            assert rel < 1e-6
+        betas = [rng.normal(0, 0.5, data.q + 1) for _ in range(4)]
+        for zero_inflation in (0.0, 0.25, 0.9):
+            pairs = claim_count._zip_log_likelihoods(data, zero_inflation, betas)
+            assert pairs == [[zip_loglik(beta, zero_inflation, data, scheme) for scheme in ("offset", "ratio")]
+                             for beta in betas]
 
 
 class TestZipNonEquivalence:
@@ -253,12 +251,13 @@ class TestZipNonEquivalence:
 
     @pytest.mark.parametrize("zero_inflation", [0.0, 0.3, 0.9])
     def test_each_difference_is_the_loglik_difference_bit_for_bit(self, zero_inflation):
-        # one exp(X @ beta) and one zero split per probe serve both schemes
+        # one zero split per book and one exp(X @ beta) per probe serve both schemes,
+        # against each scheme's log-likelihood written out over the whole book
         for data in (zip_count_data(12), overflowing_count_data()):
             evidence = zip_nonequivalence_check(data, zero_inflation)
             for (intercept, slope), difference in zip(claim_count._ZIP_PROBES, evidence.differences, strict=True):
                 beta = np.array((intercept,) + (slope,) * data.q) / data._column_scale
-                offset, ratio = (zip_loglik(beta, zero_inflation, data, scheme) for scheme in WeightScheme)
+                offset, ratio = (zip_loglik(beta, zero_inflation, data, scheme) for scheme in ("offset", "ratio"))
                 assert difference == offset - ratio
 
     def test_full_exposure_reports_equivalence(self):
