@@ -470,24 +470,6 @@ def cmd_fit(args):
     _write_fit_json(args.out, args, portfolio, results)
 
 
-def _quantiles(values, levels):
-    """``np.quantile(values, levels)`` bit for bit, by its linear rule on one ``np.partition``.
-
-    ``np.quantile`` calls ``np.unique``, which imports ``numpy.ma``: about 10-20 ms in a fresh process.  As
-    there, a NaN makes every quantile NaN.
-    """
-    n = len(values)
-    index = (n - 1) * np.asarray(levels, dtype=float)
-    below = np.floor(index).astype(np.intp)
-    above = np.minimum(below + 1, n - 1)
-    ordered = np.partition(values, sorted({*below.tolist(), *above.tolist(), n - 1}))
-    if np.isnan(ordered[-1]):
-        return np.full(len(index), ordered[-1])
-    a, b, gamma = ordered[below], ordered[above], index - below
-    diff = b - a
-    return np.subtract(b, diff * (1 - gamma), out=a + diff * gamma, where=gamma >= 0.5)
-
-
 def cmd_compare(args):
     portfolio, results = _fit_schemes(args, _SCHEMES["both"])
     result_offset = results[WeightScheme.OFFSET]
@@ -528,7 +510,7 @@ def cmd_compare(args):
     _write_csv(
         args.out / "premium_ratios.csv",
         ["quantile", "ratio"],
-        [_QUANTILES, _quantiles(zeta_offset / zeta_ratio, _QUANTILES)],
+        [_QUANTILES, np.quantile(zeta_offset / zeta_ratio, _QUANTILES)],
     )
     _write_json(
         args.out / "balance.json",

@@ -26,7 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exposure_glm import balance, claim_count, cli, model_core
+from exposure_glm import Portfolio, balance, claim_count, cli, model_core
 from exposure_glm.cli import IngestError, build_parser, ingest_csv, ingest_counts_csv, main
 from exposure_glm.simulate import Scenario, build_scenario_portfolio, gen_mimic_portfolio
 
@@ -184,6 +184,9 @@ class TestIngest:
             ingest_csv(_write(tmp_path / "short.csv", head + "d,1.0\n"))
         assert excinfo.value.row == 8
         assert "expected 3 fields, got 2" in str(excinfo.value)
+        # a cell that holds a quote is refused whole, not re-quoted into three cells
+        with pytest.raises(IngestError, match="^row 8, column 'exposure': not a number: '0.5\",\"1'$"):
+            ingest_csv(_write(tmp_path / "quote.csv", head + 'd,"0.5"",""1",4.0\n'))
 
         # Errors four or more records apart fall in different batches
         # (except at 512): the precedence must not depend on that.
@@ -725,31 +728,53 @@ class TestCompareCommand:
         for row in quantiles[1:]:
             assert abs(float(row[1]) - 1.0) < 1e-8
 
-    @pytest.mark.parametrize("n", [*range(1, 60), 1000, 4097, 200_000])
-    def test_quantiles_equal_numpy_bit_for_bit(self, n):
+    @staticmethod
+    def _assert_premium_ratios_match_gaps(tmp_path, book):
+        # premium_ratios.csv is np.quantile of the zeta_offset / zeta_ratio that gaps.csv holds,
+        # bit for bit: both files come from one compare run, and a %.17g cell reads back exactly
+        src = tmp_path / "in.csv"
+        write_portfolio_csv(book, src)
+        out = tmp_path / "out"
+        assert main(["compare", "--input", str(src), "--out", str(out)]) == 0
+        gaps = _read_csv(out / "gaps.csv")
+        column = {name: j for j, name in enumerate(gaps[0])}
+        zeta_offset, zeta_ratio = (np.array([float(row[column[name]]) for row in gaps[1:]])
+                                   for name in ("zeta_offset", "zeta_ratio"))
+        assert len(zeta_offset) == book.n
+        rows = _read_csv(out / "premium_ratios.csv")
+        assert rows[0] == ["quantile", "ratio"]
+        assert [float(row[0]) for row in rows[1:]] == list(cli._QUANTILES)
+        written = np.array([float(row[1]) for row in rows[1:]])
+        assert written.tobytes() == np.quantile(zeta_offset / zeta_ratio, cli._QUANTILES).tobytes()
+
+    @pytest.mark.parametrize("n", [*range(1, 60), 1000, 4097, 12_289])
+    def test_premium_ratios_equal_numpy_of_gaps_bit_for_bit(self, tmp_path, n):
+        # every small book size, so each quantile's index falls on and between contracts;
+        # 4097 and 12_289 put gaps.csv past one and three 4096-row chunks
         rng = np.random.default_rng(n)
-        for values in (rng.lognormal(0.0, 0.5, n), np.round(rng.lognormal(0.0, 0.5, n), 1), 1e-300 * rng.random(n)):
-            got, expected = cli._quantiles(values, cli._QUANTILES), np.quantile(values, cli._QUANTILES)
-            assert got.tobytes() == expected.tobytes()
+        covariates = rng.normal(0.0, 0.5, (n, min(2, n - 1))) if n > 1 else None
+        exposures = np.where(rng.random(n) < 0.3, 1.0, rng.uniform(0.08, 0.999, n))
+        book = Portfolio.from_arrays(exposures, rng.gamma(2.0, 40.0, n) * exposures, covariates)
+        self._assert_premium_ratios_match_gaps(tmp_path, book)
 
     @pytest.mark.parametrize(
-        "values", [[1.0, np.nan, 2.0], [np.inf], [1.0, np.inf], [-np.inf, 1.0, 3.0], [5.0]],
-        ids=["nan", "inf", "one_inf", "minus_inf", "one"],
+        "build",
+        [
+            lambda: build_scenario_portfolio(n=60, scenario=Scenario.INCREASING, heterogeneous=False, seed=1),
+            lambda: build_scenario_portfolio(n=60, scenario=Scenario.INCREASING, heterogeneous=True, seed=2),
+            lambda: build_scenario_portfolio(n=60, scenario=Scenario.DECREASING, heterogeneous=False, seed=3),
+            lambda: build_scenario_portfolio(n=60, scenario=Scenario.DECREASING, heterogeneous=True, seed=4),
+            lambda: gen_mimic_portfolio(0.36, 120, seed=9),
+        ],
+        ids=["increasing", "increasing_heterogeneous", "decreasing", "decreasing_heterogeneous", "mimic"],
     )
-    def test_quantiles_of_special_values_equal_numpy(self, values):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # inf - inf warns in both
-            got, expected = cli._quantiles(np.array(values), cli._QUANTILES), np.quantile(values, cli._QUANTILES)
-        np.testing.assert_array_equal(got, expected)
+    def test_premium_ratios_of_named_books_equal_numpy_of_gaps(self, tmp_path, build):
+        self._assert_premium_ratios_match_gaps(tmp_path, build())
 
-    def test_compare_does_not_import_numpy_ma(self, tmp_path):
-        # np.quantile would: its np.unique imports numpy.ma, 10-20 ms in a fresh process
-        src = _write(tmp_path / "in.csv", MINIMAL)
-        code = (
-            "import sys; from exposure_glm.cli import main; "
-            f"assert main(['compare', '--input', {str(src)!r}, '--out', {str(tmp_path / 'out')!r}]) == 0; "
-            "print('numpy.ma' in sys.modules)"
-        )
+    def test_cli_import_does_not_import_numpy_ma(self):
+        # compare's np.quantile imports numpy.ma (10-20 ms) when it runs; the import that every
+        # command's start pays must not
+        code = "import sys, exposure_glm.cli; print('numpy.ma' in sys.modules)"
         env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "False"
