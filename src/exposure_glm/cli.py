@@ -111,32 +111,25 @@ def _atomic_write(path: Path, write):
 
 
 _CHUNK_ROWS = 4096
-# A cell holding one of these goes through ``csv.writer``; any other is
-# written as it is.
+# A cell holding one of these is quoted; any other is written as it is.
 _SPECIAL = (",", '"', "\r", "\n")
 
 
-def _csv_cell(cell):
-    """``cell`` as ``csv.writer`` writes it alone on a row, without the line end."""
-    buffer = io.StringIO()
-    csv.writer(buffer, lineterminator="\n").writerow([cell])
-    return buffer.getvalue()[:-1]
-
-
 def _text_cells(column, alone):
-    """Cells of a column that is not a float array, as ``csv.writer`` writes them.
+    """Cells of a column that is not a float array, quoted where a CSV reader needs it.
 
     Floats carry 17 significant digits, None is empty and anything else
-    is its ``str``.  A cell with a delimiter, a quote or a line break
-    goes through ``csv.writer``, which quotes it as the running Python
-    does, and so does an empty cell of a one-column file (``alone``).
+    is its ``str``.  A cell with a delimiter, a quote or a line break, and
+    an empty cell of a one-column file (``alone``), goes between quotes
+    with each inner quote doubled, as ``csv.writer`` with a ``"\\r\\n"`` line
+    end writes it on CPython 3.10 to 3.13, whatever Python runs this.
     """
     if not set(map(type, column)) <= {str}:
         column = [format(v, ".17g") if isinstance(v, float) else "" if v is None else str(v) for v in column]
     joined = "".join(column)
     if not any(s in joined for s in _SPECIAL) and (not alone or all(column)):
         return column
-    return [_csv_cell(c) if (alone and not c) or any(s in c for s in _SPECIAL) else c for c in column]
+    return ['"' + c.replace('"', '""') + '"' if any(s in c for s in _SPECIAL) or alone and not c else c for c in column]
 
 
 def _render_in_order(render, starts, emit, name):
@@ -203,9 +196,9 @@ def _float_cells(column):
 def _write_csv(path: Path, header, columns):
     """Write equal-length ``columns`` under ``header`` as a CSV file.
 
-    The bytes are those of ``csv.writer(lineterminator="\\n")``.  Chunks of
-    rows are formatted, by up to four processes, and written in order, so
-    memory stays bounded.  A chunk is formatted column by column, by
+    Lines end in ``\\n`` and cells are quoted as ``_text_cells`` says.  Chunks
+    of rows are formatted, by up to four processes, and written in order,
+    so memory stays bounded.  A chunk is formatted column by column, by
     ``_float_cells`` for a float array and ``_text_cells`` for any other,
     into one list of cells and delimiters that is joined once.
     """
@@ -404,7 +397,7 @@ def _ingest(path, value_column, container):
             raise IngestError(message, row=row, column=names[position]) from exc
         except RankDeficiencyError as exc:
             design_names = ["intercept"] + names[3:]
-            involved = ", ".join(design_names[j] for j in exc.column_indices if j < len(design_names))
+            involved = ", ".join(design_names[j] for j in exc.column_indices)
             raise error or IngestError(f"design matrix is rank deficient; columns involved: {involved}") from exc
         except ValueError as exc:
             raise error or IngestError(str(exc)) from exc
