@@ -31,7 +31,6 @@ from .model_core import (
     quasi_loglik,
 )
 from .simulate import (
-    Scenario,
     build_scenario_portfolio,
     gen_mimic_portfolio,
     run_gap_experiment,
@@ -55,7 +54,6 @@ __all__ = [
     "MomentOrdering",
     "Portfolio",
     "RankDeficiencyError",
-    "Scenario",
     "SingularInformationError",
     "TweedieFamily",
     "WeightScheme",

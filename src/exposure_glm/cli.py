@@ -44,7 +44,7 @@ from .model_core import (
     _CellError,
     _covariate_name_error,
 )
-from .simulate import run_gap_experiment
+from .simulate import SCENARIOS, run_gap_experiment
 from .solver import fit
 
 __all__ = ["IngestError", "ingest_csv", "ingest_counts_csv", "main"]
@@ -595,8 +595,7 @@ def build_parser():
     sim.add_argument("--n", type=int, default=100, help="number of contracts")
     sim.add_argument("--seed", type=int, default=0, help="64-bit experiment seed")
     sim.add_argument(
-        "--scenario", choices=("increasing", "decreasing"), default="increasing",
-        help="how loss costs move with exposure rank",
+        "--scenario", choices=SCENARIOS, default="increasing", help="how loss costs move with exposure rank"
     )
     sim.add_argument("--heterogeneous", action="store_true", help="include two binary risk factors")
     counts.add_argument(

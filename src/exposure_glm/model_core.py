@@ -22,7 +22,6 @@ family) triple.
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -187,11 +186,11 @@ class Portfolio:
     column-major, so each column and ``design.T`` are contiguous.  Row
     order is preserved from the input and every sum over rows in this
     package, blocked or not, runs in a fixed order, so repeated
-    evaluations are bit-identical.  A bad cell (an exposure outside
-    (0, 1], a value that is negative or not finite, a covariate that is
-    not finite, or the second occurrence of a contract id) raises a
-    ``ValueError`` naming the first such cell in row-major order and its
-    contract, by id when ids are given.
+    evaluations are bit-identical.  A bad cell (an exposure outside (0, 1],
+    a value that is negative, not finite or not finite over its exposure, a
+    covariate that is not finite, or the second occurrence of a contract id)
+    raises a ``ValueError`` naming the first such cell in row-major order
+    and its contract, by id when ids are given.
     """
 
     # What a subclass calls its values, and whether they must be integers.
@@ -237,12 +236,14 @@ class Portfolio:
         def first_bad(ok):
             return n if ok.all() else int(ok.argmin())
 
-        value_ok = np.isfinite(loss_costs) & (loss_costs >= 0.0)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            normalized = loss_costs / exposures
+        value_ok = loss_costs >= 0.0
         if self._integral:
             value_ok &= loss_costs == np.floor(loss_costs)
         # First bad row of each field: 1 exposure, 2 value, 3 + j covariate j.
         # Ids (field 0) are only checked for repeats, up to the first bad row.
-        firsts = [first_bad((exposures > 0.0) & (exposures <= 1.0)), first_bad(value_ok)]
+        firsts = [first_bad((exposures > 0.0) & (exposures <= 1.0)), first_bad(value_ok & np.isfinite(normalized))]
         if not np.isfinite(covariates).all():  # one pass over the block; the column scans only locate the cell
             firsts += [first_bad(np.isfinite(column)) for column in covariates.T]
         bad = min(firsts)
@@ -258,6 +259,8 @@ class Portfolio:
                 message = f"{field} is not finite, got {cell}"
             elif k == 0:
                 message = f"exposure must lie in (0, 1], got {cell}"
+            elif k == 1 and value_ok[bad]:  # a valid value, so its quotient overflowed
+                message = f"{value_name} over exposure is not finite, got {cell} / {exposures[bad]}"
             else:
                 rule = "a non-negative integer" if self._integral else ">= 0"
                 message = f"{value_name} must be {rule}, got {cell}"
@@ -274,7 +277,7 @@ class Portfolio:
             self.contract_ids = ids
         self.exposures = exposures
         self.loss_costs = loss_costs
-        self.normalized = loss_costs / exposures
+        self.normalized = normalized
         self.design = design
         for array in (exposures, loss_costs, self.normalized, design):
             array.flags.writeable = False  # so the values kept per book cannot go stale
@@ -426,7 +429,7 @@ def _gram(design, v):
         for start in range(0, n, step):
             block = design_t[:, start : start + step]
             gram += (block * v[start : start + step]) @ block.T
-    return 0.5 * (gram + gram.T)
+        return 0.5 * (gram + gram.T)
 
 
 def _cho_factor(info):
@@ -471,12 +474,6 @@ def quasi_loglik(beta, portfolio: Portfolio, scheme: WeightScheme, family: Tweed
     p = family.p
     w = _scheme_weights(WeightScheme(scheme), portfolio.exposures, p)
     return _scoring_pass(beta, portfolio.design, portfolio.normalized, w, p)[4] / family.phi
-
-
-def _check_integer(name, value):
-    """Raise ValueError naming ``name`` unless ``value`` is an integer; a bool is not one."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _check_beta(beta, k):

@@ -11,17 +11,17 @@ same on every platform.  Fitted values also depend on the BLAS kernel, so
 artifacts are byte-identical across reruns on one machine and BLAS build.
 """
 
-from enum import Enum
+import numbers
 
 import numpy as np
 
-from .model_core import Portfolio, RankDeficiencyError, TweedieFamily, WeightScheme, _check_integer
+from .model_core import Portfolio, RankDeficiencyError, TweedieFamily, WeightScheme
 from .solver import fit
 
 __all__ = [
     "EXPOSURE_LO",
     "EXPOSURE_HI",
-    "Scenario",
+    "SCENARIOS",
     "build_scenario_portfolio",
     "run_gap_experiment",
     "gen_mimic_portfolio",
@@ -29,6 +29,7 @@ __all__ = [
 
 EXPOSURE_LO = 30.0 / 365.0
 EXPOSURE_HI = 335.0 / 365.0
+SCENARIOS = ("increasing", "decreasing")
 
 # Success rates of the gap experiment's two binary risk factors.
 _SCENARIO_COVARIATE_RATES = (0.75, 0.15)
@@ -44,9 +45,10 @@ _MIMIC_ZERO_MASS = 0.5
 _MIMIC_COVARIATE_RATES = (0.5, 0.3, 0.2)
 
 
-class Scenario(str, Enum):
-    INCREASING = "increasing"
-    DECREASING = "decreasing"
+def _check_integer(name, value):
+    """Raise ValueError naming ``name`` unless ``value`` is an integer; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _check_seed(seed):
@@ -56,22 +58,22 @@ def _check_seed(seed):
 
 
 def _check_scenario(n, scenario, seed):
-    """``Scenario(scenario)`` once ``n`` and ``seed`` are checked, in that order."""
-    scenario = Scenario(scenario)
+    """Raise ValueError unless ``scenario`` is one of ``SCENARIOS``, then check ``n`` and ``seed``, in that order."""
+    if scenario not in SCENARIOS:
+        raise ValueError(f"scenario must be one of {SCENARIOS}, got {scenario!r}")
     _check_integer("n", n)
     if n < 2:
         raise ValueError(f"need at least 2 contracts, got {n}")
     _check_seed(seed)
-    return scenario
 
 
 def build_scenario_portfolio(n=100, scenario="increasing", heterogeneous=False, seed=0) -> Portfolio:
     """Generate the portfolio for a gap experiment without fitting it."""
-    scenario = _check_scenario(n, scenario, seed)
+    _check_scenario(n, scenario, seed)
     exposure_seed, covariate_seed = np.random.SeedSequence(seed).spawn(2)
     exposures = np.sort(np.random.default_rng(exposure_seed).uniform(EXPOSURE_LO, EXPOSURE_HI, n))
     ranks = np.arange(1, n + 1, dtype=float)
-    losses = ranks if scenario is Scenario.INCREASING else n - ranks + 1.0
+    losses = ranks if scenario == "increasing" else n - ranks + 1.0
     if not heterogeneous:
         return Portfolio.from_arrays(exposures, losses)
     return _full_rank_portfolio(covariate_seed, exposures, losses, _SCENARIO_COVARIATE_RATES)

@@ -26,11 +26,7 @@ from exposure_glm import (
 from exposure_glm.claim_count import poisson_fit
 from exposure_glm.cli import main
 from exposure_glm.model_core import _scheme_weights, _scoring_pass
-from exposure_glm.simulate import (
-    Scenario,
-    build_scenario_portfolio,
-    gen_mimic_portfolio,
-)
+from exposure_glm.simulate import build_scenario_portfolio, gen_mimic_portfolio
 from oracles import (
     GridSpec,
     eig_min,
@@ -155,7 +151,7 @@ def test_criterion_05_covariance_dominance():
     strict_ok = True
     worst_min_eig = math.inf
     for seed in range(100):
-        book = build_scenario_portfolio(n=100, scenario=Scenario.INCREASING, heterogeneous=True, seed=seed)
+        book = build_scenario_portfolio(n=100, scenario="increasing", heterogeneous=True, seed=seed)
         beta = np.random.default_rng(seed + 1000).normal(0.0, 0.5, 3)
         report = covariance_dominance(book, beta, fam)
         oracle_min = eig_min(report.difference)
@@ -192,7 +188,7 @@ def test_criterion_06_moment_formulas():
     ordering_ok = True
     fam = TweedieFamily(p=1.42, phi=1.5)
     for seed in range(5):
-        book = build_scenario_portfolio(n=100, scenario=Scenario.INCREASING, heterogeneous=True, seed=seed + 50)
+        book = build_scenario_portfolio(n=100, scenario="increasing", heterogeneous=True, seed=seed + 50)
         beta = np.array([2.0, 0.3, -0.2])
         for row in book.design:
             ordering = moment_ordering(row, beta, book, fam)
@@ -262,7 +258,7 @@ def test_criterion_08_gap_sign_laws():
     ok = True
     details = []
     for p in (1.2, 1.42, 1.8):
-        for scenario in (Scenario.INCREASING, Scenario.DECREASING):
+        for scenario in ("increasing", "decreasing"):
             homo = gap_totals(n=100, scenario=scenario, p=p, seed=20260810)
             hetero = gap_totals(n=100, scenario=scenario, heterogeneous=True, p=p, seed=20260810)
             if abs(homo[1]) >= 1e-8:
@@ -270,12 +266,12 @@ def test_criterion_08_gap_sign_laws():
                 details.append(f"homogeneous ratio gap {homo[1]:.1e} at p={p}")
             if abs(hetero[1]) >= abs(hetero[0]):
                 ok = False
-                details.append(f"ratio total not smaller at p={p} {scenario.value}")
+                details.append(f"ratio total not smaller at p={p} {scenario}")
             for total_offset, _ in (homo, hetero):
-                sign_ok = total_offset > 0.0 if scenario is Scenario.INCREASING else total_offset < 0.0
+                sign_ok = total_offset > 0.0 if scenario == "increasing" else total_offset < 0.0
                 if not sign_ok:
                     ok = False
-                    details.append(f"offset sign wrong at p={p} {scenario.value}")
+                    details.append(f"offset sign wrong at p={p} {scenario}")
     elapsed = time.perf_counter() - start
     ok = ok and elapsed < 5.0
     _report(

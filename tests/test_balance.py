@@ -15,7 +15,7 @@ from exposure_glm import (
     individual_gaps,
     portfolio_gap,
 )
-from exposure_glm.simulate import Scenario, gen_mimic_portfolio, run_gap_experiment
+from exposure_glm.simulate import gen_mimic_portfolio, run_gap_experiment
 
 from util import gap_totals, random_portfolio, toy_portfolio
 
@@ -283,7 +283,7 @@ class TestClassReport:
 
     def test_ratio_rows_closer_to_balance_than_offset_rows(self):
         pf, fit_offset, fit_ratio = run_gap_experiment(
-            n=100, scenario=Scenario.INCREASING, heterogeneous=True, p=1.42, seed=11
+            n=100, scenario="increasing", heterogeneous=True, p=1.42, seed=11
         )
 
         def total_log_ratio(result):
@@ -320,7 +320,7 @@ class TestBalanceFactor:
 
     def test_heterogeneous_ratio_near_but_not_exactly_one(self):
         pf, _, fit_ratio = run_gap_experiment(
-            n=100, scenario=Scenario.DECREASING, heterogeneous=True, p=1.42, seed=16
+            n=100, scenario="decreasing", heterogeneous=True, p=1.42, seed=16
         )
         factor = balance_factor(pf, fit_ratio)
         assert abs(factor - 1.0) < 0.05
@@ -328,7 +328,7 @@ class TestBalanceFactor:
 
     def test_offset_decreasing_scenario_overshoots(self):
         pf, fit_offset, _ = run_gap_experiment(
-            n=100, scenario=Scenario.DECREASING, heterogeneous=False, p=1.42, seed=17
+            n=100, scenario="decreasing", heterogeneous=False, p=1.42, seed=17
         )
         assert balance_factor(pf, fit_offset) > 1.0
 
@@ -343,8 +343,8 @@ class TestBalanceFactor:
 class TestSignLaws:
     @pytest.mark.parametrize("p", [1.2, 1.42, 1.8])
     def test_offset_total_sign_tracks_scenario(self, p):
-        increasing = gap_totals(n=100, scenario=Scenario.INCREASING, p=p, seed=18)
-        decreasing = gap_totals(n=100, scenario=Scenario.DECREASING, p=p, seed=18)
+        increasing = gap_totals(n=100, scenario="increasing", p=p, seed=18)
+        decreasing = gap_totals(n=100, scenario="decreasing", p=p, seed=18)
         assert increasing[0] > 0.0
         assert decreasing[0] < 0.0
         assert abs(increasing[1]) < abs(increasing[0])

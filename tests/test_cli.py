@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 
 from exposure_glm import Portfolio, balance, claim_count, cli, model_core
 from exposure_glm.cli import IngestError, build_parser, ingest_csv, ingest_counts_csv, main
-from exposure_glm.simulate import Scenario, build_scenario_portfolio, gen_mimic_portfolio
+from exposure_glm.simulate import build_scenario_portfolio, gen_mimic_portfolio
 
 from oracles import ingest_by_records
 from util import overflowing_count_data, write_portfolio_csv
@@ -760,10 +760,10 @@ class TestCompareCommand:
     @pytest.mark.parametrize(
         "build",
         [
-            lambda: build_scenario_portfolio(n=60, scenario=Scenario.INCREASING, heterogeneous=False, seed=1),
-            lambda: build_scenario_portfolio(n=60, scenario=Scenario.INCREASING, heterogeneous=True, seed=2),
-            lambda: build_scenario_portfolio(n=60, scenario=Scenario.DECREASING, heterogeneous=False, seed=3),
-            lambda: build_scenario_portfolio(n=60, scenario=Scenario.DECREASING, heterogeneous=True, seed=4),
+            lambda: build_scenario_portfolio(n=60, scenario="increasing", heterogeneous=False, seed=1),
+            lambda: build_scenario_portfolio(n=60, scenario="increasing", heterogeneous=True, seed=2),
+            lambda: build_scenario_portfolio(n=60, scenario="decreasing", heterogeneous=False, seed=3),
+            lambda: build_scenario_portfolio(n=60, scenario="decreasing", heterogeneous=True, seed=4),
             lambda: gen_mimic_portfolio(0.36, 120, seed=9),
         ],
         ids=["increasing", "increasing_heterogeneous", "decreasing", "decreasing_heterogeneous", "mimic"],
@@ -780,7 +780,7 @@ class TestCompareCommand:
         assert out.stdout.strip() == "False"
 
     def test_decreasing_synthetic_premium_ratios_above_one(self, tmp_path):
-        book = build_scenario_portfolio(n=100, scenario=Scenario.DECREASING, heterogeneous=True, seed=3)
+        book = build_scenario_portfolio(n=100, scenario="decreasing", heterogeneous=True, seed=3)
         src = tmp_path / "in.csv"
         write_portfolio_csv(book, src)
         out = tmp_path / "out"
@@ -969,6 +969,14 @@ class TestSimulateCommand:
         assert payload["message"] == "seed must be non-negative, got -1"
         assert not out.exists()
 
+    def test_unknown_scenario_is_a_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["simulate", "--scenario", "sideways", "--out", str(out)])
+        assert excinfo.value.code == 2
+        assert "'sideways'" in capsys.readouterr().err
+        assert not out.exists()
+
 
 def _counts_file(tmp_path):
     rng = np.random.default_rng(8)
@@ -1131,6 +1139,30 @@ class TestErrorHandling:
                 main([command, "--input", str(src), "--out", str(tmp_path / "o"), flag, value])
             assert excinfo.value.code == 2
             assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "command,column,row,message",
+        [
+            ("compare", "loss_cost", "a,1e-320,1.0,0", "loss cost over exposure is not finite, got 1.0 / 1e-320"),
+            ("compare", "loss_cost", "a,0.25,4.5e307,0", "loss cost over exposure is not finite, got 4.5e+307 / 0.25"),
+            ("counts", "count", "a,1e-320,1,0", "count over exposure is not finite, got 1.0 / 1e-320"),
+        ],
+        ids=["subnormal_exposure", "quarter_year", "count"],
+    )
+    def test_overflowing_annualised_value_is_refused_at_its_cell(self, tmp_path, capsys, command, column, row, message):
+        src = _write(tmp_path / "in.csv", f"contract_id,exposure,{column},x1\n{row}\nb,1,2,1\nc,0.5,0,0\nd,1,3,1\n")
+        assert main([command, "--input", str(src), "--out", str(tmp_path / "o")]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert json.loads(line)["message"] == f"row 2, column '{column}': {message} for contract 'a'"
+
+    def test_covariate_whose_information_overflows_fails_without_a_warning(self, tmp_path, capsys):
+        # x1**2 is finite, but the first Newton step's information overflows when `_gram` symmetrises it
+        src = _write(
+            tmp_path / "in.csv", "contract_id,exposure,loss_cost,x1\na,1,1.0,9.48e153\nb,1,2.0,1\nc,0.5,0,0\nd,1,3.0,1\n"
+        )
+        assert main(["compare", "--input", str(src), "--out", str(tmp_path / "o")]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert json.loads(line)["error"] == "SingularInformationError"
 
     def test_rank_deficient_file_exits_nonzero(self, tmp_path, capsys):
         rows = ["contract_id,exposure,loss_cost,x1,x2"]
@@ -1421,6 +1453,37 @@ class TestCsvOutput:
         assert read.contract_ids == book.contract_ids and read.covariate_names == book.covariate_names
         for attr in ("exposures", "loss_costs", "design"):
             assert getattr(read, attr).tobytes() == getattr(book, attr).tobytes()
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(st.data())
+    def test_books_over_the_whole_finite_range_round_trip_or_are_refused(self, data):
+        # written cell by cell, since a Portfolio refuses some of these books
+        n = data.draw(st.integers(2, 8), label="contracts")
+        ids = data.draw(st.lists(CSV_TEXT, min_size=n, max_size=n, unique=True), label="ids")
+        name = data.draw(CSV_TEXT.filter(lambda text: text and text.strip() == text), label="covariate name")
+
+        def floats(low, high, **bounds):
+            return np.array(data.draw(st.lists(st.floats(low, high, **bounds), min_size=n, max_size=n)))
+
+        columns = [tuple(ids), floats(0.0, 1.0, exclude_min=True), floats(0.0, 1.79e308), floats(-1.79e308, 1.79e308)]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "book.csv"
+            cli._write_csv(path, ["contract_id", "exposure", "loss_cost", name], columns)
+            try:
+                read, error = ingest_csv(path), None
+            except IngestError as exc:  # any other exception, or a warning, fails the test
+                read, error = None, exc
+        _, exposures, losses, covariate = columns
+        with np.errstate(over="ignore"):
+            overflows = ~np.isfinite(losses / exposures)
+        if overflows.any():
+            i = int(overflows.argmax())
+            assert (error.row, error.column) == (i + 2, "loss_cost")
+            assert str(error).endswith(f"not finite, got {losses[i]} / {exposures[i]} for contract {ids[i]!r}")
+        elif read is not None:  # else refused, for a constant covariate, say
+            assert read.contract_ids == tuple(ids) and read.covariate_names == (name,)
+            for got, drawn in ((read.exposures, exposures), (read.loss_costs, losses), (read.design[:, 1], covariate)):
+                assert got.tobytes() == drawn.tobytes()
 
 
 def _deal_to(monkeypatch, processes, chunk_rows):

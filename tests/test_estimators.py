@@ -19,7 +19,7 @@ from exposure_glm import (
     premium_moments,
     quasi_loglik,
 )
-from exposure_glm.simulate import Scenario, build_scenario_portfolio
+from exposure_glm.simulate import build_scenario_portfolio
 from exposure_glm.solver import fit
 from oracles import eig_min, mc_lognormal_moments
 
@@ -29,7 +29,7 @@ FAM = TweedieFamily(p=1.42)
 
 
 def _scenario_portfolio(seed):
-    return build_scenario_portfolio(n=100, scenario=Scenario.INCREASING, heterogeneous=True, seed=seed)
+    return build_scenario_portfolio(n=100, scenario="increasing", heterogeneous=True, seed=seed)
 
 
 def _rebuilt(pf):

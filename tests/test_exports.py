@@ -137,7 +137,7 @@ def test_package_ships_exactly_these_modules():
 
 
 def test_generator_internals_live_in_simulate_only():
-    internals = {"EXPOSURE_LO", "EXPOSURE_HI"}
+    internals = {"EXPOSURE_LO", "EXPOSURE_HI", "SCENARIOS"}
     assert not internals & set(exposure_glm.__all__)
     assert internals <= set(exposure_glm.simulate.__all__)
 

@@ -140,6 +140,30 @@ class TestDomainTypes:
             container.from_arrays([0.5, 1.5, 1.0], [1.0, -1.0, 2.0], [[0.0], [np.inf], [1.0]])
         assert (excinfo.value.index, excinfo.value.position) == (1, 1)
 
+    @pytest.mark.parametrize("container", [Portfolio, CountData])
+    def test_value_over_exposure_that_overflows_is_named(self, container):
+        # finite, valid cells whose annualised value y / t is not a float
+        with pytest.raises(
+            ValueError,
+            match=rf"^{container._value_name} over exposure is not finite, got 1.0 / 1e-320 for contract 'a'$",
+        ) as excinfo:
+            container.from_arrays([1e-320, 1.0, 0.5, 1.0], [1.0, 2.0, 0.0, 3.0], contract_ids=list("abcd"))
+        assert (excinfo.value.index, excinfo.value.position) == (0, 2)
+        # a value that breaks its own rule is reported by that rule, whatever its quotient
+        with pytest.raises(ValueError, match=f"^{container._value_name} must be .*, got -0.5 for contract 'a'$"):
+            container.from_arrays([1e-320, 1.0], [-0.5, 2.0], contract_ids=list("ab"))
+        # and a bad exposure before the value of its row
+        with pytest.raises(ValueError, match="^exposure must lie in .*, got 0.0 for contract 'a'$"):
+            container.from_arrays([0.0, 1.0], [1.0, 2.0], contract_ids=list("ab"))
+
+    def test_loss_cost_overflowing_at_a_quarter_year_is_named(self):
+        with pytest.raises(
+            ValueError, match=r"^loss cost over exposure is not finite, got 4.5e\+307 / 0.25 for the contract at index 1$"
+        ):
+            Portfolio.from_arrays([1.0, 0.25, 0.5], [1.0, 4.5e307, 0.0])
+        # 4.49e307 / 0.25 is 1.796e308, below the largest float, so it is accepted
+        assert Portfolio.from_arrays([1.0, 0.25, 0.5], [1.0, 4.49e307, 0.0]).normalized[1] == 1.796e308
+
     @pytest.mark.parametrize(
         "names,message",
         [
@@ -588,6 +612,14 @@ class TestGramKernel:
             info = _gram(design, v)
         with pytest.raises(SingularInformationError, match="not finite"):
             _cho_factor(info)
+
+    def test_overflowing_symmetrisation_is_silent(self):
+        # each block's sum is finite; only ``gram + gram.T`` on the diagonal overflows
+        design = np.asfortranarray([[1.0, 1e154], [1.0, 0.0], [1.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            gram = _gram(design, np.ones(3))
+        assert np.isposinf(gram[1, 1]) and np.isfinite(gram[0]).all()
 
 
 class TestDesignLayout:

@@ -9,7 +9,6 @@ from exposure_glm import model_core
 from exposure_glm.simulate import (
     EXPOSURE_HI,
     EXPOSURE_LO,
-    Scenario,
     _full_rank_portfolio,
     build_scenario_portfolio,
     gen_mimic_portfolio,
@@ -20,7 +19,7 @@ from exposure_glm.cli import main
 from util import gap_totals
 
 
-def scenario_columns(n, seed, scenario=Scenario.INCREASING, heterogeneous=False):
+def scenario_columns(n, seed, scenario="increasing", heterogeneous=False):
     """``(exposures, loss_costs, covariates)`` of the scenario portfolio."""
     pf = build_scenario_portfolio(n=n, scenario=scenario, heterogeneous=heterogeneous, seed=seed)
     return pf.exposures, pf.loss_costs, pf.design[:, 1:]
@@ -49,14 +48,14 @@ class TestGenLosses:
     """The loss-cost column of ``build_scenario_portfolio``, by exposure rank."""
 
     def test_increasing(self):
-        np.testing.assert_array_equal(scenario_columns(3, 0, Scenario.INCREASING)[1], [1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(scenario_columns(3, 0, "increasing")[1], [1.0, 2.0, 3.0])
 
     def test_decreasing_corrected_reversal(self):
-        np.testing.assert_array_equal(scenario_columns(3, 0, Scenario.DECREASING)[1], [3.0, 2.0, 1.0])
+        np.testing.assert_array_equal(scenario_columns(3, 0, "decreasing")[1], [3.0, 2.0, 1.0])
 
     def test_total_losses_match_across_scenarios(self):
-        increasing = scenario_columns(100, 4, Scenario.INCREASING)[1]
-        decreasing = scenario_columns(100, 4, Scenario.DECREASING)[1]
+        increasing = scenario_columns(100, 4, "increasing")[1]
+        decreasing = scenario_columns(100, 4, "decreasing")[1]
         assert increasing.sum() == decreasing.sum()
         np.testing.assert_array_equal(decreasing, increasing[::-1])
 
@@ -86,7 +85,7 @@ class TestBuildScenarioPortfolio:
 
     def test_portfolio_passes_construction_invariants(self):
         for seed in range(20):
-            pf = build_scenario_portfolio(n=30, scenario=Scenario.INCREASING, heterogeneous=True, seed=seed)
+            pf = build_scenario_portfolio(n=30, scenario="increasing", heterogeneous=True, seed=seed)
             assert pf.n == 30 and pf.q == 2
             assert np.all(np.diff(pf.exposures) >= 0.0)
             assert np.all((pf.exposures >= EXPOSURE_LO) & (pf.exposures <= EXPOSURE_HI))
@@ -115,7 +114,7 @@ class TestBuildScenarioPortfolio:
             run_gap_experiment(p=2.0)
 
     def test_unknown_scenario_rejected(self):
-        with pytest.raises(ValueError, match="'sideways' is not a valid Scenario"):
+        with pytest.raises(ValueError, match=r"^scenario must be one of \('increasing', 'decreasing'\), got 'sideways'$"):
             build_scenario_portfolio(scenario="sideways")
 
     def test_gap_experiment_checks_p_after_the_scenario_and_before_the_draw(self):
@@ -144,13 +143,13 @@ class TestRunGapExperiment:
         assert abs(total_ratio) < 1e-10
 
     def test_offset_signs(self):
-        increasing, _ = gap_totals(n=100, scenario=Scenario.INCREASING, seed=10)
-        decreasing, _ = gap_totals(n=100, scenario=Scenario.DECREASING, seed=10)
+        increasing, _ = gap_totals(n=100, scenario="increasing", seed=10)
+        decreasing, _ = gap_totals(n=100, scenario="decreasing", seed=10)
         assert increasing > 0.0
         assert decreasing < 0.0
 
     def test_heterogeneous_ratio_total_smaller_than_offset(self):
-        total_offset, total_ratio = gap_totals(n=100, scenario=Scenario.INCREASING, heterogeneous=True, seed=11)
+        total_offset, total_ratio = gap_totals(n=100, scenario="increasing", heterogeneous=True, seed=11)
         assert abs(total_ratio) < abs(total_offset)
 
     def test_rows_are_rank_indexed(self, tmp_path):
