@@ -74,30 +74,14 @@ def portfolio_gap(gaps) -> float:
     return float(np.cumsum(values)[-1])
 
 
-def _level_sums(values, starts, lengths):
-    """``values[a:a + m].sum()`` for each level's start ``a`` and length ``m``, bit for bit.
-
-    numpy adds fewer than 8 contiguous float64 values left to right from ``+0.0``, so shorter
-    levels take one vectorised pass a position; only longer ones, at most n / 8, call ``np.sum``.
-    """
-    sums = 0.0 + values[starts]  # as np.sum, a level of one -0.0 sums to +0.0
-    short = np.flatnonzero(lengths < 8)
-    for k in range(1, 7):
-        short = short[lengths[short] > k]
-        sums[short] += values[starts[short] + k]
-    long = np.flatnonzero(lengths >= 8)
-    sums[long] = [values[a:a + m].sum() for a, m in zip(starts[long].tolist(), lengths[long].tolist())]
-    return sums
-
-
 def class_report(portfolio: Portfolio, fits) -> ClassBalance:
     """Balance of each fit in the iterable ``fits`` per level of every covariate, in design order.
 
     A book without covariates reports its intercept, one level of value 1.
     Every distinct value is a level, valued as its first contract.  Each
-    fit's premiums are computed once and each column sorted once.  Levels
-    of fewer than 8 contracts are summed in passes by position, longer
-    ones by ``np.sum``; each sum equals a masked ``.sum()`` bit for bit.
+    fit's premiums are computed once and each column sorted once; one
+    ``np.add.reduceat`` per value column sums every level, each equal to a
+    masked ``.sum()`` bit for bit.
     A level with zero losses reports an undefined ratio, not an infinite one.
     """
     fits = tuple(fits)
@@ -112,8 +96,10 @@ def class_report(portfolio: Portfolio, fits) -> ClassBalance:
         order = np.argsort(column, kind="stable")
         ordered = column[order]
         starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
-        lengths = np.diff(starts, append=ordered.size)
-        table = np.array([_level_sums(values[order], starts, lengths) for values in columns])
+        heads = starts + np.arange(starts.size)
+        # np.sum of a slice is 0.0 + its pairwise sum, and reduceat starts a
+        # segment from its first element: a 0.0 head keeps np.sum's bits.
+        table = np.array([np.add.reduceat(np.insert(values[order], starts, 0.0), heads) for values in columns])
         rank = np.argsort(table[0], kind="stable")
         factors += [name] * rank.size
         levels.append(ordered[starts[rank]])

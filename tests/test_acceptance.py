@@ -26,7 +26,7 @@ from exposure_glm import (
 from exposure_glm.claim_count import poisson_fit
 from exposure_glm.cli import main
 from exposure_glm.model_core import _scheme_weights, _scoring_pass
-from exposure_glm.simulate import build_scenario_portfolio, gen_mimic_portfolio
+from exposure_glm.simulate import EXPOSURE_HI, EXPOSURE_LO, build_scenario_portfolio, gen_mimic_portfolio
 from oracles import (
     GridSpec,
     eig_min,
@@ -326,4 +326,55 @@ def test_criterion_10_cli_determinism(tmp_path):
         "repeated CLI runs produce byte-identical outputs",
         compare_identical and sim_identical,
         f"compare identical: {compare_identical}, simulate identical: {sim_identical}",
+    )
+
+
+def _split_records(book, seed):
+    """``book`` with 30 % of its full-year contracts each cut into two records.
+
+    The cut point is uniform on the mid-term exposure range; the first
+    record keeps it, the second the rest of the year, with the same
+    covariates.  The loss goes to the first record with probability equal
+    to the cut point, else to the second.
+    """
+    rng = np.random.default_rng(seed)
+    cut = np.flatnonzero((book.exposures == 1.0) & (rng.random(book.n) < 0.3))
+    at = rng.uniform(EXPOSURE_LO, EXPOSURE_HI, cut.size)
+    first = rng.random(cut.size) < at
+    exposures, losses = book.exposures.copy(), book.loss_costs.copy()
+    exposures[cut] = at
+    losses[cut] = np.where(first, book.loss_costs[cut], 0.0)
+    covariates = book.design[:, 1:]
+    return Portfolio.from_arrays(
+        np.concatenate([exposures, 1.0 - at]),
+        np.concatenate([losses, np.where(first, 0.0, book.loss_costs[cut])]),
+        np.concatenate([covariates, covariates[cut]]),
+    )
+
+
+def test_criterion_12_ratio_fit_ignores_record_splits():
+    # Under the weight t^c a record's score term is x zeta^(1-p) (t^(c-1) y - t^c zeta):
+    # additive in (y, t) at c = 1 (ratio), not at c = 2 - p (offset).
+    fam = TweedieFamily(p=1.42)
+    book = gen_mimic_portfolio(0.4, 20000, seed=1)
+    split = _split_records(book, seed=7)
+    whole = {scheme: fit(book, scheme, fam) for scheme in WeightScheme}
+    moved = {scheme: np.abs(fit(split, scheme, fam).beta_hat - whole[scheme].beta_hat) for scheme in WeightScheme}
+    ratio_move, offset_move = (
+        float(moved[scheme].max() / np.abs(whole[scheme].beta_hat).max())
+        for scheme in (WeightScheme.RATIO, WeightScheme.OFFSET)
+    )
+    # Pearson phi-hat of the whole book's offset fit scales its covariance, fitted at phi = 1
+    offset = whole[WeightScheme.OFFSET]
+    zeta = np.exp(book.design @ offset.beta_hat)
+    weights = _scheme_weights(WeightScheme.OFFSET, book.exposures, fam.p)
+    phi = float(np.sum(weights * (book.normalized - zeta) ** 2 / zeta**fam.p) / (book.n - book.q - 1))
+    offset_se = float(np.max(moved[WeightScheme.OFFSET] / np.sqrt(phi * np.diag(offset.covariance))))
+    _report(
+        12,
+        "cutting 30 % of full-year contracts into two records moves the ratio fit by at most "
+        "1e-12 max|beta| and the offset fit by at least 1e-3 max|beta|",
+        ratio_move <= 1e-12 and offset_move >= 1e-3,
+        f"{split.n - book.n} contracts cut; ratio moved {ratio_move:.1e} max|beta|, "
+        f"offset {offset_move:.1e} max|beta| ({offset_se:.2f} Pearson SE)",
     )

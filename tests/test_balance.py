@@ -247,9 +247,11 @@ class TestClassReport:
     def test_levels_straddling_eight_contracts_match_masked_sums(self):
         # numpy adds fewer than 8 values left to right and 8 or more
         # pairwise; levels of 1-10, 16 and 137 contracts fall on both sides.
+        # 127-129 and 255-257 straddle its pairwise block of 128, 8191-8193
+        # and 20000 its buffer of 8192 elements.
         # Losses span 1e-3 to 1e6, so another order of addition moves bits.
         rng = np.random.default_rng(31)
-        sizes = [*range(1, 11), 16, 137]
+        sizes = [*range(1, 11), 16, 127, 128, 129, 137, 255, 256, 257, 8191, 8192, 8193, 20000]
         level = rng.permutation(np.repeat(np.arange(len(sizes), dtype=float), sizes))
         n = level.size
         t = np.where(rng.random(n) < 0.4, rng.uniform(0.1, 0.9, n), 1.0)
