@@ -9,8 +9,9 @@ reads as a float64: ASCII digits, ``.`` decimal, no digit groups):
 for loss-cost commands, and ``contract_id,exposure,count,x1,...,xq`` for
 the claim-count command.  A bad file is reported at its first error in
 file order, by row and column.  All output files are written atomically
-(temp-then-rename), numbers carry 17 significant digits, and every
-artifact is a deterministic function of (input bytes, flags, seed).
+(temp-then-rename), a CSV column is a float array (17 significant digits,
+NaN the empty cell) or a sequence of ``str``, and every artifact is a
+deterministic function of (input bytes, flags, seed).
 Log verbosity is controlled by the ``EXPOSURE_GLM_LOG`` environment
 variable (error, info or debug; default error), logged to stderr.
 """
@@ -50,7 +51,7 @@ from .solver import fit
 __all__ = ["IngestError", "ingest_csv", "ingest_counts_csv", "main"]
 
 SCHEMA_VERSION = 1
-_QUANTILES = (0.0, 0.05, 0.25, 0.5, 0.75, 0.95, 1.0)
+_QUANTILES = np.array([0.0, 0.05, 0.25, 0.5, 0.75, 0.95, 1.0])
 
 log = logging.getLogger("exposure_glm")
 
@@ -116,16 +117,13 @@ _SPECIAL = (",", '"', "\r", "\n")
 
 
 def _text_cells(column, alone):
-    """Cells of a column that is not a float array, quoted where a CSV reader needs it.
+    """Cells of a column of ``str`` (any other cell is a TypeError), quoted where a CSV reader needs it.
 
-    Floats carry 17 significant digits, None is empty and anything else
-    is its ``str``.  A cell with a delimiter, a quote or a line break, and
-    an empty cell of a one-column file (``alone``), goes between quotes
-    with each inner quote doubled, as ``csv.writer`` with a ``"\\r\\n"`` line
-    end writes it on CPython 3.10 to 3.13, whatever Python runs this.
+    A cell with a delimiter, a quote or a line break, and an empty cell of
+    a one-column file (``alone``), goes between quotes with each inner
+    quote doubled, as ``csv.writer`` with a ``"\\r\\n"`` line end writes it
+    on CPython 3.10 to 3.13, whatever Python runs this.
     """
-    if not set(map(type, column)) <= {str}:
-        column = [format(v, ".17g") if isinstance(v, float) else "" if v is None else str(v) for v in column]
     joined = "".join(column)
     if not any(s in joined for s in _SPECIAL) and (not alone or all(column)):
         return column
@@ -179,38 +177,40 @@ def _render_in_order(render, starts, emit, name):
             os.waitpid(pid, 0)
 
 
-def _float_cells(column):
+def _float_cells(column, alone):
     """Cells of a float array column at ``%.17g`` as float64, by one ``%`` on a template repeated per cell.
 
-    Where at most half of the cells are distinct bit patterns (so ``-0.0``
-    is not ``0.0``), only the distinct values are formatted.
+    NaN, the undefined value, is the empty cell, quoted as ``_text_cells`` quotes it.  Where at most half of the
+    cells are distinct bit patterns (so ``-0.0`` is not ``0.0``), only the distinct values are formatted.
     """
     values = column.astype(np.float64, copy=False)
     bits = np.sort(values.view(np.int64))
     bits = bits[np.r_[True, bits[1:] != bits[:-1]]]
     if 2 * len(bits) <= len(values):
-        return itemgetter(*np.searchsorted(bits, values.view(np.int64)).tolist())(_float_cells(bits.view(np.float64)))
-    return ("%.17g," * len(values) % tuple(values.tolist()))[:-1].split(",")
+        return itemgetter(*np.searchsorted(bits, values.view(np.int64)).tolist())(_float_cells(bits.view(float), alone))
+    text = "%.17g," * len(values) % tuple(values.tolist())
+    if np.isnan(values).any():  # about 30 times cheaper than a search of the text for "nan"
+        text = text.replace("nan", '""' if alone else "")
+    return text[:-1].split(",")
 
 
 def _write_csv(path: Path, header, columns):
     """Write equal-length ``columns`` under ``header`` as a CSV file.
 
-    Lines end in ``\\n`` and cells are quoted as ``_text_cells`` says.  Chunks
-    of rows are formatted, by up to four processes, and written in order,
-    so memory stays bounded.  A chunk is formatted column by column, by
-    ``_float_cells`` for a float array and ``_text_cells`` for any other,
-    into one list of cells and delimiters that is joined once.
+    A column is a float array (``_float_cells``) or a sequence of ``str`` (``_text_cells``).  Lines end in ``\\n``
+    and cells are quoted as ``_text_cells`` says.  Chunks of rows are formatted, by up to four processes, and
+    written in order, so memory stays bounded.  A chunk is formatted column by column into one list of cells and
+    delimiters that is joined once.
     """
     n, width = len(columns[0]), len(columns)
     alone = width == 1
-    floats = [isinstance(column, np.ndarray) and column.dtype.kind == "f" for column in columns]
+    renderers = [_float_cells if isinstance(column, np.ndarray) else _text_cells for column in columns]
 
     def render(start):
         rows = slice(start, start + _CHUNK_ROWS)
         flat = ([","] * (2 * width - 1) + ["\n"]) * len(range(n)[rows])  # cell, delimiter, ..., cell, line end
-        for j, (column, is_float) in enumerate(zip(columns, floats)):
-            flat[2 * j :: 2 * width] = _float_cells(column[rows]) if is_float else _text_cells(column[rows], alone)
+        for j, (column, cells) in enumerate(zip(columns, renderers)):
+            flat[2 * j :: 2 * width] = cells(column[rows], alone)
         return "".join(flat)
 
     def write(fh):
@@ -475,8 +475,7 @@ def cmd_compare(args):
     _write_csv(
         args.out / "coeff_ratios.csv",
         ["covariate", "beta_offset", "beta_ratio", "ratio"],
-        [["intercept", *portfolio.covariate_names], beta_offset, beta_ratio,
-         np.where(np.isnan(coeff_ratios), None, coeff_ratios)],
+        [["intercept", *portfolio.covariate_names], beta_offset, beta_ratio, coeff_ratios],
     )
 
     zeta_offset, gap_offset = individual_gaps(portfolio, result_offset)
@@ -496,8 +495,7 @@ def cmd_compare(args):
             report.levels,
             report.loss_sums,
             *report.premium_sums,
-            # an undefined ratio (a level without losses) is an empty cell
-            *np.where(np.isnan(report.ratios), None, report.ratios),
+            *report.ratios,
         ],
     )
     _write_csv(
@@ -523,7 +521,7 @@ def cmd_simulate(args):
     _write_csv(
         args.out / "gap_experiment.csv",
         ["rank", "exposure", "gap_offset", "gap_ratio"],
-        [np.arange(1, portfolio.n + 1), portfolio.exposures, gap_offset, gap_ratio],
+        [np.arange(1.0, portfolio.n + 1), portfolio.exposures, gap_offset, gap_ratio],
     )
     _write_json(
         args.out / "gap_totals.json",

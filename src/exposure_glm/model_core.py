@@ -166,10 +166,12 @@ def _first_duplicate(ids):
 
 
 def _covariate_name_error(names):
-    """``(j, message)`` for the first empty or repeated name in ``names``, or None."""
+    """``(j, message)`` for the first empty, reserved (``intercept``) or repeated name in ``names``, or None."""
     for j, name in enumerate(names):
         if not name.strip():
             return j, f"covariate {j + 1} has an empty name"
+        if name == "intercept":
+            return j, "covariate name 'intercept' is reserved for the design's first column"
         if name in names[:j]:
             return j, f"covariate name {name!r} is repeated"
     return None

@@ -8,6 +8,7 @@ import errno
 import io
 import json
 import logging
+import math
 import os
 import shutil
 import signal
@@ -91,6 +92,15 @@ class TestIngest:
         with pytest.raises(IngestError) as excinfo:
             ingest_csv(src)
         assert (excinfo.value.row, excinfo.value.column) == (1, column)
+
+    @pytest.mark.parametrize("value", INGESTS)
+    @pytest.mark.parametrize("cells", [(0, 1, 2, 3), (1, 1, 1, 1)], ids=["varying", "all_ones"])
+    def test_covariate_named_intercept_is_refused_at_the_header(self, tmp_path, value, cells):
+        # the design's first column is the intercept: a covariate of that name would be a second one
+        rows = [f"contract_id,exposure,{value},x1,intercept"] + [f"c{i},0.5,1,{i % 2},{c}" for i, c in enumerate(cells)]
+        with pytest.raises(IngestError, match="covariate name 'intercept' is reserved") as excinfo:
+            INGESTS[value](_write(tmp_path / "in.csv", "\n".join(rows) + "\n"))
+        assert (excinfo.value.row, excinfo.value.column) == (1, "intercept")
 
     def test_bad_header_rejected(self, tmp_path):
         with pytest.raises(IngestError):
@@ -1041,6 +1051,17 @@ class TestErrorHandling:
         payload = json.loads(err.strip().splitlines()[-1])
         assert payload["error"] == "IngestError"
 
+    def test_covariate_named_intercept_exits_nonzero(self, tmp_path, capsys):
+        src = _write(tmp_path / "in.csv", "contract_id,exposure,loss_cost,intercept\na,0.5,1,0\nb,1,2,1\nc,0.25,0,0\n")
+        assert main(["compare", "--input", str(src), "--out", str(tmp_path / "out")]) == 1
+        assert json.loads(capsys.readouterr().err.strip().splitlines()[-1]) == {
+            "schema_version": 1,
+            "error": "IngestError",
+            "message": "row 1, column 'intercept': "
+            "covariate name 'intercept' is reserved for the design's first column",
+        }
+        assert not (tmp_path / "out").exists()
+
     def test_bad_p_exits_nonzero(self, tmp_path, capsys):
         src = _write(tmp_path / "in.csv", MINIMAL)
         code = main(["fit", "--input", str(src), "--out", str(tmp_path / "o"), "--p", "2.5"])
@@ -1238,14 +1259,16 @@ class TestAtomicWrites:
         cli._write_csv(path, ["a"], [np.array([1.0, 2.0])])
         before = path.read_bytes()
 
-        class Unprintable:
-            def __str__(self):
+        def text_cells(column, alone, real=cli._text_cells):
+            if "z" in column:
                 raise RuntimeError("cannot format")
+            return real(column, alone)
 
-        # the first chunk reaches the temp file before the second one fails
-        monkeypatch.setattr(cli, "_CHUNK_ROWS", 2)
-        with pytest.raises(RuntimeError):
-            cli._write_csv(path, ["a"], [["x", "y", Unprintable()]])
+        # one process: the first chunk reaches the temp file before this process fails on the second
+        _deal_to(monkeypatch, 1, 2)
+        monkeypatch.setattr(cli, "_text_cells", text_cells)
+        with pytest.raises(RuntimeError, match="^cannot format$"):
+            cli._write_csv(path, ["a"], [["x", "y", "z"]])
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
@@ -1264,15 +1287,16 @@ class TestAtomicWrites:
             cli._write_json(tmp_path / "out.json", {"a": [1.0, value]})
         assert list(tmp_path.iterdir()) == []
 
-    def test_overlapping_writes_to_one_name_do_not_collide(self, tmp_path):
+    def test_overlapping_writes_to_one_name_do_not_collide(self, tmp_path, monkeypatch):
         path = tmp_path / "out.csv"
 
-        class WritesMeanwhile:
-            def __str__(self):
+        def text_cells(column, alone, real=cli._text_cells):
+            if list(column) == ["outer"]:  # the outer write's temp file is open meanwhile
                 cli._write_csv(path, ["b"], [["inner"]])
-                return "outer"
+            return real(column, alone)
 
-        cli._write_csv(path, ["a"], [[WritesMeanwhile()]])
+        monkeypatch.setattr(cli, "_text_cells", text_cells)
+        cli._write_csv(path, ["a"], [["outer"]])
         assert path.read_text() == "a\nouter\n"
         assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
@@ -1306,7 +1330,7 @@ class TestAtomicWrites:
         mask = os.umask(0o027)
         try:
             cli._write_json(tmp_path / "a.json", {})
-            cli._write_csv(tmp_path / "a.csv", ["a"], [[1]])
+            cli._write_csv(tmp_path / "a.csv", ["a"], [["1"]])
         finally:
             os.umask(mask)
         for name in ("a.json", "a.csv"):
@@ -1316,6 +1340,9 @@ class TestAtomicWrites:
 def _csv_writer_bytes(header, columns):
     """``header`` and ``columns`` as ``csv.writer(lineterminator="\\r\\n")`` writes them, each line ending in ``\\n``.
 
+    A float array's cells are its values at ``.17g``, NaN the empty cell; a
+    text column's are its strings.
+
     Under that line end ``csv.writer`` quotes a cell exactly when it holds a
     comma, a quote, CR or LF, or is the empty cell of a one-column row, on
     CPython 3.10 to 3.13 (under ``"\\n"``, 3.12 and earlier leave a lone CR
@@ -1324,9 +1351,9 @@ def _csv_writer_bytes(header, columns):
     """
 
     def cells(column):
-        if isinstance(column, np.ndarray) and column.dtype.kind == "f":
-            return [format(v, ".17g") for v in column.tolist()]
-        return [format(v, ".17g") if isinstance(v, float) else "" if v is None else str(v) for v in column]
+        if isinstance(column, np.ndarray):  # NaN, the undefined value, is the empty cell
+            return ["" if math.isnan(v) else format(v, ".17g") for v in column.tolist()]
+        return list(column)
 
     def line(row):
         buffer = io.StringIO(newline="")
@@ -1349,23 +1376,22 @@ CSV_FLOATS = st.floats() | st.sampled_from(
 # few distinct values, so that chunks take the distinct-values path, among them
 # the ones a lookup could conflate: signed zeros, NaN and the smallest subnormal
 CSV_REPEATED_FLOATS = st.sampled_from([0.0, -0.0, 1.0, 0.1, np.nan, np.inf, -np.inf, 5e-324])
+# NaN of either sign and of three payloads, and values whose '%.17g' text must stay as it is beside them
+CSV_NANS = np.array([0x7FF8 << 48, 0xFFF8 << 48, 0x7FF0000000000001, 0xFFF00000DEADBEEF], np.uint64).view(float)
+CSV_KEPT = {"inf": np.inf, "-inf": -np.inf, "-0": -0.0, "4.9406564584124654e-324": 5e-324}
 CSV_CELLS = {
     "float array": CSV_FLOATS,
     "float32 array": st.floats(width=32) | st.sampled_from([0.0, -0.0, 0.1, 1e-45, np.nan]),
     "repeated float array": CSV_REPEATED_FLOATS,
-    "int array": st.integers(-(2**63), 2**63 - 1),
     "ids": CSV_TEXT,
     "text list": CSV_TEXT,
-    "mixed": st.none() | CSV_FLOATS | CSV_TEXT | st.integers(),
 }
 CSV_COLUMN_TYPES = {
     "float array": lambda cells: np.array(cells, dtype=float),
     "float32 array": lambda cells: np.array(cells, dtype=np.float32),
     "repeated float array": lambda cells: np.array(cells, dtype=float),
-    "int array": lambda cells: np.array(cells, dtype=np.int64),
     "ids": tuple,
     "text list": list,
-    "mixed": list,
 }
 
 
@@ -1375,12 +1401,12 @@ class TestCsvOutput:
         monkeypatch.setattr(cli, "_CHUNK_ROWS", 3)
         ids = ["a", "", "b", "c,d", 'e"f', "g\nh", "i\rj", " k "]
         floats = np.array([0.1, -0.0, np.inf, -np.inf, np.nan, 5e-324, 1e300, 1.0 / 3.0])
-        ints = np.arange(8)
-        mixed = [None, 1.5, "x", None, 2.0, "y", None, 0.25]
-        header = ["id", "float", "int", "mixed"]
+        ranks = np.arange(1.0, 9.0)
+        text = ["", "1.5", "x", "", "2", "y", "", "0.25"]
+        header = ["id", "float", "rank", "text"]
         path = tmp_path / "out.csv"
-        cli._write_csv(path, header, [ids, floats, ints, mixed])
-        assert path.read_bytes() == _csv_writer_bytes(header, [ids, floats, ints, mixed])
+        cli._write_csv(path, header, [ids, floats, ranks, text])
+        assert path.read_bytes() == _csv_writer_bytes(header, [ids, floats, ranks, text])
         # the lone CR is quoted, so each row reads back as one record of four fields
         rows = _read_csv(path)
         assert [row[0] for row in rows] == ["id", *ids] and {len(row) for row in rows} == {4}
@@ -1410,6 +1436,37 @@ class TestCsvOutput:
         assert written == _csv_writer_bytes(header, columns)
         signs = [line.split(b",")[1] for line in written.splitlines()[1:]]
         assert signs == [b"-0" if negative else b"0" for negative in np.signbit(zeros)]
+
+    @pytest.mark.parametrize("alone", [False, True])
+    @pytest.mark.parametrize("copies", [1, 2], ids=["template", "distinct_values"])
+    def test_nan_is_the_empty_cell_on_both_paths(self, copies, alone):
+        # one copy holds 8 distinct bit patterns, every cell formatted; two copies repeat each, so only 8 are
+        values = np.tile(np.r_[CSV_NANS, list(CSV_KEPT.values())], copies)
+        assert list(cli._float_cells(values, alone)) == (['""' if alone else ""] * 4 + list(CSV_KEPT)) * copies
+
+    @pytest.mark.parametrize("chunk_rows", [1, 2, 3, 4, 5, 4096])
+    def test_nan_is_the_empty_cell_in_every_chunk(self, tmp_path, monkeypatch, chunk_rows):
+        monkeypatch.setattr(cli, "_CHUNK_ROWS", chunk_rows)
+        texts = [""] * 4 + list(CSV_KEPT)
+        picks = np.random.default_rng(chunk_rows).integers(0, len(texts), 40)
+        repeated = np.r_[CSV_NANS, list(CSV_KEPT.values())][picks]
+        distinct = np.where(picks < 4, repeated, np.arange(40.0) / 7)
+        header = ["id", "repeated", "distinct"]
+        columns = [tuple(f"c{i}" for i in range(40)), repeated, distinct]
+        cli._write_csv(tmp_path / "out.csv", header, columns)
+        cli._write_csv(tmp_path / "alone.csv", ["a"], [repeated])
+        rows = [f"c{i},{texts[k]},{'' if k < 4 else format(distinct[i], '.17g')}\n" for i, k in enumerate(picks)]
+        assert (tmp_path / "out.csv").read_bytes() == ("id,repeated,distinct\n" + "".join(rows)).encode()
+        assert (tmp_path / "out.csv").read_bytes() == _csv_writer_bytes(header, columns)
+        quoted = ['""'] * 4 + list(CSV_KEPT)  # the empty cell of a one-column file is quoted
+        assert (tmp_path / "alone.csv").read_text() == "a\n" + "".join(f"{quoted[k]}\n" for k in picks)
+        assert (tmp_path / "alone.csv").read_bytes() == _csv_writer_bytes(["a"], [repeated])
+
+    @pytest.mark.parametrize("cell", [1, 1.5, None, b"x"])
+    def test_text_cell_that_is_not_str_is_refused(self, tmp_path, cell):
+        with pytest.raises(TypeError):
+            cli._write_csv(tmp_path / "out.csv", ["id", "value"], [["a", cell], np.array([1.0, 2.0])])
+        assert list(tmp_path.iterdir()) == []
 
     @settings(max_examples=100, derandomize=True, database=None, deadline=None)
     @given(st.data())
@@ -1603,14 +1660,14 @@ class TestStripedWriter:
         _deal_to(monkeypatch, 4, 1)
         parent = os.getpid()
 
-        class FailsHere:
-            def __str__(self):
-                if os.getpid() == parent:
-                    raise ValueError("cannot render")
-                return "late"
+        def text_cells(column, alone, real=cli._text_cells):
+            if os.getpid() == parent and "here" in column:
+                raise ValueError("cannot render")
+            return real(column, alone)
 
+        monkeypatch.setattr(cli, "_text_cells", text_cells)
         path = tmp_path / "out.csv"
-        cells = ["x" * 1_500_000] * 4 + [FailsHere()] + ["y" * 1_500_000] * 3
+        cells = ["x" * 1_500_000] * 4 + ["here"] + ["y" * 1_500_000] * 3
         with _deadline(60), pytest.raises(ValueError, match="cannot render"):
             cli._write_csv(path, ["a"], [cells])
         _assert_no_children()

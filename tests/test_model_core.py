@@ -179,6 +179,15 @@ class TestDomainTypes:
                 covariate_names=names,
             )
 
+    @pytest.mark.parametrize("container", [Portfolio, CountData])
+    def test_covariate_name_intercept_is_reserved(self, container):
+        # the design's first column is the intercept: a covariate of that name would be a second one
+        with pytest.raises(ValueError, match=r"^covariate name 'intercept' is reserved for the design's first column$"):
+            container.from_arrays(
+                [0.5, 1.0, 0.25], [1.0, 2.0, 3.0], [[0.0, 1.0], [1.0, 1.0], [2.0, 1.0]],
+                covariate_names=["age", "intercept"],
+            )
+
     def test_portfolio_columns(self):
         pf = Portfolio.from_arrays(
             [0.5, 1.0, 0.25], [1.0, 0.0, 3.0], [[1.0], [0.0], [2.0]],
