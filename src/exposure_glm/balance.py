@@ -46,7 +46,7 @@ class ClassBalance:
 def _check_fit(portfolio, fit):
     if fit.n_obs != portfolio.n or fit.beta_hat.shape != (portfolio.q + 1,):
         raise ValueError(
-            f"fit (n={fit.n_obs}, k={fit.beta_hat.shape}) does not match "
+            f"fit (n={fit.n_obs}, k={fit.beta_hat.size}) does not match "
             f"portfolio (n={portfolio.n}, k={portfolio.q + 1})"
         )
 

@@ -416,59 +416,36 @@ def ingest_counts_csv(path) -> CountData:
     return _ingest(path, "count", CountData)
 
 
-_SCHEMES = {
-    "offset": (WeightScheme.OFFSET,),
-    "ratio": (WeightScheme.RATIO,),
-    "both": (WeightScheme.OFFSET, WeightScheme.RATIO),
-}
-
-
-def _fit_schemes(args, schemes):
-    """Check the flags, then ingest ``args.input`` and fit ``schemes``: ``(portfolio, results)``."""
+def cmd_fit(args):
+    """Check ``--p`` and ``--phi``, ingest, fit ``args.scheme`` (``both``: offset, then ratio, each logged as it
+    ends) and write ``fit.json``.  ``compare`` runs this with ``both``, so it returns ``(portfolio, results)``."""
     family = TweedieFamily(p=args.p, phi=args.phi)
     portfolio = ingest_csv(args.input)
     results = {}
-    for scheme in schemes:
-        results[scheme] = fit(portfolio, scheme, family)
-        log.info(
-            "%s fit: converged=%s iterations=%d", scheme.value,
-            results[scheme].converged, results[scheme].iterations,
-        )
+    for scheme in tuple(WeightScheme) if args.scheme == "both" else (WeightScheme(args.scheme),):
+        results[scheme] = result = fit(portfolio, scheme, family)
+        log.info("%s fit: converged=%s iterations=%d", scheme.value, result.converged, result.iterations)
+    fits = {
+        scheme.value: {
+            "beta": result.beta_hat.tolist(),
+            "covariance": result.covariance.tolist(),
+            "iterations": result.iterations,
+            "converged": result.converged,
+            "gradient_norm": result.gradient_norm,
+        }
+        for scheme, result in results.items()
+    }
+    _write_json(
+        args.out / "fit.json",
+        {"schema_version": SCHEMA_VERSION, "p": args.p, "phi": args.phi, "n": portfolio.n,
+         "covariates": list(portfolio.covariate_names), "schemes": fits},
+    )
     return portfolio, results
 
 
-def _write_fit_json(out, args, portfolio, results):
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "p": args.p,
-        "phi": args.phi,
-        "n": portfolio.n,
-        "covariates": list(portfolio.covariate_names),
-        "schemes": {
-            scheme.value: {
-                "beta": [float(b) for b in result.beta_hat],
-                "covariance": [[float(v) for v in row] for row in result.covariance],
-                "iterations": result.iterations,
-                "converged": result.converged,
-                "gradient_norm": result.gradient_norm,
-            }
-            for scheme, result in results.items()
-        },
-    }
-    _write_json(out / "fit.json", payload)
-
-
-def cmd_fit(args):
-    portfolio, results = _fit_schemes(args, _SCHEMES[args.scheme])
-    _write_fit_json(args.out, args, portfolio, results)
-
-
 def cmd_compare(args):
-    portfolio, results = _fit_schemes(args, _SCHEMES["both"])
-    result_offset = results[WeightScheme.OFFSET]
-    result_ratio = results[WeightScheme.RATIO]
-    _write_fit_json(args.out, args, portfolio, results)
-
+    portfolio, results = cmd_fit(args)
+    result_offset, result_ratio = results[WeightScheme.OFFSET], results[WeightScheme.RATIO]
     beta_offset, beta_ratio = result_offset.beta_hat, result_ratio.beta_hat
     coeff_ratios = np.full_like(beta_offset, np.nan)
     np.divide(beta_offset, beta_ratio, out=coeff_ratios, where=beta_ratio != 0.0)
@@ -546,7 +523,7 @@ def cmd_counts(args):
     _check_zero_inflation(args.zero_inflation)
     data = ingest_counts_csv(args.input)
     # Both modes of poisson_fit are one computation: one fit serves both.
-    beta = [float(b) for b in poisson_fit(data, "offset")]
+    beta = poisson_fit(data, "offset").tolist()
     evidence = zip_nonequivalence_check(data, zero_inflation=args.zero_inflation)
     _write_json(
         args.out / "counts.json",
@@ -575,7 +552,7 @@ def build_parser():
     compare = sub.add_parser(
         "compare", aliases=["balance"], help="fit both schemes and write comparison and balance tables"
     )
-    compare.set_defaults(run=cmd_compare)
+    compare.set_defaults(run=cmd_compare, scheme="both")
     sim = sub.add_parser("simulate", help="run a seeded gap experiment")
     sim.set_defaults(run=cmd_simulate)
     counts = sub.add_parser("counts", help="Poisson equivalence and zero-inflation evidence")
@@ -589,7 +566,7 @@ def build_parser():
         cmd.add_argument("--p", type=float, default=1.42, help="Tweedie variance power in (1, 2)")
     for cmd in (fit_cmd, compare):
         cmd.add_argument("--phi", type=float, default=1.0, help="dispersion (scales covariances only)")
-    fit_cmd.add_argument("--scheme", choices=tuple(_SCHEMES), default="both", help="which scheme(s) to fit")
+    fit_cmd.add_argument("--scheme", choices=("offset", "ratio", "both"), default="both", help="which scheme(s) to fit")
     sim.add_argument("--n", type=int, default=100, help="number of contracts")
     sim.add_argument("--seed", type=int, default=0, help="64-bit experiment seed")
     sim.add_argument(

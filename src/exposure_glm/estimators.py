@@ -118,7 +118,8 @@ def coefficient_covariance(portfolio: Portfolio, beta, scheme: WeightScheme, fam
     """Asymptotic coefficient covariance ``phi * (X.T @ D @ X)**-1`` at ``beta``.
 
     Raises SingularInformationError when ``X.T @ D @ X`` is numerically
-    singular at ``beta``.
+    singular at ``beta``, and ValueError when ``phi`` scales it past the
+    float range.
     """
     beta = _check_beta(beta, portfolio.q + 1)
     return _covariance(portfolio.design, portfolio.exposures, WeightScheme(scheme), family.p, family.phi, beta)

@@ -89,7 +89,7 @@ class TweedieFamily:
     ``p`` must lie strictly inside (1, 2), the compound mixture region
     with positive mass at zero.  The dispersion cancels out of the
     coefficient updates and only scales likelihood values and
-    covariances.
+    covariances; it must be a positive, finite, normal float.
     """
 
     p: float
@@ -98,8 +98,8 @@ class TweedieFamily:
     def __post_init__(self):
         if not (1.0 < self.p < 2.0):
             raise ValueError(f"variance power must satisfy 1 < p < 2, got {self.p}")
-        if not (self.phi > 0.0 and math.isfinite(self.phi)):
-            raise ValueError(f"dispersion must be positive and finite, got {self.phi}")
+        if not (self.phi >= np.finfo(float).tiny and math.isfinite(self.phi)):
+            raise ValueError(f"dispersion must be a positive, finite, normal float, got {self.phi}")
 
 
 def _unit_columns(matrix):
@@ -456,11 +456,18 @@ def _cho_solve(factor, rhs):
 
 
 def _covariance(design, exposures, scheme, p, phi, beta):
-    """The coefficient covariance ``phi * (X.T @ D @ X)**-1`` at ``beta``, ``D`` from the scheme's weights."""
+    """The coefficient covariance ``phi * (X.T @ D @ X)**-1`` at ``beta``, ``D`` from the scheme's weights.
+
+    One that overflows a float is a ValueError that names ``phi``.
+    """
     d = _d_weights(design @ beta, _scheme_weights(scheme, exposures, p), p)
     factor = _cho_factor(_gram(design, d))
-    cov = phi * _cho_solve(factor, np.eye(len(factor)))
-    return 0.5 * (cov + cov.T)
+    with np.errstate(over="ignore"):
+        cov = phi * _cho_solve(factor, np.eye(len(factor)))
+        cov = 0.5 * (cov + cov.T)
+    if not np.isfinite(cov).all():
+        raise ValueError(f"the coefficient covariance overflows a float at dispersion phi={phi}")
+    return cov
 
 
 def quasi_loglik(beta, portfolio: Portfolio, scheme: WeightScheme, family: TweedieFamily) -> float:

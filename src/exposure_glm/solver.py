@@ -95,7 +95,8 @@ class FitResult:
         """``phi * (X.T @ D @ X)**-1`` at the final iterate, factorised on first read and kept.
 
         A fit whose covariance is never read factorises nothing after its last step.  Raises
-        SingularInformationError, on that read, when ``X.T @ D @ X`` is numerically singular there.
+        SingularInformationError, on that read, when ``X.T @ D @ X`` is numerically singular there, and
+        ValueError when ``phi`` scales it past the float range.
         """
         return _covariance(*self._covariance_inputs)
 
@@ -155,13 +156,15 @@ def _irls(design, z, exposures, scheme, p, phi, beta, max_iterations, scale):
         beta = candidate
         trace_beta.append(beta.copy())
         trace_objective.append(value)
+    with np.errstate(over="ignore"):  # an overflow is inf, as in quasi_loglik
+        trace_objective = np.asarray(trace_objective) / phi
     return FitResult(
         beta_hat=beta,
         iterations=iteration,
         converged=converged,
         gradient_norm=gradient_norm,
         trace_beta=np.asarray(trace_beta),
-        trace_objective=np.asarray(trace_objective) / phi,
+        trace_objective=trace_objective,
         n_obs=len(z),
         _covariance_inputs=(design, exposures, scheme, p, phi, beta.copy()),
     )

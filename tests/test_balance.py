@@ -69,6 +69,17 @@ class TestIndividualGaps:
         with pytest.raises(ValueError):
             individual_gaps(pf_b, result)
 
+    @pytest.mark.parametrize(
+        "diagnostic", [individual_gaps, lambda pf, result: class_report(pf, [result]), balance_factor],
+        ids=["individual_gaps", "class_report", "balance_factor"],
+    )
+    def test_mismatch_message_states_both_sizes(self, diagnostic):
+        fitted = random_portfolio(3, n=4, q=1, zero_frac=0.0)
+        result = fit(fitted, WeightScheme.RATIO, FAM)
+        with pytest.raises(ValueError) as excinfo:
+            diagnostic(random_portfolio(4, n=5), result)
+        assert str(excinfo.value) == "fit (n=4, k=2) does not match portfolio (n=5, k=3)"
+
     def test_records_identical_across_schemes_at_full_exposure(self):
         pf = random_portfolio(5, all_full=True)
         zeta_o, gap_o = individual_gaps(pf, fit(pf, WeightScheme.OFFSET, FAM))

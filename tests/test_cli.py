@@ -10,6 +10,7 @@ import json
 import logging
 import math
 import os
+import re
 import shutil
 import signal
 import stat
@@ -32,7 +33,7 @@ from exposure_glm.cli import IngestError, build_parser, ingest_csv, ingest_count
 from exposure_glm.simulate import build_scenario_portfolio, gen_mimic_portfolio
 
 from oracles import ingest_by_records
-from util import overflowing_count_data, write_portfolio_csv
+from util import load_perfbench, overflowing_count_data, write_portfolio_csv
 
 
 def _write(path, text):
@@ -1081,6 +1082,27 @@ class TestErrorHandling:
             assert payload["error"] == "ValueError", (command, flag)
             assert word in payload["message"]
 
+    @pytest.mark.parametrize(
+        "phi, content, message",
+        [
+            # refused before the input, whose first loss cost is not a number, is read
+            ("1e-320", "contract_id,exposure,loss_cost\na,0.5,x\nb,1.0,1.0\n",
+             "dispersion must be a positive, finite, normal float, got 1e-320"),
+            # small losses: each fit's (X.T D X)**-1 is above 1, so phi times it is past the float range
+            ("1e308", "contract_id,exposure,loss_cost\na,0.5,0.005\nb,1.0,0.02\n",
+             "the coefficient covariance overflows a float at dispersion phi=1e+308"),
+        ],
+        ids=["subnormal", "overflowing_covariance"],
+    )
+    @pytest.mark.parametrize("command", ["fit", "compare"])
+    def test_dispersion_past_the_float_range_exits_nonzero(self, tmp_path, capsys, command, phi, content, message):
+        src = _write(tmp_path / "in.csv", content)
+        out = tmp_path / "out"
+        assert main([command, "--input", str(src), "--out", str(out), "--phi", phi]) == 1
+        error = {"schema_version": 1, "error": "ValueError", "message": message}
+        assert capsys.readouterr().err == json.dumps(error) + "\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("command, stage", [("simulate", "run_gap_experiment"), ("fit", "ingest_csv")])
     def test_allocation_failure_exits_nonzero(self, tmp_path, capsys, monkeypatch, command, stage):
         # numpy raises MemoryError for an array too large for memory; a stand-in
@@ -1732,3 +1754,27 @@ class TestLogging:
     def test_unknown_level_acts_as_error(self, tmp_path, monkeypatch, capsys):
         assert self.simulate(monkeypatch, capsys, tmp_path, "info")
         assert self.simulate(monkeypatch, capsys, tmp_path, "verbose") == ""
+
+    def test_fit_lines_are_those_the_benchmark_reads(self, tmp_path, monkeypatch, capsys):
+        # perfbench/checks.check_fit_log parses these lines; a run whose lines it cannot read is incorrect
+        check_fit_log = load_perfbench("checks").check_fit_log
+        src = tmp_path / "in.csv"
+        write_portfolio_csv(gen_mimic_portfolio(0.4, 60, seed=2), src)
+        monkeypatch.setenv("EXPOSURE_GLM_LOG", "info")
+
+        def run(*argv):
+            capsys.readouterr()
+            assert main([*argv, "--input", str(src), "--out", str(tmp_path / "-".join(argv))]) == 0
+            return capsys.readouterr().err
+
+        for argv in (("fit", "--scheme", "both"), ("compare",), ("balance",)):
+            err = run(*argv)
+            # each fit is logged as it ends, before fit.json, the first file, is written
+            *fits, wrote = err.splitlines()[:3]
+            for scheme, text in zip(("offset", "ratio"), fits):
+                assert re.fullmatch(rf"INFO exposure_glm: {scheme} fit: converged=True iterations=\d+", text)
+            assert wrote == f"INFO exposure_glm: wrote {tmp_path / '-'.join(argv) / 'fit.json'}"
+            assert check_fit_log(err) == []
+        assert run("fit", "--scheme", "ratio").splitlines()[:2] == [
+            fits[1], f"INFO exposure_glm: wrote {tmp_path / 'fit---scheme-ratio' / 'fit.json'}"
+        ]

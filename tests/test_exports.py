@@ -6,7 +6,6 @@ package."""
 import ast
 import csv
 import importlib
-import importlib.util
 import os
 import pkgutil
 import re
@@ -19,7 +18,7 @@ import pytest
 import exposure_glm
 from exposure_glm import TweedieFamily, WeightScheme
 
-from util import random_portfolio, write_portfolio_csv
+from util import load_perfbench, random_portfolio, write_portfolio_csv
 
 MODULES = (
     "balance",
@@ -169,18 +168,10 @@ def test_cli_import_loads_no_process_pool():
     assert out.stdout.strip() == "[]"
 
 
-def _load_perfbench(name):
-    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_benchmark_profile_analysis_runs_clean():
     # the ``p_profile`` workload calls the library through perfbench/child.py;
     # an API change that breaks it fails here, not only in a benchmark run
-    child, checks, gen = (_load_perfbench(name) for name in ("child", "checks", "gen"))
+    child, checks, gen = (load_perfbench(name) for name in ("child", "checks", "gen"))
     book = gen.profile_book(1, n=2000)
     units, problems, _ = checks.check_profile(book, *child.analyse(exposure_glm, book))
     assert (units, problems) == (83, [])
@@ -191,7 +182,7 @@ def test_benchmark_tracer_hooks_install_and_uninstall(tmp_path):
     # a refactor that removes or moves one breaks the traced benchmark run
     from exposure_glm import cli, solver
 
-    tracing = _load_perfbench("tracing")
+    tracing = load_perfbench("tracing")
     hooks = (
         (solver, "quasi_loglik"),
         (cli, "fit"),

@@ -331,6 +331,44 @@ class TestDeterminism:
                 assert getattr(first, name).tobytes() == getattr(second, name).tobytes(), name
 
 
+class TestDispersionRange:
+    """``phi`` is a normal float; what it scales past the float range is an error or inf, never a warning."""
+
+    TINY = float(np.finfo(float).tiny)
+
+    def test_subnormal_dispersion_is_refused(self):
+        for phi in (1e-320, 5e-324, self.TINY / 2):
+            with pytest.raises(ValueError, match=r"^dispersion must be a positive, finite, normal float, got "):
+                TweedieFamily(p=1.5, phi=phi)
+        assert TweedieFamily(p=1.5, phi=self.TINY).phi == self.TINY
+
+    def test_overflowing_covariance_names_phi(self):
+        pf = Portfolio.from_arrays([0.5, 1.0], [0.005, 0.02])  # small losses: (X.T D X)**-1 is about 4.7
+        family = TweedieFamily(p=1.5, phi=1e308)
+        result = fit(pf, WeightScheme.OFFSET, family)
+        assert result.converged
+        message = "the coefficient covariance overflows a float at dispersion phi=1e+308"
+        with pytest.raises(ValueError) as excinfo:
+            result.covariance
+        assert str(excinfo.value) == message
+        with pytest.raises(ValueError) as excinfo:
+            coefficient_covariance(pf, result.beta_hat, WeightScheme.OFFSET, family)
+        assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize("phi", [1e-300, TINY])
+    def test_tiny_dispersion_still_fits(self, phi):
+        pf = random_portfolio(25)
+        family = TweedieFamily(p=1.5, phi=phi)
+        reference = fit(pf, WeightScheme.OFFSET, FAM)
+        result = fit(pf, WeightScheme.OFFSET, family)
+        assert result.converged and result.beta_hat.tobytes() == reference.beta_hat.tobytes()
+        assert np.isfinite(result.covariance).all() and np.all(np.diag(result.covariance) > 0.0)
+        # the objective over phi overflows at the smallest phi, to the inf that quasi_loglik gives too
+        for beta, value in zip(result.trace_beta, result.trace_objective):
+            assert value == quasi_loglik(beta, pf, WeightScheme.OFFSET, family)
+        assert np.isinf(result.trace_objective).all() == (phi == self.TINY)
+
+
 class TestSeparation:
     """A covariate whose losses all sit at its maximum, or all at its minimum, stops the fit before it iterates."""
 

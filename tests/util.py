@@ -1,6 +1,7 @@
 """Shared portfolio builders for the test suite (all seeded, all frozen)."""
 
 import functools
+import importlib.util
 from pathlib import Path
 
 import numpy as np
@@ -147,3 +148,12 @@ def spy_book_fact(monkeypatch, name):
     spy.__set_name__(Portfolio, name)
     monkeypatch.setattr(Portfolio, name, spy)
     return computed
+
+
+def load_perfbench(name):
+    """The benchmark's module ``perfbench/<name>.py``, loaded from its file: ``perfbench`` is not a package."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
