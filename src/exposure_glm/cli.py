@@ -19,6 +19,7 @@ variable (error, info or debug; default error), logged to stderr.
 import argparse
 import contextlib
 import csv
+import functools
 import io
 import json
 import logging
@@ -177,21 +178,104 @@ def _render_in_order(render, starts, emit, name):
             os.waitpid(pid, 0)
 
 
-def _float_cells(column, alone):
-    """Cells of a float array column at ``%.17g`` as float64, by one ``%`` on a template repeated per cell.
+# A fixed-notation cell is first a row of 11 native words that holds its 17 significant digits D twice,
+#     ",-0." | "000" D[0] | D[1:5] | D[5:9] | D[9:13] | D[13:17] | ".\0\0\0" | D[1:5] | D[5:9] | D[9:13] | D[13:17]
+# then a keep mask chosen by (decimal exponent e, place of the last non-zero digit, sign) zeroes every byte that
+# the cell does not print: "-0.", the last -e - 1 zeros of "000" and D for e < 0, else D[:e + 1] of the first copy,
+# then "." and the rest of the second.  The zeros go in one pass, and the cells are split at the commas.
+_ROW_WORDS = 11
 
-    NaN, the undefined value, is the empty cell, quoted as ``_text_cells`` quotes it.  Where at most half of the
-    cells are distinct bit patterns (so ``-0.0`` is not ``0.0``), only the distinct values are formatted.
+
+@functools.cache
+def _digit_tables():
+    """The tables of ``_fixed_cells``, built on its first call, not at import.
+
+    The ASCII word of each 4-digit group, the place (0 to 3, or -99 for 0000) of its last non-zero digit, the keep
+    mask of each (e, last place, sign), the floats at which e steps, and the exact floats ``10**k``, k < 21, each
+    with its Veltkamp halves.
+    """
+    chars = (np.arange(10**4)[:, None] // np.array([1000, 100, 10, 1]) % 10 + 48).astype(np.uint8)
+    nonzero = chars != 48
+    last = np.where(nonzero.any(axis=1), 3 - nonzero[:, ::-1].argmax(axis=1), -99).astype(np.int8)
+    e, last_digit, negative, at = np.ix_(np.arange(-4, 17), np.arange(17), np.arange(2), np.arange(4 * _ROW_WORDS))
+    first, second = at - 7, at - 27  # D[first] and D[second] are at byte ``at`` of either copy
+    keep = (at == 0) | (at == 1) & (negative == 1) | np.where(
+        e < 0,
+        (at == 2) | (at == 3) | (8 + e <= at) & (at <= 6) | (0 <= first) & (first <= last_digit),
+        (0 <= first) & (first <= e) | (at == 24) & (last_digit > e) | (e < second) & (second <= last_digit),
+    )
+    masks = np.where(keep, 255, 0).astype(np.uint8).reshape(-1, 4 * _ROW_WORDS).view(np.uint32)
+    steps = np.array([float(f"1e{k}") for k in range(-3, 17)])  # the float nearest each power of ten
+    scale = np.array([float(10**k) for k in range(21)])
+    return chars.view(np.uint32).ravel(), last, masks, steps, np.array([scale, *_halves(scale)])
+
+
+def _halves(x):
+    """Veltkamp's split of ``x`` into a high half of 26 significant bits and the exact rest."""
+    c = 134217729.0 * x
+    high = c - (c - x)
+    return high, x - high
+
+
+def _fixed_cells(x, negative):
+    """``'%.17g' % v`` for each ``v`` of ``x``, negated where ``negative``; each ``x`` is 0 or in [1e-4, 1e17).
+
+    That range is where ``%.17g`` writes no exponent.  The digits are ``M``, the half-even rounding of
+    ``x * 10**(16 - e)`` for the decimal exponent e, found exactly by a search of the floats ``1e-3``, ...,
+    ``1e16`` (each of which is at or above its power of ten, with no float between).  ``p + err`` is that
+    product exactly (Dekker), and ``p``, a float of at least ``2**53``, is an integer, so ``M = p + rint(err)``.
+    ``M`` never rounds up to ``10**17``: the float below each power of ten is more than half a unit of the 17th
+    digit below it.
+    """
+    words, last_of, masks, steps, scales = _digit_tables()
+    e = np.where(x > 0, np.searchsorted(steps, x, side="right") - 4, 0)  # 0 prints as "0" with e = 0
+    s, s_high, s_low = scales.take(16 - e, axis=1)
+    x_high, x_low = _halves(x)
+    p = x * s
+    err = ((x_high * s_high - p) + x_high * s_low + x_low * s_high) + x_low * s_low
+    high = np.floor(p / 1e8)  # M = high * 10**8 + low, each part an exact float
+    low = p - high * 1e8 + np.rint(err)
+    carry = np.floor(low / 1e8)
+    high += carry
+    low -= carry * 1e8
+    lead = np.floor(high / 1e8)
+    high -= lead * 1e8
+    high_4, low_4 = np.floor(high / 1e4), np.floor(low / 1e4)
+    groups = np.array([lead, high_4, high - high_4 * 1e4, low_4, low - low_4 * 1e4]).astype(np.intp)
+    last = np.maximum((last_of.take(groups) + np.arange(-3, 17, 4, dtype=np.int8)[:, None]).max(axis=0), 0)
+    digits = words.take(groups.T)
+    rows = np.empty((len(x), _ROW_WORDS), np.uint32)
+    rows[:, 0], rows[:, 6] = np.frombuffer(b",-0..\0\0\0", np.uint32)
+    rows[:, 1:6] = digits
+    rows[:, 7:] = digits[:, 1:]
+    rows &= masks.take(((e + 4) * 17 + last) * 2 + negative, axis=0)
+    return rows.tobytes().translate(None, b"\0").decode()[1:].split(",")
+
+
+def _float_cells(column, alone):
+    """Cells of a float array column at ``%.17g`` as float64.
+
+    0 and every magnitude in [1e-4, 1e17) are rendered by ``_fixed_cells``, the rest by one ``%`` on a template
+    repeated per cell.  NaN, the undefined value, is the empty cell, quoted as ``_text_cells`` quotes it.  Where at
+    most half of the cells are distinct bit patterns (so ``-0.0`` is not ``0.0``), only the distinct values are
+    formatted.
     """
     values = column.astype(np.float64, copy=False)
     bits = np.sort(values.view(np.int64))
     bits = bits[np.r_[True, bits[1:] != bits[:-1]]]
     if 2 * len(bits) <= len(values):
         return itemgetter(*np.searchsorted(bits, values.view(np.int64)).tolist())(_float_cells(bits.view(float), alone))
-    text = "%.17g," * len(values) % tuple(values.tolist())
-    if np.isnan(values).any():  # about 30 times cheaper than a search of the text for "nan"
+    size = np.abs(values)
+    fixed = (1e-4 <= size) & (size < 1e17) | (size == 0)
+    cells = _fixed_cells(np.where(fixed, size, 0.0), np.signbit(values))
+    rest = np.flatnonzero(~fixed)
+    others = values[rest]
+    text = "%.17g," * len(others) % tuple(others.tolist())
+    if np.isnan(others).any():  # about 30 times cheaper than a search of the text for "nan"
         text = text.replace("nan", '""' if alone else "")
-    return text[:-1].split(",")
+    for i, cell in zip(rest.tolist(), text[:-1].split(",")):
+        cells[i] = cell
+    return cells
 
 
 def _write_csv(path: Path, header, columns):

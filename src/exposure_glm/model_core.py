@@ -89,13 +89,17 @@ class TweedieFamily:
     ``p`` must lie strictly inside (1, 2), the compound mixture region
     with positive mass at zero.  The dispersion cancels out of the
     coefficient updates and only scales likelihood values and
-    covariances; it must be a positive, finite, normal float.
+    covariances; it must be a positive, finite, normal float.  Both are
+    stored as Python floats, so that dividing by ``phi`` overflows to
+    ``inf`` as float division does, whatever float type was given.
     """
 
     p: float
     phi: float = 1.0
 
     def __post_init__(self):
+        object.__setattr__(self, "p", float(self.p))
+        object.__setattr__(self, "phi", float(self.phi))
         if not (1.0 < self.p < 2.0):
             raise ValueError(f"variance power must satisfy 1 < p < 2, got {self.p}")
         if not (self.phi >= np.finfo(float).tiny and math.isfinite(self.phi)):

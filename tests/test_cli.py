@@ -20,6 +20,7 @@ import tempfile
 import threading
 import tracemalloc
 import warnings
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -1563,6 +1564,88 @@ class TestCsvOutput:
             assert read.contract_ids == tuple(ids) and read.covariate_names == (name,)
             for got, drawn in ((read.exposures, exposures), (read.loss_costs, losses), (read.design[:, 1], covariate)):
                 assert got.tobytes() == drawn.tobytes()
+
+
+def _percent_cells(values):
+    """The cells ``_float_cells`` must give: ``'%.17g' % v``, NaN the empty cell."""
+    return ["" if math.isnan(v) else "%.17g" % v for v in np.asarray(values, float).tolist()]
+
+
+def _ties(e, count, seed):
+    """Floats whose ``x * 10**(16 - e)`` is an integer and a half: a tie at the 18th significant digit.
+
+    ``x = q / 2**(17 - e)`` with ``q`` odd is one if ``q * 5**(16 - e) = 2M + 1`` with ``10**16 <= M < 10**17``;
+    it is a float while ``q < 2**53``, which leaves no tie at e = 16, where every float is an even integer.
+    """
+    five = 5 ** (16 - e)
+    low, high = -(-2 * 10**16 // five), min(2 * 10**17 // five, 2**53)
+    rng = np.random.default_rng(seed)
+    ties = [math.ldexp(int(q) | 1, e - 17) for q in rng.integers(low, high - 1, count)]
+    assert all(Fraction(x) * 10 ** (16 - e) % 1 == Fraction(1, 2) for x in ties)
+    return ties
+
+
+def _around_powers_of_ten(ulps):
+    """The floats within ``ulps`` steps of ``1e-5``, ..., ``1e18``: both sides of either end of ``_fixed_cells``."""
+    cells = []
+    for k in range(-5, 19):
+        down = up = float(f"1e{k}")
+        cells.append(up)
+        for _ in range(ulps):
+            down, up = np.nextafter(down, 0.0), np.nextafter(up, np.inf)
+            cells += [down, up]
+    return cells
+
+
+# Values whose 17 digits are read off a product that is carried: decimals with few digits, whose floats sit
+# just below or above them (0.3 is 0.29999999999999999, 0.1 + 0.2 is 0.30000000000000004), carry through
+# every group of 4 digits, and the floats just below each power of ten, which would carry to 10**17 if the
+# rounding of the 17th digit reached it.
+CARRIES = [
+    *(np.arange(1, 2000) / 10.0 ** np.arange(1, 9)[:, None]).ravel(),
+    0.1 + 0.2, 1.0 - 2.0**-53, *(np.nextafter(float(f"1e{k}"), 0.0) for k in range(-4, 18)),
+]
+FLOAT_FAMILIES = {
+    "ties": [x for e in range(-4, 16) for tie in _ties(e, 200, e + 4) for x in (tie, -tie)],
+    "carries": CARRIES + [-x for x in CARRIES],
+    "powers of ten +-40 ulps": _around_powers_of_ten(40) + [-x for x in _around_powers_of_ten(40)],
+    "zeros, subnormals, inf": [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, -1e-310, np.inf, -np.inf],
+}
+# a float of any bit pattern, or of any sign and mantissa with an exponent from 2**-14 to 2**57, around the
+# range 1e-4 <= |x| < 1e17 that _fixed_cells renders
+FLOAT_BITS = st.integers(0, 2**64 - 1) | st.builds(
+    lambda sign, exponent, mantissa: sign << 63 | exponent << 52 | mantissa,
+    st.integers(0, 1), st.integers(1023 - 14, 1023 + 57), st.integers(0, 2**52 - 1),
+)
+
+
+class TestFloatCells:
+    """``_float_cells`` writes ``'%.17g' % v`` of every float64, NaN the empty cell; ``_fixed_cells`` its range."""
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(st.lists(FLOAT_BITS, min_size=1, max_size=40))
+    def test_any_bit_pattern_renders_as_percent(self, patterns):
+        values = np.array(patterns, np.uint64).view(float)
+        assert list(cli._float_cells(values, False)) == _percent_cells(values)
+
+    @pytest.mark.parametrize("family", sorted(FLOAT_FAMILIES))
+    def test_family_renders_as_percent(self, family):
+        values = np.array(FLOAT_FAMILIES[family])
+        assert list(cli._float_cells(values, False)) == _percent_cells(values)
+        size = np.abs(values)
+        fixed = (1e-4 <= size) & (size < 1e17) | (size == 0)
+        assert fixed.any()
+        assert cli._fixed_cells(size[fixed], np.signbit(values[fixed])) == _percent_cells(values[fixed])
+
+    def test_import_builds_no_table(self):
+        # the tables take milliseconds to build, which a command that writes no CSV should not pay
+        code = (
+            "import exposure_glm.cli as cli, numpy as np; print(cli._digit_tables.cache_info().currsize);"
+            " cli._float_cells(np.array([0.5, 2.0]), False); print(cli._digit_tables.cache_info().currsize)"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.split() == ["0", "1"]
 
 
 def _deal_to(monkeypatch, processes, chunk_rows):

@@ -59,6 +59,16 @@ class TestDomainTypes:
         with pytest.raises(ValueError):
             TweedieFamily(p=1.5, phi=0.0)
 
+    @pytest.mark.parametrize("to_float", [float, np.float64], ids=["float", "float64"])
+    def test_likelihood_at_the_smallest_dispersion_overflows_to_minus_inf(self, to_float):
+        # losses of 1e12 put the objective at about -1e12, which over the smallest normal phi is past the
+        # float range: -inf for a phi given as either type, with no overflow warning (an error in this suite)
+        pf = random_portfolio(25)
+        pf = Portfolio.from_arrays(pf.exposures, pf.loss_costs * 1e12, pf.design[:, 1:])
+        family = TweedieFamily(p=to_float(1.5), phi=to_float(np.finfo(float).tiny))
+        assert type(family.p) is float and type(family.phi) is float
+        assert quasi_loglik(np.zeros(pf.q + 1), pf, WeightScheme.OFFSET, family) == -np.inf
+
     def test_observation_rejects_zero_exposure(self):
         with pytest.raises(ValueError, match="exposure.*contract 'a'"):
             Portfolio.from_arrays([0.0], [1.0], contract_ids=["a"])
