@@ -255,26 +255,16 @@ def _fixed_cells(x, negative):
 def _float_cells(column, alone):
     """Cells of a float array column at ``%.17g`` as float64.
 
-    0 and every magnitude in [1e-4, 1e17) are rendered by ``_fixed_cells``, the rest by one ``%`` on a template
-    repeated per cell.  NaN, the undefined value, is the empty cell, quoted as ``_text_cells`` quotes it.  Where at
-    most half of the cells are distinct bit patterns (so ``-0.0`` is not ``0.0``), only the distinct values are
-    formatted.
+    0 and every magnitude in [1e-4, 1e17) are rendered by one ``_fixed_cells`` pass, every other cell by its own
+    ``%``.  NaN, the undefined value, is the empty cell, quoted as ``_text_cells`` quotes it.
     """
     values = column.astype(np.float64, copy=False)
-    bits = np.sort(values.view(np.int64))
-    bits = bits[np.r_[True, bits[1:] != bits[:-1]]]
-    if 2 * len(bits) <= len(values):
-        return itemgetter(*np.searchsorted(bits, values.view(np.int64)).tolist())(_float_cells(bits.view(float), alone))
     size = np.abs(values)
     fixed = (1e-4 <= size) & (size < 1e17) | (size == 0)
     cells = _fixed_cells(np.where(fixed, size, 0.0), np.signbit(values))
     rest = np.flatnonzero(~fixed)
-    others = values[rest]
-    text = "%.17g," * len(others) % tuple(others.tolist())
-    if np.isnan(others).any():  # about 30 times cheaper than a search of the text for "nan"
-        text = text.replace("nan", '""' if alone else "")
-    for i, cell in zip(rest.tolist(), text[:-1].split(",")):
-        cells[i] = cell
+    for i, v in zip(rest.tolist(), values[rest].tolist()):
+        cells[i] = "%.17g" % v if v == v else '""' if alone else ""
     return cells
 
 

@@ -1396,8 +1396,8 @@ CSV_TEXT = st.text(
 CSV_FLOATS = st.floats() | st.sampled_from(
     [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1e300, -1e300, 1e-300, -1e-300, np.nan]
 )
-# few distinct values, so that chunks take the distinct-values path, among them
-# the ones a lookup could conflate: signed zeros, NaN and the smallest subnormal
+# few distinct values, each repeated, among them the ones a renderer could
+# conflate: signed zeros, NaN and the smallest subnormal
 CSV_REPEATED_FLOATS = st.sampled_from([0.0, -0.0, 1.0, 0.1, np.nan, np.inf, -np.inf, 5e-324])
 # NaN of either sign and of three payloads, and values whose '%.17g' text must stay as it is beside them
 CSV_NANS = np.array([0x7FF8 << 48, 0xFFF8 << 48, 0x7FF0000000000001, 0xFFF00000DEADBEEF], np.uint64).view(float)
@@ -1440,8 +1440,8 @@ class TestCsvOutput:
 
     @pytest.mark.parametrize("n", [4095, 4096, 4097])
     def test_signed_zeros_across_a_chunk_boundary(self, tmp_path, n):
-        # full-size chunks take the distinct-values path for the zeros column,
-        # a one-row last chunk does not; 0.0 and -0.0 must keep their signs
+        # full-size chunks repeat 0.0 and -0.0 in the zeros column, and n = 4097
+        # leaves a one-row last chunk; each cell must keep its sign
         rng = np.random.default_rng(n)
         zeros = np.where(rng.random(n) < 0.5, 0.0, -0.0)
         zeros[-1] = -0.0
@@ -1461,9 +1461,9 @@ class TestCsvOutput:
         assert signs == [b"-0" if negative else b"0" for negative in np.signbit(zeros)]
 
     @pytest.mark.parametrize("alone", [False, True])
-    @pytest.mark.parametrize("copies", [1, 2], ids=["template", "distinct_values"])
-    def test_nan_is_the_empty_cell_on_both_paths(self, copies, alone):
-        # one copy holds 8 distinct bit patterns, every cell formatted; two copies repeat each, so only 8 are
+    @pytest.mark.parametrize("copies", [1, 2], ids=["once", "repeated"])
+    def test_nan_is_the_empty_cell_once_or_repeated(self, copies, alone):
+        # one copy holds 8 distinct bit patterns; two copies repeat each, and every cell keeps its own text
         values = np.tile(np.r_[CSV_NANS, list(CSV_KEPT.values())], copies)
         assert list(cli._float_cells(values, alone)) == (['""' if alone else ""] * 4 + list(CSV_KEPT)) * copies
 
