@@ -51,8 +51,9 @@ class CountData(Portfolio):
 
     @functools.cached_property
     def _poisson(self):
-        """This book's Poisson fit, for both schemes, run on first read by ``poisson_fit``; a refusal is not kept."""
-        return _fit(self, WeightScheme.RATIO, 1.0, 1.0)  # p = 1, phi = 1: the weights are the exposures
+        """``(converged, iterations, beta_hat)`` of both schemes' Poisson fit, run on first read; no refusal is kept."""
+        result = _fit(self, 1.0, 1.0, 1.0)  # c = 1, p = 1, phi = 1: both schemes' exponents are 1, so w = t
+        return result.converged, result.iterations, result.beta_hat  # not the fit: it holds this book, in a cycle
 
     # Defined here rather than inherited: the benchmark's tracer hooks
     # ``CountData.__dict__["from_arrays"]`` to time count builds apart.
@@ -87,15 +88,21 @@ def poisson_fit(data: CountData, scheme: WeightScheme):
     reaches its rounding floor.  Like ``fit``, it first refuses a book
     with no finite optimum: AllZeroLossError when every count is zero,
     SingularInformationError when one covariate separates the counts.
-    Raises RuntimeError when the loop reaches ``fit``'s cap of 100 updates
-    unconverged.  The fit runs once per book, on the first call; every
-    call returns a copy of its coefficients and raises as the first did.
+    Raises TypeError on a book that is not a CountData, RuntimeError at
+    ``fit``'s cap of 100 updates.  The fit runs once per book; each call
+    returns a copy of its coefficients or raises as the first did.
     """
+    _check_counts(data)
     scheme = WeightScheme(scheme)
-    result = data._poisson
-    if not result.converged:
-        raise RuntimeError(f"Poisson {scheme.value} fit did not converge in {result.iterations} iterations")
-    return result.beta_hat.copy()
+    converged, iterations, beta = data._poisson
+    if not converged:
+        raise RuntimeError(f"Poisson {scheme.value} fit did not converge in {iterations} iterations")
+    return beta.copy()
+
+
+def _check_counts(data):
+    if not isinstance(data, CountData):
+        raise TypeError(f"expected a CountData book of claim counts, got {type(data).__name__}")
 
 
 def _check_zero_inflation(zero_inflation):
@@ -140,10 +147,12 @@ def zip_nonequivalence_check(data: CountData, zero_inflation: float = 0.3) -> Zi
     units; a spread above 1e-6 means the schemes rank coefficient vectors
     differently and a choice between them is real.  With all exposures
     equal to one, or with no zero inflation, the difference is constant
-    and the report shows equivalence.  A probe whose difference is not
-    finite raises ValueError.  ``zero_inflation``, in [0, 1), is the extra
-    probability of a zero on top of the Poisson mass, not a dispersion.
+    and the report shows equivalence.  A book that is not a CountData
+    raises TypeError, a probe whose difference is not finite ValueError.
+    ``zero_inflation``, in [0, 1), is the extra probability of a zero on
+    top of the Poisson mass, not a dispersion.
     """
+    _check_counts(data)
     _check_zero_inflation(zero_inflation)
     betas = [np.array((intercept,) + (slope,) * data.q) / data._column_scale for intercept, slope in _ZIP_PROBES]
     differences = []

@@ -25,6 +25,7 @@ from .model_core import (
     WeightScheme,
     _check_beta,
     _covariance,
+    _exponent,
 )
 
 __all__ = [
@@ -122,7 +123,7 @@ def coefficient_covariance(portfolio: Portfolio, beta, scheme: WeightScheme, fam
     float range.
     """
     beta = _check_beta(beta, portfolio.q + 1)
-    return _covariance(portfolio.design, portfolio.exposures, WeightScheme(scheme), family.p, family.phi, beta)
+    return _covariance(portfolio, _exponent(scheme, family.p), family.p, family.phi, beta)
 
 
 def _covariance_pair(portfolio: Portfolio, beta, family: TweedieFamily):

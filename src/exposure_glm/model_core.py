@@ -2,22 +2,20 @@
 
 Both treatments of partial-year exposure regress the annualized loss cost
 ``z = y / t`` on the same log-linear score.  They differ in exactly one
-place: the per-contract weight attached to the quasi-likelihood,
-
-* offset treatment: ``w = t ** (2 - p)``
-* ratio treatment:  ``w = t``
-
+place: the exponent ``c`` of the weight ``w = t ** c`` on each contract's
+quasi-likelihood, ``c = 2 - p`` (offset treatment) or ``c = 1`` (ratio).
 Everything downstream (objective, gradient, expected and observed
 information, Newton updates) is driven by the diagonal weight matrix
 
     D = diag(w_i * exp((2 - p) * x_i @ beta)),
 
 and the ratios ``Q = z * exp(-x @ beta)`` of the losses to their means,
-which do not involve ``w``; so the weight choice is the single degree of
-freedom separating the two approaches.  The exponential-family
-normalizer is constant in ``beta`` and deliberately dropped; objective
-values are therefore comparable only within a fixed (portfolio, scheme,
-family) triple.
+which do not involve ``w``; so ``c`` is the single degree of freedom
+separating the two approaches.  A scheme becomes its ``c`` (``_exponent``)
+in the public functions and nowhere else: the IRLS loop and ``_covariance``
+take the book and ``c``.  The exponential-family normalizer is constant in
+``beta`` and deliberately dropped; objective values are therefore
+comparable only within a fixed (portfolio, scheme, family) triple.
 """
 
 import functools
@@ -352,16 +350,14 @@ class Portfolio:
         return f"{type(self).__name__}(n={self.n}, q={self.q})"
 
 
-def _scheme_weights(scheme, exposures, p):
-    """Exposure weights: ``t**(2-p)`` (offset) or ``t`` (ratio).
+def _exponent(scheme, p):
+    """The exponent ``c`` of the scheme's weights ``w = t**c``: ``2 - p`` (offset) or 1 (ratio), both 1 at ``p = 1``."""
+    return 2.0 - p if WeightScheme(scheme) is WeightScheme.OFFSET else 1.0
 
-    For ``t`` in (0, 1] and ``p`` in (1, 2) the offset weight dominates
-    the ratio weight, with equality exactly at ``t = 1``; at ``p = 1``
-    the two coincide.
-    """
-    if scheme is WeightScheme.OFFSET:
-        return exposures ** (2.0 - p)
-    return exposures
+
+def _weights(exposures, c):
+    """The weights ``t**c``: at ``c = 1`` the ``exposures`` object itself, so no fit holds a copy of them."""
+    return exposures if c == 1.0 else exposures ** c
 
 
 def _d_weights(s, w, p):
@@ -459,13 +455,13 @@ def _cho_solve(factor, rhs):
     return np.linalg.solve(factor.T, np.linalg.solve(factor, rhs))
 
 
-def _covariance(design, exposures, scheme, p, phi, beta):
-    """The coefficient covariance ``phi * (X.T @ D @ X)**-1`` at ``beta``, ``D`` from the scheme's weights.
+def _covariance(book, c, p, phi, beta):
+    """The coefficient covariance ``phi * (X.T @ D @ X)**-1`` of ``book`` at ``beta``, ``D`` from the weights ``t**c``.
 
     One that overflows a float is a ValueError that names ``phi``.
     """
-    d = _d_weights(design @ beta, _scheme_weights(scheme, exposures, p), p)
-    factor = _cho_factor(_gram(design, d))
+    d = _d_weights(book.design @ beta, _weights(book.exposures, c), p)
+    factor = _cho_factor(_gram(book.design, d))
     with np.errstate(over="ignore"):
         cov = phi * _cho_solve(factor, np.eye(len(factor)))
         cov = 0.5 * (cov + cov.T)
@@ -484,9 +480,8 @@ def quasi_loglik(beta, portfolio: Portfolio, scheme: WeightScheme, family: Tweed
                                  - zeta_i**(2-p) / (2-p)).
     """
     beta = _check_beta(beta, portfolio.q + 1)
-    p = family.p
-    w = _scheme_weights(WeightScheme(scheme), portfolio.exposures, p)
-    return _scoring_pass(beta, portfolio.design, portfolio.normalized, w, p)[4] / family.phi
+    w = _weights(portfolio.exposures, _exponent(scheme, family.p))
+    return _scoring_pass(beta, portfolio.design, portfolio.normalized, w, family.p)[4] / family.phi
 
 
 def _check_beta(beta, k):

@@ -11,17 +11,20 @@ dispersion-scaled gradient ``g = X.T @ D @ R`` by one rule: every
 ``|g_j|`` is within four times its rounding floor
 ``eps * max_i |x_ij| * sum_i d_i (q_i + 1)`` (``q = z * exp(-s)``).
 The floor scales with the losses and the portfolio size as ``g`` does,
-so the fit stops at the same iterate at any loss scale.  Every step is
-monotone, as in R's ``glm2`` (Marschner 2011): it is halved, at most 30
-times, while the quasi-log-likelihood would fall by more than its
-rounding, ``64 * eps * |objective|``.  The scoring pass at each candidate
-yields that objective with the next score, ``D`` and ``Q``, so an
-iteration without halving costs one pass.  Intercept-only portfolios admit
-closed-form maximum-likelihood estimates (weighted means of the
-annualized losses) which also seed the IRLS iteration; the loop derives
-that start and the scheme's weights ``w`` itself, once per fit.  The
-same path, refusals of a book included, fits the Poisson claim-count
-companion as the ``p = 1`` case.
+so the fit stops at the same iterate at loss scales from 1e-4 to 1e9
+(``TestStoppingRule``); it ignores the spacing of ``beta``, so once
+``|beta_0| >= 32`` a fit can stall at the cap, unconverged (ROADMAP item
+33).  Every step is monotone, as in R's ``glm2`` (Marschner 2011): it is
+halved, at most 30 times, while the quasi-log-likelihood would fall by
+more than its rounding, ``64 * eps * |objective|``.  The scoring pass at
+each candidate yields that objective with the next score, ``D`` and
+``Q``, so an iteration without halving costs one pass.  Intercept-only
+portfolios admit closed-form maximum-likelihood estimates (weighted
+means of the annualized losses) which also seed the IRLS iteration.  A
+fit takes its book and the exponent ``c`` of its weights ``w = t ** c``;
+the loop derives that start and ``w`` once, and the covariance reads the
+same book and ``c``.  The same path, refusals of a book included, fits
+the Poisson claim-count companion as the ``p = 1``, ``c = 1`` case.
 """
 
 import functools
@@ -38,10 +41,11 @@ from .model_core import (
     _cho_factor,
     _cho_solve,
     _covariance,
+    _exponent,
     _gram,
     _observed_weights,
-    _scheme_weights,
     _scoring_pass,
+    _weights,
     quasi_loglik,  # noqa: F401  (the benchmark's tracer hooks it under this module's name)
 )
 
@@ -86,8 +90,8 @@ class FitResult:
     trace_beta: np.ndarray
     trace_objective: np.ndarray
     n_obs: int
-    # (design, exposures, scheme, p, phi, beta) of ``covariance``: the book's arrays and a copy of the final
-    # iterate, so a fit holds no n-long array of its own and a write into ``beta_hat`` changes nothing
+    # (book, c, p, phi, beta) of ``covariance``: the fitted book, the exponent of its weights ``t**c`` and a copy of
+    # the final iterate, so a fit holds no n-long array of its own and a write into ``beta_hat`` changes nothing
     _covariance_inputs: tuple = field(repr=False, compare=False)
 
     @functools.cached_property
@@ -107,22 +111,21 @@ def homogeneous_mle(portfolio: Portfolio, scheme: WeightScheme, family: TweedieF
     Under the ratio weighting this reduces to total losses over total
     exposure, which is what makes the ratio fit financially balanced.
     """
-    w = _scheme_weights(WeightScheme(scheme), portfolio.exposures, family.p)
-    return _weighted_mean(w, portfolio.normalized)
+    return _weighted_mean(_weights(portfolio.exposures, _exponent(scheme, family.p)), portfolio.normalized)
 
 
 def _weighted_mean(w, z):
     return float(np.dot(w, z) / w.sum())
 
 
-def _irls(design, z, exposures, scheme, p, phi, beta, max_iterations, scale):
-    """Newton's method for the weighted Tweedie fit on ``z`` with ``w``, the scheme's weights of ``exposures``.
+def _irls(book, c, p, phi, beta, max_iterations):
+    """Newton's method for the weighted Tweedie fit of ``book``'s ``z`` on its design, with weights ``w = t**c``.
 
     Computes ``w`` once and starts from ``beta``, or, where it is None, from
     the closed form ``[log(sum(w*z) / sum(w)), 0, ..., 0]``.  Solves
     ``(X.T H X) delta = X.T D R`` once per iteration until every score
     component is within its rounding floor (see the module docstring;
-    ``scale`` is ``max_i |x_ij|`` per column, ``Portfolio._column_scale``)
+    the floor scales with ``book._column_scale``, ``max_i |x_ij|`` per column)
     or ``max_iterations`` updates are spent.
     A step that lowers the scoring pass's objective (``phi`` times the
     quasi-log-likelihood) by more than ``_OBJECTIVE_SLACK * |objective|``,
@@ -131,11 +134,11 @@ def _irls(design, z, exposures, scheme, p, phi, beta, max_iterations, scale):
     covariance is factored on first read from the ``D`` at that iterate
     and scaled by the dispersion ``phi``, which also divides the objective trace.
     """
-    w = _scheme_weights(scheme, exposures, p)
+    design, z, w = book.design, book.normalized, _weights(book.exposures, c)
     if beta is None:
         beta = np.zeros(design.shape[1])
         beta[0] = math.log(_weighted_mean(w, z))  # the mean is positive: ``_fit`` refuses a book without a loss
-    floor_scale = _FLOOR_MULTIPLE * _EPS * scale
+    floor_scale = _FLOOR_MULTIPLE * _EPS * book._column_scale
     d, q, score, mass, value = _scoring_pass(beta, design, z, w, p)
     trace_beta = [beta.copy()]
     trace_objective = [value]
@@ -165,21 +168,18 @@ def _irls(design, z, exposures, scheme, p, phi, beta, max_iterations, scale):
         gradient_norm=gradient_norm,
         trace_beta=np.asarray(trace_beta),
         trace_objective=trace_objective,
-        n_obs=len(z),
-        _covariance_inputs=(design, exposures, scheme, p, phi, beta.copy()),
+        n_obs=book.n,
+        _covariance_inputs=(book, c, p, phi, beta.copy()),
     )
 
 
-def _fit(portfolio: Portfolio, scheme: WeightScheme, p, phi):
+def _fit(portfolio: Portfolio, c, p, phi):
     """Refuse a book with no finite optimum, else run ``_irls`` from its closed-form start, for at most 100 updates."""
     if portfolio.loss_costs.sum() <= 0.0:
         raise AllZeroLossError(f"cannot fit a portfolio whose {portfolio._value_name}s are all zero")
     if (message := portfolio._separation) is not None:
         raise SingularInformationError(message)
-    return _irls(
-        portfolio.design, portfolio.normalized, portfolio.exposures, scheme, p, phi, None, _MAX_ITERATIONS,
-        portfolio._column_scale,
-    )
+    return _irls(portfolio, c, p, phi, None, _MAX_ITERATIONS)
 
 
 def fit(portfolio: Portfolio, scheme: WeightScheme, family: TweedieFamily) -> FitResult:
@@ -196,4 +196,4 @@ def fit(portfolio: Portfolio, scheme: WeightScheme, family: TweedieFamily) -> Fi
     of such a book.  The covariance is factorised when first read, once;
     a singular final ``X.T @ D @ X`` raises SingularInformationError there.
     """
-    return _fit(portfolio, WeightScheme(scheme), family.p, family.phi)
+    return _fit(portfolio, _exponent(scheme, family.p), family.p, family.phi)

@@ -25,7 +25,7 @@ from exposure_glm import (
 )
 from exposure_glm.claim_count import poisson_fit
 from exposure_glm.cli import main
-from exposure_glm.model_core import _scheme_weights, _scoring_pass
+from exposure_glm.model_core import _exponent, _scoring_pass, _weights
 from exposure_glm.simulate import EXPOSURE_HI, EXPOSURE_LO, build_scenario_portfolio, gen_mimic_portfolio
 from oracles import (
     GridSpec,
@@ -211,7 +211,7 @@ def test_criterion_07_gradient_and_fixed_points():
         pf = random_portfolio(seed + 200, n=30, q=2)
         for scheme in WeightScheme:
             beta = rng.normal(0.0, 0.4, 3)
-            w = _scheme_weights(scheme, pf.exposures, fam.p)
+            w = _weights(pf.exposures, _exponent(scheme, fam.p))
             analytic = _scoring_pass(beta, pf.design, pf.normalized, w, fam.p)[2] / fam.phi
             numeric = finite_diff_gradient(lambda b: quasi_loglik(b, pf, scheme, fam), beta)
             rel = float(np.max(np.abs(analytic - numeric))) / max(1.0, float(np.max(np.abs(analytic))))
@@ -367,7 +367,7 @@ def test_criterion_12_ratio_fit_ignores_record_splits():
     # Pearson phi-hat of the whole book's offset fit scales its covariance, fitted at phi = 1
     offset = whole[WeightScheme.OFFSET]
     zeta = np.exp(book.design @ offset.beta_hat)
-    weights = _scheme_weights(WeightScheme.OFFSET, book.exposures, fam.p)
+    weights = _weights(book.exposures, _exponent(WeightScheme.OFFSET, fam.p))
     phi = float(np.sum(weights * (book.normalized - zeta) ** 2 / zeta**fam.p) / (book.n - book.q - 1))
     offset_se = float(np.max(moved[WeightScheme.OFFSET] / np.sqrt(phi * np.diag(offset.covariance))))
     _report(

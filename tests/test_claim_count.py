@@ -58,6 +58,14 @@ class TestCountTypes:
                 zip_nonequivalence_check(data, bad)
         zip_nonequivalence_check(data, 0.0)
 
+    @pytest.mark.parametrize(
+        "call", [lambda book: poisson_fit(book, "offset"), zip_nonequivalence_check], ids=["poisson_fit", "zip"]
+    )
+    def test_a_loss_book_is_refused_by_type(self, call):
+        # a Portfolio of losses has no counts: both companions name the type they need and the one given
+        with pytest.raises(TypeError, match="^expected a CountData book of claim counts, got Portfolio$"):
+            call(random_portfolio(1))
+
 
 class TestPoissonFit:
     def test_modes_agree_on_random_datasets(self):

@@ -130,6 +130,24 @@ def test_only_the_container_names_the_covariance_weights():
     assert _modules_naming("_d_weights") == {"model_core.py"}
 
 
+def test_a_scheme_becomes_its_exponent_at_the_public_boundary():
+    # below fit, homogeneous_mle, quasi_loglik and coefficient_covariance a fit takes its book and the exponent c of
+    # its weights t**c: _exponent alone coerces a scheme, and poisson_fit checks the one its single fit serves
+    callers, namers = set(), set()
+    for path in Path(exposure_glm.__file__).parent.glob("*.py"):
+        if path.name == "cli.py":  # the command line turns its option into a scheme
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef):
+                inner = list(ast.walk(node))
+                if any(isinstance(n, ast.Call) and "WeightScheme" in _names(n.func) for n in inner):
+                    callers.add(node.name)
+                if any("WeightScheme" in _names(n) for n in inner):
+                    namers.add(node.name)
+    assert callers == {"_exponent", "poisson_fit"}
+    assert not namers & {"_fit", "_irls", "_covariance", "_poisson"}
+
+
 def test_package_ships_exactly_these_modules():
     # test-only code (the oracles live in tests/oracles.py) stays out of the package
     assert {m.name for m in pkgutil.iter_modules(exposure_glm.__path__)} == set(MODULES)

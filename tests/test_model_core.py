@@ -20,11 +20,12 @@ from exposure_glm import (
 from exposure_glm.model_core import (
     _GRAM_BLOCK_CELLS,
     _cho_factor,
+    _exponent,
     _gram,
     _observed_weights,
     _rank,
-    _scheme_weights,
     _scoring_pass,
+    _weights,
 )
 from exposure_glm.solver import fit
 from oracles import eig_min, finite_diff_gradient, svd_rank
@@ -34,14 +35,14 @@ from util import random_portfolio, toy_portfolio
 
 def _system(beta, pf, scheme, fam):
     """Fisher information and score, ``(X.T D X, X.T D R) / phi``, from the kernel."""
-    w = _scheme_weights(scheme, pf.exposures, fam.p)
+    w = _weights(pf.exposures, _exponent(scheme, fam.p))
     d, _, score, *_ = _scoring_pass(np.asarray(beta, float), pf.design, pf.normalized, w, fam.p)
     return _gram(pf.design, d) / fam.phi, score / fam.phi
 
 
 def _d_diagonal(beta, pf, scheme, fam):
     """Diagonal of ``D``, as the kernel returns it."""
-    w = _scheme_weights(scheme, pf.exposures, fam.p)
+    w = _weights(pf.exposures, _exponent(scheme, fam.p))
     return _scoring_pass(beta, pf.design, pf.normalized, w, fam.p)[0]
 
 
@@ -363,7 +364,7 @@ class TestScoringPassInPlace:
     def test_pass_equals_the_formula_bit_for_bit(self, p, intercept):
         pf = random_portfolio(39, n=3000, q=3)
         beta = np.array([intercept, 0.3, -0.2, 0.1])
-        w = pf.exposures if p == 1.0 else _scheme_weights(WeightScheme.OFFSET, pf.exposures, p)
+        w = pf.exposures if p == 1.0 else _weights(pf.exposures, _exponent(WeightScheme.OFFSET, p))
         *expected, observed = _scoring_pass_before(beta, pf.design, pf.normalized, w, p)
         got = _scoring_pass(beta, pf.design, pf.normalized, w, p)
         for mine, theirs in zip(got, expected):
@@ -381,7 +382,7 @@ class TestNormalize:
 
 
 class TestWeight:
-    """Scheme weights ``t**(2-p)`` (offset) and ``t`` (ratio)."""
+    """Scheme weights ``t**c``, ``c = 2 - p`` (offset) or 1 (ratio): ``_weights(t, _exponent(scheme, p))``."""
 
     @pytest.mark.parametrize(
         "scheme,t,p,expected",
@@ -392,15 +393,15 @@ class TestWeight:
         ],
     )
     def test_values(self, scheme, t, p, expected):
-        assert _scheme_weights(scheme, t, p) == pytest.approx(expected, abs=1e-15)
+        assert _weights(t, _exponent(scheme, p)) == pytest.approx(expected, abs=1e-15)
 
     def test_offset_dominates_ratio(self):
         rng = np.random.default_rng(7)
         for _ in range(200):
             t = float(rng.uniform(1e-3, 1.0))
             p = float(rng.uniform(1.0 + 1e-9, 2.0 - 1e-9))
-            w_off = _scheme_weights(WeightScheme.OFFSET, t, p)
-            w_rat = _scheme_weights(WeightScheme.RATIO, t, p)
+            w_off = _weights(t, _exponent(WeightScheme.OFFSET, p))
+            w_rat = _weights(t, _exponent(WeightScheme.RATIO, p))
             assert w_off >= w_rat
             assert 0.0 < w_rat <= 1.0 and w_off <= 1.0
             if t < 1.0:
@@ -408,12 +409,27 @@ class TestWeight:
 
     def test_weights_equal_exactly_at_full_exposure(self):
         for p in (1.01, 1.42, 1.99):
-            assert _scheme_weights(WeightScheme.OFFSET, 1.0, p) == _scheme_weights(WeightScheme.RATIO, 1.0, p) == 1.0
+            offset, ratio = (_weights(1.0, _exponent(scheme, p)) for scheme in WeightScheme)
+            assert offset == ratio == 1.0
+
+    def test_both_exponents_are_one_at_p_one(self):
+        assert _exponent(WeightScheme.OFFSET, 1.0) == _exponent(WeightScheme.RATIO, 1.0) == 1.0
+        assert _exponent("offset", 1.5) == 0.5 and _exponent("ratio", 1.5) == 1.0
+
+    def test_unit_exponent_returns_the_exposures_themselves(self):
+        # no copy of t: a ratio fit and the Poisson fit hold only the book's own array
+        t = random_portfolio(3).exposures
+        assert _weights(t, 1.0) is t
+
+    @pytest.mark.parametrize("p", [1.01, 1.42, 1.5, 1.99])
+    def test_offset_weights_are_the_power_bit_for_bit(self, p):
+        t = np.array([5e-324, 1e-300, 0.08, 0.5, 0.999, 1.0])
+        assert _weights(t, _exponent(WeightScheme.OFFSET, p)).tobytes() == (t ** (2.0 - p)).tobytes()
 
     def test_offset_weight_approaches_ratio_weight_near_p_one(self):
         t = np.linspace(0.05, 1.0, 50)
         gaps = [
-            np.max(np.abs(_scheme_weights(WeightScheme.OFFSET, t, p) - _scheme_weights(WeightScheme.RATIO, t, p)))
+            np.max(np.abs(np.subtract(*(_weights(t, _exponent(scheme, p)) for scheme in WeightScheme))))
             for p in (1.5, 1.1, 1.01, 1.0 + 1e-8)
         ]
         assert all(a > b for a, b in zip(gaps, gaps[1:]))

@@ -9,7 +9,6 @@ import numpy as np
 from exposure_glm import (
     CountData,
     Portfolio,
-    WeightScheme,
     estimators,
     individual_gaps,
     model_core,
@@ -53,10 +52,8 @@ def fit_from(start, portfolio, scheme, family, max_iterations=100):
     Runs the fit's own loop, ``solver._irls``, on the fit's inputs,
     without ``fit``'s checks of the book.
     """
-    return solver._irls(
-        portfolio.design, portfolio.normalized, portfolio.exposures, WeightScheme(scheme), family.p, family.phi,
-        np.array(start, dtype=float), max_iterations, portfolio._column_scale,
-    )
+    c = model_core._exponent(scheme, family.p)
+    return solver._irls(portfolio, c, family.p, family.phi, np.array(start, dtype=float), max_iterations)
 
 
 def gap_totals(**inputs):
