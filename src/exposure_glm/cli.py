@@ -117,18 +117,17 @@ _CHUNK_ROWS = 4096
 _SPECIAL = (",", '"', "\r", "\n")
 
 
-def _text_cells(column, alone):
+def _text_cells(column):
     """Cells of a column of ``str`` (any other cell is a TypeError), quoted where a CSV reader needs it.
 
-    A cell with a delimiter, a quote or a line break, and an empty cell of
-    a one-column file (``alone``), goes between quotes with each inner
-    quote doubled, as ``csv.writer`` with a ``"\\r\\n"`` line end writes it
-    on CPython 3.10 to 3.13, whatever Python runs this.
+    A cell with a delimiter, a quote or a line break goes between quotes
+    with each inner quote doubled, as ``csv.writer`` with a ``"\\r\\n"``
+    line end writes it on CPython 3.10 to 3.13, whatever Python runs this.
     """
     joined = "".join(column)
-    if not any(s in joined for s in _SPECIAL) and (not alone or all(column)):
+    if not any(s in joined for s in _SPECIAL):
         return column
-    return ['"' + c.replace('"', '""') + '"' if any(s in c for s in _SPECIAL) or alone and not c else c for c in column]
+    return ['"' + c.replace('"', '""') + '"' if any(s in c for s in _SPECIAL) else c for c in column]
 
 
 def _render_in_order(render, starts, emit, name):
@@ -252,11 +251,11 @@ def _fixed_cells(x, negative):
     return rows.tobytes().translate(None, b"\0").decode()[1:].split(",")
 
 
-def _float_cells(column, alone):
+def _float_cells(column):
     """Cells of a float array column at ``%.17g`` as float64.
 
     0 and every magnitude in [1e-4, 1e17) are rendered by one ``_fixed_cells`` pass, every other cell by its own
-    ``%``.  NaN, the undefined value, is the empty cell, quoted as ``_text_cells`` quotes it.
+    ``%``.  NaN, the undefined value, is the empty cell.
     """
     values = column.astype(np.float64, copy=False)
     size = np.abs(values)
@@ -264,31 +263,31 @@ def _float_cells(column, alone):
     cells = _fixed_cells(np.where(fixed, size, 0.0), np.signbit(values))
     rest = np.flatnonzero(~fixed)
     for i, v in zip(rest.tolist(), values[rest].tolist()):
-        cells[i] = "%.17g" % v if v == v else '""' if alone else ""
+        cells[i] = "%.17g" % v if v == v else ""
     return cells
 
 
 def _write_csv(path: Path, header, columns):
-    """Write equal-length ``columns`` under ``header`` as a CSV file.
+    """Write two or more equal-length ``columns`` under ``header`` as a CSV file; fewer are a ValueError.
 
-    A column is a float array (``_float_cells``) or a sequence of ``str`` (``_text_cells``).  Lines end in ``\\n``
-    and cells are quoted as ``_text_cells`` says.  Chunks of rows are formatted, by up to four processes, and
-    written in order, so memory stays bounded.  A chunk is formatted column by column into one list of cells and
-    delimiters that is joined once.
+    A column is a float array (``_float_cells``) or a sequence of ``str`` (``_text_cells``, which also quotes the
+    header).  Lines end in ``\\n``.  Chunks of rows are formatted, by up to four processes, and written in order,
+    so memory stays bounded; a chunk is one list of cells and delimiters, filled column by column, joined once.
     """
+    if len(columns) < 2:  # refused before any file exists: a row of one empty cell would be a blank line
+        raise ValueError(f"a CSV table needs two or more columns, got {len(columns)}")
     n, width = len(columns[0]), len(columns)
-    alone = width == 1
     renderers = [_float_cells if isinstance(column, np.ndarray) else _text_cells for column in columns]
 
     def render(start):
         rows = slice(start, start + _CHUNK_ROWS)
         flat = ([","] * (2 * width - 1) + ["\n"]) * len(range(n)[rows])  # cell, delimiter, ..., cell, line end
         for j, (column, cells) in enumerate(zip(columns, renderers)):
-            flat[2 * j :: 2 * width] = cells(column[rows], alone)
+            flat[2 * j :: 2 * width] = cells(column[rows])
         return "".join(flat)
 
     def write(fh):
-        fh.write(",".join(_text_cells(header, alone)) + "\n")
+        fh.write(",".join(_text_cells(header)) + "\n")
         _render_in_order(render, range(0, n, _CHUNK_ROWS), fh.write, path.name)
 
     _atomic_write(path, write)

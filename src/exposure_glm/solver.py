@@ -6,15 +6,19 @@ with ``H = D * ((p - 1) * Q + (2 - p))``, so the dispersion cancels
 exactly.  ``H`` is positive for ``1 <= p < 2`` because ``Q >= 0``, and
 equals ``D`` at ``p = 1``.  The reported covariance is the inverse
 expected information ``phi * (X.T @ D @ X)**-1`` at the final iterate,
-factored on first read, once.  Convergence is declared on the
-dispersion-scaled gradient ``g = X.T @ D @ R`` by one rule: every
-``|g_j|`` is within four times its rounding floor
-``eps * max_i |x_ij| * sum_i d_i (q_i + 1)`` (``q = z * exp(-s)``).
-The floor scales with the losses and the portfolio size as ``g`` does,
-so the fit stops at the same iterate at loss scales from 1e-4 to 1e9
-(``TestStoppingRule``); it ignores the spacing of ``beta``, so once
-``|beta_0| >= 32`` a fit can stall at the cap, unconverged (ROADMAP item
-33).  Every step is monotone, as in R's ``glm2`` (Marschner 2011): it is
+factored on first read, once.  A fit converges by the score test or the
+step test.  The score test: every ``|g_j|`` of the dispersion-scaled
+gradient ``g = X.T @ D @ R`` is within four times its rounding floor
+``eps * max_i |x_ij| * sum_i d_i (q_i + 1)`` (``q = z * exp(-s)``), which
+scales with the losses and the portfolio size as ``g`` does.  The step
+test: the last update, a full Newton step and not a halved one, moved
+every ``s_i = (X @ beta)_i`` by at most ``4 * eps * (1 + |s_i|)``; it
+stops the fits that no representable ``beta`` lets meet the score test,
+as once ``|beta_0| >= 32`` one ulp of the intercept moves ``g_0`` by
+about four floors.  Together they stop a fit at any loss scale in a few
+steps (``TestStoppingRule``), and ``X @ delta`` is formed only after a
+step whose Newton decrement ``delta @ g`` lets the step test pass.
+Every step is monotone, as in R's ``glm2`` (Marschner 2011): it is
 halved, at most 30 times, while the quasi-log-likelihood would fall by
 more than its rounding, ``64 * eps * |objective|``.  The scoring pass at
 each candidate yields that objective with the next score, ``D`` and
@@ -123,10 +127,10 @@ def _irls(book, c, p, phi, beta, max_iterations):
 
     Computes ``w`` once and starts from ``beta``, or, where it is None, from
     the closed form ``[log(sum(w*z) / sum(w)), 0, ..., 0]``.  Solves
-    ``(X.T H X) delta = X.T D R`` once per iteration until every score
-    component is within its rounding floor (see the module docstring;
-    the floor scales with ``book._column_scale``, ``max_i |x_ij|`` per column)
-    or ``max_iterations`` updates are spent.
+    ``(X.T H X) delta = X.T D R`` once per iteration until the score test
+    or the step test holds (see the module docstring; the floor scales with
+    ``book._column_scale``, ``max_i |x_ij|`` per column) or
+    ``max_iterations`` updates are spent.
     A step that lowers the scoring pass's objective (``phi`` times the
     quasi-log-likelihood) by more than ``_OBJECTIVE_SLACK * |objective|``,
     or makes it non-finite, is halved up to ``_MAX_HALVINGS`` times, each
@@ -142,20 +146,26 @@ def _irls(book, c, p, phi, beta, max_iterations):
     d, q, score, mass, value = _scoring_pass(beta, design, z, w, p)
     trace_beta = [beta.copy()]
     trace_objective = [value]
+    small_step = False  # the last update was a full Newton step that passed the step test's k-long bound
     for iteration in range(max_iterations + 1):
-        gradient_norm = float(np.max(np.abs(score)))
         converged = bool(np.all(np.abs(score) <= mass * floor_scale))
+        if small_step and not converged:  # the step test, its n-long products paid only here
+            converged = bool(np.all(np.abs(design @ delta) <= _FLOOR_MULTIPLE * _EPS * (1.0 + np.abs(design @ beta))))
         if converged or iteration == max_iterations:
             break
         delta = _cho_solve(_cho_factor(_gram(design, _observed_weights(d, q, p))), score)
         del d, q  # so that the next pass does not hold them beside its own
+        # delta @ score is sum(h_i (X delta)_i**2) <= mass * max_i (X delta)_i**2, and every |s_i| is at most
+        # scale @ |beta|: where this fails, the step moves some s_i too far for the step test
+        small = delta @ score <= mass * (_FLOOR_MULTIPLE * _EPS + floor_scale @ np.abs(beta)) ** 2
         least = value - _OBJECTIVE_SLACK * abs(value)
-        for _ in range(_MAX_HALVINGS + 1):
+        for halvings in range(_MAX_HALVINGS + 1):
             candidate = beta + delta
             d, q, score, mass, value = _scoring_pass(candidate, design, z, w, p)
             if value >= least:
                 break
             delta *= 0.5
+        small_step = small and halvings == 0
         beta = candidate
         trace_beta.append(beta.copy())
         trace_objective.append(value)
@@ -165,7 +175,7 @@ def _irls(book, c, p, phi, beta, max_iterations):
         beta_hat=beta,
         iterations=iteration,
         converged=converged,
-        gradient_norm=gradient_norm,
+        gradient_norm=float(np.max(np.abs(score))),
         trace_beta=np.asarray(trace_beta),
         trace_objective=trace_objective,
         n_obs=book.n,

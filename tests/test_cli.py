@@ -1279,19 +1279,19 @@ class TestErrorHandling:
 class TestAtomicWrites:
     def test_failed_csv_write_keeps_previous_file(self, tmp_path, monkeypatch):
         path = tmp_path / "out.csv"
-        cli._write_csv(path, ["a"], [np.array([1.0, 2.0])])
+        cli._write_csv(path, ["a", "b"], [np.array([1.0, 2.0]), np.array([3.0, 4.0])])
         before = path.read_bytes()
 
-        def text_cells(column, alone, real=cli._text_cells):
+        def text_cells(column, real=cli._text_cells):
             if "z" in column:
                 raise RuntimeError("cannot format")
-            return real(column, alone)
+            return real(column)
 
         # one process: the first chunk reaches the temp file before this process fails on the second
         _deal_to(monkeypatch, 1, 2)
         monkeypatch.setattr(cli, "_text_cells", text_cells)
         with pytest.raises(RuntimeError, match="^cannot format$"):
-            cli._write_csv(path, ["a"], [["x", "y", "z"]])
+            cli._write_csv(path, ["a", "b"], [["x", "y", "z"], np.arange(3.0)])
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
@@ -1313,14 +1313,14 @@ class TestAtomicWrites:
     def test_overlapping_writes_to_one_name_do_not_collide(self, tmp_path, monkeypatch):
         path = tmp_path / "out.csv"
 
-        def text_cells(column, alone, real=cli._text_cells):
+        def text_cells(column, real=cli._text_cells):
             if list(column) == ["outer"]:  # the outer write's temp file is open meanwhile
-                cli._write_csv(path, ["b"], [["inner"]])
-            return real(column, alone)
+                cli._write_csv(path, ["b", "x"], [["inner"], ["2"]])
+            return real(column)
 
         monkeypatch.setattr(cli, "_text_cells", text_cells)
-        cli._write_csv(path, ["a"], [["outer"]])
-        assert path.read_text() == "a\nouter\n"
+        cli._write_csv(path, ["a", "x"], [["outer"], ["1"]])
+        assert path.read_text() == "a,x\nouter,1\n"
         assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
     def test_taken_temp_name_is_drawn_again(self, tmp_path, monkeypatch):
@@ -1353,7 +1353,7 @@ class TestAtomicWrites:
         mask = os.umask(0o027)
         try:
             cli._write_json(tmp_path / "a.json", {})
-            cli._write_csv(tmp_path / "a.csv", ["a"], [["1"]])
+            cli._write_csv(tmp_path / "a.csv", ["a", "b"], [["1"], ["2"]])
         finally:
             os.umask(mask)
         for name in ("a.json", "a.csv"):
@@ -1366,9 +1366,8 @@ def _csv_writer_bytes(header, columns):
     A float array's cells are its values at ``.17g``, NaN the empty cell; a
     text column's are its strings.
 
-    Under that line end ``csv.writer`` quotes a cell exactly when it holds a
-    comma, a quote, CR or LF, or is the empty cell of a one-column row, on
-    CPython 3.10 to 3.13 (under ``"\\n"``, 3.12 and earlier leave a lone CR
+    Under that line end ``csv.writer`` quotes a cell of a row of two or more
+    exactly when it holds a comma, a quote, CR or LF, on CPython 3.10 to 3.13 (under ``"\\n"``, 3.12 and earlier leave a lone CR
     unquoted).  3.10's ``csv.writer`` refuses a cell holding NUL, so the
     oracle is exact from Python 3.11 on.
     """
@@ -1434,9 +1433,12 @@ class TestCsvOutput:
         rows = _read_csv(path)
         assert [row[0] for row in rows] == ["id", *ids] and {len(row) for row in rows} == {4}
 
-    def test_single_empty_column_cell_is_quoted_like_csv_writer(self, tmp_path):
-        cli._write_csv(tmp_path / "out.csv", ["a"], [["", "b"]])
-        assert (tmp_path / "out.csv").read_text() == 'a\n""\nb\n'
+    def test_table_of_fewer_than_two_columns_is_refused(self, tmp_path):
+        # a row of one empty cell would be a blank line; the refusal comes before any directory or temp file
+        for header, columns in (([], []), (["a"], [["", "b"]]), (["a"], [np.array([np.nan, 1.0])])):
+            with pytest.raises(ValueError, match=f"^a CSV table needs two or more columns, got {len(columns)}$"):
+                cli._write_csv(tmp_path / "out" / "table.csv", header, columns)
+            assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("n", [4095, 4096, 4097])
     def test_signed_zeros_across_a_chunk_boundary(self, tmp_path, n):
@@ -1460,12 +1462,11 @@ class TestCsvOutput:
         signs = [line.split(b",")[1] for line in written.splitlines()[1:]]
         assert signs == [b"-0" if negative else b"0" for negative in np.signbit(zeros)]
 
-    @pytest.mark.parametrize("alone", [False, True])
     @pytest.mark.parametrize("copies", [1, 2], ids=["once", "repeated"])
-    def test_nan_is_the_empty_cell_once_or_repeated(self, copies, alone):
+    def test_nan_is_the_empty_cell_once_or_repeated(self, copies):
         # one copy holds 8 distinct bit patterns; two copies repeat each, and every cell keeps its own text
         values = np.tile(np.r_[CSV_NANS, list(CSV_KEPT.values())], copies)
-        assert list(cli._float_cells(values, alone)) == (['""' if alone else ""] * 4 + list(CSV_KEPT)) * copies
+        assert list(cli._float_cells(values)) == ([""] * 4 + list(CSV_KEPT)) * copies
 
     @pytest.mark.parametrize("chunk_rows", [1, 2, 3, 4, 5, 4096])
     def test_nan_is_the_empty_cell_in_every_chunk(self, tmp_path, monkeypatch, chunk_rows):
@@ -1477,13 +1478,9 @@ class TestCsvOutput:
         header = ["id", "repeated", "distinct"]
         columns = [tuple(f"c{i}" for i in range(40)), repeated, distinct]
         cli._write_csv(tmp_path / "out.csv", header, columns)
-        cli._write_csv(tmp_path / "alone.csv", ["a"], [repeated])
         rows = [f"c{i},{texts[k]},{'' if k < 4 else format(distinct[i], '.17g')}\n" for i, k in enumerate(picks)]
         assert (tmp_path / "out.csv").read_bytes() == ("id,repeated,distinct\n" + "".join(rows)).encode()
         assert (tmp_path / "out.csv").read_bytes() == _csv_writer_bytes(header, columns)
-        quoted = ['""'] * 4 + list(CSV_KEPT)  # the empty cell of a one-column file is quoted
-        assert (tmp_path / "alone.csv").read_text() == "a\n" + "".join(f"{quoted[k]}\n" for k in picks)
-        assert (tmp_path / "alone.csv").read_bytes() == _csv_writer_bytes(["a"], [repeated])
 
     @pytest.mark.parametrize("cell", [1, 1.5, None, b"x"])
     def test_text_cell_that_is_not_str_is_refused(self, tmp_path, cell):
@@ -1495,7 +1492,7 @@ class TestCsvOutput:
     @given(st.data())
     def test_random_tables_match_csv_writer(self, data):
         n = data.draw(st.integers(0, 9), label="rows")
-        kinds = data.draw(st.lists(st.sampled_from(sorted(CSV_CELLS)), min_size=1, max_size=5), label="kinds")
+        kinds = data.draw(st.lists(st.sampled_from(sorted(CSV_CELLS)), min_size=2, max_size=5), label="kinds")
         header = data.draw(st.lists(CSV_TEXT, min_size=len(kinds), max_size=len(kinds)), label="header")
         columns = [
             CSV_COLUMN_TYPES[kind](data.draw(st.lists(CSV_CELLS[kind], min_size=n, max_size=n), label=kind))
@@ -1626,12 +1623,12 @@ class TestFloatCells:
     @given(st.lists(FLOAT_BITS, min_size=1, max_size=40))
     def test_any_bit_pattern_renders_as_percent(self, patterns):
         values = np.array(patterns, np.uint64).view(float)
-        assert list(cli._float_cells(values, False)) == _percent_cells(values)
+        assert list(cli._float_cells(values)) == _percent_cells(values)
 
     @pytest.mark.parametrize("family", sorted(FLOAT_FAMILIES))
     def test_family_renders_as_percent(self, family):
         values = np.array(FLOAT_FAMILIES[family])
-        assert list(cli._float_cells(values, False)) == _percent_cells(values)
+        assert list(cli._float_cells(values)) == _percent_cells(values)
         size = np.abs(values)
         fixed = (1e-4 <= size) & (size < 1e17) | (size == 0)
         assert fixed.any()
@@ -1641,7 +1638,7 @@ class TestFloatCells:
         # the tables take milliseconds to build, which a command that writes no CSV should not pay
         code = (
             "import exposure_glm.cli as cli, numpy as np; print(cli._digit_tables.cache_info().currsize);"
-            " cli._float_cells(np.array([0.5, 2.0]), False); print(cli._digit_tables.cache_info().currsize)"
+            " cli._float_cells(np.array([0.5, 2.0])); print(cli._digit_tables.cache_info().currsize)"
         )
         env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
@@ -1706,14 +1703,15 @@ class TestStripedWriter:
         assert main(simulate + ["--out", str(out / "simulate")]) == 0
         _assert_no_children()
         write_portfolio_csv(ingest_csv(book), out / "book.csv")
-        cli._write_csv(out / "one_column.csv", ["a"], [["", "b", "", "c\nd", "", "e"]])
+        empty_rows = [["", "b", "", "c\nd", "", "e"], np.array([np.nan, 1.0, np.nan, 2.0, np.nan, 3.0])]
+        cli._write_csv(out / "empty_rows.csv", ["a", "b"], empty_rows)
         _assert_no_children()
         return {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
 
     def test_artifacts_do_not_depend_on_chunks_or_processes(self, tmp_path, monkeypatch):
         reference = self.artifacts(tmp_path, monkeypatch, 1, 4096)
         assert len(reference) == 10
-        assert reference["one_column.csv"] == b'a\n""\nb\n""\n"c\nd"\n""\ne\n'
+        assert reference["empty_rows.csv"] == b'a,b\n,\nb,1\n,\n"c\nd",2\n,\ne,3\n'
         assert b'"a\nb"' in reference["book.csv"] and b'"u\r\nv"' in reference["compare/gaps.csv"]
         for processes in (1, 2, 4):
             for chunk_rows in (1, 3, 4096):
@@ -1723,10 +1721,10 @@ class TestStripedWriter:
         _deal_to(monkeypatch, 2, 1)
         parent = os.getpid()
 
-        def text_cells(column, alone, real=cli._text_cells):
+        def text_cells(column, real=cli._text_cells):
             if os.getpid() != parent:
                 raise RuntimeError("cannot render")
-            return real(column, alone)
+            return real(column)
 
         monkeypatch.setattr(cli, "_text_cells", text_cells)
         out = tmp_path / "out"
@@ -1753,7 +1751,7 @@ class TestStripedWriter:
         monkeypatch.setattr(os, "fork", fork)
         before = sorted(os.listdir("/proc/self/fd"))
         with _deadline(60), pytest.raises(BlockingIOError):
-            cli._write_csv(tmp_path / "out.csv", ["a"], [[str(i) for i in range(8)]])
+            cli._write_csv(tmp_path / "out.csv", ["a", "b"], [[str(i) for i in range(8)], np.arange(8.0)])
         assert sorted(os.listdir("/proc/self/fd")) == before
         _assert_no_children()
         assert list(tmp_path.iterdir()) == []
@@ -1765,16 +1763,16 @@ class TestStripedWriter:
         _deal_to(monkeypatch, 4, 1)
         parent = os.getpid()
 
-        def text_cells(column, alone, real=cli._text_cells):
+        def text_cells(column, real=cli._text_cells):
             if os.getpid() == parent and "here" in column:
                 raise ValueError("cannot render")
-            return real(column, alone)
+            return real(column)
 
         monkeypatch.setattr(cli, "_text_cells", text_cells)
         path = tmp_path / "out.csv"
         cells = ["x" * 1_500_000] * 4 + ["here"] + ["y" * 1_500_000] * 3
         with _deadline(60), pytest.raises(ValueError, match="cannot render"):
-            cli._write_csv(path, ["a"], [cells])
+            cli._write_csv(path, ["a", "b"], [cells, np.arange(8.0)])
         _assert_no_children()
         assert list(tmp_path.iterdir()) == []
 
