@@ -23,7 +23,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClassBalance:
     """Aggregate losses vs. premiums per level of each risk factor.
 

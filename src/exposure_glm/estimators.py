@@ -45,7 +45,7 @@ class Dominance(Enum):
     SEMIDEFINITE = "semidefinite"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DominanceReport:
     """Verdict on ``M = Cov_ratio - Cov_offset`` plus the matrix itself."""
 

@@ -75,7 +75,7 @@ class AllZeroLossError(ValueError):
     """Every loss cost (or count) is zero, so the log-scale intercept is undefined."""
 
 
-@dataclass
+@dataclass(eq=False)
 class FitResult:
     """Converged (or stalled) fit: estimate, covariance, and trace.
 
@@ -96,7 +96,7 @@ class FitResult:
     n_obs: int
     # (book, c, p, phi, beta) of ``covariance``: the fitted book, the exponent of its weights ``t**c`` and a copy of
     # the final iterate, so a fit holds no n-long array of its own and a write into ``beta_hat`` changes nothing
-    _covariance_inputs: tuple = field(repr=False, compare=False)
+    _covariance_inputs: tuple = field(repr=False)
 
     @functools.cached_property
     def covariance(self):
@@ -122,36 +122,38 @@ def _weighted_mean(w, z):
     return float(np.dot(w, z) / w.sum())
 
 
-def _irls(book, c, p, phi, beta, max_iterations):
+def _fit(book, c, p, phi, beta=None):
     """Newton's method for the weighted Tweedie fit of ``book``'s ``z`` on its design, with weights ``w = t**c``.
 
-    Computes ``w`` once and starts from ``beta``, or, where it is None, from
-    the closed form ``[log(sum(w*z) / sum(w)), 0, ..., 0]``.  Solves
-    ``(X.T H X) delta = X.T D R`` once per iteration until the score test
-    or the step test holds (see the module docstring; the floor scales with
-    ``book._column_scale``, ``max_i |x_ij|`` per column) or
-    ``max_iterations`` updates are spent.
-    A step that lowers the scoring pass's objective (``phi`` times the
-    quasi-log-likelihood) by more than ``_OBJECTIVE_SLACK * |objective|``,
-    or makes it non-finite, is halved up to ``_MAX_HALVINGS`` times, each
-    try one more pass.  Returns the FitResult at the last iterate, whose
-    covariance is factored on first read from the ``D`` at that iterate
-    and scaled by the dispersion ``phi``, which also divides the objective trace.
+    With no ``beta`` (every fit but the tests' ``fit_from``) it first refuses a book with no finite optimum
+    (AllZeroLossError, then ``book._separation``) and starts from the closed form ``[log(sum(w*z) / sum(w)), 0,
+    ..., 0]``.  Computes ``w`` once and solves ``(X.T H X) delta = X.T D R`` once per iteration until the score
+    test or the step test holds (see the module docstring; the floor scales with ``book._column_scale``,
+    ``max_i |x_ij|`` per column) or ``_MAX_ITERATIONS`` updates are spent.  A step that lowers the scoring pass's
+    objective (``phi`` times the quasi-log-likelihood) by more than ``_OBJECTIVE_SLACK * |objective|``, or makes
+    it non-finite, is halved up to ``_MAX_HALVINGS`` times, each try one more pass.  Returns the FitResult at the
+    last iterate, whose covariance is factored on first read from the ``D`` at that iterate and scaled by the
+    dispersion ``phi``, which also divides the objective trace.
     """
+    if beta is None:
+        if book.loss_costs.sum() <= 0.0:
+            raise AllZeroLossError(f"cannot fit a portfolio whose {book._value_name}s are all zero")
+        if (message := book._separation) is not None:
+            raise SingularInformationError(message)
     design, z, w = book.design, book.normalized, _weights(book.exposures, c)
     if beta is None:
         beta = np.zeros(design.shape[1])
-        beta[0] = math.log(_weighted_mean(w, z))  # the mean is positive: ``_fit`` refuses a book without a loss
+        beta[0] = math.log(_weighted_mean(w, z))  # the mean is positive: the book has a loss
     floor_scale = _FLOOR_MULTIPLE * _EPS * book._column_scale
     d, q, score, mass, value = _scoring_pass(beta, design, z, w, p)
     trace_beta = [beta.copy()]
     trace_objective = [value]
     small_step = False  # the last update was a full Newton step that passed the step test's k-long bound
-    for iteration in range(max_iterations + 1):
+    for iteration in range(_MAX_ITERATIONS + 1):
         converged = bool(np.all(np.abs(score) <= mass * floor_scale))
         if small_step and not converged:  # the step test, its n-long products paid only here
             converged = bool(np.all(np.abs(design @ delta) <= _FLOOR_MULTIPLE * _EPS * (1.0 + np.abs(design @ beta))))
-        if converged or iteration == max_iterations:
+        if converged or iteration == _MAX_ITERATIONS:
             break
         delta = _cho_solve(_cho_factor(_gram(design, _observed_weights(d, q, p))), score)
         del d, q  # so that the next pass does not hold them beside its own
@@ -181,15 +183,6 @@ def _irls(book, c, p, phi, beta, max_iterations):
         n_obs=book.n,
         _covariance_inputs=(book, c, p, phi, beta.copy()),
     )
-
-
-def _fit(portfolio: Portfolio, c, p, phi):
-    """Refuse a book with no finite optimum, else run ``_irls`` from its closed-form start, for at most 100 updates."""
-    if portfolio.loss_costs.sum() <= 0.0:
-        raise AllZeroLossError(f"cannot fit a portfolio whose {portfolio._value_name}s are all zero")
-    if (message := portfolio._separation) is not None:
-        raise SingularInformationError(message)
-    return _irls(portfolio, c, p, phi, None, _MAX_ITERATIONS)
 
 
 def fit(portfolio: Portfolio, scheme: WeightScheme, family: TweedieFamily) -> FitResult:

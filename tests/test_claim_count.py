@@ -117,11 +117,11 @@ class TestPoissonFit:
     def test_one_fit_per_book(self, monkeypatch):
         runs = []
 
-        def counted(*args, irls=solver._irls):
-            runs.append(irls(*args))
+        def counted(*args, fit_routine=claim_count._fit):
+            runs.append(fit_routine(*args))
             return runs[-1]
 
-        monkeypatch.setattr(solver, "_irls", counted)
+        monkeypatch.setattr(claim_count, "_fit", counted)
         data = random_count_data(34)
         offset, ratio = (poisson_fit(data, scheme) for scheme in WeightScheme)
         assert len(runs) == 1

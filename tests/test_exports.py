@@ -1,7 +1,7 @@
 """Exported names resolve and the README counts them, every import is used,
 the README's examples run, the package ships only its own modules, numpy is
-the only runtime dependency, and the benchmark's tracer can hook the live
-package."""
+the only runtime dependency, the benchmark's tracer can hook the live
+package, and the exported records compare as their fields allow."""
 
 import ast
 import csv
@@ -13,12 +13,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import exposure_glm
 from exposure_glm import TweedieFamily, WeightScheme
 
-from util import load_perfbench, random_portfolio, write_portfolio_csv
+from util import load_perfbench, random_count_data, random_portfolio, write_portfolio_csv
 
 MODULES = (
     "balance",
@@ -113,9 +114,16 @@ def _modules_naming(name):
 
 
 def test_only_the_solver_names_the_fit_loop():
-    # a fit's refusals of a book are written once, in solver._fit, and its
-    # weights and start in _irls; a module that ran _irls would skip the refusals
-    assert _modules_naming("_irls") == {"solver.py"}
+    # solver._fit is the one fit routine, and it refuses a book with no finite optimum unless it is given a start,
+    # which only the tests give: the package's two calls, fit's and CountData._poisson's, pass exactly (book, c, p, phi)
+    package = Path(exposure_glm.__file__).parent
+    calls = sorted(
+        (path.name, len(node.args), any(isinstance(arg, ast.Starred) for arg in node.args), len(node.keywords))
+        for path in package.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and "_fit" in _names(node.func)
+    )
+    assert calls == [("claim_count.py", 4, False, 0), ("solver.py", 4, False, 0)]
 
 
 def test_only_the_container_names_matrix_rank():
@@ -145,7 +153,32 @@ def test_a_scheme_becomes_its_exponent_at_the_public_boundary():
                 if any("WeightScheme" in _names(n) for n in inner):
                     namers.add(node.name)
     assert callers == {"_exponent", "poisson_fit"}
-    assert not namers & {"_fit", "_irls", "_covariance", "_poisson"}
+    assert not namers & {"_fit", "_covariance", "_poisson"}
+
+
+def test_records_holding_arrays_compare_by_identity():
+    # a fit, a class report and a dominance report hold arrays, whose == has no truth value: each equals only
+    # itself and hashes by identity, while the records of plain values keep their equality by value
+    pf, family = random_portfolio(7), TweedieFamily(p=1.5)
+
+    def records():
+        result = exposure_glm.fit(pf, WeightScheme.OFFSET, family)
+        return result, exposure_glm.class_report(pf, [result]), exposure_glm.covariance_dominance(
+            pf, result.beta_hat, family
+        )
+
+    for record, twin in zip(records(), records()):
+        assert record == record and record != twin
+        assert len({record, twin, record}) == 2
+    data = random_count_data(7)
+    x, beta = pf.design[0], np.array([0.1, 0.2, -0.1])
+    for make in (
+        lambda: exposure_glm.moment_ordering(x, beta, pf, family),
+        lambda: exposure_glm.zip_nonequivalence_check(data),
+        lambda: TweedieFamily(p=1.5, phi=2.0),
+    ):
+        record, twin = make(), make()
+        assert record is not twin and record == twin and hash(record) == hash(twin)
 
 
 def test_package_ships_exactly_these_modules():

@@ -46,14 +46,14 @@ def random_portfolio(seed, n=40, q=2, zero_frac=0.3, full_frac=0.3, all_full=Fal
     return Portfolio.from_arrays(t, y, covariates)
 
 
-def fit_from(start, portfolio, scheme, family, max_iterations=100):
+def fit_from(start, portfolio, scheme, family):
     """``fit`` started at ``start`` instead of the closed form.
 
-    Runs the fit's own loop, ``solver._irls``, on the fit's inputs,
-    without ``fit``'s checks of the book.
+    Runs the fit's own routine, ``solver._fit``, on the fit's inputs and
+    the start, which skips ``fit``'s checks of the book.
     """
     c = model_core._exponent(scheme, family.p)
-    return solver._irls(portfolio, c, family.p, family.phi, np.array(start, dtype=float), max_iterations)
+    return solver._fit(portfolio, c, family.p, family.phi, np.array(start, dtype=float))
 
 
 def gap_totals(**inputs):
